@@ -71,8 +71,9 @@ so ids never depend on discovery order -- and a staleness ratio above
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_left
+from itertools import compress
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -299,19 +300,6 @@ class ColumnarTree:
         }
         return nodes, arrays, entity_order
 
-    @staticmethod
-    def _sorted_levels(
-        dataset: TraceDataset, entity: str, num_levels: int
-    ) -> List[List[STCell]]:
-        """The entity's per-level cells in sorted order (one list per level)."""
-        sequence = dataset.cell_sequence(entity)
-        if sequence.num_levels != num_levels:
-            raise ValueError(
-                f"entity {entity!r} has a {sequence.num_levels}-level sequence; "
-                f"the tree indexes {num_levels} levels"
-            )
-        return [sorted(cells) for cells in sequence.levels]
-
     @classmethod
     def compile(cls, tree: MinSigTree, dataset: TraceDataset) -> "ColumnarTree":
         """Flatten ``tree`` and ``dataset`` membership into a columnar kernel.
@@ -332,53 +320,24 @@ class ColumnarTree:
                 if node.full_signature is not None:
                     full_signatures[position] = node.full_signature
 
-        # Pass 1: gather each entity's sorted per-level cells and the
-        # distinct-cell universe of every level.
+        # Membership comes straight from the dataset's cell table: its
+        # universe is each level's distinct cells in sorted order (the
+        # interning order), its CSR the (entity, level) rows in combined ids.
         num_levels = tree.num_levels
-        level_cell_sets: List[Set[STCell]] = [set() for _ in range(num_levels)]
-        entity_cells: List[List[List[STCell]]] = []
-        for entity in entity_order:
-            per_level = cls._sorted_levels(dataset, entity, num_levels)
-            for level_index, ordered in enumerate(per_level):
-                level_cell_sets[level_index].update(ordered)
-            entity_cells.append(per_level)
-        # Globally sorted interning: ids are the sorted rank of each cell.
-        level_cells: List[List[STCell]] = [sorted(cells) for cells in level_cell_sets]
-        local_index: List[Dict[STCell, int]] = [
-            {cell: slot for slot, cell in enumerate(cells)} for cells in level_cells
-        ]
-
-        # Pass 2: membership rows shifted into the combined id space and
-        # concatenated into one CSR with a segment per (entity, level).
-        offsets = np.zeros(num_levels + 1, dtype=np.int64)
-        np.cumsum([len(cells) for cells in level_cells], out=offsets[1:])
-        segments: List[np.ndarray] = []
-        lengths: List[int] = []
-        for per_level in entity_cells:
-            for level_index, ordered in enumerate(per_level):
-                interned = local_index[level_index]
-                offset = int(offsets[level_index])
-                row = np.fromiter(
-                    (interned[cell] + offset for cell in ordered),
-                    dtype=np.int64,
-                    count=len(ordered),
-                )
-                segments.append(row)
-                lengths.append(row.size)
-        member_indptr = np.zeros(len(entity_order) * num_levels + 1, dtype=np.int64)
-        if lengths:
-            np.cumsum(lengths, out=member_indptr[1:])
-        member_indices = (
-            np.concatenate(segments) if segments and member_indptr[-1] else np.empty(0, dtype=np.int64)
-        )
+        if dataset.num_levels != num_levels:
+            raise ValueError(
+                f"the dataset has {dataset.num_levels}-level sequences; "
+                f"the tree indexes {num_levels} levels"
+            )
+        table = dataset.cell_table(entity_order)
 
         compiled = cls(
             num_levels=num_levels,
             num_hashes=tree.num_hashes,
             entity_order=tuple(entity_order),
-            level_cells=level_cells,
-            member_indptr=member_indptr,
-            member_indices=member_indices,
+            level_cells=[table.cells(level) for level in range(1, num_levels + 1)],
+            member_indptr=table.indptr,
+            member_indices=table.indices,
             node_full_signatures=full_signatures,
             **structure,
         )
@@ -454,111 +413,77 @@ class ColumnarTree:
         if drop_segments:
             np.subtract.at(counts, np.concatenate(drop_segments), 1)
 
-        # Fresh rows for the touched entities still present, counting their
-        # cells back in; cells absent from the old tables are additions.
-        new_rows: Dict[str, List[List[STCell]]] = {}
-        extra: List[Dict[STCell, int]] = [defaultdict(int) for _ in range(num_levels)]
-        for entity in touched:
-            if entity not in new_present:
-                continue
-            per_level = self._sorted_levels(dataset, entity, num_levels)
-            new_rows[entity] = per_level
-            for level_index, ordered in enumerate(per_level):
-                interned = self.level_cell_index[level_index]
-                for cell in ordered:
-                    cell_id = interned.get(cell)
-                    if cell_id is None:
-                        extra[level_index][cell] += 1
-                    else:
-                        counts[cell_id] += 1
+        # Fresh rows for the touched entities still present, from their own
+        # (small) cell table, counting their cells back in; table cells
+        # absent from the old tables are additions.
+        fresh_entities = [entity for entity in entity_order if entity in touched]
+        fresh = dataset.cell_table(fresh_entities)
+        # Row source of every entity: old slots first, fresh-table slots after.
+        source_slot = dict(old_position)
+        for slot, entity in enumerate(fresh_entities, start=len(old_position)):
+            source_slot[entity] = slot
+        fresh_cells = [fresh.cells(level) for level in range(1, num_levels + 1)]
+        #: Old combined id of every fresh-table cell (-1 = addition).
+        fresh_old = np.fromiter(
+            (
+                self.level_cell_index[level_index].get(cell, -1)
+                for level_index, cells in enumerate(fresh_cells)
+                for cell in cells
+            ),
+            dtype=np.int64,
+            count=fresh.num_cells,
+        )
+        known = fresh_old >= 0
+        counts[fresh_old[known]] += np.bincount(fresh.indices, minlength=fresh.num_cells)[known]
         if (counts < 0).any():
             return None  # journal under-reported: stay exact, recompile
 
         # New per-level cell tables: survivors (old sorted order, minus the
         # cells whose count hit zero) merged with the sorted additions.
         # ``translate`` maps old combined ids to new ones (-1 = dead cell);
-        # ``added_index`` maps each genuinely new cell to its combined id.
+        # ``fresh_new`` maps every fresh-table cell to its new combined id.
         new_level_cells: List[List[STCell]] = []
         translate = np.full(self.num_cells, -1, dtype=np.int64)
-        added_index: List[Dict[STCell, int]] = []
+        fresh_new = np.full(fresh.num_cells, -1, dtype=np.int64)
         new_offset = 0
         for level_index in range(num_levels):
             old_cells = self.level_cells[level_index]
             base = int(self.level_cell_offset[level_index])
-            survivors = counts[base : base + len(old_cells)] > 0
-            additions = sorted(extra[level_index])
-            added: Dict[STCell, int] = {}
-            if not additions and survivors.all():
-                merged = old_cells
-                translate[base : base + len(old_cells)] = np.arange(
-                    new_offset, new_offset + len(old_cells), dtype=np.int64
-                )
-            else:
-                merged = []
-                slot = 0
-                i = 0
-                j = 0
-                while i < len(old_cells) or j < len(additions):
-                    if i < len(old_cells) and not survivors[i]:
-                        i += 1
-                        continue
-                    if j >= len(additions) or (
-                        i < len(old_cells) and old_cells[i] < additions[j]
-                    ):
-                        merged.append(old_cells[i])
-                        translate[base + i] = new_offset + slot
-                        i += 1
-                    else:
-                        merged.append(additions[j])
-                        added[additions[j]] = new_offset + slot
-                        j += 1
-                    slot += 1
-            new_level_cells.append(list(merged) if merged is old_cells else merged)
-            added_index.append(added)
+            alive = counts[base : base + len(old_cells)] > 0
+            fresh_base, fresh_stop = fresh.level_offsets[level_index : level_index + 2]
+            added_at = np.flatnonzero(~known[fresh_base:fresh_stop])
+            additions = [fresh_cells[level_index][at] for at in added_at.tolist()]
+            # Two sorted runs, which timsort merges in linear time.
+            merged = sorted(list(compress(old_cells, alive.tolist())) + additions)
+            added_slot = np.fromiter(
+                (bisect_left(merged, cell) for cell in additions),
+                dtype=np.int64,
+                count=len(additions),
+            )
+            kept_slot = np.ones(len(merged), dtype=bool)
+            kept_slot[added_slot] = False
+            translate[base + np.flatnonzero(alive)] = new_offset + np.flatnonzero(kept_slot)
+            fresh_new[fresh_base + added_at] = new_offset + added_slot
+            new_level_cells.append(merged)
             new_offset += len(merged)
+        fresh_new[known] = translate[fresh_old[known]]
 
-        # Splice the CSR in the new entity order: untouched entities reuse
-        # their old rows (all m level segments are contiguous per entity,
-        # so each is one translated slice); touched entities get their
-        # freshly computed rows.
-        translated = (
-            translate[self.member_indices]
-            if self.member_indices.size
-            else np.empty(0, dtype=np.int64)
+        # Splice the CSR in the new entity order with one gather: untouched
+        # entities reuse their old (translated) rows, touched entities take
+        # their rows of the fresh table, appended behind the old ones.
+        rows = np.concatenate((translate[self.member_indices], fresh_new[fresh.indices]))
+        starts = np.concatenate((indptr[:-1], fresh.indptr[:-1] + self.member_indices.size))
+        lengths = np.concatenate((np.diff(indptr), np.diff(fresh.indptr)))
+        source = np.fromiter(
+            (source_slot[entity] for entity in entity_order), dtype=np.int64, count=len(entity_order)
         )
-        sizes_old = self.entity_level_sizes
-        segment_parts: List[np.ndarray] = []
-        length_parts: List[np.ndarray] = []
-        for entity in entity_order:
-            per_level = new_rows.get(entity)
-            if per_level is None:
-                slot = old_position[entity]
-                start = indptr[slot * num_levels]
-                stop = indptr[(slot + 1) * num_levels]
-                segment_parts.append(translated[start:stop])
-                length_parts.append(sizes_old[slot])
-            else:
-                row_lengths = np.empty(num_levels, dtype=np.int64)
-                for level_index, ordered in enumerate(per_level):
-                    old_interned = self.level_cell_index[level_index]
-                    added = added_index[level_index]
-                    row = np.empty(len(ordered), dtype=np.int64)
-                    for position, cell in enumerate(ordered):
-                        cell_id = old_interned.get(cell)
-                        row[position] = (
-                            translate[cell_id] if cell_id is not None else added[cell]
-                        )
-                    segment_parts.append(row)
-                    row_lengths[level_index] = len(ordered)
-                length_parts.append(row_lengths)
-        member_indptr = np.zeros(len(entity_order) * num_levels + 1, dtype=np.int64)
-        if length_parts:
-            np.cumsum(np.concatenate(length_parts), out=member_indptr[1:])
-        member_indices = (
-            np.concatenate(segment_parts)
-            if segment_parts and member_indptr[-1]
-            else np.empty(0, dtype=np.int64)
-        )
+        segments = (source[:, None] * num_levels + np.arange(num_levels)).ravel()
+        member_indptr = np.zeros(segments.size + 1, dtype=np.int64)
+        np.cumsum(lengths[segments], out=member_indptr[1:])
+        member_indices = rows[
+            np.repeat(starts[segments] - member_indptr[:-1], lengths[segments])
+            + np.arange(member_indptr[-1])
+        ]
 
         patched = type(self)(
             num_levels=num_levels,

@@ -31,7 +31,7 @@ bitwise-identical:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,9 +100,9 @@ class HierarchicalHashFamily:
         self._cell_cache: Dict[Tuple[int, str], np.ndarray] = {}
         # Cache of base descendant index arrays per non-base unit.
         self._descendant_indexes: Dict[str, np.ndarray] = {}
-        # Bulk-path caches: level-1 ancestor per unit and subtree layouts.
-        self._unit_roots: Dict[str, str] = {}
+        # Bulk-path caches: subtree layouts and the integer unit coding.
         self._layouts: Dict[str, Dict[str, object]] = {}
+        self._tables: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Encoding
@@ -185,46 +185,75 @@ class HierarchicalHashFamily:
         """Hash many cells with one broadcasted kernel: shape (n_cells, n_h).
 
         Bitwise-identical to stacking :meth:`hash_cell` results, but the
-        per-cell dict cache is bypassed entirely.  Cells are grouped by their
-        level-1 subtree; for each subtree the whole (time x base-descendant)
-        hash grid is evaluated with a decomposed modular kernel (the time and
-        unit terms of ``a * (t*|L| + i) + b`` are combined with one addition
-        modulo the prime instead of one multiplication per grid element), and
-        coarse-cell minima are then reduced *hierarchically* -- one grouped
-        minimum per sp-index level -- so each base hash value is read once
-        per level instead of once per ancestor cell.  Work is chunked over
-        times so peak memory stays bounded.
+        per-cell dict cache is bypassed entirely.  A thin adapter: encodes
+        the cells as integers and calls :meth:`hash_coded_cells`.
+        """
+        code_of = self.hierarchy.unit_codes()
+        count = len(cells)
+        codes = np.fromiter((code_of[cell.unit] for cell in cells), dtype=np.int64, count=count)
+        times = np.fromiter((cell.time for cell in cells), dtype=np.int64, count=count)
+        return self.hash_coded_cells(times, codes, out_dtype)
+
+    def hash_coded_cells(
+        self, times: np.ndarray, unit_codes: np.ndarray, out_dtype: np.dtype = np.int64
+    ) -> np.ndarray:
+        """Hash the cells ``(times[c], unit_codes[c])``: shape (n_cells, n_h).
+
+        Units are given by their :meth:`SpatialHierarchy.unit_codes` codes
+        (a cell table's universe arrives in this form).  Cells are grouped
+        by their level-1 subtree; for each subtree the whole (time x
+        base-descendant) hash grid is evaluated with a decomposed modular
+        kernel (the time and unit terms of ``a * (t*|L| + i) + b`` are
+        combined with one addition modulo the prime instead of one
+        multiplication per grid element), and coarse-cell minima are then
+        reduced *hierarchically* -- one grouped minimum per sp-index level
+        -- so each base hash value is read once per level instead of once
+        per ancestor cell.  Work is chunked over times so peak memory stays
+        bounded.
 
         ``out_dtype`` may be ``np.int32`` (hash values fit: the range is
         below the 2^31 modulus); the bulk signature pipeline uses this to
         halve the memory traffic of its reduction stage.
         """
-        out = np.empty((len(cells), self.num_hashes), dtype=out_dtype)
-        if len(cells):
-            groups: Dict[str, List[int]] = {}
-            for position, cell in enumerate(cells):
-                groups.setdefault(self._root_of(cell.unit), []).append(position)
-            for root, positions in groups.items():
-                self._hash_subtree_group(out, cells, positions, root)
+        out = np.empty((unit_codes.size, self.num_hashes), dtype=out_dtype)
+        units = self.hierarchy.coded_units()
+        level_of, root_of, slot_of = self._unit_tables()
+        roots = root_of[unit_codes]
+        for root in np.unique(roots).tolist():
+            positions = np.flatnonzero(roots == root)
+            codes = unit_codes[positions]
+            self._hash_subtree_group(
+                out, positions, units[root], level_of[codes], times[positions], slot_of[codes]
+            )
         return out
 
-    def _root_of(self, unit_id: str) -> str:
-        """Level-1 ancestor of a unit (cached)."""
-        root = self._unit_roots.get(unit_id)
-        if root is None:
-            root = self.hierarchy.path(unit_id)[0]
-            self._unit_roots[unit_id] = root
-        return root
+    def _unit_tables(self) -> np.ndarray:
+        """Per unit code: level, level-1 ancestor's code, layout slot (rows 0-2).
+
+        The slot is the unit's position among the units of its level in its
+        level-1 subtree's pre-order layout.  Built once, cached.
+        """
+        if self._tables is None:
+            code_of = self.hierarchy.unit_codes()
+            level_of, root_of, slot_of = tables = np.empty((3, len(code_of)), dtype=np.int64)
+            for root in self.hierarchy.units_at_level(1):
+                for level, level_units in self._subtree_layout(root)["units"].items():
+                    codes = [code_of[unit_id] for unit_id in level_units]
+                    level_of[codes] = level
+                    root_of[codes] = code_of[root]
+                    slot_of[codes] = np.arange(len(codes))
+            self._tables = tables
+        return self._tables
 
     def _subtree_layout(self, root: str) -> Dict[str, object]:
         """Pre-order layout of one level-1 subtree (cached).
 
         ``units[level]`` lists the subtree's level-``level`` units in
         pre-order (so every unit's children are consecutive in the next
-        level's list), ``pos[level]`` maps unit id to its slot,
-        ``offsets[level]`` are the ``reduceat`` boundaries that reduce the
-        level-``level+1`` axis onto level ``level``, and ``base_idx`` holds
-        the dense base-unit indexes in the same pre-order.
+        level's list; a unit's position is its *slot*), ``plans[level]``
+        says how to reduce the level-``level+1`` axis onto level ``level``,
+        and ``base_idx`` holds the dense base-unit indexes in the same
+        pre-order.
         """
         cached = self._layouts.get(root)
         if cached is not None:
@@ -258,10 +287,6 @@ class HierarchicalHashFamily:
                 plans[level] = ("grouped", groups)
         layout = {
             "units": units,
-            "pos": {
-                level: {unit_id: slot for slot, unit_id in enumerate(level_units)}
-                for level, level_units in units.items()
-            },
             "plans": plans,
             "base_idx": np.array(
                 [self.hierarchy.base_unit_index(unit_id) for unit_id in units[num_levels]],
@@ -274,42 +299,31 @@ class HierarchicalHashFamily:
     def _hash_subtree_group(
         self,
         out: np.ndarray,
-        cells: Sequence[STCell],
-        positions: Sequence[int],
+        positions: np.ndarray,
         root: str,
+        levels: np.ndarray,
+        cell_times: np.ndarray,
+        unit_slots: np.ndarray,
     ) -> None:
-        """Fill ``out[positions]`` for all cells under one level-1 subtree.
+        """Fill ``out[positions]`` for cells under one level-1 subtree.
 
-        Grids are laid out time-major -- ``(n_times, n_units, n_h)`` -- so
-        every reduction and gather touches contiguous length-``n_h`` rows:
-        the hierarchy minimum reduces a middle axis with a SIMD-friendly
-        contiguous inner axis, and scattering a cell's hash vector into the
-        output is a straight row copy.
+        The cells are given as parallel ``(level, time, layout slot)``
+        arrays.  Grids are laid out time-major -- ``(n_times, n_units, n_h)``
+        -- so every reduction and gather touches contiguous length-``n_h``
+        rows: the hierarchy minimum reduces a middle axis with a
+        SIMD-friendly contiguous inner axis, and scattering a cell's hash
+        vector into the output is a straight row copy.
         """
         layout = self._subtree_layout(root)
         num_levels = self.hierarchy.num_levels
-        pos_of = layout["pos"]
 
-        by_level: Dict[int, Tuple[List[int], List[int], List[int]]] = {}
-        times_set = set()
-        for position in positions:
-            cell = cells[position]
-            level = self.hierarchy.unit(cell.unit).level
-            bucket = by_level.setdefault(level, ([], [], []))
-            bucket[0].append(cell.time)
-            bucket[1].append(pos_of[level][cell.unit])
-            bucket[2].append(position)
-            times_set.add(cell.time)
-        times = np.array(sorted(times_set), dtype=np.uint64)
-        min_level = min(by_level)
-        level_refs = {
-            level: (
-                np.searchsorted(times, np.array(cell_times, dtype=np.uint64)),
-                np.array(unit_slots, dtype=np.int64),
-                np.array(out_positions, dtype=np.int64),
-            )
-            for level, (cell_times, unit_slots, out_positions) in by_level.items()
-        }
+        times = np.unique(cell_times).astype(np.uint64)
+        time_slots = np.searchsorted(times, cell_times.astype(np.uint64))
+        min_level = int(levels.min())
+        level_refs = {}
+        for level in np.unique(levels).tolist():
+            members = levels == level
+            level_refs[level] = (time_slots[members], unit_slots[members], positions[members])
 
         prime = np.uint64(_MERSENNE_PRIME)
         base_idx = layout["base_idx"]

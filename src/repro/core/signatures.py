@@ -17,23 +17,23 @@ Two construction paths produce **bitwise-identical** matrices:
   hashes one entity's cells through the family's per-cell cache -- used for
   incremental updates and ad-hoc signing;
 * the **bulk path** (:meth:`SignatureComputer.bulk_signature_matrices`):
-  collects the unique ST-cells of a whole dataset, hashes them once with the
-  vectorised bulk kernel, and reduces per-(entity, level) minima with
-  ``np.minimum.reduceat`` -- used when building (or batch-updating) the
-  MinSigTree, where it is several times faster because the ``|E| * C * m *
-  n_h`` hash evaluations of Section 4.3 collapse into a handful of
-  broadcasted numpy calls.
+  takes the unique ST-cells of a whole dataset from its integer cell table,
+  hashes them once with the vectorised bulk kernel, and reduces
+  per-(entity, level) minima over dense gathers -- used when building (or
+  batch-updating) the MinSigTree, where it is several times faster because
+  the ``|E| * C * m * n_h`` hash evaluations of Section 4.3 collapse into a
+  handful of broadcasted numpy calls.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from repro.core.hashing import HierarchicalHashFamily
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence, STCell
+from repro.traces.events import CellSequence
 
 __all__ = ["SignatureComputer"]
 
@@ -89,76 +89,55 @@ class SignatureComputer:
     ) -> Dict[str, np.ndarray]:
         """Signature matrices for many entities via the vectorised bulk kernel.
 
-        The unique ST-cells across all selected entities and levels are
-        hashed once with :meth:`HierarchicalHashFamily.hash_cells_bulk`
-        (amortising popular coarse cells exactly like the per-cell cache
-        does), then every (entity, level) minimum is taken in one
-        ``np.minimum.reduceat`` sweep over the gathered hash rows.  The
-        result is bitwise-identical to calling :meth:`signature_matrix` per
-        entity -- the equivalence test-suite pins this.
+        The unique ST-cells across all selected entities and levels come
+        from :meth:`TraceDataset.cell_table` (no per-entity
+        :class:`CellSequence` is built), are hashed once with
+        :meth:`HierarchicalHashFamily.hash_coded_cells` (amortising popular
+        coarse cells exactly like the per-cell cache does), and every
+        (entity, level) minimum is then taken over the gathered hash rows.
+        The result is bitwise-identical to calling :meth:`signature_matrix`
+        per entity -- the equivalence test-suite pins this.
         """
         selected = dataset.entities if entities is None else tuple(entities)
-        if not hasattr(self.hash_family, "hash_cells_bulk"):
+        if not hasattr(self.hash_family, "hash_coded_cells"):
             # Duck-typed hash families (e.g. the paper's worked-example
             # table) only need the per-cell interface.
             return self._per_entity_signatures(dataset, selected)
         num_levels = dataset.num_levels
-        matrices = {
-            entity: np.full((num_levels, self.num_hashes), self.empty_value, dtype=np.int64)
-            for entity in selected
-        }
-        if not selected:
-            return matrices
+        # One (n, m, n_h) block; each entity's matrix is a view into it.
+        block = np.full(
+            (len(selected), num_levels, self.num_hashes), self.empty_value, dtype=np.int64
+        )
+        matrices = dict(zip(selected, block))
 
-        # 1. Deduplicate cells across entities and levels, remembering for
-        #    every non-empty (entity, level) segment which unique cells it
-        #    references.
-        cell_ids: Dict[STCell, int] = {}
-        unique_cells: List[STCell] = []
-        segments: List[np.ndarray] = []
-        segment_owner: List[Tuple[str, int]] = []
-        for entity in selected:
-            sequence = dataset.cell_sequence(entity)
-            for level_index, cells in enumerate(sequence.levels):
-                if not cells:
-                    continue
-                refs = np.empty(len(cells), dtype=np.int64)
-                for slot, cell in enumerate(cells):
-                    cell_id = cell_ids.get(cell)
-                    if cell_id is None:
-                        cell_id = len(unique_cells)
-                        cell_ids[cell] = cell_id
-                        unique_cells.append(cell)
-                    refs[slot] = cell_id
-                segments.append(refs)
-                segment_owner.append((entity, level_index))
-        if not segments:
-            return matrices
+        # 1. The cell table: every (entity, level) segment as sorted ids
+        #    into the deduplicated cell universe of the selection.
+        table = dataset.cell_table(selected)
 
         # 2. One vectorised hash evaluation over the unique cells.  Hash
         #    values fit in int32 (the range is below the 2^31 modulus), which
         #    halves the memory traffic of the reduction below; the final
         #    matrices are int64, and equality with the per-entity path is
         #    exact because only the dtype, never a value, differs.
-        cell_hashes = self.hash_family.hash_cells_bulk(unique_cells, out_dtype=np.int32)
+        cell_hashes = self.hash_family.hash_coded_cells(
+            table.times, table.unit_codes, out_dtype=np.int32
+        )
 
         # 3. Per-segment minima.  Segments are grouped by cell count so each
         #    group reduces with one gather + one SIMD-friendly ``min`` over a
         #    dense (segments, count, n_h) block (ufunc.reduceat's generic
         #    inner loop is several times slower); chunked to bound memory.
-        by_length: Dict[int, List[int]] = {}
-        for seg_index, refs in enumerate(segments):
-            by_length.setdefault(refs.size, []).append(seg_index)
+        rows = block.reshape(-1, self.num_hashes)
+        starts = table.indptr[:-1]
+        lengths = np.diff(table.indptr)
         budget = max(1, _BULK_REDUCE_ELEMENTS // self.num_hashes)
-        for length, seg_indexes in by_length.items():
+        for length in np.unique(lengths[lengths > 0]).tolist():
+            segments = np.flatnonzero(lengths == length)
             rows_per_chunk = max(1, budget // length)
-            for start in range(0, len(seg_indexes), rows_per_chunk):
-                chunk_indexes = seg_indexes[start : start + rows_per_chunk]
-                ref_block = np.stack([segments[i] for i in chunk_indexes])
-                minima = cell_hashes[ref_block].min(axis=1)
-                for row, seg_index in enumerate(chunk_indexes):
-                    entity, level_index = segment_owner[seg_index]
-                    matrices[entity][level_index] = minima[row]
+            for chunk_start in range(0, segments.size, rows_per_chunk):
+                chunk = segments[chunk_start : chunk_start + rows_per_chunk]
+                ref_block = table.indices[starts[chunk, None] + np.arange(length)]
+                rows[chunk] = cell_hashes[ref_block].min(axis=1)
         return matrices
 
     def _per_entity_signatures(
@@ -197,8 +176,4 @@ class SignatureComputer:
         (up to the constant) and is used by the indexing-cost benchmark to
         report a machine-independent work measure.
         """
-        total_cells = 0
-        for entity in dataset.entities:
-            sequence = dataset.cell_sequence(entity)
-            total_cells += sum(len(level) for level in sequence.levels)
-        return total_cells * self.num_hashes
+        return int(dataset.cell_table().indices.size) * self.num_hashes

@@ -12,7 +12,14 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.traces.events import CellSequence, PresenceInstance, STCell, cells_from_presences
+from repro.traces.events import (
+    CellSequence,
+    CellTable,
+    PresenceInstance,
+    STCell,
+    cell_table_from_traces,
+    cells_from_presences,
+)
 from repro.traces.spatial import SpatialHierarchy
 
 __all__ = ["TraceDataset"]
@@ -261,6 +268,18 @@ class TraceDataset:
         sequence = cells_from_presences(self.trace(entity), self._hierarchy)
         self._sequence_cache[entity] = sequence
         return sequence
+
+    def cell_table(self, entities: Optional[Iterable[str]] = None) -> CellTable:
+        """The ST-cell set sequences of ``entities`` (default: all) as arrays.
+
+        The bulk counterpart of :meth:`cell_sequence`, for consumers that
+        read every selected entity at once (index build, columnar compile,
+        flush-time re-signing); entity ``e`` of the table is the ``e``-th
+        selected.  Built from the traces on every call: the per-entity
+        sequence cache is neither read nor filled.
+        """
+        selected = self._presences if entities is None else entities
+        return cell_table_from_traces([self.trace(entity) for entity in selected], self._hierarchy)
 
     def average_cells_per_entity(self) -> float:
         """Average base ST-cell count per entity (``C`` in the cost analysis)."""

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = ["SpatialUnit", "SpatialHierarchy"]
 
 
@@ -72,6 +74,11 @@ class SpatialHierarchy:
         self._level_index: Dict[int, Dict[str, int]] = {}
         self._level_units: Dict[int, List[str]] = {}
         self._base_descendants: Dict[str, Tuple[str, ...]] = {}
+        self._paths: Dict[str, Tuple[str, ...]] = {}
+        # Integer unit coding (see unit_codes), built lazily.
+        self._unit_codes: Optional[Dict[str, int]] = None
+        self._coded_units: Tuple[str, ...] = ()
+        self._ancestor_codes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -111,6 +118,7 @@ class SpatialHierarchy:
             parent.children_ids.append(unit_id)
         self._units[unit_id] = unit
         self._validated = False
+        self._paths.clear()
         return unit
 
     @classmethod
@@ -194,6 +202,8 @@ class SpatialHierarchy:
             for level, unit_ids in self._level_units.items()
         }
         self._base_descendants = {}
+        self._unit_codes = None
+        self._ancestor_codes = None
         self._validated = True
 
     def _ensure_validated(self) -> None:
@@ -281,13 +291,22 @@ class SpatialHierarchy:
     # Navigation
     # ------------------------------------------------------------------
     def path(self, unit_id: str) -> Tuple[str, ...]:
-        """The root-to-unit path (level-1 ancestor first, the unit itself last)."""
+        """The root-to-unit path (level-1 ancestor first, the unit itself last).
+
+        Memoised per unit (every ST-cell lift walks it); :meth:`add_unit`
+        clears the memo.
+        """
+        cached = self._paths.get(unit_id)
+        if cached is not None:
+            return cached
         chain: List[str] = []
         current: Optional[str] = unit_id
         while current is not None:
             chain.append(current)
             current = self.unit(current).parent_id
-        return tuple(reversed(chain))
+        path = tuple(reversed(chain))
+        self._paths[unit_id] = path
+        return path
 
     def ancestors(self, unit_id: str) -> Tuple[str, ...]:
         """All proper ancestors of ``unit_id``, ordered from level 1 downwards."""
@@ -308,6 +327,40 @@ class SpatialHierarchy:
             )
         chain = self.path(unit_id)
         return chain[level - 1]
+
+    def unit_codes(self) -> Dict[str, int]:
+        """Unit id -> *code*: its position when ordered by level, then by id.
+
+        The code is the integer standing for the unit in
+        :class:`~repro.traces.events.CellTable`: within a level, code order is
+        (string) id order, so integer order of ``(time, code)`` is
+        ``sorted(STCell)`` order.  Cached until the hierarchy changes.
+        """
+        self._ensure_validated()
+        if self._unit_codes is None:
+            ordered = [unit_id for units in self._level_units.values() for unit_id in sorted(units)]
+            self._unit_codes = {unit_id: code for code, unit_id in enumerate(ordered)}
+            self._coded_units = tuple(ordered)
+        return self._unit_codes
+
+    def coded_units(self) -> Tuple[str, ...]:
+        """Inverse of :meth:`unit_codes`: the unit id of every code."""
+        self.unit_codes()
+        return self._coded_units
+
+    def ancestor_codes(self) -> np.ndarray:
+        """Codes of every base unit's root-to-unit path: shape ``(m, |L|)``.
+
+        Column ``b`` is the path of the base unit with dense index ``b``,
+        level 1 first, as :meth:`unit_codes` codes.  Cached like them.
+        """
+        code_of = self.unit_codes()
+        if self._ancestor_codes is None:
+            self._ancestor_codes = np.array(
+                [[code_of[unit_id] for unit_id in self.path(base)] for base in self.base_units],
+                dtype=np.int64,
+            ).T
+        return self._ancestor_codes
 
     def base_descendants(self, unit_id: str) -> Tuple[str, ...]:
         """All base spatial units in the subtree rooted at ``unit_id``.

@@ -7,6 +7,11 @@ paths.  This suite pins that guarantee with property-style checks over
 seeded-random datasets across hierarchy shapes, plus the edge cases that
 historically break vectorised rewrites: empty traces, a single entity,
 horizon = 1, and irregular (mixed fan-out) hierarchies.
+
+The bulk paths are fed by the integer cell table
+(``TraceDataset.cell_table``); the last section fuzzes it against the
+object-walking paths it replaced, with the retired ``ColumnarTree.compile``
+frozen here as the oracle.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from repro import (
     TraceDataset,
     TraceQueryEngine,
 )
+from repro.core.columnar import ColumnarTree
 from repro.core.hashing import HierarchicalHashFamily
+from repro.core.minsigtree import MinSigTree
 from repro.core.signatures import SignatureComputer
+from repro.scenarios.generators import build_dataset
 from repro.traces.events import STCell
 
 
@@ -331,3 +339,177 @@ class TestBulkUpdates:
             assert np.array_equal(
                 engine.tree.signature_of(entity), rebuilt.tree.signature_of(entity)
             )
+
+
+# ----------------------------------------------------------------------
+# Cell table ≡ object path (seeded fuzz)
+# ----------------------------------------------------------------------
+def oracle_compile(tree, dataset) -> ColumnarTree:
+    """The object-walking ``ColumnarTree.compile`` the cell table retired.
+
+    Frozen here as the oracle: it walks every entity's ``CellSequence``,
+    sorts and interns ``STCell`` objects per level through dicts, and builds
+    the membership CSR row by row.
+    """
+    nodes, structure, entity_order = ColumnarTree._flatten_structure(tree)
+    full_signatures = None
+    if tree.store_full_signatures:
+        full_signatures = np.zeros((len(nodes), tree.num_hashes), dtype=np.int64)
+        for position, node in enumerate(nodes):
+            if node.full_signature is not None:
+                full_signatures[position] = node.full_signature
+    num_levels = tree.num_levels
+    level_cell_sets = [set() for _ in range(num_levels)]
+    entity_cells = []
+    for entity in entity_order:
+        per_level = [sorted(cells) for cells in dataset.cell_sequence(entity).levels]
+        for level_index, ordered in enumerate(per_level):
+            level_cell_sets[level_index].update(ordered)
+        entity_cells.append(per_level)
+    level_cells = [sorted(cells) for cells in level_cell_sets]
+    local_index = [{cell: slot for slot, cell in enumerate(cells)} for cells in level_cells]
+    offsets = np.zeros(num_levels + 1, dtype=np.int64)
+    np.cumsum([len(cells) for cells in level_cells], out=offsets[1:])
+    segments = []
+    for per_level in entity_cells:
+        for level_index, ordered in enumerate(per_level):
+            interned = local_index[level_index]
+            segments.append(
+                np.array(
+                    [interned[cell] + int(offsets[level_index]) for cell in ordered],
+                    dtype=np.int64,
+                )
+            )
+    member_indptr = np.zeros(len(entity_order) * num_levels + 1, dtype=np.int64)
+    np.cumsum([row.size for row in segments], out=member_indptr[1:])
+    member_indices = (
+        np.concatenate(segments) if member_indptr[-1] else np.empty(0, dtype=np.int64)
+    )
+    return ColumnarTree(
+        num_levels=num_levels,
+        num_hashes=tree.num_hashes,
+        entity_order=tuple(entity_order),
+        level_cells=level_cells,
+        member_indptr=member_indptr,
+        member_indices=member_indices,
+        node_full_signatures=full_signatures,
+        **structure,
+    )
+
+
+def fuzz_dataset(rng: random.Random, hierarchy: SpatialHierarchy, horizon: int) -> TraceDataset:
+    """Random traces with the shapes that break vectorised expansions.
+
+    Overlapping and exactly duplicated presences of one entity, presences
+    running past the explicit horizon, a single-cell entity and an entity
+    whose trace was emptied.
+    """
+    dataset = TraceDataset(hierarchy, horizon=horizon)
+    bases = hierarchy.base_units
+    for index in range(rng.randint(8, 20)):
+        entity = f"e{index}"
+        for _ in range(rng.randint(1, 7)):
+            unit = rng.choice(bases)
+            start = rng.randrange(horizon)
+            duration = rng.randint(1, 4)  # may end past the horizon
+            dataset.add_record(entity, unit, start, duration=duration)
+            if rng.random() < 0.3:  # exact duplicate
+                dataset.add_record(entity, unit, start, duration=duration)
+            if rng.random() < 0.3:  # overlapping period, same unit
+                dataset.add_record(entity, unit, start + 1, duration=duration)
+            if rng.random() < 0.2:  # same period, another unit
+                dataset.add_record(entity, rng.choice(bases), start, duration=duration)
+    dataset.add_record("single", rng.choice(bases), rng.randrange(horizon))
+    dataset.add_record("past", rng.choice(bases), horizon - 1, duration=3)
+    dataset.replace_trace("ghost", [])
+    return dataset
+
+
+def scenario_dataset(generator: str, seed: int) -> TraceDataset:
+    """A small dataset from one of the hostile scenario generators."""
+    params = {
+        "heavy_tail": dict(num_entities=30, horizon=48, max_records=60),
+        "clone_families": dict(num_families=5, num_background=8, horizon=40),
+    }[generator]
+    return build_dataset(generator, dict(params, seed=seed))
+
+
+def assert_table_matches_objects(dataset: TraceDataset, entities, rng: random.Random) -> None:
+    """Cell table, bulk signatures and compile ≡ the object-walking paths."""
+    entities = list(entities)
+    num_levels = dataset.num_levels
+    # The table itself: every (entity, level) row decodes to the sorted set.
+    table = dataset.cell_table(entities)
+    universe = [cell for level in range(1, num_levels + 1) for cell in table.cells(level)]
+    assert table.indptr.size == len(entities) * num_levels + 1
+    for slot, entity in enumerate(entities):
+        sequence = dataset.cell_sequence(entity)
+        for level_index in range(num_levels):
+            start, stop = table.indptr[slot * num_levels + level_index :][:2]
+            row = [universe[cell_id] for cell_id in table.indices[start:stop]]
+            assert row == sorted(sequence.levels[level_index]), (entity, level_index)
+    # Signatures: bulk (table-fed) vs the per-entity oracle, cold families.
+    horizon = max(dataset.horizon, 1)
+    seed = rng.randrange(1000)
+    family = lambda: HierarchicalHashFamily(  # noqa: E731
+        dataset.hierarchy, horizon=horizon, num_hashes=13, seed=seed
+    )
+    bulk = SignatureComputer(family()).bulk_signature_matrices(dataset, entities)
+    oracle = SignatureComputer(family())
+    assert list(bulk) == list(dict.fromkeys(entities))
+    for entity in entities:
+        expected = oracle.signature_matrix(dataset.cell_sequence(entity))
+        assert bulk[entity].dtype == expected.dtype
+        assert np.array_equal(bulk[entity], expected), entity
+    # The hash-operation count reads the same total off the CSR.
+    cells = sum(
+        len(level) for entity in dataset.entities for level in dataset.cell_sequence(entity).levels
+    )
+    assert oracle.hash_operations(dataset) == cells * 13
+    # Compile: every exported array equals the frozen object-walking compile.
+    for store_full in (False, True):
+        tree = MinSigTree.build(
+            bulk, num_levels, num_hashes=13, store_full_signatures=store_full
+        )
+        compiled = ColumnarTree.compile(tree, dataset).export_arrays()
+        expected = oracle_compile(tree, dataset).export_arrays()
+        assert compiled.keys() == expected.keys()
+        for name in expected:
+            assert compiled[name].dtype == expected[name].dtype, name
+            assert np.array_equal(compiled[name], expected[name]), name
+
+
+class TestCellTableEquivalence:
+    @pytest.mark.parametrize("shape", sorted(HIERARCHIES))
+    @pytest.mark.parametrize("fuzz_seed", [101, 202, 303])
+    def test_fuzzed_traces(self, shape, fuzz_seed, seeded_rng):
+        rng = seeded_rng(fuzz_seed)
+        dataset = fuzz_dataset(rng, HIERARCHIES[shape](), horizon=rng.randint(1, 18))
+        assert_table_matches_objects(dataset, dataset.entities, rng)
+
+    @pytest.mark.parametrize("generator", ["heavy_tail", "clone_families"])
+    def test_hostile_scenario_generators(self, generator, seeded_rng):
+        rng = seeded_rng(47)
+        dataset = scenario_dataset(generator, seed=rng.randrange(100))
+        assert_table_matches_objects(dataset, dataset.entities, rng)
+
+    @pytest.mark.parametrize("fuzz_seed", [7, 8])
+    def test_entity_subsets(self, fuzz_seed, seeded_rng):
+        rng = seeded_rng(fuzz_seed)
+        dataset = fuzz_dataset(rng, irregular_hierarchy(), horizon=12)
+        shuffled = rng.sample(dataset.entities, k=len(dataset.entities) // 2)
+        for subset in ([], ["single"], ["ghost"], ["ghost", "single", "past"], shuffled):
+            assert_table_matches_objects(dataset, subset, rng)
+
+    def test_unknown_entity_is_a_key_error(self, small_dataset):
+        with pytest.raises(KeyError, match="unknown entity 'nobody'"):
+            small_dataset.cell_table(["a", "nobody"])
+
+    def test_table_bypasses_the_sequence_cache(self, small_dataset, monkeypatch):
+        def forbidden(self, entity):
+            raise AssertionError(f"cell_sequence({entity!r}) called")
+
+        monkeypatch.setattr(TraceDataset, "cell_sequence", forbidden)
+        table = small_dataset.cell_table()
+        assert table.num_cells == sum(np.diff(table.level_offsets))
+        assert small_dataset._sequence_cache == {}

@@ -118,6 +118,24 @@ class TestLifecycle:
         for entity in small_dataset.entities:
             assert (first.tree.signature_of(entity) == second.tree.signature_of(entity)).all()
 
+    def test_build_materialises_no_per_entity_sequences(self, small_dataset, monkeypatch):
+        # Build and kernel compile read the integer cell table; only the
+        # query entity's CellSequence is ever constructed.
+        calls = []
+        original = type(small_dataset).cell_sequence
+
+        def counting(self, entity):
+            calls.append(entity)
+            return original(self, entity)
+
+        monkeypatch.setattr(type(small_dataset), "cell_sequence", counting)
+        engine = TraceQueryEngine(small_dataset, num_hashes=16, seed=5).build()
+        assert calls == []
+        result = engine.top_k("a", k=3)
+        assert result.entities[0] == "b"
+        assert set(calls) == {"a"}
+        assert set(small_dataset._sequence_cache) == {"a"}
+
     def test_index_size_positive(self, small_engine):
         assert small_engine.index_size_bytes() > 0
 

@@ -113,6 +113,30 @@ class TestNavigation:
         assert small_hierarchy.level_of(path[0]) == 1
         assert path[-1] == base
 
+    def test_path_memo_survives_add_unit(self):
+        hierarchy = SpatialHierarchy()
+        hierarchy.add_unit("r")
+        hierarchy.add_unit("a", "r")
+        assert hierarchy.path("a") == ("r", "a")
+        assert hierarchy.path("a") is hierarchy.path("a")  # memoised
+        hierarchy.add_unit("b", "r")  # clears the memo
+        assert hierarchy.path("b") == ("r", "b")
+        assert hierarchy.path("a") == ("r", "a")
+
+    def test_unit_codes_follow_level_then_id_order(self):
+        hierarchy = SpatialHierarchy.from_parent_map(
+            {"z": None, "a": None, "m": "z", "b": "z", "c": "a"}
+        )
+        units = hierarchy.coded_units()
+        assert units == ("a", "z", "b", "c", "m")
+        assert hierarchy.unit_codes() == {unit: code for code, unit in enumerate(units)}
+        codes = hierarchy.ancestor_codes()
+        for column, base in enumerate(hierarchy.base_units):
+            assert [units[code] for code in codes[:, column]] == list(hierarchy.path(base))
+        hierarchy.add_unit("d", "a")  # a later unit re-codes everything
+        assert hierarchy.coded_units() == ("a", "z", "b", "c", "d", "m")
+        assert hierarchy.ancestor_codes().shape == (2, 4)
+
     def test_ancestors_excludes_self(self, small_hierarchy):
         base = small_hierarchy.base_units[0]
         assert base not in small_hierarchy.ancestors(base)
