@@ -36,7 +36,7 @@ from repro.core.engine import TraceQueryEngine
 from repro.experiments.harness import ExperimentResult, resolve_scale
 from repro.experiments.workloads import sample_queries, syn_workload
 from repro.server.app import TraceServer, build_http_server
-from repro.server.frontend import FrontendServer
+from repro.server.frontend import worker_tier
 from repro.service.sharded import ShardedEngine
 
 from conftest import RESULTS_DIR, benchmark_scale
@@ -239,10 +239,8 @@ def run_multi_client(
         ),
     }
     for workers in worker_counts:
-        if workers == 0:
-            server = TraceServer(engine)
-        else:
-            server = FrontendServer(engine, workers=workers)
+        tier = worker_tier(engine, workers=workers) if workers else {}
+        server = TraceServer(engine, **tier)
         httpd = build_http_server(server, port=0)
         port = httpd.server_address[1]
         serve_thread = threading.Thread(target=httpd.serve_forever, daemon=True)

@@ -383,15 +383,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="DIR",
-        help="persistent generation store directory for --workers (default: a "
-        "private temporary directory discarded on exit); on restart the daemon "
-        "recovers from the newest published generation, then replays the --wal "
-        "suffix",
+        help="persistent generation store directory; needs --workers or "
+        "--cluster (default: a private temporary directory discarded on exit); "
+        "with --workers, on restart the daemon recovers from the newest "
+        "published generation, then replays the --wal suffix",
     )
     serve.add_argument(
         "--delta-limit",
         type=int,
-        default=8,
+        default=None,
         help="consecutive delta generations published before a full snapshot "
         "is forced (0 = publish every generation as a full snapshot; default 8)",
     )
@@ -1277,6 +1277,19 @@ def _command_serve(args: argparse.Namespace) -> int:
         return _error("--cluster and --workers are mutually exclusive tiers")
     if not (0.0 <= args.trace_sample <= 1.0):
         return _error(f"--trace-sample must be within [0, 1], got {args.trace_sample}")
+    if args.delta_limit is None:
+        # Resolved here, not in the parser: importing repro.server is only
+        # worth its cost for the command that serves.
+        from repro.server.generation import DELTA_CHAIN_LIMIT
+
+        args.delta_limit = DELTA_CHAIN_LIMIT
+    if args.delta_limit < 0:
+        return _error(f"--delta-limit must be >= 0, got {args.delta_limit}")
+    if args.store and not (args.workers or args.cluster):
+        return _error(
+            "--store needs --workers or --cluster: a single-process daemon "
+            "publishes no generations"
+        )
 
     try:
         engine = _resolve_engine(args, horizon=args.horizon)
@@ -1294,6 +1307,7 @@ def _run_server(engine, args: argparse.Namespace) -> int:
     import threading
 
     from repro.server.app import TraceServer, build_http_server
+    from repro.server.recovery import recover_serving_state
     from repro.streaming.ingestor import StreamingConfig
 
     streaming = StreamingConfig(
@@ -1301,89 +1315,43 @@ def _run_server(engine, args: argparse.Namespace) -> int:
         window=args.window or None,
         compact_after=args.compact_every,
     )
-    workers = getattr(args, "workers", 0)
-    store_root = getattr(args, "store", None)
+    workers, cluster, store_root = args.workers, args.cluster, args.store
 
-    # Durability: recover state published before a crash, then replay the
-    # WAL suffix the crashed process had already acknowledged.  The engine
-    # resolved from --snapshot/--traces is the cold-start fallback; a
-    # persistent --store with published generations supersedes it.
-    wal = None
-    stream_state = None
-    if getattr(args, "wal", None):
-        from repro.server.recovery import recover_engine_from_store, replay_wal_into_engine
-        from repro.streaming.wal import WriteAheadLog
+    # Durability: a --workers store with published generations supersedes
+    # the engine resolved from --snapshot/--traces; --wal replays what the
+    # crashed process had already acknowledged (docs/DURABILITY.md).
+    engine, wal, stream_state, notes = recover_serving_state(
+        engine,
+        streaming,
+        wal_dir=args.wal,
+        store_root=store_root if workers else None,
+        snapshot=args.snapshot,
+    )
+    for note in notes:
+        print(note, flush=True)
 
-        wal = WriteAheadLog(args.wal)
-        meta = {}
-        if workers and store_root:
-            recovered = recover_engine_from_store(store_root)
-            if recovered is not None:
-                engine, meta, generation = recovered
-                print(f"recovered generation {generation} from {store_root}", flush=True)
-        elif getattr(args, "snapshot", None):
-            from repro.storage.snapshot import SnapshotError, read_manifest
+    # A tier is a read backend plus a publisher (docs/SERVING.md); the
+    # default is the engine itself and nothing to publish.
+    try:
+        tier = {}
+        if cluster:
+            from repro.cluster.frontend import cluster_tier
 
-            try:
-                meta = read_manifest(args.snapshot).get("extra") or {}
-            except SnapshotError:
-                meta = {}
-        summary, stream_state = replay_wal_into_engine(engine, wal, streaming, meta)
-        if summary.records:
-            print(
-                f"replayed {summary.records} WAL records ({summary.events} events) "
-                f"from {args.wal}, log position {summary.last_seq}",
-                flush=True,
-            )
-    elif workers and store_root:
-        from repro.server.recovery import recover_engine_from_store
-
-        recovered = recover_engine_from_store(store_root)
-        if recovered is not None:
-            engine, meta, generation = recovered
-            stream_state = meta.get("stream")
-            print(f"recovered generation {generation} from {store_root}", flush=True)
-
-    cluster = getattr(args, "cluster", 0)
-    if cluster:
-        from repro.cluster.frontend import ClusterServer
-
-        try:
-            server = ClusterServer(
+            tier = cluster_tier(
                 engine,
-                streaming=streaming,
                 replication=cluster,
-                coalesce_window=args.coalesce_window / 1000.0,
-                max_pending=args.max_pending,
-                max_batch=args.max_batch,
                 store_root=store_root,
-                trace_sample=args.trace_sample,
-                wal=wal,
-                stream_state=stream_state,
-                delta_limit=getattr(args, "delta_limit", 8),
+                delta_limit=args.delta_limit,
             )
-        except (OSError, RuntimeError, ValueError) as exc:
-            return _error(f"cannot start the cluster tier: {exc}")
-    elif workers:
-        from repro.server.frontend import FrontendServer
+        elif workers:
+            from repro.server.frontend import worker_tier
 
-        try:
-            server = FrontendServer(
+            tier = worker_tier(
                 engine,
-                streaming=streaming,
                 workers=workers,
-                coalesce_window=args.coalesce_window / 1000.0,
-                max_pending=args.max_pending,
-                max_batch=args.max_batch,
                 store_root=store_root,
-                trace_sample=args.trace_sample,
-                wal=wal,
-                stream_state=stream_state,
-                delta_limit=getattr(args, "delta_limit", 8),
+                delta_limit=args.delta_limit,
             )
-        except (OSError, RuntimeError) as exc:
-            return _error(f"cannot start {workers} query workers: {exc}")
-    else:
         server = TraceServer(
             engine,
             streaming=streaming,
@@ -1393,7 +1361,12 @@ def _run_server(engine, args: argparse.Namespace) -> int:
             trace_sample=args.trace_sample,
             wal=wal,
             stream_state=stream_state,
+            **tier,
         )
+    except (OSError, RuntimeError, ValueError) as exc:
+        if cluster:
+            return _error(f"cannot start the cluster tier: {exc}")
+        return _error(f"cannot start {workers} query workers: {exc}")
     try:
         httpd = build_http_server(server, host=args.host, port=args.port)
     except OSError as exc:
@@ -1418,20 +1391,20 @@ def _run_server(engine, args: argparse.Namespace) -> int:
             flush=True,
         )
     if workers:
-        pids = ", ".join(str(pid) for pid in server.pool.worker_pids)
+        pids = ", ".join(str(pid) for pid in server.backend.worker_pids)
         print(
             f"multi-process tier: {workers} query workers (pids {pids}) over "
-            f"generation store {server.store.root}",
+            f"generation store {server.publisher.root}",
             flush=True,
         )
     if cluster:
         fleet = ", ".join(
             f"{name} (pid {replica.process.pid}, port {replica.port})"
-            for name, replica in sorted(server.managed.items())
+            for name, replica in sorted(server.backend.managed.items())
         )
         print(
             f"distributed tier: {stats['num_shards']} shard groups x "
-            f"{cluster} replicas over {server.root}: {fleet}",
+            f"{cluster} replicas over {server.publisher.root}: {fleet}",
             flush=True,
         )
 

@@ -13,8 +13,10 @@ The package promotes the shard boundary from threads in one process
   groups: retry with backoff, hedged failover, catch-up verified rejoin;
 - :mod:`repro.cluster.coordinator` -- fan-out/merge with per-shard
   deadlines and explicit degraded answers when a whole group is down;
-- :mod:`repro.cluster.frontend` -- the HTTP-facing ``ClusterServer``
-  (same handler surface as :class:`~repro.server.app.TraceServer`);
+- :mod:`repro.cluster.frontend` -- the two parts that make
+  :class:`~repro.server.app.TraceServer` the cluster tier: ``ClusterFleet``
+  (read backend) and ``ShardPublisher`` (per-shard generations), paired by
+  ``cluster_tier``;
 - :mod:`repro.cluster.chaos` / :mod:`repro.cluster.battery` -- fault
   injection and the exactness-under-faults chaos battery.
 

@@ -2,7 +2,8 @@
 
 ``repro cluster chaos`` runs this.  A seeded workload of interleaved
 ingest and top-k queries plays against a live 2-shard x R-replica
-:class:`~repro.cluster.frontend.ClusterServer` while the
+:class:`~repro.server.app.TraceServer` (the
+:func:`~repro.cluster.frontend.cluster_tier` configuration) while the
 :class:`~repro.cluster.chaos.ChaosController` injects faults between and
 *during* query bursts -- SIGKILLed replicas, delayed replies (forcing
 hedges), dropped exchanges (forcing retries), and a whole-group blackout.
@@ -35,10 +36,11 @@ import random
 from typing import Dict, List, Optional
 
 from repro.cluster.chaos import ChaosController
-from repro.cluster.frontend import ClusterServer
+from repro.cluster.frontend import cluster_tier
 from repro.cluster.replica import ClusterConfig
 from repro.core.engine import TraceQueryEngine
 from repro.server import protocol
+from repro.server.app import TraceServer
 from repro.service.merge import merge_topk_payloads
 from repro.service.sharded import ShardedEngine
 from repro.streaming.ingestor import EventIngestor, StreamingConfig
@@ -101,7 +103,7 @@ class _Gates:
 
 
 def _query_burst(
-    server: ClusterServer,
+    server: TraceServer,
     oracle: TraceQueryEngine,
     gates: _Gates,
     rng: random.Random,
@@ -174,7 +176,7 @@ def _query_burst(
 
 
 def _ingest(
-    server: ClusterServer,
+    server: TraceServer,
     oracle_ingestor: EventIngestor,
     events: List[Dict[str, int]],
 ) -> Optional[str]:
@@ -235,13 +237,13 @@ def run_battery(
         max_attempts=4,
         replication=replication,
     )
-    server = ClusterServer(
+    server = TraceServer(
         engine,
         streaming=StreamingConfig(max_batch_events=MICRO_BATCH),
-        replication=replication,
-        cluster_config=config,
+        **cluster_tier(engine, replication=replication, cluster_config=config),
     )
-    chaos = ChaosController(server)
+    fleet = server.backend
+    chaos = ChaosController(fleet)
     gates = _Gates()
     known = [f"seed-{index:03d}" for index in range(seed_entities)]
     rounds: List[Dict[str, object]] = []
@@ -269,9 +271,9 @@ def run_battery(
         _query_burst(server, oracle, gates, rng, known, burst // 2)
         killed = chaos.kill_one_per_group(replica_index=0)
         _query_burst(server, oracle, gates, rng, known, burst)
-        if not server.supervisor.wait_settled(timeout=settle_timeout):
+        if not fleet.supervisor.wait_settled(timeout=settle_timeout):
             gates.failures.append(
-                f"respawn did not settle after kill: {server.supervisor.snapshot()}"
+                f"respawn did not settle after kill: {fleet.supervisor.snapshot()}"
             )
         record_round("kill_one_per_group", detail=",".join(killed))
 
@@ -281,7 +283,7 @@ def run_battery(
         if error:
             gates.failures.append(error)
         known = sorted(oracle.dataset.entities)
-        for group in server.groups:
+        for group in fleet.groups:
             chaos.slow_replies(f"{group.shard}-r0", delay=0.3)
             if replication > 1:
                 chaos.drop_requests(f"{group.shard}-r1", count=2)
@@ -316,7 +318,7 @@ def run_battery(
         _, metrics_text = server.handle_metrics()
         gates.expect(
             'repro_cluster_events_total{event="degraded_queries"}' in metrics_text
-            and server.coordinator.counters["degraded_queries"] > 0,
+            and fleet.coordinator.counters["degraded_queries"] > 0,
             "degraded_marked",
             "degraded_queries counter missing from /metrics",
         )
@@ -326,9 +328,9 @@ def run_battery(
         config.shard_deadline = 15.0
         config.max_attempts = 4
         chaos.restore_group(blackout_index)
-        if not server.supervisor.wait_settled(timeout=settle_timeout):
+        if not fleet.supervisor.wait_settled(timeout=settle_timeout):
             gates.failures.append(
-                f"blackout group never rejoined: {server.supervisor.snapshot()}"
+                f"blackout group never rejoined: {fleet.supervisor.snapshot()}"
             )
         error = _ingest(server, oracle_ingestor, _round_events(rng, 4, chunk))
         if error:
@@ -337,10 +339,10 @@ def run_battery(
         _query_burst(server, oracle, gates, rng, known, burst)
         record_round("recovery")
 
-        coordinator = server.coordinator.snapshot()
-        supervisor = server.supervisor.snapshot()
+        coordinator = fleet.coordinator.snapshot()
+        supervisor = fleet.supervisor.snapshot()
     finally:
-        stubborn = server.supervisor.shutdown_processes()
+        stubborn = fleet.supervisor.shutdown_processes()
         server.close()
 
     if stubborn:

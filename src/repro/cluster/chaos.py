@@ -1,4 +1,4 @@
-"""Fault injection against a live :class:`~repro.cluster.frontend.ClusterServer`.
+"""Fault injection against a live :class:`~repro.cluster.frontend.ClusterFleet`.
 
 The chaos battery (and the cluster tests) speak to the cluster through
 this controller rather than poking processes directly, so every injected
@@ -30,10 +30,10 @@ __all__ = ["ChaosController"]
 
 
 class ChaosController:
-    """Scripted faults over a ClusterServer's replica fleet."""
+    """Scripted faults over a :class:`~repro.cluster.frontend.ClusterFleet`."""
 
-    def __init__(self, server) -> None:
-        self.server = server
+    def __init__(self, fleet) -> None:
+        self.fleet = fleet
         #: Every fault injected, in order -- returned in battery reports so
         #: a failure names the exact fault schedule that produced it.
         self.injected: List[Dict[str, object]] = []
@@ -44,9 +44,9 @@ class ChaosController:
     def kill_one_per_group(self, replica_index: int = 0) -> List[str]:
         """SIGKILL replica ``replica_index`` of every group; supervisor revives."""
         killed = []
-        for group in self.server.groups:
+        for group in self.fleet.groups:
             name = f"{group.shard}-r{replica_index}"
-            replica = self.server.managed[name]
+            replica = self.fleet.managed[name]
             if replica.suspended:
                 continue
             replica.kill()
@@ -56,26 +56,26 @@ class ChaosController:
 
     def blackout_group(self, shard_index: int) -> List[str]:
         """Suspend + SIGKILL every replica of one group (stays down)."""
-        group = self.server.groups[shard_index]
+        group = self.fleet.groups[shard_index]
         names = [replica.name for replica in group.replicas]
-        self.server.supervisor.suspend(names)
+        self.fleet.supervisor.suspend(names)
         for name in names:
-            self.server.managed[name].kill()
+            self.fleet.managed[name].kill()
         self.injected.append({"fault": "blackout_group", "shard": group.shard})
         return names
 
     def restore_group(self, shard_index: int) -> None:
         """Lift a blackout; the supervisor respawns and verifies rejoin."""
-        group = self.server.groups[shard_index]
+        group = self.fleet.groups[shard_index]
         names = [replica.name for replica in group.replicas]
-        self.server.supervisor.resume(names)
+        self.fleet.supervisor.resume(names)
         self.injected.append({"fault": "restore_group", "shard": group.shard})
 
     # ------------------------------------------------------------------
     # Wire faults (shard-server chaos flags)
     # ------------------------------------------------------------------
     def _configure(self, name: str, flags: Dict[str, object]) -> bool:
-        replica = self.server.managed[name]
+        replica = self.fleet.managed[name]
         if replica.port is None:
             return False
         try:
@@ -101,6 +101,6 @@ class ChaosController:
 
     def clear(self, name: Optional[str] = None) -> None:
         """Reset wire-level flags on one replica (or all live ones)."""
-        names = [name] if name is not None else list(self.server.managed)
+        names = [name] if name is not None else list(self.fleet.managed)
         for target in names:
             self._configure(target, {"delay": 0.0, "drop": 0, "refuse": False})

@@ -1,25 +1,22 @@
-"""The cluster front-end: owner process + shard-server replica fleet.
+"""The cluster tier's parts: a shard-server replica fleet and its publisher.
 
-``repro serve --cluster SxR`` (and the chaos battery) run this instead of
-the single-host tiers: a :class:`ClusterServer` embeds the write-owning
+``repro serve --cluster SxR`` (and the chaos battery) run the one
 :class:`~repro.server.app.TraceServer` over a
-:class:`~repro.service.sharded.ShardedEngine`, publishes **per-shard**
-snapshot generations from the flush hook, and answers ``/v1/topk``
-through a :class:`~repro.cluster.coordinator.ClusterCoordinator` fanning
-out over ``S`` replica groups of ``R`` shard-server processes each
+:class:`~repro.service.sharded.ShardedEngine` with two parts from this
+module plugged in (:func:`cluster_tier` builds the pair): a
+:class:`ShardPublisher` publishes **per-shard** snapshot generations from
+the flush hook, and a :class:`ClusterFleet` answers ``/v1/topk`` through a
+:class:`~repro.cluster.coordinator.ClusterCoordinator` fanning out over
+``S`` replica groups of ``R`` shard-server processes each
 (:mod:`repro.cluster.shard_server`), supervised by a
 :class:`~repro.cluster.supervisor.ReplicaSupervisor` (respawn with
 backoff, catch-up-verified rejoin).
 
-It exposes the exact ``handle_*`` surface of
-:class:`~repro.server.app.TraceServer` /
-:class:`~repro.server.frontend.FrontendServer`, so
-:func:`~repro.server.app.build_http_server` and the CLI wrap it
-unchanged.  The consistency model also carries over: a flush publishes
-every changed shard's generation *before* the events response is
-written, and shard servers adopt at request boundaries, so acknowledged
-writes are visible to every subsequent query -- now across processes
-*and* replica crashes (the chaos battery's exactness gate).
+The consistency model is the server's: a flush publishes every changed
+shard's generation *before* the events response is written, and shard
+servers adopt at request boundaries, so acknowledged writes are visible to
+every subsequent query -- now across processes *and* replica crashes (the
+chaos battery's exactness gate).
 
 Store layout under ``store_root``::
 
@@ -30,26 +27,17 @@ Store layout under ``store_root``::
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
-import threading
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.coordinator import ClusterCoordinator, CoordinatorError
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
 from repro.cluster.supervisor import ManagedReplica, ReplicaSupervisor
 from repro.obs import exposition
-from repro.obs.trace import SpanContext
-from repro.server import protocol
-from repro.server.app import TraceServer
-from repro.server.coalescer import QueueFullError, RequestCoalescer
-from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore, SnapshotDelta
-from repro.streaming.ingestor import StreamingConfig
+from repro.server.app import ServingPart, Traces
+from repro.server.frontend import GenerationPublisher
+from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore
 
-__all__ = ["ClusterServer", "shard_name"]
-
-Response = Tuple[int, Dict[str, object]]
+__all__ = ["ClusterFleet", "ShardPublisher", "cluster_tier", "shard_name"]
 
 
 def shard_name(index: int) -> str:
@@ -57,294 +45,176 @@ def shard_name(index: int) -> str:
     return f"shard-{index:03d}"
 
 
-class _ClusterDispatch:
-    """Engine-shaped adapter routing the coalescer to the coordinator."""
+class ShardPublisher(GenerationPublisher):
+    """One generation store per shard of a built ``ShardedEngine``.
 
-    class _Batch:
-        __slots__ = ("results",)
+    Differs from the single-store publisher only in how a flush is shared
+    out: the appended events split by owning shard (the engine routed them
+    moments ago, so the assignment is recorded) while window cutoffs and
+    compactions apply to every shard.  The fleet reports the per-shard
+    generations inside its ``cluster`` sections, so this part adds only
+    the ``repro_cluster_generation`` gauge.
+    """
 
-        def __init__(self, results: List[Dict[str, object]]) -> None:
-            self.results = results
+    temp_prefix = "repro-cluster-"
 
-    def __init__(self, coordinator: ClusterCoordinator) -> None:
-        self._coordinator = coordinator
+    def _open_stores(self) -> None:
+        if not hasattr(self.engine, "shards"):
+            raise ValueError("the cluster tier needs a built ShardedEngine")
+        self.stores: Dict[str, GenerationStore] = {
+            shard_name(index): GenerationStore(
+                self.root / shard_name(index), delta_limit=self.delta_limit
+            )
+            for index in range(self.engine.num_shards)
+        }
 
-    def top_k_batch(
-        self,
-        entities,
-        k: int,
-        approximation: float,
-        traces: Optional[List[Optional[SpanContext]]] = None,
-    ) -> "_ClusterDispatch._Batch":
-        return self._Batch(
-            self._coordinator.topk_payloads(list(entities), k, approximation)
-        )
+    def _shares(self, appended: List[object]) -> List[tuple]:
+        by_shard: Dict[int, List[object]] = {}
+        for event in appended:
+            by_shard.setdefault(self.engine.shard_of(event.entity), []).append(event)
+        return [
+            (self.stores[shard_name(index)], shard_engine, by_shard.get(index, []))
+            for index, shard_engine in enumerate(self.engine.shards)
+        ]
 
-    def top_k(
-        self,
-        entity: str,
-        k: int,
-        approximation: float,
-        trace: Optional[SpanContext] = None,
-    ) -> Dict[str, object]:
-        return self._coordinator.topk_payloads([entity], k, approximation)[0]
+    def generations(self) -> Dict[str, int]:
+        """Newest published generation per shard store."""
+        return {shard: store.generation for shard, store in self.stores.items()}
+
+    def health(self) -> Dict[str, object]:
+        """Nothing of its own: see :meth:`ClusterFleet.health`."""
+        return {}
+
+    stats = health
+
+    def metric_families(self) -> List[exposition.MetricFamily]:
+        """The ``repro_cluster_generation`` gauge."""
+        return [
+            exposition.MetricFamily(
+                name="repro_cluster_generation",
+                kind="gauge",
+                help="Newest published generation per shard store.",
+                samples=[
+                    ("", {"shard": shard}, float(generation))
+                    for shard, generation in sorted(self.generations().items())
+                ],
+            )
+        ]
 
 
-class ClusterServer:
-    """The distributed tier behind the standard serving surface.
+class ClusterFleet(ServingPart):
+    """``S`` replica groups of ``R`` shard servers -- the cluster read backend.
 
-    Parameters mirror :class:`~repro.server.frontend.FrontendServer`, with
-    ``replication`` (replicas per shard group) and ``cluster_config``
-    (timeout/retry/hedging knobs) in place of ``workers``.  ``engine``
-    must be a built :class:`~repro.service.sharded.ShardedEngine`; its
-    shard count fixes the cluster's ``S``.
+    Owns the processes (``managed``), their clients and groups, the
+    coordinator that fans a query out and merges, and the supervisor that
+    respawns and re-admits replicas; :class:`~repro.cluster.chaos.ChaosController`
+    and the battery inject faults into exactly these.  ``publisher`` is
+    the :class:`ShardPublisher` whose stores the replicas serve;
+    ``replication`` is ``R`` and ``cluster_config`` the
+    timeout/retry/hedging knobs.
     """
 
     def __init__(
         self,
-        engine,
-        streaming: Optional[StreamingConfig] = None,
+        publisher: ShardPublisher,
         replication: int = 2,
-        coalesce_window: float = 0.002,
-        max_pending: int = 1024,
-        max_batch: int = 64,
-        store_root: Optional[os.PathLike] = None,
-        startup_timeout: float = 60.0,
-        trace_sample: float = 0.0,
-        wal=None,
-        stream_state: Optional[Dict[str, object]] = None,
-        delta_limit: int = DELTA_CHAIN_LIMIT,
         cluster_config: Optional[ClusterConfig] = None,
+        startup_timeout: float = 60.0,
     ) -> None:
-        if not hasattr(engine, "shards"):
-            raise ValueError("ClusterServer needs a built ShardedEngine")
         if replication < 1:
             raise ValueError(f"replication must be >= 1, got {replication}")
-        self._owns_store = store_root is None
-        root = (
-            Path(tempfile.mkdtemp(prefix="repro-cluster-"))
-            if store_root is None
-            else Path(store_root)
-        )
-        self.root = root
+        self.publisher = publisher
         self.replication = replication
         self.cluster_config = cluster_config or ClusterConfig(replication=replication)
-        self.owner = TraceServer(
-            engine,
-            streaming=streaming,
-            coalesce_window=coalesce_window,
-            max_pending=max_pending,
-            max_batch=max_batch,
-            trace_sample=trace_sample,
-            wal=wal,
-            stream_state=stream_state,
-        )
-        self.engine = engine
-        self.engine_lock = self.owner.engine_lock
-        self.metrics = self.owner.metrics
-        self.ingestor = self.owner.ingestor
-        self.tracer = self.owner.tracer
-        self.started_at = self.owner.started_at
-        self.num_shards = engine.num_shards
-        self._closed = False
+        self.startup_timeout = startup_timeout
+        self.num_shards = len(publisher.stores)
+        self.managed: Dict[str, ManagedReplica] = {}
+        self.clients: Dict[str, ReplicaClient] = {}
+        self.groups: List[ReplicaGroup] = []
+        self.coordinator: Optional[ClusterCoordinator] = None
+        self.supervisor: Optional[ReplicaSupervisor] = None
 
-        self.stores: Dict[str, GenerationStore] = {}
-        managed: Dict[str, ManagedReplica] = {}
-        clients: Dict[str, ReplicaClient] = {}
-        groups: List[ReplicaGroup] = []
+    def start(self) -> None:
+        """Spawn every replica (each adopts its shard's initial generation),
+        then start the supervisor's respawn/rejoin loop."""
+        root = self.publisher.root
         try:
-            # Initial per-shard publish: every replica needs a generation to
-            # adopt at spawn, before any stream write.
-            with self.engine_lock:
-                for index, shard_engine in enumerate(engine.shards):
-                    store = GenerationStore(
-                        root / shard_name(index), delta_limit=delta_limit
-                    )
-                    store.publish(shard_engine, extra_meta=self._durability_meta())
-                    self.stores[shard_name(index)] = store
-            self.ingestor.add_flush_hook(self._publish_after_flush)
-
-            run_dir = root / "run"
-            for index in range(self.num_shards):
-                shard = shard_name(index)
+            for shard in self.publisher.stores:
                 replicas: List[ReplicaClient] = []
-                for replica_index in range(replication):
+                for replica_index in range(self.replication):
                     name = f"{shard}-r{replica_index}"
                     replica = ManagedReplica(
                         shard,
                         name,
                         store_root=str(root / shard),
-                        run_dir=str(run_dir),
-                        startup_timeout=startup_timeout,
+                        run_dir=str(root / "run"),
+                        startup_timeout=self.startup_timeout,
                     )
+                    self.managed[name] = replica
                     port = replica.spawn()
                     client = ReplicaClient(
                         name, replica.host, port, config=self.cluster_config
                     )
-                    managed[name] = replica
-                    clients[name] = client
+                    self.clients[name] = client
                     replicas.append(client)
-                groups.append(ReplicaGroup(shard, replicas, config=self.cluster_config))
-            self.managed = managed
-            self.clients = clients
-            self.groups = groups
-            self.coordinator = ClusterCoordinator(engine.dataset, groups)
-            self.supervisor = ReplicaSupervisor(
-                {group.shard: group for group in groups},
-                managed,
-                clients,
-                self.stores,
-                config=self.cluster_config,
-            )
-            self.supervisor.start()
-            self.coalescer = RequestCoalescer(
-                _ClusterDispatch(self.coordinator),
-                threading.Lock(),
-                window_seconds=coalesce_window,
-                max_pending=max_pending,
-                max_batch=max_batch,
-            )
-        except BaseException:
-            for replica in managed.values():
-                replica.terminate()
-            self.owner.close()
-            if self._owns_store:
-                shutil.rmtree(root, ignore_errors=True)
-            raise
-
-    # ------------------------------------------------------------------
-    # Generation publishing (owner side)
-    # ------------------------------------------------------------------
-    def _durability_meta(self) -> Dict[str, object]:
-        """WAL position and stream state stamped into every publish."""
-        wal = self.ingestor.wal
-        return {
-            "wal_seq": wal.last_seq if wal is not None else 0,
-            "stream": self.ingestor.stream_state(),
-        }
-
-    def _publish_after_flush(self, report) -> None:
-        """Flush hook: publish each *changed* shard's generation.
-
-        Runs under the engine lock.  The flush's appended events split by
-        owning shard (the engine routed them moments ago, so the
-        assignment is recorded); window cutoffs and compactions apply to
-        every shard.  A shard whose delta would be empty skips the publish
-        -- per-shard generation counters advance independently.
-        """
-        changed = (
-            report.events
-            or (report.expiry is not None and report.expiry.expired_records)
-            or report.compacted
-        )
-        if not changed:
-            return
-        by_shard: Dict[int, List[object]] = {}
-        for event in report.appended:
-            by_shard.setdefault(self.engine.shard_of(event.entity), []).append(event)
-        meta = self._durability_meta()
-        for index, shard_engine in enumerate(self.engine.shards):
-            delta = SnapshotDelta(
-                events=list(by_shard.get(index, [])),
-                cutoff=report.cutoff,
-                compacted=bool(report.compacted),
-            )
-            if delta.is_empty():
-                continue
-            self.stores[shard_name(index)].publish_update(
-                shard_engine, delta=delta, extra_meta=meta
-            )
-
-    # ------------------------------------------------------------------
-    # Endpoint handlers (same surface as TraceServer / FrontendServer)
-    # ------------------------------------------------------------------
-    def handle_topk(self, payload: object) -> Response:
-        """``POST /v1/topk`` routed through the coordinator fan-out."""
-        trace = self.tracer.start_trace("request.topk")
-        if trace is None:
-            return self._answer_topk(payload)
-        try:
-            status, response = self._answer_topk(payload)
-        except BaseException:
-            self.tracer.finish(trace, error=True)
-            raise
-        self.tracer.finish(trace, status=status, error=status >= 500)
-        return status, response
-
-    def _answer_topk(self, payload: object) -> Response:
-        try:
-            request = protocol.parse_topk_request(payload)
-        except protocol.ProtocolError as exc:
-            return exc.status, protocol.error_payload(str(exc))
-        if self._closed:
-            return 503, protocol.error_payload("the server is shutting down")
-        with self.engine_lock:
-            unknown = [
-                candidate
-                for candidate in request.entities
-                if candidate not in self.engine.dataset
-            ]
-        if unknown:
-            return 404, protocol.error_payload(f"unknown entity {unknown[0]!r}")
-        try:
-            if request.batch:
-                payloads = self.coordinator.topk_payloads(
-                    request.entities, request.k, request.approximation
+                self.groups.append(
+                    ReplicaGroup(shard, replicas, config=self.cluster_config)
                 )
-            else:
-                payloads = [
-                    self.coalescer.submit(
-                        request.entities[0],
-                        k=request.k,
-                        approximation=request.approximation,
-                    )
-                ]
-        except QueueFullError as exc:
-            return 429, protocol.error_payload(str(exc))
-        except KeyError as exc:
-            return 404, protocol.error_payload(f"unknown entity {exc.args[0]!r}")
-        except CoordinatorError as exc:
-            return 503, protocol.error_payload(str(exc))
-        except RuntimeError as exc:
-            return 503, protocol.error_payload(str(exc))
-        if not request.batch:
-            return 200, payloads[0]
-        return 200, {"results": payloads}
+        except BaseException:
+            for replica in self.managed.values():
+                replica.terminate()
+            raise
+        self.coordinator = ClusterCoordinator(self.publisher.engine.dataset, self.groups)
+        self.supervisor = ReplicaSupervisor(
+            {group.shard: group for group in self.groups},
+            self.managed,
+            self.clients,
+            self.publisher.stores,
+            config=self.cluster_config,
+        )
+        self.supervisor.start()
 
-    def handle_events(self, payload: object) -> Response:
-        """``POST /v1/events``: the owner's write path (flush hook publishes)."""
-        return self.owner.handle_events(payload)
+    def topk(
+        self,
+        entities: Sequence[str],
+        k: int,
+        approximation: float,
+        traces: Traces = None,
+    ) -> List[Dict[str, object]]:
+        """Fan out over the shard groups and merge (shard-side spans are
+        not stitched yet, so ``traces`` is unused)."""
+        return self.coordinator.topk_payloads(list(entities), k, approximation)
 
-    def handle_healthz(self) -> Response:
-        """``GET /v1/healthz`` plus cluster topology and per-shard liveness."""
-        status, payload = self.owner.handle_healthz()
+    topk_batch = topk
+
+    def health(self) -> Dict[str, object]:
+        """``cluster`` topology and per-shard liveness; a shard group with
+        no live replica turns the probe's ``status`` to ``degraded``."""
         live = {group.shard: group.live_replicas() for group in self.groups}
-        payload["cluster"] = {
-            "shards": self.num_shards,
-            "replication": self.replication,
-            "live_replicas": live,
-            "generations": {
-                shard: store.generation for shard, store in self.stores.items()
-            },
+        payload: Dict[str, object] = {
+            "cluster": {
+                "shards": self.num_shards,
+                "replication": self.replication,
+                "live_replicas": live,
+                "generations": self.publisher.generations(),
+            }
         }
         if any(count == 0 for count in live.values()):
             payload["status"] = "degraded"
-        return status, payload
+        return payload
 
-    def handle_stats(self) -> Response:
-        """``GET /v1/stats`` with a ``cluster`` section."""
-        payload = self.owner._stats_payload(coalescer=self.coalescer)
-        payload["cluster"] = {
-            "coordinator": self.coordinator.snapshot(),
-            "supervisor": self.supervisor.snapshot(),
-            "generations": {
-                shard: store.generation for shard, store in self.stores.items()
-            },
+    def stats(self) -> Dict[str, object]:
+        """The ``cluster`` section of ``/v1/stats``."""
+        return {
+            "cluster": {
+                "coordinator": self.coordinator.snapshot(),
+                "supervisor": self.supervisor.snapshot(),
+                "generations": self.publisher.generations(),
+            }
         }
-        return 200, payload
 
-    def handle_metrics(self) -> Tuple[int, str]:
-        """``GET /metrics`` with cluster families appended.
+    def metric_families(self) -> List[exposition.MetricFamily]:
+        """The ``repro_cluster_*`` process and traffic families.
 
         ``repro_cluster_replica_up`` is the per-node health gauge
         (``1`` live, ``0`` anything else) and
@@ -352,17 +222,8 @@ class ClusterServer:
         answers that went out explicitly marked degraded -- the metric the
         degraded-answer contract promises.
         """
-        families = self.owner._metric_families(coalescer=self.coalescer)
         coordinator = self.coordinator.snapshot()
         supervisor = self.supervisor.snapshot()
-        families.append(
-            exposition.MetricFamily(
-                name="repro_cluster_shards",
-                kind="gauge",
-                help="Shard groups in the cluster.",
-                samples=[("", {}, float(self.num_shards))],
-            )
-        )
         up_samples = []
         state_samples = []
         for group in self.groups:
@@ -375,55 +236,34 @@ class ClusterServer:
                 state_samples.append(
                     ("", {**labels, "state": str(health["state"])}, 1.0)
                 )
-        families.append(
+        events = {
+            key: sum(group["counters"][key] for group in coordinator["groups"])
+            for key in ("requests", "retries", "hedges", "failovers")
+        }
+        events["degraded_queries"] = coordinator["counters"]["degraded_queries"]
+        events["failed_queries"] = coordinator["counters"]["failed_queries"]
+        events["respawns"] = sum(supervisor["respawns"].values())
+        events["respawn_storms"] = supervisor["respawn_storms"]
+        return [
+            exposition.MetricFamily(
+                name="repro_cluster_shards",
+                kind="gauge",
+                help="Shard groups in the cluster.",
+                samples=[("", {}, float(self.num_shards))],
+            ),
             exposition.MetricFamily(
                 name="repro_cluster_replica_up",
                 kind="gauge",
                 help="Per-replica liveness (1 = live and serving, 0 = "
                 "suspect, down, or catching up).",
                 samples=up_samples,
-            )
-        )
-        families.append(
+            ),
             exposition.MetricFamily(
                 name="repro_cluster_replica_state",
                 kind="gauge",
                 help="Per-replica health state (live/suspect/down/catching_up).",
                 samples=state_samples,
-            )
-        )
-        events = []
-        totals = {"requests": 0, "retries": 0, "hedges": 0, "failovers": 0}
-        for group in coordinator["groups"]:
-            for key in totals:
-                totals[key] += group["counters"][key]
-        for key, value in totals.items():
-            events.append(("", {"event": key}, float(value)))
-        events.append(
-            (
-                "",
-                {"event": "degraded_queries"},
-                float(coordinator["counters"]["degraded_queries"]),
-            )
-        )
-        events.append(
-            (
-                "",
-                {"event": "failed_queries"},
-                float(coordinator["counters"]["failed_queries"]),
-            )
-        )
-        events.append(
-            (
-                "",
-                {"event": "respawns"},
-                float(sum(supervisor["respawns"].values())),
-            )
-        )
-        events.append(
-            ("", {"event": "respawn_storms"}, float(supervisor["respawn_storms"]))
-        )
-        families.append(
+            ),
             exposition.MetricFamily(
                 name="repro_cluster_events_total",
                 kind="counter",
@@ -431,49 +271,37 @@ class ClusterServer:
                 "requests, failovers, degraded answers (a whole replica "
                 "group down), failed queries, replica respawns and "
                 "respawn storms.",
-                samples=events,
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_cluster_generation",
-                kind="gauge",
-                help="Newest published generation per shard store.",
                 samples=[
-                    ("", {"shard": shard}, float(store.generation))
-                    for shard, store in sorted(self.stores.items())
+                    ("", {"event": key}, float(value)) for key, value in events.items()
                 ],
-            )
-        )
-        return 200, exposition.render_exposition(families)
+            ),
+        ]
 
-    def handle_debug_slow(self) -> Response:
-        """``GET /v1/debug/slow``: the shared tracer's slow-query log."""
-        return self.owner.handle_debug_slow()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Graceful shutdown: drain reads, flush writes, stop the fleet.
+        """Close the replica connections, then SIGTERM every shard server."""
+        if self.supervisor is not None:  # else start() failed and cleaned up
+            self.coordinator.close()
+            self.supervisor.shutdown_processes()
 
-        Order mirrors :class:`FrontendServer`: the coalescer drains first
-        (in-flight queries still answer), the owner flushes (publishing
-        final generations), then the supervisor SIGTERMs every shard
-        server and the store directory is removed when private.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.coalescer.close()
-        self.owner.close()
-        self.coordinator.close()
-        self.supervisor.shutdown_processes()
-        if self._owns_store:
-            shutil.rmtree(self.root, ignore_errors=True)
 
-    def __enter__(self) -> "ClusterServer":
-        return self
+def cluster_tier(
+    engine,
+    replication: int = 2,
+    store_root: Optional[os.PathLike] = None,
+    startup_timeout: float = 60.0,
+    delta_limit: int = DELTA_CHAIN_LIMIT,
+    cluster_config: Optional[ClusterConfig] = None,
+) -> Dict[str, ServingPart]:
+    """The ``--cluster R`` tier as :class:`~repro.server.app.TraceServer`
+    keywords: ``TraceServer(engine, **cluster_tier(engine, replication=2))``.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    ``engine`` must be a built :class:`~repro.service.sharded.ShardedEngine`;
+    its shard count fixes the cluster's ``S``.
+    """
+    publisher = ShardPublisher(engine, store_root, delta_limit)
+    try:
+        fleet = ClusterFleet(publisher, replication, cluster_config, startup_timeout)
+    except BaseException:
+        publisher.close()
+        raise
+    return {"backend": fleet, "publisher": publisher}

@@ -13,11 +13,11 @@ can score every deployment against the same brute-force ground truth:
 * ``http`` -- a real :class:`~repro.server.app.TraceServer` behind a live
   ``ThreadingHTTPServer`` on an ephemeral port, exercised over actual HTTP
   (``POST /v1/topk`` / ``POST /v1/events``);
-* ``http_workers`` -- the multi-process tier: a
-  :class:`~repro.server.frontend.FrontendServer` with two query worker
-  processes over mmap'd snapshot generations, behind the same HTTP surface;
+* ``http_workers`` -- the multi-process tier: the same server with
+  :func:`~repro.server.frontend.worker_tier` plugged in (two query worker
+  processes over mmap'd snapshot generations), behind the same HTTP surface;
 * ``cluster`` -- the chaos backend: the distributed tier
-  (:class:`~repro.cluster.frontend.ClusterServer`, 2 shard groups x 2
+  (:func:`~repro.cluster.frontend.cluster_tier`, 2 shard groups x 2
   shard-server replicas) behind HTTP, with one replica per group
   SIGKILLed mid-scenario -- exactness under faults, scored by the same
   oracle.
@@ -191,10 +191,10 @@ class HttpBackend(ScenarioBackend):
     """A live HTTP daemon on an ephemeral port, exercised over real sockets.
 
     ``workers=0`` runs the single-process :class:`TraceServer`;
-    ``workers>=1`` runs the multi-process
-    :class:`~repro.server.frontend.FrontendServer` tier (N query worker
-    processes over mmap'd snapshot generations).  Either way, ingest and
-    queries travel as JSON over HTTP -- the adapter is an honest client.
+    ``workers>=1`` plugs in :func:`~repro.server.frontend.worker_tier` (N
+    query worker processes over mmap'd snapshot generations).  Either way,
+    ingest and queries travel as JSON over HTTP -- the adapter is an honest
+    client.
     """
 
     name = "http"
@@ -227,6 +227,21 @@ class HttpBackend(ScenarioBackend):
         """Build the daemon and bind it to an ephemeral localhost port."""
         from repro.server.app import TraceServer, build_http_server
 
+        built, tier = self._engine_and_tier(dataset, engine)
+        self._trace_server = TraceServer(
+            built, streaming=_streaming_config(churn), **tier
+        )
+        self._httpd = build_http_server(self._trace_server, host="127.0.0.1", port=0)
+        self._address = self._httpd.server_address[:2]
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, name=f"scenario-{self.name}", daemon=True
+        )
+        self._thread.start()
+
+    def _engine_and_tier(self, dataset: TraceDataset, engine: EngineProfile):
+        """The built engine plus the ``TraceServer`` parts of this tier."""
+        from repro.server.frontend import worker_tier
+
         built = TraceQueryEngine(
             dataset,
             _measure_for(dataset, engine),
@@ -234,20 +249,7 @@ class HttpBackend(ScenarioBackend):
             seed=engine.seed,
             bound_mode=engine.bound_mode,
         ).build()
-        if self.workers:
-            from repro.server.frontend import FrontendServer
-
-            self._trace_server = FrontendServer(
-                built, streaming=_streaming_config(churn), workers=self.workers
-            )
-        else:
-            self._trace_server = TraceServer(built, streaming=_streaming_config(churn))
-        self._httpd = build_http_server(self._trace_server, host="127.0.0.1", port=0)
-        self._address = self._httpd.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name=f"scenario-{self.name}", daemon=True
-        )
-        self._thread.start()
+        return built, worker_tier(built, workers=self.workers) if self.workers else {}
 
     # ------------------------------------------------------------------
     # HTTP client plumbing
@@ -283,10 +285,8 @@ class HttpBackend(ScenarioBackend):
         """Deployment shape facts, including the published generation."""
         deployment = "http_workers" if self.workers else "http"
         facts: Dict[str, object] = {"deployment": deployment, "workers": self.workers}
-        if self._trace_server is not None:
-            generation = getattr(getattr(self._trace_server, "store", None), "generation", None)
-            if generation is not None:
-                facts["generation"] = generation
+        if self._trace_server is not None and self.workers:
+            facts["generation"] = self._trace_server.publisher.store.generation
         return facts
 
     def close(self) -> None:
@@ -307,7 +307,7 @@ class HttpBackend(ScenarioBackend):
 class ClusterBackend(HttpBackend):
     """The distributed tier under fault injection -- the chaos backend.
 
-    A 2-shard x 2-replica :class:`~repro.cluster.frontend.ClusterServer`
+    A 2-shard x 2-replica :func:`~repro.cluster.frontend.cluster_tier`
     (real shard-server subprocesses, consistent-hash partitioning) behind
     the same HTTP surface.  After the first churn micro-batch one replica
     per group is SIGKILLed mid-scenario; the supervisor respawns it with
@@ -336,15 +336,9 @@ class ClusterBackend(HttpBackend):
         self._chunks_ingested = 0
         self._killed: List[str] = []
 
-    def start(
-        self,
-        dataset: TraceDataset,
-        engine: EngineProfile,
-        churn: ChurnProfile,
-    ) -> None:
-        """Build the cluster fleet and bind the HTTP front door."""
-        from repro.cluster.frontend import ClusterServer
-        from repro.server.app import build_http_server
+    def _engine_and_tier(self, dataset: TraceDataset, engine: EngineProfile):
+        """A consistent-hash sharded engine plus the cluster parts over it."""
+        from repro.cluster.frontend import cluster_tier
 
         built = ShardedEngine(
             dataset,
@@ -355,17 +349,7 @@ class ClusterBackend(HttpBackend):
             seed=engine.seed,
             bound_mode=engine.bound_mode,
         ).build()
-        self._trace_server = ClusterServer(
-            built,
-            streaming=_streaming_config(churn),
-            replication=self.replication,
-        )
-        self._httpd = build_http_server(self._trace_server, host="127.0.0.1", port=0)
-        self._address = self._httpd.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name=f"scenario-{self.name}", daemon=True
-        )
-        self._thread.start()
+        return built, cluster_tier(built, replication=self.replication)
 
     def ingest(self, chunk: Sequence[PresenceInstance]) -> None:
         """Replay churn over HTTP; inject the crash after the first chunk."""
@@ -374,7 +358,9 @@ class ClusterBackend(HttpBackend):
         if self.chaos and self._chunks_ingested == 1 and self.replication > 1:
             from repro.cluster.chaos import ChaosController
 
-            self._killed = ChaosController(self._trace_server).kill_one_per_group()
+            self._killed = ChaosController(
+                self._trace_server.backend
+            ).kill_one_per_group()
 
     def stats(self) -> Dict[str, object]:
         """Deployment shape plus the faults injected and recovery counters."""
@@ -385,8 +371,8 @@ class ClusterBackend(HttpBackend):
             "replicas_killed": list(self._killed),
         }
         if self._trace_server is not None:
-            supervisor = self._trace_server.supervisor.snapshot()
-            coordinator = self._trace_server.coordinator.snapshot()
+            supervisor = self._trace_server.backend.supervisor.snapshot()
+            coordinator = self._trace_server.backend.coordinator.snapshot()
             facts["respawns"] = sum(supervisor["respawns"].values())
             facts["degraded_queries"] = coordinator["counters"]["degraded_queries"]
         return facts

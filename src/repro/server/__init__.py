@@ -2,25 +2,29 @@
 
 Everything below this package serves queries *in-process*; this package is
 the network boundary that the ROADMAP's "heavy traffic" north-star needs.
-It is standard-library only (``http.server``) and splits into two tiers.
+It is standard-library only (``http.server``).  There is **one** serving
+class; the tiers are configurations of it.
 
-The single-process daemon (``repro serve``):
+The core (``repro serve``):
 
 * :mod:`~repro.server.protocol` -- the wire format: request validation
   into dataclasses, canonical (byte-stable) JSON response payloads;
 * :mod:`~repro.server.coalescer` -- :class:`RequestCoalescer`: concurrent
   top-k requests arriving within a small window are answered by **one**
-  ``top_k_batch`` call, with a bounded admission queue (full → HTTP 429);
+  call on the server's read backend, with a bounded admission queue
+  (full → HTTP 429);
 * :mod:`~repro.server.metrics` -- per-endpoint request counters and
   fixed-bucket latency histograms behind one lock;
 * :mod:`~repro.server.app` -- :class:`TraceServer` (the transport-free
-  core: ``handle_topk`` / ``handle_events`` / ``handle_healthz`` /
-  ``handle_stats``) and :func:`build_http_server` (the
+  core and the only class with ``handle_*`` methods: ``handle_topk`` /
+  ``handle_events`` / ``handle_healthz`` / ``handle_stats`` / ...),
+  :class:`EngineBackend` (its default read backend: the engine itself,
+  under the engine lock) and :func:`build_http_server` (the
   ``ThreadingHTTPServer`` skin the ``repro serve`` CLI runs).
 
-The multi-process tier (``repro serve --workers N``), which escapes the
-GIL by running read-only query workers in their own processes over shared
-memory-mapped snapshot generations:
+The parts of the multi-process tier (``repro serve --workers N``), which
+escapes the GIL by running read-only query workers in their own processes
+over shared memory-mapped snapshot generations:
 
 * :mod:`~repro.server.generation` -- :class:`GenerationStore`: the
   single-writer publish / many-reader adopt protocol over immutable
@@ -28,11 +32,14 @@ memory-mapped snapshot generations:
 * :mod:`~repro.server.workers` -- the worker process entry point
   (``python -m repro.server.workers``) and its length-prefixed JSON frame
   protocol over Unix sockets;
-* :mod:`~repro.server.frontend` -- :class:`FrontendServer`: the owner
-  process (writes, generation publishing) plus a :class:`WorkerPool`
-  doing admission control, coalescing, scatter-gather, and
-  respawn-on-death over the worker sockets.  Drop-in for
-  :class:`TraceServer` under :func:`build_http_server`.
+* :mod:`~repro.server.frontend` -- :class:`WorkerPool` (the read backend:
+  scatter-gather and respawn-on-death over the worker sockets),
+  :class:`GenerationPublisher` (the publisher: every index-changing flush
+  becomes a generation) and :func:`worker_tier`, which builds the pair
+  for ``TraceServer(engine, **worker_tier(engine, workers=N))``.
+
+The networked tier plugs :mod:`repro.cluster.frontend`'s parts into the
+same two slots; ``docs/SERVING.md`` has the table.
 
 The serving contract -- request/response schemas, status codes, the
 coalescing and consistency semantics (including which generation a request
@@ -42,9 +49,14 @@ in-process API, in both tiers) is pinned by
 ``tests/test_server_equivalence.py``.
 """
 
-from repro.server.app import TraceServer, build_http_server
+from repro.server.app import EngineBackend, ServingPart, TraceServer, build_http_server
 from repro.server.coalescer import CoalescerStats, QueueFullError, RequestCoalescer
-from repro.server.frontend import FrontendServer, WorkerDiedError, WorkerPool
+from repro.server.frontend import (
+    GenerationPublisher,
+    WorkerDiedError,
+    WorkerPool,
+    worker_tier,
+)
 from repro.server.generation import GenerationStore
 from repro.server.metrics import LatencyHistogram, ServerMetrics
 from repro.server.protocol import (
@@ -57,14 +69,16 @@ from repro.server.protocol import (
 
 __all__ = [
     "CoalescerStats",
+    "EngineBackend",
     "EventsRequest",
-    "FrontendServer",
+    "GenerationPublisher",
     "GenerationStore",
     "LatencyHistogram",
     "ProtocolError",
     "QueueFullError",
     "RequestCoalescer",
     "ServerMetrics",
+    "ServingPart",
     "TopKRequest",
     "TraceServer",
     "WorkerDiedError",
@@ -72,4 +86,5 @@ __all__ = [
     "build_http_server",
     "parse_events_request",
     "parse_topk_request",
+    "worker_tier",
 ]

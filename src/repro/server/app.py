@@ -9,29 +9,43 @@ no runtime dependency.
 
 Layering (transport-free core, thin HTTP skin):
 
-* :class:`TraceServer` owns the engine, one engine lock, an
+* :class:`TraceServer` is the **only** class with ``handle_*`` methods.
+  It owns the engine, one engine lock, an
   :class:`~repro.streaming.EventIngestor` (streamed writes), a
   :class:`~repro.server.coalescer.RequestCoalescer` (batched reads), and
-  :class:`~repro.server.metrics.ServerMetrics`.  Its ``handle_*`` methods
-  take parsed JSON and return ``(status, payload)`` pairs -- fully testable
-  without sockets, and the doctest below runs exactly that way.
+  :class:`~repro.server.metrics.ServerMetrics`.  Its handlers take parsed
+  JSON and return ``(status, payload)`` pairs -- fully testable without
+  sockets, and the doctest below runs exactly that way.
+* Serving tiers are **configurations** of that one class: a *read backend*
+  answers the queries (:class:`EngineBackend`, the owner's engine under
+  the engine lock, by default; a
+  :class:`~repro.server.frontend.WorkerPool` of query processes; a
+  :class:`~repro.cluster.frontend.ClusterFleet` of shard-server replicas)
+  and an optional *publisher*
+  (:class:`~repro.server.frontend.GenerationPublisher`) turns every
+  index-changing flush into a snapshot generation the read processes
+  adopt.  The table lives in ``docs/SERVING.md``.
 * :func:`build_http_server` wraps a :class:`TraceServer` in a
   ``ThreadingHTTPServer`` routing ``POST /v1/topk``, ``POST /v1/events``,
   ``GET /v1/healthz``, ``GET /v1/stats``, ``GET /metrics`` (Prometheus
   text exposition), and ``GET /v1/debug/slow`` (the slow-query log; see
   ``docs/OBSERVABILITY.md``).
 
-**Consistency model.**  One lock serialises engine access: reads run as
-coalesced ``top_k_batch`` calls under the lock, writes (event appends and
-flushes) run under the same lock.  Buffered events are invisible to
+**Consistency model.**  One lock serialises engine access: writes (event
+appends and flushes) run under it, and so do the in-process backend's
+coalesced ``top_k_batch`` calls.  Buffered events are invisible to
 queries until a flush (micro-batch full, or ``"flush": true``), exactly as
 for the in-process ingestor, so every response equals what the in-process
 API would have returned at some serialisation point of the request stream
--- the concurrency-equivalence suite pins this byte-for-byte.
+-- the concurrency-equivalence suite pins this byte-for-byte.  With a
+publisher plugged in, the flush publishes *before* the events response is
+written, so an acknowledged write is visible to every later query.
 
 **Shutdown.**  :meth:`TraceServer.close` drains the coalescer, then
-flushes the ingestor, so no accepted write is lost on a clean shutdown
-(the CLI installs SIGINT/SIGTERM handlers that do this).
+flushes the ingestor (publishing a final generation), then stops the read
+backend's processes and removes a private generation store, so no accepted
+write is lost on a clean shutdown (the CLI installs SIGINT/SIGTERM
+handlers that do this).
 
 Example
 -------
@@ -60,7 +74,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import exposition
 from repro.obs.trace import LATENCY_BUCKETS, SpanContext, Tracer
@@ -69,9 +83,70 @@ from repro.server.metrics import ServerMetrics
 from repro.server import protocol
 from repro.streaming.ingestor import EventIngestor, StreamingConfig
 
-__all__ = ["TraceServer", "build_http_server"]
+__all__ = ["EngineBackend", "ServingPart", "TraceServer", "build_http_server"]
 
 Response = Tuple[int, Dict[str, object]]
+Traces = Optional[Sequence[Optional[SpanContext]]]
+
+
+class ServingPart:
+    """What a part plugged into :class:`TraceServer` may contribute.
+
+    Read backends and publishers subclass this and override what they
+    have: the server merges :meth:`health` into ``/v1/healthz``,
+    :meth:`stats` into ``/v1/stats`` and appends :meth:`metric_families`
+    to ``/metrics``, so each counter is exported by the object that keeps
+    it.  A *read backend* additionally answers queries -- ``topk`` for one
+    coalesced round (and the coalescer's one-query fallback) and
+    ``topk_batch`` for a client's batch request, both
+    ``(entities, k, approximation, traces) -> [result payload, ...]`` in
+    request order, raising ``KeyError`` for an unknown entity and
+    ``RuntimeError`` when no answer could be produced.
+    """
+
+    def start(self) -> None:
+        """Bring up whatever answers queries (called once, by the server,
+        after the publisher's initial generation exists)."""
+
+    def health(self) -> Dict[str, object]:
+        """Keys merged into the ``/v1/healthz`` body (must not block)."""
+        return {}
+
+    def stats(self) -> Dict[str, object]:
+        """Sections merged into the ``/v1/stats`` body."""
+        return {}
+
+    def metric_families(self) -> List[exposition.MetricFamily]:
+        """Families appended to the ``/metrics`` exposition."""
+        return []
+
+    def close(self) -> None:
+        """Release processes, connections and private files."""
+
+
+class EngineBackend(ServingPart):
+    """The in-process read backend: the owner's engine under its lock.
+
+    Every search runs as one ``top_k_batch`` call holding ``lock`` (the
+    server's engine lock, shared with the write path), so a dispatch round
+    or a client batch has a single serialisation point against flushes.
+    """
+
+    def __init__(self, engine, lock) -> None:
+        self.engine = engine
+        self.lock = lock
+
+    def topk(
+        self, entities: Sequence[str], k: int, approximation: float, traces: Traces = None
+    ) -> List[Dict[str, object]]:
+        """Answer ``entities`` with one batch search under the engine lock."""
+        with self.lock:
+            results = self.engine.top_k_batch(
+                entities, k=k, approximation=approximation, traces=traces
+            ).results
+        return [protocol.topk_result_payload(result) for result in results]
+
+    topk_batch = topk
 
 
 class TraceServer:
@@ -81,7 +156,8 @@ class TraceServer:
     ----------
     engine:
         A **built** :class:`~repro.core.engine.TraceQueryEngine` or
-        :class:`~repro.service.sharded.ShardedEngine`.
+        :class:`~repro.service.sharded.ShardedEngine`.  The server is its
+        single writer whatever answers the reads.
     streaming:
         Config of the embedded :class:`~repro.streaming.EventIngestor`
         (micro-batch size, window, compaction); defaults to
@@ -112,6 +188,18 @@ class TraceServer:
         :meth:`~repro.streaming.EventIngestor.stream_state`) seeding the
         ingestor's watermark and window position, so a restarted server
         continues exactly where the recovered WAL ends.
+    backend:
+        The *read backend* answering ``/v1/topk`` (see
+        :class:`ServingPart`); defaults to an :class:`EngineBackend` over
+        ``engine``.  The server starts it and closes it.
+    publisher:
+        Optional :class:`~repro.server.frontend.GenerationPublisher`
+        whose generations the backend's processes read; the server attaches
+        it to the ingestor (initial publish, flush hook) before starting
+        the backend and closes it last.
+        :func:`~repro.server.frontend.worker_tier` and
+        :func:`~repro.cluster.frontend.cluster_tier` build matching
+        ``backend`` + ``publisher`` pairs.
     """
 
     def __init__(
@@ -125,12 +213,15 @@ class TraceServer:
         tracer: Optional[Tracer] = None,
         wal=None,
         stream_state: Optional[Dict[str, object]] = None,
+        backend: Optional[ServingPart] = None,
+        publisher: Optional[ServingPart] = None,
     ) -> None:
         if not engine.is_built:
             raise ValueError("TraceServer requires a built engine")
         self.engine = engine
-        #: Serialises every engine access: coalesced searches, event
-        #: appends, flushes, and stats reads that touch engine state.
+        #: Serialises every engine access: in-process searches, event
+        #: appends, flushes (and the generation publish they trigger), and
+        #: stats reads that touch engine state.
         self.engine_lock = threading.RLock()
         self.metrics = ServerMetrics()
         self.ingestor = EventIngestor(engine, config=streaming, wal=wal)
@@ -140,18 +231,38 @@ class TraceServer:
                 window_cutoff=stream_state.get("window_cutoff"),
                 window_churn=int(stream_state.get("window_churn", 0)),
             )
+        self.backend = (
+            backend if backend is not None else EngineBackend(engine, self.engine_lock)
+        )
+        self.publisher = publisher
+        #: The plugged parts, in the order their contributions are merged.
+        self._parts: List[ServingPart] = [self.backend]
+        if publisher is not None:
+            self._parts.append(publisher)
         self.coalescer = RequestCoalescer(
-            engine,
-            self.engine_lock,
+            self.backend,
             window_seconds=coalesce_window,
             max_pending=max_pending,
             max_batch=max_batch,
         )
+        #: One tracer for the deployment: edge spans and the spans worker
+        #: processes ship back land in the same ring and slow-query log.
         self.tracer = tracer if tracer is not None else Tracer(sample_rate=trace_sample)
         self.started_at = time.monotonic()
         self._closed = False
         self._flush_count = 0
         self.ingestor.add_flush_hook(self._record_flush)
+        try:
+            if publisher is not None:
+                # Initial generation: the engine as loaded, before any
+                # stream write, so read processes have something to adopt
+                # the moment they are spawned.
+                with self.engine_lock:
+                    publisher.attach(self.ingestor)
+            self.backend.start()
+        except BaseException:
+            self.close()
+            raise
 
     def _record_flush(self, report) -> None:
         self._flush_count += 1
@@ -161,19 +272,20 @@ class TraceServer:
     # ------------------------------------------------------------------
     def handle_topk(self, payload: object) -> Response:
         """``POST /v1/topk``: single queries through the coalescer, batch
-        requests as one direct ``top_k_batch`` call.
+        requests as one direct call on the read backend.
 
         A batch request *is already a batch* -- routing its entities one by
         one through the coalescer would serialise them over several
         dispatch rounds (paying the coalesce window per entity and letting
-        a flush land mid-batch).  Dispatching it whole under the engine
-        lock keeps the shared-pre-hash amortisation and gives the response
-        a single serialisation point.
+        a flush land mid-batch).  Handing it whole to the backend keeps the
+        shared-pre-hash amortisation in-process (one ``top_k_batch`` under
+        the engine lock) and lets a worker pool scatter it over processes.
 
         The sampling decision for cross-layer tracing happens here, at the
         request edge; sampled requests carry a trace context down through
-        the coalescer/engine (and, in multi-process deployments, over the
-        worker wire) and land in the tracer's ring and slow-query log.
+        the coalescer and the backend (over the worker wire, in
+        multi-process deployments) and land in the tracer's ring and
+        slow-query log.
         """
         trace = self.tracer.start_trace("request.topk")
         if trace is None:
@@ -186,6 +298,22 @@ class TraceServer:
         self.tracer.finish(trace, status=status, error=status >= 500)
         return status, response
 
+    def _refusal(self, entities: Sequence[str]) -> Optional[Response]:
+        """Why these queries are not admitted (``None`` when they are).
+
+        The membership pre-check is cheap and load-bearing: an unknown
+        entity answered here costs nothing, while one reaching the
+        coalescer aborts its whole shared batch (every innocent co-rider is
+        re-run serially).  The coalescer's per-query fallback still covers
+        the check-to-dispatch removal race.
+        """
+        if self._closed:
+            return 503, protocol.error_payload("the server is shutting down")
+        for candidate in entities:
+            if candidate not in self.engine.dataset:
+                return 404, protocol.error_payload(f"unknown entity {candidate!r}")
+        return None
+
     def _answer_topk(self, payload: object, trace: Optional[SpanContext]) -> Response:
         """The actual ``/v1/topk`` logic; ``trace`` is ``None`` when unsampled."""
         try:
@@ -195,59 +323,46 @@ class TraceServer:
         if trace is not None:
             trace.parent.attributes["batch"] = request.batch
             trace.parent.attributes["queries"] = len(request.entities)
-        entity = request.entities[0]
+        if request.batch or self.publisher is not None:
+            # Admission serialises with the write path.  With a publisher
+            # this is what makes the pre-check sound: the dataset only
+            # gains entities at a flush, and every flush publishes before
+            # it releases the lock, so an entity passing the check exists
+            # in the generation any read process adopts by the time it
+            # answers.
+            with self.engine_lock:
+                refusal = self._refusal(request.entities)
+        else:
+            # A single query against the owner's own engine: its search is
+            # serialised by the backend anyway, and queueing here behind a
+            # running dispatch round would only cost it the next round's
+            # coalescing window.
+            refusal = self._refusal(request.entities)
+        if refusal is not None:
+            return refusal
         try:
             if request.batch:
-                with self.engine_lock:
-                    if self._closed:
-                        return 503, protocol.error_payload(
-                            "the server is shutting down"
-                        )
-                    unknown = [
-                        candidate
-                        for candidate in request.entities
-                        if candidate not in self.engine.dataset
-                    ]
-                    if unknown:
-                        return 404, protocol.error_payload(
-                            f"unknown entity {unknown[0]!r}"
-                        )
-                    if trace is None:
-                        results = self.engine.top_k_batch(
-                            request.entities,
-                            k=request.k,
-                            approximation=request.approximation,
-                        ).results
-                    else:
-                        results = self.engine.top_k_batch(
-                            request.entities,
-                            k=request.k,
-                            approximation=request.approximation,
-                            traces=[trace] * len(request.entities),
-                        ).results
-            else:
-                # Cheap membership pre-check: an unknown entity answered
-                # here costs nothing, while one reaching the coalescer
-                # aborts its whole shared batch (every innocent co-rider
-                # is re-run serially).  The coalescer's per-query fallback
-                # still covers the check-to-dispatch removal race.
-                if entity not in self.engine.dataset:
-                    return 404, protocol.error_payload(f"unknown entity {entity!r}")
-                results = [
-                    self.coalescer.submit(
-                        entity,
-                        k=request.k,
-                        approximation=request.approximation,
-                        trace=trace,
-                    )
-                ]
+                payloads = self.backend.topk_batch(
+                    request.entities,
+                    request.k,
+                    request.approximation,
+                    [trace] * len(request.entities) if trace is not None else None,
+                )
+                return 200, {"results": payloads}
+            return 200, self.coalescer.submit(
+                request.entities[0],
+                k=request.k,
+                approximation=request.approximation,
+                trace=trace,
+            )
         except QueueFullError as exc:
             return 429, protocol.error_payload(str(exc))
         except KeyError:
-            return 404, protocol.error_payload(f"unknown entity {entity!r}")
+            return 404, protocol.error_payload(
+                f"unknown entity {request.entities[0]!r}"
+            )
         except RuntimeError as exc:
             return 503, protocol.error_payload(str(exc))
-        return 200, protocol.topk_payload(request, results)
 
     def handle_events(self, payload: object) -> Response:
         """``POST /v1/events``: streamed ingest through the micro-batcher.
@@ -256,7 +371,9 @@ class TraceServer:
         the request asks for one (``"flush": true``).  Unknown or non-base
         spatial units are client errors (400) -- the whole request is
         rejected before any event is buffered, so a bad batch never
-        half-applies.
+        half-applies.  With a publisher plugged in, the flush hook
+        publishes a generation before this response is written, so an
+        acknowledged flushed write is visible to every subsequent query.
         """
         try:
             request = protocol.parse_events_request(payload)
@@ -343,13 +460,22 @@ class TraceServer:
         which is what most of them do -- must stop routing to a draining
         process, not keep sending it traffic because the JSON body happens
         to spell out the state.
+
+        The plugged parts add the deployment's process topology: a worker
+        pool its size and cumulative ``respawns`` (a non-zero delta between
+        probes means workers are crashing, which a probe of this process
+        alone would never surface), a publisher the ``generation`` queries
+        observe at minimum, a cluster fleet per-shard liveness.
         """
         status = 200 if not self._closed else 503
-        return status, {
+        payload: Dict[str, object] = {
             "status": "ok" if not self._closed else "shutting_down",
             "entities": self.engine.dataset.num_entities,
             "uptime_seconds": time.monotonic() - self.started_at,
         }
+        for part in self._parts:
+            payload.update(part.health())
+        return status, payload
 
     def handle_stats(self) -> Response:
         """``GET /v1/stats``: engine, cache, ingest, coalescer, HTTP metrics.
@@ -361,17 +487,10 @@ class TraceServer:
         other, so the order is trivially deadlock-free).  A concurrent
         flush or dispatch therefore cannot interleave a half-updated view
         -- e.g. an engine whose entity count already includes a flush whose
-        ingest counters do not.
+        ingest counters do not.  Each plugged part then adds its own
+        section (``workers``, ``generation``, ``cluster``) from its own
+        leaf lock.
         """
-        return 200, self._stats_payload()
-
-    def _stats_payload(self, coalescer: Optional[RequestCoalescer] = None) -> Dict[str, object]:
-        """One coherent stats snapshot (see :meth:`handle_stats`).
-
-        ``coalescer`` lets the multi-process front-end substitute its
-        pool-facing coalescer while keeping the same acquisition order.
-        """
-        coalescer_source = coalescer if coalescer is not None else self.coalescer
         with self.engine_lock:
             engine_stats = self.engine.runtime_stats()
             ingest = self.ingestor.stats
@@ -391,10 +510,10 @@ class TraceServer:
                     else None
                 ),
             }
-            coalescer_stats = coalescer_source.stats_snapshot()
+            coalescer_stats = self.coalescer.stats_snapshot()
             endpoint_stats = self.metrics.snapshot()
             tracing_stats = self.tracer.counters_snapshot()
-        return {
+        payload: Dict[str, object] = {
             "engine": engine_stats,
             "ingest": ingest_stats,
             "coalescer": coalescer_stats,
@@ -402,6 +521,9 @@ class TraceServer:
             "tracing": tracing_stats,
             "uptime_seconds": time.monotonic() - self.started_at,
         }
+        for part in self._parts:
+            payload.update(part.stats())
+        return 200, payload
 
     def handle_metrics(self) -> Tuple[int, str]:
         """``GET /metrics``: Prometheus text exposition (format 0.0.4).
@@ -413,15 +535,8 @@ class TraceServer:
         """
         return 200, exposition.render_exposition(self._metric_families())
 
-    def _metric_families(
-        self, coalescer: Optional[RequestCoalescer] = None
-    ) -> List[exposition.MetricFamily]:
-        """Assemble the metric families ``GET /metrics`` renders.
-
-        The multi-process front-end substitutes its pool-facing coalescer
-        and appends worker-pool and generation families.
-        """
-        coalescer_source = coalescer if coalescer is not None else self.coalescer
+    def _metric_families(self) -> List[exposition.MetricFamily]:
+        """The server's own families, then each plugged part's."""
         with self.engine_lock:
             engine_stats = self.engine.runtime_stats()
             ingest = self.ingestor.stats
@@ -430,7 +545,7 @@ class TraceServer:
             events_flushed = ingest.events_flushed
             events_dropped = ingest.events_dropped_late
             last_flush = ingest.last_flush_monotonic
-            coalescer_stats = coalescer_source.stats_snapshot()
+            coalescer_stats = self.coalescer.stats_snapshot()
             endpoints = self.metrics.raw_snapshot()
             stages = self.tracer.stage_snapshot()
             tracing = self.tracer.counters_snapshot()
@@ -604,6 +719,8 @@ class TraceServer:
                 samples=[("", {}, time.monotonic() - self.started_at)],
             )
         )
+        for part in self._parts:
+            families.extend(part.metric_families())
         return families
 
     def handle_debug_slow(self) -> Response:
@@ -623,12 +740,15 @@ class TraceServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Graceful shutdown: drain queries, then flush buffered events.
+        """Graceful shutdown: drain reads, flush writes, stop the backend.
 
         Idempotent.  Order matters: the coalescer drains first (queries
         still in flight see pre-flush state, like any query racing a
-        write), then the ingestor flushes so every accepted event is
-        applied to the engine before the process exits.
+        write, and are answered by the still-running backend), then the
+        ingestor flushes so every accepted event is applied to the engine
+        -- and published, so the store's newest generation holds every
+        accepted write -- and only then are the backend's processes
+        stopped and a private generation store removed.
         """
         if self._closed:
             return
@@ -636,6 +756,8 @@ class TraceServer:
         self.coalescer.close()
         with self.engine_lock:
             self.ingestor.close()
+        for part in self._parts:
+            part.close()
 
     def __enter__(self) -> "TraceServer":
         return self
@@ -681,40 +803,31 @@ class _Handler(BaseHTTPRequestHandler):
         path = self.path.split("?", 1)[0]
         return path if path in self.known_endpoints else "other"
 
-    def _send(self, endpoint: str, started: float, status: int, payload: Dict) -> None:
-        body = protocol.dumps(payload)
+    def _send(
+        self, endpoint: str, started: float, status: int, payload: Union[Dict, str]
+    ) -> None:
+        """Write one response: a JSON document, or (``str``) the Prometheus text."""
+        if isinstance(payload, str):
+            body = payload.encode("utf-8")
+            # The content type Prometheus scrapers negotiate for the 0.0.4
+            # text format.
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        else:
+            body = protocol.dumps(payload)
+            content_type = "application/json"
         # Observed *before* the body is written: once a client has read its
         # response, a follow-up /v1/stats read must already count it.
         self._trace_server().metrics.observe(
             endpoint, status=status, seconds=time.perf_counter() - started
         )
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if status == 429:
             self.send_header("Retry-After", "1")
         if self.close_connection:
             # Set when the request body was left unread: the client must
             # not reuse a connection whose stream is desynchronised.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        try:
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
-
-    def _send_text(self, endpoint: str, started: float, status: int, text: str) -> None:
-        """Like :meth:`_send` but for the Prometheus text exposition."""
-        body = text.encode("utf-8")
-        self._trace_server().metrics.observe(
-            endpoint, status=status, seconds=time.perf_counter() - started
-        )
-        self.send_response(status)
-        # The content type Prometheus scrapers negotiate for the 0.0.4
-        # text format.
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         try:
@@ -782,10 +895,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         path = self.path.split("?", 1)[0]
         if path == "/metrics":
-            status, text = self._trace_server().handle_metrics()
-            self._send_text(self._endpoint(), started, status, text)
-            return
-        if path == "/v1/healthz":
+            status, response = self._trace_server().handle_metrics()
+        elif path == "/v1/healthz":
             status, response = self._trace_server().handle_healthz()
         elif path == "/v1/stats":
             status, response = self._trace_server().handle_stats()

@@ -11,9 +11,11 @@ shared thread-pool fan-out -- see
 * handler threads :meth:`~RequestCoalescer.submit` their query and block;
 * a single dispatcher thread collects every request that arrives within a
   small window (``window_seconds``, default 2 ms) into one batch, groups it
-  by ``(k, approximation)``, and answers each group with **one**
-  ``engine.top_k_batch`` call under the server's engine lock;
-* results are handed back to the blocked handler threads.
+  by ``(k, approximation)``, and answers each group with **one** call on
+  the server's *read backend* -- in-process, one ``engine.top_k_batch``
+  under the engine lock; in the multi-process tiers, one worker or shard
+  fan-out exchange (see :class:`repro.server.app.ServingPart`);
+* result payloads are handed back to the blocked handler threads.
 
 Because ``top_k_batch`` is documented (and pinned) to return exactly what
 serial ``top_k`` calls would -- including cache semantics -- coalescing is
@@ -33,7 +35,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.query import TopKResult
 from repro.obs.trace import SpanContext
 
 __all__ = ["CoalescerStats", "QueueFullError", "RequestCoalescer"]
@@ -99,21 +100,22 @@ class _PendingQuery:
         self.approximation = approximation
         self.trace = trace
         self.done = threading.Event()
-        self.result: Optional[TopKResult] = None
+        self.result: Optional[Dict[str, object]] = None
         self.error: Optional[BaseException] = None
 
 
 class RequestCoalescer:
-    """Batches concurrent top-k queries into shared ``top_k_batch`` calls.
+    """Batches concurrent top-k queries into shared read-backend calls.
 
     Parameters
     ----------
-    engine:
-        A built :class:`~repro.core.engine.TraceQueryEngine` or
-        :class:`~repro.service.sharded.ShardedEngine`.
-    engine_lock:
-        The lock serialising engine access against mutations (the server
-        shares one lock between this dispatcher and the event-ingest path).
+    backend:
+        The read backend: ``backend.topk(entities, k, approximation,
+        traces)`` returns one result payload per entity (see
+        :class:`repro.server.app.ServingPart`).  Serialising against
+        writes is the backend's business -- the in-process
+        :class:`~repro.server.app.EngineBackend` holds the server's engine
+        lock per call.
     window_seconds:
         How long the dispatcher waits, after the first pending query of a
         round, for more queries to coalesce with it.  ``0`` dispatches
@@ -134,9 +136,10 @@ class RequestCoalescer:
     >>> dataset.add_record("ana", "u2_0_0", time=2, duration=3)
     >>> dataset.add_record("bo", "u2_0_0", time=2, duration=3)
     >>> engine = TraceQueryEngine(dataset, num_hashes=16).build()
-    >>> coalescer = RequestCoalescer(engine, threading.Lock())
+    >>> from repro.server.app import EngineBackend
+    >>> coalescer = RequestCoalescer(EngineBackend(engine, threading.Lock()))
     >>> try:
-    ...     coalescer.submit("ana", k=1).entities
+    ...     [row["entity"] for row in coalescer.submit("ana", k=1)["results"]]
     ... finally:
     ...     coalescer.close()
     ['bo']
@@ -144,8 +147,7 @@ class RequestCoalescer:
 
     def __init__(
         self,
-        engine,
-        engine_lock,
+        backend,
         window_seconds: float = 0.002,
         max_pending: int = 1024,
         max_batch: int = 64,
@@ -156,12 +158,11 @@ class RequestCoalescer:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.engine = engine
+        self.backend = backend
         self.window_seconds = window_seconds
         self.max_pending = max_pending
         self.max_batch = max_batch
         self.stats = CoalescerStats()
-        self._engine_lock = engine_lock
         self._pending: List[_PendingQuery] = []
         self._mutex = threading.Lock()
         self._arrived = threading.Condition(self._mutex)
@@ -180,13 +181,13 @@ class RequestCoalescer:
         k: int = 10,
         approximation: float = 0.0,
         trace: Optional[SpanContext] = None,
-    ) -> TopKResult:
+    ) -> Dict[str, object]:
         """Enqueue one query and block until its batch was answered.
 
         Raises :class:`QueueFullError` when the pending queue is at
         capacity, ``RuntimeError`` when the coalescer is closed, and
         re-raises whatever the search itself raised (e.g. ``KeyError`` for
-        an entity the engine does not know).
+        an entity the backend does not know).
 
         ``trace`` attaches a ``coalesce.wait`` span covering the queue
         time and travels with the query so the dispatcher can hang its
@@ -264,7 +265,7 @@ class RequestCoalescer:
             entities = [query.entity for query in members]
             # Open one coalesce.dispatch span per *traced* member; kernel
             # spans nest under it via the per-member contexts handed to
-            # top_k_batch.  Untraced batches pass no traces at all, so the
+            # the backend.  Untraced batches pass no traces at all, so the
             # hot path is unchanged when tracing is off.
             dispatch_spans = {}
             traces = None
@@ -282,15 +283,7 @@ class RequestCoalescer:
                     dispatch_spans[id(query)] = span
                     traces.append(query.trace.under(span))
             try:
-                with self._engine_lock:
-                    if traces is None:
-                        results = self.engine.top_k_batch(
-                            entities, k=k, approximation=approximation
-                        ).results
-                    else:
-                        results = self.engine.top_k_batch(
-                            entities, k=k, approximation=approximation, traces=traces
-                        ).results
+                results = self.backend.topk(entities, k, approximation, traces)
             except BaseException as exc:  # noqa: BLE001 - handed to the waiter
                 for span in dispatch_spans.values():
                     span.end(error=type(exc).__name__)
@@ -317,19 +310,11 @@ class RequestCoalescer:
         receives its own result or its own error.
         """
         for query in members:
+            traces = [query.trace] if query.trace is not None else None
             try:
-                with self._engine_lock:
-                    if query.trace is None:
-                        query.result = self.engine.top_k(
-                            query.entity, k=k, approximation=approximation
-                        )
-                    else:
-                        query.result = self.engine.top_k(
-                            query.entity,
-                            k=k,
-                            approximation=approximation,
-                            trace=query.trace,
-                        )
+                query.result = self.backend.topk(
+                    [query.entity], k, approximation, traces
+                )[0]
             except BaseException as exc:  # noqa: BLE001 - handed to the waiter
                 query.error = exc
             query.done.set()

@@ -1,20 +1,21 @@
-"""The multi-process front-end: owner process + worker socket pool.
+"""The multi-process tier's parts: a worker socket pool and a publisher.
 
 ``repro serve --workers N`` escapes the GIL by splitting the daemon into
-processes (see docs/SERVING.md for the full model):
+processes (see docs/SERVING.md for the full model).  It is the one
+:class:`~repro.server.app.TraceServer` with two parts from this module
+plugged in (:func:`worker_tier` builds the pair):
 
-* the **front-end process** (this module) accepts every HTTP request.  It
-  is also the single **owner** of the mutable index: ``/v1/events`` flows
-  into the embedded :class:`~repro.server.app.TraceServer` write path
-  exactly as in single-process mode, and every index-changing flush
-  publishes a new immutable snapshot generation
-  (:class:`~repro.server.generation.GenerationStore`) from a flush hook,
-  under the engine lock;
+* the server process accepts every HTTP request and stays the single
+  **owner** of the mutable index: ``/v1/events`` flows into its write path
+  exactly as in single-process mode, and the :class:`GenerationPublisher`
+  turns every index-changing flush into a new immutable snapshot
+  generation (:class:`~repro.server.generation.GenerationStore`) from a
+  flush hook, under the engine lock;
 * ``/v1/topk`` never touches the owner engine.  Queries are admission
   controlled and coalesced by the same
-  :class:`~repro.server.coalescer.RequestCoalescer` machinery as in-process
-  serving -- pointed at a :class:`WorkerPool` instead of an engine -- and
-  batches are scatter-gathered over N read-only **worker processes**
+  :class:`~repro.server.coalescer.RequestCoalescer` as in-process serving
+  -- pointed at a :class:`WorkerPool` instead of the engine -- and batches
+  are scatter-gathered over N read-only **worker processes**
   (:mod:`repro.server.workers`) connected through a Unix-socket pool.
 
 Workers adopt the newest generation at each request boundary, so every
@@ -38,21 +39,17 @@ import threading
 import time
 from pathlib import Path
 from queue import Empty, Queue
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.obs import exposition
 from repro.obs.trace import SpanContext
-from repro.server import protocol
-from repro.server.app import TraceServer
+from repro.server.app import ServingPart
 from repro.server.backoff import ExponentialBackoff
-from repro.server.coalescer import QueueFullError, RequestCoalescer
 from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore, SnapshotDelta
 from repro.server.workers import recv_frame, send_frame
-from repro.streaming.ingestor import StreamingConfig
 
-__all__ = ["FrontendServer", "WorkerPool", "WorkerDiedError"]
+__all__ = ["GenerationPublisher", "WorkerDiedError", "WorkerPool", "worker_tier"]
 
-Response = Tuple[int, Dict[str, object]]
 PathLikeT = os.PathLike
 
 
@@ -172,8 +169,8 @@ class _WorkerHandle:
             self._process = None
 
 
-class WorkerPool:
-    """N worker processes behind an idle-handle queue.
+class WorkerPool(ServingPart):
+    """N worker processes behind an idle-handle queue -- a read backend.
 
     ``topk`` checks a handle out, performs one framed exchange, and checks
     it back in; concurrent callers therefore spread over the pool, and a
@@ -181,6 +178,10 @@ class WorkerPool:
     handle is respawned and the request retried on the pool -- bounded by
     ``num_workers + 1`` attempts so a systematically failing request
     cannot retry forever.
+
+    Constructing the pool spawns nothing; :meth:`start` does, because the
+    workers load the store's current generation at startup and so must
+    not come up before the owner's initial publish.
     """
 
     def __init__(
@@ -222,12 +223,18 @@ class WorkerPool:
         self._retries = 0
         self._respawn_storms = 0
         self._closed = False
+        self._startup_timeout = startup_timeout
+
+    def start(self) -> None:
+        """Spawn every worker and wait until each answers a ping.
+
+        The ping is the readiness barrier: it proves the socket is up and
+        the initial generation loaded before any HTTP request is accepted.
+        """
         for handle in self._handles:
             handle.spawn()
-        # Readiness barrier: one ping per worker proves the socket is up and
-        # the initial generation loaded before any HTTP request is accepted.
         for handle in self._handles:
-            handle.request({"op": "ping"}, connect_timeout=startup_timeout)
+            handle.request({"op": "ping"}, connect_timeout=self._startup_timeout)
             self._idle.put(handle)
 
     @property
@@ -383,7 +390,7 @@ class WorkerPool:
         else:
             self._idle.put(handle)
 
-    def scatter_topk(
+    def topk_batch(
         self,
         entities: List[str],
         k: int,
@@ -438,7 +445,7 @@ class WorkerPool:
         return gathered
 
     def stats_snapshot(self) -> Dict[str, object]:
-        """Pool counters for ``/v1/stats``: requests, retries, respawns, storms."""
+        """Pool counters: requests, retries, respawns, storms."""
         with self._stats_lock:
             return {
                 "workers": self.num_workers,
@@ -448,6 +455,40 @@ class WorkerPool:
                 "respawn_storms": self._respawn_storms,
             }
 
+    def health(self) -> Dict[str, object]:
+        """``/v1/healthz`` keys: pool size and cumulative respawns."""
+        return {
+            "workers": self.num_workers,
+            "respawns": self.stats_snapshot()["respawns"],
+        }
+
+    def stats(self) -> Dict[str, object]:
+        """The ``workers`` section of ``/v1/stats``."""
+        return {"workers": self.stats_snapshot()}
+
+    def metric_families(self) -> List[exposition.MetricFamily]:
+        """``repro_worker_pool_workers`` and ``repro_worker_events_total``."""
+        pool_stats = self.stats_snapshot()
+        return [
+            exposition.MetricFamily(
+                name="repro_worker_pool_workers",
+                kind="gauge",
+                help="Configured query worker processes.",
+                samples=[("", {}, float(pool_stats["workers"]))],
+            ),
+            exposition.MetricFamily(
+                name="repro_worker_events_total",
+                kind="counter",
+                help="Worker pool activity: answered requests, retries after a "
+                "worker death, respawned workers, respawn storms (a worker "
+                "repeatedly dying on startup).",
+                samples=[
+                    ("", {"event": event}, float(pool_stats[event]))
+                    for event in ("requests", "retries", "respawns", "respawn_storms")
+                ],
+            ),
+        ]
+
     def close(self) -> None:
         """Terminate every worker (SIGTERM, reap) and reject further use."""
         self._closed = True
@@ -455,132 +496,62 @@ class WorkerPool:
             handle.close()
 
 
-class _PoolDispatch:
-    """Adapter giving :class:`RequestCoalescer` an engine-shaped view of the pool.
+class GenerationPublisher(ServingPart):
+    """The owner side of the publish/adopt protocol, plugged into a server.
 
-    The coalescer calls ``top_k_batch(...).results`` per dispatch round and
-    falls back to per-query ``top_k`` when a batch fails; both route to the
-    pool here, so admission control, windowed coalescing, and the
-    one-bad-query fallback behave exactly as in-process -- only the
-    execution substrate changed.
+    Owns the generation store the read processes adopt from, the
+    durability stamp written into every publish, the initial publish, and
+    the flush hook that turns each index-changing flush into the next
+    generation.  ``store_root`` is the store directory (a private
+    temporary one, removed on :meth:`close`, when not given);
+    ``delta_limit`` is the delta-chain length before a full snapshot is
+    forced (``0`` publishes every generation full).
     """
 
-    class _Batch:
-        __slots__ = ("results",)
-
-        def __init__(self, results: List[Dict[str, object]]) -> None:
-            self.results = results
-
-    def __init__(self, pool: WorkerPool) -> None:
-        self._pool = pool
-
-    def top_k_batch(
-        self,
-        entities,
-        k: int,
-        approximation: float,
-        traces: Optional[List[Optional[SpanContext]]] = None,
-    ) -> "_PoolDispatch._Batch":
-        return self._Batch(
-            self._pool.topk(list(entities), k, approximation, traces=traces)
-        )
-
-    def top_k(
-        self,
-        entity: str,
-        k: int,
-        approximation: float,
-        trace: Optional[SpanContext] = None,
-    ) -> Dict[str, object]:
-        traces = [trace] if trace is not None else None
-        return self._pool.topk([entity], k, approximation, traces=traces)[0]
-
-
-class FrontendServer:
-    """Drop-in :class:`~repro.server.app.TraceServer` replacement with N workers.
-
-    Exposes the same ``handle_*`` surface (and ``metrics`` / ``ingestor`` /
-    ``coalescer`` attributes), so :func:`~repro.server.app.build_http_server`
-    and the CLI wrap it unchanged.  The embedded :class:`TraceServer` is the
-    write owner; queries go to the worker pool.
-
-    Parameters mirror ``TraceServer`` plus ``workers`` (process count),
-    ``store_root`` (generation store directory; a private temporary
-    directory, removed on close, when not given), and ``delta_limit``
-    (delta-chain length before a full snapshot is forced; ``0`` publishes
-    every generation full).
-    """
+    #: Prefix of a private store's temporary directory.
+    temp_prefix = "repro-generations-"
 
     def __init__(
         self,
         engine,
-        streaming: Optional[StreamingConfig] = None,
-        workers: int = 2,
-        coalesce_window: float = 0.002,
-        max_pending: int = 1024,
-        max_batch: int = 64,
-        store_root: Optional[os.PathLike] = None,
-        startup_timeout: float = 60.0,
-        trace_sample: float = 0.0,
-        wal=None,
-        stream_state: Optional[Dict[str, object]] = None,
+        store_root: Optional[PathLikeT] = None,
         delta_limit: int = DELTA_CHAIN_LIMIT,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self._owns_store = store_root is None
-        root = (
-            Path(tempfile.mkdtemp(prefix="repro-generations-"))
+        self.engine = engine
+        self.delta_limit = delta_limit
+        self.ingestor = None
+        self._owns_root = store_root is None
+        self.root = (
+            Path(tempfile.mkdtemp(prefix=self.temp_prefix))
             if store_root is None
             else Path(store_root)
         )
-        self.owner = TraceServer(
-            engine,
-            streaming=streaming,
-            coalesce_window=coalesce_window,
-            max_pending=max_pending,
-            max_batch=max_batch,
-            trace_sample=trace_sample,
-            wal=wal,
-            stream_state=stream_state,
-        )
-        self.engine = engine
-        self.engine_lock = self.owner.engine_lock
-        self.metrics = self.owner.metrics
-        self.ingestor = self.owner.ingestor
-        #: One tracer for the deployment, owned by the embedded TraceServer:
-        #: frontend spans and re-based worker spans land in the same ring
-        #: and slow-query log.
-        self.tracer = self.owner.tracer
-        self.started_at = self.owner.started_at
-        self.store = GenerationStore(root, delta_limit=delta_limit)
-        self._closed = False
         try:
-            # Initial generation: the engine as loaded, before any stream
-            # write, so workers have something to adopt at spawn.
-            with self.engine_lock:
-                self.store.publish(engine, extra_meta=self._durability_meta())
-            self.ingestor.add_flush_hook(self._publish_after_flush)
-            self.pool = WorkerPool(root, workers, startup_timeout=startup_timeout)
-            self.coalescer = RequestCoalescer(
-                _PoolDispatch(self.pool),
-                # The pool has its own concurrency discipline (idle-handle
-                # checkout); a private lock here only orders the coalescer's
-                # dispatch rounds with its own fallbacks.
-                threading.Lock(),
-                window_seconds=coalesce_window,
-                max_pending=max_pending,
-                max_batch=max_batch,
-            )
+            self._open_stores()
         except BaseException:
-            self.owner.close()
-            if self._owns_store:
-                shutil.rmtree(root, ignore_errors=True)
+            self.close()  # a rejected delta_limit or engine leaves no temp dir
             raise
 
-    # ------------------------------------------------------------------
-    # Generation publishing (owner side)
-    # ------------------------------------------------------------------
+    def _open_stores(self) -> None:
+        self.store = GenerationStore(self.root, delta_limit=self.delta_limit)
+
+    def _shares(self, appended: List[object]) -> List[tuple]:
+        """``(store, engine, events)`` per store: what each one snapshots,
+        and its share of a flush's appended events."""
+        return [(self.store, self.engine, appended)]
+
+    def attach(self, ingestor) -> None:
+        """Publish the engine as loaded, then follow ``ingestor``'s flushes.
+
+        Called by the server under the engine lock, before the read
+        processes are spawned, so they have a generation to adopt.
+        """
+        self.ingestor = ingestor
+        meta = self._durability_meta()
+        for store, engine, _ in self._shares([]):
+            store.publish(engine, extra_meta=meta)
+        ingestor.add_flush_hook(self._publish_after_flush)
+
     def _durability_meta(self) -> Dict[str, object]:
         """WAL position and stream state stamped into every publish.
 
@@ -602,182 +573,46 @@ class FrontendServer:
         consistent point-in-time image.  Publishing *before* the events
         response is written is what makes a client's read-your-write
         sequential: by the time the client learns its flush happened, every
-        worker adopting at the next request boundary sees it.
+        reader adopting at the next request boundary sees it.
 
         Index-changing flushes publish a *delta* generation when the chain
         allows it -- the flush's own operations as a small JSON document --
-        and a full snapshot otherwise (every
-        :data:`~repro.server.generation.DELTA_CHAIN_LIMIT` deltas, or when
-        the report cannot describe the change).  Workers standing on the
-        chain catch up in place; see :mod:`repro.server.generation`.
+        and a full snapshot otherwise (every ``delta_limit`` deltas).
+        Readers standing on the chain catch up in place; see
+        :mod:`repro.server.generation`.  A store whose share of the flush
+        is empty (per-shard stores only) skips the publish, so per-shard
+        generation counters advance independently.
+
+        There is no closed guard: the server's final flush on shutdown
+        must publish too -- the newest generation always holds every
+        accepted write (the clean-drain guarantee the CI smoke checks).
         """
         changed = (
             report.events
             or (report.expiry is not None and report.expiry.expired_records)
             or report.compacted
         )
-        # No ``_closed`` guard: close() flushes the owner *before* stopping
-        # the workers and removing the store, and that final flush must
-        # publish too -- the newest generation always holds every accepted
-        # write (the clean-drain guarantee the CI smoke checks).
-        if changed:
+        if not changed:
+            return
+        meta = self._durability_meta()
+        for store, engine, events in self._shares(list(report.appended)):
             delta = SnapshotDelta(
-                events=list(report.appended),
-                cutoff=report.cutoff,
-                compacted=bool(report.compacted),
+                events=events, cutoff=report.cutoff, compacted=bool(report.compacted)
             )
-            self.store.publish_update(
-                self.engine, delta=delta, extra_meta=self._durability_meta()
-            )
+            if not delta.is_empty():
+                store.publish_update(engine, delta=delta, extra_meta=meta)
 
-    # ------------------------------------------------------------------
-    # Endpoint handlers (same surface as TraceServer)
-    # ------------------------------------------------------------------
-    def handle_topk(self, payload: object) -> Response:
-        """``POST /v1/topk`` routed to the worker pool.
+    def health(self) -> Dict[str, object]:
+        """``/v1/healthz``: the generation queries observe at minimum."""
+        return {"generation": self.store.generation}
 
-        Single queries go through the request coalescer (same admission
-        control and windowed batching as in-process); batch requests are
-        scatter-gathered across the pool directly.  Sampling happens here,
-        exactly as in :meth:`TraceServer.handle_topk`; sampled traces
-        additionally stitch in the worker-process spans shipped back over
-        the wire.
-        """
-        trace = self.tracer.start_trace("request.topk")
-        if trace is None:
-            return self._answer_topk(payload, None)
-        try:
-            status, response = self._answer_topk(payload, trace.context())
-        except BaseException:
-            self.tracer.finish(trace, error=True)
-            raise
-        self.tracer.finish(trace, status=status, error=status >= 500)
-        return status, response
+    def stats(self) -> Dict[str, object]:
+        """The ``generation`` entry of ``/v1/stats``."""
+        return {"generation": self.store.generation}
 
-    def _answer_topk(self, payload: object, trace: Optional[SpanContext]) -> Response:
-        """The actual ``/v1/topk`` logic; ``trace`` is ``None`` when unsampled."""
-        try:
-            request = protocol.parse_topk_request(payload)
-        except protocol.ProtocolError as exc:
-            return exc.status, protocol.error_payload(str(exc))
-        if trace is not None:
-            trace.parent.attributes["batch"] = request.batch
-            trace.parent.attributes["queries"] = len(request.entities)
-        entity = request.entities[0]
-        if self._closed:
-            return 503, protocol.error_payload("the server is shutting down")
-        # Unknown entities answer 404 from the owner's (flushed) dataset --
-        # the same pre-check as in-process serving.  The dataset only gains
-        # entities at a flush, and every flush publishes, so an entity
-        # passing this check exists in the generation any worker will adopt
-        # by the time it answers.
-        with self.engine_lock:
-            unknown = [
-                candidate
-                for candidate in request.entities
-                if candidate not in self.engine.dataset
-            ]
-        if unknown:
-            return 404, protocol.error_payload(f"unknown entity {unknown[0]!r}")
-        try:
-            if request.batch:
-                payloads = self.pool.scatter_topk(
-                    request.entities,
-                    request.k,
-                    request.approximation,
-                    traces=[trace] * len(request.entities) if trace is not None else None,
-                )
-            else:
-                payloads = [
-                    self.coalescer.submit(
-                        entity,
-                        k=request.k,
-                        approximation=request.approximation,
-                        trace=trace,
-                    )
-                ]
-        except QueueFullError as exc:
-            return 429, protocol.error_payload(str(exc))
-        except KeyError:
-            return 404, protocol.error_payload(f"unknown entity {entity!r}")
-        except RuntimeError as exc:
-            return 503, protocol.error_payload(str(exc))
-        if not request.batch:
-            return 200, payloads[0]
-        return 200, {"results": payloads}
-
-    def handle_events(self, payload: object) -> Response:
-        """``POST /v1/events``: the owner's write path, unchanged.
-
-        The flush hook publishes a generation before the response is
-        written, so acknowledged flushed writes are visible to every
-        subsequent query.
-        """
-        return self.owner.handle_events(payload)
-
-    def handle_healthz(self) -> Response:
-        """``GET /v1/healthz`` plus the deployment's process topology.
-
-        Beyond the single-process probe: worker count, the current
-        snapshot ``generation`` id (which generation queries observe at
-        minimum), and the cumulative worker ``respawns`` counter -- a
-        non-zero delta between probes means workers are crashing, which a
-        liveness check on the front-end alone would never surface.
-        """
-        status, payload = self.owner.handle_healthz()
-        payload["workers"] = self.pool.num_workers
-        payload["generation"] = self.store.generation
-        payload["respawns"] = self.pool.stats_snapshot()["respawns"]
-        return status, payload
-
-    def handle_stats(self) -> Response:
-        """``GET /v1/stats`` with a ``workers`` section for the pool.
-
-        Assembled by the owner's single-acquisition-order consistent read
-        (see :meth:`TraceServer.handle_stats`), substituting the
-        pool-facing coalescer for the owner's idle one.
-        """
-        payload = self.owner._stats_payload(coalescer=self.coalescer)
-        payload["workers"] = self.pool.stats_snapshot()
-        payload["generation"] = self.store.generation
-        return 200, payload
-
-    def handle_metrics(self) -> Tuple[int, str]:
-        """``GET /metrics`` with worker-pool and generation families appended."""
-        families = self.owner._metric_families(coalescer=self.coalescer)
-        pool_stats = self.pool.stats_snapshot()
-        families.append(
-            exposition.MetricFamily(
-                name="repro_worker_pool_workers",
-                kind="gauge",
-                help="Configured query worker processes.",
-                samples=[("", {}, float(pool_stats["workers"]))],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_worker_events_total",
-                kind="counter",
-                help="Worker pool activity: answered requests, retries after a "
-                "worker death, respawned workers, respawn storms (a worker "
-                "repeatedly dying on startup).",
-                samples=[
-                    ("", {"event": "requests"}, float(pool_stats["requests"])),
-                    ("", {"event": "retries"}, float(pool_stats["retries"])),
-                    ("", {"event": "respawns"}, float(pool_stats["respawns"])),
-                    ("", {"event": "respawn_storms"}, float(pool_stats["respawn_storms"])),
-                ],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_generation_id",
-                kind="gauge",
-                help="Newest published snapshot generation.",
-                samples=[("", {}, float(self.store.generation))],
-            )
-        )
-        generation_age = exposition.MetricFamily(
+    def metric_families(self) -> List[exposition.MetricFamily]:
+        """``repro_generation_id`` and ``repro_generation_age_seconds``."""
+        age = exposition.MetricFamily(
             name="repro_generation_age_seconds",
             kind="gauge",
             help="Seconds since the last generation publish (absent before "
@@ -785,39 +620,42 @@ class FrontendServer:
             "workers answer from a stale snapshot).",
         )
         if self.store.last_publish_monotonic is not None:
-            generation_age.samples.append(
+            age.samples.append(
                 ("", {}, time.monotonic() - self.store.last_publish_monotonic)
             )
-        families.append(generation_age)
-        return 200, exposition.render_exposition(families)
+        return [
+            exposition.MetricFamily(
+                name="repro_generation_id",
+                kind="gauge",
+                help="Newest published snapshot generation.",
+                samples=[("", {}, float(self.store.generation))],
+            ),
+            age,
+        ]
 
-    def handle_debug_slow(self) -> Response:
-        """``GET /v1/debug/slow``: the shared tracer's slow-query log."""
-        return self.owner.handle_debug_slow()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Graceful shutdown: drain reads, flush writes, stop the workers.
+        """Remove the store directory when it was a private temporary one."""
+        if self._owns_root:
+            shutil.rmtree(self.root, ignore_errors=True)
 
-        The read coalescer drains first (in-flight queries answer from the
-        still-running pool), then the owner flushes -- publishing a final
-        generation, so the store's newest generation holds every accepted
-        write -- and only then are the workers terminated and the private
-        store removed.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.coalescer.close()
-        self.owner.close()
-        self.pool.close()
-        if self._owns_store:
-            shutil.rmtree(self.store.root, ignore_errors=True)
 
-    def __enter__(self) -> "FrontendServer":
-        return self
+def worker_tier(
+    engine,
+    workers: int = 2,
+    store_root: Optional[PathLikeT] = None,
+    startup_timeout: float = 60.0,
+    delta_limit: int = DELTA_CHAIN_LIMIT,
+) -> Dict[str, ServingPart]:
+    """The ``--workers N`` tier as :class:`~repro.server.app.TraceServer`
+    keywords: ``TraceServer(engine, **worker_tier(engine, workers=2))``.
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    A :class:`WorkerPool` of ``workers`` processes reading the store a
+    :class:`GenerationPublisher` over ``engine`` publishes into.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    publisher = GenerationPublisher(engine, store_root, delta_limit)
+    return {
+        "backend": WorkerPool(publisher.root, workers, startup_timeout=startup_timeout),
+        "publisher": publisher,
+    }

@@ -22,14 +22,18 @@ in ``tests/test_server_equivalence.py``; the full walk-through lives in
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.server.generation import GenerationStore
-from repro.storage.snapshot import SnapshotError
+from repro.storage.snapshot import SnapshotError, read_manifest
 from repro.streaming.ingestor import EventIngestor, StreamingConfig
 from repro.streaming.wal import ReplaySummary, WriteAheadLog, replay_into
 
-__all__ = ["recover_engine_from_store", "replay_wal_into_engine"]
+__all__ = [
+    "recover_engine_from_store",
+    "recover_serving_state",
+    "replay_wal_into_engine",
+]
 
 
 def recover_engine_from_store(
@@ -83,3 +87,50 @@ def replay_wal_into_engine(
     start_seq = int(meta.get("wal_seq", 0)) + 1
     summary = replay_into(ingestor, wal, start_seq=start_seq)
     return summary, ingestor.stream_state()
+
+
+def recover_serving_state(
+    engine,
+    streaming: Optional[StreamingConfig] = None,
+    wal_dir=None,
+    store_root=None,
+    snapshot=None,
+) -> Tuple[object, Optional[WriteAheadLog], Optional[Dict[str, object]], List[str]]:
+    """What a serving process restores before it binds (``repro serve``).
+
+    ``engine`` -- resolved from ``--snapshot``/``--traces`` -- is the
+    cold-start fallback: a persistent ``store_root`` holding published
+    generations supersedes it.  With ``wal_dir`` the log is opened and its
+    suffix after the restored state's ``wal_seq`` (stamped in the
+    generation, or else in ``snapshot``'s manifest) is replayed, i.e.
+    everything the crashed process had already acknowledged.
+
+    Returns ``(engine, wal, stream_state, notes)``: the engine to serve,
+    the open log (``None`` without ``wal_dir``) and the stream state, both
+    for the server constructor, and one line per recovery step for the
+    operator.
+    """
+    notes: List[str] = []
+    meta: Dict[str, object] = {}
+    stream_state = None
+    if store_root:
+        recovered = recover_engine_from_store(store_root)
+        if recovered is not None:
+            engine, meta, generation = recovered
+            stream_state = meta.get("stream")
+            notes.append(f"recovered generation {generation} from {store_root}")
+    elif wal_dir and snapshot:
+        try:
+            meta = read_manifest(snapshot).get("extra") or {}
+        except SnapshotError:
+            meta = {}
+    wal = None
+    if wal_dir:
+        wal = WriteAheadLog(wal_dir)
+        summary, stream_state = replay_wal_into_engine(engine, wal, streaming, meta)
+        if summary.records:
+            notes.append(
+                f"replayed {summary.records} WAL records ({summary.events} events) "
+                f"from {wal_dir}, log position {summary.last_seq}"
+            )
+    return engine, wal, stream_state, notes

@@ -5,7 +5,9 @@ consistent-hash ring and its remap bound, the partitioner that routes
 entities to shard groups, the wire codec that ships query sequences, the
 per-replica health state machine, the shard server's operation handling,
 and the replica group's failover/hedging policy (against in-test framed
-TCP servers, no subprocesses).  The end-to-end behaviour -- real shard
+TCP servers, no subprocesses), plus the one thing the cluster edge gets
+from being the shared ``TraceServer``: its trace shape (one 2x1 fleet of
+real shard servers).  The end-to-end behaviour -- real shard
 server processes, kills, catch-up, degraded answers -- is exercised by
 the chaos battery (``test_cluster_chaos.py``) and by
 ``repro cluster chaos`` in CI.
@@ -367,3 +369,41 @@ class TestReplicaGroup:
     def test_group_requires_at_least_one_replica(self):
         with pytest.raises(ValueError, match="needs >= 1 replica"):
             ReplicaGroup("shard-000", [])
+
+
+def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measure):
+    """A sampled cluster request carries the shared edge's spans.
+
+    The cluster tier is the one ``TraceServer`` with a fleet plugged in, so
+    its ``request.topk`` root has the ``batch``/``queries`` attributes and
+    the ``coalesce.wait`` / ``coalesce.dispatch`` children the in-process
+    and worker tiers have (shard-side spans are a later issue).
+    """
+    from repro.cluster.frontend import cluster_tier
+    from repro.server.app import TraceServer
+    from repro.service.sharded import ShardedEngine
+
+    engine = ShardedEngine(
+        small_dataset,
+        measure=small_measure,
+        num_shards=2,
+        num_hashes=32,
+        seed=5,
+        partitioner="consistent_hash",
+    ).build()
+    server = TraceServer(
+        engine, trace_sample=1.0, **cluster_tier(engine, replication=1)
+    )
+    try:
+        status, payload = server.handle_topk({"entity": "a", "k": 2})
+        assert status == 200, payload
+        _, slow = server.handle_debug_slow()
+    finally:
+        server.close()
+    (root,) = [record["spans"][0] for record in slow["slowest"]]
+    assert root["name"] == "request.topk"
+    assert root["attributes"]["batch"] is False
+    assert root["attributes"]["queries"] == 1
+    children = [child["name"] for child in root["children"]]
+    assert "coalesce.wait" in children
+    assert "coalesce.dispatch" in children

@@ -13,7 +13,7 @@ import pytest
 from repro.cli import main
 from repro.core.engine import TraceQueryEngine
 from repro.obs import parse_exposition
-from repro.server.app import TraceServer, build_http_server
+from repro.server.app import EngineBackend, TraceServer, build_http_server
 from repro.server.coalescer import QueueFullError, RequestCoalescer
 from repro.server.metrics import LATENCY_BUCKETS, LatencyHistogram, ServerMetrics
 from repro.server.protocol import (
@@ -204,16 +204,15 @@ class TestMetrics:
 # ----------------------------------------------------------------------
 class TestCoalescer:
     def test_results_match_direct_topk(self, engine):
-        with RequestCoalescer(engine, threading.Lock()) as coalescer:
+        with RequestCoalescer(EngineBackend(engine, threading.Lock())) as coalescer:
             for entity in ("e00", "e05", "e11"):
-                assert (
-                    coalescer.submit(entity, k=3).items
-                    == engine.top_k(entity, k=3).items
+                assert coalescer.submit(entity, k=3) == topk_result_payload(
+                    engine.top_k(entity, k=3)
                 )
 
     def test_concurrent_submissions_coalesce(self, engine):
         coalescer = RequestCoalescer(
-            engine, threading.Lock(), window_seconds=0.05, max_batch=64
+            EngineBackend(engine, threading.Lock()), window_seconds=0.05, max_batch=64
         )
         results = {}
         barrier = threading.Barrier(8)
@@ -232,14 +231,14 @@ class TestCoalescer:
         coalescer.close()
         assert len(results) == 8
         for entity, result in results.items():
-            assert result.items == engine.top_k(entity, k=2).items
+            assert result == topk_result_payload(engine.top_k(entity, k=2))
         # 8 queries released together inside one 50 ms window must share
         # dispatch rounds: strictly fewer batches than queries.
         assert coalescer.stats.batches < 8
         assert coalescer.stats.coalesced > 0
 
     def test_mixed_k_groups_still_answer_correctly(self, engine):
-        coalescer = RequestCoalescer(engine, threading.Lock(), window_seconds=0.05)
+        coalescer = RequestCoalescer(EngineBackend(engine, threading.Lock()), window_seconds=0.05)
         results = {}
         barrier = threading.Barrier(4)
 
@@ -257,10 +256,10 @@ class TestCoalescer:
             thread.join()
         coalescer.close()
         for (entity, k), result in results.items():
-            assert result.items == engine.top_k(entity, k=k).items
+            assert result == topk_result_payload(engine.top_k(entity, k=k))
 
     def test_unknown_entity_raises_keyerror_without_poisoning_batch(self, engine):
-        coalescer = RequestCoalescer(engine, threading.Lock(), window_seconds=0.05)
+        coalescer = RequestCoalescer(EngineBackend(engine, threading.Lock()), window_seconds=0.05)
         outcomes = {}
         barrier = threading.Barrier(3)
 
@@ -281,13 +280,13 @@ class TestCoalescer:
             thread.join()
         coalescer.close()
         assert isinstance(outcomes["ghost"], KeyError)
-        assert outcomes["e00"].items == engine.top_k("e00", k=2).items
-        assert outcomes["e03"].items == engine.top_k("e03", k=2).items
+        assert outcomes["e00"] == topk_result_payload(engine.top_k("e00", k=2))
+        assert outcomes["e03"] == topk_result_payload(engine.top_k("e03", k=2))
 
     def test_queue_overflow_raises(self, engine):
         lock = threading.Lock()
         coalescer = RequestCoalescer(
-            engine, lock, window_seconds=0.0, max_pending=1, max_batch=1
+            EngineBackend(engine, lock), window_seconds=0.0, max_pending=1, max_batch=1
         )
         outcomes = []
         outcomes_lock = threading.Lock()
@@ -322,19 +321,19 @@ class TestCoalescer:
         assert coalescer.stats.rejected >= 8
 
     def test_submit_after_close_raises(self, engine):
-        coalescer = RequestCoalescer(engine, threading.Lock())
+        coalescer = RequestCoalescer(EngineBackend(engine, threading.Lock()))
         coalescer.close()
         with pytest.raises(RuntimeError):
             coalescer.submit("e00")
 
     def test_validates_parameters(self, engine):
-        lock = threading.Lock()
+        backend = EngineBackend(engine, threading.Lock())
         with pytest.raises(ValueError):
-            RequestCoalescer(engine, lock, window_seconds=-1)
+            RequestCoalescer(backend, window_seconds=-1)
         with pytest.raises(ValueError):
-            RequestCoalescer(engine, lock, max_pending=0)
+            RequestCoalescer(backend, max_pending=0)
         with pytest.raises(ValueError):
-            RequestCoalescer(engine, lock, max_batch=0)
+            RequestCoalescer(backend, max_batch=0)
 
 
 # ----------------------------------------------------------------------
@@ -528,6 +527,107 @@ class TestTraceServer:
         server.close()
         assert server.handle_topk({"entity": "e00"})[0] == 503
         assert server.handle_topk({"entities": ["e00"], "k": 1})[0] == 503
+
+
+# ----------------------------------------------------------------------
+# Tiers are configurations of the one TraceServer
+# ----------------------------------------------------------------------
+def _tier_engine() -> ShardedEngine:
+    """The same sharded engine under every tier, so bodies are comparable."""
+    return ShardedEngine(
+        small_dataset(),
+        num_shards=2,
+        num_hashes=32,
+        seed=5,
+        bound_mode="per_level",
+        partitioner="consistent_hash",
+    ).build()
+
+
+def _tier_parts(tier, engine):
+    if tier == "workers":
+        from repro.server.frontend import worker_tier
+
+        return worker_tier(engine, workers=1)
+    if tier == "cluster":
+        from repro.cluster.frontend import cluster_tier
+
+        return cluster_tier(engine, replication=1)
+    return {}
+
+
+def _coalescer_threads() -> int:
+    return sum(thread.name == "repro-coalescer" for thread in threading.enumerate())
+
+
+NEW_EVENT = {"entity": "fresh", "unit": "u2_0_0", "start": 30, "end": 32}
+
+
+@pytest.mark.parametrize("tier", ["local", "workers", "cluster"])
+def test_tiers_are_configurations_of_one_server(tier):
+    """One transport-free sequence, three tiers, one class, one dispatcher.
+
+    Every top-k body must equal, byte for byte, what an in-process engine
+    fed the same events answers -- hence the three tiers agree with each
+    other -- and each server runs exactly one coalescer thread.
+    """
+    oracle = _tier_engine()
+
+    def expected(body):
+        request = parse_topk_request(body)
+        results = [
+            oracle.top_k(entity, k=request.k) for entity in request.entities
+        ]
+        if request.batch:
+            return dumps({"results": [topk_result_payload(r) for r in results]})
+        return dumps(topk_result_payload(results[0]))
+
+    threads_before = _coalescer_threads()
+    engine = _tier_engine()
+    server = TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine))
+    try:
+        assert type(server) is TraceServer
+        assert _coalescer_threads() == threads_before + 1
+
+        single = {"entity": "e00", "k": 3}
+        batch = {"entities": ["e01", "e04", "e07"], "k": 2}
+        for body in (single, batch):
+            status, payload = server.handle_topk(body)
+            assert status == 200, payload
+            assert dumps(payload) == expected(body)
+        assert server.handle_topk({"entity": "ghost"})[0] == 404
+        assert server.handle_topk({"entities": ["e00", "ghost"]})[0] == 404
+        assert server.handle_topk({"entity": "e00", "k": 0})[0] == 400
+        assert server.handle_topk(["not", "an", "object"])[0] == 400
+
+        # Read-your-writes: the acknowledged flush is visible to the very
+        # next query, whichever process answers it.
+        assert server.handle_topk({"entity": "fresh"})[0] == 404
+        status, payload = server.handle_events({"events": [NEW_EVENT], "flush": True})
+        assert (status, payload["affected_entities"]) == (200, ["fresh"])
+        oracle.add_records([PresenceInstance("fresh", "u2_0_0", 30, 32)])
+        for body in ({"entity": "fresh", "k": 3}, single, batch):
+            status, payload = server.handle_topk(body)
+            assert status == 200, payload
+            assert dumps(payload) == expected(body)
+
+        status, health = server.handle_healthz()
+        assert (status, health["status"], health["entities"]) == (200, "ok", 13)
+        status, stats = server.handle_stats()
+        assert status == 200
+        assert {"engine", "ingest", "coalescer", "endpoints", "tracing"} <= set(stats)
+        assert stats["coalescer"]["submitted"] == 3  # the admitted single queries
+        extra = {"local": set(), "workers": {"workers", "generation"}, "cluster": {"cluster"}}
+        assert extra[tier] <= set(stats) and extra[tier] <= set(health)
+        status, text = server.handle_metrics()
+        assert status == 200
+        assert "repro_coalescer_queries_total" in parse_exposition(text)
+    finally:
+        server.close()
+    assert _coalescer_threads() == threads_before
+    assert server.handle_healthz()[0] == 503
+    server.close()  # idempotent
+    assert server.handle_topk({"entity": "e00"})[0] == 503
 
 
 # ----------------------------------------------------------------------
@@ -946,6 +1046,24 @@ class TestServeCLIErrors:
     def test_invalid_options_exit_2(self, argv, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_delta_limit_exits_2_naming_the_flag(self, capsys):
+        # Used to reach GenerationStore.__init__ and die with a ValueError
+        # traceback on the --workers tier.
+        argv = ["serve", "--snapshot", "s", "--workers", "1", "--delta-limit", "-1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --delta-limit must be >= 0")
+        assert "Traceback" not in err
+
+    def test_store_without_a_publishing_tier_exits_2(self, tmp_path, capsys):
+        # Used to be silently ignored: the daemon started, nothing was ever
+        # published, and the operator believed the store was recoverable.
+        store = tmp_path / "store"
+        assert main(["serve", "--snapshot", "s", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --store needs --workers or --cluster")
+        assert not store.exists()
 
     def test_index_build_horizon_carries_into_served_snapshot(self, tmp_path):
         # The remedy the /v1/events beyond-horizon error prescribes for

@@ -34,7 +34,7 @@ import pytest
 
 from repro.core.engine import TraceQueryEngine
 from repro.server.app import TraceServer, build_http_server
-from repro.server.frontend import FrontendServer
+from repro.server.frontend import worker_tier
 from repro.server.protocol import dumps, parse_topk_request, topk_payload
 from repro.service.sharded import ShardedEngine
 from repro.streaming.ingestor import EventIngestor, StreamingConfig
@@ -308,7 +308,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
     """The ``--workers N`` tier answers the same workload byte-identically.
 
     Same phased workload as the in-process test, but served by a
-    :class:`FrontendServer` with two query-worker *processes*: every
+    :class:`TraceServer` with two query-worker *processes* plugged in: every
     end-of-phase flush publishes a new snapshot generation that the workers
     adopt at a request boundary, so the run crosses ``NUM_PHASES``
     generation publishes.  Midway, one worker is SIGKILLed while queries
@@ -319,14 +319,14 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
     expected = serial_reference(kind)
 
     engine = make_engine(kind)
-    frontend = FrontendServer(
+    frontend = TraceServer(
         engine,
         streaming=StreamingConfig(max_batch_events=10_000),
-        workers=2,
         coalesce_window=0.005,
         # Sample everything: worker spans must stitch into the frontend
         # trace over the wire without changing a single response byte.
         trace_sample=1.0,
+        **worker_tier(engine, workers=2),
     )
     httpd = build_http_server(frontend, port=0)
     port = httpd.server_address[1]
@@ -361,7 +361,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
                     # queries racing the death.  Phase 1 then issues far
                     # more queries than the pool has workers, so the dead
                     # handle is certain to be checked out and exercised.
-                    victim = frontend.pool.worker_pids[0]
+                    victim = frontend.backend.worker_pids[0]
                     assert victim is not None
                     os.kill(victim, signal.SIGKILL)
                 operations = [
@@ -446,10 +446,10 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
         assert body == expected_batch
 
         # The run really crossed generations and really killed a worker.
-        pool_stats = frontend.pool.stats_snapshot()
+        pool_stats = frontend.backend.stats_snapshot()
         assert pool_stats["respawns"] >= 1
         # Initial publish + one per (index-changing) phase flush.
-        assert frontend.store.generation == 1 + NUM_PHASES
+        assert frontend.publisher.store.generation == 1 + NUM_PHASES
 
         # Every sampled single query stitched a full cross-process trace:
         # the frontend half (request/coalescer/worker round-trip) plus the
@@ -508,7 +508,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
 def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
     """Crash injection: SIGKILL the frontend *mid-publish*, recover, compare.
 
-    A forked child runs a ``--workers 1`` :class:`FrontendServer` over a
+    A forked child runs a ``--workers 1`` :class:`TraceServer` over a
     generation store and a write-ahead log, ingesting phased events.  At the
     final phase's publish the child SIGKILLs itself at the worst possible
     instant -- after the flush mutated the engine and wrote its delta
@@ -538,14 +538,13 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
         try:
             engine = make_engine("single")
             wal = WriteAheadLog(wal_root)
-            frontend = FrontendServer(
+            frontend = TraceServer(
                 engine,
                 streaming=streaming,
-                workers=1,
-                store_root=store_root,
                 wal=wal,
+                **worker_tier(engine, workers=1, store_root=store_root),
             )
-            pids_path.write_text(json.dumps(frontend.pool.worker_pids))
+            pids_path.write_text(json.dumps(frontend.backend.worker_pids))
 
             def killing_swap(document):
                 # The delta document is already on disk; dying before the
@@ -558,7 +557,7 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
                     for event in phase_events(phase, thread):
                         frontend.ingestor.submit(event)
                 if phase == crash_phase:
-                    frontend.store._swap_current = killing_swap
+                    frontend.publisher.store._swap_current = killing_swap
                 frontend.ingestor.flush()
         finally:
             os._exit(1)  # any path that survives the SIGKILL is a failure
@@ -605,13 +604,12 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
         # Boot a replacement frontend from the recovered state -- the same
         # construction ``repro serve --workers N --store ... --wal ...``
         # performs -- and face it off byte-for-byte against the oracle.
-        frontend = FrontendServer(
+        frontend = TraceServer(
             engine,
             streaming=streaming,
-            workers=1,
-            store_root=store_root,
             wal=WriteAheadLog(wal_root),
             stream_state=stream_state,
+            **worker_tier(engine, workers=1, store_root=store_root),
         )
         try:
             entities = sorted(oracle.dataset.entities)

@@ -37,6 +37,7 @@ def test_crash_looping_worker_counts_a_storm_and_pool_keeps_answering(
         respawn_backoff_base=0.01,
         respawn_backoff_cap=0.05,
     )
+    pool.start()
     try:
         victim = pool._handles[0]
         # Every future revival of this slot dies before binding its socket.
