@@ -1,22 +1,15 @@
 """Micro-benchmarks of the core operations (not tied to a specific figure).
 
 These measure the building blocks whose costs the paper's Section 4.3 / 6.4
-analysis is about: signature computation (both the per-entity path and the
-vectorised bulk pipeline), MinSigTree construction, a single top-k query,
-batched top-k throughput, a single incremental update, and the brute-force
-scan they are all compared against.
-
-``test_dataset_signing_*`` pit the two signature paths against each other on
-the same workload: the bulk pipeline is expected to win by >= 3x on the
-medium scale while producing bitwise-identical matrices (the equivalence
-suite pins the latter).
+analysis is about: signature computation, MinSigTree construction, a single
+top-k query, batched top-k throughput, a single incremental update, and the
+brute-force scan they are all compared against.
 """
 
 import pytest
 
 from repro.baselines import BruteForceTopK
 from repro.core.engine import TraceQueryEngine
-from repro.core.hashing import HierarchicalHashFamily
 from repro.core.minsigtree import MinSigTree
 from repro.core.signatures import SignatureComputer
 from repro.experiments.workloads import sample_queries, syn_workload
@@ -36,41 +29,11 @@ def engine(dataset):
     return TraceQueryEngine(dataset, num_hashes=scale.default_hashes, seed=1).build()
 
 
-def _fresh_computer(dataset):
-    """A signature computer over a cold hash family (no warm cell cache)."""
-    scale = benchmark_scale()
-    family = HierarchicalHashFamily(
-        dataset.hierarchy,
-        horizon=max(dataset.horizon, 1),
-        num_hashes=scale.default_hashes,
-        seed=1,
-    )
-    return SignatureComputer(family)
-
-
 def test_signature_computation(benchmark, dataset, engine):
     computer = SignatureComputer(engine.hash_family)
     entity = dataset.entities[0]
     sequence = dataset.cell_sequence(entity)
     benchmark(computer.signature_matrix, sequence)
-
-
-def test_dataset_signing_per_entity(benchmark, dataset):
-    """Old build path: per-entity signing through the per-cell cache."""
-    benchmark.pedantic(
-        lambda: _fresh_computer(dataset).signatures_for_dataset(dataset, method="per_entity"),
-        rounds=3,
-        iterations=1,
-    )
-
-
-def test_dataset_signing_bulk(benchmark, dataset):
-    """New build path: the vectorised bulk-signature pipeline."""
-    benchmark.pedantic(
-        lambda: _fresh_computer(dataset).bulk_signature_matrices(dataset),
-        rounds=3,
-        iterations=1,
-    )
 
 
 def test_minsigtree_build(benchmark, dataset, engine):

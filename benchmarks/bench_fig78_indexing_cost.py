@@ -3,9 +3,7 @@
 Index construction time and MinSigTree size over the hash-function sweep on
 both datasets.  The paper's shapes to reproduce: construction time grows
 roughly linearly with n_h, and the index size grows with n_h but stays small
-relative to the data.  The report also pits the old per-entity build path
-against the vectorised bulk pipeline (``per_entity_seconds`` vs
-``indexing_seconds``).
+relative to the data.
 """
 
 from repro.experiments import figures
@@ -18,11 +16,6 @@ def test_figure_7_8_indexing_cost(record_figure):
         times = [row["indexing_seconds"] for row in series]
         sizes = [row["index_bytes"] for row in series]
         assert times[-1] >= times[0]
-        # Both build paths must have been timed; speed ratios are hardware
-        # dependent (and noisy at tiny scale), so only require presence and
-        # positivity here -- bench_core_operations carries the comparison.
-        assert all(row["per_entity_seconds"] > 0 for row in series)
-        assert all(row["bulk_speedup"] > 0 for row in series)
         # The node count (hence size) is data dependent and can dip slightly
         # at small scale; require it to stay positive and of stable magnitude.
         assert all(size > 0 for size in sizes)

@@ -3,6 +3,9 @@
 * :class:`~repro.baselines.brute_force.BruteForceTopK` -- the exhaustive scan
   mentioned at the start of Chapter 4; also the ground truth every
   correctness test compares the MinSigTree searcher against.
+* :func:`~repro.baselines.reference.reference_search` -- the
+  pointer-walking Algorithm 2 traversal, the bit-for-bit oracle of the
+  columnar kernel (tests only; no serving path imports it).
 * :mod:`~repro.baselines.fpm` -- a small frequent-pattern-mining substrate
   (Apriori-style itemset counting and a co-occurrence based ST-cell
   clustering), needed by
@@ -15,10 +18,12 @@
 from repro.baselines.brute_force import BruteForceTopK
 from repro.baselines.cluster_bitmap import ClusterBitmapIndex
 from repro.baselines.fpm import FrequentPatternMiner, cluster_cells_by_cooccurrence
+from repro.baselines.reference import reference_search
 
 __all__ = [
     "BruteForceTopK",
     "ClusterBitmapIndex",
     "FrequentPatternMiner",
     "cluster_cells_by_cooccurrence",
+    "reference_search",
 ]

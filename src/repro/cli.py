@@ -173,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the query's span tree (kernel stage timings and pruning "
         "counters) after the results; --entity mode only",
     )
-    _add_columnar_argument(query)
 
     index = subparsers.add_parser("index", help="build and inspect durable snapshot indexes")
     index_sub = index.add_subparsers(dest="index_command", required=True)
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         "consistent_hash minimises reassignment when shard counts change)",
     )
     _add_index_arguments(stream, defaults=True)
-    _add_columnar_argument(stream)
 
     serve = subparsers.add_parser(
         "serve",
@@ -405,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro trace`; see docs/OBSERVABILITY.md)",
     )
     _add_index_arguments(serve, defaults=False)
-    _add_columnar_argument(serve)
 
     cluster = subparsers.add_parser(
         "cluster",
@@ -591,22 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _add_columnar_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--no-columnar`` performance toggle (query/stream/serve).
-
-    Selects the reference pointer-walking traversal instead of the columnar
-    kernel -- results are identical, so this is a debugging / A-B latency
-    knob, usable with snapshots too (unlike the index-shaping options, it
-    never conflicts with what the snapshot was built with).
-    """
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="answer queries through the reference traversal instead of the "
-        "columnar kernel (identical results; for debugging and latency A/B)",
-    )
 
 
 def _add_dataset_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
@@ -958,12 +939,9 @@ def _resolve_engine(
                 "--horizon cannot be combined with --snapshot; the snapshot fixes it"
             )
         try:
-            engine = _load_snapshot_engine(args.snapshot)
+            return _load_snapshot_engine(args.snapshot)
         except SnapshotError as exc:
             raise _CommandError(str(exc)) from exc
-        if getattr(args, "no_columnar", False):
-            engine.configure_columnar(False)
-        return engine
 
     if horizon is not None and horizon < 1:
         raise _CommandError(f"--horizon must be >= 1, got {horizon}")
@@ -977,12 +955,9 @@ def _resolve_engine(
     v = args.v if args.v is not None else _DEFAULT_V
     bound_mode = args.bound_mode if args.bound_mode is not None else _DEFAULT_BOUND_MODE
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=u, v=v)
-    engine = _make_engine(
+    return _make_engine(
         dataset, measure, num_hashes, seed, bound_mode, args.shards, args.partitioner
     ).build()
-    if getattr(args, "no_columnar", False):
-        engine.configure_columnar(False)
-    return engine
 
 
 def _command_query(args: argparse.Namespace) -> int:
@@ -1173,8 +1148,6 @@ def _command_stream(args: argparse.Namespace) -> int:
         dataset, measure, args.num_hashes, args.seed, args.bound_mode,
         args.shards, args.partitioner,
     ).build()
-    if args.no_columnar:
-        engine.configure_columnar(False)
 
     query_entities: List[str] = []
     if args.query_every:

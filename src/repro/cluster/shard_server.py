@@ -42,9 +42,10 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.cluster.wire import decode_sequence
+from repro.core.pruning import InvalidQuerySequence
 from repro.server import protocol
 from repro.server.generation import GenerationStore
-from repro.server.workers import recv_frame, send_frame
+from repro.server.workers import bad_request_reply, recv_frame, send_frame
 from repro.storage.snapshot import SnapshotError
 
 __all__ = ["ShardServer", "main"]
@@ -124,24 +125,16 @@ class ShardServer:
         self._stopping = False
 
     # ------------------------------------------------------------------
-    # Generation adoption (identical discipline to QueryWorker)
+    # Generation adoption
     # ------------------------------------------------------------------
     def adopt_latest(self, timeout: float = 30.0) -> None:
-        """Reload iff newer; delta catch-up first, full load as fallback.
+        """Reload iff newer (:meth:`GenerationStore.adopt`).
 
         Caller holds ``_engine_lock``.
         """
-        if self.engine is not None:
-            try:
-                caught_up = self.store.catch_up(self.engine, self.generation)
-            except SnapshotError:
-                caught_up = None
-            if caught_up is not None:
-                self.generation = caught_up
-                return
-        loaded = self.store.load_current(newer_than=self.generation, timeout=timeout)
-        if loaded is not None:
-            self.generation, self.engine = loaded
+        self.generation, self.engine = self.store.adopt(
+            self.engine, self.generation, timeout
+        )
 
     # ------------------------------------------------------------------
     # Request handling
@@ -173,22 +166,25 @@ class ShardServer:
         if operation != "topk":
             return {"error": f"unknown op {operation!r}", "status": 400}
         try:
-            queries = list(request["queries"])
+            queries = [
+                (str(query["entity"]), decode_sequence(query["sequence"]))
+                for query in request["queries"]
+            ]
             k = int(request.get("k", 10))
             approximation = float(request.get("approximation", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            return bad_request_reply(exc)
+        try:
             with self._engine_lock:
                 self.adopt_latest()
-                results = []
-                for query in queries:
-                    sequence = decode_sequence(query["sequence"])
-                    results.append(
-                        self.engine.searcher.search(
-                            str(query["entity"]),
-                            k,
-                            approximation=approximation,
-                            query_sequence=sequence,
-                        )
+                results = [
+                    self.engine.searcher.search(
+                        entity, k, approximation=approximation, query_sequence=sequence
                     )
+                    for entity, sequence in queries
+                ]
+        except InvalidQuerySequence as exc:
+            return bad_request_reply(exc)
         except Exception as exc:  # noqa: BLE001 - relayed to the coordinator
             return {"error": f"{type(exc).__name__}: {exc}", "status": 500}
         return {

@@ -20,6 +20,9 @@ Shard-server operations (request ``op`` values):
   The query's ST-cell sequence travels *with the request* because a
   shard's dataset only holds its own partition -- the query entity
   usually lives on some other shard.
+  A frame whose fields cannot be decoded, or whose sequence violates
+  sp-index consistency (:class:`~repro.core.pruning.InvalidQuerySequence`),
+  is answered ``{"error", "status": 400}``; any other failure is a 500.
 - ``chaos``   -- set fault-injection flags (reply delay, drop-next-N,
   refuse connections); test-only, wired through by the chaos battery.
 

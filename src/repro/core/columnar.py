@@ -1,11 +1,11 @@
 """The columnar query kernel: a flattened MinSigTree plus vectorised search.
 
-The reference search (:meth:`repro.core.query.TopKSearcher.search`) walks the
-pointer-based :class:`~repro.core.minsigtree.MinSigTree` one child at a time:
-every child costs one ``PruningState.refine`` (fresh per-level numpy masks)
-and one Theorem 4 bound evaluation, and every candidate entity costs one
-Python-set ``level_overlaps`` pass.  At serving rates that interpreter
-overhead -- not the index -- is the bottleneck.
+The reference traversal (:func:`repro.baselines.reference_search`, the test
+oracle) walks the pointer-based :class:`~repro.core.minsigtree.MinSigTree`
+one child at a time: every child costs one ``PruningState.refine`` (fresh
+per-level numpy masks) and one Theorem 4 bound evaluation, and every
+candidate entity costs one Python-set ``level_overlaps`` pass.  At serving
+rates that interpreter overhead -- not the index -- is the bottleneck.
 
 This module compiles the tree (and the dataset's per-level cell membership)
 into contiguous arrays once, so the search can:
@@ -78,7 +78,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.minsigtree import MinSigTree
-from repro.core.pruning import QueryHashes
+from repro.core.pruning import InvalidQuerySequence, QueryHashes
 from repro.measures.base import AssociationMeasure
 from repro.traces.dataset import TraceDataset
 from repro.traces.events import CellSequence, STCell
@@ -86,7 +86,6 @@ from repro.traces.events import CellSequence, STCell
 __all__ = [
     "ColumnarTree",
     "ColumnarQueryContext",
-    "ColumnarUnsupportedQuery",
     "load_npz_mmap",
 ]
 
@@ -156,16 +155,6 @@ def load_npz_mmap(path) -> Optional[Dict[str, np.ndarray]]:
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return None
     return arrays
-
-
-class ColumnarUnsupportedQuery(ValueError):
-    """A query sequence the columnar kernel cannot evaluate.
-
-    Raised only for hand-built :class:`~repro.traces.events.CellSequence`
-    objects that violate the sp-index consistency the engine guarantees
-    (e.g. a coarse cell with no base descendant in the query).  The searcher
-    catches it and answers through the reference traversal instead.
-    """
 
 
 class ColumnarTree:
@@ -664,9 +653,8 @@ class ColumnarQueryContext:
     the first leaf visit (:meth:`entity_scores`).  The traversal then needs
     no array work at all: it pops and pushes plain Python floats.
 
-    Raises :class:`ColumnarUnsupportedQuery` for hand-built query sequences
-    that violate sp-index consistency; the searcher falls back to the
-    reference traversal for those.
+    Raises :class:`~repro.core.pruning.InvalidQuerySequence` for hand-built
+    query sequences that violate sp-index consistency.
     """
 
     def __init__(
@@ -696,7 +684,7 @@ class ColumnarQueryContext:
         if self.total_cells and min(sizes) == 0:
             # Engine-built sequences are all-or-nothing: a non-empty base
             # set implies non-empty sets at every coarser level.
-            raise ColumnarUnsupportedQuery(
+            raise InvalidQuerySequence(
                 "query sequence has an empty level alongside non-empty ones"
             )
         #: (total_q, n_h) hash matrix over the concatenated query cells.
@@ -725,7 +713,7 @@ class ColumnarQueryContext:
                 owner = query.owners[level_index]
                 counts = np.bincount(owner, minlength=sizes[level_index])
                 if counts.size != sizes[level_index] or (counts == 0).any():
-                    raise ColumnarUnsupportedQuery(
+                    raise InvalidQuerySequence(
                         "a coarse query cell has no base descendant in the query"
                     )
                 # perm entries index base columns; the reduceat starts are

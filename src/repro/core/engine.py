@@ -20,12 +20,12 @@ Typical usage::
         print(entity, degree)
 
 Index construction routes signatures through the vectorised bulk pipeline
-(``EngineConfig.bulk_signatures``, on by default; bitwise-identical to the
-per-entity path), and batched queries -- :meth:`TraceQueryEngine.top_k_many`
-/ :meth:`TraceQueryEngine.top_k_batch` -- run through the
-:class:`~repro.core.query.BatchTopKExecutor`, which shares query-cell
-hashing across the batch and can fan out over worker threads
-(``EngineConfig.batch_workers``).
+(bitwise-identical to per-entity :meth:`SignatureComputer.signature_matrix`
+calls, the oracle its tests compare against), and batched queries --
+:meth:`TraceQueryEngine.top_k_many` / :meth:`TraceQueryEngine.top_k_batch`
+-- run through the :class:`~repro.core.query.BatchTopKExecutor`, which
+shares query-cell hashing across the batch and can fan out over worker
+threads (``EngineConfig.batch_workers``).
 """
 
 from __future__ import annotations
@@ -130,14 +130,6 @@ class EngineConfig:
         ``"lift"`` (default, the paper's Theorem 4 construction) or
         ``"per_level"`` (strictly admissible, looser); see
         :func:`repro.core.pruning.upper_bound`.
-    bulk_signatures:
-        Build (and batch-update) signatures through the vectorised bulk
-        pipeline (default).  ``False`` falls back to per-entity signing; both
-        paths are bitwise-identical, so this is a performance knob only.
-        Note one second-order effect: the per-entity path leaves the hash
-        family's per-cell cache fully warmed as a side effect, while the
-        bulk path bypasses that cache, so the first query touching a cell
-        hashes it lazily (batch queries pre-warm their cells regardless).
     batch_workers:
         Default thread-pool size for :meth:`TraceQueryEngine.top_k_many` /
         :meth:`TraceQueryEngine.top_k_batch` fan-out.  ``0`` (default) runs
@@ -148,21 +140,6 @@ class EngineConfig:
         Every mutation -- ``add_records``, ``refresh_entities``,
         ``remove_entity``, ``build`` -- invalidates the cache, so cached
         results are always identical to fresh searches.
-    columnar_queries:
-        Answer queries through the columnar kernel (default): the MinSigTree
-        is compiled into flat arrays and bound evaluation / leaf scoring run
-        vectorised (see :mod:`repro.core.columnar`).  Results are
-        bit-identical to the reference traversal, which ``False`` selects --
-        a performance knob only, excluded from the fingerprint like the
-        other ones.  The compiled arrays are persisted in snapshots and
-        recompiled lazily after any index or data mutation.
-    incremental_recompile:
-        After mutations, patch the compiled columnar arrays in place for the
-        touched entities instead of recompiling the whole kernel (default).
-        The patched arrays are byte-identical to a from-scratch compile, so
-        this is a performance knob only, excluded from the fingerprint; a
-        staleness threshold falls back to a full recompile when too much of
-        the index changed (see :meth:`repro.core.columnar.ColumnarTree.patch`).
 
     Example
     -------
@@ -174,7 +151,7 @@ class EngineConfig:
     >>> config = EngineConfig(num_hashes=128, batch_workers=4)
     >>> config.with_overrides(seed=9).num_hashes
     128
-    >>> fast = config.with_overrides(bulk_signatures=False, query_cache_size=64)
+    >>> fast = config.with_overrides(batch_workers=0, query_cache_size=64)
     >>> fast.fingerprint() == config.fingerprint()   # performance knobs only
     True
     >>> config.with_overrides(seed=9).fingerprint() == config.fingerprint()
@@ -186,11 +163,8 @@ class EngineConfig:
     store_full_signatures: bool = False
     use_full_signatures: bool = False
     bound_mode: str = "lift"
-    bulk_signatures: bool = True
     batch_workers: int = 0
     query_cache_size: int = 0
-    columnar_queries: bool = True
-    incremental_recompile: bool = True
 
     def __post_init__(self) -> None:
         if self.num_hashes < 1:
@@ -207,10 +181,9 @@ class EngineConfig:
     def semantic_fields(self) -> Dict[str, object]:
         """The fields that determine index contents and query results.
 
-        Performance knobs (``bulk_signatures``, ``batch_workers``,
-        ``query_cache_size``, ``columnar_queries``,
-        ``incremental_recompile``) are excluded: they change wall-clock
-        time, never a signature or a result.
+        Performance knobs (``batch_workers``, ``query_cache_size``) are
+        excluded: they change wall-clock time, never a signature or a
+        result.
         """
         return {
             "num_hashes": self.num_hashes,
@@ -355,12 +328,7 @@ class TraceQueryEngine:
             raise RuntimeError("the engine index has not been built yet; call build() first")
 
     def build(self) -> "TraceQueryEngine":
-        """Compute signatures for every entity and build the MinSigTree.
-
-        Signatures go through the vectorised bulk pipeline unless the config
-        disables it (``bulk_signatures=False``); either way the resulting
-        index is identical.
-        """
+        """Compute signatures for every entity and build the MinSigTree."""
         started = time.perf_counter()
         horizon = max(self.dataset.horizon, 1)
         self._hash_family = HierarchicalHashFamily(
@@ -370,8 +338,7 @@ class TraceQueryEngine:
             seed=self.config.seed,
         )
         self._signature_computer = SignatureComputer(self._hash_family)
-        method = "bulk" if self.config.bulk_signatures else "per_entity"
-        signatures = self._signature_computer.signatures_for_dataset(self.dataset, method=method)
+        signatures = self._signature_computer.signatures_for_dataset(self.dataset)
         self._tree = MinSigTree.build(
             signatures,
             num_levels=self.dataset.num_levels,
@@ -385,8 +352,6 @@ class TraceQueryEngine:
             self._hash_family,
             use_full_signatures=self.config.use_full_signatures,
             bound_mode=self.config.bound_mode,
-            columnar=self.config.columnar_queries,
-            incremental=self.config.incremental_recompile,
         )
         self.last_build_seconds = time.perf_counter() - started
         self._invalidate_query_cache()
@@ -411,8 +376,6 @@ class TraceQueryEngine:
             hash_family,
             use_full_signatures=self.config.use_full_signatures,
             bound_mode=self.config.bound_mode,
-            columnar=self.config.columnar_queries,
-            incremental=self.config.incremental_recompile,
         )
         # Re-adopting the same tree (e.g. the sharded hash-family sharing
         # pass) must not throw away an already-compiled columnar kernel or
@@ -488,7 +451,6 @@ class TraceQueryEngine:
             "presences": self.dataset.num_presences,
             "loose_operations": self.tree.loose_operations if self.is_built else 0,
             "index_size_bytes": self.index_size_bytes() if self.is_built else 0,
-            "columnar_queries": self.config.columnar_queries,
         }
         cache = self._query_cache
         stats["cache"] = cache.stats_snapshot() if cache is not None else None
@@ -575,19 +537,6 @@ class TraceQueryEngine:
         else:
             self._query_cache = None
 
-    def configure_columnar(self, enabled: bool) -> None:
-        """Switch between the columnar kernel and the reference traversal.
-
-        The serving layer's runtime hook (``repro serve --no-columnar`` and
-        friends): a snapshot-loaded engine inherits the snapshot's config,
-        and an operator may want the reference path for debugging or A/B
-        latency measurements.  Results are identical either way; switching
-        costs at most one lazy recompile on the next search.
-        """
-        self.config = self.config.with_overrides(columnar_queries=bool(enabled))
-        if self._searcher is not None:
-            self._searcher.columnar = bool(enabled)
-
     def _invalidate_query_cache(self) -> None:
         if self._query_cache is not None:
             self._query_cache.clear()
@@ -627,10 +576,6 @@ class TraceQueryEngine:
         """
         cache = self._query_cache
         if cache is None:
-            if traces is None:
-                return self.batch_executor(workers=workers).run(
-                    query_entities, k, approximation=approximation
-                )
             return self.batch_executor(workers=workers).run(
                 query_entities, k, approximation=approximation, traces=traces
             )
@@ -656,14 +601,9 @@ class TraceQueryEngine:
                 if traces is not None
                 else None
             )
-            if miss_traces is None:
-                batch = self.batch_executor(workers=workers).run(
-                    missing, k, approximation=approximation
-                )
-            else:
-                batch = self.batch_executor(workers=workers).run(
-                    missing, k, approximation=approximation, traces=miss_traces
-                )
+            batch = self.batch_executor(workers=workers).run(
+                missing, k, approximation=approximation, traces=miss_traces
+            )
             for position, result in zip(miss_positions, batch.results):
                 results[position] = result
                 cache.put(
@@ -693,12 +633,13 @@ class TraceQueryEngine:
     def _signature_matrices(self, entities: Sequence[str]) -> Dict[str, np.ndarray]:
         """Fresh signature matrices for ``entities`` from their current traces.
 
-        Multi-entity batches go through the vectorised bulk pipeline (when
-        enabled), so a Figure 7.9-style update touching many entities costs a
-        handful of broadcasted hash calls instead of one pass per entity.
+        Multi-entity batches go through the vectorised bulk pipeline, so a
+        Figure 7.9-style update touching many entities costs a handful of
+        broadcasted hash calls instead of one pass per entity; a single
+        entity is signed through the per-cell cache.
         """
         assert self._signature_computer is not None
-        if len(entities) > 1 and self.config.bulk_signatures:
+        if len(entities) > 1:
             return self._signature_computer.bulk_signature_matrices(self.dataset, entities)
         return {
             entity: self._signature_computer.signature_matrix(

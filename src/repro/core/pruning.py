@@ -34,7 +34,19 @@ from repro.core.minsigtree import MinSigTreeNode
 from repro.measures.base import AssociationMeasure
 from repro.traces.events import CellSequence, STCell
 
-__all__ = ["QueryHashes", "PruningState", "upper_bound"]
+__all__ = ["InvalidQuerySequence", "QueryHashes", "PruningState", "upper_bound"]
+
+
+class InvalidQuerySequence(ValueError):
+    """A caller-supplied query sequence that violates sp-index consistency.
+
+    Sequences the engine derives from a dataset are consistent by
+    construction; this rejects hand-built or wire-decoded
+    :class:`~repro.traces.events.CellSequence` objects whose level count
+    differs from the index depth, whose base cells lack their ancestor
+    cells at a coarser level, or whose coarse cells have no base
+    descendant.  The message names the defect.
+    """
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,19 @@ class QueryHashes:
         sequence: CellSequence,
         hash_family: HierarchicalHashFamily,
     ) -> "QueryHashes":
-        """Hash every cell of the query sequence at every level."""
+        """Hash every cell of the query sequence at every level.
+
+        Raises :class:`InvalidQuerySequence` when the sequence's level count
+        differs from the sp-index depth or a base cell's ancestor cell is
+        missing from a coarser level.
+        """
         hierarchy = hash_family.hierarchy
         num_levels = sequence.num_levels
+        if num_levels != hierarchy.num_levels:
+            raise InvalidQuerySequence(
+                f"query sequence has {num_levels} levels but the index has "
+                f"{hierarchy.num_levels}"
+            )
         cells: List[Tuple[STCell, ...]] = []
         matrices: List[np.ndarray] = []
         for level_cells in sequence.levels:
@@ -85,7 +107,14 @@ class QueryHashes:
                     owner[base_index] = base_index
                 else:
                     ancestor_unit = hierarchy.ancestor_at_level(base_cell.unit, level)
-                    owner[base_index] = positions[STCell(base_cell.time, ancestor_unit)]
+                    ancestor = STCell(base_cell.time, ancestor_unit)
+                    try:
+                        owner[base_index] = positions[ancestor]
+                    except KeyError:
+                        raise InvalidQuerySequence(
+                            f"base cell {base_cell} has no ancestor cell "
+                            f"{ancestor} at level {level} of the query sequence"
+                        ) from None
             owners.append(owner)
         return cls(cells=tuple(cells), matrices=tuple(matrices), owners=tuple(owners))
 

@@ -7,12 +7,18 @@ pruned set); nodes are explored in decreasing bound order, leaves have their
 entities scored exactly, and the search stops as soon as the k-th best exact
 score is at least the best outstanding bound (early termination).
 
-Batched execution is a first-class API: :class:`BatchTopKExecutor` answers
-many queries over one index, pre-hashing the union of all query cells with
-the vectorised bulk kernel (so overlapping query footprints are hashed once)
-and optionally fanning queries out over a ``concurrent.futures`` thread
-pool.  Results are guaranteed identical -- including tie-breaks -- to
-running :meth:`TopKSearcher.search` serially per query.
+There is one traversal: :meth:`TopKSearcher.search` always runs the columnar
+kernel (:mod:`repro.core.columnar`).  The pointer-walking implementation of
+the same algorithm lives in :func:`repro.baselines.reference_search` as the
+oracle the equivalence suites compare against.
+
+Batched execution is a first-class API: :func:`run_query_batch` (behind
+:class:`BatchTopKExecutor` and the sharded engine) answers many queries over
+one index, pre-hashing the union of all query cells with the vectorised bulk
+kernel (so overlapping query footprints are hashed once) and optionally
+fanning queries out over a ``concurrent.futures`` thread pool.  Results are
+guaranteed identical -- including tie-breaks -- to running
+:meth:`TopKSearcher.search` serially per query.
 """
 
 from __future__ import annotations
@@ -26,13 +32,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, MutableMapping, Optional, Sequence, Tuple
 
-from repro.core.columnar import (
-    ColumnarQueryContext,
-    ColumnarTree,
-    ColumnarUnsupportedQuery,
-)
-from repro.core.minsigtree import MinSigTree, MinSigTreeNode
-from repro.core.pruning import PruningState, QueryHashes, upper_bound
+from repro.core.columnar import ColumnarQueryContext, ColumnarTree
+from repro.core.minsigtree import MinSigTree
+from repro.core.pruning import QueryHashes
 from repro.core.hashing import HierarchicalHashFamily
 from repro.measures.base import AssociationMeasure
 from repro.obs.trace import SpanContext
@@ -46,32 +48,30 @@ __all__ = [
     "TopKResult",
     "TopKSearcher",
     "fan_out_queries",
+    "run_query_batch",
 ]
 
 SequenceFetcher = Callable[[str], CellSequence]
 
 
 def fan_out_queries(
-    run_one: Callable[..., "TopKResult"],
-    query_entities: Sequence,
+    run_at: Callable[[int], "TopKResult"],
+    num_queries: int,
     workers: int,
 ) -> List["TopKResult"]:
-    """Run one search per query, serially or over a thread pool.
+    """Run ``run_at(position)`` for every query position, in order.
 
-    The single dispatch rule shared by :class:`BatchTopKExecutor` and the
-    sharded engine: ``workers <= 1`` (or a single query) runs in the calling
-    thread, anything larger uses a pool capped at the query count.  Results
-    preserve query order either way.  The items need not be entity strings
-    -- traced batch paths fan out over query *indices* so each call can
-    pick up its own trace context.
+    The single dispatch rule of batched execution: ``workers <= 1`` (or a
+    single query) runs in the calling thread, anything larger uses a pool
+    capped at the query count.  Results preserve query order either way.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers <= 1 or len(query_entities) <= 1:
-        return [run_one(entity) for entity in query_entities]
-    pool_size = min(workers, len(query_entities))
+    if workers <= 1 or num_queries <= 1:
+        return [run_at(position) for position in range(num_queries)]
+    pool_size = min(workers, num_queries)
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(run_one, query_entities))
+        return list(pool.map(run_at, range(num_queries)))
 
 
 def _pruning_attributes(stats: "QueryStats") -> dict:
@@ -225,14 +225,12 @@ class TopKSearcher:
         keeps coarse query cells unless a coarse-level node explicitly pruned
         them, which is strictly admissible but much looser (see
         :func:`repro.core.pruning.upper_bound`).
-    columnar:
-        Run searches through the columnar kernel (default): the tree is
-        compiled into flat arrays (lazily, recompiled whenever the tree or
-        dataset mutates) and bound evaluation / leaf scoring are vectorised
-        -- see :mod:`repro.core.columnar`.  Results, orderings, and query
-        statistics are **bit-identical** to the reference traversal, which
-        ``columnar=False`` selects (kept as the equivalence pin and for
-        exotic tree/dataset combinations the compiler rejects).
+
+    Searches run through the columnar kernel: the tree is compiled into flat
+    arrays (lazily; patched or recompiled whenever the tree or dataset
+    mutates) and bound evaluation / leaf scoring are vectorised -- see
+    :mod:`repro.core.columnar`.  Results, orderings, and query statistics
+    are **bit-identical** to :func:`repro.baselines.reference_search`.
 
     The engine facade constructs one searcher per built index
     (``engine.searcher``); use it directly when you need the knobs
@@ -262,8 +260,6 @@ class TopKSearcher:
         hash_family: HierarchicalHashFamily,
         use_full_signatures: bool = False,
         bound_mode: str = "lift",
-        columnar: bool = True,
-        incremental: bool = True,
     ) -> None:
         if bound_mode not in ("lift", "per_level"):
             raise ValueError(f"unknown bound mode {bound_mode!r}")
@@ -273,12 +269,6 @@ class TopKSearcher:
         self.hash_family = hash_family
         self.use_full_signatures = use_full_signatures
         self.bound_mode = bound_mode
-        self.columnar = bool(columnar)
-        #: Patch a stale compiled kernel incrementally (splicing only the
-        #: touched entities' rows -- see :meth:`ColumnarTree.patch`) instead
-        #: of always recompiling from scratch.  Byte-identical either way;
-        #: a performance knob only.
-        self.incremental = bool(incremental)
         #: Full from-scratch kernel compiles performed by this searcher.
         self.kernel_compiles = 0
         #: Incremental kernel patches performed by this searcher.
@@ -290,22 +280,19 @@ class TopKSearcher:
         self._compile_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def compiled_tree(self) -> Optional[ColumnarTree]:
+    def compiled_tree(self) -> ColumnarTree:
         """The current :class:`ColumnarTree`, compiling/refreshing lazily.
 
-        Returns ``None`` when the columnar kernel is disabled.  A compiled
-        tree is reused until the MinSigTree or the dataset mutates (their
-        ``mutation_count`` moved) -- streaming flushes, expiries, and
-        compactions therefore trigger a refresh on the next search.  A
-        deferred snapshot loader (see :meth:`adopt_compiled_loader`) is
-        consulted first; then, with :attr:`incremental` on, a stale kernel
-        is patched in place of the touched entities
+        A compiled tree is reused until the MinSigTree or the dataset
+        mutates (their ``mutation_count`` moved) -- streaming flushes,
+        expiries, and compactions therefore trigger a refresh on the next
+        search.  A deferred snapshot loader (see
+        :meth:`adopt_compiled_loader`) is consulted first; then a stale
+        kernel is patched in place of the touched entities
         (:meth:`ColumnarTree.patch` -- byte-identical to a fresh compile at
-        delta-proportional cost); a full from-scratch compile is the
-        fallback whenever neither applies.
+        delta-proportional cost, declining past its staleness threshold); a
+        full from-scratch compile is the fallback whenever neither applies.
         """
-        if not self.columnar:
-            return None
         compiled = self._compiled
         if compiled is not None and compiled.matches(self.tree, self.dataset):
             return compiled
@@ -324,7 +311,7 @@ class TopKSearcher:
                     # A stale snapshot payload can still seed the patch path.
                     stale = compiled
                     compiled = None
-            if compiled is None and stale is not None and self.incremental:
+            if compiled is None and stale is not None:
                 compiled = stale.patch(self.tree, self.dataset)
                 if compiled is not None:
                     self.kernel_patches += 1
@@ -334,17 +321,14 @@ class TopKSearcher:
             self._compiled = compiled
             return compiled
 
-    def refresh_compiled(self) -> Optional[ColumnarTree]:
+    def refresh_compiled(self) -> ColumnarTree:
         """Bring the compiled kernel up to date *now*, off the query path.
 
         ``engine.compact()`` calls this right after rebuilding the tree, so
         the compaction -- the designated full-rebuild path -- pays the one
         recompile itself and the first query afterwards starts instantly
-        (no second full pass when no mutations intervened).  A no-op when
-        the columnar kernel is disabled.
+        (no second full pass when no mutations intervened).
         """
-        if not self.columnar:
-            return None
         return self.compiled_tree()
 
     def carry_compiled_from(self, previous: "TopKSearcher") -> None:
@@ -360,8 +344,8 @@ class TopKSearcher:
             return
         if previous._compiled is not None:
             # Even a stale kernel is worth carrying: compiled_tree()
-            # revalidates, and with `incremental` on it seeds the patch
-            # path instead of forcing a from-scratch compile.
+            # revalidates, and it seeds the patch path instead of forcing
+            # a from-scratch compile.
             self._compiled = previous._compiled
         self._compiled_loader = previous._compiled_loader
 
@@ -442,6 +426,12 @@ class TopKSearcher:
         TopKResult
             Up to ``k`` entities with strictly positive association degree,
             best first, plus the work counters.
+
+        Raises
+        ------
+        InvalidQuerySequence
+            A supplied ``query_sequence`` violates sp-index consistency
+            (see :class:`repro.core.pruning.InvalidQuerySequence`).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -468,25 +458,12 @@ class TopKSearcher:
         query_hashes = QueryHashes.from_sequence(query_sequence, self.hash_family)
         stats = QueryStats(population=self.dataset.num_entities, k=k)
 
-        compiled = self.compiled_tree()
-        if compiled is not None:
-            return self._search_columnar(
-                compiled,
-                query_entity,
-                k,
-                fetch,
-                sequence_fetcher is not None,
-                candidate_filter,
-                approximation,
-                query_sequence,
-                query_hashes,
-                stats,
-                trace,
-            )
-        return self._search_reference(
+        return self._search_columnar(
+            self.compiled_tree(),
             query_entity,
             k,
             fetch,
+            sequence_fetcher is not None,
             candidate_filter,
             approximation,
             query_sequence,
@@ -494,90 +471,6 @@ class TopKSearcher:
             stats,
             trace,
         )
-
-    def _search_reference(
-        self,
-        query_entity: str,
-        k: int,
-        fetch: SequenceFetcher,
-        candidate_filter: Optional[Callable[[str], bool]],
-        approximation: float,
-        query_sequence: CellSequence,
-        query_hashes: QueryHashes,
-        stats: QueryStats,
-        trace: Optional[SpanContext] = None,
-    ) -> TopKResult:
-        """The pointer-walking Algorithm 2 traversal (the equivalence pin).
-
-        One ``refine`` + ``upper_bound`` call per child and one
-        ``measure.score`` per candidate; the columnar path is pinned
-        bit-for-bit against this implementation by the fuzz suite.  In the
-        reference path bound evaluation and leaf scoring interleave, so a
-        single ``kernel.traverse`` span covers the whole loop.
-        """
-        traverse_span = trace.begin("kernel.traverse", path="reference") if trace is not None else None
-        result_heap: List[Tuple[float, str]] = []  # min-heap of (score, entity)
-        tie_breaker = itertools.count()
-        candidate_heap: List[Tuple[float, int, MinSigTreeNode, PruningState]] = []
-
-        root_state = PruningState.initial(query_hashes)
-        heapq.heappush(candidate_heap, (-1.0, next(tie_breaker), self.tree.root, root_state))
-
-        while candidate_heap:
-            negative_bound, _tie, node, state = heapq.heappop(candidate_heap)
-            bound = -negative_bound
-            stats.nodes_visited += 1
-
-            if len(result_heap) == k and result_heap[0][0] >= bound - approximation:
-                stats.terminated_early = True
-                break
-
-            if node.is_root or node.children:
-                for child in node.children.values():
-                    child_state = state.refine(child, query_hashes, self.use_full_signatures)
-                    child_bound = min(
-                        bound,
-                        upper_bound(child_state, query_hashes, self.measure, self.bound_mode),
-                    )
-                    stats.bound_computations += 1
-                    if len(result_heap) == k and result_heap[0][0] >= child_bound - approximation:
-                        # The child can never beat the current k-th best
-                        # (by more than the allowed approximation slack).
-                        continue
-                    heapq.heappush(
-                        candidate_heap,
-                        (-child_bound, next(tie_breaker), child, child_state),
-                    )
-                continue
-
-            # Leaf: score every contained entity exactly.
-            stats.leaves_visited += 1
-            for entity in node.entities:
-                if entity == query_entity:
-                    continue
-                if candidate_filter is not None and not candidate_filter(entity):
-                    continue
-                score = self.measure.score(fetch(entity), query_sequence)
-                stats.entities_scored += 1
-                if score <= 0.0:
-                    continue
-                # Heap entries order by (score, reverse-entity), so the root
-                # is always the worst under the final (-score, entity)
-                # ranking and boundary ties resolve deterministically.
-                entry = (score, _ReverseOrderStr(entity))
-                if len(result_heap) < k:
-                    heapq.heappush(result_heap, entry)
-                elif entry > result_heap[0]:
-                    heapq.heapreplace(result_heap, entry)
-
-        if traverse_span is not None:
-            traverse_span.end(**_pruning_attributes(stats))
-        merge_span = trace.begin("kernel.merge") if trace is not None else None
-        pairs = [(str(entity), score) for score, entity in result_heap]
-        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-        if merge_span is not None:
-            merge_span.end(results=len(pairs))
-        return TopKResult(query_entity=query_entity, items=pairs, stats=stats)
 
     def _search_columnar(
         self,
@@ -593,9 +486,9 @@ class TopKSearcher:
         stats: QueryStats,
         trace: Optional[SpanContext] = None,
     ) -> TopKResult:
-        """The columnar Algorithm 2 traversal (bit-identical, vectorised).
+        """The columnar Algorithm 2 traversal (vectorised).
 
-        Same best-first loop as :meth:`_search_reference`, but every node's
+        The best-first loop of the paper's pseudocode, but every node's
         Theorem 4 bound is computed in one whole-tree vectorised pass up
         front, and candidate scores come from one whole-dataset
         sparse-intersection pass evaluated lazily at the first leaf visit
@@ -609,34 +502,17 @@ class TopKSearcher:
         ``kernel.merge`` (final ranking).
         """
         bounds_span = trace.begin("kernel.bounds") if trace is not None else None
-        try:
-            context = ColumnarQueryContext(
-                compiled,
-                query_hashes,
-                query_sequence,
-                self.measure,
-                self.bound_mode,
-                self.use_full_signatures,
-            )
-        except ColumnarUnsupportedQuery:
-            # Hand-built query sequences violating sp-index consistency:
-            # answer through the reference traversal instead.
-            if bounds_span is not None:
-                bounds_span.end(fallback=True)
-            return self._search_reference(
-                query_entity,
-                k,
-                fetch,
-                candidate_filter,
-                approximation,
-                query_sequence,
-                query_hashes,
-                stats,
-                trace,
-            )
+        context = ColumnarQueryContext(
+            compiled,
+            query_hashes,
+            query_sequence,
+            self.measure,
+            self.bound_mode,
+            self.use_full_signatures,
+        )
         if bounds_span is not None:
             bounds_span.end(nodes=len(context.node_bounds))
-        traverse_span = trace.begin("kernel.traverse", path="columnar") if trace is not None else None
+        traverse_span = trace.begin("kernel.traverse") if trace is not None else None
         node_bounds = context.node_bounds
         result_heap: List[Tuple[float, str]] = []
         tie_breaker = itertools.count()
@@ -702,6 +578,9 @@ class TopKSearcher:
                 stats.entities_scored += 1
                 if score <= 0.0:
                     continue
+                # Heap entries order by (score, reverse-entity), so the root
+                # is always the worst under the final (-score, entity)
+                # ranking and boundary ties resolve deterministically.
                 entry = (score, _ReverseOrderStr(entity))
                 if len(result_heap) < k:
                     heapq.heappush(result_heap, entry)
@@ -804,6 +683,46 @@ class BatchTopKResult:
         return sum(r.stats.pruning_effectiveness for r in self.results) / len(self.results)
 
 
+def run_query_batch(
+    search_one: Callable[[str, Optional[SpanContext]], TopKResult],
+    query_entities: Sequence[str],
+    dataset: TraceDataset,
+    hash_family: HierarchicalHashFamily,
+    workers: int,
+    traces: Optional[Sequence[Optional[SpanContext]]] = None,
+) -> BatchTopKResult:
+    """Answer every query through ``search_one(entity, trace)``, in order.
+
+    The one batch loop behind :meth:`BatchTopKExecutor.run` and the sharded
+    engine's ``top_k_batch``: the union of every query entity's ST-cells
+    (read from ``dataset``) is hashed into ``hash_family``'s shared cell
+    cache with one bulk kernel call
+    (:meth:`HierarchicalHashFamily.warm_cache`), so cells shared between
+    queries -- or with earlier batches -- are never hashed twice; then the
+    queries fan out over ``workers`` threads (:func:`fan_out_queries`).
+    ``traces``, when given, is aligned with ``query_entities``; each search
+    receives its own entry (``None`` otherwise).
+    """
+    started = time.perf_counter()
+    shared_cells = []
+    for entity in query_entities:
+        for level_cells in dataset.cell_sequence(entity).levels:
+            shared_cells.extend(level_cells)
+    warmed = hash_family.warm_cache(shared_cells)
+
+    def run_at(position: int) -> TopKResult:
+        trace = traces[position] if traces is not None else None
+        return search_one(query_entities[position], trace)
+
+    results = fan_out_queries(run_at, len(query_entities), workers)
+    return BatchTopKResult(
+        results=results,
+        wall_seconds=time.perf_counter() - started,
+        workers=workers,
+        warmed_cells=warmed,
+    )
+
+
 class BatchTopKExecutor:
     """Answers many top-k queries over one index with shared work.
 
@@ -817,11 +736,8 @@ class BatchTopKExecutor:
         Results are identical regardless -- each query's best-first search is
         independent, so fan-out only changes wall-clock time.
 
-    Before searching, the executor hashes the union of every query entity's
-    ST-cells into the family's shared cell cache via the vectorised bulk
-    kernel (:meth:`HierarchicalHashFamily.warm_cache`), so cells shared
-    between queries -- or between a query and earlier batches -- are never
-    hashed twice.
+    The batch loop itself (query-cell pre-hashing, fan-out) is
+    :func:`run_query_batch`; the executor binds it to one searcher.
     """
 
     def __init__(self, searcher: TopKSearcher, workers: int = 0) -> None:
@@ -845,16 +761,6 @@ class BatchTopKExecutor:
         non-``None`` entry receives that query's kernel-stage spans.
         Tracing never changes results or execution order.
         """
-        started = time.perf_counter()
-        effective_workers = self.workers if workers is None else int(workers)
-
-        dataset = self.searcher.dataset
-        shared_cells = []
-        for entity in query_entities:
-            for level_cells in dataset.cell_sequence(entity).levels:
-                shared_cells.extend(level_cells)
-        warmed = self.searcher.hash_family.warm_cache(shared_cells)
-
         # One fetch memo for the whole batch: a candidate whose leaf several
         # queries visit is fetched once, not once per query.  Plain-dict
         # access is atomic under the GIL; a rare race only duplicates a
@@ -863,38 +769,21 @@ class BatchTopKExecutor:
             {} if sequence_fetcher is not None else None
         )
 
-        if traces is None:
-
-            def run_one(entity: str) -> TopKResult:
-                return self.searcher.search(
-                    entity,
-                    k,
-                    sequence_fetcher=sequence_fetcher,
-                    approximation=approximation,
-                    fetch_cache=shared_fetch_cache,
-                )
-
-            results = fan_out_queries(run_one, query_entities, effective_workers)
-        else:
-            # Fan out over indices so each search picks up its own trace
-            # context; dispatch (serial vs pool) is unchanged.
-            def run_indexed(position: int) -> TopKResult:
-                return self.searcher.search(
-                    query_entities[position],
-                    k,
-                    sequence_fetcher=sequence_fetcher,
-                    approximation=approximation,
-                    fetch_cache=shared_fetch_cache,
-                    trace=traces[position],
-                )
-
-            results = fan_out_queries(
-                run_indexed, range(len(query_entities)), effective_workers
+        def search_one(entity: str, trace: Optional[SpanContext]) -> TopKResult:
+            return self.searcher.search(
+                entity,
+                k,
+                sequence_fetcher=sequence_fetcher,
+                approximation=approximation,
+                fetch_cache=shared_fetch_cache,
+                trace=trace,
             )
 
-        return BatchTopKResult(
-            results=results,
-            wall_seconds=time.perf_counter() - started,
-            workers=effective_workers,
-            warmed_cells=warmed,
+        return run_query_batch(
+            search_one,
+            query_entities,
+            self.searcher.dataset,
+            self.searcher.hash_family,
+            self.workers if workers is None else int(workers),
+            traces,
         )

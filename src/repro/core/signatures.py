@@ -102,7 +102,10 @@ class SignatureComputer:
         if not hasattr(self.hash_family, "hash_coded_cells"):
             # Duck-typed hash families (e.g. the paper's worked-example
             # table) only need the per-cell interface.
-            return self._per_entity_signatures(dataset, selected)
+            return {
+                entity: self.signature_matrix(dataset.cell_sequence(entity))
+                for entity in selected
+            }
         num_levels = dataset.num_levels
         # One (n, m, n_h) block; each entity's matrix is a view into it.
         block = np.full(
@@ -140,34 +143,17 @@ class SignatureComputer:
                 rows[chunk] = cell_hashes[ref_block].min(axis=1)
         return matrices
 
-    def _per_entity_signatures(
-        self, dataset: TraceDataset, selected: Iterable[str]
-    ) -> Dict[str, np.ndarray]:
-        """The per-entity path over a fixed entity selection."""
-        return {
-            entity: self.signature_matrix(dataset.cell_sequence(entity))
-            for entity in selected
-        }
-
     def signatures_for_dataset(
         self,
         dataset: TraceDataset,
         entities: Optional[Iterable[str]] = None,
-        method: str = "bulk",
     ) -> Dict[str, np.ndarray]:
         """Signature matrices for every entity of ``dataset`` (or a subset).
 
-        ``method`` selects the construction path: ``"bulk"`` (default, the
-        vectorised pipeline used for index builds) or ``"per_entity"`` (the
-        cache-backed path used by incremental updates).  Both return
-        bitwise-identical matrices.
+        The index-build entry point; runs the vectorised bulk pipeline
+        (:meth:`bulk_signature_matrices`).
         """
-        if method == "bulk":
-            return self.bulk_signature_matrices(dataset, entities)
-        if method == "per_entity":
-            selected = dataset.entities if entities is None else tuple(entities)
-            return self._per_entity_signatures(dataset, selected)
-        raise ValueError(f"unknown signature method {method!r}")
+        return self.bulk_signature_matrices(dataset, entities)
 
     def hash_operations(self, dataset: TraceDataset) -> int:
         """Number of scalar hash evaluations a full re-signing would need.

@@ -409,12 +409,7 @@ def figure_7_7(
 # Figure 7.8 -- indexing cost
 # ----------------------------------------------------------------------
 def figure_7_8(scale: ScaleLike = None) -> ExperimentResult:
-    """Index construction time and index size vs ``n_h`` (Figure 7.8).
-
-    ``indexing_seconds`` is the (default) vectorised bulk build;
-    ``per_entity_seconds`` rebuilds the same index through the old
-    per-entity signing path so the report shows the old-vs-new speedup.
-    """
+    """Index construction time and index size vs ``n_h`` (Figure 7.8)."""
     resolved = resolve_scale(scale)
     result = ExperimentResult(
         name="figure-7.8 indexing cost",
@@ -430,14 +425,10 @@ def figure_7_8(scale: ScaleLike = None) -> ExperimentResult:
         _build_engine(dataset, resolved.hash_sweep[0])
         for num_hashes in resolved.hash_sweep:
             engine = _build_engine(dataset, num_hashes)
-            per_entity_engine = _build_engine(dataset, num_hashes, bulk_signatures=False)
             result.add_row(
                 dataset=dataset_name,
                 num_hashes=num_hashes,
                 indexing_seconds=engine.last_build_seconds,
-                per_entity_seconds=per_entity_engine.last_build_seconds,
-                bulk_speedup=per_entity_engine.last_build_seconds
-                / max(engine.last_build_seconds, 1e-9),
                 index_bytes=engine.index_size_bytes(),
                 tree_nodes=engine.tree.num_nodes,
             )

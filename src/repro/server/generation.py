@@ -379,6 +379,30 @@ class GenerationStore:
         self._apply_chain(engine, generation + 1, target)
         return target
 
+    def adopt(self, engine, generation: int, timeout: float = 30.0):
+        """Bring a reader standing at ``generation`` up to the newest one.
+
+        The request-boundary adoption every reader process (query worker,
+        shard server) performs before computing a reply, and once at
+        start-up with ``engine=None``, where it blocks until the owner's
+        initial publish appears.  When the newer generation is a delta on
+        the chain ``engine`` already stands on, the missing delta documents
+        are applied in place (:meth:`catch_up`); any chain discontinuity (a
+        fresh full snapshot, a pruned chain, an unreadable delta) falls
+        back to the full load path (:meth:`load_current`).  Returns the
+        ``(generation, engine)`` pair to serve from -- the arguments
+        themselves when nothing newer is published.
+        """
+        if engine is not None:
+            try:
+                caught_up = self.catch_up(engine, generation)
+            except SnapshotError:
+                caught_up = None
+            if caught_up is not None:
+                return caught_up, engine
+        loaded = self.load_current(newer_than=generation, timeout=timeout)
+        return loaded if loaded is not None else (generation, engine)
+
     def current_meta(self) -> Optional[Dict[str, object]]:
         """The ``extra`` metadata of the newest generation, or ``None``.
 

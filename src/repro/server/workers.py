@@ -17,7 +17,9 @@ Wire format (both directions): a 4-byte big-endian length prefix followed
 by one UTF-8 JSON document.  Requests are ``{"op": "ping"}`` or
 ``{"op": "topk", "entities": [...], "k": int, "approximation": float}``;
 replies carry the per-query payload dicts of
-:func:`repro.server.protocol.topk_result_payload`.  JSON round-trips floats
+:func:`repro.server.protocol.topk_result_payload`, or ``{"error", "status"}``
+-- 400 for a request whose fields cannot be decoded, 404 for a query entity
+the dataset does not hold, 500 for anything else.  JSON round-trips floats
 exactly (``repr`` round-trip), so the front-end re-encoding a relayed
 payload with the canonical :func:`repro.server.protocol.dumps` produces
 bytes identical to an in-process response -- the equivalence suite pins
@@ -55,14 +57,17 @@ from typing import Dict, List, Optional
 from repro.obs.trace import ActiveTrace
 from repro.server import protocol
 from repro.server.generation import GenerationStore
-from repro.storage.snapshot import SnapshotError
 
-__all__ = ["QueryWorker", "main", "recv_frame", "send_frame"]
+__all__ = ["QueryWorker", "bad_request_reply", "main", "recv_frame", "send_frame"]
 
 #: Upper bound on one frame; far above any legal request
 #: (MAX_ITEMS_PER_REQUEST entities) and keeps a corrupt length prefix from
 #: provoking a giant allocation.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Cap on a relayed error message: a malformed request can echo
+#: arbitrarily large input back through the exception text.
+MAX_ERROR_CHARS = 512
 
 _LENGTH = struct.Struct(">I")
 
@@ -100,6 +105,11 @@ def _recv_exactly(connection: socket.socket, count: int, eof_ok: bool) -> Option
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def bad_request_reply(exc: Exception) -> Dict[str, object]:
+    """The reply frame for a request that could not be decoded: status 400."""
+    return {"error": f"{type(exc).__name__}: {exc}"[:MAX_ERROR_CHARS], "status": 400}
 
 
 def _propagated_traces(
@@ -147,28 +157,12 @@ class QueryWorker:
         """Reload the engine iff a newer generation was published.
 
         Called before computing every reply (the request-boundary adoption
-        the consistency model promises) and once at start-up, where it
-        blocks until the owner's initial publish appears.
-
-        When the newer generation is a delta on the chain this worker
-        already stands on, the missing delta documents are applied to the
-        loaded engine in place (:meth:`GenerationStore.catch_up`) -- one
-        flush's operations plus an incremental kernel patch instead of a
-        full snapshot reload.  Any chain discontinuity (a fresh full
-        snapshot, a pruned chain, an unreadable delta) falls back to the
-        full load path.
+        the consistency model promises) and once at start-up; see
+        :meth:`GenerationStore.adopt`.
         """
-        if self.engine is not None:
-            try:
-                caught_up = self.store.catch_up(self.engine, self.generation)
-            except SnapshotError:
-                caught_up = None
-            if caught_up is not None:
-                self.generation = caught_up
-                return
-        loaded = self.store.load_current(newer_than=self.generation, timeout=timeout)
-        if loaded is not None:
-            self.generation, self.engine = loaded
+        self.generation, self.engine = self.store.adopt(
+            self.engine, self.generation, timeout
+        )
 
     # ------------------------------------------------------------------
     # Request handling
@@ -182,6 +176,11 @@ class QueryWorker:
             return {"error": f"unknown op {operation!r}", "status": 400}
         try:
             entities: List[str] = list(request["entities"])
+            k = int(request.get("k", 10))
+            approximation = float(request.get("approximation", 0.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            return bad_request_reply(exc)
+        try:
             active_traces = _propagated_traces(request.get("traces"), len(entities))
             adopt_spans = [
                 trace.begin("worker.adopt") if trace is not None else None
@@ -191,22 +190,15 @@ class QueryWorker:
             for span in adopt_spans:
                 if span is not None:
                     span.end(generation=self.generation)
-            k = int(request.get("k", 10))
-            approximation = float(request.get("approximation", 0.0))
             contexts = None
             if any(trace is not None for trace in active_traces):
                 contexts = [
                     trace.context() if trace is not None else None
                     for trace in active_traces
                 ]
-            if contexts is not None:
-                results = self.engine.top_k_batch(
-                    entities, k=k, approximation=approximation, traces=contexts
-                ).results
-            else:
-                results = self.engine.top_k_batch(
-                    entities, k=k, approximation=approximation
-                ).results
+            results = self.engine.top_k_batch(
+                entities, k=k, approximation=approximation, traces=contexts
+            ).results
         except KeyError as exc:
             return {"error": f"unknown entity {exc.args[0]!r}", "status": 404}
         except Exception as exc:  # noqa: BLE001 - relayed to the front-end

@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.engine import EngineConfig, ExpiryReport, TraceQueryEngine
-from repro.core.query import BatchTopKResult, TopKResult, fan_out_queries
+from repro.core.query import BatchTopKResult, TopKResult, run_query_batch
 from repro.measures.adm import HierarchicalADM
 from repro.measures.base import AssociationMeasure
 from repro.obs.trace import SpanContext
@@ -195,17 +195,6 @@ class ShardedEngine:
         self.config = self.config.with_overrides(query_cache_size=size)
         self._query_cache = QueryResultCache(size) if size > 0 else None
 
-    def configure_columnar(self, enabled: bool) -> None:
-        """Switch every shard between the columnar kernel and the reference path.
-
-        Mirrors :meth:`TraceQueryEngine.configure_columnar`; per-shard
-        results are identical either way, so cached partials stay valid and
-        the cache is left untouched.
-        """
-        self.config = self.config.with_overrides(columnar_queries=bool(enabled))
-        for shard in self._shards:
-            shard.configure_columnar(enabled)
-
     @property
     def num_entities(self) -> int:
         """Number of entities across all shards."""
@@ -247,7 +236,6 @@ class ShardedEngine:
                 sum(shard.tree.loose_operations for shard in self._shards) if built else 0
             ),
             "index_size_bytes": self.index_size_bytes() if built else 0,
-            "columnar_queries": self.config.columnar_queries,
         }
         cache = self._query_cache
         stats["cache"] = cache.stats_snapshot() if cache is not None else None
@@ -455,42 +443,19 @@ class ShardedEngine:
         engine's batch API.
         """
         self._require_built()
-        started = time.perf_counter()
-        effective_workers = self.config.batch_workers if workers is None else int(workers)
 
-        shared_cells = []
-        for entity in query_entities:
-            for level_cells in self.dataset.cell_sequence(entity).levels:
-                shared_cells.extend(level_cells)
+        def search_one(entity: str, trace: Optional[SpanContext]) -> TopKResult:
+            return self.top_k(entity, k, approximation=approximation, trace=trace)
+
         # The shards share one hash family (see _share_hash_family), so one
         # warm-up primes the cell cache for every shard's searches.
-        warmed = self._shards[0].hash_family.warm_cache(shared_cells)
-
-        if traces is None:
-
-            def run_one(entity: str) -> TopKResult:
-                return self.top_k(entity, k, approximation=approximation)
-
-            results = fan_out_queries(run_one, query_entities, effective_workers)
-        else:
-
-            def run_indexed(position: int) -> TopKResult:
-                return self.top_k(
-                    query_entities[position],
-                    k,
-                    approximation=approximation,
-                    trace=traces[position],
-                )
-
-            results = fan_out_queries(
-                run_indexed, range(len(query_entities)), effective_workers
-            )
-
-        return BatchTopKResult(
-            results=results,
-            wall_seconds=time.perf_counter() - started,
-            workers=effective_workers,
-            warmed_cells=warmed,
+        return run_query_batch(
+            search_one,
+            query_entities,
+            self.dataset,
+            self._shards[0].hash_family,
+            self.config.batch_workers if workers is None else int(workers),
+            traces,
         )
 
     # ------------------------------------------------------------------

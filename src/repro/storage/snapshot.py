@@ -90,6 +90,11 @@ SNAPSHOT_FORMAT_VERSION = 2
 #: Older format versions this build still loads (version 1 simply lacks
 #: the compiled columnar arrays, which are recompiled lazily).
 COMPATIBLE_FORMAT_VERSIONS = (1, 2)
+#: ``manifest["config"]`` keys earlier builds recorded for options that no
+#: longer exist (each only selected a slower bit-identical path); ignored on
+#: load so their snapshots and published generations keep loading.  Any
+#: other unknown key is still a :class:`SnapshotError`.
+_RETIRED_CONFIG_KEYS = ("bulk_signatures", "columnar_queries")
 
 _MANIFEST_NAME = "manifest.json"
 _HIERARCHY_NAME = "hierarchy.json"
@@ -223,9 +228,9 @@ def index_fingerprint(
 ) -> str:
     """SHA-256 identity of an index: semantic config + measure + hash shape.
 
-    Performance knobs (``bulk_signatures``, ``batch_workers``,
-    ``query_cache_size``) are excluded -- they never change results -- so a
-    snapshot stays loadable when only those differ.
+    Performance knobs (``batch_workers``, ``query_cache_size``) are
+    excluded -- they never change results -- so a snapshot stays loadable
+    when only those differ.
     """
     payload = {
         "config": config.semantic_fields(),
@@ -327,14 +332,8 @@ def _write_engine_snapshot(
     # Compiled columnar kernel (format version 2): persisted in its own
     # file so loading never parses it eagerly -- the engine imports it
     # lazily at the first query.  The compile is refreshed here if updates
-    # left it stale; with columnar queries disabled nothing is written and
-    # a later load recompiles lazily if re-enabled.
-    wrote_columnar = False
-    if engine.config.columnar_queries:
-        compiled = engine.searcher.compiled_tree()
-        if compiled is not None:
-            np.savez(directory / _COLUMNAR_NAME, **compiled.export_arrays())
-            wrote_columnar = True
+    # left it stale.
+    np.savez(directory / _COLUMNAR_NAME, **engine.searcher.compiled_tree().export_arrays())
 
     hash_family_meta = {
         "horizon": family.horizon,
@@ -350,11 +349,7 @@ def _write_engine_snapshot(
         # mixing files from different snapshots fails loudly at load.
         "content": {
             name: _file_digest(directory / name)
-            for name in (
-                (_HIERARCHY_NAME, _ARRAYS_NAME, _COLUMNAR_NAME)
-                if wrote_columnar
-                else (_HIERARCHY_NAME, _ARRAYS_NAME)
-            )
+            for name in (_HIERARCHY_NAME, _ARRAYS_NAME, _COLUMNAR_NAME)
         },
         "config": {
             "num_hashes": engine.config.num_hashes,
@@ -362,10 +357,8 @@ def _write_engine_snapshot(
             "store_full_signatures": engine.config.store_full_signatures,
             "use_full_signatures": engine.config.use_full_signatures,
             "bound_mode": engine.config.bound_mode,
-            "bulk_signatures": engine.config.bulk_signatures,
             "batch_workers": engine.config.batch_workers,
             "query_cache_size": engine.config.query_cache_size,
-            "columnar_queries": engine.config.columnar_queries,
         },
         "measure": measure_payload,
         "hash_family": hash_family_meta,
@@ -449,7 +442,13 @@ def load_engine_snapshot(
         )
 
     try:
-        config = EngineConfig(**manifest["config"])
+        config = EngineConfig(
+            **{
+                key: value
+                for key, value in manifest["config"].items()
+                if key not in _RETIRED_CONFIG_KEYS
+            }
+        )
         measure_payload = manifest["measure"]
         hash_family_meta = manifest["hash_family"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -596,8 +595,6 @@ def _install_columnar_loader(
     over heap copies (and itself falls back to a regular load when the
     archive cannot be mapped).
     """
-    if not engine.config.columnar_queries:
-        return
     recorded_digest = manifest.get("content", {}).get(_COLUMNAR_NAME)
     payload = directory / _COLUMNAR_NAME
     if recorded_digest is None or not payload.exists():

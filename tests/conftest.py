@@ -21,6 +21,7 @@ from repro import (
     TraceQueryEngine,
 )
 from repro.mobility import generate_synthetic_dataset, generate_wifi_dataset
+from repro.traces.events import CellSequence, STCell
 
 
 @pytest.fixture
@@ -75,6 +76,32 @@ def small_measure(small_hierarchy: SpatialHierarchy) -> HierarchicalADM:
 @pytest.fixture
 def small_engine(small_dataset: TraceDataset, small_measure: HierarchicalADM) -> TraceQueryEngine:
     return TraceQueryEngine(small_dataset, measure=small_measure, num_hashes=32, seed=5).build()
+
+
+@pytest.fixture
+def malformed_query_sequences(small_dataset: TraceDataset):
+    """Hand-built query sequences that violate sp-index consistency.
+
+    Maps a defect label to ``(sequence, fragment of the rejection message)``;
+    every one is entity ``a``'s real sequence with one thing broken.
+    """
+    coarse, middle, base = small_dataset.cell_sequence("a").levels
+    other_region = small_dataset.hierarchy.units_at_level(1)[1]
+    return {
+        "wrong-depth": (CellSequence(levels=(middle, base)), "2 levels but the index has 3"),
+        "missing-ancestor": (
+            CellSequence(levels=(frozenset(sorted(coarse)[1:]), middle, base)),
+            "has no ancestor cell",
+        ),
+        "orphan-coarse-cell": (
+            CellSequence(levels=(coarse | {STCell(47, other_region)}, middle, base)),
+            "no base descendant",
+        ),
+        "empty-base-level": (
+            CellSequence(levels=(coarse, middle, frozenset())),
+            "empty level alongside non-empty ones",
+        ),
+    }
 
 
 @pytest.fixture(scope="session")

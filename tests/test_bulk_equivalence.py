@@ -94,13 +94,21 @@ def random_dataset(
     return dataset
 
 
+def oracle_signatures(computer: SignatureComputer, dataset: TraceDataset):
+    """The per-entity oracle: one ``signature_matrix`` call per entity."""
+    return {
+        entity: computer.signature_matrix(dataset.cell_sequence(entity))
+        for entity in dataset.entities
+    }
+
+
 def both_signature_sets(dataset: TraceDataset, num_hashes: int, seed: int):
     """Signatures from a cold per-entity path and a cold bulk path."""
     horizon = max(dataset.horizon, 1)
     per_family = HierarchicalHashFamily(
         dataset.hierarchy, horizon=horizon, num_hashes=num_hashes, seed=seed
     )
-    per = SignatureComputer(per_family).signatures_for_dataset(dataset, method="per_entity")
+    per = oracle_signatures(SignatureComputer(per_family), dataset)
     bulk_family = HierarchicalHashFamily(
         dataset.hierarchy, horizon=horizon, num_hashes=num_hashes, seed=seed
     )
@@ -161,10 +169,11 @@ class TestBulkSignatureEquivalence:
             assert np.array_equal(bulk[entity], expected)
 
     def test_signatures_for_dataset_rejects_unknown_method(self, small_dataset):
+        # There is one construction path; the selector is gone, not ignored.
         family = HierarchicalHashFamily(
             small_dataset.hierarchy, horizon=48, num_hashes=4, seed=0
         )
-        with pytest.raises(ValueError, match="unknown signature method"):
+        with pytest.raises(TypeError, match="method"):
             SignatureComputer(family).signatures_for_dataset(small_dataset, method="magic")
 
 
@@ -203,27 +212,26 @@ class TestBulkHashKernel:
 
 
 # ----------------------------------------------------------------------
-# Engine determinism: bulk vs per-entity builds
+# Engine determinism: the built index vs a tree over per-entity signatures
 # ----------------------------------------------------------------------
 class TestBuildDeterminism:
     @pytest.mark.parametrize("shape", ["regular-3level", "irregular"])
     def test_same_index_regardless_of_path(self, shape):
         hierarchy = HIERARCHIES[shape]()
         dataset = random_dataset(hierarchy, horizon=20, num_entities=30, seed=11)
-        bulk_engine = TraceQueryEngine(dataset, num_hashes=16, seed=7).build()
-        per_engine = TraceQueryEngine(
-            dataset, num_hashes=16, seed=7, bulk_signatures=False
-        ).build()
-        assert bulk_engine.index_size_bytes() == per_engine.index_size_bytes()
+        engine = TraceQueryEngine(dataset, num_hashes=16, seed=7).build()
+        oracle = oracle_signatures(SignatureComputer(engine.hash_family), dataset)
+        oracle_tree = MinSigTree.build(
+            oracle, num_levels=dataset.num_levels, num_hashes=16
+        )
+        assert engine.index_size_bytes() == oracle_tree.size_bytes()
         for entity in dataset.entities:
-            assert np.array_equal(
-                bulk_engine.tree.signature_of(entity), per_engine.tree.signature_of(entity)
-            )
+            assert np.array_equal(engine.tree.signature_of(entity), oracle[entity])
         # Identical leaf partitions: same entities grouped in the same order.
-        bulk_leaves = [tuple(leaf.entities) for leaf in bulk_engine.tree.leaves()]
-        per_leaves = [tuple(leaf.entities) for leaf in per_engine.tree.leaves()]
-        assert bulk_leaves == per_leaves
-        assert bulk_engine.tree.leaf_order() == per_engine.tree.leaf_order()
+        assert [tuple(leaf.entities) for leaf in engine.tree.leaves()] == [
+            tuple(leaf.entities) for leaf in oracle_tree.leaves()
+        ]
+        assert engine.tree.leaf_order() == oracle_tree.leaf_order()
 
 
 # ----------------------------------------------------------------------
@@ -289,15 +297,19 @@ class TestBulkUpdates:
             records.append(PresenceInstance(entity, unit, start, start + 1))
         return records
 
-    @pytest.mark.parametrize("bulk", [True, False])
-    def test_add_records_matches_full_rebuild(self, bulk):
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_add_records_matches_full_rebuild(self, batched):
+        """Both routes the engine picks by batch size: one multi-entity batch
+        is re-signed in bulk, one-entity batches through the per-cell cache."""
         hierarchy = SpatialHierarchy.regular([2, 3, 2], prefix="u")
         dataset = random_dataset(hierarchy, horizon=20, num_entities=15, seed=33)
-        engine = TraceQueryEngine(
-            dataset, num_hashes=12, seed=5, bulk_signatures=bulk
-        ).build()
-        affected = engine.add_records(self._update_batch(dataset))
-        assert len(affected) == 8
+        engine = TraceQueryEngine(dataset, num_hashes=12, seed=5).build()
+        records = self._update_batch(dataset)
+        if batched:
+            assert len(engine.add_records(records)) == 8
+        else:
+            for record in records:
+                assert engine.add_records([record]) == [record.entity]
         rebuilt = TraceQueryEngine(dataset, num_hashes=12, seed=5).build()
         for entity in dataset.entities:
             assert np.array_equal(
@@ -309,15 +321,17 @@ class TestBulkUpdates:
         hierarchy = SpatialHierarchy.regular([2, 2, 2], prefix="h")
         seed_data = random_dataset(hierarchy, horizon=16, num_entities=12, seed=44)
         copies = []
-        for bulk in (True, False):
+        for batched in (True, False):
             dataset = TraceDataset(hierarchy, horizon=16)
             for entity in seed_data.entities:
                 for presence in seed_data.trace(entity):
                     dataset.add_presence(presence)
-            engine = TraceQueryEngine(
-                dataset, num_hashes=10, seed=2, bulk_signatures=bulk
-            ).build()
-            engine.add_records(self._update_batch(dataset))
+            engine = TraceQueryEngine(dataset, num_hashes=10, seed=2).build()
+            records = self._update_batch(dataset)
+            # One multi-entity batch is re-signed in bulk; one-entity
+            # batches go through the per-cell cache.
+            for batch in [records] if batched else [[record] for record in records]:
+                engine.add_records(batch)
             copies.append(engine)
         bulk_engine, per_engine = copies
         for entity in bulk_engine.dataset.entities:

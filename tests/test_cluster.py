@@ -30,11 +30,12 @@ from repro.cluster.replica import (
     ShardUnavailable,
 )
 from repro.cluster.shard_server import ShardServer
+from repro.cluster.supervisor import ManagedReplica
 from repro.cluster.wire import decode_sequence, encode_sequence
 from repro.obs.health import SUSPECT_THRESHOLD, NodeHealth
 from repro.server import protocol
 from repro.server.generation import GenerationStore
-from repro.server.workers import recv_frame, send_frame
+from repro.server.workers import MAX_ERROR_CHARS, recv_frame, send_frame
 from repro.service.partition import ConsistentHashPartitioner, make_partitioner
 
 
@@ -219,6 +220,56 @@ class TestShardServerHandle:
             "drop": 0,
             "refuse": False,
         }
+
+
+def test_live_shard_server_answers_malformed_topk_frames_with_400(
+    small_engine, small_dataset, malformed_query_sequences, tmp_path
+):
+    """The ``topk`` op is fed straight from the wire: every malformed frame
+    gets a bounded ``status: 400`` reply naming the defect, and the same
+    connection keeps serving the next well-formed frame."""
+    GenerationStore(tmp_path / "shard-000").publish(small_engine)
+    replica = ManagedReplica(
+        "shard-000", "shard-000-r0", tmp_path / "shard-000", tmp_path / "run"
+    )
+    port = replica.spawn()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as connection:
+
+            def exchange(frame):
+                send_frame(connection, frame)
+                return recv_frame(connection)
+
+            def topk(sequence, **extra):
+                query = {"entity": "a", "sequence": encode_sequence(sequence)}
+                return {"op": "topk", "queries": [query], "k": 3, **extra}
+
+            good = topk(small_dataset.cell_sequence("a"))
+            expected = exchange(good)["results"]
+            assert expected[0]["results"] == protocol.topk_result_payload(
+                small_engine.top_k("a", k=3)
+            )["results"]
+
+            malformed = [
+                (topk(sequence), message)
+                for sequence, message in malformed_query_sequences.values()
+            ] + [
+                ({"op": "topk"}, "queries"),
+                ({"op": "topk", "queries": [{"entity": "a"}]}, "sequence"),
+                ({"op": "topk", "queries": [{"entity": "a", "sequence": [[[4]]]}]}, "unpack"),
+                ({**good, "k": "many"}, "many"),
+                ({**good, "approximation": [0.1]}, "list"),
+                ({**good, "k": "x" * 5000}, "invalid literal"),
+            ]
+            for frame, message in malformed:
+                reply = exchange(frame)
+                assert reply["status"] == 400, reply
+                assert message in reply["error"]
+                assert len(reply["error"]) <= MAX_ERROR_CHARS
+                assert exchange(good)["results"] == expected
+    finally:
+        replica.terminate()
+    assert not replica.alive()
 
 
 # ----------------------------------------------------------------------

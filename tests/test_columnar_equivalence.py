@@ -1,12 +1,14 @@
 """The columnar kernel's bitwise-equivalence guarantee, pinned by fuzzing.
 
-The columnar query engine (``EngineConfig.columnar_queries``, the default)
-must produce **bit-identical** ``TopKResult``s -- items, ordering, scores,
-and every ``QueryStats`` counter -- to the reference pointer-walking
-traversal, across:
+The columnar kernel behind ``TopKSearcher.search`` must produce
+**bit-identical** ``TopKResult``s -- items, ordering, scores, and every
+``QueryStats`` counter -- to the pointer-walking oracle
+(``repro.baselines.reference_search``, run over the *same* searcher, so
+both sides see one index state), across:
 
 * random workloads × result sizes × approximation slacks × bound modes ×
-  candidate filters × the full-signature ablation;
+  candidate filters × the full-signature ablation × a custom
+  ``sequence_fetcher``;
 * every registered association measure (the batched ``score_levels_batch``
   / ``bound_batch_kernel`` kernels are pinned directly, too);
 * streaming ingest/expire/compact interleavings (the compiled arrays must
@@ -30,9 +32,11 @@ from repro import (
     TraceDataset,
     TraceQueryEngine,
 )
+from repro.baselines import reference_search
 from repro.core.columnar import ColumnarTree
 from repro.measures.adm import ExampleDiceADM, HierarchicalADM
 from repro.measures.setsim import DiceADM, FScoreADM, JaccardADM, OverlapADM
+from repro.service.merge import merge_topk_results
 
 HORIZON = 96
 
@@ -71,19 +75,10 @@ def dataset_from(hierarchy, events):
     return dataset
 
 
-def paired_engines(hierarchy, events, measure=None, **knobs):
-    """(reference, columnar) engines over independent but identical datasets.
-
-    Independent datasets let update tests mutate both engines through their
-    own APIs without double-appending to a shared dataset.
-    """
-    reference = TraceQueryEngine(
-        dataset_from(hierarchy, events), measure=measure, columnar_queries=False, **knobs
+def build_engine(hierarchy, events, measure=None, **knobs):
+    return TraceQueryEngine(
+        dataset_from(hierarchy, events), measure=measure, **knobs
     ).build()
-    columnar = TraceQueryEngine(
-        dataset_from(hierarchy, events), measure=measure, columnar_queries=True, **knobs
-    ).build()
-    return reference, columnar
 
 
 def assert_identical(reference_result, columnar_result):
@@ -96,13 +91,19 @@ def assert_identical(reference_result, columnar_result):
     ), f"stats diverge for {reference_result.query_entity!r}"
 
 
-def assert_engines_identical(reference, columnar, k_values=(1, 4, 25), **search_kwargs):
-    assert columnar.searcher.columnar and not reference.searcher.columnar
-    for query in reference.dataset.entities:
+def assert_matches_oracle(engine, k_values=(1, 4, 25), oracle_engine=None, **search_kwargs):
+    """Kernel answers == oracle answers for every entity of ``engine``.
+
+    ``oracle_engine`` walks a *different* engine's tree (an independently
+    maintained twin of a snapshot-loaded engine); by default both sides
+    read the one index state.
+    """
+    oracle = (oracle_engine or engine).searcher
+    for query in engine.dataset.entities:
         for k in k_values:
             assert_identical(
-                reference.searcher.search(query, k, **search_kwargs),
-                columnar.searcher.search(query, k, **search_kwargs),
+                reference_search(oracle, query, k, **search_kwargs),
+                engine.searcher.search(query, k, **search_kwargs),
             )
 
 
@@ -112,33 +113,38 @@ class TestFuzzedEquivalence:
     def test_random_workloads(self, hierarchy, fuzz_seed, bound_mode, seeded_rng):
         rng = seeded_rng(fuzz_seed)
         events = random_events(hierarchy, rng)
-        reference, columnar = paired_engines(
+        engine = build_engine(
             hierarchy, events, num_hashes=24, seed=5, bound_mode=bound_mode
         )
-        assert_engines_identical(reference, columnar)
+        assert_matches_oracle(engine)
 
     @pytest.mark.parametrize("approximation", [0.01, 0.2])
     def test_approximate_top_k(self, hierarchy, approximation, seeded_rng):
         rng = seeded_rng(71)
         events = random_events(hierarchy, rng)
-        reference, columnar = paired_engines(hierarchy, events, num_hashes=24, seed=5)
-        assert_engines_identical(
-            reference, columnar, k_values=(2, 6), approximation=approximation
-        )
+        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
+        assert_matches_oracle(engine, k_values=(2, 6), approximation=approximation)
 
     def test_candidate_filter(self, hierarchy, seeded_rng):
         rng = seeded_rng(29)
         events = random_events(hierarchy, rng)
-        reference, columnar = paired_engines(hierarchy, events, num_hashes=24, seed=5)
+        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
         keep = {f"e{index}" for index in range(0, 16, 2)}
-        assert_engines_identical(
-            reference, columnar, k_values=(3,), candidate_filter=keep.__contains__
+        assert_matches_oracle(engine, k_values=(3,), candidate_filter=keep.__contains__)
+
+    def test_custom_sequence_fetcher(self, hierarchy, seeded_rng):
+        """A custom fetcher switches the kernel to per-entity leaf scoring."""
+        rng = seeded_rng(47)
+        events = random_events(hierarchy, rng)
+        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
+        assert_matches_oracle(
+            engine, k_values=(3,), sequence_fetcher=engine.dataset.cell_sequence
         )
 
     def test_full_signature_ablation(self, hierarchy, seeded_rng):
         rng = seeded_rng(41)
         events = random_events(hierarchy, rng)
-        reference, columnar = paired_engines(
+        engine = build_engine(
             hierarchy,
             events,
             num_hashes=24,
@@ -146,7 +152,7 @@ class TestFuzzedEquivalence:
             store_full_signatures=True,
             use_full_signatures=True,
         )
-        assert_engines_identical(reference, columnar, k_values=(3,))
+        assert_matches_oracle(engine, k_values=(3,))
 
     @pytest.mark.parametrize(
         "measure_factory",
@@ -163,18 +169,16 @@ class TestFuzzedEquivalence:
         rng = seeded_rng(13)
         events = random_events(hierarchy, rng, num_entities=12)
         measure = measure_factory(hierarchy.num_levels)
-        reference, columnar = paired_engines(
-            hierarchy, events, measure=measure, num_hashes=16, seed=2
-        )
-        assert_engines_identical(reference, columnar, k_values=(3,))
+        engine = build_engine(hierarchy, events, measure=measure, num_hashes=16, seed=2)
+        assert_matches_oracle(engine, k_values=(3,))
 
     def test_example_dice_two_levels(self, two_level_hierarchy, seeded_rng):
         rng = seeded_rng(37)
         events = random_events(two_level_hierarchy, rng, num_entities=10)
-        reference, columnar = paired_engines(
+        engine = build_engine(
             two_level_hierarchy, events, measure=ExampleDiceADM(), num_hashes=16, seed=2
         )
-        assert_engines_identical(reference, columnar, k_values=(2, 5))
+        assert_matches_oracle(engine, k_values=(2, 5))
 
 
 class TestMeasureBatchKernels:
@@ -191,9 +195,8 @@ class TestMeasureBatchKernels:
         ExampleDiceADM(weights=(0.3, 0.2, 0.5)),
     ]
 
-    @pytest.mark.parametrize(
-        "measure", MEASURES, ids=lambda m: f"{m.name}-{id(m) % 97}"
-    )
+    # Ids must be stable from run to run (pytest numbers the repeated name).
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
     def test_score_levels_batch_matches_scalar(self, measure, seeded_rng):
         rng = seeded_rng(5)
         rows = []
@@ -212,9 +215,7 @@ class TestMeasureBatchKernels:
         for index, row in enumerate(rows):
             assert batched[index] == measure.score_levels(row)
 
-    @pytest.mark.parametrize(
-        "measure", MEASURES, ids=lambda m: f"{m.name}-{id(m) % 97}"
-    )
+    @pytest.mark.parametrize("measure", MEASURES, ids=lambda m: m.name)
     def test_bound_kernel_matches_scalar(self, measure):
         query_sizes = (4, 7, 5)
         kernel = measure.bound_batch_kernel(query_sizes)
@@ -241,49 +242,43 @@ class TestStreamingInterleavings:
         rng = seeded_rng(fuzz_seed)
         events = random_events(hierarchy, rng, num_entities=12, max_events=9)
         events.sort(key=lambda p: (p.start, p.end, p.entity, p.unit))
-        reference, columnar = paired_engines(hierarchy, [], num_hashes=24, seed=5)
+        engine = build_engine(hierarchy, [], num_hashes=24, seed=5)
         window = rng.choice([25, 40])
         batch = rng.choice([4, 16])
         compact_after = rng.choice([0, 6])
-        ingestors = [
-            EventIngestor(
-                engine, max_batch_events=batch, window=window, compact_after=compact_after
-            )
-            for engine in (reference, columnar)
-        ]
-        for index, event in enumerate(events, start=1):
-            for ingestor in ingestors:
-                ingestor.submit(event)
+        ingestor = EventIngestor(
+            engine, max_batch_events=batch, window=window, compact_after=compact_after
+        )
+        for event in events:
+            ingestor.submit(event)
             if rng.random() < 0.08:
-                for ingestor in ingestors:
-                    ingestor.flush()
-                assert_engines_identical(reference, columnar, k_values=(3,))
-        for ingestor in ingestors:
-            ingestor.close()
-        assert_engines_identical(reference, columnar)
+                ingestor.flush()
+                assert_matches_oracle(engine, k_values=(3,))
+        ingestor.close()
+        assert_matches_oracle(engine)
 
     def test_incremental_updates_recompile(self, hierarchy, seeded_rng):
         rng = seeded_rng(97)
         events = random_events(hierarchy, rng, num_entities=10)
-        reference, columnar = paired_engines(hierarchy, events, num_hashes=24, seed=5)
-        compiled_before = columnar.searcher.compiled_tree()
-        assert_engines_identical(reference, columnar, k_values=(3,))
-        extra = [
-            PresenceInstance("e1", hierarchy.base_units[0], 10, 13),
-            PresenceInstance("newcomer", hierarchy.base_units[-1], 4, 6),
-        ]
-        for engine in (reference, columnar):
-            engine.add_records(extra)
-            engine.remove_entity("e2")
-            engine.expire_events(8)
-            engine.compact()
-        assert_engines_identical(reference, columnar, k_values=(1, 5))
+        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
+        compiled_before = engine.searcher.compiled_tree()
+        assert_matches_oracle(engine, k_values=(3,))
+        engine.add_records(
+            [
+                PresenceInstance("e1", hierarchy.base_units[0], 10, 13),
+                PresenceInstance("newcomer", hierarchy.base_units[-1], 4, 6),
+            ]
+        )
+        engine.remove_entity("e2")
+        engine.expire_events(8)
+        engine.compact()
+        assert_matches_oracle(engine, k_values=(1, 5))
         # The mutations must have invalidated the compiled arrays.
-        assert columnar.searcher.compiled_tree() is not compiled_before
+        assert engine.searcher.compiled_tree() is not compiled_before
 
 
 class TestIncrementalPatch:
-    """The delta-patch maintenance path (``EngineConfig.incremental_recompile``).
+    """The delta-patch maintenance path (``ColumnarTree.patch``).
 
     A stale compiled kernel is *patched* -- membership rows spliced, leaf
     spans and tree paths rewritten for touched entities only -- instead of
@@ -380,22 +375,26 @@ class TestShardedEquivalence:
     def test_sharded_columnar_matches_reference(self, hierarchy, num_shards, seeded_rng):
         rng = seeded_rng(83)
         events = random_events(hierarchy, rng)
-        knobs = dict(num_hashes=24, seed=5, num_shards=num_shards)
-        reference = ShardedEngine(
-            dataset_from(hierarchy, events), columnar_queries=False, **knobs
+        sharded = ShardedEngine(
+            dataset_from(hierarchy, events), num_hashes=24, seed=5, num_shards=num_shards
         ).build()
-        columnar = ShardedEngine(
-            dataset_from(hierarchy, events), columnar_queries=True, **knobs
-        ).build()
-        for query in reference.dataset.entities:
+        for query in sharded.dataset.entities:
+            sequence = sharded.dataset.cell_sequence(query)
             for k in (1, 4, 25):
-                assert_identical(reference.top_k(query, k), columnar.top_k(query, k))
+                # The oracle per shard, merged by the one shared merge.
+                reference = merge_topk_results(
+                    query,
+                    [
+                        reference_search(shard.searcher, query, k, query_sequence=sequence)
+                        for shard in sharded.shards
+                    ],
+                    k,
+                )
+                assert_identical(reference, sharded.top_k(query, k))
 
 
 class TestSnapshotRoundTrip:
     def test_compiled_arrays_round_trip(self, hierarchy, tmp_path, monkeypatch, seeded_rng):
-        from repro.core.columnar import ColumnarTree
-
         rng = seeded_rng(19)
         events = random_events(hierarchy, rng)
         engine = TraceQueryEngine(
@@ -423,28 +422,19 @@ class TestSnapshotRoundTrip:
             assert np.array_equal(value, loaded_arrays[key]), key
         monkeypatch.undo()
 
-        assert_engines_identical(
-            TraceQueryEngine(
-                dataset_from(hierarchy, events), num_hashes=24, seed=5,
-                columnar_queries=False,
-            ).build(),
-            loaded,
-            k_values=(3,),
-        )
+        assert_matches_oracle(loaded, k_values=(3,), oracle_engine=engine)
 
     def test_streamed_snapshot_round_trip(self, hierarchy, tmp_path, seeded_rng):
         """Save/load after streaming updates (arrays recompiled at save)."""
         rng = seeded_rng(53)
         events = random_events(hierarchy, rng, num_entities=10)
-        reference, columnar = paired_engines(hierarchy, events, num_hashes=24, seed=5)
-        extra = [PresenceInstance("e0", hierarchy.base_units[2], 50, 55)]
-        for engine in (reference, columnar):
-            engine.add_records(extra)
-            engine.expire_events(12)
-        columnar.save(tmp_path / "snap")
+        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
+        engine.add_records([PresenceInstance("e0", hierarchy.base_units[2], 50, 55)])
+        engine.expire_events(12)
+        engine.save(tmp_path / "snap")
         loaded = TraceQueryEngine.load(tmp_path / "snap")
         assert loaded.searcher._compiled_loader is not None
-        assert_engines_identical(reference, loaded, k_values=(1, 6))
+        assert_matches_oracle(loaded, k_values=(1, 6), oracle_engine=engine)
 
     def test_mutation_before_first_query_discards_stale_arrays(
         self, hierarchy, tmp_path, seeded_rng
@@ -452,13 +442,13 @@ class TestSnapshotRoundTrip:
         """A post-load mutation must win over the persisted compile."""
         rng = seeded_rng(61)
         events = random_events(hierarchy, rng, num_entities=8)
-        reference, columnar = paired_engines(hierarchy, events, num_hashes=16, seed=3)
-        columnar.save(tmp_path / "snap")
+        engine = build_engine(hierarchy, events, num_hashes=16, seed=3)
+        engine.save(tmp_path / "snap")
         loaded = TraceQueryEngine.load(tmp_path / "snap")
         extra = [PresenceInstance("e3", hierarchy.base_units[1], 60, 63)]
-        reference.add_records(extra)
+        engine.add_records(extra)
         loaded.add_records(extra)  # before any query: loader must bail out
-        assert_engines_identical(reference, loaded, k_values=(2, 5))
+        assert_matches_oracle(loaded, k_values=(2, 5), oracle_engine=engine)
 
     def test_missing_or_corrupt_columnar_payload_falls_back(self, hierarchy, tmp_path, seeded_rng):
         """The columnar payload is a cache: losing it must not fail the load."""
@@ -492,11 +482,10 @@ class TestSnapshotRoundTrip:
         snap = engine.save(tmp_path / "snap")
 
         # Rewrite the snapshot as a faithful version-1 artifact: no columnar
-        # payload, no columnar config key, version 1, fresh content digests.
+        # payload, version 1, fresh content digests.
         (snap / "columnar.npz").unlink()
         manifest = json.loads((snap / "manifest.json").read_text())
         manifest["format_version"] = 1
-        manifest["config"].pop("columnar_queries")
         manifest["content"].pop("columnar.npz")
         manifest["content"]["arrays.npz"] = _file_digest(snap / "arrays.npz")
         (snap / "manifest.json").write_text(json.dumps(manifest))
@@ -504,10 +493,48 @@ class TestSnapshotRoundTrip:
         loaded = TraceQueryEngine.load(snap)
         assert loaded.searcher._compiled is None  # nothing precompiled...
         assert loaded.searcher._compiled_loader is None
-        assert loaded.config.columnar_queries  # ...but columnar still on
         query = loaded.dataset.entities[0]
         assert loaded.top_k(query, k=5).items == engine.top_k(query, k=5).items
         assert loaded.searcher._compiled is not None  # lazily recompiled
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    def test_retired_config_keys_in_an_old_manifest_are_ignored(
+        self, hierarchy, tmp_path, num_shards, seeded_rng
+    ):
+        """Snapshots written before the selectors were deleted record
+        ``bulk_signatures`` / ``columnar_queries``; exactly those two keys
+        are dropped on load, any other unknown key is still an error."""
+        from repro.storage.snapshot import SnapshotError
+
+        rng = seeded_rng(79)
+        dataset = dataset_from(hierarchy, random_events(hierarchy, rng, num_entities=8))
+        if num_shards:
+            engine = ShardedEngine(dataset, num_hashes=16, seed=3, num_shards=num_shards)
+        else:
+            engine = TraceQueryEngine(dataset, num_hashes=16, seed=3)
+        snap = engine.build().save(tmp_path / "snap")
+        manifests = (
+            sorted(snap.glob("shard-*/manifest.json"))
+            if num_shards
+            else [snap / "manifest.json"]
+        )
+        assert len(manifests) == max(num_shards, 1)
+
+        def add_config_keys(**keys):
+            for path in manifests:
+                manifest = json.loads(path.read_text())
+                assert not set(keys) & set(manifest["config"])  # no longer written
+                manifest["config"].update(keys)
+                path.write_text(json.dumps(manifest))
+
+        add_config_keys(bulk_signatures=True, columnar_queries=False)
+        loaded = type(engine).load(snap)
+        query = dataset.entities[0]
+        assert_identical(engine.top_k(query, k=5), loaded.top_k(query, k=5))
+
+        add_config_keys(turbo=True)
+        with pytest.raises(SnapshotError, match="turbo"):
+            type(engine).load(snap)
 
 
 class TestSearchManyParity:

@@ -1,9 +1,19 @@
 """Tests for the TraceQueryEngine facade (repro.core.engine)."""
 
+import dataclasses
+import inspect
+
 import pytest
 
-from repro import EngineConfig, HierarchicalADM, PresenceInstance, TraceQueryEngine
+from repro import (
+    EngineConfig,
+    HierarchicalADM,
+    PresenceInstance,
+    TopKSearcher,
+    TraceQueryEngine,
+)
 from repro.baselines import BruteForceTopK
+from repro.cli import main as cli_main
 
 
 class TestConfiguration:
@@ -47,7 +57,6 @@ class TestConfiguration:
             seed=4,
             bound_mode="per_level",
             store_full_signatures=True,
-            bulk_signatures=False,
             batch_workers=3,
         )
         engine = TraceQueryEngine(small_dataset, config=config, num_hashes=48)
@@ -55,7 +64,6 @@ class TestConfiguration:
         assert engine.config.seed == 4  # everything else survives
         assert engine.config.bound_mode == "per_level"
         assert engine.config.store_full_signatures is True
-        assert engine.config.bulk_signatures is False
         assert engine.config.batch_workers == 3
         # The caller's config object is never mutated.
         assert config.num_hashes == 24
@@ -69,11 +77,28 @@ class TestConfiguration:
             TraceQueryEngine(small_dataset, config=EngineConfig(), num_hashes=0)
 
     def test_batch_knob_defaults_and_overrides(self, small_dataset):
-        assert EngineConfig().bulk_signatures is True
         assert EngineConfig().batch_workers == 0
-        engine = TraceQueryEngine(small_dataset, bulk_signatures=False, batch_workers=2)
-        assert engine.config.bulk_signatures is False
+        engine = TraceQueryEngine(small_dataset, batch_workers=2)
         assert engine.config.batch_workers == 2
+
+    def test_no_option_selects_a_bit_identical_slower_path(self, capsys):
+        """One route per concept: the retired selectors must not come back."""
+        assert {field.name for field in dataclasses.fields(EngineConfig)} == {
+            "num_hashes",
+            "seed",
+            "store_full_signatures",
+            "use_full_signatures",
+            "bound_mode",
+            "batch_workers",
+            "query_cache_size",
+        }
+        searcher_parameters = inspect.signature(TopKSearcher.__init__).parameters
+        assert "columnar" not in searcher_parameters
+        assert "incremental" not in searcher_parameters
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["query", "--snapshot", "snap", "--entity", "a", "--no-columnar"])
+        assert excinfo.value.code == 2
+        assert "--no-columnar" in capsys.readouterr().err
 
     def test_negative_batch_workers_rejected(self, small_dataset):
         with pytest.raises(ValueError, match="batch_workers"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import BruteForceTopK
+from repro.core.pruning import InvalidQuerySequence
 from repro.core.query import TopKSearcher
 from repro.measures import HierarchicalADM, JaccardADM
 
@@ -142,6 +143,30 @@ class TestSearcherConfiguration:
     def test_search_many(self, small_engine):
         results = small_engine.searcher.search_many(["a", "d"], 2)
         assert [r.query_entity for r in results] == ["a", "d"]
+
+
+class TestQuerySequenceValidation:
+    """A supplied ``query_sequence`` is input: malformed ones get one typed
+    rejection naming the defect -- never a numpy/KeyError leak, never a
+    silent answer."""
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["wrong-depth", "missing-ancestor", "orphan-coarse-cell", "empty-base-level"],
+    )
+    def test_malformed_sequence_is_rejected(
+        self, small_engine, malformed_query_sequences, defect
+    ):
+        sequence, message = malformed_query_sequences[defect]
+        with pytest.raises(InvalidQuerySequence, match=message):
+            small_engine.searcher.search("q", 2, query_sequence=sequence)
+        assert issubclass(InvalidQuerySequence, ValueError)
+
+    def test_well_formed_foreign_sequence_is_answered(self, small_engine):
+        # The sharded path: the query entity need not live in this dataset.
+        sequence = small_engine.dataset.cell_sequence("a")
+        foreign = small_engine.searcher.search("elsewhere", 2, query_sequence=sequence)
+        assert foreign.entities[:2] == ["a", "b"]
 
 
 class TestEarlyTermination:

@@ -15,6 +15,7 @@ from repro.core.engine import TraceQueryEngine
 from repro.obs import parse_exposition
 from repro.server.app import EngineBackend, TraceServer, build_http_server
 from repro.server.coalescer import QueueFullError, RequestCoalescer
+from repro.server.generation import GenerationStore
 from repro.server.metrics import LATENCY_BUCKETS, LatencyHistogram, ServerMetrics
 from repro.server.protocol import (
     ProtocolError,
@@ -23,6 +24,7 @@ from repro.server.protocol import (
     parse_topk_request,
     topk_result_payload,
 )
+from repro.server.workers import MAX_ERROR_CHARS, QueryWorker
 from repro.service.sharded import ShardedEngine
 from repro.streaming.ingestor import StreamingConfig
 from repro.traces.dataset import TraceDataset
@@ -43,6 +45,44 @@ def small_dataset() -> TraceDataset:
 @pytest.fixture(scope="module")
 def engine():
     return TraceQueryEngine(small_dataset(), num_hashes=32, seed=5).build()
+
+
+# ----------------------------------------------------------------------
+# Worker frames: request-shape errors are 400, only a missing entity is 404
+# ----------------------------------------------------------------------
+class TestQueryWorkerStatuses:
+    @pytest.fixture
+    def worker(self, engine, tmp_path):
+        GenerationStore(tmp_path / "store").publish(engine)
+        return QueryWorker(str(tmp_path / "store"), str(tmp_path / "worker.sock"))
+
+    @pytest.mark.parametrize(
+        "frame, named",
+        [
+            ({"op": "topk"}, "entities"),
+            ({"op": "topk", "entities": 7}, "int"),
+            ({"op": "topk", "entities": ["e00"], "k": "many"}, "many"),
+            ({"op": "topk", "entities": ["e00"], "approximation": None}, "NoneType"),
+        ],
+    )
+    def test_request_shape_errors_are_400(self, worker, frame, named):
+        reply = worker.handle(frame)
+        assert reply["status"] == 400
+        assert named in reply["error"]
+        assert "unknown entity" not in reply["error"]
+
+    def test_relayed_error_message_is_bounded(self, worker):
+        reply = worker.handle({"op": "topk", "entities": ["e00"], "k": "x" * 5000})
+        assert reply["status"] == 400
+        assert len(reply["error"]) <= MAX_ERROR_CHARS
+
+    def test_only_a_missing_query_entity_is_404(self, worker, engine):
+        reply = worker.handle({"op": "topk", "entities": ["e00", "nobody"], "k": 2})
+        assert reply["status"] == 404
+        assert "nobody" in reply["error"]
+        # ...and the worker keeps answering well-formed frames afterwards.
+        reply = worker.handle({"op": "topk", "entities": ["e00"], "k": 2})
+        assert reply["results"] == [topk_result_payload(engine.top_k("e00", k=2))]
 
 
 # ----------------------------------------------------------------------
