@@ -1372,7 +1372,7 @@ def _run_server(engine, args: argparse.Namespace) -> int:
         )
     if cluster:
         fleet = ", ".join(
-            f"{name} (pid {replica.process.pid}, port {replica.port})"
+            f"{name} (pid {replica.pid}, port {replica.port})"
             for name, replica in sorted(server.backend.managed.items())
         )
         print(
@@ -1653,13 +1653,15 @@ def _command_scenario_report(args: argparse.Namespace) -> int:
 
 def _command_cluster(args: argparse.Namespace) -> int:
     if args.cluster_command == "shard":
-        from repro.cluster.shard_server import main as shard_main
+        from repro.server.workers import QueryWorker
 
-        argv = ["--store", args.store, "--shard", args.shard, "--host", args.host,
-                "--port", str(args.port), "--startup-timeout", str(args.startup_timeout)]
-        if args.port_file:
-            argv += ["--port-file", args.port_file]
-        return shard_main(argv)
+        worker = QueryWorker(
+            args.store,
+            (args.host, args.port),
+            name=args.shard,
+            startup_timeout=args.startup_timeout,
+        )
+        return worker.run(port_file=args.port_file)
     # chaos battery
     if args.shards < 1:
         return _error(f"--shards must be >= 1, got {args.shards}")

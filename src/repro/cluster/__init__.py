@@ -1,14 +1,15 @@
 """Distributed serving tier: shard servers, replica groups, a coordinator.
 
 The package promotes the shard boundary from threads in one process
-(:class:`~repro.service.sharded.ShardedEngine`) to processes on a network:
+(:class:`~repro.service.sharded.ShardedEngine`) to processes on a network.
+A shard server is not a module of this package: it is the one read process
+of :mod:`repro.server.workers`, started with a TCP listener over one
+shard's generation store.  What lives here is everything around it:
 
 - :mod:`repro.cluster.hashring` -- deterministic consistent-hash ring the
   :class:`~repro.service.partition.ConsistentHashPartitioner` is built on;
-- :mod:`repro.cluster.wire` -- the cluster's length-prefixed socket ops
-  (reusing the worker protocol's framing) plus the query-sequence codec;
-- :mod:`repro.cluster.shard_server` -- one process serving one shard's
-  snapshot generations over TCP, with built-in fault injection hooks;
+- :mod:`repro.cluster.wire` -- one-shot framed calls (probes, ``sync``
+  verification, chaos commands);
 - :mod:`repro.cluster.replica` -- replica clients and R-way replica
   groups: retry with backoff, hedged failover, catch-up verified rejoin;
 - :mod:`repro.cluster.coordinator` -- fan-out/merge with per-shard

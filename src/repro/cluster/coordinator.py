@@ -30,7 +30,8 @@ import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.replica import ReplicaGroup, ShardUnavailable
-from repro.cluster.wire import encode_sequence
+from repro.obs.trace import SpanContext
+from repro.server.workers import begin_remote_spans, encode_sequence, stitch_spans
 from repro.service.merge import merge_topk_payloads
 
 __all__ = ["ClusterCoordinator", "CoordinatorError"]
@@ -55,13 +56,24 @@ class ClusterCoordinator:
     # The fan-out
     # ------------------------------------------------------------------
     def topk_payloads(
-        self, entities: Sequence[str], k: int, approximation: float = 0.0
+        self,
+        entities: Sequence[str],
+        k: int,
+        approximation: float = 0.0,
+        traces: Optional[Sequence[Optional[SpanContext]]] = None,
     ) -> List[Dict[str, object]]:
         """One merged ``topk_result_payload`` per query entity, in order.
 
         Raises ``KeyError`` for a query entity missing from the routing
         dataset and :class:`CoordinatorError` when no shard at all
         answered (or a shard reported a query error).
+
+        ``traces`` (aligned with ``entities``; ``None`` entries for
+        unsampled queries) gives each sampled query one ``shard.request``
+        span per shard group, covering that group's whole exchange --
+        retries and hedges included -- with the answering replica's spans
+        re-based under it; a group that stayed unavailable closes its
+        span with the error.
         """
         queries = [
             {
@@ -79,10 +91,23 @@ class ClusterCoordinator:
         replies: List[Optional[Dict[str, object]]] = [None] * len(self.groups)
 
         def ask(shard_index: int) -> None:
+            group = self.groups[shard_index]
+            frame, spans = request, []
+            if traces is not None:
+                spans, descriptors = begin_remote_spans(
+                    traces, "shard.request", shard=group.shard
+                )
+                frame = {**request, "traces": descriptors}
             try:
-                replies[shard_index] = self.groups[shard_index].request(request)
-            except ShardUnavailable:
-                replies[shard_index] = None
+                reply = group.request(frame)
+            except ShardUnavailable as exc:
+                for span in spans:
+                    if span is not None:
+                        span.end(error=type(exc).__name__)
+                return
+            if traces is not None:
+                stitch_spans(reply, traces, spans)
+            replies[shard_index] = reply
 
         threads = [
             threading.Thread(target=ask, args=(index,), name=f"fanout-{index}")

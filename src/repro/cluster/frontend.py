@@ -7,8 +7,8 @@ module plugged in (:func:`cluster_tier` builds the pair): a
 :class:`ShardPublisher` publishes **per-shard** snapshot generations from
 the flush hook, and a :class:`ClusterFleet` answers ``/v1/topk`` through a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` fanning out over
-``S`` replica groups of ``R`` shard-server processes each
-(:mod:`repro.cluster.shard_server`), supervised by a
+``S`` replica groups of ``R`` read processes each
+(:mod:`repro.server.workers`, one TCP listener per replica), supervised by a
 :class:`~repro.cluster.supervisor.ReplicaSupervisor` (respawn with
 backoff, catch-up-verified rejoin).
 
@@ -181,9 +181,9 @@ class ClusterFleet(ServingPart):
         approximation: float,
         traces: Traces = None,
     ) -> List[Dict[str, object]]:
-        """Fan out over the shard groups and merge (shard-side spans are
-        not stitched yet, so ``traces`` is unused)."""
-        return self.coordinator.topk_payloads(list(entities), k, approximation)
+        """Fan out over the shard groups and merge; sampled queries get the
+        shard-side spans of :meth:`ClusterCoordinator.topk_payloads`."""
+        return self.coordinator.topk_payloads(list(entities), k, approximation, traces)
 
     topk_batch = topk
 

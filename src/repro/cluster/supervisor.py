@@ -1,9 +1,10 @@
-"""Managed shard-server processes: spawn, respawn with backoff, verified rejoin.
+"""Managed shard replicas: spawn, respawn with backoff, verified rejoin.
 
-The coordinator side of process lifecycle.  :class:`ManagedReplica` wraps
-one shard-server subprocess (ephemeral port discovered through an
-atomically-written port file); :class:`ReplicaSupervisor` owns all of a
-cluster's processes and runs the respawn loop:
+The coordinator side of process lifecycle.  :class:`ManagedReplica` holds
+one shard replica -- a read process (:mod:`repro.server.workers`) on an
+ephemeral TCP port discovered through an atomically-written port file;
+:class:`ReplicaSupervisor` owns all of a cluster's processes and runs the
+respawn loop:
 
 1. a dead, non-suspended process is respawned under
    :class:`~repro.server.backoff.ExponentialBackoff` (a replica dying on
@@ -13,7 +14,7 @@ cluster's processes and runs the respawn loop:
    (:class:`~repro.obs.health.NodeHealth`) and is **excluded from the
    serving rotation** by its replica group;
 3. the supervisor sends it ``sync`` with ``min_generation`` = the shard
-   store's newest published generation; the shard server adopts along the
+   store's newest published generation; the replica adopts along the
    delta chain (or reloads a full snapshot) and answers with where it
    stands.  Only an affirmative answer -- the replica provably at or past
    the generation the owner has published -- flips it back to ``live``.
@@ -32,8 +33,6 @@ the supervisor does not helpfully revive it mid-scenario.
 from __future__ import annotations
 
 import signal
-import subprocess
-import sys
 import threading
 import time
 from pathlib import Path
@@ -43,12 +42,13 @@ from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
 from repro.cluster.wire import ClusterWireError, one_shot_request
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import GenerationStore
+from repro.server.workers import ReadProcess
 
 __all__ = ["ManagedReplica", "ReplicaSupervisor"]
 
 
-class ManagedReplica:
-    """One shard-server subprocess and its port-file discovery."""
+class ManagedReplica(ReadProcess):
+    """One shard replica -- a TCP read process -- and its port-file discovery."""
 
     def __init__(
         self,
@@ -60,14 +60,24 @@ class ManagedReplica:
     ) -> None:
         self.shard = shard
         self.name = name
-        self.store_root = str(store_root)
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.startup_timeout = startup_timeout
         self.port_file = self.run_dir / f"{name}.port"
         self.host = "127.0.0.1"
         self.port: Optional[int] = None
-        self.process: Optional[subprocess.Popen] = None
+        super().__init__(
+            [
+                "--store",
+                str(store_root),
+                "--shard",
+                name,
+                "--port-file",
+                str(self.port_file),
+                "--startup-timeout",
+                str(startup_timeout),
+            ]
+        )
         #: While ``True`` the supervisor leaves a dead process dead.
         self.suspended = False
         self.respawns = -1  # first spawn is not a respawn
@@ -78,20 +88,7 @@ class ManagedReplica:
             self.port_file.unlink()
         except FileNotFoundError:
             pass
-        command = [
-            sys.executable,
-            "-m",
-            "repro.cluster.shard_server",
-            "--store",
-            self.store_root,
-            "--shard",
-            self.name,
-            "--port-file",
-            str(self.port_file),
-            "--startup-timeout",
-            str(self.startup_timeout),
-        ]
-        self.process = subprocess.Popen(command)
+        self.start()
         deadline = time.monotonic() + self.startup_timeout
         while time.monotonic() < deadline:
             if self.port_file.exists():
@@ -100,35 +97,13 @@ class ManagedReplica:
                     self.port = int(text)
                     self.respawns += 1
                     return self.port
-            if self.process.poll() is not None:
+            if not self.alive():
                 raise RuntimeError(
-                    f"{self.name}: shard server exited with "
-                    f"{self.process.returncode} before binding"
+                    f"{self.name}: read process exited with "
+                    f"{self.returncode} before binding"
                 )
             time.sleep(0.02)
         raise RuntimeError(f"{self.name}: no port file within {self.startup_timeout:.0f}s")
-
-    def alive(self) -> bool:
-        """Whether the subprocess exists and has not exited."""
-        return self.process is not None and self.process.poll() is None
-
-    def kill(self) -> None:
-        """SIGKILL -- the chaos battery's crash primitive."""
-        if self.process is not None and self.process.poll() is None:
-            self.process.kill()
-            self.process.wait()
-
-    def terminate(self, timeout: float = 10.0) -> None:
-        """Clean SIGTERM shutdown; escalates to SIGKILL past ``timeout``."""
-        if self.process is None:
-            return
-        if self.process.poll() is None:
-            self.process.send_signal(signal.SIGTERM)
-            try:
-                self.process.wait(timeout=timeout)
-            except subprocess.TimeoutExpired:  # pragma: no cover - escalation path
-                self.process.kill()
-                self.process.wait()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ManagedReplica({self.name!r}, port={self.port}, alive={self.alive()})"
@@ -285,7 +260,6 @@ class ReplicaSupervisor:
         for name, replica in self.managed.items():
             was_alive = replica.alive()
             replica.terminate(timeout=timeout)
-            if was_alive and replica.process is not None:
-                if replica.process.returncode not in (0, -signal.SIGTERM):
-                    stubborn.append(name)
+            if was_alive and replica.returncode not in (0, -signal.SIGTERM):
+                stubborn.append(name)
         return stubborn

@@ -37,12 +37,14 @@ import os
 import random
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "LATENCY_BUCKETS",
     "ActiveTrace",
+    "LatencyHistogram",
     "Span",
     "SpanContext",
     "Tracer",
@@ -50,9 +52,9 @@ __all__ = [
     "histogram_percentile",
 ]
 
-#: Shared histogram bucket upper edges, in **seconds**.  Used both by the
-#: per-endpoint histograms in :mod:`repro.server.metrics` and by the
-#: per-stage histograms the tracer aggregates -- one unit end to end.
+#: Histogram bucket upper edges, in **seconds**: roughly logarithmic from
+#: 0.5 ms (a cache hit) to 5 s, with a final implicit ``+inf`` bucket.  One
+#: set of edges, one unit end to end, for every :class:`LatencyHistogram`.
 LATENCY_BUCKETS: Tuple[float, ...] = (
     0.0005,
     0.001,
@@ -67,6 +69,82 @@ LATENCY_BUCKETS: Tuple[float, ...] = (
     1.0,
     5.0,
 )
+
+
+class LatencyHistogram:
+    """A fixed-bucket latency histogram with count/sum/max aggregates.
+
+    The one histogram type: per-endpoint request latencies
+    (:class:`repro.server.metrics.ServerMetrics`), the tracer's per-stage
+    span durations and the scenario harness's client-side recorder all
+    aggregate into it.  Not thread-safe on its own; its owners serialise
+    access.
+
+    >>> histogram = LatencyHistogram()
+    >>> histogram.observe(0.004)          # 4 ms
+    >>> histogram.observe(0.030)          # 30 ms
+    >>> histogram.count, histogram.bucket_counts[3]   # 4 ms falls in <=5 ms
+    (2, 1)
+    """
+
+    __slots__ = ("bucket_counts", "count", "total_seconds", "max_seconds")
+
+    def __init__(self) -> None:
+        #: One count per edge in :data:`LATENCY_BUCKETS` plus the final
+        #: unbounded bucket.
+        self.bucket_counts: List[int] = [0] * (len(LATENCY_BUCKETS) + 1)
+        self.count = 0
+        self.total_seconds = 0.0
+        self.max_seconds = 0.0
+
+    def observe(self, seconds: float) -> None:
+        """Record one latency observation, in seconds."""
+        self.bucket_counts[bisect_left(LATENCY_BUCKETS, seconds)] += 1
+        self.count += 1
+        self.total_seconds += seconds
+        if seconds > self.max_seconds:
+            self.max_seconds = seconds
+
+    @property
+    def mean_seconds(self) -> float:
+        """Average observed latency (0 when nothing was observed)."""
+        if not self.count:
+            return 0.0
+        return self.total_seconds / self.count
+
+    def snapshot(self) -> Dict[str, object]:
+        """A plain-dict copy suitable for JSON serialisation.
+
+        Buckets are keyed by their upper edge in seconds (``"le_<edge>"``;
+        the unbounded bucket is ``"le_inf"``) so the output is
+        self-describing.
+        """
+        buckets = {
+            f"le_{edge:g}": count
+            for edge, count in zip(LATENCY_BUCKETS, self.bucket_counts)
+        }
+        buckets["le_inf"] = self.bucket_counts[-1]
+        return {
+            "count": self.count,
+            "mean_seconds": self.mean_seconds,
+            "max_seconds": self.max_seconds,
+            "buckets": buckets,
+        }
+
+    def raw(self) -> Dict[str, object]:
+        """The raw aggregates the Prometheus exposition layer renders.
+
+        Unlike :meth:`snapshot`, bucket counts come back as a plain list
+        aligned with :data:`LATENCY_BUCKETS` (plus the overflow slot) so
+        the renderer can produce cumulative ``_bucket`` series without
+        re-parsing ``le_*`` keys.
+        """
+        return {
+            "count": self.count,
+            "total_seconds": self.total_seconds,
+            "max_seconds": self.max_seconds,
+            "bucket_counts": list(self.bucket_counts),
+        }
 
 #: JSON-safe attribute value types; anything else is stored as ``repr()``.
 _SCALARS = (str, int, float, bool, type(None))
@@ -296,8 +374,8 @@ def histogram_percentile(bucket_counts: Sequence[int], quantile: float) -> Optio
 
     ``bucket_counts`` is aligned with :data:`LATENCY_BUCKETS` plus the final
     unbounded bucket -- the shape every histogram in this repository shares
-    (:class:`~repro.server.metrics.LatencyHistogram`, the tracer's per-stage
-    histograms, and the scenario harness's client-side recorder).  Counts
+    (every :class:`LatencyHistogram`: per endpoint, per traced stage, and
+    the scenario harness's client-side recorder).  Counts
     may be lifetime totals or deltas between two snapshots.
 
     Returns ``None`` when no observations landed, and ``inf`` when the
@@ -328,40 +406,6 @@ def histogram_percentile(bucket_counts: Sequence[int], quantile: float) -> Optio
             return lower + (upper - lower) * ((rank - cumulative) / count)
         cumulative += count
     return float("inf")  # pragma: no cover - unreachable (total > 0)
-
-
-class _StageHistogram:
-    """Per-span-name latency aggregate feeding ``/metrics`` stage gauges."""
-
-    __slots__ = ("count", "total_seconds", "max_seconds", "bucket_counts")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
-        self.bucket_counts = [0] * (len(LATENCY_BUCKETS) + 1)
-
-    def observe(self, seconds: float) -> None:
-        """Record one span duration (seconds)."""
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-        index = 0
-        for edge in LATENCY_BUCKETS:
-            if seconds <= edge:
-                break
-            index += 1
-        self.bucket_counts[index] += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        """Return a JSON-safe copy: count/sum/max plus raw bucket counts."""
-        return {
-            "count": self.count,
-            "sum_seconds": self.total_seconds,
-            "max_seconds": self.max_seconds,
-            "bucket_counts": list(self.bucket_counts),
-        }
 
 
 class Tracer:
@@ -401,7 +445,7 @@ class Tracer:
         self._slow: List[Tuple[float, int, Dict[str, object]]] = []
         self._errored: deque = deque(maxlen=int(slow_capacity))
         self._sequence = itertools.count()
-        self._stages: Dict[str, _StageHistogram] = {}
+        self._stages: Dict[str, LatencyHistogram] = {}
         self._started = 0
         self._recorded = 0
 
@@ -443,7 +487,7 @@ class Tracer:
                     continue
                 histogram = self._stages.get(span.name)
                 if histogram is None:
-                    histogram = self._stages[span.name] = _StageHistogram()
+                    histogram = self._stages[span.name] = LatencyHistogram()
                 histogram.observe(span.duration)
             if error:
                 self._errored.append(record)
@@ -480,7 +524,7 @@ class Tracer:
     def stage_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-span-name latency aggregates (count/sum/max/bucket counts)."""
         with self._lock:
-            return {name: histogram.snapshot() for name, histogram in self._stages.items()}
+            return {name: histogram.raw() for name, histogram in self._stages.items()}
 
     def counters_snapshot(self) -> Dict[str, object]:
         """Sampling/admission counters for ``/v1/stats``."""

@@ -575,40 +575,34 @@ class TraceServer:
                 ],
             )
         )
-        latency = exposition.MetricFamily(
-            name="repro_request_latency_seconds",
-            kind="histogram",
-            help="End-to-end HTTP request latency, by endpoint.",
-        )
-        for endpoint, entry in endpoints.items():
-            latency.samples.extend(
-                exposition.histogram_samples(
-                    {"endpoint": endpoint},
-                    entry["bucket_counts"],
-                    LATENCY_BUCKETS,
-                    entry["total_seconds"],
-                    entry["count"],
+        # Both are LatencyHistogram.raw() per label value: one rendering.
+        for name, help_text, label, histograms in (
+            (
+                "repro_request_latency_seconds",
+                "End-to-end HTTP request latency, by endpoint.",
+                "endpoint",
+                endpoints,
+            ),
+            (
+                "repro_stage_latency_seconds",
+                "Span durations of traced requests, by pipeline stage.",
+                "stage",
+                stages,
+            ),
+        ):
+            family = exposition.MetricFamily(name=name, kind="histogram", help=help_text)
+            for key in sorted(histograms):
+                entry = histograms[key]
+                family.samples.extend(
+                    exposition.histogram_samples(
+                        {label: key},
+                        entry["bucket_counts"],
+                        LATENCY_BUCKETS,
+                        entry["total_seconds"],
+                        entry["count"],
+                    )
                 )
-            )
-        families.append(latency)
-
-        stage_latency = exposition.MetricFamily(
-            name="repro_stage_latency_seconds",
-            kind="histogram",
-            help="Span durations of traced requests, by pipeline stage.",
-        )
-        for stage in sorted(stages):
-            entry = stages[stage]
-            stage_latency.samples.extend(
-                exposition.histogram_samples(
-                    {"stage": stage},
-                    entry["bucket_counts"],
-                    LATENCY_BUCKETS,
-                    entry["sum_seconds"],
-                    entry["count"],
-                )
-            )
-        families.append(stage_latency)
+            families.append(family)
 
         families.append(
             exposition.MetricFamily(

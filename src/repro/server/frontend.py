@@ -32,8 +32,6 @@ from __future__ import annotations
 import os
 import shutil
 import socket
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -46,7 +44,13 @@ from repro.obs.trace import SpanContext
 from repro.server.app import ServingPart
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore, SnapshotDelta
-from repro.server.workers import recv_frame, send_frame
+from repro.server.workers import (
+    ReadProcess,
+    begin_remote_spans,
+    recv_frame,
+    send_frame,
+    stitch_spans,
+)
 
 __all__ = ["GenerationPublisher", "WorkerDiedError", "WorkerPool", "worker_tier"]
 
@@ -57,49 +61,34 @@ class WorkerDiedError(ConnectionError):
     """A worker connection broke mid-request (crash, kill, wedge)."""
 
 
-class _WorkerHandle:
+class _WorkerHandle(ReadProcess):
     """One worker process plus its (lazily connected) request socket.
 
     The handle serialises requests on its connection with a lock; the pool
     keeps one handle per worker and hands idle handles to requesters.
     """
 
-    def __init__(self, index: int, store_root: Path, spawn_command: List[str]) -> None:
+    def __init__(self, index: int, store_root: Path, startup_timeout: float) -> None:
         self.index = index
         self.socket_path = str(store_root / f"worker-{index:02d}.sock")
-        self._spawn_command = spawn_command + ["--socket", self.socket_path]
-        self._process: Optional[subprocess.Popen] = None
+        super().__init__(
+            [
+                "--store",
+                str(store_root),
+                "--socket",
+                self.socket_path,
+                "--startup-timeout",
+                str(startup_timeout),
+            ]
+        )
         self._connection: Optional[socket.socket] = None
         self.lock = threading.Lock()
         self.respawns = -1  # first spawn brings it to 0
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
-
     def spawn(self) -> None:
         """Start (or restart) the worker process; drops any old connection."""
         self._drop_connection()
-        if self._process is not None and self._process.poll() is None:
-            self._process.terminate()
-            try:
-                self._process.wait(timeout=5)
-            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                self._process.kill()
-                self._process.wait()
-        try:
-            os.unlink(self.socket_path)
-        except OSError:
-            pass
-        env = os.environ.copy()
-        # The worker must import repro from the same tree as this process,
-        # installed or not.
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        self._process = subprocess.Popen(self._spawn_command, env=env)
+        self.start()  # the child unlinks a stale socket file before it binds
         self.respawns += 1
 
     def _drop_connection(self) -> None:
@@ -119,9 +108,9 @@ class _WorkerHandle:
                 connection.connect(self.socket_path)
             except (FileNotFoundError, ConnectionRefusedError, OSError):
                 connection.close()
-                if self._process is not None and self._process.poll() is not None:
+                if self.returncode is not None:
                     raise WorkerDiedError(
-                        f"worker {self.index} exited with {self._process.returncode} "
+                        f"worker {self.index} exited with {self.returncode} "
                         "before accepting connections"
                     )
                 if time.monotonic() >= deadline:
@@ -158,15 +147,7 @@ class _WorkerHandle:
     def close(self) -> None:
         """Terminate the worker and reap it."""
         self._drop_connection()
-        if self._process is not None:
-            if self._process.poll() is None:
-                self._process.terminate()
-                try:
-                    self._process.wait(timeout=10)
-                except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                    self._process.kill()
-                    self._process.wait()
-            self._process = None
+        self.terminate()
 
 
 class WorkerPool(ServingPart):
@@ -200,22 +181,9 @@ class WorkerPool(ServingPart):
         #: shrink these to keep the crash-loop regression fast.
         self.respawn_backoff_base = respawn_backoff_base
         self.respawn_backoff_cap = respawn_backoff_cap
-        # Spawned via -c rather than -m: `python -m repro.server.workers`
-        # would import the repro.server package (which itself imports the
-        # workers module) before runpy re-executes it as __main__, tripping
-        # a double-import RuntimeWarning.  The command line still contains
-        # "repro.server.workers", so `pgrep -f` finds workers either way.
-        command = [
-            sys.executable,
-            "-c",
-            "import sys; from repro.server.workers import main; sys.exit(main(sys.argv[1:]))",
-            "--store",
-            str(self.store_root),
-            "--startup-timeout",
-            str(startup_timeout),
-        ]
         self._handles = [
-            _WorkerHandle(index, self.store_root, command) for index in range(num_workers)
+            _WorkerHandle(index, self.store_root, startup_timeout)
+            for index in range(num_workers)
         ]
         self._idle: "Queue[_WorkerHandle]" = Queue()
         self._stats_lock = threading.Lock()
@@ -268,12 +236,11 @@ class WorkerPool(ServingPart):
         daemon's errors.
 
         ``traces`` (aligned with ``entities``; ``None`` entries for
-        unsampled queries) propagates sampled trace contexts over the
-        wire: each traced query gets a ``worker.request`` span covering
-        the round-trip, the worker's own spans come back in the reply and
-        are re-based onto that span, so the worker's kernel stages stitch
-        into the frontend trace.  A retried attempt gets fresh spans; the
-        failed attempt's span is closed with the error.
+        unsampled queries) gives each sampled query a ``worker.request``
+        span covering the round-trip, with the worker's own spans stitched
+        under it (:func:`~repro.server.workers.stitch_spans`).  A retried
+        attempt gets fresh spans; the failed attempt's span is closed with
+        the error.
         """
         request: Dict[str, object] = {
             "op": "topk",
@@ -292,18 +259,9 @@ class WorkerPool(ServingPart):
                 # Fresh spans (and therefore fresh parent ids on the wire)
                 # per attempt: a worker's exported spans must hang under
                 # the round-trip that actually produced them.
-                spans = [
-                    trace.begin("worker.request", worker=handle.index, attempt=attempt)
-                    if trace is not None
-                    else None
-                    for trace in traces
-                ]
-                request["traces"] = [
-                    {"trace_id": trace.trace.trace_id, "span_id": span.span_id}
-                    if trace is not None and span is not None
-                    else None
-                    for trace, span in zip(traces, spans)
-                ]
+                spans, request["traces"] = begin_remote_spans(
+                    traces, "worker.request", worker=handle.index, attempt=attempt
+                )
             try:
                 reply = handle.request(request)
             except WorkerDiedError as exc:
@@ -326,7 +284,7 @@ class WorkerPool(ServingPart):
             with self._stats_lock:
                 self._requests += 1
             if spans is not None:
-                self._stitch_spans(reply, traces, spans)
+                stitch_spans(reply, traces, spans)
             error = reply.get("error")
             if error is not None:
                 status = reply.get("status")
@@ -337,24 +295,6 @@ class WorkerPool(ServingPart):
         raise RuntimeError(
             f"no worker answered after {attempts} attempts: {last_error}"
         )
-
-    @staticmethod
-    def _stitch_spans(
-        reply: Dict[str, object],
-        traces: List[Optional[SpanContext]],
-        spans: List[object],
-    ) -> None:
-        """Re-base the worker's exported spans onto the round-trip spans."""
-        exported = reply.get("spans")
-        exported = exported if isinstance(exported, dict) else {}
-        generation = reply.get("generation")
-        for index, (trace, span) in enumerate(zip(traces, spans)):
-            if trace is None or span is None:
-                continue
-            remote = exported.get(str(index))
-            if remote:
-                trace.trace.attach_remote(remote, anchor=span)
-            span.end(generation=generation)
 
     def _revive(self, handle: _WorkerHandle) -> None:
         """Respawn a dead worker and return it to the idle queue when ready.

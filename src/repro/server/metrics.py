@@ -27,74 +27,11 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from typing import Dict, List
+from typing import Dict
 
-from repro.obs.trace import LATENCY_BUCKETS
+from repro.obs.trace import LATENCY_BUCKETS, LatencyHistogram
 
 __all__ = ["LATENCY_BUCKETS", "LatencyHistogram", "ServerMetrics"]
-
-# LATENCY_BUCKETS is re-exported from :mod:`repro.obs.trace` so the
-# per-endpoint histograms and the tracer's per-stage histograms share one
-# set of edges: upper bucket edges in **seconds**, roughly logarithmic
-# from 0.5 ms (a cache hit) to 5 s, with a final implicit ``+inf`` bucket.
-
-
-class LatencyHistogram:
-    """A fixed-bucket latency histogram with count/sum/max aggregates.
-
-    Not thread-safe on its own; :class:`ServerMetrics` serialises access.
-
-    >>> histogram = LatencyHistogram()
-    >>> histogram.observe(0.004)          # 4 ms
-    >>> histogram.observe(0.030)          # 30 ms
-    >>> histogram.count, histogram.bucket_counts[3]   # 4 ms falls in <=5 ms
-    (2, 1)
-    """
-
-    __slots__ = ("bucket_counts", "count", "total_seconds", "max_seconds")
-
-    def __init__(self) -> None:
-        #: One count per edge in :data:`LATENCY_BUCKETS` plus the final
-        #: unbounded bucket.
-        self.bucket_counts: List[int] = [0] * (len(LATENCY_BUCKETS) + 1)
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
-
-    def observe(self, seconds: float) -> None:
-        """Record one latency observation, in seconds."""
-        self.bucket_counts[bisect_left(LATENCY_BUCKETS, seconds)] += 1
-        self.count += 1
-        self.total_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    @property
-    def mean_seconds(self) -> float:
-        """Average observed latency (0 when nothing was observed)."""
-        if not self.count:
-            return 0.0
-        return self.total_seconds / self.count
-
-    def snapshot(self) -> Dict[str, object]:
-        """A plain-dict copy suitable for JSON serialisation.
-
-        Buckets are keyed by their upper edge in seconds (``"le_<edge>"``;
-        the unbounded bucket is ``"le_inf"``) so the output is
-        self-describing.
-        """
-        buckets = {
-            f"le_{edge:g}": count
-            for edge, count in zip(LATENCY_BUCKETS, self.bucket_counts)
-        }
-        buckets["le_inf"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "mean_seconds": self.mean_seconds,
-            "max_seconds": self.max_seconds,
-            "buckets": buckets,
-        }
 
 
 class ServerMetrics:
@@ -145,20 +82,16 @@ class ServerMetrics:
     def raw_snapshot(self) -> Dict[str, Dict[str, object]]:
         """Per-endpoint raw aggregates for the Prometheus exposition layer.
 
-        Unlike :meth:`snapshot`, bucket counts come back as a plain list
-        aligned with :data:`LATENCY_BUCKETS` (plus the overflow slot) so
-        the renderer can produce cumulative ``_bucket`` series without
-        re-parsing ``le_*`` keys.
+        Each entry is :meth:`LatencyHistogram.raw` -- the shape the
+        tracer's per-stage aggregates come back in too -- plus the
+        endpoint's ``requests`` and ``status`` counters.
         """
         with self._lock:
             return {
                 endpoint: {
                     "requests": self._requests[endpoint],
                     "status": dict(self._status[endpoint]),
-                    "bucket_counts": list(self._latency[endpoint].bucket_counts),
-                    "total_seconds": self._latency[endpoint].total_seconds,
-                    "max_seconds": self._latency[endpoint].max_seconds,
-                    "count": self._latency[endpoint].count,
+                    **self._latency[endpoint].raw(),
                 }
                 for endpoint in sorted(self._requests)
             }

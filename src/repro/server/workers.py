@@ -1,46 +1,40 @@
-"""Read-only query worker process: ``python -m repro.server.workers``.
+"""The read process: ``python -m repro.server.workers``.
 
-One worker is one OS process -- the unit the multi-process serving tier
-uses to escape the GIL.  It owns a private engine restored from the newest
-snapshot generation (columnar arrays memory-mapped, so all workers share
-one physical copy through the page cache), listens on a Unix-domain socket,
-and answers framed top-k requests from the front-end
-(:mod:`repro.server.frontend`).  Workers never see writes: the front-end
-applies those to the owner engine and publishes a new generation
-(:mod:`repro.server.generation`), which the worker adopts **at a request
+One read process is one OS process answering top-k queries over an
+immutable snapshot generation -- the unit both multi-process tiers are
+built from, and the only one either of them runs.  A ``repro serve
+--workers N`` worker listens on a Unix-domain socket and resolves query
+entities against its own (full) dataset; a cluster shard replica
+(``repro serve --cluster R``, ``repro cluster shard``) listens on TCP under
+its replica name and answers queries whose ST-cell sequences travel with
+the request, because its dataset holds one partition only.  The frame
+format, the ops, both ``topk`` frame shapes, the ``traces``/``spans`` keys
+and the 400/404/500 rules are specified once, in ``docs/SERVING.md``
+("The read process").
+
+The process owns a private engine restored from the newest generation of
+its :class:`~repro.server.generation.GenerationStore` (columnar arrays
+memory-mapped, so all readers of one store share one physical copy through
+the page cache).  It never sees writes: the owner applies those and
+publishes a new generation, which the read process adopts **at a request
 boundary** -- before computing each reply it re-reads the store's
-``CURRENT`` file (one small-file read) and reloads when the generation
-moved.  A request received after a publish therefore always observes at
-least that generation.
+``CURRENT`` file (one small-file read) and catches up along the delta
+chain, or reloads, when the generation moved.  A request received after a
+publish therefore always observes at least that generation, and a replica
+restarted after a crash proves it has caught up by answering ``sync``
+before the supervisor lets it rejoin (``docs/DISTRIBUTED.md``).
 
-Wire format (both directions): a 4-byte big-endian length prefix followed
-by one UTF-8 JSON document.  Requests are ``{"op": "ping"}`` or
-``{"op": "topk", "entities": [...], "k": int, "approximation": float}``;
-replies carry the per-query payload dicts of
-:func:`repro.server.protocol.topk_result_payload`, or ``{"error", "status"}``
--- 400 for a request whose fields cannot be decoded, 404 for a query entity
-the dataset does not hold, 500 for anything else.  JSON round-trips floats
-exactly (``repr`` round-trip), so the front-end re-encoding a relayed
-payload with the canonical :func:`repro.server.protocol.dumps` produces
-bytes identical to an in-process response -- the equivalence suite pins
-this end to end.
+Connections are served one thread each, with adoption and search
+serialised under one lock -- correctness first; parallelism comes from
+running several processes, not from threads inside one.  Replies carry
+JSON floats, which round-trip exactly (``repr``), so a parent re-encoding
+a relayed payload with :func:`repro.server.protocol.dumps` produces bytes
+identical to an in-process response -- the equivalence suite pins this.
 
-**Trace propagation.**  A ``topk`` request may carry an optional
-``"traces"`` list aligned with ``entities``: ``None`` for unsampled
-queries, ``{"trace_id", "span_id"}`` descriptors for sampled ones.  The
-worker runs those queries under standalone
-:class:`~repro.obs.trace.ActiveTrace` objects seeded with the propagated
-ids and ships the finished spans back under a ``"spans"`` reply key
-(per-index, durations plus offsets relative to the worker's root span);
-the front-end re-bases them onto its own ``worker.request`` span so the
-worker's kernel stages stitch into the frontend trace.  The ``"results"``
-key is computed and encoded exactly as before -- old front-ends simply
-never send ``"traces"``, old workers ignore the key, and byte-identity of
-responses is untouched either way.
-
-The worker is deliberately crash-oblivious: it holds no state the store
-cannot restore, so the front-end answers a dead worker by respawning it
-and retrying the (idempotent, read-only) request elsewhere.
+The process is deliberately crash-oblivious: it holds no state the store
+cannot restore, so a parent answers a dead one by respawning it
+(:class:`ReadProcess`) and retrying the (idempotent, read-only) request
+elsewhere.
 """
 
 from __future__ import annotations
@@ -51,14 +45,32 @@ import os
 import signal
 import socket
 import struct
+import subprocess
 import sys
-from typing import Dict, List, Optional
+import threading
+import time
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.trace import ActiveTrace
+from repro.core.pruning import InvalidQuerySequence
+from repro.obs.trace import ActiveTrace, Span, SpanContext
 from repro.server import protocol
 from repro.server.generation import GenerationStore
+from repro.storage.snapshot import SnapshotError
+from repro.traces.events import CellSequence, STCell
 
-__all__ = ["QueryWorker", "bad_request_reply", "main", "recv_frame", "send_frame"]
+__all__ = [
+    "QueryWorker",
+    "ReadProcess",
+    "bad_request_reply",
+    "begin_remote_spans",
+    "decode_sequence",
+    "encode_sequence",
+    "main",
+    "recv_frame",
+    "send_frame",
+    "stitch_spans",
+]
 
 #: Upper bound on one frame; far above any legal request
 #: (MAX_ITEMS_PER_REQUEST entities) and keeps a corrupt length prefix from
@@ -70,6 +82,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 MAX_ERROR_CHARS = 512
 
 _LENGTH = struct.Struct(">I")
+
+#: A Unix socket path, or a TCP ``(host, port)`` pair.
+Address = Union[str, Tuple[str, int]]
 
 
 def send_frame(connection: socket.socket, payload: Dict[str, object]) -> None:
@@ -107,47 +122,187 @@ def _recv_exactly(connection: socket.socket, count: int, eof_ok: bool) -> Option
     return b"".join(chunks)
 
 
+def encode_sequence(sequence: CellSequence) -> List[List[List[object]]]:
+    """``CellSequence`` -> JSON shape: per level, ``(time, unit)``-sorted pairs."""
+    return [
+        [[cell.time, cell.unit] for cell in sorted(level)]
+        for level in sequence.levels
+    ]
+
+
+def decode_sequence(payload: List[List[List[object]]]) -> CellSequence:
+    """Rebuild the :class:`CellSequence` encoded by :func:`encode_sequence`."""
+    return CellSequence(
+        levels=tuple(
+            frozenset(STCell(int(time), str(unit)) for time, unit in level)
+            for level in payload
+        )
+    )
+
+
+def _error_reply(exc: Exception, status: int) -> Dict[str, object]:
+    return {"error": f"{type(exc).__name__}: {exc}"[:MAX_ERROR_CHARS], "status": status}
+
+
 def bad_request_reply(exc: Exception) -> Dict[str, object]:
     """The reply frame for a request that could not be decoded: status 400."""
-    return {"error": f"{type(exc).__name__}: {exc}"[:MAX_ERROR_CHARS], "status": 400}
+    return _error_reply(exc, 400)
+
+
+# ----------------------------------------------------------------------
+# Trace propagation: the sending and the receiving half
+# ----------------------------------------------------------------------
+def begin_remote_spans(
+    traces: Sequence[Optional[SpanContext]], name: str, **attributes: object
+) -> Tuple[List[Optional[Span]], List[Optional[Dict[str, str]]]]:
+    """Open one ``name`` span per sampled query of a frame about to be sent.
+
+    Returns the spans (``None`` for unsampled queries) and the aligned
+    ``{"trace_id", "span_id"}`` descriptors to ship under the frame's
+    ``"traces"`` key, so the read process's spans hang under the
+    round-trip that produced them.
+    """
+    spans = [
+        trace.begin(name, **attributes) if trace is not None else None
+        for trace in traces
+    ]
+    descriptors = [
+        {"trace_id": trace.trace.trace_id, "span_id": span.span_id}
+        if span is not None
+        else None
+        for trace, span in zip(traces, spans)
+    ]
+    return spans, descriptors
+
+
+def stitch_spans(
+    reply: Dict[str, object],
+    traces: Sequence[Optional[SpanContext]],
+    spans: Sequence[Optional[Span]],
+) -> None:
+    """Re-base a reply's exported spans onto the round-trip spans; end those."""
+    exported = reply.get("spans")
+    exported = exported if isinstance(exported, dict) else {}
+    generation = reply.get("generation")
+    for index, (trace, span) in enumerate(zip(traces, spans)):
+        if trace is None or span is None:
+            continue
+        remote = exported.get(str(index))
+        if remote:
+            trace.trace.attach_remote(remote, anchor=span)
+        span.end(generation=generation)
 
 
 def _propagated_traces(
-    descriptors: object, num_entities: int
+    descriptors: object, num_queries: int, process: str
 ) -> List[Optional[ActiveTrace]]:
-    """Build standalone worker traces from the wire descriptors.
+    """Build standalone traces from a frame's ``"traces"`` descriptors.
 
-    Defensive by design: anything malformed -- not a list, misaligned with
-    ``entities``, entries that are neither ``None`` nor id-bearing dicts --
-    degrades to "untraced" rather than failing the query.  Tracing must
-    never change whether a request succeeds.
+    An absent key means nothing is sampled.  A present one is decoded like
+    every other field: a value that is not a list aligned with the
+    queries, or an entry that is neither ``None`` nor a pair of string
+    ids, raises (the caller answers 400).
     """
-    traces: List[Optional[ActiveTrace]] = [None] * num_entities
-    if not isinstance(descriptors, list) or len(descriptors) != num_entities:
-        return traces
-    for index, descriptor in enumerate(descriptors):
-        if not isinstance(descriptor, dict):
+    if descriptors is None:
+        return [None] * num_queries
+    if not isinstance(descriptors, list) or len(descriptors) != num_queries:
+        raise ValueError(f"'traces' must be a list of {num_queries} entries")
+    traces: List[Optional[ActiveTrace]] = []
+    for descriptor in descriptors:
+        if descriptor is None:
+            traces.append(None)
             continue
-        trace_id = descriptor.get("trace_id")
-        span_id = descriptor.get("span_id")
+        trace_id, span_id = descriptor["trace_id"], descriptor["span_id"]
         if not isinstance(trace_id, str) or not isinstance(span_id, str):
-            continue
-        traces[index] = ActiveTrace(
-            "worker.topk", trace_id=trace_id, parent_id=span_id, process="worker"
+            raise TypeError("'traces' ids must be strings")
+        traces.append(
+            ActiveTrace("worker.topk", trace_id=trace_id, parent_id=span_id, process=process)
         )
     return traces
 
 
-class QueryWorker:
-    """The worker loop: adopt generations, answer framed top-k requests."""
+class _ChaosFlags:
+    """In-memory fault-injection switches, mutated by the ``chaos`` op.
 
-    def __init__(self, store_root: str, socket_path: str, startup_timeout: float = 60.0) -> None:
+    ``delay`` (seconds to sleep before every reply), ``drop`` (tear down
+    the connection instead of answering, N times) and ``refuse`` (accept
+    and immediately close new connections) let the chaos battery script
+    slow replies, dropped sockets and refused connects against a *real*
+    serving process.  The flags default to off and exist only in memory;
+    a restarted process is always clean.
+    """
+
+    def __init__(self) -> None:
+        self.delay_seconds = 0.0
+        self.drop_requests = 0
+        self.refuse_connections = False
+        self._lock = threading.Lock()
+
+    def configure(self, request: Dict[str, object]) -> Dict[str, object]:
+        """Apply the flags ``request`` carries -- all of them or, when one
+        does not decode, none."""
+        delay = max(0.0, float(request["delay"])) if "delay" in request else None
+        drop = max(0, int(request["drop"])) if "drop" in request else None
+        with self._lock:
+            if delay is not None:
+                self.delay_seconds = delay
+            if drop is not None:
+                self.drop_requests = drop
+            if "refuse" in request:
+                self.refuse_connections = bool(request["refuse"])
+        return self.snapshot()
+
+    def snapshot(self) -> Dict[str, object]:
+        with self._lock:
+            return {
+                "delay": self.delay_seconds,
+                "drop": self.drop_requests,
+                "refuse": self.refuse_connections,
+            }
+
+    def should_refuse(self) -> bool:
+        with self._lock:
+            return self.refuse_connections
+
+    def reply_delay(self) -> float:
+        with self._lock:
+            return self.delay_seconds
+
+    def take_drop(self) -> bool:
+        """Consume one drop token: ``True`` means tear down this exchange."""
+        with self._lock:
+            if self.drop_requests > 0:
+                self.drop_requests -= 1
+                return True
+            return False
+
+
+class QueryWorker:
+    """The read-process loop: adopt generations, answer framed requests.
+
+    ``address`` is where to listen -- a Unix socket path, or a TCP
+    ``(host, port)`` pair (port ``0`` = ephemeral).  ``name`` is what the
+    process calls itself in ``status`` replies and on exported spans.
+    """
+
+    def __init__(
+        self,
+        store_root: str,
+        address: Address,
+        name: str = "worker",
+        startup_timeout: float = 60.0,
+    ) -> None:
         self.store = GenerationStore(store_root)
-        self.socket_path = socket_path
+        self.address = address
+        self.name = name
         self.startup_timeout = startup_timeout
         self.generation = 0
         self.engine = None
-        self._listener: Optional[socket.socket] = None
+        self.chaos = _ChaosFlags()
+        self.requests_handled = 0
+        #: Serialises generation adoption and searching: the engine object
+        #: is swapped on adoption, and searches mutate per-search caches.
+        self._engine_lock = threading.Lock()
         self._stopping = False
 
     # ------------------------------------------------------------------
@@ -156,9 +311,9 @@ class QueryWorker:
     def adopt_latest(self, timeout: float = 30.0) -> None:
         """Reload the engine iff a newer generation was published.
 
-        Called before computing every reply (the request-boundary adoption
-        the consistency model promises) and once at start-up; see
-        :meth:`GenerationStore.adopt`.
+        Called (under ``_engine_lock``) before computing every reply --
+        the request-boundary adoption the consistency model promises --
+        and once at start-up; see :meth:`GenerationStore.adopt`.
         """
         self.generation, self.engine = self.store.adopt(
             self.engine, self.generation, timeout
@@ -168,48 +323,114 @@ class QueryWorker:
     # Request handling
     # ------------------------------------------------------------------
     def handle(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Answer one decoded frame: ``ping`` or ``topk`` (adopting first)."""
+        """Answer one decoded frame (every op; see ``docs/SERVING.md``)."""
         operation = request.get("op")
         if operation == "ping":
             return {"ok": True, "generation": self.generation, "pid": os.getpid()}
-        if operation != "topk":
-            return {"error": f"unknown op {operation!r}", "status": 400}
+        if operation == "status":
+            return {
+                "ok": True,
+                "shard": self.name,
+                "generation": self.generation,
+                "pid": os.getpid(),
+                "requests_handled": self.requests_handled,
+                "chaos": self.chaos.snapshot(),
+            }
+        # The input boundary: every field an op reads off the wire is
+        # decoded here, before anything acts on it.
         try:
-            entities: List[str] = list(request["entities"])
-            k = int(request.get("k", 10))
-            approximation = float(request.get("approximation", 0.0))
+            if operation == "chaos":
+                return {"ok": True, "chaos": self.chaos.configure(request)}
+            if operation == "sync":
+                minimum = int(request.get("min_generation", 0))
+            elif operation == "topk":
+                if "entities" in request:
+                    entities: List[str] = list(request["entities"])
+                    sequences = None
+                elif "queries" in request:
+                    entities = [str(query["entity"]) for query in request["queries"]]
+                    sequences = [
+                        decode_sequence(query["sequence"]) for query in request["queries"]
+                    ]
+                else:
+                    raise KeyError("a topk frame needs 'entities' or 'queries'")
+                k = int(request.get("k", 10))
+                approximation = float(request.get("approximation", 0.0))
+                traces = _propagated_traces(request.get("traces"), len(entities), self.name)
+            else:
+                return {"error": f"unknown op {operation!r}", "status": 400}
         except (KeyError, TypeError, ValueError) as exc:
             return bad_request_reply(exc)
+        if operation == "sync":
+            return self._sync(minimum)
+        return self._topk(entities, sequences, k, approximation, traces)
+
+    def _sync(self, minimum: int) -> Dict[str, object]:
+        """Adopt the newest generation and say whether it reaches ``minimum``."""
+        with self._engine_lock:
+            try:
+                self.adopt_latest()
+            except SnapshotError as exc:
+                return {"ok": False, "generation": self.generation, "error": str(exc)}
+            return {"ok": self.generation >= minimum, "generation": self.generation}
+
+    def _topk(
+        self,
+        entities: List[str],
+        sequences: Optional[List[CellSequence]],
+        k: int,
+        approximation: float,
+        traces: List[Optional[ActiveTrace]],
+    ) -> Dict[str, object]:
+        """Adopt, then answer every query of one decoded ``topk`` frame.
+
+        ``sequences is None`` is the ``entities`` shape: the queries are
+        resolved against this process's dataset as one engine batch.
+        Otherwise each query runs on the sequence that was shipped with it.
+        """
         try:
-            active_traces = _propagated_traces(request.get("traces"), len(entities))
-            adopt_spans = [
-                trace.begin("worker.adopt") if trace is not None else None
-                for trace in active_traces
-            ]
-            self.adopt_latest()
-            for span in adopt_spans:
-                if span is not None:
-                    span.end(generation=self.generation)
-            contexts = None
-            if any(trace is not None for trace in active_traces):
-                contexts = [
-                    trace.context() if trace is not None else None
-                    for trace in active_traces
+            with self._engine_lock:
+                adopt_spans = [
+                    trace.begin("worker.adopt") for trace in traces if trace is not None
                 ]
-            results = self.engine.top_k_batch(
-                entities, k=k, approximation=approximation, traces=contexts
-            ).results
+                self.adopt_latest()
+                for span in adopt_spans:
+                    span.end(generation=self.generation)
+                contexts = [
+                    trace.context() if trace is not None else None for trace in traces
+                ]
+                if sequences is None:
+                    results = self.engine.top_k_batch(
+                        entities, k=k, approximation=approximation, traces=contexts
+                    ).results
+                else:
+                    results = [
+                        self.engine.searcher.search(
+                            entity,
+                            k,
+                            approximation=approximation,
+                            query_sequence=sequence,
+                            trace=context,
+                        )
+                        for entity, sequence, context in zip(entities, sequences, contexts)
+                    ]
+                generation = self.generation
+        except InvalidQuerySequence as exc:
+            return bad_request_reply(exc)
         except KeyError as exc:
-            return {"error": f"unknown entity {exc.args[0]!r}", "status": 404}
-        except Exception as exc:  # noqa: BLE001 - relayed to the front-end
-            return {"error": f"{type(exc).__name__}: {exc}", "status": 500}
+            return {
+                "error": f"unknown entity {exc.args[0]!r}"[:MAX_ERROR_CHARS],
+                "status": 404,
+            }
+        except Exception as exc:  # noqa: BLE001 - relayed to the parent
+            return _error_reply(exc, 500)
         reply: Dict[str, object] = {
-            "generation": self.generation,
+            "generation": generation,
             "results": [protocol.topk_result_payload(result) for result in results],
         }
         exported = {
             str(index): trace.export_spans()
-            for index, trace in enumerate(active_traces)
+            for index, trace in enumerate(traces)
             if trace is not None
         }
         if exported:
@@ -219,17 +440,36 @@ class QueryWorker:
     # ------------------------------------------------------------------
     # Serving loop
     # ------------------------------------------------------------------
-    def run(self) -> int:
-        """Load the initial generation, bind the socket, serve until SIGTERM."""
-        self.adopt_latest(timeout=self.startup_timeout)
-        try:
-            os.unlink(self.socket_path)
-        except FileNotFoundError:
-            pass
-        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        listener.bind(self.socket_path)
-        listener.listen(8)
-        self._listener = listener
+    def _bind(self, port_file: Optional[str]) -> socket.socket:
+        """The listening socket for ``address``; TCP records the bound port."""
+        if isinstance(self.address, str):
+            try:
+                os.unlink(self.address)
+            except FileNotFoundError:
+                pass
+            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            listener.bind(self.address)
+        else:
+            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind(tuple(self.address))
+            if port_file:
+                staged = Path(f"{port_file}.tmp")
+                staged.write_text(str(listener.getsockname()[1]), encoding="utf-8")
+                os.replace(staged, port_file)
+        listener.listen(16)
+        return listener
+
+    def run(self, port_file: Optional[str] = None) -> int:
+        """Load the initial generation, bind, serve until SIGTERM/SIGINT.
+
+        ``port_file`` (written atomically once a TCP listener is bound) is
+        how parents discover an ephemeral port: request port ``0``, read
+        the file.
+        """
+        with self._engine_lock:
+            self.adopt_latest(timeout=self.startup_timeout)
+        listener = self._bind(port_file)
 
         def request_stop(signum, frame) -> None:
             self._stopping = True
@@ -248,44 +488,139 @@ class QueryWorker:
                     connection, _ = listener.accept()
                 except OSError:
                     break  # listener closed by request_stop
-                with connection:
-                    self._serve_connection(connection)
+                if self.chaos.should_refuse():
+                    connection.close()
+                    continue
+                threading.Thread(
+                    target=self._serve_connection,
+                    args=(connection,),
+                    name=f"{self.name}-conn",
+                    daemon=True,
+                ).start()
         finally:
             try:
                 listener.close()
             except OSError:
                 pass
-            try:
-                os.unlink(self.socket_path)
-            except OSError:
-                pass
+            if isinstance(self.address, str):
+                try:
+                    os.unlink(self.address)
+                except OSError:
+                    pass
         return 0
 
     def _serve_connection(self, connection: socket.socket) -> None:
         """Answer frames until the peer disconnects (or we are stopping)."""
-        while not self._stopping:
-            try:
-                request = recv_frame(connection)
-            except (ConnectionError, OSError, ValueError):
-                return
-            if request is None:
-                return
-            reply = self.handle(request)
-            try:
-                send_frame(connection, reply)
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                return
+        with connection:
+            while not self._stopping:
+                try:
+                    request = recv_frame(connection)
+                except (ConnectionError, OSError, ValueError):
+                    return
+                if request is None:
+                    return
+                if self.chaos.take_drop():
+                    return  # injected fault: vanish instead of answering
+                delay = self.chaos.reply_delay()
+                if delay:
+                    time.sleep(delay)
+                reply = self.handle(request)
+                self.requests_handled += 1
+                try:
+                    send_frame(connection, reply)
+                except (BrokenPipeError, ConnectionResetError, OSError):
+                    return
+
+
+class ReadProcess:
+    """One read-process child, as its parent holds it: command, start, stop.
+
+    ``arguments`` are :func:`main`'s flags.  Both tiers' process owners
+    (the worker pool's handles, :class:`repro.cluster.supervisor.ManagedReplica`)
+    are subclasses, so the command line, the child's import path and the
+    SIGTERM-then-SIGKILL escalation exist once.
+    """
+
+    def __init__(self, arguments: Sequence[str]) -> None:
+        # Spawned via -c rather than -m: `python -m repro.server.workers`
+        # would import the repro.server package (which itself imports the
+        # workers module) before runpy re-executes it as __main__, tripping
+        # a double-import RuntimeWarning.  The command line still contains
+        # "repro.server.workers", so `pgrep -f` finds read processes.
+        self.command = [
+            sys.executable,
+            "-c",
+            "import sys; from repro.server.workers import main; sys.exit(main(sys.argv[1:]))",
+            *arguments,
+        ]
+        self._popen: Optional[subprocess.Popen] = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The child's process id (``None`` before the first start)."""
+        return self._popen.pid if self._popen is not None else None
+
+    @property
+    def returncode(self) -> Optional[int]:
+        """The child's exit status (``None`` while running or never started)."""
+        return self._popen.poll() if self._popen is not None else None
+
+    def alive(self) -> bool:
+        """Whether the child exists and has not exited."""
+        return self._popen is not None and self._popen.poll() is None
+
+    def start(self) -> None:
+        """Start the child, terminating a previous one first."""
+        self.terminate(timeout=5.0)
+        env = os.environ.copy()
+        # The child must import repro from the same tree as this process,
+        # installed or not, whatever put that tree on this process's path.
+        package_root = str(Path(__file__).resolve().parents[2])
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            package_root if not existing else package_root + os.pathsep + existing
+        )
+        self._popen = subprocess.Popen(self.command, env=env)
+
+    def terminate(self, timeout: float = 10.0) -> None:
+        """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""
+        if not self.alive():
+            return
+        self._popen.terminate()
+        try:
+            self._popen.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            self.kill()
+
+    def kill(self) -> None:
+        """SIGKILL and reap -- the chaos battery's crash primitive."""
+        if self.alive():
+            self._popen.kill()
+            self._popen.wait()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of the worker subprocess; returns the exit code."""
+    """Entry point of the read-process subprocess; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro.server.workers",
-        description="read-only query worker of the multi-process serving tier "
-        "(spawned by `repro serve --workers N`; not intended for direct use)",
+        description="one read process: a query worker of `repro serve --workers N` "
+        "(--socket) or a shard replica of `repro serve --cluster R` / "
+        "`repro cluster shard` (--host/--port)",
     )
     parser.add_argument("--store", required=True, help="generation store directory")
-    parser.add_argument("--socket", required=True, help="Unix socket path to serve on")
+    parser.add_argument(
+        "--socket", default=None, help="Unix socket path to serve on (else TCP)"
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral)")
+    parser.add_argument(
+        "--port-file",
+        default=None,
+        help="write the bound TCP port here (atomic) so parents can discover it",
+    )
+    parser.add_argument(
+        "--shard", default="worker", help="process name (for status and spans)"
+    )
     parser.add_argument(
         "--startup-timeout",
         type=float,
@@ -293,8 +628,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="seconds to wait for the first published generation",
     )
     args = parser.parse_args(argv)
-    worker = QueryWorker(args.store, args.socket, startup_timeout=args.startup_timeout)
-    return worker.run()
+    worker = QueryWorker(
+        args.store,
+        args.socket if args.socket else (args.host, args.port),
+        name=args.shard,
+        startup_timeout=args.startup_timeout,
+    )
+    return worker.run(port_file=args.port_file)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised as a subprocess

@@ -15,13 +15,19 @@ the chaos battery (``test_cluster_chaos.py``) and by
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.replica import (
     ClusterConfig,
@@ -29,14 +35,23 @@ from repro.cluster.replica import (
     ReplicaGroup,
     ShardUnavailable,
 )
-from repro.cluster.shard_server import ShardServer
 from repro.cluster.supervisor import ManagedReplica
-from repro.cluster.wire import decode_sequence, encode_sequence
+from repro.cluster.wire import one_shot_request
 from repro.obs.health import SUSPECT_THRESHOLD, NodeHealth
 from repro.server import protocol
+from repro.server.frontend import WorkerPool
 from repro.server.generation import GenerationStore
-from repro.server.workers import MAX_ERROR_CHARS, recv_frame, send_frame
+from repro.server.workers import (
+    MAX_ERROR_CHARS,
+    QueryWorker,
+    decode_sequence,
+    encode_sequence,
+    recv_frame,
+    send_frame,
+)
 from repro.service.partition import ConsistentHashPartitioner, make_partitioner
+
+_SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestConsistentHashRing:
@@ -165,7 +180,9 @@ class TestShardServerHandle:
     def shard_server(self, small_engine, tmp_path):
         store = GenerationStore(tmp_path / "shard-000")
         store.publish(small_engine)
-        return ShardServer(str(tmp_path / "shard-000"), shard="shard-000")
+        return QueryWorker(
+            str(tmp_path / "shard-000"), ("127.0.0.1", 0), name="shard-000"
+        )
 
     def test_ping_and_status(self, shard_server):
         ping = shard_server.handle({"op": "ping"})
@@ -225,9 +242,10 @@ class TestShardServerHandle:
 def test_live_shard_server_answers_malformed_topk_frames_with_400(
     small_engine, small_dataset, malformed_query_sequences, tmp_path
 ):
-    """The ``topk`` op is fed straight from the wire: every malformed frame
-    gets a bounded ``status: 400`` reply naming the defect, and the same
-    connection keeps serving the next well-formed frame."""
+    """Every op is fed straight from the wire: every malformed frame
+    (``topk``, its ``traces`` key, ``sync``, ``chaos``) gets a bounded
+    ``status: 400`` reply naming the defect, and the same connection keeps
+    serving the next well-formed frame."""
     GenerationStore(tmp_path / "shard-000").publish(small_engine)
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "shard-000", tmp_path / "run"
@@ -260,6 +278,16 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
                 ({**good, "k": "many"}, "many"),
                 ({**good, "approximation": [0.1]}, "list"),
                 ({**good, "k": "x" * 5000}, "invalid literal"),
+                ({"op": "topk", "k": 3}, "'entities' or 'queries'"),
+                ({**good, "traces": "all"}, "traces"),
+                ({**good, "traces": [None, None]}, "traces"),
+                ({**good, "traces": ["abc"]}, "TypeError"),
+                ({**good, "traces": [{"trace_id": "abc"}]}, "span_id"),
+                ({**good, "traces": [{"trace_id": "abc", "span_id": 7}]}, "strings"),
+                ({"op": "sync", "min_generation": "soon"}, "soon"),
+                ({"op": "sync", "min_generation": None}, "NoneType"),
+                ({"op": "chaos", "delay": "slow"}, "slow"),
+                ({"op": "chaos", "delay": 30.0, "drop": [1]}, "list"),
             ]
             for frame, message in malformed:
                 reply = exchange(frame)
@@ -267,9 +295,107 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
                 assert message in reply["error"]
                 assert len(reply["error"]) <= MAX_ERROR_CHARS
                 assert exchange(good)["results"] == expected
+            # A chaos frame that failed to decode applied none of its flags.
+            assert exchange({"op": "status"})["chaos"] == {
+                "delay": 0.0,
+                "drop": 0,
+                "refuse": False,
+            }
     finally:
         replica.terminate()
     assert not replica.alive()
+
+
+def test_both_tiers_spawn_from_a_parent_without_pythonpath(small_engine, tmp_path):
+    """The child gets the parent's import root from the spawn itself, not
+    from an inherited ``PYTHONPATH``: a parent that only has ``src`` on
+    ``sys.path`` brings up a worker-tier and a cluster-tier read process."""
+    GenerationStore(tmp_path / "store").publish(small_engine)
+    script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.cluster.supervisor import ManagedReplica
+from repro.cluster.wire import one_shot_request
+from repro.server.frontend import WorkerPool
+
+store, run_dir = sys.argv[2], sys.argv[3]
+pool = WorkerPool(store, 1)
+replica = ManagedReplica("shard-000", "shard-000-r0", store, run_dir)
+try:
+    pool.start()
+    worker = pool._handles[0].request({"op": "ping"})
+    shard = one_shot_request("127.0.0.1", replica.spawn(), {"op": "ping"})
+finally:
+    pool.close()
+    replica.terminate()
+print(json.dumps([worker["ok"], shard["ok"]]))
+"""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    completed = subprocess.run(
+        [sys.executable, "-c", script, _SRC_DIR, str(tmp_path / "store"), str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == [True, True]
+
+
+def test_one_read_process(small_engine, small_dataset, tmp_path):
+    """Both tiers run ``repro.server.workers`` and nothing else."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.cluster.shard_server")
+
+    GenerationStore(tmp_path / "store").publish(small_engine)
+    pool = WorkerPool(tmp_path / "store", 1)
+    replica = ManagedReplica(
+        "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
+    )
+    try:
+        pool.start()
+        port = replica.spawn()
+        for pid in (pool.worker_pids[0], replica.pid):
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
+            assert b"repro.server.workers" in cmdline, cmdline
+
+        # One process answers both frame shapes, identically.
+        by_entity = {"op": "topk", "entities": ["a"], "k": 3}
+        by_sequence = {
+            "op": "topk",
+            "queries": [
+                {
+                    "entity": "a",
+                    "sequence": encode_sequence(small_dataset.cell_sequence("a")),
+                }
+            ],
+            "k": 3,
+        }
+        for ask in (
+            pool._handles[0].request,
+            lambda frame: one_shot_request("127.0.0.1", port, frame),
+        ):
+            first, second = ask(by_entity), ask(by_sequence)
+            assert "error" not in first and "error" not in second
+            assert first["results"] == second["results"]
+    finally:
+        pool.close()
+        replica.terminate()
+
+    # A read process never imports the cluster package.
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.server.workers; "
+            "print([name for name in sys.modules if name.startswith('repro.cluster')])",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC_DIR},
+        check=True,
+    ).stdout
+    assert loaded.strip() == "[]"
 
 
 # ----------------------------------------------------------------------
@@ -423,12 +549,16 @@ class TestReplicaGroup:
 
 
 def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measure):
-    """A sampled cluster request carries the shared edge's spans.
+    """A sampled cluster request carries the shared edge's spans -- and the
+    shard processes' own.
 
     The cluster tier is the one ``TraceServer`` with a fleet plugged in, so
     its ``request.topk`` root has the ``batch``/``queries`` attributes and
     the ``coalesce.wait`` / ``coalesce.dispatch`` children the in-process
-    and worker tiers have (shard-side spans are a later issue).
+    and worker tiers have.  Under ``coalesce.dispatch`` hangs one
+    ``shard.request`` per shard group, and under each the answering read
+    process's ``worker.topk`` with its adoption and kernel stages, labelled
+    with the replica's name.  Sampling never changes the body.
     """
     from repro.cluster.frontend import cluster_tier
     from repro.server.app import TraceServer
@@ -449,12 +579,32 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
         status, payload = server.handle_topk({"entity": "a", "k": 2})
         assert status == 200, payload
         _, slow = server.handle_debug_slow()
+        server.tracer.sample_rate = 0.0
+        untraced_status, untraced = server.handle_topk({"entity": "a", "k": 2})
     finally:
         server.close()
+    assert untraced_status == 200
+    assert protocol.dumps(payload) == protocol.dumps(untraced)
     (root,) = [record["spans"][0] for record in slow["slowest"]]
     assert root["name"] == "request.topk"
     assert root["attributes"]["batch"] is False
     assert root["attributes"]["queries"] == 1
-    children = [child["name"] for child in root["children"]]
+    children = {child["name"]: child for child in root["children"]}
     assert "coalesce.wait" in children
     assert "coalesce.dispatch" in children
+    shard_requests = children["coalesce.dispatch"]["children"]
+    assert [span["name"] for span in shard_requests] == ["shard.request"] * 2
+    assert sorted(span["attributes"]["shard"] for span in shard_requests) == [
+        "shard-000",
+        "shard-001",
+    ]
+    for shard_request in shard_requests:
+        assert shard_request["process"] == "server"
+        assert shard_request["attributes"]["generation"] == 1
+        (remote,) = shard_request["children"]
+        assert remote["name"] == "worker.topk"
+        assert remote["process"] == shard_request["attributes"]["shard"] + "-r0"
+        stages = [child["name"] for child in remote["children"]]
+        assert stages[0] == "worker.adopt"
+        assert any(name.startswith("kernel.") for name in stages[1:])
+        assert all(child["process"] == remote["process"] for child in remote["children"])

@@ -4,6 +4,7 @@ metrics, the transport-free TraceServer core, the HTTP layer, and the
 
 import http.client
 import json
+import math
 import socket
 import threading
 import time
@@ -200,6 +201,14 @@ class TestMetrics:
         assert snapshot["buckets"]["le_inf"] == 1
         assert snapshot["max_seconds"] == pytest.approx(99.0)
         assert len(snapshot["buckets"]) == len(LATENCY_BUCKETS) + 1
+        # Every edge: an observation equal to it is the last one its bucket
+        # admits (first edge with seconds <= edge), the next float up
+        # already belongs to the following bucket.
+        for index, edge in enumerate(LATENCY_BUCKETS):
+            for seconds, expected in ((edge, index), (math.nextafter(edge, math.inf), index + 1)):
+                histogram = LatencyHistogram()
+                histogram.observe(seconds)
+                assert histogram.bucket_counts.index(1) == expected, (seconds, expected)
 
     def test_four_millisecond_observation_lands_in_the_5ms_bucket(self):
         # Regression for the ms/seconds unit seam: observe() takes seconds

@@ -41,7 +41,7 @@ def test_crash_looping_worker_counts_a_storm_and_pool_keeps_answering(
     try:
         victim = pool._handles[0]
         # Every future revival of this slot dies before binding its socket.
-        victim._spawn_command = [sys.executable, "-c", "import sys; sys.exit(3)"]
+        victim.command = [sys.executable, "-c", "import sys; sys.exit(3)"]
         assert victim.pid is not None
         os.kill(victim.pid, signal.SIGKILL)
 
