@@ -1,9 +1,15 @@
 """Figure 7.6 -- search time vs memory size.
 
-Simulated search time for Top-1/10/50 queries as the buffer pool grows from
-10% to 100% of the data, with entity records laid out in MinSigTree leaf
-order.  The paper's shape to reproduce: search time decreases (super-linearly
-at first) as the memory fraction grows, then flattens around 40-50%.
+Simulated search time for Top-1/10/50 queries as an LRU page pool grows
+from 10% to 100% of the index that serves: the compiled membership CSR
+(``ColumnarTree.member_indices``, entities in MinSigTree leaf order -- the
+bytes a worker maps from ``columnar.npz``) cut into 4 KiB pages.  Each query
+runs once through the oracle ``reference_search`` (Algorithm 2's
+fetch-on-visit); the pages of every scored entity's row form one trace,
+replayed at each memory fraction at 4.0 ms a miss and 0.01 ms a hit.  The
+paper's shape to reproduce: search time decreases as the memory fraction
+grows.  What the serving kernel itself reads per query (every page) is in
+docs/PERFORMANCE.md, "What one query reads".
 """
 
 from repro.experiments import figures

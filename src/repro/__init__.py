@@ -21,7 +21,7 @@ from repro.core.engine import EngineConfig, ExpiryReport, TraceQueryEngine
 from repro.core.hashing import HierarchicalHashFamily
 from repro.core.join import association_graph, mutual_top_k_pairs, top_k_join
 from repro.core.minsigtree import MinSigTree
-from repro.core.query import BatchTopKExecutor, BatchTopKResult, TopKResult, TopKSearcher
+from repro.core.query import BatchTopKResult, TopKResult, TopKSearcher
 from repro.core.signatures import SignatureComputer
 from repro.service import (
     HashPartitioner,
@@ -56,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationMeasure",
-    "BatchTopKExecutor",
     "BatchTopKResult",
     "CellSequence",
     "DiceADM",

@@ -10,12 +10,11 @@ the natural reference point for speed-up measurements.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.core.query import QueryStats, TopKResult, _ReverseOrderStr
 from repro.measures.base import AssociationMeasure
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence
 
 __all__ = ["BruteForceTopK"]
 
@@ -61,7 +60,6 @@ class BruteForceTopK:
         query_entity: str,
         k: int,
         candidates: Optional[Iterable[str]] = None,
-        sequence_fetcher: Optional[Callable[[str], CellSequence]] = None,
     ) -> TopKResult:
         """Return the exact top-k associates of ``query_entity``.
 
@@ -73,7 +71,7 @@ class BruteForceTopK:
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        fetch = sequence_fetcher or self.dataset.cell_sequence
+        fetch = self.dataset.cell_sequence
         query_sequence = self.dataset.cell_sequence(query_entity)
         stats = QueryStats(population=self.dataset.num_entities, k=k)
 

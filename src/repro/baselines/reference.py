@@ -7,6 +7,15 @@ equivalence suites pin it against -- one ``PruningState.refine`` +
 ``measure.score`` per candidate, straight from the paper's pseudocode.  It
 must return the same items, ordering and :class:`QueryStats` bit for bit.
 
+It is also the one holder of the fetch-on-visit hook: ``sequence_fetcher``
+is called once per scored candidate, in visit order, which is what the
+paper's cost analysis (Section 4.3) charges I/O for.  The kernel has no
+such hook because it never fetches per candidate -- one query reads the
+whole compiled index (docs/PERFORMANCE.md, "What one query reads") --
+and an answer that depends on caller state could not be cached or stamped
+with a generation.  Figure 7.6
+(:func:`repro.experiments.figures.figure_7_6`) records page ids through it.
+
 An oracle, not a serving path: nothing under ``repro.core``,
 ``repro.service``, ``repro.server``, ``repro.cluster``, ``repro.streaming``
 or the CLI may import it.
@@ -20,16 +29,12 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core.minsigtree import MinSigTreeNode
 from repro.core.pruning import PruningState, QueryHashes, upper_bound
-from repro.core.query import (
-    QueryStats,
-    SequenceFetcher,
-    TopKResult,
-    TopKSearcher,
-    _ReverseOrderStr,
-)
+from repro.core.query import QueryStats, TopKResult, TopKSearcher, _ReverseOrderStr
 from repro.traces.events import CellSequence
 
 __all__ = ["reference_search"]
+
+SequenceFetcher = Callable[[str], CellSequence]
 
 
 def reference_search(
@@ -47,7 +52,10 @@ def reference_search(
     Reads the searcher's tree, dataset, measure, hash family, bound mode and
     full-signature setting, so the answer is comparable with the kernel's
     for the same index state; the keyword arguments mean what they mean on
-    :meth:`~repro.core.query.TopKSearcher.search`.
+    :meth:`~repro.core.query.TopKSearcher.search`, except
+    ``sequence_fetcher``, which only this function has: it replaces
+    ``dataset.cell_sequence`` as the source of each scored candidate's
+    sequence (see the module docstring).
     """
     fetch = sequence_fetcher or searcher.dataset.cell_sequence
     if query_sequence is None:

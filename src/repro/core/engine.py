@@ -22,10 +22,10 @@ Typical usage::
 Index construction routes signatures through the vectorised bulk pipeline
 (bitwise-identical to per-entity :meth:`SignatureComputer.signature_matrix`
 calls, the oracle its tests compare against), and batched queries --
-:meth:`TraceQueryEngine.top_k_many` / :meth:`TraceQueryEngine.top_k_batch`
--- run through the :class:`~repro.core.query.BatchTopKExecutor`, which
-shares query-cell hashing across the batch and can fan out over worker
-threads (``EngineConfig.batch_workers``).
+:meth:`TraceQueryEngine.top_k_batch` -- run through
+:func:`~repro.core.query.run_query_batch`, which shares query-cell hashing
+across the batch and can fan out over worker threads
+(``EngineConfig.batch_workers``).
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ import numpy as np
 
 from repro.core.hashing import HierarchicalHashFamily
 from repro.core.minsigtree import MinSigTree
-from repro.core.query import (
-    BatchTopKExecutor,
-    BatchTopKResult,
-    SequenceFetcher,
-    TopKResult,
-    TopKSearcher,
-)
+from repro.core.query import BatchTopKResult, TopKResult, TopKSearcher, run_query_batch
 from repro.core.signatures import SignatureComputer
 from repro.measures.adm import HierarchicalADM
 from repro.obs.trace import SpanContext
@@ -131,9 +125,9 @@ class EngineConfig:
         ``"per_level"`` (strictly admissible, looser); see
         :func:`repro.core.pruning.upper_bound`.
     batch_workers:
-        Default thread-pool size for :meth:`TraceQueryEngine.top_k_many` /
-        :meth:`TraceQueryEngine.top_k_batch` fan-out.  ``0`` (default) runs
-        batches serially in the calling thread.
+        Default thread-pool size for :meth:`TraceQueryEngine.top_k_batch`
+        fan-out.  ``0`` (default) runs batches serially in the calling
+        thread.
     query_cache_size:
         Maximum number of :meth:`TraceQueryEngine.top_k` results kept in the
         engine's LRU query cache (``0``, the default, disables caching).
@@ -463,7 +457,6 @@ class TraceQueryEngine:
         self,
         query_entity: str,
         k: int = 10,
-        sequence_fetcher: Optional[SequenceFetcher] = None,
         approximation: float = 0.0,
         trace: Optional[SpanContext] = None,
     ) -> TopKResult:
@@ -473,15 +466,14 @@ class TraceQueryEngine:
         guarantee (see :meth:`repro.core.query.TopKSearcher.search`).
 
         With ``EngineConfig.query_cache_size > 0`` repeated queries are
-        served from an LRU cache (custom ``sequence_fetcher`` calls bypass
-        it -- the fetcher may have side effects the caller wants).
+        served from an LRU cache.
 
         ``trace`` (a :class:`repro.obs.trace.SpanContext`, default
         ``None``) attaches cache-lookup and kernel-stage spans to the
         query; it never changes the result.
         """
         cache = self._query_cache
-        if cache is not None and sequence_fetcher is None:
+        if cache is not None:
             key = self._query_cache_key(query_entity, k, approximation)
             if trace is None:
                 return cache.fetch_or_compute(
@@ -501,11 +493,7 @@ class TraceQueryEngine:
             cache.put(key, result.copy())
             return result
         return self.searcher.search(
-            query_entity,
-            k,
-            sequence_fetcher=sequence_fetcher,
-            approximation=approximation,
-            trace=trace,
+            query_entity, k, approximation=approximation, trace=trace
         )
 
     def _query_cache_key(self, query_entity: str, k: int, approximation: float) -> tuple:
@@ -541,21 +529,6 @@ class TraceQueryEngine:
         if self._query_cache is not None:
             self._query_cache.clear()
 
-    def top_k_many(
-        self,
-        query_entities: Sequence[str],
-        k: int = 10,
-        workers: Optional[int] = None,
-    ) -> List[TopKResult]:
-        """Answer one top-k query per query entity (order preserved).
-
-        Routed through the :class:`BatchTopKExecutor`, so the union of query
-        cells is hashed once and -- when ``workers`` (or the config's
-        ``batch_workers``) exceeds 1 -- queries fan out over a thread pool.
-        Results are identical to calling :meth:`top_k` per entity.
-        """
-        return self.top_k_batch(query_entities, k, workers=workers).results
-
     def top_k_batch(
         self,
         query_entities: Sequence[str],
@@ -566,19 +539,36 @@ class TraceQueryEngine:
     ) -> BatchTopKResult:
         """Answer a batch of top-k queries and return the aggregate report.
 
-        With the query cache enabled, queries already cached are served from
-        it and only the misses run through the batch executor -- the same
+        The union of the queries' ST-cells is hashed once and -- when
+        ``workers`` (or the config's ``batch_workers``) exceeds 1 -- queries
+        fan out over a thread pool; results are identical to calling
+        :meth:`top_k` per entity.  With the query cache enabled, queries
+        already cached are served from it and only the misses run -- the same
         semantics :meth:`top_k` has, so single and batched serving paths hit
         the same cache.
 
         ``traces`` is aligned with ``query_entities``; non-``None`` entries
         receive per-query cache/kernel spans.  Results are unaffected.
         """
+        searcher = self.searcher
+
+        def run(
+            entities: Sequence[str], entity_traces: Optional[Sequence[Optional[SpanContext]]]
+        ) -> BatchTopKResult:
+            return run_query_batch(
+                lambda entity, trace: searcher.search(
+                    entity, k, approximation=approximation, trace=trace
+                ),
+                entities,
+                self.dataset,
+                searcher.hash_family,
+                self.config.batch_workers if workers is None else int(workers),
+                entity_traces,
+            )
+
         cache = self._query_cache
         if cache is None:
-            return self.batch_executor(workers=workers).run(
-                query_entities, k, approximation=approximation, traces=traces
-            )
+            return run(query_entities, traces)
         started = time.perf_counter()
         results: List[Optional[TopKResult]] = []
         miss_positions: List[int] = []
@@ -601,9 +591,7 @@ class TraceQueryEngine:
                 if traces is not None
                 else None
             )
-            batch = self.batch_executor(workers=workers).run(
-                missing, k, approximation=approximation, traces=miss_traces
-            )
+            batch = run(missing, miss_traces)
             for position, result in zip(miss_positions, batch.results):
                 results[position] = result
                 cache.put(
@@ -621,11 +609,6 @@ class TraceQueryEngine:
             workers=workers_used,
             warmed_cells=warmed,
         )
-
-    def batch_executor(self, workers: Optional[int] = None) -> BatchTopKExecutor:
-        """A :class:`BatchTopKExecutor` bound to the current index."""
-        effective = self.config.batch_workers if workers is None else int(workers)
-        return BatchTopKExecutor(self.searcher, workers=effective)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (Section 4.2.3)

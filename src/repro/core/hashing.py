@@ -383,7 +383,7 @@ class HierarchicalHashFamily:
     def warm_cache(self, cells: Iterable[STCell]) -> int:
         """Bulk-hash ``cells`` into the per-cell cache; returns how many were new.
 
-        Used by the batch query executor: the union of every query entity's
+        Used by the batch query loop: the union of every query entity's
         cells is hashed once with the vectorised kernel, so individual
         searches then hit the cache instead of hashing cell by cell.
         """

@@ -448,8 +448,9 @@ class MinSigTree:
     def leaf_order(self) -> Dict[str, int]:
         """Position of every entity when leaves are laid out in DFS order.
 
-        This is the physical layout used by the disk-backed store in the
-        memory-size experiment (closely associated entities end up adjacent).
+        Closely associated entities end up adjacent.  A structural probe:
+        the snapshot and bulk-equivalence suites compare it across rebuilds
+        (the layout queries read is ``ColumnarTree.entity_order``).
         """
         order: Dict[str, int] = {}
         position = 0

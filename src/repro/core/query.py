@@ -13,8 +13,8 @@ the same algorithm lives in :func:`repro.baselines.reference_search` as the
 oracle the equivalence suites compare against.
 
 Batched execution is a first-class API: :func:`run_query_batch` (behind
-:class:`BatchTopKExecutor` and the sharded engine) answers many queries over
-one index, pre-hashing the union of all query cells with the vectorised bulk
+both engines' ``top_k_batch``) answers many queries over one index,
+pre-hashing the union of all query cells with the vectorised bulk
 kernel (so overlapping query footprints are hashed once) and optionally
 fanning queries out over a ``concurrent.futures`` thread pool.  Results are
 guaranteed identical -- including tie-breaks -- to running
@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, MutableMapping, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.columnar import ColumnarQueryContext, ColumnarTree
 from repro.core.minsigtree import MinSigTree
@@ -42,7 +42,6 @@ from repro.traces.dataset import TraceDataset
 from repro.traces.events import CellSequence
 
 __all__ = [
-    "BatchTopKExecutor",
     "BatchTopKResult",
     "QueryStats",
     "TopKResult",
@@ -50,8 +49,6 @@ __all__ = [
     "fan_out_queries",
     "run_query_batch",
 ]
-
-SequenceFetcher = Callable[[str], CellSequence]
 
 
 def fan_out_queries(
@@ -208,8 +205,9 @@ class TopKSearcher:
     tree:
         The MinSigTree indexing every candidate entity.
     dataset:
-        The trace dataset; used (by default) to fetch candidate cell
-        sequences for exact scoring and to size the population statistics.
+        The trace dataset; its cells are compiled into the kernel's
+        membership arrays for exact scoring, and it supplies the query
+        entity's sequence and the population statistics.
     measure:
         The association degree measure; must satisfy the Section 3.2
         properties for the bounds to be admissible.
@@ -234,8 +232,8 @@ class TopKSearcher:
 
     The engine facade constructs one searcher per built index
     (``engine.searcher``); use it directly when you need the knobs
-    :meth:`search` exposes beyond ``TraceQueryEngine.top_k`` -- candidate
-    filters, custom sequence fetchers, or a pre-fetched query sequence.
+    :meth:`search` exposes beyond ``TraceQueryEngine.top_k`` -- a candidate
+    filter or a pre-fetched query sequence.
 
     Example
     -------
@@ -368,14 +366,18 @@ class TopKSearcher:
         self,
         query_entity: str,
         k: int,
-        sequence_fetcher: Optional[SequenceFetcher] = None,
         candidate_filter: Optional[Callable[[str], bool]] = None,
         approximation: float = 0.0,
         query_sequence: Optional[CellSequence] = None,
-        fetch_cache: Optional[MutableMapping[str, CellSequence]] = None,
         trace: Optional[SpanContext] = None,
     ) -> TopKResult:
         """Answer a top-k query (Algorithm 2).
+
+        The best-first loop of the paper's pseudocode, but every node's
+        Theorem 4 bound is computed in one whole-tree vectorised pass up
+        front, and candidate scores come from one whole-dataset
+        sparse-intersection pass evaluated lazily at the first leaf visit.
+        The loop itself touches only plain Python floats.
 
         Parameters
         ----------
@@ -385,10 +387,6 @@ class TopKSearcher:
             ``query_sequence`` is supplied.
         k:
             Number of results requested (``1 <= k < |E|``).
-        sequence_fetcher:
-            Optional override used to fetch candidate cell sequences; the
-            disk-backed store passes an accounting fetcher here so that the
-            memory-size experiment can charge I/O for every scored entity.
         candidate_filter:
             Optional predicate; entities for which it returns ``False`` are
             skipped (used by tests and by incremental-maintenance tooling).
@@ -404,22 +402,14 @@ class TopKSearcher:
             A sharded deployment passes this so that shards can answer
             queries about entities that live in *other* shards' datasets;
             by default the sequence comes from this searcher's dataset.
-        fetch_cache:
-            Optional mutable mapping memoising ``sequence_fetcher`` results
-            by entity.  A custom fetcher is always memoised for the duration
-            of one search; passing an explicit cache shares the memo across
-            several searches (``search_many`` and the batch executor do
-            this), so one batch fetches each candidate's sequence at most
-            once however many queries visit its leaf.  Ignored without a
-            custom fetcher -- the dataset's own sequence cache already
-            deduplicates fetches.
         trace:
             Optional :class:`repro.obs.trace.SpanContext`.  When given, the
-            search emits kernel-stage spans (``kernel.bounds``,
-            ``kernel.traverse``, ``kernel.scores``, ``kernel.merge``) with
-            the pruning counters attached as attributes.  Tracing never
-            changes results -- ``None`` (the default) costs one ``is None``
-            check per stage.
+            search emits kernel-stage spans -- ``kernel.bounds`` (whole-tree
+            bound pass), ``kernel.traverse`` (the best-first loop),
+            ``kernel.scores`` (lazy leaf scoring) and ``kernel.merge``
+            (final ranking) -- with the pruning counters attached as
+            attributes.  Tracing never changes results -- ``None`` (the
+            default) costs one ``is None`` check per stage.
 
         Returns
         -------
@@ -437,70 +427,12 @@ class TopKSearcher:
             raise ValueError(f"k must be >= 1, got {k}")
         if approximation < 0.0:
             raise ValueError(f"approximation slack must be >= 0, got {approximation}")
-        if sequence_fetcher is None:
-            fetch = self.dataset.cell_sequence
-        else:
-            memo = fetch_cache if fetch_cache is not None else {}
-
-            def fetch(
-                entity: str,
-                _memo: MutableMapping[str, CellSequence] = memo,
-                _fetch: SequenceFetcher = sequence_fetcher,
-            ) -> CellSequence:
-                sequence = _memo.get(entity)
-                if sequence is None:
-                    sequence = _fetch(entity)
-                    _memo[entity] = sequence
-                return sequence
-
         if query_sequence is None:
             query_sequence = self.dataset.cell_sequence(query_entity)
         query_hashes = QueryHashes.from_sequence(query_sequence, self.hash_family)
         stats = QueryStats(population=self.dataset.num_entities, k=k)
+        compiled = self.compiled_tree()
 
-        return self._search_columnar(
-            self.compiled_tree(),
-            query_entity,
-            k,
-            fetch,
-            sequence_fetcher is not None,
-            candidate_filter,
-            approximation,
-            query_sequence,
-            query_hashes,
-            stats,
-            trace,
-        )
-
-    def _search_columnar(
-        self,
-        compiled: ColumnarTree,
-        query_entity: str,
-        k: int,
-        fetch: SequenceFetcher,
-        custom_fetch: bool,
-        candidate_filter: Optional[Callable[[str], bool]],
-        approximation: float,
-        query_sequence: CellSequence,
-        query_hashes: QueryHashes,
-        stats: QueryStats,
-        trace: Optional[SpanContext] = None,
-    ) -> TopKResult:
-        """The columnar Algorithm 2 traversal (vectorised).
-
-        The best-first loop of the paper's pseudocode, but every node's
-        Theorem 4 bound is computed in one whole-tree vectorised pass up
-        front, and candidate scores come from one whole-dataset
-        sparse-intersection pass evaluated lazily at the first leaf visit
-        (unless a custom ``sequence_fetcher`` overrides candidate
-        sequences, in which case leaf scoring stays per-entity).  The loop
-        itself touches only plain Python floats.
-
-        When traced, the three vectorised stages get their own spans:
-        ``kernel.bounds`` (whole-tree bound pass), ``kernel.traverse``
-        (the best-first loop), ``kernel.scores`` (lazy leaf scoring) and
-        ``kernel.merge`` (final ranking).
-        """
         bounds_span = trace.begin("kernel.bounds") if trace is not None else None
         context = ColumnarQueryContext(
             compiled,
@@ -555,10 +487,9 @@ class TopKSearcher:
                 continue
 
             # Leaf: candidate scores come from the lazily precomputed
-            # whole-dataset vector (unless a custom fetcher overrides the
-            # candidate sequences).
+            # whole-dataset vector.
             stats.leaves_visited += 1
-            if scores is None and not custom_fetch:
+            if scores is None:
                 if trace is None:
                     scores = context.entity_scores()
                 else:
@@ -571,10 +502,7 @@ class TopKSearcher:
                     continue
                 if candidate_filter is not None and not candidate_filter(entity):
                     continue
-                if custom_fetch:
-                    score = self.measure.score(fetch(entity), query_sequence)
-                else:
-                    score = scores[slot]
+                score = scores[slot]
                 stats.entities_scored += 1
                 if score <= 0.0:
                     continue
@@ -596,45 +524,13 @@ class TopKSearcher:
             merge_span.end(results=len(pairs))
         return TopKResult(query_entity=query_entity, items=pairs, stats=stats)
 
-    # ------------------------------------------------------------------
-    def search_many(
-        self,
-        query_entities: Sequence[str],
-        k: int,
-        sequence_fetcher: Optional[SequenceFetcher] = None,
-        candidate_filter: Optional[Callable[[str], bool]] = None,
-        approximation: float = 0.0,
-    ) -> List[TopKResult]:
-        """Answer one top-k query per entity in ``query_entities``.
-
-        Every knob of :meth:`search` that shapes results is passed through
-        (``candidate_filter`` and ``approximation`` included), so a batch is
-        always equivalent to the corresponding serial single-query calls.
-        A custom ``sequence_fetcher`` is memoised *across* the whole batch:
-        a candidate visited by several queries is fetched once.
-        """
-        shared_cache: Optional[MutableMapping[str, CellSequence]] = (
-            {} if sequence_fetcher is not None else None
-        )
-        return [
-            self.search(
-                entity,
-                k,
-                sequence_fetcher=sequence_fetcher,
-                candidate_filter=candidate_filter,
-                approximation=approximation,
-                fetch_cache=shared_cache,
-            )
-            for entity in query_entities
-        ]
-
 
 @dataclass
 class BatchTopKResult:
     """The outcome of one batch of top-k queries, plus aggregate statistics.
 
     ``results`` is aligned with the query order given to
-    :meth:`BatchTopKExecutor.run`; the per-query :class:`QueryStats` live on
+    :func:`run_query_batch`; the per-query :class:`QueryStats` live on
     each result, and this wrapper aggregates them into the batch-level
     numbers the CLI and benchmarks report.
     """
@@ -693,10 +589,9 @@ def run_query_batch(
 ) -> BatchTopKResult:
     """Answer every query through ``search_one(entity, trace)``, in order.
 
-    The one batch loop behind :meth:`BatchTopKExecutor.run` and the sharded
-    engine's ``top_k_batch``: the union of every query entity's ST-cells
-    (read from ``dataset``) is hashed into ``hash_family``'s shared cell
-    cache with one bulk kernel call
+    The one batch loop behind both engines' ``top_k_batch``: the union of
+    every query entity's ST-cells (read from ``dataset``) is hashed into
+    ``hash_family``'s shared cell cache with one bulk kernel call
     (:meth:`HierarchicalHashFamily.warm_cache`), so cells shared between
     queries -- or with earlier batches -- are never hashed twice; then the
     queries fan out over ``workers`` threads (:func:`fan_out_queries`).
@@ -721,69 +616,3 @@ def run_query_batch(
         workers=workers,
         warmed_cells=warmed,
     )
-
-
-class BatchTopKExecutor:
-    """Answers many top-k queries over one index with shared work.
-
-    Parameters
-    ----------
-    searcher:
-        The :class:`TopKSearcher` bound to the index being queried.
-    workers:
-        Thread-pool size for query fan-out.  ``0`` or ``1`` runs serially in
-        the calling thread; larger values use ``concurrent.futures``.
-        Results are identical regardless -- each query's best-first search is
-        independent, so fan-out only changes wall-clock time.
-
-    The batch loop itself (query-cell pre-hashing, fan-out) is
-    :func:`run_query_batch`; the executor binds it to one searcher.
-    """
-
-    def __init__(self, searcher: TopKSearcher, workers: int = 0) -> None:
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        self.searcher = searcher
-        self.workers = int(workers)
-
-    def run(
-        self,
-        query_entities: Sequence[str],
-        k: int,
-        sequence_fetcher: Optional[SequenceFetcher] = None,
-        approximation: float = 0.0,
-        workers: Optional[int] = None,
-        traces: Optional[Sequence[Optional[SpanContext]]] = None,
-    ) -> BatchTopKResult:
-        """Answer every query in ``query_entities``, preserving their order.
-
-        ``traces``, when given, is aligned with ``query_entities``: each
-        non-``None`` entry receives that query's kernel-stage spans.
-        Tracing never changes results or execution order.
-        """
-        # One fetch memo for the whole batch: a candidate whose leaf several
-        # queries visit is fetched once, not once per query.  Plain-dict
-        # access is atomic under the GIL; a rare race only duplicates a
-        # fetch, never corrupts a result.
-        shared_fetch_cache: Optional[MutableMapping[str, CellSequence]] = (
-            {} if sequence_fetcher is not None else None
-        )
-
-        def search_one(entity: str, trace: Optional[SpanContext]) -> TopKResult:
-            return self.searcher.search(
-                entity,
-                k,
-                sequence_fetcher=sequence_fetcher,
-                approximation=approximation,
-                fetch_cache=shared_fetch_cache,
-                trace=trace,
-            )
-
-        return run_query_batch(
-            search_one,
-            query_entities,
-            self.searcher.dataset,
-            self.searcher.hash_family,
-            self.workers if workers is None else int(workers),
-            traces,
-        )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.distribution import adm_histogram, ajpi_duration_histogram, ajpi_entity_counts
@@ -21,15 +22,15 @@ from repro.analysis.pe import measure_pruning_effectiveness
 from repro.analysis.pruning_model import PruningModel, PruningModelParams
 from repro.baselines.brute_force import BruteForceTopK
 from repro.baselines.cluster_bitmap import ClusterBitmapIndex
+from repro.baselines.reference import reference_search
 from repro.core.engine import TraceQueryEngine
 from repro.core.query import TopKSearcher
 from repro.experiments.harness import ExperimentResult, Scale, resolve_scale
 from repro.experiments.workloads import sample_queries, syn_workload, wifi_workload
 from repro.measures.adm import HierarchicalADM
 from repro.mobility.im_model import IMModelParams
-from repro.storage.trace_store import DiskBackedTraceStore
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import PresenceInstance
+from repro.traces.events import CellSequence, PresenceInstance
 
 __all__ = [
     "figure_7_1",
@@ -330,34 +331,107 @@ def figure_7_5(
 # ----------------------------------------------------------------------
 # Figure 7.6 -- search time vs memory size
 # ----------------------------------------------------------------------
+# Simulated cost of one page access, in milliseconds: a read that misses the
+# LRU (a few ms -- the spinning-disk-backed volume regime the paper's
+# experiment explores) against one served from memory.
+PAGE_MISS_MS = 4.0
+PAGE_HIT_MS = 0.01
+PAGE_BYTES = 4096
+
+
+def _lru_misses(page_trace: Sequence[int], capacity: int) -> int:
+    """Misses of ``page_trace`` replayed through a cold ``capacity``-page LRU."""
+    resident: "OrderedDict[int, None]" = OrderedDict()
+    misses = 0
+    for page in page_trace:
+        if page in resident:
+            resident.move_to_end(page)
+            continue
+        misses += 1
+        resident[page] = None
+        if len(resident) > capacity:
+            resident.popitem(last=False)
+    return misses
+
+
 def figure_7_6(
     scale: ScaleLike = None,
     memory_fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
 ) -> ExperimentResult:
-    """Simulated search time vs the fraction of data held in memory (Figure 7.6)."""
+    """Simulated search time vs the fraction of the index held in memory (Figure 7.6).
+
+    The layout is the one that serves: the compiled membership CSR
+    (``ColumnarTree.member_indices``, entities in MinSigTree leaf order --
+    the bytes a worker maps from a generation's ``columnar.npz``), cut into
+    4 KiB pages from the start of the array.  Per ``(dataset, k)`` every
+    query runs once through the oracle
+    (:func:`~repro.baselines.reference.reference_search`, Algorithm 2's
+    fetch-on-visit), whose ``sequence_fetcher`` hook records the pages of
+    each scored entity's row; that one page trace is then replayed through
+    a cold LRU at every memory fraction.  The serving kernel itself reads
+    all ``metadata["pages"]`` pages per query -- docs/PERFORMANCE.md, "What
+    one query reads".
+
+    ``metadata["page_traces"]`` holds, per ``(dataset, k)``, the number of
+    recorded fetches, the oracle's summed ``entities_scored`` and the
+    distinct pages in the trace.
+    """
     resolved = resolve_scale(scale)
     result = ExperimentResult(
         name="figure-7.6 search time vs memory size",
-        metadata={"scale": resolved.name},
+        metadata={"scale": resolved.name, "pages": {}, "page_traces": []},
     )
     for dataset_name, dataset in _datasets(resolved).items():
         engine = _build_engine(dataset, resolved.default_hashes)
-        leaf_order = engine.tree.leaf_order()
+        compiled = engine.searcher.compiled_tree()
+        members = compiled.member_indices
+        # Byte offset of every entity's row: row ``slot`` is
+        # ``row_bytes[slot]:row_bytes[slot + 1]``.
+        row_bytes = (compiled.member_indptr[:: compiled.num_levels] * members.itemsize).tolist()
+        slot_of = {entity: slot for slot, entity in enumerate(compiled.entity_order)}
+        num_pages = -(-members.nbytes // PAGE_BYTES)
+        result.metadata["pages"][dataset_name] = num_pages
         queries = sample_queries(dataset, min(resolved.num_queries, 10))
+        page_traces: Dict[int, List[int]] = {}
+        for k in resolved.k_values:
+            fetched: List[str] = []
+            page_trace = page_traces[k] = []
+
+            def record(entity: str) -> CellSequence:
+                fetched.append(entity)
+                slot = slot_of[entity]
+                page_trace.extend(
+                    range(row_bytes[slot] // PAGE_BYTES, -(-row_bytes[slot + 1] // PAGE_BYTES))
+                )
+                return dataset.cell_sequence(entity)
+
+            scored = sum(
+                reference_search(
+                    engine.searcher, query, k, sequence_fetcher=record
+                ).stats.entities_scored
+                for query in queries
+            )
+            result.metadata["page_traces"].append(
+                {
+                    "dataset": dataset_name,
+                    "k": k,
+                    "fetches": len(fetched),
+                    "entities_scored": scored,
+                    "distinct_pages": len(set(page_trace)),
+                }
+            )
         for fraction in memory_fractions:
-            store = DiskBackedTraceStore(dataset, leaf_order, memory_fraction=fraction)
-            for k in resolved.k_values:
-                store.reset_counters()
-                store.clear_cache()
-                for query in queries:
-                    engine.top_k(query, k=k, sequence_fetcher=store.fetch_sequence)
+            capacity = int(round(num_pages * fraction))
+            for k, page_trace in page_traces.items():
+                misses = _lru_misses(page_trace, capacity)
+                hits = len(page_trace) - misses
                 result.add_row(
                     dataset=dataset_name,
                     memory_fraction=fraction,
                     k=k,
-                    simulated_ms=store.elapsed_ms / len(queries),
-                    page_misses=store.page_misses,
-                    page_hits=store.page_hits,
+                    simulated_ms=(misses * PAGE_MISS_MS + hits * PAGE_HIT_MS) / len(queries),
+                    page_misses=misses,
+                    page_hits=hits,
                 )
     return result
 

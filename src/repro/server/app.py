@@ -774,6 +774,12 @@ class _Handler(BaseHTTPRequestHandler):
     #: many seconds, which bounds how long server_close() can block while
     #: joining handler threads on shutdown.
     timeout = 10
+    #: One response is one TCP segment: status line, headers and body are
+    #: buffered and flushed together by ``_send``, with Nagle off.  Written
+    #: as two segments, the body waits out the client's delayed ACK of the
+    #: headers (~40 ms per keep-alive response).
+    wbufsize = -1
+    disable_nagle_algorithm = True
     #: The only paths that get their own metrics key.  Anything else is
     #: folded into "other": client-chosen paths must not allocate
     #: per-path counters, or a hostile scanner grows the metrics without
@@ -826,6 +832,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         try:
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             pass
 

@@ -5,7 +5,8 @@ flight at once.  Answering each on its own handler thread would serialise
 on the engine lock and forfeit the amortisation the batch pipeline already
 gives in-process callers (one bulk pre-hash of the union of query cells,
 shared thread-pool fan-out -- see
-:class:`~repro.core.query.BatchTopKExecutor`).  The
+:func:`~repro.core.query.run_query_batch`; what each of those queries
+then reads is docs/PERFORMANCE.md, "What one query reads").  The
 :class:`RequestCoalescer` recovers it at the network boundary:
 
 * handler threads :meth:`~RequestCoalescer.submit` their query and block;

@@ -345,7 +345,14 @@ class QueryWorker:
                 minimum = int(request.get("min_generation", 0))
             elif operation == "topk":
                 if "entities" in request:
-                    entities: List[str] = list(request["entities"])
+                    entities: List[str] = request["entities"]
+                    if not isinstance(entities, list) or not all(
+                        isinstance(entity, str) for entity in entities
+                    ):
+                        raise TypeError(
+                            "'entities' must be a list of strings, got "
+                            f"{type(entities).__name__} {entities!r}"
+                        )
                     sequences = None
                 elif "queries" in request:
                     entities = [str(query["entity"]) for query in request["queries"]]
@@ -355,7 +362,11 @@ class QueryWorker:
                 else:
                     raise KeyError("a topk frame needs 'entities' or 'queries'")
                 k = int(request.get("k", 10))
+                if k < 1:
+                    raise ValueError(f"k must be >= 1, got {k}")
                 approximation = float(request.get("approximation", 0.0))
+                if not approximation >= 0.0:  # also rejects NaN
+                    raise ValueError(f"approximation must be >= 0, got {approximation}")
                 traces = _propagated_traces(request.get("traces"), len(entities), self.name)
             else:
                 return {"error": f"unknown op {operation!r}", "status": 400}
@@ -418,10 +429,8 @@ class QueryWorker:
         except InvalidQuerySequence as exc:
             return bad_request_reply(exc)
         except KeyError as exc:
-            return {
-                "error": f"unknown entity {exc.args[0]!r}"[:MAX_ERROR_CHARS],
-                "status": 404,
-            }
+            # The dataset's own message: "unknown entity 'name'".
+            return {"error": str(exc.args[0])[:MAX_ERROR_CHARS], "status": 404}
         except Exception as exc:  # noqa: BLE001 - relayed to the parent
             return _error_reply(exc, 500)
         reply: Dict[str, object] = {

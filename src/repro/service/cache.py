@@ -90,7 +90,7 @@ class QueryResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        # Batch executors consult the cache from worker threads; a plain
+        # Batch queries consult the cache from worker threads; a plain
         # lock keeps the recency list and counters coherent under fan-out.
         self._lock = threading.Lock()
         self.stats = CacheStats()

@@ -419,12 +419,6 @@ class ShardedEngine:
         """
         return merge_topk_results(query_entity, shard_results, k)
 
-    def top_k_many(
-        self, query_entities: Sequence[str], k: int = 10, workers: Optional[int] = None
-    ) -> List[TopKResult]:
-        """One merged top-k result per query entity (order preserved)."""
-        return self.top_k_batch(query_entities, k, workers=workers).results
-
     def top_k_batch(
         self,
         query_entities: Sequence[str],

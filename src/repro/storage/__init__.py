@@ -1,29 +1,14 @@
-"""Storage substrate: pages, buffer pool, external sort, and the trace store.
+"""Storage: versioned engine snapshots.
 
-The paper's cost analysis (Section 4.3) and the memory-size experiment
-(Figure 7.6) assume a disk-resident dataset: traces are sorted by entity with
-a B-way external merge sort, entity records are laid out in pages following
-the MinSigTree leaf order, and queries fetch candidate records through a
-bounded buffer pool.  This subpackage provides exactly that machinery, with a
-simulated I/O cost model so the experiments are deterministic and
-hardware-independent:
-
-* :mod:`~repro.storage.pages` -- fixed-size pages and the record codec;
-* :mod:`~repro.storage.buffer` -- an LRU buffer pool with hit/miss accounting;
-* :mod:`~repro.storage.external_sort` -- B-way external merge sort over a
-  paged file, reporting the pass count and I/O volume of the textbook cost
-  formula;
-* :mod:`~repro.storage.trace_store` -- the disk-backed trace store used by
-  the Figure 7.6 experiment, which charges simulated time per page miss;
-* :mod:`~repro.storage.snapshot` -- versioned engine snapshots: the built
-  index (hash coefficients, signatures, MinSigTree, dataset) serialized to
-  an ``.npz``-based directory so serving processes cold-start without
-  re-signing.
+:mod:`~repro.storage.snapshot` serialises the built index (hash
+coefficients, signatures, MinSigTree, dataset, and the compiled columnar
+arrays) to an ``.npz``-based directory so serving processes cold-start
+without re-signing -- and, on the multi-process tiers, read the compiled
+arrays memory-mapped.  Those mapped bytes are the system's out-of-core
+layout: the memory-size experiment (Figure 7.6,
+:func:`repro.experiments.figures.figure_7_6`) replays page traces over them.
 """
 
-from repro.storage.buffer import LRUBufferPool
-from repro.storage.external_sort import ExternalSorter, SortStats
-from repro.storage.pages import Page, PagedFile, RecordCodec
 from repro.storage.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -31,19 +16,10 @@ from repro.storage.snapshot import (
     save_engine_snapshot,
     snapshot_info,
 )
-from repro.storage.trace_store import DiskBackedTraceStore, SimulatedCostModel
 
 __all__ = [
-    "DiskBackedTraceStore",
-    "ExternalSorter",
-    "LRUBufferPool",
-    "Page",
-    "PagedFile",
-    "RecordCodec",
     "SNAPSHOT_FORMAT_VERSION",
-    "SimulatedCostModel",
     "SnapshotError",
-    "SortStats",
     "load_engine_snapshot",
     "save_engine_snapshot",
     "snapshot_info",

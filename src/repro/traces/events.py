@@ -49,7 +49,7 @@ class PresenceInstance:
     """A single digital-trace record (Definition 1).
 
     Instances order lexicographically by ``(entity, unit, start, end)``, which
-    makes traces easy to sort and compare in tests and in the external sorter.
+    makes traces easy to sort and compare in tests.
 
     Attributes
     ----------

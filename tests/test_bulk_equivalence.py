@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    BatchTopKExecutor,
     PresenceInstance,
     SpatialHierarchy,
     TraceDataset,
@@ -254,8 +253,7 @@ class TestBatchExecutorEquivalence:
             assert serial_result.items == batch_result.items
 
     def test_executor_aggregates(self, small_engine):
-        executor = BatchTopKExecutor(small_engine.searcher, workers=0)
-        report = executor.run(list(small_engine.dataset.entities), k=2)
+        report = small_engine.top_k_batch(list(small_engine.dataset.entities), k=2, workers=0)
         assert report.num_queries == small_engine.dataset.num_entities
         assert len(report) == report.num_queries
         assert report.wall_seconds > 0.0
@@ -265,20 +263,14 @@ class TestBatchExecutorEquivalence:
         assert 0.0 <= report.mean_pruning_effectiveness <= 1.0
         assert report.queries_per_second > 0.0
         # The second batch finds everything already cached.
-        assert executor.run(list(small_engine.dataset.entities), k=2).warmed_cells == 0
+        again = small_engine.top_k_batch(list(small_engine.dataset.entities), k=2, workers=0)
+        assert again.warmed_cells == 0
 
     def test_rejects_negative_workers(self, small_engine):
         with pytest.raises(ValueError, match="workers"):
-            BatchTopKExecutor(small_engine.searcher, workers=-1)
+            small_engine.top_k_batch(["a"], 1, workers=-1)
         with pytest.raises(ValueError, match="workers"):
-            small_engine.batch_executor().run(["a"], 1, workers=-2)
-
-    def test_engine_top_k_many_routes_through_executor(self, small_engine):
-        results = small_engine.top_k_many(["a", "d"], k=2, workers=2)
-        assert [r.query_entity for r in results] == ["a", "d"]
-        serial = [small_engine.top_k("a", k=2), small_engine.top_k("d", k=2)]
-        for got, expected in zip(results, serial):
-            assert got.items == expected.items
+            small_engine.top_k_batch(["a"], 1, workers=-2)
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,7 @@ The columnar kernel behind ``TopKSearcher.search`` must produce
 both sides see one index state), across:
 
 * random workloads × result sizes × approximation slacks × bound modes ×
-  candidate filters × the full-signature ablation × a custom
-  ``sequence_fetcher``;
+  candidate filters × the full-signature ablation;
 * every registered association measure (the batched ``score_levels_batch``
   / ``bound_batch_kernel`` kernels are pinned directly, too);
 * streaming ingest/expire/compact interleavings (the compiled arrays must
@@ -131,15 +130,6 @@ class TestFuzzedEquivalence:
         engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
         keep = {f"e{index}" for index in range(0, 16, 2)}
         assert_matches_oracle(engine, k_values=(3,), candidate_filter=keep.__contains__)
-
-    def test_custom_sequence_fetcher(self, hierarchy, seeded_rng):
-        """A custom fetcher switches the kernel to per-entity leaf scoring."""
-        rng = seeded_rng(47)
-        events = random_events(hierarchy, rng)
-        engine = build_engine(hierarchy, events, num_hashes=24, seed=5)
-        assert_matches_oracle(
-            engine, k_values=(3,), sequence_fetcher=engine.dataset.cell_sequence
-        )
 
     def test_full_signature_ablation(self, hierarchy, seeded_rng):
         rng = seeded_rng(41)
@@ -535,65 +525,3 @@ class TestSnapshotRoundTrip:
         add_config_keys(turbo=True)
         with pytest.raises(SnapshotError, match="turbo"):
             type(engine).load(snap)
-
-
-class TestSearchManyParity:
-    """Satellite regression: search_many passes every search knob through."""
-
-    def test_approximation_and_filter_pass_through(self, hierarchy, seeded_rng):
-        rng = seeded_rng(23)
-        events = random_events(hierarchy, rng, num_entities=10)
-        engine = TraceQueryEngine(
-            dataset_from(hierarchy, events), num_hashes=16, seed=3
-        ).build()
-        queries = list(engine.dataset.entities)[:5]
-        keep = {f"e{index}" for index in range(1, 10, 2)}
-        batched = engine.searcher.search_many(
-            queries, k=4, candidate_filter=keep.__contains__, approximation=0.05
-        )
-        for query, result in zip(queries, batched):
-            assert_identical(
-                engine.searcher.search(
-                    query, 4, candidate_filter=keep.__contains__, approximation=0.05
-                ),
-                result,
-            )
-            assert all(entity in keep for entity in result.entities)
-
-    def test_fetch_memoised_within_and_across_searches(self, hierarchy, seeded_rng):
-        rng = seeded_rng(43)
-        events = random_events(hierarchy, rng, num_entities=10)
-        engine = TraceQueryEngine(
-            dataset_from(hierarchy, events), num_hashes=16, seed=3
-        ).build()
-        fetches = []
-
-        def counting_fetcher(entity):
-            fetches.append(entity)
-            return engine.dataset.cell_sequence(entity)
-
-        queries = list(engine.dataset.entities)[:4]
-        serial = [
-            engine.searcher.search(query, 3, sequence_fetcher=counting_fetcher)
-            for query in queries
-        ]
-        serial_fetches = len(fetches)
-        assert serial_fetches > 0
-
-        fetches.clear()
-        batched = engine.searcher.search_many(
-            queries, 3, sequence_fetcher=counting_fetcher
-        )
-        for reference, result in zip(serial, batched):
-            assert_identical(reference, result)
-        # Across one batch every candidate is fetched at most once, so the
-        # shared memo must fetch strictly less than the serial runs did.
-        assert len(fetches) == len(set(fetches)) < serial_fetches
-
-        fetches.clear()
-        executor_results = engine.batch_executor().run(
-            queries, 3, sequence_fetcher=counting_fetcher
-        )
-        for reference, result in zip(serial, executor_results):
-            assert_identical(reference, result)
-        assert len(fetches) == len(set(fetches)) < serial_fetches

@@ -172,11 +172,6 @@ class TestLifecycle:
 
 
 class TestQueries:
-    def test_top_k_many(self, small_engine):
-        results = small_engine.top_k_many(["a", "d"], k=2)
-        assert len(results) == 2
-        assert results[0].query_entity == "a"
-
     def test_results_match_brute_force_on_fixture(self, small_engine):
         oracle = BruteForceTopK(small_engine.dataset, small_engine.measure)
         for query in small_engine.dataset.entities:

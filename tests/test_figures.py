@@ -98,6 +98,28 @@ class TestFigure76:
                 by_fraction = {row["memory_fraction"]: row["simulated_ms"] for row in series}
                 assert by_fraction[1.0] <= by_fraction[0.1]
 
+    def test_replay_is_an_exact_lru_over_the_oracle_fetches(self):
+        # LRU is a stack algorithm: a larger pool holds a superset of a
+        # smaller one's pages at every step, so these are theorems about
+        # the replay, not tendencies of the workload.
+        fractions = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+        result = figures.figure_7_6(scale=TINY, memory_fractions=fractions)
+        traces = {(t["dataset"], t["k"]): t for t in result.metadata["page_traces"]}
+        assert set(traces) == {
+            (dataset, k) for dataset in ("SYN", "REAL(wifi)") for k in TINY.k_values
+        }
+        for (dataset, k), trace in traces.items():
+            series = result.filter(dataset=dataset, k=k).rows
+            assert [row["memory_fraction"] for row in series] == list(fractions)
+            misses = [row["page_misses"] for row in series]
+            assert misses == sorted(misses, reverse=True)
+            accesses = {row["page_misses"] + row["page_hits"] for row in series}
+            assert len(accesses) == 1
+            assert misses[0] == accesses.pop()  # no memory: every access misses
+            assert misses[-1] == trace["distinct_pages"] <= result.metadata["pages"][dataset]
+            # One fetch per candidate the oracle scored, no more, no fewer.
+            assert trace["fetches"] == trace["entities_scored"] > 0
+
 
 class TestFigure77:
     def test_structure(self):

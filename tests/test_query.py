@@ -1,7 +1,13 @@
 """Tests for top-k query processing (repro.core.query)."""
 
+import importlib
+import inspect
+from pathlib import Path
+
 import pytest
 
+import repro
+import repro.storage
 from repro.baselines import BruteForceTopK
 from repro.core.pruning import InvalidQuerySequence
 from repro.core.query import TopKSearcher
@@ -130,19 +136,34 @@ class TestSearcherConfiguration:
         exact = oracle.search("a", 2)
         assert result.entities[0] == exact.entities[0]
 
-    def test_sequence_fetcher_hook_used(self, small_engine):
-        calls = []
 
-        def fetcher(entity):
-            calls.append(entity)
-            return small_engine.dataset.cell_sequence(entity)
+def test_one_scoring_path():
+    """Candidates are scored in one place: ``ColumnarQueryContext.entity_scores``.
 
-        result = small_engine.searcher.search("a", 2, sequence_fetcher=fetcher)
-        assert len(calls) == result.stats.entities_scored
-
-    def test_search_many(self, small_engine):
-        results = small_engine.searcher.search_many(["a", "d"], 2)
-        assert [r.query_entity for r in results] == ["a", "d"]
+    The per-entity ``measure.score(fetch(entity), ...)`` fork, its knobs and
+    the simulated storage stack it was kept for are gone -- not aliased.
+    """
+    assert list(inspect.signature(TopKSearcher.search).parameters) == [
+        "self",
+        "query_entity",
+        "k",
+        "candidate_filter",
+        "approximation",
+        "query_sequence",
+        "trace",
+    ]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.storage.pages")
+    assert sorted(repro.storage.__all__) == [
+        "SNAPSHOT_FORMAT_VERSION",
+        "SnapshotError",
+        "load_engine_snapshot",
+        "save_engine_snapshot",
+        "snapshot_info",
+    ]
+    for source in Path(repro.__file__).parent.rglob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        assert "custom_fetch" not in text and "fetch_cache" not in text, source
 
 
 class TestQuerySequenceValidation:

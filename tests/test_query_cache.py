@@ -146,19 +146,6 @@ class TestEngineIntegration:
         assert first is not second
         assert first.items == second.items
 
-    def test_custom_fetcher_bypasses_cache(self, cached_engine, small_dataset):
-        fetches = []
-
-        def fetcher(entity):
-            fetches.append(entity)
-            return small_dataset.cell_sequence(entity)
-
-        cached_engine.top_k("a", k=3)
-        result = cached_engine.top_k("a", k=3, sequence_fetcher=fetcher)
-        assert fetches  # the fetcher really ran: no cache short-circuit
-        assert len(cached_engine.query_cache) == 1
-        assert result.items == cached_engine.top_k("a", k=3).items
-
     @pytest.mark.parametrize("mutate", ["add_records", "remove_entity", "refresh_entities"])
     def test_mutations_invalidate(self, cached_engine, small_hierarchy, mutate):
         cached_engine.top_k("a", k=3)

@@ -64,6 +64,12 @@ class TestQueryWorkerStatuses:
             ({"op": "topk", "entities": 7}, "int"),
             ({"op": "topk", "entities": ["e00"], "k": "many"}, "many"),
             ({"op": "topk", "entities": ["e00"], "approximation": None}, "NoneType"),
+            ({"op": "topk", "entities": ["e00"], "k": 0}, "k must be >= 1"),
+            ({"op": "topk", "entities": ["e00"], "approximation": -1}, "approximation"),
+            ({"op": "topk", "entities": ["e00"], "approximation": float("nan")}, "nan"),
+            ({"op": "topk", "entities": [["e00"]]}, "list of strings"),
+            ({"op": "topk", "entities": [{"a": 1}]}, "list of strings"),
+            ({"op": "topk", "entities": "e00"}, "list of strings"),
         ],
     )
     def test_request_shape_errors_are_400(self, worker, frame, named):
@@ -79,8 +85,7 @@ class TestQueryWorkerStatuses:
 
     def test_only_a_missing_query_entity_is_404(self, worker, engine):
         reply = worker.handle({"op": "topk", "entities": ["e00", "nobody"], "k": 2})
-        assert reply["status"] == 404
-        assert "nobody" in reply["error"]
+        assert reply == {"error": "unknown entity 'nobody'", "status": 404}
         # ...and the worker keeps answering well-formed frames afterwards.
         reply = worker.handle({"op": "topk", "entities": ["e00"], "k": 2})
         assert reply["results"] == [topk_result_payload(engine.top_k("e00", k=2))]
@@ -959,6 +964,49 @@ class TestHTTP:
             response = connection.getresponse()
             assert response.status == 404
             assert b"unknown path" in response.read()
+        finally:
+            connection.close()
+
+    def test_one_response_is_one_send_with_nagle_off(self, daemon):
+        # The wire stall: status line + headers and body written as two
+        # segments make the body wait out the client's delayed ACK of the
+        # first (~40 ms per keep-alive response).  No clock needed: count
+        # the sends on the accepted socket.
+        sends = []
+
+        class RecordingSocket(socket.socket):
+            def send(self, data, *args):
+                sends.append(len(data))
+                return super().send(data, *args)
+
+            def sendall(self, data, *args):
+                sends.append(len(data))
+                return super().sendall(data, *args)
+
+        accepted = []
+        accept = daemon.httpd.get_request
+
+        def get_request():
+            connection, address = accept()
+            accepted.append(RecordingSocket(fileno=connection.detach()))
+            return accepted[-1], address
+
+        daemon.httpd.get_request = get_request
+        connection = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
+        try:
+            for entity in ("e00", "e01"):
+                connection.request(
+                    "POST",
+                    "/v1/topk",
+                    body=json.dumps({"entity": entity, "k": 2}),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                assert response.status == 200
+                assert response.read()
+            (server_side,) = accepted  # keep-alive: both rode one connection
+            assert len(sends) == 2
+            assert server_side.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
         finally:
             connection.close()
 
