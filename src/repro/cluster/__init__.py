@@ -4,14 +4,16 @@ The package promotes the shard boundary from threads in one process
 (:class:`~repro.service.sharded.ShardedEngine`) to processes on a network.
 A shard server is not a module of this package: it is the one read process
 of :mod:`repro.server.workers`, started with a TCP listener over one
-shard's generation store.  What lives here is everything around it:
+shard's generation store, and the connection to it is that module's one
+read client (``docs/SERVING.md``, "Client side").  What lives here is the
+policy around them:
 
 - :mod:`repro.cluster.hashring` -- deterministic consistent-hash ring the
   :class:`~repro.service.partition.ConsistentHashPartitioner` is built on;
-- :mod:`repro.cluster.wire` -- one-shot framed calls (probes, ``sync``
-  verification, chaos commands);
 - :mod:`repro.cluster.replica` -- replica clients and R-way replica
-  groups: retry with backoff, hedged failover, catch-up verified rejoin;
+  groups: retry with backoff, hedged failover;
+- :mod:`repro.cluster.supervisor` -- the replica processes: respawn with
+  backoff, catch-up verified rejoin;
 - :mod:`repro.cluster.coordinator` -- fan-out/merge with per-shard
   deadlines and explicit degraded answers when a whole group is down;
 - :mod:`repro.cluster.frontend` -- the two parts that make

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.cluster.wire import ClusterWireError, one_shot_request
+from repro.cluster.replica import ReplicaClient
+from repro.server.workers import ReadProcessError
 
 __all__ = ["ChaosController"]
 
@@ -78,12 +79,14 @@ class ChaosController:
         replica = self.fleet.managed[name]
         if replica.port is None:
             return False
-        try:
-            reply = one_shot_request(
-                replica.host, int(replica.port), {"op": "chaos", **flags}
-            )
-        except ClusterWireError:
-            return False
+        # A one-use client: chaos frames never ride a serving connection.
+        with ReplicaClient(
+            name, replica.host, replica.port, self.fleet.cluster_config
+        ) as client:
+            try:
+                reply = client.request({"op": "chaos", **flags})
+            except ReadProcessError:
+                return False
         self.injected.append({"fault": "chaos_flags", "replica": name, **flags})
         return bool(reply.get("ok"))
 

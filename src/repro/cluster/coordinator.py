@@ -30,6 +30,7 @@ import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.replica import ReplicaGroup, ShardUnavailable
+from repro.core.query import fan_out_queries
 from repro.obs.trace import SpanContext
 from repro.server.workers import begin_remote_spans, encode_sequence, stitch_spans
 from repro.service.merge import merge_topk_payloads
@@ -88,9 +89,9 @@ class ClusterCoordinator:
             "k": int(k),
             "approximation": float(approximation),
         }
-        replies: List[Optional[Dict[str, object]]] = [None] * len(self.groups)
 
-        def ask(shard_index: int) -> None:
+        def ask(shard_index: int) -> Optional[Dict[str, object]]:
+            """One group's reply, or ``None`` when the shard stayed unavailable."""
             group = self.groups[shard_index]
             frame, spans = request, []
             if traces is not None:
@@ -104,20 +105,12 @@ class ClusterCoordinator:
                 for span in spans:
                     if span is not None:
                         span.end(error=type(exc).__name__)
-                return
+                return None
             if traces is not None:
                 stitch_spans(reply, traces, spans)
-            replies[shard_index] = reply
+            return reply
 
-        threads = [
-            threading.Thread(target=ask, args=(index,), name=f"fanout-{index}")
-            for index in range(1, len(self.groups))
-        ]
-        for thread in threads:
-            thread.start()
-        ask(0)
-        for thread in threads:
-            thread.join()
+        replies = fan_out_queries(ask, len(self.groups), workers=len(self.groups))
 
         missing = [index for index, reply in enumerate(replies) if reply is None]
         with self._lock:

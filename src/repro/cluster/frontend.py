@@ -135,8 +135,9 @@ class ClusterFleet(ServingPart):
         self.supervisor: Optional[ReplicaSupervisor] = None
 
     def start(self) -> None:
-        """Spawn every replica (each adopts its shard's initial generation),
-        then start the supervisor's respawn/rejoin loop."""
+        """Start every replica, wait until each is listening (each adopts
+        its shard's initial generation meanwhile, concurrently), then start
+        the supervisor's respawn/rejoin loop."""
         root = self.publisher.root
         try:
             for shard in self.publisher.stores:
@@ -151,14 +152,20 @@ class ClusterFleet(ServingPart):
                         startup_timeout=self.startup_timeout,
                     )
                     self.managed[name] = replica
-                    port = replica.spawn()
+                    replica.start()
+                    # Port 0 until the child is listening (below), exactly
+                    # as after a respawn: the client follows the process.
                     client = ReplicaClient(
-                        name, replica.host, port, config=self.cluster_config
+                        name, replica.host, 0, config=self.cluster_config
                     )
                     self.clients[name] = client
                     replicas.append(client)
                 self.groups.append(
                     ReplicaGroup(shard, replicas, config=self.cluster_config)
+                )
+            for name, replica in self.managed.items():
+                self.clients[name].set_address(
+                    replica.wait_ready(self.startup_timeout)
                 )
         except BaseException:
             for replica in self.managed.values():

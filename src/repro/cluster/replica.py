@@ -7,12 +7,12 @@ them.  Three layers:
 - :class:`ClusterConfig` -- every timeout/retry/hedging knob in one
   dataclass, so the coordinator, supervisor, chaos battery, and CLI all
   speak the same vocabulary.
-- :class:`ReplicaClient` -- one persistent framed TCP connection to one
-  shard server.  Exchanges are serialised under a lock; any failure
-  (refused connect, timeout, reset, torn frame) closes the socket so the
-  next exchange reconnects from a frame boundary -- the invariant that
-  makes hedging safe: a connection either completes an exchange or dies,
-  it never carries a stale reply.
+- :class:`ReplicaClient` -- the one read client
+  (:class:`~repro.server.workers.ReadClient`; ``docs/SERVING.md``, "Client
+  side") pointed at one shard server, plus that replica's health record.
+  The client's close-on-every-failure invariant is what makes hedging
+  safe: a connection either completes an exchange or dies, it never
+  carries a stale reply.
 - :class:`ReplicaGroup` -- failover policy over the group's clients:
   rotate across usable replicas, retry with
   :class:`~repro.server.backoff.ExponentialBackoff` under a per-shard
@@ -31,7 +31,6 @@ leak into later exchanges.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -39,9 +38,9 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.health import NodeHealth
 from repro.server.backoff import ExponentialBackoff
-from repro.server.workers import recv_frame, send_frame
+from repro.server.workers import ReadClient, ReadProcessError
 
-__all__ = ["ClusterConfig", "ReplicaClient", "ReplicaError", "ReplicaGroup", "ShardUnavailable"]
+__all__ = ["ClusterConfig", "ReplicaClient", "ReplicaGroup", "ShardUnavailable"]
 
 
 @dataclass
@@ -66,10 +65,6 @@ class ClusterConfig:
     replication: int = 2
 
 
-class ReplicaError(ConnectionError):
-    """One exchange with one replica failed (connection is closed)."""
-
-
 class ShardUnavailable(RuntimeError):
     """Every replica of a shard group failed within the deadline."""
 
@@ -78,8 +73,8 @@ class ShardUnavailable(RuntimeError):
         self.shard = shard
 
 
-class ReplicaClient:
-    """One persistent framed connection to one shard server."""
+class ReplicaClient(ReadClient):
+    """The read client of one shard server, with the replica's health."""
 
     def __init__(
         self,
@@ -88,65 +83,11 @@ class ReplicaClient:
         port: int,
         config: Optional[ClusterConfig] = None,
     ) -> None:
-        self.name = name
-        self.host = host
-        self.port = int(port)
-        self.config = config or ClusterConfig()
+        config = config or ClusterConfig()
+        super().__init__(
+            (host, int(port)), name, config.connect_timeout, config.request_timeout
+        )
         self.health = NodeHealth(name)
-        self._sock: Optional[socket.socket] = None
-        self._lock = threading.Lock()
-
-    def set_address(self, host: str, port: int) -> None:
-        """Point at a restarted process (ephemeral ports move); drops the socket."""
-        with self._lock:
-            self._close_locked()
-            self.host = host
-            self.port = int(port)
-
-    def request(
-        self, payload: Dict[str, object], timeout: Optional[float] = None
-    ) -> Dict[str, object]:
-        """One framed exchange; raises :class:`ReplicaError` on any failure.
-
-        The socket is closed on every failure path, so a later exchange
-        starts from a clean frame boundary on a fresh connection.
-        """
-        budget = self.config.request_timeout if timeout is None else timeout
-        if budget <= 0:
-            raise ReplicaError(f"{self.name}: no time left in the deadline")
-        with self._lock:
-            try:
-                if self._sock is None:
-                    self._sock = socket.create_connection(
-                        (self.host, self.port),
-                        timeout=min(self.config.connect_timeout, budget),
-                    )
-                self._sock.settimeout(budget)
-                send_frame(self._sock, payload)
-                reply = recv_frame(self._sock)
-            except (OSError, ValueError) as exc:
-                self._close_locked()
-                raise ReplicaError(f"{self.name} ({self.host}:{self.port}): {exc}") from exc
-            if reply is None:
-                self._close_locked()
-                raise ReplicaError(f"{self.name}: peer closed the connection")
-            return reply
-
-    def close(self) -> None:
-        """Drop the persistent connection (reopened lazily on next use)."""
-        with self._lock:
-            self._close_locked()
-
-    def _close_locked(self) -> None:
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-            self._sock = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReplicaClient({self.name!r}, {self.host}:{self.port})"
 
 
 class ReplicaGroup:
@@ -219,7 +160,7 @@ class ReplicaGroup:
         def exchange(replica: ReplicaClient) -> None:
             try:
                 reply = replica.request(payload, timeout=deadline - time.monotonic())
-            except ReplicaError:
+            except ReadProcessError:
                 replica.health.record_failure()
                 with condition:
                     state["failed"] += 1

@@ -39,10 +39,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
-from repro.cluster.wire import ClusterWireError, one_shot_request
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import GenerationStore
-from repro.server.workers import ReadProcess
+from repro.server.workers import Address, ReadProcess, ReadProcessError
 
 __all__ = ["ManagedReplica", "ReplicaSupervisor"]
 
@@ -59,7 +58,6 @@ class ManagedReplica(ReadProcess):
         startup_timeout: float = 60.0,
     ) -> None:
         self.shard = shard
-        self.name = name
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
         self.startup_timeout = startup_timeout
@@ -67,6 +65,7 @@ class ManagedReplica(ReadProcess):
         self.host = "127.0.0.1"
         self.port: Optional[int] = None
         super().__init__(
+            name,
             [
                 "--store",
                 str(store_root),
@@ -76,34 +75,28 @@ class ManagedReplica(ReadProcess):
                 str(self.port_file),
                 "--startup-timeout",
                 str(startup_timeout),
-            ]
+            ],
         )
         #: While ``True`` the supervisor leaves a dead process dead.
         self.suspended = False
-        self.respawns = -1  # first spawn is not a respawn
+
+    def start(self) -> None:
+        """Start the process; the previous one's port file must not speak for it."""
+        self.port_file.unlink(missing_ok=True)
+        super().start()
+
+    def _listening(self) -> Optional[Address]:
+        """Listening once the child has (atomically) written its bound port."""
+        try:
+            self.port = int(self.port_file.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return None
+        return (self.host, self.port)
 
     def spawn(self) -> int:
         """Start the process and return its bound port (may raise on startup death)."""
-        try:
-            self.port_file.unlink()
-        except FileNotFoundError:
-            pass
         self.start()
-        deadline = time.monotonic() + self.startup_timeout
-        while time.monotonic() < deadline:
-            if self.port_file.exists():
-                text = self.port_file.read_text(encoding="utf-8").strip()
-                if text:
-                    self.port = int(text)
-                    self.respawns += 1
-                    return self.port
-            if not self.alive():
-                raise RuntimeError(
-                    f"{self.name}: read process exited with "
-                    f"{self.returncode} before binding"
-                )
-            time.sleep(0.02)
-        raise RuntimeError(f"{self.name}: no port file within {self.startup_timeout:.0f}s")
+        return self.wait_ready(self.startup_timeout)[1]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ManagedReplica({self.name!r}, port={self.port}, alive={self.alive()})"
@@ -179,14 +172,14 @@ class ReplicaSupervisor:
             backoff = self._backoffs[name]
             try:
                 port = replica.spawn()
-            except (RuntimeError, OSError):
+            except OSError:  # a failed spawn, or ReadProcessError (one too)
                 delay = backoff.next_delay()
                 if backoff.failures == ExponentialBackoff.STORM_THRESHOLD:
                     with self._lock:
                         self.respawn_storms += 1
                 self._next_attempt[name] = time.monotonic() + delay
                 return
-            client.set_address(replica.host, port)
+            client.set_address((replica.host, port))
             client.health.mark_catching_up()
         if client.health.state == "catching_up":
             self._verify_rejoin(name, replica, client)
@@ -196,17 +189,14 @@ class ReplicaSupervisor:
     ) -> None:
         """Flip ``catching_up`` to ``live`` only on a proven generation."""
         store = self.stores[replica.shard]
-        try:
-            reply = one_shot_request(
-                replica.host,
-                int(replica.port),
-                {"op": "sync", "min_generation": store.generation},
-                connect_timeout=self.config.connect_timeout,
-                read_timeout=self.config.request_timeout,
-            )
-        except ClusterWireError:
-            return  # not ready yet; the next tick retries
-        if reply is not None and reply.get("ok"):
+        # A one-use client: the serving one stays untouched until the
+        # replica is verified.
+        with ReplicaClient(name, replica.host, replica.port, self.config) as probe:
+            try:
+                reply = probe.request({"op": "sync", "min_generation": store.generation})
+            except ReadProcessError:
+                return  # not ready yet; the next tick retries
+        if reply.get("ok"):
             client.health.mark_live()
             self._backoffs[name].reset()
             self._next_attempt[name] = 0.0

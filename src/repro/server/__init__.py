@@ -29,11 +29,13 @@ over shared memory-mapped snapshot generations:
 * :mod:`~repro.server.generation` -- :class:`GenerationStore`: the
   single-writer publish / many-reader adopt protocol over immutable
   snapshot directories plus an atomically swapped ``CURRENT`` file;
-* :mod:`~repro.server.workers` -- the worker process entry point
-  (``python -m repro.server.workers``) and its length-prefixed JSON frame
-  protocol over Unix sockets;
+* :mod:`~repro.server.workers` -- the read process both multi-process
+  tiers run (``python -m repro.server.workers``), its length-prefixed JSON
+  frames, and the parent's half: ``ReadProcess`` (start, await, stop a
+  child) and ``ReadClient``, the one framed client (``docs/SERVING.md``,
+  "The read process");
 * :mod:`~repro.server.frontend` -- :class:`WorkerPool` (the read backend:
-  scatter-gather and respawn-on-death over the worker sockets),
+  scatter-gather and respawn-on-death over one read client per worker),
   :class:`GenerationPublisher` (the publisher: every index-changing flush
   becomes a generation) and :func:`worker_tier`, which builds the pair
   for ``TraceServer(engine, **worker_tier(engine, workers=N))``.
@@ -51,12 +53,7 @@ in-process API, in both tiers) is pinned by
 
 from repro.server.app import EngineBackend, ServingPart, TraceServer, build_http_server
 from repro.server.coalescer import CoalescerStats, QueueFullError, RequestCoalescer
-from repro.server.frontend import (
-    GenerationPublisher,
-    WorkerDiedError,
-    WorkerPool,
-    worker_tier,
-)
+from repro.server.frontend import GenerationPublisher, WorkerPool, worker_tier
 from repro.server.generation import GenerationStore
 from repro.server.metrics import LatencyHistogram, ServerMetrics
 from repro.server.protocol import (
@@ -81,7 +78,6 @@ __all__ = [
     "ServingPart",
     "TopKRequest",
     "TraceServer",
-    "WorkerDiedError",
     "WorkerPool",
     "build_http_server",
     "parse_events_request",

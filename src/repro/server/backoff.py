@@ -1,9 +1,10 @@
 """Exponential backoff with jitter for respawn/reconnect loops.
 
 Every place the serving tiers bring a dead process or connection back --
-the multi-process :class:`~repro.server.frontend.WorkerPool`, the cluster
-tier's :class:`~repro.cluster.replica.ReplicaGroup` -- shares the same
-failure mode: if the target dies *on startup* (bad binary, missing store,
+the multi-process :class:`~repro.server.frontend.WorkerPool` (respawn),
+the cluster tier's :class:`~repro.cluster.supervisor.ReplicaSupervisor`
+(respawn) and :class:`~repro.cluster.replica.ReplicaGroup` (retry rounds)
+-- shares the same failure mode: if the target dies *on startup* (bad binary, missing store,
 exhausted resource), a naive retry loop respawns it as fast as the OS can
 fork, burning a core and flooding the process table.  :class:`ExponentialBackoff`
 is the shared discipline: delays double from ``base`` up to ``cap``, a

@@ -24,14 +24,15 @@ received; the equivalence suite pins that the resulting responses are
 byte-identical to the in-process daemon's.  A worker that dies (crash,
 SIGKILL) is detected by its broken connection; its in-flight queries are
 retried on the remaining workers -- reads are idempotent -- and the worker
-is respawned in the background of the retry.
+is respawned in the background of the retry.  The connection itself, its
+timeouts and its one error are the read client's (``docs/SERVING.md``,
+"Client side"); this module is the pool's policy over it.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
-import socket
 import tempfile
 import threading
 import time
@@ -39,114 +40,71 @@ from pathlib import Path
 from queue import Empty, Queue
 from typing import Dict, List, Optional
 
+from repro.core.query import fan_out_queries
 from repro.obs import exposition
 from repro.obs.trace import SpanContext
 from repro.server.app import ServingPart
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore, SnapshotDelta
 from repro.server.workers import (
+    Address,
+    ReadClient,
     ReadProcess,
+    ReadProcessError,
     begin_remote_spans,
-    recv_frame,
-    send_frame,
     stitch_spans,
 )
 
-__all__ = ["GenerationPublisher", "WorkerDiedError", "WorkerPool", "worker_tier"]
+__all__ = ["GenerationPublisher", "WorkerPool", "worker_tier"]
 
 PathLikeT = os.PathLike
 
-
-class WorkerDiedError(ConnectionError):
-    """A worker connection broke mid-request (crash, kill, wedge)."""
+#: The pool's client timeouts: seconds for one connect to a worker's
+#: socket, and for one exchange -- a whole coalesced batch's searches.
+WORKER_CONNECT_TIMEOUT = 30.0
+WORKER_REQUEST_TIMEOUT = 120.0
 
 
 class _WorkerHandle(ReadProcess):
-    """One worker process plus its (lazily connected) request socket.
+    """One worker process and the client its pool slot talks to it through.
 
-    The handle serialises requests on its connection with a lock; the pool
-    keeps one handle per worker and hands idle handles to requesters.
+    The pool keeps one handle per worker and hands idle handles to
+    requesters, so a handle's client carries one exchange at a time.  The
+    child unlinks a stale socket file before it binds, so a respawn needs
+    no clean-up here.
     """
 
     def __init__(self, index: int, store_root: Path, startup_timeout: float) -> None:
         self.index = index
-        self.socket_path = str(store_root / f"worker-{index:02d}.sock")
+        socket_path = str(store_root / f"worker-{index:02d}.sock")
         super().__init__(
+            f"worker {index}",
             [
                 "--store",
                 str(store_root),
                 "--socket",
-                self.socket_path,
+                socket_path,
                 "--startup-timeout",
                 str(startup_timeout),
-            ]
+            ],
         )
-        self._connection: Optional[socket.socket] = None
-        self.lock = threading.Lock()
-        self.respawns = -1  # first spawn brings it to 0
+        self.client = ReadClient(
+            socket_path, self.name, WORKER_CONNECT_TIMEOUT, WORKER_REQUEST_TIMEOUT
+        )
 
-    def spawn(self) -> None:
-        """Start (or restart) the worker process; drops any old connection."""
-        self._drop_connection()
-        self.start()  # the child unlinks a stale socket file before it binds
-        self.respawns += 1
-
-    def _drop_connection(self) -> None:
-        if self._connection is not None:
-            try:
-                self._connection.close()
-            except OSError:
-                pass
-            self._connection = None
-
-    def _connect(self, timeout: float) -> socket.socket:
-        """Connect to the worker socket, waiting for it to come up."""
-        deadline = time.monotonic() + timeout
-        while True:
-            connection = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            try:
-                connection.connect(self.socket_path)
-            except (FileNotFoundError, ConnectionRefusedError, OSError):
-                connection.close()
-                if self.returncode is not None:
-                    raise WorkerDiedError(
-                        f"worker {self.index} exited with {self.returncode} "
-                        "before accepting connections"
-                    )
-                if time.monotonic() >= deadline:
-                    raise WorkerDiedError(
-                        f"worker {self.index} did not accept a connection within "
-                        f"{timeout:.0f}s"
-                    )
-                time.sleep(0.02)
-                continue
-            connection.settimeout(120.0)
-            return connection
-
-    def request(
-        self, payload: Dict[str, object], connect_timeout: float = 30.0
-    ) -> Dict[str, object]:
-        """One framed request/reply exchange.  Raises :class:`WorkerDiedError`
-        when the connection breaks -- the caller decides about respawn/retry."""
-        with self.lock:
-            try:
-                if self._connection is None:
-                    self._connection = self._connect(connect_timeout)
-                send_frame(self._connection, payload)
-                reply = recv_frame(self._connection)
-            except WorkerDiedError:
-                raise
-            except (ConnectionError, OSError, ValueError) as exc:
-                self._drop_connection()
-                raise WorkerDiedError(f"worker {self.index} connection failed: {exc}") from exc
-            if reply is None:
-                self._drop_connection()
-                raise WorkerDiedError(f"worker {self.index} closed the connection")
-            return reply
+    def _listening(self) -> Optional[Address]:
+        """Listening once it answers a ping: the socket is up and the
+        initial generation loaded.  The probe is the slot's own client, so
+        its connection is the one the first query uses."""
+        try:
+            self.client.request({"op": "ping"})
+        except ReadProcessError:
+            return None
+        return self.client.address
 
     def close(self) -> None:
         """Terminate the worker and reap it."""
-        self._drop_connection()
+        self.client.close()
         self.terminate()
 
 
@@ -194,15 +152,17 @@ class WorkerPool(ServingPart):
         self._startup_timeout = startup_timeout
 
     def start(self) -> None:
-        """Spawn every worker and wait until each answers a ping.
+        """Spawn every worker, then wait until each answers a ping.
 
         The ping is the readiness barrier: it proves the socket is up and
         the initial generation loaded before any HTTP request is accepted.
+        Every child is started before any is waited on, so they load the
+        generation concurrently.
         """
         for handle in self._handles:
-            handle.spawn()
+            handle.start()
         for handle in self._handles:
-            handle.request({"op": "ping"}, connect_timeout=self._startup_timeout)
+            handle.wait_ready(self._startup_timeout)
             self._idle.put(handle)
 
     @property
@@ -251,7 +211,7 @@ class WorkerPool(ServingPart):
         if traces is not None and not any(t is not None for t in traces):
             traces = None
         attempts = self.num_workers + 1
-        last_error: Optional[WorkerDiedError] = None
+        last_error: Optional[ReadProcessError] = None
         for attempt in range(attempts):
             handle = self._checkout()
             spans = None
@@ -263,8 +223,8 @@ class WorkerPool(ServingPart):
                     traces, "worker.request", worker=handle.index, attempt=attempt
                 )
             try:
-                reply = handle.request(request)
-            except WorkerDiedError as exc:
+                reply = handle.client.request(request)
+            except ReadProcessError as exc:
                 last_error = exc
                 if spans is not None:
                     for span in spans:
@@ -313,9 +273,9 @@ class WorkerPool(ServingPart):
         )
         while not self._closed:
             try:
-                handle.spawn()
-                handle.request({"op": "ping"}, connect_timeout=60.0)
-            except (WorkerDiedError, OSError):
+                handle.start()
+                handle.wait_ready(self._startup_timeout)
+            except OSError:  # a failed spawn, or ReadProcessError (one too)
                 # Leave a (growing) beat and try again; a worker slot must
                 # not leak even when the binary is persistently broken.
                 delay = backoff.next_delay()
@@ -357,30 +317,12 @@ class WorkerPool(ServingPart):
             traces[bounds[part] : bounds[part + 1]] if traces is not None else None
             for part in range(chunk_count)
         ]
-        results: List[Optional[List[Dict[str, object]]]] = [None] * chunk_count
-        errors: List[BaseException] = []
 
-        def run(part: int) -> None:
-            try:
-                results[part] = self.topk(
-                    chunks[part], k, approximation, traces=trace_chunks[part]
-                )
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
+        def run_chunk(part: int) -> List[Dict[str, object]]:
+            return self.topk(chunks[part], k, approximation, traces=trace_chunks[part])
 
-        threads = [
-            threading.Thread(target=run, args=(part,)) for part in range(1, chunk_count)
-        ]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
         gathered: List[Dict[str, object]] = []
-        for part_results in results:
-            assert part_results is not None
+        for part_results in fan_out_queries(run_chunk, chunk_count, workers=chunk_count):
             gathered.extend(part_results)
         return gathered
 
@@ -391,7 +333,7 @@ class WorkerPool(ServingPart):
                 "workers": self.num_workers,
                 "requests": self._requests,
                 "retries": self._retries,
-                "respawns": sum(max(handle.respawns, 0) for handle in self._handles),
+                "respawns": sum(handle.respawns for handle in self._handles),
                 "respawn_storms": self._respawn_storms,
             }
 

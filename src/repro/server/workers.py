@@ -34,7 +34,9 @@ identical to an in-process response -- the equivalence suite pins this.
 The process is deliberately crash-oblivious: it holds no state the store
 cannot restore, so a parent answers a dead one by respawning it
 (:class:`ReadProcess`) and retrying the (idempotent, read-only) request
-elsewhere.
+elsewhere.  The parent's half lives here too: :class:`ReadClient` is the
+one way either tier sends a frame and reads its reply (``docs/SERVING.md``,
+"Client side").
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ from repro.traces.events import CellSequence, STCell
 
 __all__ = [
     "QueryWorker",
+    "ReadClient",
     "ReadProcess",
+    "ReadProcessError",
     "bad_request_reply",
     "begin_remote_spans",
     "decode_sequence",
@@ -462,11 +466,12 @@ class QueryWorker:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind(tuple(self.address))
-            if port_file:
-                staged = Path(f"{port_file}.tmp")
-                staged.write_text(str(listener.getsockname()[1]), encoding="utf-8")
-                os.replace(staged, port_file)
         listener.listen(16)
+        if port_file and not isinstance(self.address, str):
+            # After listen(): a parent that reads the port may connect at once.
+            staged = Path(f"{port_file}.tmp")
+            staged.write_text(str(listener.getsockname()[1]), encoding="utf-8")
+            os.replace(staged, port_file)
         return listener
 
     def run(self, port_file: Optional[str] = None) -> int:
@@ -541,16 +546,117 @@ class QueryWorker:
                     return
 
 
-class ReadProcess:
-    """One read-process child, as its parent holds it: command, start, stop.
+class ReadProcessError(ConnectionError):
+    """An exchange with a read process, or the wait for one to listen, failed."""
 
-    ``arguments`` are :func:`main`'s flags.  Both tiers' process owners
-    (the worker pool's handles, :class:`repro.cluster.supervisor.ManagedReplica`)
-    are subclasses, so the command line, the child's import path and the
-    SIGTERM-then-SIGKILL escalation exist once.
+
+class ReadClient:
+    """One persistent framed connection to one read process: the client half.
+
+    ``address`` is where the process listens (a Unix socket path or a TCP
+    ``(host, port)`` pair) and ``name`` what errors call it.
+    ``connect_timeout`` bounds one connect; ``request_timeout`` bounds one
+    exchange unless :meth:`request` is given its own ``timeout``.  The
+    connection is opened by the first exchange and kept.
+
+    The invariant every retry and hedge above this class rests on is
+    written here once: an exchange returns the reply to *its* request, or
+    raises :class:`ReadProcessError` with the socket closed.  A connection
+    abandoned part-way could still deliver that exchange's reply later;
+    closing it means the next exchange starts at a frame boundary on a
+    fresh connection and can never read a stale answer.
     """
 
-    def __init__(self, arguments: Sequence[str]) -> None:
+    def __init__(
+        self,
+        address: Address,
+        name: str,
+        connect_timeout: float,
+        request_timeout: float,
+    ) -> None:
+        self.address = address
+        self.name = name
+        self.connect_timeout = connect_timeout
+        self.request_timeout = request_timeout
+        self._sock: Optional[socket.socket] = None
+        self._lock = threading.Lock()
+
+    def __enter__(self) -> "ReadClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def set_address(self, address: Address) -> None:
+        """Point at a restarted process (ephemeral ports move); drops the socket."""
+        with self._lock:
+            self._close()
+            self.address = address
+
+    def request(
+        self, payload: Dict[str, object], timeout: Optional[float] = None
+    ) -> Dict[str, object]:
+        """One framed exchange; raises :class:`ReadProcessError` on any failure.
+
+        A refused or timed-out connect, a reset, a torn or oversized frame,
+        a reply that is not a JSON object, EOF before the reply and an
+        exhausted ``timeout`` all take the one failure path: close, raise.
+        """
+        budget = self.request_timeout if timeout is None else timeout
+        if budget <= 0:
+            raise ReadProcessError(f"{self.name}: no time left in the deadline")
+        with self._lock:
+            try:
+                if self._sock is None:
+                    self._connect(min(self.connect_timeout, budget))
+                self._sock.settimeout(budget)
+                send_frame(self._sock, payload)
+                reply = recv_frame(self._sock)
+                if reply is None:
+                    raise ConnectionError("connection closed before a reply")
+                return reply
+            except (OSError, ValueError) as exc:
+                self._close()
+                raise ReadProcessError(f"{self.name} at {self.address}: {exc}") from exc
+
+    def _connect(self, timeout: float) -> None:
+        # Assigned before connecting, so a failed connect is closed by the
+        # caller's one failure path like everything after it.
+        if isinstance(self.address, str):
+            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            self._sock.settimeout(timeout)
+            self._sock.connect(self.address)
+        else:
+            self._sock = socket.create_connection(tuple(self.address), timeout=timeout)
+
+    def close(self) -> None:
+        """Drop the connection (the next exchange opens a fresh one)."""
+        with self._lock:
+            self._close()
+
+    def _close(self) -> None:
+        if self._sock is not None:
+            try:
+                self._sock.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
+            self._sock = None
+
+
+class ReadProcess:
+    """One read-process child, as its parent holds it: start, await, stop.
+
+    ``name`` is what errors call the child and ``arguments`` are
+    :func:`main`'s flags.  Both tiers' process owners (the worker pool's
+    handles, :class:`repro.cluster.supervisor.ManagedReplica`) are
+    subclasses, so the command line, the child's import path, the wait for
+    it to listen, the respawn count and the SIGTERM-then-SIGKILL escalation
+    exist once.  A subclass says only how its child shows it is listening
+    (:meth:`_listening`).
+    """
+
+    def __init__(self, name: str, arguments: Sequence[str]) -> None:
+        self.name = name
         # Spawned via -c rather than -m: `python -m repro.server.workers`
         # would import the repro.server package (which itself imports the
         # workers module) before runpy re-executes it as __main__, tripping
@@ -562,6 +668,8 @@ class ReadProcess:
             "import sys; from repro.server.workers import main; sys.exit(main(sys.argv[1:]))",
             *arguments,
         ]
+        #: Starts after the first -- what ``/v1/stats`` and ``/metrics`` report.
+        self.respawns = 0
         self._popen: Optional[subprocess.Popen] = None
 
     @property
@@ -589,7 +697,37 @@ class ReadProcess:
         env["PYTHONPATH"] = (
             package_root if not existing else package_root + os.pathsep + existing
         )
+        previous = self._popen
         self._popen = subprocess.Popen(self.command, env=env)
+        if previous is not None:
+            self.respawns += 1
+
+    def _listening(self) -> Optional[Address]:
+        """The child's address once it is listening, else ``None`` (one probe)."""
+        raise NotImplementedError
+
+    def wait_ready(self, timeout: float) -> Address:
+        """Block until the started child is listening; return its address.
+
+        The one wait-for-the-child loop: raises :class:`ReadProcessError`
+        naming the exit status when the child died first, or the timeout
+        when it passed.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            address = self._listening()
+            if address is not None:
+                return address
+            if not self.alive():
+                raise ReadProcessError(
+                    f"{self.name}: read process exited with {self.returncode} "
+                    "before listening"
+                )
+            if time.monotonic() >= deadline:
+                raise ReadProcessError(
+                    f"{self.name}: read process not listening within {timeout:.0f}s"
+                )
+            time.sleep(0.02)
 
     def terminate(self, timeout: float = 10.0) -> None:
         """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""

@@ -18,16 +18,20 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import re
 import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import repro
+from repro.cluster.chaos import ChaosController
 from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.replica import (
     ClusterConfig,
@@ -36,14 +40,16 @@ from repro.cluster.replica import (
     ShardUnavailable,
 )
 from repro.cluster.supervisor import ManagedReplica
-from repro.cluster.wire import one_shot_request
 from repro.obs.health import SUSPECT_THRESHOLD, NodeHealth
 from repro.server import protocol
 from repro.server.frontend import WorkerPool
 from repro.server.generation import GenerationStore
 from repro.server.workers import (
     MAX_ERROR_CHARS,
+    MAX_FRAME_BYTES,
     QueryWorker,
+    ReadClient,
+    ReadProcessError,
     decode_sequence,
     encode_sequence,
     recv_frame,
@@ -315,16 +321,17 @@ def test_both_tiers_spawn_from_a_parent_without_pythonpath(small_engine, tmp_pat
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.cluster.supervisor import ManagedReplica
-from repro.cluster.wire import one_shot_request
 from repro.server.frontend import WorkerPool
+from repro.server.workers import ReadClient
 
 store, run_dir = sys.argv[2], sys.argv[3]
 pool = WorkerPool(store, 1)
 replica = ManagedReplica("shard-000", "shard-000-r0", store, run_dir)
 try:
     pool.start()
-    worker = pool._handles[0].request({"op": "ping"})
-    shard = one_shot_request("127.0.0.1", replica.spawn(), {"op": "ping"})
+    worker = pool._handles[0].client.request({"op": "ping"})
+    with ReadClient(("127.0.0.1", replica.spawn()), "shard", 5.0, 30.0) as client:
+        shard = client.request({"op": "ping"})
 finally:
     pool.close()
     replica.terminate()
@@ -371,13 +378,11 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
             ],
             "k": 3,
         }
-        for ask in (
-            pool._handles[0].request,
-            lambda frame: one_shot_request("127.0.0.1", port, frame),
-        ):
-            first, second = ask(by_entity), ask(by_sequence)
-            assert "error" not in first and "error" not in second
-            assert first["results"] == second["results"]
+        with ReadClient(("127.0.0.1", port), "shard", 5.0, 30.0) as shard_client:
+            for ask in (pool._handles[0].client.request, shard_client.request):
+                first, second = ask(by_entity), ask(by_sequence)
+                assert "error" not in first and "error" not in second
+                assert first["results"] == second["results"]
     finally:
         pool.close()
         replica.terminate()
@@ -402,15 +407,28 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
 # Replica group failover against in-test framed TCP servers
 # ----------------------------------------------------------------------
 class _FakeShardServer:
-    """A framed TCP peer answering with ``reply_fn(request)`` per frame."""
+    """A framed peer answering with ``reply_fn(request)`` per frame.
 
-    def __init__(self, reply_fn):
+    ``address`` is a TCP ``(host, port)`` pair (port ``0`` = ephemeral) or
+    a Unix socket path; ``serve`` replaces the framed reply loop with a
+    function of the accepted connection (a misbehaving peer).
+    """
+
+    def __init__(self, reply_fn, address=("127.0.0.1", 0), serve=None):
         self._reply_fn = reply_fn
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind(("127.0.0.1", 0))
+        if serve is not None:
+            self._serve_frames = serve
+        if isinstance(address, str):
+            if os.path.exists(address):
+                os.unlink(address)
+            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        else:
+            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind(address)
         self._listener.listen(8)
-        self.port = self._listener.getsockname()[1]
+        self.address = self._listener.getsockname()
+        self.port = None if isinstance(address, str) else self.address[1]
         self._closed = False
         threading.Thread(target=self._accept_loop, daemon=True).start()
 
@@ -426,24 +444,27 @@ class _FakeShardServer:
 
     def _serve(self, connection):
         with connection:
-            while True:
-                try:
-                    request = recv_frame(connection)
-                except (ConnectionError, OSError, ValueError):
-                    return
-                if request is None:
-                    return
-                try:
-                    send_frame(connection, self._reply_fn(request))
-                except OSError:
-                    return
+            try:
+                self._serve_frames(connection)
+            except (ConnectionError, OSError, ValueError):
+                return
+
+    def _serve_frames(self, connection):
+        while True:
+            request = recv_frame(connection)
+            if request is None:
+                return
+            send_frame(connection, self._reply_fn(request))
 
     def close(self):
         self._closed = True
         try:
-            self._listener.close()
+            # shutdown() pops the blocked accept(), which otherwise keeps
+            # the address bound after close().
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
 
 
 def _dead_port() -> int:
@@ -546,6 +567,165 @@ class TestReplicaGroup:
     def test_group_requires_at_least_one_replica(self):
         with pytest.raises(ValueError, match="needs >= 1 replica"):
             ReplicaGroup("shard-000", [])
+
+
+# ----------------------------------------------------------------------
+# The one read client: the client-side frame boundary, both address kinds
+# ----------------------------------------------------------------------
+_LENGTH = struct.Struct(">I")
+
+
+def _raw_reply(body: bytes, declared=None):
+    """A peer that reads the request, then writes ``body`` under a length
+    prefix (``declared`` bytes, by default honest) and hangs up."""
+
+    def serve(connection):
+        recv_frame(connection)
+        length = len(body) if declared is None else declared
+        connection.sendall(_LENGTH.pack(length) + body)
+
+    return serve
+
+
+def _oversized_prefix(connection):
+    recv_frame(connection)
+    connection.sendall(_LENGTH.pack(MAX_FRAME_BYTES + 1))
+    connection.recv(1)  # held open: the client must hang up on the prefix alone
+
+
+def _slow_stale_reply(connection):
+    recv_frame(connection)
+    time.sleep(0.6)
+    send_frame(connection, {"ok": True, "server": "stale"})
+
+
+#: How a peer can fail one exchange -> its ``serve`` (``None``: no listener).
+_BROKEN_PEERS = {
+    "refused connect": None,
+    "accept then close": lambda connection: None,
+    "EOF before the reply": recv_frame,
+    "torn frame": _raw_reply(b"abc", declared=10),
+    "length prefix above the cap": _oversized_prefix,
+    "body is not a JSON object": _raw_reply(b"[1, 2]"),
+    "body is not UTF-8 JSON": _raw_reply(b"\xff\xfe{"),
+    "reply slower than the timeout": _slow_stale_reply,
+}
+
+
+@pytest.mark.parametrize("kind", ["unix", "tcp"])
+@pytest.mark.parametrize("failure", list(_BROKEN_PEERS))
+def test_read_client_fails_closed_at_a_frame_boundary(kind, failure, tmp_path):
+    """Every way an exchange can fail is one ``ReadProcessError`` with the
+    socket closed, and the next exchange -- a healthy listener now on the
+    same address -- gets *its* reply, never a stale one."""
+    serve = _BROKEN_PEERS[failure]
+    if serve is not None:
+        broken = _FakeShardServer(
+            None,
+            address=str(tmp_path / "peer.sock") if kind == "unix" else ("127.0.0.1", 0),
+            serve=serve,
+        )
+        address = broken.address
+    else:
+        broken = None
+        address = str(tmp_path / "peer.sock") if kind == "unix" else ("127.0.0.1", _dead_port())
+    client = ReadClient(address, "peer", connect_timeout=0.5, request_timeout=2.0)
+    healthy = None
+    try:
+        with pytest.raises(ReadProcessError, match="peer"):
+            client.request({"op": "ping"}, timeout=0.3)
+        assert client._sock is None
+        if broken is not None:
+            broken.close()
+        healthy = _FakeShardServer(
+            lambda request: {"ok": True, "server": "healthy"}, address=address
+        )
+        assert client.request({"op": "ping"}) == {"ok": True, "server": "healthy"}
+        assert client._sock is not None  # and the connection is kept
+    finally:
+        client.close()
+        for server in (broken, healthy):
+            if server is not None:
+                server.close()
+    assert client._sock is None
+
+
+def test_one_read_client(small_engine, tmp_path):
+    """Both tiers reach a read process through ``ReadClient.request`` only."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.cluster.wire")
+
+    package = Path(repro.__file__).parent
+    receives = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "recv_frame(" in line and "def recv_frame(" not in line
+    ]
+    # The worker's serve loop and ReadClient.request -- nothing else reads a frame.
+    assert len(receives) == 2 and all(
+        hit.startswith("server/workers.py:") for hit in receives
+    ), receives
+    connects = re.compile(r"create_connection\(|\.connect\(")
+    for path in [package / "server" / "frontend.py", *sorted((package / "cluster").glob("*.py"))]:
+        assert not connects.search(path.read_text(encoding="utf-8")), path
+
+    GenerationStore(tmp_path / "store").publish(small_engine)
+    pool = WorkerPool(tmp_path / "store", 1)
+    replica = ManagedReplica(
+        "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
+    )
+    try:
+        pool.start()
+        addresses = [pool._handles[0].client.address, ("127.0.0.1", replica.spawn())]
+        assert isinstance(addresses[0], str)  # a Unix socket path
+        pids = []
+        for address in addresses:
+            with ReadClient(address, "child", 5.0, 30.0) as client:
+                reply = client.request({"op": "ping"})
+            assert reply["ok"] and reply["generation"] == 1
+            pids.append(reply["pid"])
+        assert pids == [pool.worker_pids[0], replica.pid]
+    finally:
+        pool.close()
+        replica.terminate()
+
+
+def test_chaos_injectors_never_raise(small_engine, tmp_path):
+    """A chaos frame the replica drops or refuses is a ``False`` return.
+
+    The drop token and the refuse flag apply to chaos frames too, so
+    ``clear`` after either cannot reach the process: it must come back
+    without raising, and ``injected`` lists acknowledged frames only.
+    """
+    GenerationStore(tmp_path / "store").publish(small_engine)
+    replica = ManagedReplica(
+        "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
+    )
+    name = replica.name
+    chaos = ChaosController(
+        SimpleNamespace(managed={name: replica}, cluster_config=_fast_config())
+    )
+    cleared = {"delay": 0.0, "drop": 0, "refuse": False}
+    try:
+        assert chaos.slow_replies(name, 0.1) is False  # never spawned: no port
+        replica.spawn()
+        assert chaos.drop_requests(name, 1) is True
+        chaos.clear(name)  # spends the drop token on the chaos frame itself
+        assert chaos.clear(name) is None  # this one is answered
+        assert chaos.injected == [
+            {"fault": "chaos_flags", "replica": name, "drop": 1},
+            {"fault": "chaos_flags", "replica": name, **cleared},
+        ]
+        assert chaos.refuse_connections(name) is True
+        chaos.clear(name)  # refused: only a restart clears the flag
+        assert chaos.refuse_connections(name, False) is False
+        assert len(chaos.injected) == 3
+        replica.kill()
+        assert chaos.drop_requests(name, 1) is False  # vanished
+        assert len(chaos.injected) == 3
+    finally:
+        replica.terminate()
 
 
 def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measure):

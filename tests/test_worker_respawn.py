@@ -13,6 +13,10 @@ so every revival attempt dies on startup.  The pool must (a) keep
 answering queries through the surviving worker, (b) count the retry, and
 (c) count at least one respawn storm -- all with the backoff shrunk so
 the loop crosses the threshold in well under a second.
+
+The second test covers the child that does *not* die: it stays alive but
+never listens.  The revive loop must give up on it after the pool's own
+start-up timeout, not after a constant of its own.
 """
 
 from __future__ import annotations
@@ -68,5 +72,46 @@ def test_crash_looping_worker_counts_a_storm_and_pool_keeps_answering(
         assert [(r["entity"], r["score"]) for r in payloads[0]["results"]] == list(
             expected_b.items
         )
+    finally:
+        pool.close()
+
+
+def test_child_that_never_listens_is_given_up_on_after_the_pools_timeout(
+    small_engine, tmp_path
+):
+    store_root = tmp_path / "store"
+    GenerationStore(store_root).publish(small_engine)
+    pool = WorkerPool(
+        store_root,
+        num_workers=2,
+        respawn_backoff_base=0.01,
+        respawn_backoff_cap=0.05,
+    )
+    pool.start()
+    try:
+        # Shrunk after a normal start: what a revive waits is the pool's
+        # start-up timeout, whatever it is.
+        pool._startup_timeout = 0.3
+        victim = pool._handles[0]
+        # Every future revival of this slot stays alive and never binds.
+        victim.command = [sys.executable, "-c", "import time; time.sleep(600)"]
+        os.kill(victim.pid, signal.SIGKILL)
+
+        expected = small_engine.top_k("a", k=3)
+        payloads = pool.topk(["a"], 3, 0.0)
+        assert [(r["entity"], r["score"]) for r in payloads[0]["results"]] == list(
+            expected.items
+        )
+
+        # Three given-up attempts make a storm: ~1 s at 0.3 s each, where a
+        # wait of its own 60 s would still be inside the first.
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline:
+            if pool.stats_snapshot()["respawn_storms"] >= 1:
+                break
+            time.sleep(0.02)
+        stats = pool.stats_snapshot()
+        assert stats["respawn_storms"] >= 1, stats
+        assert stats["respawns"] >= 3, stats
     finally:
         pool.close()
