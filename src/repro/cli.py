@@ -67,6 +67,7 @@ from repro.core.engine import TraceQueryEngine
 from repro.measures.adm import HierarchicalADM
 from repro.mobility.hierarchical import generate_synthetic_dataset
 from repro.mobility.wifi import generate_wifi_dataset
+from repro.service.partition import PARTITIONER_KINDS
 from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine
 from repro.traces.io import (
     load_hierarchy_json,
@@ -153,13 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve through a sharded engine with this many entity partitions (0 = single engine)",
     )
-    query.add_argument(
-        "--partitioner",
-        choices=["hash", "round_robin", "consistent_hash"],
-        default=None,
-        help="entity partitioning strategy for --shards (default: hash; "
-        "consistent_hash minimises reassignment when shard counts change)",
-    )
+    _add_partitioner_argument(query)
     _add_index_arguments(query, defaults=False)
     query.add_argument(
         "--approximation",
@@ -196,13 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="build a sharded index with this many entity partitions (0 = single engine)",
     )
-    index_build.add_argument(
-        "--partitioner",
-        choices=["hash", "round_robin", "consistent_hash"],
-        default=None,
-        help="entity partitioning strategy for --shards (default: hash; "
-        "consistent_hash minimises reassignment when shard counts change)",
-    )
+    _add_partitioner_argument(index_build)
     _add_index_arguments(index_build, defaults=True)
 
     index_info = index_sub.add_parser("info", help="summarise a snapshot directory")
@@ -264,13 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="stream into a sharded engine with this many entity partitions (0 = single engine)",
     )
-    stream.add_argument(
-        "--partitioner",
-        choices=["hash", "round_robin", "consistent_hash"],
-        default=None,
-        help="entity partitioning strategy for --shards (default: hash; "
-        "consistent_hash minimises reassignment when shard counts change)",
-    )
+    _add_partitioner_argument(stream)
     _add_index_arguments(stream, defaults=True)
 
     serve = subparsers.add_parser(
@@ -295,13 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve through a sharded engine with this many entity partitions (0 = single engine)",
     )
-    serve.add_argument(
-        "--partitioner",
-        choices=["hash", "round_robin", "consistent_hash"],
-        default=None,
-        help="entity partitioning strategy for --shards (default: hash; "
-        "consistent_hash minimises reassignment when shard counts change)",
-    )
+    _add_partitioner_argument(serve)
     serve.add_argument(
         "--horizon",
         type=int,
@@ -590,6 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_partitioner_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--partitioner",
+        choices=list(PARTITIONER_KINDS),
+        default=None,
+        help="entity partitioning strategy for --shards (default: hash; "
+        "consistent_hash minimises reassignment when shard counts change)",
+    )
+
+
 def _add_dataset_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--traces", required=required, help="CSV trace file (entity,unit,start,end)"
@@ -758,29 +745,13 @@ def _fetch_json(url: str, timeout: float = 10.0) -> Dict[str, object]:
         raise _CommandError(f"cannot fetch {url}: {exc}") from exc
 
 
-def _histogram_percentile(bucket_deltas: Sequence[int], quantile: float) -> Optional[float]:
-    """Interpolate a percentile (seconds) from per-bucket count deltas.
-
-    Delegates to :func:`repro.obs.trace.histogram_percentile` -- the shared
-    estimator the scenario harness and the stats watcher both use.
-    """
-    from repro.obs.trace import histogram_percentile
-
-    return histogram_percentile(bucket_deltas, quantile)
-
-
 def _topk_bucket_counts(payload: Dict[str, object]) -> List[int]:
     """The ``/v1/topk`` latency bucket counts of one ``/v1/stats`` payload."""
-    from repro.obs.trace import LATENCY_BUCKETS
+    from repro.obs import snapshot_bucket_counts
 
     endpoints = payload.get("endpoints")
     entry = endpoints.get("/v1/topk") if isinstance(endpoints, dict) else None
-    if not isinstance(entry, dict):
-        return [0] * (len(LATENCY_BUCKETS) + 1)
-    buckets = entry.get("latency", {}).get("buckets", {})
-    counts = [int(buckets.get(f"le_{edge:g}", 0)) for edge in LATENCY_BUCKETS]
-    counts.append(int(buckets.get("le_inf", 0)))
-    return counts
+    return snapshot_bucket_counts(entry.get("latency", {}) if isinstance(entry, dict) else {})
 
 
 def _topk_requests(payload: Dict[str, object]) -> int:
@@ -818,14 +789,16 @@ def _stats_interval_line(
     """
     import time
 
+    from repro.obs import histogram_percentile
+
     queries = _topk_requests(current) - _topk_requests(previous)
     qps = queries / interval if interval > 0 else 0.0
     deltas = [
         now - before
         for now, before in zip(_topk_bucket_counts(current), _topk_bucket_counts(previous))
     ]
-    p50 = _format_latency(_histogram_percentile(deltas, 0.5))
-    p95 = _format_latency(_histogram_percentile(deltas, 0.95))
+    p50 = _format_latency(histogram_percentile(deltas, 0.5))
+    p95 = _format_latency(histogram_percentile(deltas, 0.95))
     cache_now, cache_before = _cache_counters(current), _cache_counters(previous)
     if cache_now is None or cache_before is None:
         cache_text = "-"

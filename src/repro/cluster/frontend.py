@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
 from repro.cluster.supervisor import ManagedReplica, ReplicaSupervisor
-from repro.obs import exposition
 from repro.server.app import ServingPart, Traces
 from repro.server.frontend import GenerationPublisher
 from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore
@@ -52,8 +51,8 @@ class ShardPublisher(GenerationPublisher):
     out: the appended events split by owning shard (the engine routed them
     moments ago, so the assignment is recorded) while window cutoffs and
     compactions apply to every shard.  The fleet reports the per-shard
-    generations inside its ``cluster`` sections, so this part adds only
-    the ``repro_cluster_generation`` gauge.
+    generations inside its ``cluster`` sections, so this part adds no
+    section of its own.
     """
 
     temp_prefix = "repro-cluster-"
@@ -86,20 +85,6 @@ class ShardPublisher(GenerationPublisher):
         return {}
 
     stats = health
-
-    def metric_families(self) -> List[exposition.MetricFamily]:
-        """The ``repro_cluster_generation`` gauge."""
-        return [
-            exposition.MetricFamily(
-                name="repro_cluster_generation",
-                kind="gauge",
-                help="Newest published generation per shard store.",
-                samples=[
-                    ("", {"shard": shard}, float(generation))
-                    for shard, generation in sorted(self.generations().items())
-                ],
-            )
-        ]
 
 
 class ClusterFleet(ServingPart):
@@ -219,70 +204,6 @@ class ClusterFleet(ServingPart):
                 "generations": self.publisher.generations(),
             }
         }
-
-    def metric_families(self) -> List[exposition.MetricFamily]:
-        """The ``repro_cluster_*`` process and traffic families.
-
-        ``repro_cluster_replica_up`` is the per-node health gauge
-        (``1`` live, ``0`` anything else) and
-        ``repro_cluster_events_total{event="degraded_queries"}`` counts
-        answers that went out explicitly marked degraded -- the metric the
-        degraded-answer contract promises.
-        """
-        coordinator = self.coordinator.snapshot()
-        supervisor = self.supervisor.snapshot()
-        up_samples = []
-        state_samples = []
-        for group in self.groups:
-            for replica in group.replicas:
-                health = replica.health.snapshot()
-                labels = {"shard": group.shard, "replica": str(health["name"])}
-                up_samples.append(
-                    ("", labels, 1.0 if health["state"] == "live" else 0.0)
-                )
-                state_samples.append(
-                    ("", {**labels, "state": str(health["state"])}, 1.0)
-                )
-        events = {
-            key: sum(group["counters"][key] for group in coordinator["groups"])
-            for key in ("requests", "retries", "hedges", "failovers")
-        }
-        events["degraded_queries"] = coordinator["counters"]["degraded_queries"]
-        events["failed_queries"] = coordinator["counters"]["failed_queries"]
-        events["respawns"] = sum(supervisor["respawns"].values())
-        events["respawn_storms"] = supervisor["respawn_storms"]
-        return [
-            exposition.MetricFamily(
-                name="repro_cluster_shards",
-                kind="gauge",
-                help="Shard groups in the cluster.",
-                samples=[("", {}, float(self.num_shards))],
-            ),
-            exposition.MetricFamily(
-                name="repro_cluster_replica_up",
-                kind="gauge",
-                help="Per-replica liveness (1 = live and serving, 0 = "
-                "suspect, down, or catching up).",
-                samples=up_samples,
-            ),
-            exposition.MetricFamily(
-                name="repro_cluster_replica_state",
-                kind="gauge",
-                help="Per-replica health state (live/suspect/down/catching_up).",
-                samples=state_samples,
-            ),
-            exposition.MetricFamily(
-                name="repro_cluster_events_total",
-                kind="counter",
-                help="Cluster activity: shard requests, retries, hedged "
-                "requests, failovers, degraded answers (a whole replica "
-                "group down), failed queries, replica respawns and "
-                "respawn storms.",
-                samples=[
-                    ("", {"event": key}, float(value)) for key, value in events.items()
-                ],
-            ),
-        ]
 
     def close(self) -> None:
         """Close the replica connections, then SIGTERM every shard server."""

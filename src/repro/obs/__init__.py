@@ -35,6 +35,7 @@ from repro.obs.trace import (
     Tracer,
     format_trace,
     histogram_percentile,
+    snapshot_bucket_counts,
 )
 
 __all__ = [
@@ -51,4 +52,5 @@ __all__ = [
     "histogram_samples",
     "parse_exposition",
     "render_exposition",
+    "snapshot_bucket_counts",
 ]

@@ -50,6 +50,7 @@ __all__ = [
     "Tracer",
     "format_trace",
     "histogram_percentile",
+    "snapshot_bucket_counts",
 ]
 
 #: Histogram bucket upper edges, in **seconds**: roughly logarithmic from
@@ -126,25 +127,31 @@ class LatencyHistogram:
         buckets["le_inf"] = self.bucket_counts[-1]
         return {
             "count": self.count,
+            "total_seconds": self.total_seconds,
             "mean_seconds": self.mean_seconds,
             "max_seconds": self.max_seconds,
             "buckets": buckets,
         }
 
-    def raw(self) -> Dict[str, object]:
-        """The raw aggregates the Prometheus exposition layer renders.
 
-        Unlike :meth:`snapshot`, bucket counts come back as a plain list
-        aligned with :data:`LATENCY_BUCKETS` (plus the overflow slot) so
-        the renderer can produce cumulative ``_bucket`` series without
-        re-parsing ``le_*`` keys.
-        """
-        return {
-            "count": self.count,
-            "total_seconds": self.total_seconds,
-            "max_seconds": self.max_seconds,
-            "bucket_counts": list(self.bucket_counts),
-        }
+def snapshot_bucket_counts(snapshot: Dict[str, object]) -> List[int]:
+    """The per-bucket counts of a :meth:`LatencyHistogram.snapshot` dict.
+
+    The inverse of the snapshot's ``le_*`` keying: one count per edge of
+    :data:`LATENCY_BUCKETS` plus the overflow slot -- the list
+    :func:`histogram_percentile` and the exposition renderer take.  A
+    missing key counts 0, so ``{}`` reads as an empty histogram.
+
+    >>> histogram = LatencyHistogram()
+    >>> histogram.observe(0.004)
+    >>> snapshot_bucket_counts(histogram.snapshot()) == histogram.bucket_counts
+    True
+    """
+    buckets = snapshot.get("buckets", {})
+    counts = [int(buckets.get(f"le_{edge:g}", 0)) for edge in LATENCY_BUCKETS]
+    counts.append(int(buckets.get("le_inf", 0)))
+    return counts
+
 
 #: JSON-safe attribute value types; anything else is stored as ``repr()``.
 _SCALARS = (str, int, float, bool, type(None))
@@ -521,13 +528,11 @@ class Tracer:
         records.reverse()
         return records
 
-    def stage_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Per-span-name latency aggregates (count/sum/max/bucket counts)."""
-        with self._lock:
-            return {name: histogram.raw() for name, histogram in self._stages.items()}
-
     def counters_snapshot(self) -> Dict[str, object]:
-        """Sampling/admission counters for ``/v1/stats``."""
+        """The ``tracing`` section of ``/v1/stats``: sampling/admission
+        counters, retention sizes, and ``stages`` -- one
+        :meth:`LatencyHistogram.snapshot` per span name -- read under one
+        lock acquisition, so ``recorded`` and the stage counts agree."""
         with self._lock:
             return {
                 "sample_rate": self.sample_rate,
@@ -536,6 +541,9 @@ class Tracer:
                 "ring_size": len(self._ring),
                 "slow_retained": len(self._slow),
                 "errored_retained": len(self._errored),
+                "stages": {
+                    name: histogram.snapshot() for name, histogram in self._stages.items()
+                },
             }
 
 

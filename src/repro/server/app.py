@@ -76,10 +76,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs import exposition
-from repro.obs.trace import LATENCY_BUCKETS, SpanContext, Tracer
+from repro.obs.exposition import render_exposition
+from repro.obs.trace import SpanContext, Tracer
 from repro.server.coalescer import QueueFullError, RequestCoalescer
-from repro.server.metrics import ServerMetrics
+from repro.server.metrics import ServerMetrics, metric_families
 from repro.server import protocol
 from repro.streaming.ingestor import EventIngestor, StreamingConfig
 
@@ -93,10 +93,11 @@ class ServingPart:
     """What a part plugged into :class:`TraceServer` may contribute.
 
     Read backends and publishers subclass this and override what they
-    have: the server merges :meth:`health` into ``/v1/healthz``,
-    :meth:`stats` into ``/v1/stats`` and appends :meth:`metric_families`
-    to ``/metrics``, so each counter is exported by the object that keeps
-    it.  A *read backend* additionally answers queries -- ``topk`` for one
+    have: the server merges :meth:`health` into ``/v1/healthz`` and
+    :meth:`stats` into ``/v1/stats``, so each counter is reported once, by
+    the object that keeps it; ``/metrics`` renders those sections through
+    :func:`repro.server.metrics.metric_families`.  A *read backend*
+    additionally answers queries -- ``topk`` for one
     coalesced round (and the coalescer's one-query fallback) and
     ``topk_batch`` for a client's batch request, both
     ``(entities, k, approximation, traces) -> [result payload, ...]`` in
@@ -115,10 +116,6 @@ class ServingPart:
     def stats(self) -> Dict[str, object]:
         """Sections merged into the ``/v1/stats`` body."""
         return {}
-
-    def metric_families(self) -> List[exposition.MetricFamily]:
-        """Families appended to the ``/metrics`` exposition."""
-        return []
 
     def close(self) -> None:
         """Release processes, connections and private files."""
@@ -480,6 +477,7 @@ class TraceServer:
     def handle_stats(self) -> Response:
         """``GET /v1/stats``: engine, cache, ingest, coalescer, HTTP metrics.
 
+        The server's one snapshot -- ``/metrics`` is rendered from it too.
         The whole payload is assembled from **one consistent read**: every
         source is snapshotted under the engine lock, in the fixed
         acquisition order *engine lock -> coalescer mutex -> metrics lock
@@ -513,6 +511,11 @@ class TraceServer:
             coalescer_stats = self.coalescer.stats_snapshot()
             endpoint_stats = self.metrics.snapshot()
             tracing_stats = self.tracer.counters_snapshot()
+        if not isinstance(self.backend, EngineBackend):
+            # Reads are answered by other processes and never consult the
+            # owner's cache: its all-zero counters would pass for a live
+            # cache that misses nothing.
+            engine_stats["cache"] = None
         payload: Dict[str, object] = {
             "engine": engine_stats,
             "ingest": ingest_stats,
@@ -528,194 +531,11 @@ class TraceServer:
     def handle_metrics(self) -> Tuple[int, str]:
         """``GET /metrics``: Prometheus text exposition (format 0.0.4).
 
-        Renders the per-endpoint request histograms, per-stage span
-        latency histograms, coalescer/trace counters, and ingest-lag and
-        cache gauges.  Sources are snapshotted with the same single
-        acquisition order as :meth:`handle_stats`.
+        A pure function of the :meth:`handle_stats` body
+        (:func:`~repro.server.metrics.metric_families`), so a scrape reads
+        exactly what ``/v1/stats`` reports, with its one acquisition order.
         """
-        return 200, exposition.render_exposition(self._metric_families())
-
-    def _metric_families(self) -> List[exposition.MetricFamily]:
-        """The server's own families, then each plugged part's."""
-        with self.engine_lock:
-            engine_stats = self.engine.runtime_stats()
-            ingest = self.ingestor.stats
-            buffered = ingest.events_buffered
-            events_submitted = ingest.events_submitted
-            events_flushed = ingest.events_flushed
-            events_dropped = ingest.events_dropped_late
-            last_flush = ingest.last_flush_monotonic
-            coalescer_stats = self.coalescer.stats_snapshot()
-            endpoints = self.metrics.raw_snapshot()
-            stages = self.tracer.stage_snapshot()
-            tracing = self.tracer.counters_snapshot()
-
-        families: List[exposition.MetricFamily] = []
-
-        families.append(
-            exposition.MetricFamily(
-                name="repro_requests_total",
-                kind="counter",
-                help="HTTP requests answered, by endpoint.",
-                samples=[
-                    ("", {"endpoint": endpoint}, float(entry["requests"]))
-                    for endpoint, entry in endpoints.items()
-                ],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_responses_total",
-                kind="counter",
-                help="HTTP responses, by endpoint and status code.",
-                samples=[
-                    ("", {"endpoint": endpoint, "status": status}, float(count))
-                    for endpoint, entry in endpoints.items()
-                    for status, count in sorted(entry["status"].items())
-                ],
-            )
-        )
-        # Both are LatencyHistogram.raw() per label value: one rendering.
-        for name, help_text, label, histograms in (
-            (
-                "repro_request_latency_seconds",
-                "End-to-end HTTP request latency, by endpoint.",
-                "endpoint",
-                endpoints,
-            ),
-            (
-                "repro_stage_latency_seconds",
-                "Span durations of traced requests, by pipeline stage.",
-                "stage",
-                stages,
-            ),
-        ):
-            family = exposition.MetricFamily(name=name, kind="histogram", help=help_text)
-            for key in sorted(histograms):
-                entry = histograms[key]
-                family.samples.extend(
-                    exposition.histogram_samples(
-                        {label: key},
-                        entry["bucket_counts"],
-                        LATENCY_BUCKETS,
-                        entry["total_seconds"],
-                        entry["count"],
-                    )
-                )
-            families.append(family)
-
-        families.append(
-            exposition.MetricFamily(
-                name="repro_traces_total",
-                kind="counter",
-                help="Traces sampled (started) and retained (recorded).",
-                samples=[
-                    ("", {"event": "started"}, float(tracing["started"])),
-                    ("", {"event": "recorded"}, float(tracing["recorded"])),
-                ],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_trace_sample_rate",
-                kind="gauge",
-                help="Configured trace sampling rate (0 disables tracing).",
-                samples=[("", {}, float(tracing["sample_rate"]))],
-            )
-        )
-
-        families.append(
-            exposition.MetricFamily(
-                name="repro_coalescer_queries_total",
-                kind="counter",
-                help="Coalescer admission and dispatch counters.",
-                samples=[
-                    ("", {"event": "submitted"}, float(coalescer_stats["submitted"])),
-                    ("", {"event": "rejected"}, float(coalescer_stats["rejected"])),
-                    ("", {"event": "dispatched"}, float(coalescer_stats["dispatched"])),
-                    ("", {"event": "coalesced"}, float(coalescer_stats["coalesced"])),
-                ],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_coalescer_batches_total",
-                kind="counter",
-                help="Coalescer dispatch rounds.",
-                samples=[("", {}, float(coalescer_stats["batches"]))],
-            )
-        )
-
-        families.append(
-            exposition.MetricFamily(
-                name="repro_ingest_events_total",
-                kind="counter",
-                help="Streamed events, by outcome.",
-                samples=[
-                    ("", {"outcome": "submitted"}, float(events_submitted)),
-                    ("", {"outcome": "flushed"}, float(events_flushed)),
-                    ("", {"outcome": "dropped_late"}, float(events_dropped)),
-                ],
-            )
-        )
-        ingest_lag = exposition.MetricFamily(
-            name="repro_ingest_buffered_events",
-            kind="gauge",
-            help="Events accepted but not yet flushed into the index (ingest lag).",
-            samples=[("", {}, float(buffered))],
-        )
-        families.append(ingest_lag)
-        flush_age = exposition.MetricFamily(
-            name="repro_ingest_last_flush_age_seconds",
-            kind="gauge",
-            help="Seconds since the last ingest flush (absent before the first).",
-        )
-        if last_flush is not None:
-            flush_age.samples.append(("", {}, time.monotonic() - last_flush))
-        families.append(flush_age)
-
-        cache_stats = engine_stats.get("cache")
-        cache_entries = exposition.MetricFamily(
-            name="repro_cache_entries",
-            kind="gauge",
-            help="Query-result cache entries (absent when caching is off).",
-        )
-        cache_events = exposition.MetricFamily(
-            name="repro_cache_events_total",
-            kind="counter",
-            help="Query-result cache hits/misses/evictions/invalidations.",
-        )
-        cache_hit_rate = exposition.MetricFamily(
-            name="repro_cache_hit_rate",
-            kind="gauge",
-            help="Cumulative query-result cache hit rate.",
-        )
-        if cache_stats:
-            cache_entries.samples.append(("", {}, float(cache_stats["entries"])))
-            for event in ("hits", "misses", "evictions", "invalidations"):
-                cache_events.samples.append(("", {"event": event}, float(cache_stats[event])))
-            cache_hit_rate.samples.append(("", {}, float(cache_stats["hit_rate"])))
-        families.extend([cache_entries, cache_events, cache_hit_rate])
-
-        families.append(
-            exposition.MetricFamily(
-                name="repro_index_entities",
-                kind="gauge",
-                help="Entities in the served index.",
-                samples=[("", {}, float(engine_stats.get("entities", 0)))],
-            )
-        )
-        families.append(
-            exposition.MetricFamily(
-                name="repro_uptime_seconds",
-                kind="gauge",
-                help="Seconds since the server started.",
-                samples=[("", {}, time.monotonic() - self.started_at)],
-            )
-        )
-        for part in self._parts:
-            families.extend(part.metric_families())
-        return families
+        return 200, render_exposition(metric_families(self.handle_stats()[1]))
 
     def handle_debug_slow(self) -> Response:
         """``GET /v1/debug/slow``: the slow-query log.

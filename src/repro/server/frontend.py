@@ -41,7 +41,6 @@ from queue import Empty, Queue
 from typing import Dict, List, Optional
 
 from repro.core.query import fan_out_queries
-from repro.obs import exposition
 from repro.obs.trace import SpanContext
 from repro.server.app import ServingPart
 from repro.server.backoff import ExponentialBackoff
@@ -348,29 +347,6 @@ class WorkerPool(ServingPart):
         """The ``workers`` section of ``/v1/stats``."""
         return {"workers": self.stats_snapshot()}
 
-    def metric_families(self) -> List[exposition.MetricFamily]:
-        """``repro_worker_pool_workers`` and ``repro_worker_events_total``."""
-        pool_stats = self.stats_snapshot()
-        return [
-            exposition.MetricFamily(
-                name="repro_worker_pool_workers",
-                kind="gauge",
-                help="Configured query worker processes.",
-                samples=[("", {}, float(pool_stats["workers"]))],
-            ),
-            exposition.MetricFamily(
-                name="repro_worker_events_total",
-                kind="counter",
-                help="Worker pool activity: answered requests, retries after a "
-                "worker death, respawned workers, respawn storms (a worker "
-                "repeatedly dying on startup).",
-                samples=[
-                    ("", {"event": event}, float(pool_stats[event]))
-                    for event in ("requests", "retries", "respawns", "respawn_storms")
-                ],
-            ),
-        ]
-
     def close(self) -> None:
         """Terminate every worker (SIGTERM, reap) and reject further use."""
         self._closed = True
@@ -489,31 +465,15 @@ class GenerationPublisher(ServingPart):
         return {"generation": self.store.generation}
 
     def stats(self) -> Dict[str, object]:
-        """The ``generation`` entry of ``/v1/stats``."""
-        return {"generation": self.store.generation}
-
-    def metric_families(self) -> List[exposition.MetricFamily]:
-        """``repro_generation_id`` and ``repro_generation_age_seconds``."""
-        age = exposition.MetricFamily(
-            name="repro_generation_age_seconds",
-            kind="gauge",
-            help="Seconds since the last generation publish (absent before "
-            "the first; a growing age with buffered ingest events means "
-            "workers answer from a stale snapshot).",
-        )
-        if self.store.last_publish_monotonic is not None:
-            age.samples.append(
-                ("", {}, time.monotonic() - self.store.last_publish_monotonic)
-            )
-        return [
-            exposition.MetricFamily(
-                name="repro_generation_id",
-                kind="gauge",
-                help="Newest published snapshot generation.",
-                samples=[("", {}, float(self.store.generation))],
+        """The ``generation`` entry of ``/v1/stats`` and the seconds since
+        the last publish (``None`` before the first)."""
+        published = self.store.last_publish_monotonic
+        return {
+            "generation": self.store.generation,
+            "generation_age_seconds": (
+                time.monotonic() - published if published is not None else None
             ),
-            age,
-        ]
+        }
 
     def close(self) -> None:
         """Remove the store directory when it was a private temporary one."""

@@ -23,6 +23,7 @@ import hashlib
 from typing import Union
 
 __all__ = [
+    "PARTITIONER_KINDS",
     "ConsistentHashPartitioner",
     "HashPartitioner",
     "Partitioner",
@@ -116,7 +117,9 @@ class ConsistentHashPartitioner(Partitioner):
         return self._index[self._ring.node_for(entity)]
 
 
-_PARTITIONER_KINDS = {
+#: The registry of partitioners by ``kind`` name, in the order the CLI's
+#: ``--partitioner`` choices list them.
+PARTITIONER_KINDS = {
     cls.kind: cls
     for cls in (HashPartitioner, RoundRobinPartitioner, ConsistentHashPartitioner)
 }
@@ -130,9 +133,9 @@ def make_partitioner(kind: Union[str, Partitioner], num_shards: int) -> Partitio
                 f"partitioner covers {kind.num_shards} shards but the engine has {num_shards}"
             )
         return kind
-    cls = _PARTITIONER_KINDS.get(kind)
+    cls = PARTITIONER_KINDS.get(kind)
     if cls is None:
         raise ValueError(
-            f"unknown partitioner {kind!r}; expected one of {sorted(_PARTITIONER_KINDS)}"
+            f"unknown partitioner {kind!r}; expected one of {sorted(PARTITIONER_KINDS)}"
         )
     return cls(num_shards)

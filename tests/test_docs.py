@@ -169,6 +169,34 @@ class TestMarkdownExamples:
         assert any("EventIngestor" in block for block in blocks)
 
 
+class TestMetricsTable:
+    def test_table_lists_exactly_the_exported_families(self):
+        """docs/OBSERVABILITY.md's table is the union of what
+        ``metric_families`` emits on the three tiers -- no more, no less."""
+        from repro import SpatialHierarchy, TraceDataset
+        from repro.cluster.frontend import cluster_tier
+        from repro.server import TraceServer, worker_tier
+        from repro.server.metrics import metric_families
+        from repro.service.sharded import ShardedEngine
+
+        text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"^\| `(repro_\w+)", text, re.MULTILINE))
+
+        emitted = set()
+        for tier in (
+            lambda engine: {},
+            lambda engine: worker_tier(engine, workers=1),
+            lambda engine: cluster_tier(engine, replication=1),
+        ):
+            dataset = TraceDataset(SpatialHierarchy.regular([2, 2]), horizon=24)
+            for index in range(8):
+                dataset.add_record(f"e{index}", f"u2_{index % 2}_0", time=index, duration=2)
+            engine = ShardedEngine(dataset, num_shards=2, num_hashes=16, seed=5).build()
+            with TraceServer(engine, **tier(engine)) as server:
+                emitted |= {family.name for family in metric_families(server.handle_stats()[1])}
+        assert documented == emitted
+
+
 class TestMarkdownLinks:
     @pytest.mark.parametrize(
         "path", MARKDOWN_FILES, ids=[p.relative_to(REPO_ROOT).as_posix() for p in MARKDOWN_FILES]

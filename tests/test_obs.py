@@ -144,7 +144,7 @@ class TestRingAndSlowLog:
         trace = tracer.start_trace("root")
         trace.context().begin("kernel.traverse").end()
         tracer.finish(trace)
-        stages = tracer.stage_snapshot()
+        stages = tracer.counters_snapshot()["stages"]
         assert stages["kernel.traverse"]["count"] == 1
         assert stages["root"]["count"] == 1
 

@@ -5,19 +5,26 @@ metrics, the transport-free TraceServer core, the HTTP layer, and the
 import http.client
 import json
 import math
+import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core.engine import TraceQueryEngine
-from repro.obs import parse_exposition
+from repro.obs import parse_exposition, render_exposition
 from repro.server.app import EngineBackend, TraceServer, build_http_server
 from repro.server.coalescer import QueueFullError, RequestCoalescer
 from repro.server.generation import GenerationStore
-from repro.server.metrics import LATENCY_BUCKETS, LatencyHistogram, ServerMetrics
+from repro.server.metrics import (
+    LATENCY_BUCKETS,
+    LatencyHistogram,
+    ServerMetrics,
+    metric_families,
+)
 from repro.server.protocol import (
     ProtocolError,
     dumps,
@@ -586,7 +593,7 @@ class TestTraceServer:
 # ----------------------------------------------------------------------
 # Tiers are configurations of the one TraceServer
 # ----------------------------------------------------------------------
-def _tier_engine() -> ShardedEngine:
+def _tier_engine(**options) -> ShardedEngine:
     """The same sharded engine under every tier, so bodies are comparable."""
     return ShardedEngine(
         small_dataset(),
@@ -595,6 +602,7 @@ def _tier_engine() -> ShardedEngine:
         seed=5,
         bound_mode="per_level",
         partitioner="consistent_hash",
+        **options,
     ).build()
 
 
@@ -676,12 +684,76 @@ def test_tiers_are_configurations_of_one_server(tier):
         status, text = server.handle_metrics()
         assert status == 200
         assert "repro_coalescer_queries_total" in parse_exposition(text)
+        # /metrics is a function of the public /v1/stats body.
+        rebuilt = render_exposition(metric_families(json.loads(json.dumps(stats))))
+        assert _label_sets(parse_exposition(rebuilt)) == _label_sets(parse_exposition(text))
     finally:
         server.close()
     assert _coalescer_threads() == threads_before
     assert server.handle_healthz()[0] == 503
     server.close()  # idempotent
     assert server.handle_topk({"entity": "e00"})[0] == 503
+
+
+def _label_sets(families):
+    """``{family: {(sample name, labels)}}`` of a parsed exposition."""
+    return {
+        name: {(sample, tuple(sorted(labels.items()))) for sample, labels, _ in entry["samples"]}
+        for name, entry in families.items()
+    }
+
+
+@pytest.mark.parametrize("tier", ["workers", "cluster"])
+def test_process_tiers_report_no_owner_cache(tier):
+    """Worker and replica processes answer every read, so the owner's cache
+    is never consulted: the snapshot must report no cache rather than one
+    that looks live and never hits, and ``/metrics`` no cache samples."""
+    engine = _tier_engine(query_cache_size=16)
+    with TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine)) as server:
+        for _ in range(3):
+            assert server.handle_topk({"entity": "e00"})[0] == 200
+        stats = server.handle_stats()[1]
+        families = parse_exposition(server.handle_metrics()[1])
+    assert stats["engine"]["cache"] is None
+    for name in ("repro_cache_entries", "repro_cache_events_total", "repro_cache_hit_rate"):
+        assert families[name]["samples"] == [], name
+
+
+def _exported_stages(server):
+    """Stage labels of ``/metrics``, plus ``http:<endpoint>`` per request
+    histogram -- the names ``bench/workloads.py`` reads."""
+    families = parse_exposition(server.handle_metrics()[1])
+    stages = {
+        labels["stage"] for _, labels, _ in families["repro_stage_latency_seconds"]["samples"]
+    }
+    return stages | {
+        "http:" + labels["endpoint"]
+        for _, labels, _ in families["repro_request_latency_seconds"]["samples"]
+    }
+
+
+def test_bench_stage_names_are_exported():
+    """Every stage the benchmark reads via ``mean("...")`` is exported, so a
+    renamed span fails here rather than mid-way through a ``--traced`` run."""
+    source = (Path(__file__).resolve().parent.parent / "bench" / "workloads.py").read_text()
+    wanted = set(re.findall(r'\bmean\("([^"]+)"\)', source))
+    assert {"http:/v1/topk", "worker.topk", "cache.lookup"} <= wanted
+
+    engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5).build()
+    with TraceServer(
+        engine, coalesce_window=0.0, trace_sample=1.0, **_tier_parts("workers", engine)
+    ) as server:
+        assert server.handle_topk({"entity": "e00"})[0] == 200
+        exported = _exported_stages(server)
+    engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5, query_cache_size=16).build()
+    daemon = _Daemon(engine, coalesce_window=0.0, trace_sample=1.0)
+    try:
+        for _ in range(2):
+            assert daemon.request("POST", "/v1/topk", {"entity": "e00"})[0] == 200
+        exported |= _exported_stages(daemon.trace_server)
+    finally:
+        daemon.close()
+    assert wanted <= exported, sorted(wanted - exported)
 
 
 # ----------------------------------------------------------------------
