@@ -37,11 +37,13 @@ the same order the reference search iterates them*, so heap tie-breaking --
 and therefore results, orderings, and every ``QueryStats`` counter -- is
 bit-for-bit identical to the reference path.  Leaf entities occupy spans
 ``[entity_start[n], entity_end[n])`` of one frozen entity order.  Dataset
-cells are interned per level into one combined id space
-(``level_cell_offset[l]`` marks each level's id range), and the membership
-CSR stores one segment per ``(entity, level)`` pair -- ``member_indptr`` has
-``n_entities * m + 1`` offsets -- so a whole leaf's per-level overlap counts
-are one gather plus one ``reduceat``.
+cells are interned per level into one combined id space: ``cell_codes[c]``
+is cell ``c`` as the integer ``time * |units| + unit code`` (the
+:class:`~repro.traces.events.CellTable` coding), ascending within each
+level, and ``level_cell_offset[l]`` marks each level's id range.  The
+membership CSR stores one segment per ``(entity, level)`` pair --
+``member_indptr`` has ``n_entities * m + 1`` offsets -- so a whole leaf's
+per-level overlap counts are one gather plus one ``reduceat``.
 
 Invalidation
 ------------
@@ -71,8 +73,6 @@ so ids never depend on discovery order -- and a staleness ratio above
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -81,7 +81,8 @@ from repro.core.minsigtree import MinSigTree
 from repro.core.pruning import InvalidQuerySequence, QueryHashes
 from repro.measures.base import AssociationMeasure
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence, STCell
+from repro.traces.events import CellSequence, CellTable
+from repro.traces.spatial import SpatialHierarchy
 
 __all__ = [
     "ColumnarTree",
@@ -157,6 +158,19 @@ def load_npz_mmap(path) -> Optional[Dict[str, np.ndarray]]:
     return arrays
 
 
+def _gather_rows(
+    indptr: np.ndarray, indices: np.ndarray, source: np.ndarray, num_levels: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(member_indptr, member_indices)`` of entities ``source`` of a CSR, in one gather."""
+    segments = (source[:, None] * num_levels + np.arange(num_levels)).ravel()
+    starts = indptr[segments]
+    lengths = indptr[segments + 1] - starts
+    member_indptr = np.zeros(segments.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=member_indptr[1:])
+    offsets = np.repeat(starts - member_indptr[:-1], lengths)
+    return member_indptr, indices[offsets + np.arange(member_indptr[-1])]
+
+
 class ColumnarTree:
     """A MinSigTree (plus dataset cell membership) flattened into arrays.
 
@@ -178,7 +192,9 @@ class ColumnarTree:
         entity_start: np.ndarray,
         entity_end: np.ndarray,
         entity_order: Tuple[str, ...],
-        level_cells: List[List[STCell]],
+        units: Tuple[str, ...],
+        cell_codes: np.ndarray,
+        level_cell_offset: np.ndarray,
         member_indptr: np.ndarray,
         member_indices: np.ndarray,
         node_full_signatures: Optional[np.ndarray] = None,
@@ -194,18 +210,13 @@ class ColumnarTree:
         self.entity_start = entity_start
         self.entity_end = entity_end
         self.entity_order = entity_order
-        self.level_cells = level_cells
+        #: :meth:`SpatialHierarchy.coded_units` -- unit code -> unit id.
+        self.units = units
+        self.unit_code: Dict[str, int] = {unit: code for code, unit in enumerate(units)}
+        #: Code of every interned cell, ascending within each level.
+        self.cell_codes = cell_codes
         #: Combined-id offset of each level's cell range (length ``m + 1``).
-        self.level_cell_offset = np.zeros(self.num_levels + 1, dtype=np.int64)
-        np.cumsum([len(cells) for cells in level_cells], out=self.level_cell_offset[1:])
-        #: Per-level interning maps from cells to *combined* ids.
-        self.level_cell_index: List[Dict[STCell, int]] = [
-            {
-                cell: int(self.level_cell_offset[level_index]) + position
-                for position, cell in enumerate(cells)
-            }
-            for level_index, cells in enumerate(level_cells)
-        ]
+        self.level_cell_offset = level_cell_offset
         self.member_indptr = member_indptr
         self.member_indices = member_indices
         self.node_full_signatures = node_full_signatures
@@ -290,15 +301,18 @@ class ColumnarTree:
         return nodes, arrays, entity_order
 
     @classmethod
-    def compile(cls, tree: MinSigTree, dataset: TraceDataset) -> "ColumnarTree":
+    def compile(
+        cls, tree: MinSigTree, dataset: TraceDataset, table: Optional[CellTable] = None
+    ) -> "ColumnarTree":
         """Flatten ``tree`` and ``dataset`` membership into a columnar kernel.
 
         Every indexed entity must carry a trace in ``dataset`` -- the engine
         maintains that invariant through every build/update/expiry path.
-        Cells are interned per level in globally sorted order, so interned
-        ids depend only on the set of cells present -- never on discovery
-        order -- which is what lets :meth:`patch` splice updated membership
-        rows into stale arrays byte-identically.
+        ``table`` is ``dataset.cell_table()``, passed by a caller that holds
+        it already (``build()``).  Cells are interned per level in globally
+        sorted order, so interned ids depend only on the set of cells present
+        -- never on discovery order -- which is what lets :meth:`patch`
+        splice updated membership rows into stale arrays byte-identically.
         """
         nodes, structure, entity_order = cls._flatten_structure(tree)
 
@@ -311,22 +325,33 @@ class ColumnarTree:
 
         # Membership comes straight from the dataset's cell table: its
         # universe is each level's distinct cells in sorted order (the
-        # interning order), its CSR the (entity, level) rows in combined ids.
+        # interning order), its CSR the (entity, level) rows, gathered into
+        # leaf order and renumbered to the cells they use (a tree over part
+        # of the dataset interns its own entities' cells only).
         num_levels = tree.num_levels
         if dataset.num_levels != num_levels:
             raise ValueError(
                 f"the dataset has {dataset.num_levels}-level sequences; "
                 f"the tree indexes {num_levels} levels"
             )
-        table = dataset.cell_table(entity_order)
+        if table is None:
+            table = dataset.cell_table()
+        row_of = {entity: row for row, entity in enumerate(dataset.entities)}
+        source = np.array([row_of[entity] for entity in entity_order], dtype=np.int64)
+        member_indptr, rows = _gather_rows(table.indptr, table.indices, source, num_levels)
+        used = np.zeros(table.num_cells, dtype=bool)
+        used[rows] = True
+        kept_before = np.concatenate(([0], np.cumsum(used)))
 
         compiled = cls(
             num_levels=num_levels,
             num_hashes=tree.num_hashes,
             entity_order=tuple(entity_order),
-            level_cells=[table.cells(level) for level in range(1, num_levels + 1)],
-            member_indptr=table.indptr,
-            member_indices=table.indices,
+            units=table.units,
+            cell_codes=(table.times * len(table.units) + table.unit_codes)[used],
+            level_cell_offset=kept_before[table.level_offsets],
+            member_indptr=member_indptr,
+            member_indices=kept_before[rows],
             node_full_signatures=full_signatures,
             **structure,
         )
@@ -411,74 +436,56 @@ class ColumnarTree:
         source_slot = dict(old_position)
         for slot, entity in enumerate(fresh_entities, start=len(old_position)):
             source_slot[entity] = slot
-        fresh_cells = [fresh.cells(level) for level in range(1, num_levels + 1)]
+        fresh_codes = fresh.times * len(self.units) + fresh.unit_codes
         #: Old combined id of every fresh-table cell (-1 = addition).
-        fresh_old = np.fromiter(
-            (
-                self.level_cell_index[level_index].get(cell, -1)
-                for level_index, cells in enumerate(fresh_cells)
-                for cell in cells
-            ),
-            dtype=np.int64,
-            count=fresh.num_cells,
-        )
+        fresh_old = self.cell_ids(fresh_codes, fresh.level_offsets)
         known = fresh_old >= 0
         counts[fresh_old[known]] += np.bincount(fresh.indices, minlength=fresh.num_cells)[known]
         if (counts < 0).any():
             return None  # journal under-reported: stay exact, recompile
 
-        # New per-level cell tables: survivors (old sorted order, minus the
+        # New per-level code runs: survivors (old sorted order, minus the
         # cells whose count hit zero) merged with the sorted additions.
         # ``translate`` maps old combined ids to new ones (-1 = dead cell);
         # ``fresh_new`` maps every fresh-table cell to its new combined id.
-        new_level_cells: List[List[STCell]] = []
+        merged_levels: List[np.ndarray] = []
+        level_cell_offset = np.zeros(num_levels + 1, dtype=np.int64)
         translate = np.full(self.num_cells, -1, dtype=np.int64)
         fresh_new = np.full(fresh.num_cells, -1, dtype=np.int64)
-        new_offset = 0
         for level_index in range(num_levels):
-            old_cells = self.level_cells[level_index]
-            base = int(self.level_cell_offset[level_index])
-            alive = counts[base : base + len(old_cells)] > 0
-            fresh_base, fresh_stop = fresh.level_offsets[level_index : level_index + 2]
-            added_at = np.flatnonzero(~known[fresh_base:fresh_stop])
-            additions = [fresh_cells[level_index][at] for at in added_at.tolist()]
-            # Two sorted runs, which timsort merges in linear time.
-            merged = sorted(list(compress(old_cells, alive.tolist())) + additions)
-            added_slot = np.fromiter(
-                (bisect_left(merged, cell) for cell in additions),
-                dtype=np.int64,
-                count=len(additions),
+            start, stop = self.level_cell_offset[level_index : level_index + 2]
+            fresh_start, fresh_stop = fresh.level_offsets[level_index : level_index + 2]
+            alive = start + np.flatnonzero(counts[start:stop] > 0)
+            added = fresh_start + np.flatnonzero(~known[fresh_start:fresh_stop])
+            # Two sorted runs, which the stable sort merges in linear time.
+            merged = np.sort(
+                np.concatenate((self.cell_codes[alive], fresh_codes[added])), kind="stable"
             )
-            kept_slot = np.ones(len(merged), dtype=bool)
-            kept_slot[added_slot] = False
-            translate[base + np.flatnonzero(alive)] = new_offset + np.flatnonzero(kept_slot)
-            fresh_new[fresh_base + added_at] = new_offset + added_slot
-            new_level_cells.append(merged)
-            new_offset += len(merged)
+            base = level_cell_offset[level_index]
+            translate[alive] = base + np.searchsorted(merged, self.cell_codes[alive])
+            fresh_new[added] = base + np.searchsorted(merged, fresh_codes[added])
+            merged_levels.append(merged)
+            level_cell_offset[level_index + 1] = base + merged.size
         fresh_new[known] = translate[fresh_old[known]]
 
         # Splice the CSR in the new entity order with one gather: untouched
         # entities reuse their old (translated) rows, touched entities take
         # their rows of the fresh table, appended behind the old ones.
-        rows = np.concatenate((translate[self.member_indices], fresh_new[fresh.indices]))
-        starts = np.concatenate((indptr[:-1], fresh.indptr[:-1] + self.member_indices.size))
-        lengths = np.concatenate((np.diff(indptr), np.diff(fresh.indptr)))
-        source = np.fromiter(
-            (source_slot[entity] for entity in entity_order), dtype=np.int64, count=len(entity_order)
+        source = np.array([source_slot[entity] for entity in entity_order], dtype=np.int64)
+        member_indptr, member_indices = _gather_rows(
+            np.concatenate((indptr[:-1], fresh.indptr + self.member_indices.size)),
+            np.concatenate((translate[self.member_indices], fresh_new[fresh.indices])),
+            source,
+            num_levels,
         )
-        segments = (source[:, None] * num_levels + np.arange(num_levels)).ravel()
-        member_indptr = np.zeros(segments.size + 1, dtype=np.int64)
-        np.cumsum(lengths[segments], out=member_indptr[1:])
-        member_indices = rows[
-            np.repeat(starts[segments] - member_indptr[:-1], lengths[segments])
-            + np.arange(member_indptr[-1])
-        ]
 
         patched = type(self)(
             num_levels=num_levels,
             num_hashes=self.num_hashes,
             entity_order=tuple(entity_order),
-            level_cells=new_level_cells,
+            units=self.units,
+            cell_codes=np.concatenate(merged_levels),
+            level_cell_offset=level_cell_offset,
             member_indptr=member_indptr,
             member_indices=member_indices,
             node_full_signatures=None,
@@ -518,15 +525,31 @@ class ColumnarTree:
         """Total interned dataset cells across all levels."""
         return int(self.level_cell_offset[-1])
 
+    def cell_ids(self, codes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """Combined ids of cells ``codes`` (-1 = not interned), one search per level.
+
+        ``codes[bounds[i]:bounds[i + 1]]`` are level-``i + 1`` cell codes.
+        """
+        ids = np.full(codes.size, -1, dtype=np.int64)
+        for level_index in range(self.num_levels):
+            start, stop = self.level_cell_offset[level_index : level_index + 2]
+            span = slice(bounds[level_index], bounds[level_index + 1])
+            at = start + np.searchsorted(self.cell_codes[start:stop], codes[span])
+            found = at < stop
+            found[found] = self.cell_codes[at[found]] == codes[span][found]
+            ids[span] = np.where(found, at, -1)
+        return ids
+
     # ------------------------------------------------------------------
     # Snapshot codec
     # ------------------------------------------------------------------
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """The compiled arrays as plain ndarrays (the snapshot payload).
 
-        Cell tables are exported per level as parallel ``(time, unit)``
-        arrays; :meth:`import_arrays` re-interns them, so a snapshot load
-        skips the whole membership recompilation.
+        Cell tables are exported per level as parallel ``(time, unit id)``
+        arrays (each level's unit column as wide as its longest id);
+        :meth:`import_arrays` re-encodes them, so a snapshot load skips the
+        whole membership recompilation.
         """
         arrays: Dict[str, np.ndarray] = {
             "node_level": self.node_level,
@@ -543,26 +566,30 @@ class ColumnarTree:
         }
         if self.node_full_signatures is not None:
             arrays["node_full_signatures"] = self.node_full_signatures
+        unit_ids = np.array(self.units, dtype=np.str_)
+        id_length = np.fromiter(map(len, self.units), dtype=np.int64, count=len(self.units))
         for level_index in range(self.num_levels):
-            cells = self.level_cells[level_index]
-            arrays[f"cell_times_{level_index}"] = np.array(
-                [cell.time for cell in cells], dtype=np.int64
-            )
-            arrays[f"cell_units_{level_index}"] = np.array(
-                [cell.unit for cell in cells], dtype=np.str_
+            start, stop = self.level_cell_offset[level_index : level_index + 2]
+            times, codes = np.divmod(self.cell_codes[start:stop], len(self.units))
+            arrays[f"cell_times_{level_index}"] = times
+            arrays[f"cell_units_{level_index}"] = unit_ids[codes].astype(
+                f"<U{id_length[codes].max(initial=1)}"
             )
         return arrays
 
     @classmethod
     def import_arrays(
-        cls, arrays: Dict[str, np.ndarray], num_levels: int, num_hashes: int
+        cls, arrays: Dict[str, np.ndarray], hierarchy: SpatialHierarchy, num_hashes: int
     ) -> "ColumnarTree":
         """Rebuild a compiled tree from :meth:`export_arrays` output.
 
-        Performs basic structural validation (root at index 0, spans within
-        range, CSR shape consistency) and raises ``ValueError`` / ``KeyError``
-        on malformed input; callers fall back to a fresh :meth:`compile`.
+        Performs structural validation (root at index 0, spans within
+        range, CSR shape consistency, every level's cells units of that
+        level in strictly ascending order) and raises ``ValueError`` /
+        ``KeyError`` on malformed input; callers fall back to a fresh
+        :meth:`compile`.
         """
+        num_levels = hierarchy.num_levels
         node_level = np.asarray(arrays["node_level"], dtype=np.int32)
         if node_level.size == 0 or node_level[0] != 0:
             raise ValueError("malformed columnar arrays: missing virtual root")
@@ -582,17 +609,21 @@ class ColumnarTree:
         ):
             raise ValueError("malformed columnar arrays: non-BFS level layout")
         entity_order = tuple(str(name) for name in arrays["entity_order"])
-        level_cells: List[List[STCell]] = []
-        total_cells = 0
+        units = hierarchy.coded_units()
+        code_of = hierarchy.unit_codes()
+        level_codes: List[np.ndarray] = []
         for level_index in range(num_levels):
             times = np.asarray(arrays[f"cell_times_{level_index}"], dtype=np.int64)
-            units = arrays[f"cell_units_{level_index}"]
-            if times.size != len(units):
+            names = np.asarray(arrays[f"cell_units_{level_index}"]).tolist()
+            level_units = set(hierarchy.units_at_level(level_index + 1))
+            if times.size != len(names) or not level_units.issuperset(names):
                 raise ValueError("malformed columnar arrays: cell table mismatch")
-            level_cells.append(
-                [STCell(int(time), str(unit)) for time, unit in zip(times, units)]
-            )
-            total_cells += times.size
+            codes = times * len(units) + np.fromiter(map(code_of.get, names), np.int64, len(names))
+            if (np.diff(codes) <= 0).any():
+                raise ValueError("malformed columnar arrays: cells not strictly sorted")
+            level_codes.append(codes)
+        level_cell_offset = np.cumsum([0] + [codes.size for codes in level_codes])
+        total_cells = int(level_cell_offset[-1])
         member_indptr = np.asarray(arrays["member_indptr"], dtype=np.int64)
         member_indices = np.asarray(arrays["member_indices"], dtype=np.int64)
         if member_indptr.size != len(entity_order) * num_levels + 1:
@@ -629,7 +660,9 @@ class ColumnarTree:
             entity_start=entity_start,
             entity_end=entity_end,
             entity_order=entity_order,
-            level_cells=level_cells,
+            units=units,
+            cell_codes=np.concatenate(level_codes),
+            level_cell_offset=level_cell_offset,
             member_indptr=member_indptr,
             member_indices=member_indices,
             node_full_signatures=None if full is None else np.asarray(full, dtype=np.int64),
@@ -845,14 +878,14 @@ class ColumnarQueryContext:
         # Membership lookup over the combined cell-id space, true at the
         # query's cells.
         lookup = np.zeros(compiled.num_cells, dtype=bool)
-        for level_index in range(num_levels):
-            interned = compiled.level_cell_index[level_index]
-            if not interned:
-                continue
-            for cell in self._query_sequence.levels[level_index]:
-                cell_id = interned.get(cell)
-                if cell_id is not None:
-                    lookup[cell_id] = True
+        radix, unit_code = len(compiled.units), compiled.unit_code
+        codes = np.fromiter(
+            (cell.time * radix + unit_code[cell.unit] for cells in self.query.cells for cell in cells),
+            dtype=np.int64,
+            count=self.total_cells,
+        )
+        ids = compiled.cell_ids(codes, self.level_offsets)
+        lookup[ids[ids >= 0]] = True
 
         sizes_a = compiled.entity_level_sizes
         indptr = compiled.member_indptr

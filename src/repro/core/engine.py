@@ -322,7 +322,7 @@ class TraceQueryEngine:
             raise RuntimeError("the engine index has not been built yet; call build() first")
 
     def build(self) -> "TraceQueryEngine":
-        """Compute signatures for every entity and build the MinSigTree."""
+        """Sign every entity, build the MinSigTree and compile it, from one cell table."""
         started = time.perf_counter()
         horizon = max(self.dataset.horizon, 1)
         self._hash_family = HierarchicalHashFamily(
@@ -332,7 +332,8 @@ class TraceQueryEngine:
             seed=self.config.seed,
         )
         self._signature_computer = SignatureComputer(self._hash_family)
-        signatures = self._signature_computer.signatures_for_dataset(self.dataset)
+        table = self.dataset.cell_table()
+        signatures = self._signature_computer.bulk_signature_matrices(self.dataset, table=table)
         self._tree = MinSigTree.build(
             signatures,
             num_levels=self.dataset.num_levels,
@@ -347,6 +348,7 @@ class TraceQueryEngine:
             use_full_signatures=self.config.use_full_signatures,
             bound_mode=self.config.bound_mode,
         )
+        self._searcher.refresh_compiled(table)
         self.last_build_seconds = time.perf_counter() - started
         self._invalidate_query_cache()
         return self

@@ -91,6 +91,9 @@ class HierarchicalHashFamily:
                 f"ST-cell universe of size {self.hash_range} exceeds the hash modulus; "
                 "reduce the horizon or the number of base units"
             )
+        #: Narrowest unsigned dtype holding every hash value (uint16 up to
+        #: 65 536 cells); the bulk kernel reduces in it.
+        self.value_dtype = np.min_scalar_type(self.hash_range - 1)
 
         rng = np.random.default_rng(seed)
         # Multipliers must be non-zero modulo the prime for universality.
@@ -211,9 +214,9 @@ class HierarchicalHashFamily:
         per ancestor cell.  Work is chunked over times so peak memory stays
         bounded.
 
-        ``out_dtype`` may be ``np.int32`` (hash values fit: the range is
-        below the 2^31 modulus); the bulk signature pipeline uses this to
-        halve the memory traffic of its reduction stage.
+        ``out_dtype`` may be any integer dtype holding ``[0, hash_range)``;
+        the bulk signature pipeline passes :attr:`value_dtype` (the kernel's
+        own) so its reduction stage moves the fewest bytes.
         """
         out = np.empty((unit_codes.size, self.num_hashes), dtype=out_dtype)
         units = self.hierarchy.coded_units()
@@ -347,12 +350,12 @@ class HierarchicalHashFamily:
             # One broadcasted addition replaces the per-element
             # multiplication of the naive kernel: a*(t*|L| + i) + b splits
             # into the precomputed unit and time residues.  Both residues are
-            # < p, so reducing their sum mod p is a single conditional
-            # subtract -- no division pass over the grid.
+            # < p, so their sum mod p is one branchless subtract: below p,
+            # ``grid - p`` wraps above ``grid`` and the minimum keeps ``grid``.
             grid = time_term[:, None, :] + unit_term[None, :, :]
-            prime32 = np.uint32(_MERSENNE_PRIME)
-            np.subtract(grid, prime32, out=grid, where=grid >= prime32)
+            np.minimum(grid, grid - np.uint32(_MERSENNE_PRIME), out=grid)
             grid %= np.uint32(self.hash_range)
+            grid = grid.astype(self.value_dtype, copy=False)  # the minima run narrow
             # Hierarchical parent-constraint minima: level l's grid is the
             # minimum of level l+1 over each unit's (consecutive) children.
             level_grids = {num_levels: grid}

@@ -182,9 +182,8 @@ class MinSigTree:
         self.mutation_count += 1
         self._record_touch(entity)
         node = self.root
-        for level in range(1, self.num_levels + 1):
+        for level, routing_index in enumerate(self._routes(entity, matrix), start=1):
             row = matrix[level - 1]
-            routing_index = self._route(entity, level, row)
             child = node.children.get(routing_index)
             if child is None:
                 child = MinSigTreeNode(
@@ -208,12 +207,12 @@ class MinSigTree:
         self._leaf_of[entity] = node
         return node
 
-    def _route(self, entity: str, level: int, row: np.ndarray) -> int:
-        """Routing index for one entity and level under the configured strategy."""
+    def _routes(self, entity: str, matrix: np.ndarray) -> List[int]:
+        """Routing index of every level (1 first) under the configured strategy."""
         if self.routing_strategy == "argmax":
-            return int(np.argmax(row))
+            return matrix.argmax(axis=1).tolist()
         # Random ablation: deterministic pseudo-random position per entity/level.
-        return hash((entity, level)) % self.num_hashes
+        return [hash((entity, level)) % self.num_hashes for level in range(1, self.num_levels + 1)]
 
     def remove(self, entity: str) -> None:
         """Remove an entity from the index.

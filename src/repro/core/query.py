@@ -39,7 +39,7 @@ from repro.core.hashing import HierarchicalHashFamily
 from repro.measures.base import AssociationMeasure
 from repro.obs.trace import SpanContext
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence
+from repro.traces.events import CellSequence, CellTable
 
 __all__ = [
     "BatchTopKResult",
@@ -278,7 +278,7 @@ class TopKSearcher:
         self._compile_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def compiled_tree(self) -> ColumnarTree:
+    def compiled_tree(self, table: Optional[CellTable] = None) -> ColumnarTree:
         """The current :class:`ColumnarTree`, compiling/refreshing lazily.
 
         A compiled tree is reused until the MinSigTree or the dataset
@@ -289,7 +289,8 @@ class TopKSearcher:
         kernel is patched in place of the touched entities
         (:meth:`ColumnarTree.patch` -- byte-identical to a fresh compile at
         delta-proportional cost, declining past its staleness threshold); a
-        full from-scratch compile is the fallback whenever neither applies.
+        full from-scratch compile (of ``table``, if given) is the fallback
+        whenever neither applies.
         """
         compiled = self._compiled
         if compiled is not None and compiled.matches(self.tree, self.dataset):
@@ -314,20 +315,20 @@ class TopKSearcher:
                 if compiled is not None:
                     self.kernel_patches += 1
             if compiled is None:
-                compiled = ColumnarTree.compile(self.tree, self.dataset)
+                compiled = ColumnarTree.compile(self.tree, self.dataset, table)
                 self.kernel_compiles += 1
             self._compiled = compiled
             return compiled
 
-    def refresh_compiled(self) -> ColumnarTree:
+    def refresh_compiled(self, table: Optional[CellTable] = None) -> ColumnarTree:
         """Bring the compiled kernel up to date *now*, off the query path.
 
-        ``engine.compact()`` calls this right after rebuilding the tree, so
-        the compaction -- the designated full-rebuild path -- pays the one
-        recompile itself and the first query afterwards starts instantly
-        (no second full pass when no mutations intervened).
+        ``engine.build()`` (passing the cell table it signed from) and
+        ``engine.compact()`` call this, so the full-rebuild paths pay the
+        one compile themselves and the first query afterwards starts
+        instantly (no second full pass when no mutations intervened).
         """
-        return self.compiled_tree()
+        return self.compiled_tree(table)
 
     def carry_compiled_from(self, previous: "TopKSearcher") -> None:
         """Inherit a predecessor searcher's compiled state over the same tree.

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.hashing import HierarchicalHashFamily
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence
+from repro.traces.events import CellSequence, CellTable
 
 __all__ = ["SignatureComputer"]
 
@@ -86,6 +86,7 @@ class SignatureComputer:
         self,
         dataset: TraceDataset,
         entities: Optional[Iterable[str]] = None,
+        table: Optional[CellTable] = None,
     ) -> Dict[str, np.ndarray]:
         """Signature matrices for many entities via the vectorised bulk kernel.
 
@@ -96,7 +97,9 @@ class SignatureComputer:
         coarse cells exactly like the per-cell cache does), and every
         (entity, level) minimum is then taken over the gathered hash rows.
         The result is bitwise-identical to calling :meth:`signature_matrix`
-        per entity -- the equivalence test-suite pins this.
+        per entity -- the equivalence test-suite pins this.  ``table``, when
+        the caller already holds it, is ``dataset.cell_table(entities)``
+        (``build()`` compiles the query kernel from the same table).
         """
         selected = dataset.entities if entities is None else tuple(entities)
         if not hasattr(self.hash_family, "hash_coded_cells"):
@@ -115,15 +118,16 @@ class SignatureComputer:
 
         # 1. The cell table: every (entity, level) segment as sorted ids
         #    into the deduplicated cell universe of the selection.
-        table = dataset.cell_table(selected)
+        if table is None:
+            table = dataset.cell_table(selected)
 
-        # 2. One vectorised hash evaluation over the unique cells.  Hash
-        #    values fit in int32 (the range is below the 2^31 modulus), which
-        #    halves the memory traffic of the reduction below; the final
+        # 2. One vectorised hash evaluation over the unique cells, kept in
+        #    the family's value dtype (uint16 up to 65 536 cells), which
+        #    shrinks the memory traffic of the reduction below; the final
         #    matrices are int64, and equality with the per-entity path is
         #    exact because only the dtype, never a value, differs.
         cell_hashes = self.hash_family.hash_coded_cells(
-            table.times, table.unit_codes, out_dtype=np.int32
+            table.times, table.unit_codes, out_dtype=self.hash_family.value_dtype
         )
 
         # 3. Per-segment minima.  Segments are grouped by cell count so each

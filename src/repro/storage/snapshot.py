@@ -621,7 +621,7 @@ def _install_columnar_loader(
                 with np.load(payload, allow_pickle=False) as arrays:
                     data = {key: arrays[key] for key in arrays.files}
             compiled = ColumnarTree.import_arrays(
-                data, num_levels=tree.num_levels, num_hashes=tree.num_hashes
+                data, hierarchy=dataset.hierarchy, num_hashes=tree.num_hashes
             )
             if (
                 compiled.num_entities != tree.num_entities

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import FrozenSet, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -201,15 +201,6 @@ class CellTable:
     def num_cells(self) -> int:
         """Size of the universe (distinct cells across all levels)."""
         return int(self.times.size)
-
-    def cells(self, level: int) -> List[STCell]:
-        """The universe's level-``level`` cells (1-based) as sorted objects."""
-        span = slice(*self.level_offsets[level - 1 : level + 1])
-        units = self.units
-        return [
-            STCell(time, units[code])
-            for time, code in zip(self.times[span].tolist(), self.unit_codes[span].tolist())
-        ]
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

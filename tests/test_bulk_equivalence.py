@@ -176,6 +176,40 @@ class TestBulkSignatureEquivalence:
             SignatureComputer(family).signatures_for_dataset(small_dataset, method="magic")
 
 
+class TestNarrowKernelWidths:
+    """The kernel reduces in the narrowest dtype holding the hash range.
+
+    Four base units times the horizon put the range just below, at and just
+    above 2^8 and 2^16 (the uint8 / uint16 / uint32 boundaries); the mixed
+    hierarchy has one level-1 unit whose children own 1 and 3 base units, so
+    its subtree reduces through the ``"grouped"`` plan at every width.
+    """
+
+    FOUR_BASE_UNITS = {
+        "regular": lambda: SpatialHierarchy.regular([2, 2]),
+        "mixed": lambda: SpatialHierarchy.from_parent_map(
+            {"r": None, "a": "r", "b": "r", "v0": "a", "v1": "b", "v2": "b", "v3": "b"}
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "horizon, itemsize",
+        [(63, 1), (64, 1), (65, 2), (16383, 2), (16384, 2), (16385, 4)],
+    )
+    @pytest.mark.parametrize("shape", sorted(FOUR_BASE_UNITS))
+    def test_bulk_matches_per_entity_at_width_boundaries(self, shape, horizon, itemsize):
+        hierarchy = self.FOUR_BASE_UNITS[shape]()
+        family = HierarchicalHashFamily(hierarchy, horizon=horizon, num_hashes=9)
+        assert family.hash_range == 4 * horizon
+        assert family.value_dtype.itemsize == itemsize
+        dataset = random_dataset(hierarchy, horizon=horizon, num_entities=12, seed=horizon)
+        per, bulk = both_signature_sets(dataset, num_hashes=9, seed=horizon)
+        assert list(bulk) == list(per)
+        for entity in per:
+            assert bulk[entity].dtype == per[entity].dtype == np.int64
+            assert np.array_equal(bulk[entity], per[entity]), entity
+
+
 class TestBulkHashKernel:
     def test_hash_cells_bulk_matches_hash_matrix(self):
         hierarchy = irregular_hierarchy()
@@ -391,11 +425,17 @@ def oracle_compile(tree, dataset) -> ColumnarTree:
     member_indices = (
         np.concatenate(segments) if member_indptr[-1] else np.empty(0, dtype=np.int64)
     )
+    units, code_of = dataset.hierarchy.coded_units(), dataset.hierarchy.unit_codes()
     return ColumnarTree(
         num_levels=num_levels,
         num_hashes=tree.num_hashes,
         entity_order=tuple(entity_order),
-        level_cells=level_cells,
+        units=units,
+        cell_codes=np.array(
+            [cell.time * len(units) + code_of[cell.unit] for cells in level_cells for cell in cells],
+            dtype=np.int64,
+        ),
+        level_cell_offset=offsets,
         member_indptr=member_indptr,
         member_indices=member_indices,
         node_full_signatures=full_signatures,
@@ -446,7 +486,10 @@ def assert_table_matches_objects(dataset: TraceDataset, entities, rng: random.Ra
     num_levels = dataset.num_levels
     # The table itself: every (entity, level) row decodes to the sorted set.
     table = dataset.cell_table(entities)
-    universe = [cell for level in range(1, num_levels + 1) for cell in table.cells(level)]
+    universe = [
+        STCell(time, table.units[code])
+        for time, code in zip(table.times.tolist(), table.unit_codes.tolist())
+    ]
     assert table.indptr.size == len(entities) * num_levels + 1
     for slot, entity in enumerate(entities):
         sequence = dataset.cell_sequence(entity)

@@ -359,6 +359,40 @@ class TestIncrementalPatch:
         monkeypatch.undo()
         self.assert_kernel_matches_fresh(engine)
 
+    def test_cold_build_reads_the_traces_once(self, hierarchy, seeded_rng, monkeypatch):
+        """``build()`` signs and compiles from one cell table: a build and
+        its first query build the table exactly once."""
+        from repro.traces import dataset as dataset_module
+        from repro.traces.events import cell_table_from_traces
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cell_table_from_traces(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_module, "cell_table_from_traces", counted)
+        events = random_events(hierarchy, seeded_rng(109))
+        engine = TraceQueryEngine(dataset_from(hierarchy, events), num_hashes=24, seed=5).build()
+        engine.top_k("e0", k=3)
+        assert len(calls) == 1
+
+    def test_first_query_after_build_does_not_compile(self, hierarchy, seeded_rng, monkeypatch):
+        """``build()`` pays the one kernel compile itself (``save`` exports
+        the compiled tree anyway); the first query must not touch
+        ``ColumnarTree.compile``."""
+        events = random_events(hierarchy, seeded_rng(113))
+        engine = TraceQueryEngine(dataset_from(hierarchy, events), num_hashes=24, seed=5).build()
+
+        def no_compile(*args, **kwargs):  # pragma: no cover - guard only
+            raise AssertionError("first query after build() compiled the kernel")
+
+        monkeypatch.setattr(ColumnarTree, "compile", no_compile)
+        assert engine.top_k("e0", k=3).items is not None
+        assert engine.searcher.kernel_compiles == 1
+        monkeypatch.undo()
+        self.assert_kernel_matches_fresh(engine)
+
 
 class TestShardedEquivalence:
     @pytest.mark.parametrize("num_shards", [1, 2])
@@ -460,6 +494,42 @@ class TestSnapshotRoundTrip:
         (snap / "columnar.npz").write_bytes(b"not an npz")
         loaded = TraceQueryEngine.load(snap)
         assert loaded.top_k(query, k=5).items == expected
+
+    @pytest.mark.parametrize("tamper", ["unknown_unit", "reversed"])
+    def test_impossible_cell_table_falls_back_to_a_fresh_compile(self, tmp_path, tamper):
+        """Regression: the import accepted cell tables ``export_arrays`` can
+        never write -- a level's units unknown to it, or its cells out of
+        order -- and a kernel installed from one answered wrongly.  Both are
+        malformed payloads: the first query recompiles instead."""
+        from repro.storage.snapshot import _file_digest
+
+        hierarchy = SpatialHierarchy.regular([2, 2])
+        dataset = TraceDataset(hierarchy, horizon=12)
+        dataset.add_record("e0", "u2_0_0", time=1, duration=3)
+        dataset.add_record("e0", "u2_1_0", time=6, duration=2)
+        dataset.add_record("e1", "u2_0_1", time=1, duration=3)
+        dataset.add_record("e1", "u2_1_0", time=6, duration=1)
+        dataset.add_record("e2", "u2_1_1", time=6, duration=2)
+        dataset.add_record("e2", "u2_0_0", time=9, duration=2)
+        dataset.add_record("e3", "u2_0_0", time=2, duration=1)
+        engine = TraceQueryEngine(dataset, num_hashes=16, seed=3).build()
+        expected = engine.top_k("e0", k=3).items
+        snap = engine.save(tmp_path / "snap")
+        with np.load(snap / "columnar.npz") as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        if tamper == "unknown_unit":
+            arrays["cell_units_1"] = np.array(["nowhere"] * arrays["cell_units_1"].size)
+        else:
+            arrays["cell_times_1"] = arrays["cell_times_1"][::-1].copy()
+            arrays["cell_units_1"] = arrays["cell_units_1"][::-1].copy()
+        np.savez(snap / "columnar.npz", **arrays)
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["content"]["columnar.npz"] = _file_digest(snap / "columnar.npz")
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+
+        loaded = TraceQueryEngine.load(snap)
+        assert loaded.top_k("e0", k=3).items == expected
+        assert loaded.searcher.kernel_compiles == 1  # the payload was refused
 
     def test_version1_snapshot_still_loads_and_recompiles(self, hierarchy, tmp_path, seeded_rng):
         from repro.storage.snapshot import _file_digest
