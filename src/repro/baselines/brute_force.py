@@ -12,11 +12,33 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional
 
-from repro.core.query import QueryStats, TopKResult, _ReverseOrderStr
+from repro.core.query import QueryStats, TopKResult
 from repro.measures.base import AssociationMeasure
 from repro.traces.dataset import TraceDataset
 
 __all__ = ["BruteForceTopK"]
+
+
+class _ReverseOrderStr(str):
+    """A string that sorts in reverse lexicographic order.
+
+    In the oracles' ``(score, entity)`` min-heaps the root, evicted first,
+    is then the worst entry under the final ``(-score, entity)`` ranking.
+    """
+
+    __slots__ = ()
+
+    def __lt__(self, other: str) -> bool:
+        return str.__gt__(self, other)
+
+    def __le__(self, other: str) -> bool:
+        return str.__ge__(self, other)
+
+    def __gt__(self, other: str) -> bool:
+        return str.__lt__(self, other)
+
+    def __ge__(self, other: str) -> bool:
+        return str.__le__(self, other)
 
 
 class BruteForceTopK:

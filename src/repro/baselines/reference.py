@@ -27,9 +27,10 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Tuple
 
+from repro.baselines.brute_force import _ReverseOrderStr
 from repro.core.minsigtree import MinSigTreeNode
 from repro.core.pruning import PruningState, QueryHashes, upper_bound
-from repro.core.query import QueryStats, TopKResult, TopKSearcher, _ReverseOrderStr
+from repro.core.query import QueryStats, TopKResult, TopKSearcher
 from repro.traces.events import CellSequence
 
 __all__ = ["reference_search"]
@@ -43,7 +44,6 @@ def reference_search(
     k: int,
     *,
     approximation: float = 0.0,
-    candidate_filter: Optional[Callable[[str], bool]] = None,
     sequence_fetcher: Optional[SequenceFetcher] = None,
     query_sequence: Optional[CellSequence] = None,
 ) -> TopKResult:
@@ -100,8 +100,6 @@ def reference_search(
         stats.leaves_visited += 1
         for entity in node.entities:
             if entity == query_entity:
-                continue
-            if candidate_filter is not None and not candidate_filter(entity):
                 continue
             score = searcher.measure.score(fetch(entity), query_sequence)
             stats.entities_scored += 1

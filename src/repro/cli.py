@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -938,6 +939,10 @@ def _command_query(args: argparse.Namespace) -> int:
         return _error("pass exactly one of --entity or --batch")
     if args.workers < 0:
         return _error(f"--workers must be >= 0, got {args.workers}")
+    if args.k < 1:
+        return _error(f"--k must be >= 1, got {args.k}")
+    if not 0.0 <= args.approximation < math.inf:
+        return _error(f"--approximation must be finite and >= 0, got {args.approximation}")
     if args.workers and not args.batch:
         return _error("--workers only applies to --batch queries")
     if args.trace and args.batch:
@@ -1093,6 +1098,8 @@ def _command_stream(args: argparse.Namespace) -> int:
         return _error(f"--compact-every must be >= 0, got {args.compact_every}")
     if args.query_every < 0:
         return _error(f"--query-every must be >= 0, got {args.query_every}")
+    if args.k < 1:
+        return _error(f"--k must be >= 1, got {args.k}")
     shard_error = _shard_options_error(args)
     if shard_error:
         return _error(shard_error)

@@ -20,22 +20,22 @@ into contiguous arrays once, so the search can:
   ``reduceat``, and the measure scores the whole node batch through
   per-level bound tables
   (:meth:`~repro.measures.base.AssociationMeasure.bound_batch_kernel`); and
-* score **all candidate entities in one sparse-intersection pass** (lazily,
-  on the first leaf visit) over a combined entity×level CSR cell-membership
-  matrix, instead of per-entity Python set math per leaf.
+* score **all candidate entities in one sparse-intersection pass** over a
+  combined entity×level CSR cell-membership matrix, instead of per-entity
+  Python set math per leaf.
 
-The best-first traversal itself then runs over plain Python floats -- the
-heap pops/pushes and early-termination checks of Algorithm 2, with zero
-array work per node.  Bounds capped along the path (``min(parent, child)``)
-and all tie-breaks match the reference walk exactly.
+There is no best-first walk.  Algorithm 2's queue holds each node at its
+path bound (``min(parent's, own)``) and breaks ties by push order, so the
+order it pops nodes in is one ``lexsort`` of the path-bound arrays
+(:meth:`ColumnarQueryContext.pop_order`); ``TopKSearcher.search`` replays
+the walk's answer and every counter along that order.
 
 Layout
 ------
 Nodes are laid out breadth-first with the virtual root at index 0; a node's
 children occupy the contiguous span ``[child_start[n], child_end[n])`` *in
-the same order the reference search iterates them*, so heap tie-breaking --
-and therefore results, orderings, and every ``QueryStats`` counter -- is
-bit-for-bit identical to the reference path.  Leaf entities occupy spans
+the same order the reference search iterates them*, so BFS order among
+siblings is the walk's push order.  Leaf entities occupy spans
 ``[entity_start[n], entity_end[n])`` of one frozen entity order.  Dataset
 cells are interned per level into one combined id space: ``cell_codes[c]``
 is cell ``c`` as the integer ``time * |units| + unit code`` (the
@@ -220,12 +220,8 @@ class ColumnarTree:
         self.member_indptr = member_indptr
         self.member_indices = member_indices
         self.node_full_signatures = node_full_signatures
-        #: Span arrays as plain Python lists, converted once per compile so
-        #: the traversal loop never touches ndarray scalars.
-        self.child_start_list: List[int] = child_start.tolist()
-        self.child_end_list: List[int] = child_end.tolist()
-        self.entity_start_list: List[int] = entity_start.tolist()
-        self.entity_end_list: List[int] = entity_end.tolist()
+        #: Slot of every entity in :attr:`entity_order`.
+        self.entity_slot = {entity: slot for slot, entity in enumerate(entity_order)}
         #: Per-entity per-level set sizes ``|A_l|`` in the frozen order,
         #: shape ``(n_entities, m)`` -- the diffs of the per-(entity, level)
         #: CSR segments.
@@ -247,9 +243,9 @@ class ColumnarTree:
         Shared by :meth:`compile` and :meth:`patch` so both produce exactly
         the same node layout.  Children are laid out in the order
         ``node.children.values()`` iterates them (the order the reference
-        search pushes them), which is what keeps heap tie-breaking
-        identical.  Returns the BFS node list, the structure arrays, and
-        the frozen leaf-entity order.
+        search pushes them), which is what keeps tie-breaking identical.
+        Returns the BFS node list, the structure arrays, and the frozen
+        leaf-entity order.
         """
         nodes = [tree.root]
         read = 0
@@ -407,7 +403,7 @@ class ColumnarTree:
 
         _nodes, structure, entity_order = self._flatten_structure(tree)
         num_levels = self.num_levels
-        old_position = {entity: slot for slot, entity in enumerate(self.entity_order)}
+        old_position = self.entity_slot
         new_present = set(entity_order)
         # Journal sanity: every appearance/disappearance must be accounted
         # for, otherwise the splice below would silently reuse wrong rows.
@@ -676,15 +672,15 @@ class ColumnarTree:
 
 
 class ColumnarQueryContext:
-    """Per-query state of one columnar search.
+    """Per-query arrays of one columnar search.
 
     Construction runs the whole vectorised bound pass: every node's direct
     pruning row, the cumulative root-to-node masks (one OR per tree level),
-    per-level survivor counts, and the Theorem 4 upper bound of **every
-    tree node** -- available afterwards as :attr:`node_bounds`.  Candidate
-    scores are computed the same way, for all entities at once, lazily on
-    the first leaf visit (:meth:`entity_scores`).  The traversal then needs
-    no array work at all: it pops and pushes plain Python floats.
+    per-level survivor counts, the Theorem 4 upper bound of **every tree
+    node**, and from it the bound each node carries in Algorithm 2's queue
+    -- :attr:`path_bounds`.  :meth:`pop_order` ranks every node the way the
+    walk's queue pops them, and :meth:`entity_scores` scores every entity in
+    one pass; ``TopKSearcher.search`` replays the walk from those arrays.
 
     Raises :class:`~repro.core.pruning.InvalidQuerySequence` for hand-built
     query sequences that violate sp-index consistency.
@@ -758,16 +754,13 @@ class ColumnarQueryContext:
             self._lift_perm = np.concatenate(perms)
             self._lift_starts = np.concatenate(starts)
 
-        self._query_sequence = query_sequence
-        self._entity_scores: Optional[List[float]] = None
-        #: Theorem 4 upper bound of every node (plain Python floats, indexed
-        #: by node id) -- ``min`` with the running path bound happens in the
-        #: traversal loop, exactly like the reference walk.
-        self.node_bounds: List[float] = self._compute_node_bounds()
+        #: Bound of every node as Algorithm 2 queues it: ``1.0`` at the
+        #: root, else ``min(parent's path bound, own Theorem 4 bound)``.
+        self.path_bounds = self._compute_path_bounds()
 
     # ------------------------------------------------------------------
-    def _compute_node_bounds(self) -> List[float]:
-        """Theorem 4 bounds for every tree node in one vectorised pass.
+    def _compute_path_bounds(self) -> np.ndarray:
+        """Path bounds of every tree node in one vectorised pass.
 
         Computes each node's direct pruning row (Theorem 2 on its routing
         value -- or its full signature under the ablation), accumulates them
@@ -775,7 +768,7 @@ class ColumnarQueryContext:
         counts per-level survivors, lifts them under the Theorem 4 bound
         mode, and scores each node batch through the measure's bound
         tables.  Every value is bit-identical to the reference path's
-        ``upper_bound(state, ...)`` for the same node.
+        ``min(bound, upper_bound(state, ...))`` for the same node.
 
         The pass walks the tree one level at a time (the BFS layout keeps
         levels contiguous, and a node's parent sits in the previous level),
@@ -785,16 +778,16 @@ class ColumnarQueryContext:
         compiled = self.compiled
         num_nodes = compiled.num_nodes
         num_levels = compiled.num_levels
+        # The walk pushes the virtual root with the fixed bound 1.0.
+        bounds = np.zeros(num_nodes, dtype=np.float64)
+        bounds[0] = 1.0
         if self.total_cells == 0:
-            return [0.0] * num_nodes
+            return bounds
         if not self.use_full_signatures:
             matrix_t = np.ascontiguousarray(self.matrix.T)
 
-        bounds = np.zeros(num_nodes, dtype=np.float64)
         node_level = compiled.node_level
         boundaries = np.searchsorted(node_level, np.arange(num_levels + 2))
-        # The virtual root constrains nothing (its bound slot is unused:
-        # the traversal pushes the root with the fixed bound 1.0).
         previous_masks = np.zeros((1, self.total_cells), dtype=bool)
         previous_start = 0
         for level in range(1, num_levels + 1):
@@ -849,31 +842,44 @@ class ColumnarQueryContext:
             # All-surviving-zero nodes bound to exactly 0.0 without
             # consulting the measure, as in the reference upper_bound().
             level_bounds[~survivors.any(axis=1)] = 0.0
-            bounds[start:stop] = level_bounds
+            bounds[start:stop] = np.minimum(level_bounds, bounds[compiled.node_parent[start:stop]])
             previous_masks = masks
             previous_start = start
-        return bounds.tolist()
+        return bounds
+
+    def pop_order(self) -> np.ndarray:
+        """Every node id, in the order Algorithm 2's queue would pop it.
+
+        The queue pops the largest path bound first and breaks ties by push
+        order (the parent's pop rank, then the child's position): unrolled,
+        a ``lexsort`` on the path bounds of the node, its parent, ... up to
+        the root, whose 1.0 tops every bound and repeats -- so of two tied
+        chains the shallower node, the smaller BFS id, comes first.
+        """
+        ancestor = np.arange(self.compiled.num_nodes)
+        parent = np.maximum(self.compiled.node_parent, 0)
+        keys = []
+        for _depth in range(self.compiled.num_levels):
+            keys.append(-self.path_bounds[ancestor])
+            ancestor = parent[ancestor]
+        return np.lexsort(keys[::-1])
 
     # ------------------------------------------------------------------
-    def entity_scores(self) -> List[float]:
+    def entity_scores(self) -> np.ndarray:
         """Exact association degrees of *every* indexed entity, vectorised.
 
-        Computed lazily on the first leaf visit: one membership-lookup
-        gather over the combined CSR, one ``reduceat`` for the
-        per-(entity, level) overlap counts, and one batched measure
+        One membership-lookup gather over the combined CSR, one ``reduceat``
+        for the per-(entity, level) overlap counts, and one batched measure
         evaluation -- bit-identical per entity to
         ``measure.score(dataset.cell_sequence(entity), query_sequence)``
         (including the empty-sequence guard and the [0, 1] clamp).  Indexed
         by the compiled frozen entity order.
         """
-        if self._entity_scores is not None:
-            return self._entity_scores
         compiled = self.compiled
         n_entities = compiled.num_entities
         num_levels = compiled.num_levels
         if n_entities == 0 or self.query_empty:
-            self._entity_scores = [0.0] * n_entities
-            return self._entity_scores
+            return np.zeros(n_entities, dtype=np.float64)
 
         # Membership lookup over the combined cell-id space, true at the
         # query's cells.
@@ -902,5 +908,4 @@ class ColumnarQueryContext:
         raw = self.measure.score_levels_batch(sizes_a, sizes_b, shared)
         scores = np.minimum(np.maximum(raw, 0.0), 1.0)
         scores[sizes_a[:, num_levels - 1] == 0] = 0.0
-        self._entity_scores = scores.tolist()
-        return self._entity_scores
+        return scores

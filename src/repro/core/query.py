@@ -1,15 +1,17 @@
 """Top-k query processing over the MinSigTree (Chapter 5, Algorithm 2).
 
-The searcher runs a best-first traversal of the MinSigTree.  Every node is
+Algorithm 2 is a best-first traversal of the MinSigTree.  Every node is
 assigned an upper bound on the association degree between the query entity
 and any entity in its subtree (Theorem 4, computed from the node's partial
 pruned set); nodes are explored in decreasing bound order, leaves have their
 entities scored exactly, and the search stops as soon as the k-th best exact
 score is at least the best outstanding bound (early termination).
 
-There is one traversal: :meth:`TopKSearcher.search` always runs the columnar
-kernel (:mod:`repro.core.columnar`).  The pointer-walking implementation of
-the same algorithm lives in :func:`repro.baselines.reference_search` as the
+:meth:`TopKSearcher.search` does not walk: the walk's outcome is a function
+of the bound and score arrays of the columnar kernel
+(:mod:`repro.core.columnar`), and the search computes it from them -- the
+items and every work counter the walk would produce.  The pointer-walking
+implementation lives in :func:`repro.baselines.reference_search` as the
 oracle the equivalence suites compare against.
 
 Batched execution is a first-class API: :func:`run_query_batch` (behind
@@ -23,14 +25,16 @@ guaranteed identical -- including tie-breaks -- to running
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
-import heapq
-import itertools
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.columnar import ColumnarQueryContext, ColumnarTree
 from repro.core.minsigtree import MinSigTree
@@ -86,32 +90,6 @@ def _pruning_attributes(stats: "QueryStats") -> dict:
         "entities_scored": stats.entities_scored,
         "terminated_early": stats.terminated_early,
     }
-
-
-class _ReverseOrderStr(str):
-    """A string that sorts in reverse lexicographic order.
-
-    Used inside the result heap so that, among candidates with equal
-    scores, the heap root (the entry evicted first) is the lexicographically
-    *largest* entity.  The retained set is then exactly the top-k under the
-    ``(-score, entity)`` order the final ranking uses -- deterministic and
-    independent of leaf traversal order, which is what lets a sharded
-    deployment merge per-shard answers into the identical global top-k.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other: str) -> bool:
-        return str.__gt__(self, other)
-
-    def __le__(self, other: str) -> bool:
-        return str.__ge__(self, other)
-
-    def __gt__(self, other: str) -> bool:
-        return str.__lt__(self, other)
-
-    def __ge__(self, other: str) -> bool:
-        return str.__le__(self, other)
 
 
 @dataclass
@@ -232,8 +210,8 @@ class TopKSearcher:
 
     The engine facade constructs one searcher per built index
     (``engine.searcher``); use it directly when you need the knobs
-    :meth:`search` exposes beyond ``TraceQueryEngine.top_k`` -- a candidate
-    filter or a pre-fetched query sequence.
+    :meth:`search` exposes beyond ``TraceQueryEngine.top_k`` -- a
+    pre-fetched query sequence.
 
     Example
     -------
@@ -243,9 +221,9 @@ class TopKSearcher:
     >>> for name in ("a", "b", "c"):
     ...     dataset.add_record(name, "u2_0_0", time=4, duration=2)
     >>> searcher = TraceQueryEngine(dataset, num_hashes=16).build().searcher
-    >>> result = searcher.search("a", k=5, candidate_filter=lambda e: e != "b")
-    >>> result.entities                      # "b" was filtered out
-    ['c']
+    >>> result = searcher.search("a", k=5)
+    >>> result.entities                      # equal scores rank by name
+    ['b', 'c']
     >>> result.stats.population
     3
     """
@@ -367,18 +345,17 @@ class TopKSearcher:
         self,
         query_entity: str,
         k: int,
-        candidate_filter: Optional[Callable[[str], bool]] = None,
         approximation: float = 0.0,
         query_sequence: Optional[CellSequence] = None,
         trace: Optional[SpanContext] = None,
     ) -> TopKResult:
         """Answer a top-k query (Algorithm 2).
 
-        The best-first loop of the paper's pseudocode, but every node's
-        Theorem 4 bound is computed in one whole-tree vectorised pass up
-        front, and candidate scores come from one whole-dataset
-        sparse-intersection pass evaluated lazily at the first leaf visit.
-        The loop itself touches only plain Python floats.
+        The items and every counter of the paper's best-first walk, replayed
+        along its pop order (:meth:`ColumnarQueryContext.pop_order`): bounds
+        fall and the k-th best score rises along it, so a bisection finds
+        the leaf the walk stops at.  The walk's push-time pruning only drops
+        nodes at or after that stop, so the replay is exact.
 
         Parameters
         ----------
@@ -388,16 +365,13 @@ class TopKSearcher:
             ``query_sequence`` is supplied.
         k:
             Number of results requested (``1 <= k < |E|``).
-        candidate_filter:
-            Optional predicate; entities for which it returns ``False`` are
-            skipped (used by tests and by incremental-maintenance tooling).
         approximation:
             Additive slack for approximate top-k (the paper's first
             future-work item).  With a value ``eps > 0`` the search stops as
             soon as the current k-th best score is within ``eps`` of the best
             outstanding bound, so every returned score is guaranteed to be at
             least ``(true k-th best) - eps``.  ``0`` (default) gives exact
-            results under an admissible bound.
+            results under an admissible bound; it must be finite.
         query_sequence:
             Optional pre-fetched ST-cell set sequence of the query entity.
             A sharded deployment passes this so that shards can answer
@@ -406,8 +380,8 @@ class TopKSearcher:
         trace:
             Optional :class:`repro.obs.trace.SpanContext`.  When given, the
             search emits kernel-stage spans -- ``kernel.bounds`` (whole-tree
-            bound pass), ``kernel.traverse`` (the best-first loop),
-            ``kernel.scores`` (lazy leaf scoring) and ``kernel.merge``
+            bound pass), ``kernel.traverse`` (the replay of the walk),
+            ``kernel.scores`` (scoring, inside the replay) and ``kernel.merge``
             (final ranking) -- with the pruning counters attached as
             attributes.  Tracing never changes results -- ``None`` (the
             default) costs one ``is None`` check per stage.
@@ -420,14 +394,16 @@ class TopKSearcher:
 
         Raises
         ------
+        ValueError
+            ``k < 1``, or ``approximation`` negative, infinite or NaN.
         InvalidQuerySequence
             A supplied ``query_sequence`` violates sp-index consistency
             (see :class:`repro.core.pruning.InvalidQuerySequence`).
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if approximation < 0.0:
-            raise ValueError(f"approximation slack must be >= 0, got {approximation}")
+        if not 0.0 <= approximation < math.inf:
+            raise ValueError(f"approximation slack must be finite and >= 0, got {approximation}")
         if query_sequence is None:
             query_sequence = self.dataset.cell_sequence(query_entity)
         query_hashes = QueryHashes.from_sequence(query_sequence, self.hash_family)
@@ -444,83 +420,74 @@ class TopKSearcher:
             self.use_full_signatures,
         )
         if bounds_span is not None:
-            bounds_span.end(nodes=len(context.node_bounds))
+            bounds_span.end(nodes=compiled.num_nodes)
         traverse_span = trace.begin("kernel.traverse") if trace is not None else None
-        node_bounds = context.node_bounds
-        result_heap: List[Tuple[float, str]] = []
-        tie_breaker = itertools.count()
-        candidate_heap: List[Tuple[float, int, int]] = []
-        heapq.heappush(candidate_heap, (-1.0, next(tie_breaker), 0))
-        child_start = compiled.child_start_list
-        child_end = compiled.child_end_list
-        entity_start = compiled.entity_start_list
-        entity_end = compiled.entity_end_list
-        entity_order = compiled.entity_order
-        scores: Optional[List[float]] = None
+        order = context.pop_order()
+        # ``bound - approximation`` at every pop position: non-increasing.
+        limit = context.path_bounds[order] - approximation
+        fanout = compiled.child_end - compiled.child_start
+        leaf_rank = 1 + np.flatnonzero(fanout[order[1:]] == 0)  # order[0] is the root
+        starts = compiled.entity_start[order[leaf_rank]]
+        sizes = compiled.entity_end[order[leaf_rank]] - starts
+        # Every entity slot in scan order, tagged with its leaf's scan index.
+        leaf_of = np.repeat(np.arange(leaf_rank.size), sizes)
+        slots = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(leaf_of.size)
+        eligible = slots != compiled.entity_slot.get(query_entity, -1)
+        slots, leaf_of = slots[eligible], leaf_of[eligible]
+        scores_span = trace.begin("kernel.scores") if trace is not None else None
+        scores = context.entity_scores()[slots]
+        if scores_span is not None:
+            scores_span.end(candidates=compiled.num_entities)
 
-        while candidate_heap:
-            negative_bound, _tie, node_id = heapq.heappop(candidate_heap)
-            bound = -negative_bound
-            stats.nodes_visited += 1
+        def kth(leaves_seen: int) -> float:
+            # The k-th best score of the first ``leaves_seen`` leaves; -inf
+            # until k of them are positive.
+            count = int(np.searchsorted(leaf_of, leaves_seen))
+            value = np.partition(scores[:count], count - k)[count - k] if count >= k else 0.0
+            return float(value) if value > 0.0 else -math.inf
 
-            if len(result_heap) == k and result_heap[0][0] >= bound - approximation:
-                stats.terminated_early = True
-                break
-
-            span_start = child_start[node_id]
-            span_end = child_end[node_id]
-            if node_id == 0 or span_end > span_start:
-                if span_end > span_start:
-                    stats.bound_computations += span_end - span_start
-                    # The result heap cannot change while children are
-                    # pushed, so the k-th best threshold is loop-invariant.
-                    threshold = result_heap[0][0] if len(result_heap) == k else None
-                    for child_id in range(span_start, span_end):
-                        upper = node_bounds[child_id]
-                        child_bound = upper if upper < bound else bound
-                        if threshold is not None and threshold >= child_bound - approximation:
-                            # The child can never beat the current k-th best
-                            # (by more than the allowed approximation slack).
-                            continue
-                        heapq.heappush(
-                            candidate_heap, (-child_bound, next(tie_breaker), child_id)
-                        )
-                continue
-
-            # Leaf: candidate scores come from the lazily precomputed
-            # whole-dataset vector.
-            stats.leaves_visited += 1
-            if scores is None:
-                if trace is None:
-                    scores = context.entity_scores()
-                else:
-                    scores_span = trace.begin("kernel.scores")
-                    scores = context.entity_scores()
-                    scores_span.end(candidates=len(scores))
-            for slot in range(entity_start[node_id], entity_end[node_id]):
-                entity = entity_order[slot]
-                if entity == query_entity:
-                    continue
-                if candidate_filter is not None and not candidate_filter(entity):
-                    continue
-                score = scores[slot]
-                stats.entities_scored += 1
-                if score <= 0.0:
-                    continue
-                # Heap entries order by (score, reverse-entity), so the root
-                # is always the worst under the final (-score, entity)
-                # ranking and boundary ties resolve deterministically.
-                entry = (score, _ReverseOrderStr(entity))
-                if len(result_heap) < k:
-                    heapq.heappush(result_heap, entry)
-                elif entry > result_heap[0]:
-                    heapq.heapreplace(result_heap, entry)
-
+        # The walk stops at the first leaf whose limit the k-th best score of
+        # the leaves before it reaches; the limit falls and the score rises.
+        stop = bisect.bisect_left(
+            range(leaf_rank.size), True, key=lambda leaf: kth(leaf) >= limit[leaf_rank[leaf]]
+        )
+        threshold = kth(stop)
+        stats.leaves_visited = stop
+        stats.entities_scored = int(np.searchsorted(leaf_of, stop))
+        # Pops run through the last scored leaf, then on while a limit still
+        # beats the final threshold.
+        last = int(leaf_rank[stop - 1]) + 1 if stop else 1
+        popped = last + int(np.searchsorted(-limit[last:], -threshold))
+        stats.bound_computations = int(fanout[order[:popped]].sum())
+        # The walk stopped early iff its queue still held a node: a child of
+        # a popped node, itself never popped, whose limit beat the threshold
+        # at its parent's pop (the walk pushes only those).
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        parent_rank = rank[compiled.node_parent[order[popped:]]]
+        queued = parent_rank < popped
+        seen = np.searchsorted(leaf_rank, parent_rank[queued])
+        child_limit = limit[popped:][queued]
+        # The threshold a child faces only rises with its parent's pop, so
+        # only a child whose limit tops every earlier-queued one can pass.
+        by_seen = np.lexsort((-child_limit, seen))
+        child_limit, seen = child_limit[by_seen], seen[by_seen]
+        record = child_limit == np.maximum.accumulate(child_limit)
+        stats.terminated_early = any(
+            kth(leaves_seen) < bound
+            for leaves_seen, bound in zip(seen[record].tolist(), child_limit[record].tolist())
+        )
+        stats.nodes_visited = popped + stats.terminated_early
         if traverse_span is not None:
             traverse_span.end(**_pruning_attributes(stats))
+
         merge_span = trace.begin("kernel.merge") if trace is not None else None
-        pairs = [(str(entity), score) for score, entity in result_heap]
-        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+        scored = scores[: stats.entities_scored]
+        best = np.flatnonzero((scored >= threshold) & (scored > 0.0))
+        entities = [compiled.entity_order[slot] for slot in slots[best].tolist()]
+        pairs = sorted(
+            zip(entities, scored[best].tolist()), key=lambda pair: (-pair[1], pair[0])
+        )[:k]
         if merge_span is not None:
             merge_span.end(results=len(pairs))
         return TopKResult(query_entity=query_entity, items=pairs, stats=stats)

@@ -318,6 +318,22 @@ class TestQuery:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--k", "0"], "--k must be >= 1, got 0"),
+            (["--approximation", "-1"], "--approximation must be finite and >= 0, got -1.0"),
+            (["--approximation", "inf"], "--approximation must be finite and >= 0, got inf"),
+            (["--approximation", "nan"], "--approximation must be finite and >= 0, got nan"),
+        ],
+        ids=["k-zero", "approximation-negative", "approximation-inf", "approximation-nan"],
+    )
+    def test_invalid_result_flags_exit_2(self, generated_files, capsys, flags, message):
+        traces, hierarchy = generated_files
+        base = ["query", "--traces", str(traces), "--hierarchy", str(hierarchy)]
+        assert main(base + ["--entity", "syn-0"] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestQueryModes:
     def test_sharded_query_matches_single_engine(self, generated_files, capsys):
@@ -634,6 +650,13 @@ class TestStream:
         assert main(base + ["--window", "-1"]) == 2
         assert main(base + ["--batch-size", "0"]) == 2
         capsys.readouterr()
+
+    def test_stream_rejects_k_below_one_before_ingesting(self, generated_files, capsys):
+        traces, hierarchy = generated_files
+        base = ["stream", "--traces", str(traces), "--hierarchy", str(hierarchy)]
+        assert main(base + ["--query-every", "50", "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --k must be >= 1, got 0\n")
 
 
 class TestFigures:

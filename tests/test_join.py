@@ -129,3 +129,8 @@ class TestApproximateTopK:
     def test_negative_slack_rejected(self, small_engine):
         with pytest.raises(ValueError):
             small_engine.top_k("a", k=2, approximation=-0.1)
+
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf")])
+    def test_non_finite_slack_rejected(self, small_engine, slack):
+        with pytest.raises(ValueError, match="approximation slack must be finite"):
+            small_engine.searcher.search("a", 2, approximation=slack)

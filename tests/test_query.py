@@ -122,10 +122,6 @@ class TestSearcherConfiguration:
             exact = oracle.search(query, 3)
             assert [round(s, 9) for s in indexed.scores] == [round(s, 9) for s in exact.scores]
 
-    def test_candidate_filter_restricts_results(self, small_engine):
-        result = small_engine.searcher.search("a", 3, candidate_filter=lambda e: e != "b")
-        assert "b" not in result.entities
-
     def test_alternative_measure(self, small_engine):
         measure = JaccardADM(num_levels=small_engine.dataset.num_levels)
         searcher = TopKSearcher(
@@ -147,7 +143,6 @@ def test_one_scoring_path():
         "self",
         "query_entity",
         "k",
-        "candidate_filter",
         "approximation",
         "query_sequence",
         "trace",
