@@ -301,7 +301,7 @@ class MinSigTree:
     # ------------------------------------------------------------------
     # Structure export / import (the snapshot codec)
     # ------------------------------------------------------------------
-    def export_structure(self) -> Dict[str, object]:
+    def export_structure(self, signature_dtype: np.dtype = np.int64) -> Dict[str, object]:
         """Flatten the tree into plain arrays for serialization.
 
         Nodes are laid out in DFS order (the virtual root at index 0) as
@@ -310,6 +310,11 @@ class MinSigTree:
         order.  The arrays capture the tree *exactly* -- including routing
         values left loose by :meth:`remove` -- so a tree restored with
         :meth:`import_structure` prunes and traverses identically.
+
+        ``signature_dtype`` is the type the signature matrices (and full
+        signatures) are stacked in; it must hold every value up to the hash
+        range.  Snapshots pass the narrowest such type, so the int64 block
+        is never copied whole.
         """
         nodes = list(self.iter_nodes())
         index_of = {id(node): position for position, node in enumerate(nodes)}
@@ -327,9 +332,13 @@ class MinSigTree:
                 entities.append(entity)
                 entity_leaf.append(position)
         if entities:
-            signatures = np.stack([self._signatures[entity] for entity in entities])
+            signatures = np.stack(
+                [self._signatures[entity] for entity in entities],
+                dtype=signature_dtype,
+                casting="unsafe",
+            )
         else:
-            signatures = np.empty((0, self.num_levels, self.num_hashes), dtype=np.int64)
+            signatures = np.empty((0, self.num_levels, self.num_hashes), dtype=signature_dtype)
         structure: Dict[str, object] = {
             "node_level": node_level,
             "node_routing_index": node_routing_index,
@@ -340,7 +349,7 @@ class MinSigTree:
             "signatures": signatures,
         }
         if self.store_full_signatures:
-            full = np.zeros((len(nodes), self.num_hashes), dtype=np.int64)
+            full = np.zeros((len(nodes), self.num_hashes), dtype=signature_dtype)
             for position, node in enumerate(nodes):
                 if node.full_signature is not None:
                     full[position] = node.full_signature
@@ -363,36 +372,39 @@ class MinSigTree:
         behaviour and query statistics) match the exported tree exactly.
         """
         tree = cls(num_levels, num_hashes, store_full_signatures, routing_strategy)
-        node_level = np.asarray(structure["node_level"])
-        node_routing_index = np.asarray(structure["node_routing_index"])
-        node_routing_value = np.asarray(structure["node_routing_value"])
-        node_parent = np.asarray(structure["node_parent"])
+        node_level = np.asarray(structure["node_level"]).tolist()
+        node_routing_index = np.asarray(structure["node_routing_index"]).tolist()
+        node_routing_value = np.asarray(structure["node_routing_value"]).tolist()
+        node_parent = np.asarray(structure["node_parent"]).tolist()
         full = structure.get("node_full_signatures")
-        if node_level.size == 0 or node_level[0] != 0 or node_parent[0] != -1:
+        # Signatures may arrive narrower than int64 (snapshots store them at
+        # the hash range's width); the tree always holds them as int64.
+        full_rows = (
+            np.asarray(full, dtype=np.int64)
+            if store_full_signatures and full is not None
+            else None
+        )
+        if not node_level or node_level[0] != 0 or node_parent[0] != -1:
             raise ValueError("malformed tree structure: missing virtual root at index 0")
         nodes: List[MinSigTreeNode] = [tree.root]
-        for position in range(1, node_level.size):
-            parent_index = int(node_parent[position])
+        for position in range(1, len(node_level)):
+            parent_index = node_parent[position]
             if not 0 <= parent_index < position:
                 raise ValueError(
                     f"malformed tree structure: node {position} has parent {parent_index}"
                 )
             parent = nodes[parent_index]
             node = MinSigTreeNode(
-                level=int(node_level[position]),
-                routing_index=int(node_routing_index[position]),
-                routing_value=int(node_routing_value[position]),
+                level=node_level[position],
+                routing_index=node_routing_index[position],
+                routing_value=node_routing_value[position],
                 parent=parent,
-                full_signature=(
-                    np.asarray(full)[position].copy()
-                    if store_full_signatures and full is not None
-                    else None
-                ),
+                full_signature=None if full_rows is None else full_rows[position].copy(),
             )
             parent.children[node.routing_index] = node
             nodes.append(node)
         entities = list(structure["entities"])
-        entity_leaf = np.asarray(structure["entity_leaf"])
+        entity_leaf = np.asarray(structure["entity_leaf"]).tolist()
         signatures = np.asarray(structure["signatures"], dtype=np.int64)
         if signatures.shape != (len(entities), num_levels, num_hashes):
             raise ValueError(
@@ -400,7 +412,7 @@ class MinSigTree:
                 f"{(len(entities), num_levels, num_hashes)}"
             )
         for slot, entity in enumerate(entities):
-            leaf = nodes[int(entity_leaf[slot])]
+            leaf = nodes[entity_leaf[slot]]
             leaf.entities.append(entity)
             tree._signatures[entity] = signatures[slot]
             tree._leaf_of[entity] = leaf

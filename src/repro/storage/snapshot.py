@@ -16,7 +16,10 @@ re-signing the dataset**:
 ``arrays.npz``
     Hash-family coefficients, the presence records as columnar arrays, the
     flattened MinSigTree (nodes + leaf membership), and the per-entity
-    signature matrices.
+    signature matrices.  Signatures (and ``node_full_signatures``) are
+    stored as ``np.min_scalar_type(hash_range)`` -- the narrowest type
+    holding every min-hash value and the empty-level sentinel
+    ``hash_range`` -- and widened back to int64 on load.
 ``columnar.npz`` (format version 2, optional)
     The compiled :class:`~repro.core.columnar.ColumnarTree` arrays.  Kept
     in their own file so cold start never parses them: the engine adopts a
@@ -54,7 +57,7 @@ import shutil
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -292,20 +295,22 @@ def _write_engine_snapshot(
 
     # Presence records, columnar, grouped by dataset entity order.
     dataset_entities = list(dataset.entities)
-    entity_slot = {entity: slot for slot, entity in enumerate(dataset_entities)}
+    unit_index = {unit: index for index, unit in enumerate(hierarchy.base_units)}
     presence_entity = []
     presence_unit = []
     presence_start = []
     presence_end = []
-    for entity in dataset_entities:
+    for slot, entity in enumerate(dataset_entities):
         for presence in dataset.trace(entity):
-            presence_entity.append(entity_slot[entity])
-            presence_unit.append(hierarchy.base_unit_index(presence.unit))
+            presence_entity.append(slot)
+            presence_unit.append(unit_index[presence.unit])
             presence_start.append(presence.start)
             presence_end.append(presence.end)
 
     hash_a, hash_b = family.export_coefficients()
-    structure = tree.export_structure()
+    # Signature values lie in [0, hash_range] (hash_range marks an empty
+    # level), so the narrowest type holding hash_range stores them exactly.
+    structure = tree.export_structure(np.min_scalar_type(family.hash_range))
 
     arrays: Dict[str, np.ndarray] = {
         "hash_a": hash_a,
@@ -369,7 +374,7 @@ def _write_engine_snapshot(
             "num_levels": dataset.num_levels,
         },
         "tree": {
-            "num_nodes": tree.num_nodes,
+            "num_nodes": int(structure["node_level"].size) - 1,  # minus the virtual root
             "num_entities": tree.num_entities,
             "routing_strategy": tree.routing_strategy,
         },
@@ -509,23 +514,16 @@ def load_engine_snapshot(
         base_units = hierarchy.base_units
         dataset = TraceDataset(hierarchy, horizon=manifest["dataset"]["explicit_horizon"])
         dataset_entities = [str(name) for name in data["dataset_entities"]]
-        presence_entity = data["presence_entity"]
-        presence_unit = data["presence_unit"]
-        presence_start = data["presence_start"]
-        presence_end = data["presence_end"]
         # Records were written grouped by entity, so one pass restores each
         # entity's whole trace in original order through the trusted bulk
         # path.
         traces: Dict[str, list] = {entity: [] for entity in dataset_entities}
-        for slot in range(presence_entity.shape[0]):
-            entity = dataset_entities[int(presence_entity[slot])]
+        for slot, unit, start, end in zip(
+            *_presence_columns(data, manifest["dataset"]["num_presences"], directory)
+        ):
+            entity = dataset_entities[slot]
             traces[entity].append(
-                PresenceInstance(
-                    entity=entity,
-                    unit=base_units[int(presence_unit[slot])],
-                    start=int(presence_start[slot]),
-                    end=int(presence_end[slot]),
-                )
+                PresenceInstance(entity=entity, unit=base_units[unit], start=start, end=end)
             )
         for entity in dataset_entities:
             dataset.restore_trace(entity, traces[entity])
@@ -546,6 +544,9 @@ def load_engine_snapshot(
                 f"restored hash range {family.hash_range} differs from the snapshot's "
                 f"{hash_family_meta['hash_range']}; the hierarchy or horizon does not match"
             )
+        for name in ("signatures", "node_full_signatures"):
+            if name in data:
+                _check_signature_values(name, data[name], family.hash_range, directory)
 
         tree = MinSigTree.import_structure(
             {
@@ -575,6 +576,49 @@ def load_engine_snapshot(
             "arrays are inconsistent"
         ) from exc
     return engine
+
+
+_PRESENCE_COLUMNS = ("presence_entity", "presence_unit", "presence_start", "presence_end")
+
+
+def _presence_columns(
+    data: Mapping[str, np.ndarray], num_presences: object, directory: Path
+) -> List[list]:
+    """The four presence columns as Python lists, checked against the manifest.
+
+    Each must be a one-dimensional integer array of exactly the manifest's
+    ``num_presences`` rows: ``zip`` over them would silently drop the rows
+    of a longer column, and a shorter set would load fewer records than the
+    signatures were computed from.
+    """
+    columns = []
+    for name in _PRESENCE_COLUMNS:
+        column = data[name]
+        if column.shape != (num_presences,) or not np.issubdtype(column.dtype, np.integer):
+            raise SnapshotError(
+                f"snapshot array {name} in {directory} has shape {column.shape} and "
+                f"dtype {column.dtype}; the manifest expects {num_presences} integer rows"
+            )
+        columns.append(column.tolist())
+    return columns
+
+
+def _check_signature_values(
+    name: str, values: np.ndarray, hash_range: int, directory: Path
+) -> None:
+    """Refuse a signature array that no build could have written.
+
+    Min-hash values lie in ``[0, hash_range)`` and ``hash_range`` itself
+    marks an empty level, so anything else -- a float, a negative, a value
+    past the sentinel -- would be silently widened into a wrong index.
+    """
+    if not np.issubdtype(values.dtype, np.integer) or (
+        values.size and (values.min() < 0 or values.max() > hash_range)
+    ):
+        raise SnapshotError(
+            f"snapshot array {name} in {directory} is not integer signatures in "
+            f"[0, {hash_range}]; the arrays are inconsistent"
+        )
 
 
 def _install_columnar_loader(

@@ -544,7 +544,10 @@ class TestSnapshotRoundTrip:
         assert loaded.top_k("e0", k=3).items == expected
         assert loaded.searcher.kernel_compiles == 1  # the payload was refused
 
-    def test_version1_snapshot_still_loads_and_recompiles(self, hierarchy, tmp_path, seeded_rng):
+    @pytest.mark.parametrize("layout", ["version1", "int64_signatures"])
+    def test_version1_snapshot_still_loads_and_recompiles(
+        self, hierarchy, tmp_path, seeded_rng, layout
+    ):
         from repro.storage.snapshot import _file_digest
 
         rng = seeded_rng(67)
@@ -554,20 +557,35 @@ class TestSnapshotRoundTrip:
         ).build()
         snap = engine.save(tmp_path / "snap")
 
-        # Rewrite the snapshot as a faithful version-1 artifact: no columnar
-        # payload, version 1, fresh content digests.
-        (snap / "columnar.npz").unlink()
         manifest = json.loads((snap / "manifest.json").read_text())
-        manifest["format_version"] = 1
-        manifest["content"].pop("columnar.npz")
+        if layout == "version1":
+            # Rewrite the snapshot as a faithful version-1 artifact: no
+            # columnar payload, version 1, fresh content digests.
+            (snap / "columnar.npz").unlink()
+            manifest["format_version"] = 1
+            manifest["content"].pop("columnar.npz")
+        else:
+            # Signatures stored as int64, the layout of snapshots written
+            # before they were narrowed to the hash range's width.
+            with np.load(snap / "arrays.npz") as payload:
+                arrays = {key: payload[key] for key in payload.files}
+            assert arrays["signatures"].dtype != np.int64
+            arrays["signatures"] = arrays["signatures"].astype(np.int64)
+            np.savez(snap / "arrays.npz", **arrays)
         manifest["content"]["arrays.npz"] = _file_digest(snap / "arrays.npz")
         (snap / "manifest.json").write_text(json.dumps(manifest))
 
         loaded = TraceQueryEngine.load(snap)
-        assert loaded.searcher._compiled is None  # nothing precompiled...
-        assert loaded.searcher._compiled_loader is None
+        if layout == "version1":
+            assert loaded.searcher._compiled is None  # nothing precompiled...
+            assert loaded.searcher._compiled_loader is None
+        for entity in engine.dataset.entities:
+            signature = loaded.tree.signature_of(entity)
+            assert signature.dtype == np.int64
+            assert np.array_equal(signature, engine.tree.signature_of(entity))
         query = loaded.dataset.entities[0]
         assert loaded.top_k(query, k=5).items == engine.top_k(query, k=5).items
+        assert_identical(engine.top_k(query, k=5), loaded.top_k(query, k=5))
         assert loaded.searcher._compiled is not None  # lazily recompiled
 
     @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import JaccardADM, PresenceInstance, TraceQueryEngine
+from repro import JaccardADM, PresenceInstance, TraceDataset, TraceQueryEngine
 from repro.measures.base import AssociationMeasure
 from repro.storage.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
@@ -59,6 +59,12 @@ class TestRoundTrip:
         restored = load_engine_snapshot(tmp_path / "snap")
         queries = list(syn_engine.dataset.entities)[:5]
         assert_engines_identical(syn_engine, restored, queries, k=10)
+        # Stored at the width of the hash range, held as int64 in memory.
+        with np.load(tmp_path / "snap" / "arrays.npz") as arrays:
+            stored = arrays["signatures"].dtype
+        assert stored == np.min_scalar_type(restored.hash_family.hash_range)
+        for entity in restored.dataset.entities:
+            assert restored.tree.signature_of(entity).dtype == np.int64
 
     def test_round_trip_preserves_dataset_traces(self, small_engine, tmp_path):
         small_engine.save(tmp_path / "snap")
@@ -97,9 +103,22 @@ class TestRoundTrip:
         restored.remove_entity("b")
         assert restored.top_k("a", k=3).items == small_engine.top_k("a", k=3).items
 
-    def test_full_signature_round_trip(self, small_dataset, small_measure, tmp_path):
+    @pytest.mark.parametrize("hash_range_256", [False, True], ids=["small", "hash-range-256"])
+    def test_full_signature_round_trip(self, small_dataset, small_measure, tmp_path, hash_range_256):
+        dataset = small_dataset
+        if hash_range_256:
+            # 8 base units x horizon 32: a hash range one past uint8, and the
+            # empty trace of "z" signs to the sentinel value 256 itself.
+            dataset = TraceDataset(small_dataset.hierarchy, horizon=32)
+            dataset.extend(
+                presence
+                for entity in small_dataset.entities
+                for presence in small_dataset.trace(entity)
+                if presence.end <= 32
+            )
+            dataset.replace_trace("z", [])
         engine = TraceQueryEngine(
-            small_dataset,
+            dataset,
             measure=small_measure,
             num_hashes=16,
             seed=2,
@@ -109,11 +128,21 @@ class TestRoundTrip:
         engine.save(tmp_path / "snap")
         restored = TraceQueryEngine.load(tmp_path / "snap")
         assert restored.config.store_full_signatures
+        hash_range = engine.hash_family.hash_range
+        with np.load(tmp_path / "snap" / "arrays.npz") as arrays:
+            for name in ("signatures", "node_full_signatures"):
+                assert arrays[name].dtype == np.min_scalar_type(hash_range)
+        if hash_range_256:
+            assert hash_range == 256
+            assert restored.tree.signature_of("z").max() == 256
         for node_a, node_b in zip(engine.tree.iter_nodes(), restored.tree.iter_nodes()):
             if node_a.full_signature is None:
                 assert node_b.full_signature is None
             else:
+                assert node_b.full_signature.dtype == np.int64
                 assert np.array_equal(node_a.full_signature, node_b.full_signature)
+        for entity in restored.dataset.entities:
+            assert restored.tree.signature_of(entity).dtype == np.int64
         assert_engines_identical(engine, restored, ["a", "e"], k=3)
 
     def test_round_trip_across_processes(self, small_engine, tmp_path):
@@ -267,6 +296,54 @@ class TestFailureModes:
         hierarchy_path = snapshot / "hierarchy.json"
         hierarchy_path.write_text(hierarchy_path.read_text().replace("h1_0", "h1_X", 1))
         with pytest.raises(SnapshotError, match="does not match the manifest digest"):
+            TraceQueryEngine.load(snapshot)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            "float-signatures",
+            "negative-signature",
+            "signature-past-sentinel",
+            "long-start-column",
+            "short-presence-columns",
+        ],
+    )
+    def test_inconsistent_arrays_fail_loudly(self, small_engine, tmp_path, tamper):
+        """Regression: arrays no save can write loaded and answered once
+        their digest was recomputed -- signatures that are not integers in
+        ``[0, hash_range]``, and presence columns whose length disagrees
+        with the manifest (extra rows were ignored, a missing row dropped a
+        record the signatures were computed from)."""
+        from repro.storage.snapshot import _file_digest
+
+        snapshot = tmp_path / "snap"
+        small_engine.save(snapshot)
+        with np.load(snapshot / "arrays.npz") as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        signatures = arrays["signatures"].astype(np.int64)
+        if tamper == "float-signatures":
+            arrays["signatures"] = signatures + 0.7
+            match = "signatures"
+        elif tamper == "negative-signature":
+            signatures[0, 0, 0] = -1
+            arrays["signatures"] = signatures
+            match = "signatures"
+        elif tamper == "signature-past-sentinel":
+            signatures[0, 0, 0] = small_engine.hash_family.hash_range + 1
+            arrays["signatures"] = signatures
+            match = "signatures"
+        elif tamper == "long-start-column":
+            arrays["presence_start"] = np.concatenate([arrays["presence_start"], [0, 1]])
+            match = "presence_start"
+        else:
+            for name in ("presence_entity", "presence_unit", "presence_start", "presence_end"):
+                arrays[name] = arrays[name][:-1]
+            match = "presence_entity"
+        np.savez(snapshot / "arrays.npz", **arrays)
+        manifest = json.loads((snapshot / "manifest.json").read_text())
+        manifest["content"]["arrays.npz"] = _file_digest(snapshot / "arrays.npz")
+        (snapshot / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match=match):
             TraceQueryEngine.load(snapshot)
 
     def test_unknown_measure_rejected_at_save(self, small_dataset, tmp_path):
