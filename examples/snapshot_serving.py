@@ -47,7 +47,6 @@ def main() -> None:
     sharded = ShardedEngine(
         served.dataset,
         num_shards=4,
-        partitioner="hash",
         num_hashes=128,
         seed=7,
         query_cache_size=256,

@@ -23,12 +23,7 @@ from repro.core.join import association_graph, mutual_top_k_pairs, top_k_join
 from repro.core.minsigtree import MinSigTree
 from repro.core.query import BatchTopKResult, TopKResult, TopKSearcher
 from repro.core.signatures import SignatureComputer
-from repro.service import (
-    HashPartitioner,
-    QueryResultCache,
-    RoundRobinPartitioner,
-    ShardedEngine,
-)
+from repro.service import QueryResultCache, ShardedEngine
 from repro.measures import (
     AssociationMeasure,
     DiceADM,
@@ -65,14 +60,12 @@ __all__ = [
     "ExpiryReport",
     "FScoreADM",
     "HierarchicalADM",
-    "HashPartitioner",
     "HierarchicalHashFamily",
     "JaccardADM",
     "MinSigTree",
     "OverlapADM",
     "PresenceInstance",
     "QueryResultCache",
-    "RoundRobinPartitioner",
     "STCell",
     "ShardedEngine",
     "SignatureComputer",

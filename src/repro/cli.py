@@ -68,7 +68,6 @@ from repro.core.engine import TraceQueryEngine
 from repro.measures.adm import HierarchicalADM
 from repro.mobility.hierarchical import generate_synthetic_dataset
 from repro.mobility.wifi import generate_wifi_dataset
-from repro.service.partition import PARTITIONER_KINDS
 from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine
 from repro.traces.io import (
     load_hierarchy_json,
@@ -155,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve through a sharded engine with this many entity partitions (0 = single engine)",
     )
-    _add_partitioner_argument(query)
     _add_index_arguments(query, defaults=False)
     query.add_argument(
         "--approximation",
@@ -192,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="build a sharded index with this many entity partitions (0 = single engine)",
     )
-    _add_partitioner_argument(index_build)
     _add_index_arguments(index_build, defaults=True)
 
     index_info = index_sub.add_parser("info", help="summarise a snapshot directory")
@@ -238,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="ENTITY",
         default=None,
-        help="entities to query round-robin during the replay "
+        help="entities to query in rotation during the replay "
         "(default: the first three entities of the log)",
     )
     stream.add_argument(
@@ -254,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="stream into a sharded engine with this many entity partitions (0 = single engine)",
     )
-    _add_partitioner_argument(stream)
     _add_index_arguments(stream, defaults=True)
 
     serve = subparsers.add_parser(
@@ -279,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="serve through a sharded engine with this many entity partitions (0 = single engine)",
     )
-    _add_partitioner_argument(serve)
     serve.add_argument(
         "--horizon",
         type=int,
@@ -568,16 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_partitioner_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--partitioner",
-        choices=list(PARTITIONER_KINDS),
-        default=None,
-        help="entity partitioning strategy for --shards (default: hash; "
-        "consistent_hash minimises reassignment when shard counts change)",
-    )
-
-
 def _add_dataset_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
     parser.add_argument(
         "--traces", required=required, help="CSV trace file (entity,unit,start,end)"
@@ -657,11 +642,9 @@ class _DatasetError(Exception):
 
 
 def _shard_options_error(args: argparse.Namespace) -> Optional[str]:
-    """The shared ``--shards``/``--partitioner`` validation, or ``None``."""
+    """The shared ``--shards`` validation, or ``None``."""
     if args.shards < 0:
         return f"--shards must be >= 0, got {args.shards}"
-    if args.partitioner and not args.shards:
-        return "--partitioner only applies together with --shards"
     return None
 
 
@@ -672,7 +655,6 @@ def _make_engine(
     seed: int,
     bound_mode: str,
     shards: int,
-    partitioner: Optional[str],
 ) -> Union[TraceQueryEngine, ShardedEngine]:
     """The (unbuilt) engine every build-from-traces subcommand constructs."""
     if shards:
@@ -680,7 +662,6 @@ def _make_engine(
             dataset,
             measure=measure,
             num_shards=shards,
-            partitioner=partitioner or "hash",
             num_hashes=num_hashes,
             seed=seed,
             bound_mode=bound_mode,
@@ -930,7 +911,7 @@ def _resolve_engine(
     bound_mode = args.bound_mode if args.bound_mode is not None else _DEFAULT_BOUND_MODE
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=u, v=v)
     return _make_engine(
-        dataset, measure, num_hashes, seed, bound_mode, args.shards, args.partitioner
+        dataset, measure, num_hashes, seed, bound_mode, args.shards
     ).build()
 
 
@@ -1033,8 +1014,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
         return _error(str(exc))
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=args.u, v=args.v)
     engine = _make_engine(
-        dataset, measure, args.num_hashes, args.seed, args.bound_mode,
-        args.shards, args.partitioner,
+        dataset, measure, args.num_hashes, args.seed, args.bound_mode, args.shards
     ).build()
     try:
         path = engine.save(args.output)
@@ -1058,8 +1038,7 @@ def _command_index_info(args: argparse.Namespace) -> int:
         print(f"format: {info['format']} v{info['format_version']}")
         print(f"size on disk: {info['size_bytes']} bytes")
         if info["format"] == SHARDED_SNAPSHOT_FORMAT:
-            partitioner = info["partitioner"]["kind"]
-            print(f"shards: {info['num_shards']} (partitioner: {partitioner})")
+            print(f"shards: {info['num_shards']}")
             print(f"config fingerprint: {info['fingerprint']}")
             return 0
         config = info["config"]
@@ -1125,8 +1104,7 @@ def _command_stream(args: argparse.Namespace) -> int:
     dataset = TraceDataset(hierarchy, horizon=horizon)
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=args.u, v=args.v)
     engine = _make_engine(
-        dataset, measure, args.num_hashes, args.seed, args.bound_mode,
-        args.shards, args.partitioner,
+        dataset, measure, args.num_hashes, args.seed, args.bound_mode, args.shards
     ).build()
 
     query_entities: List[str] = []

@@ -5,11 +5,11 @@ The package promotes the shard boundary from threads in one process
 A shard server is not a module of this package: it is the one read process
 of :mod:`repro.server.workers`, started with a TCP listener over one
 shard's generation store, and the connection to it is that module's one
-read client (``docs/SERVING.md``, "Client side").  What lives here is the
-policy around them:
+read client (``docs/SERVING.md``, "Client side").  Shard ``i`` serves the
+entities :class:`~repro.service.sharded.ShardedEngine` placed on it (a
+stable hash of the identifier).  What lives here is the policy around
+them:
 
-- :mod:`repro.cluster.hashring` -- deterministic consistent-hash ring the
-  :class:`~repro.service.partition.ConsistentHashPartitioner` is built on;
 - :mod:`repro.cluster.replica` -- replica clients and R-way replica
   groups: retry with backoff, hedged failover;
 - :mod:`repro.cluster.supervisor` -- the replica processes: respawn with
@@ -26,7 +26,3 @@ policy around them:
 See ``docs/DISTRIBUTED.md`` for topology, failover semantics, the
 degraded-answer contract, and the catch-up protocol.
 """
-
-from repro.cluster.hashring import ConsistentHashRing
-
-__all__ = ["ConsistentHashRing"]

@@ -224,7 +224,6 @@ def run_battery(
         num_hashes=NUM_HASHES,
         seed=ENGINE_SEED,
         bound_mode="per_level",
-        partitioner="consistent_hash",
     ).build()
 
     config = ClusterConfig(

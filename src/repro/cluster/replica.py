@@ -112,7 +112,7 @@ class ReplicaGroup:
     # Candidate selection
     # ------------------------------------------------------------------
     def _candidates(self) -> List[ReplicaClient]:
-        """Replicas in try-order: usable ones round-robined first.
+        """Replicas in try-order: usable ones in rotation first.
 
         ``catching_up`` nodes are excluded outright (the rejoin gate);
         ``down`` nodes trail the list as a last resort -- if every usable

@@ -49,11 +49,6 @@ class MinSigTreeNode:
         """Whether this is the virtual root node."""
         return self.level == 0
 
-    @property
-    def is_leaf(self) -> bool:
-        """Whether this node carries entities (no children will be added)."""
-        return not self.children and not self.is_root
-
     def child(self, routing_index: int) -> Optional["MinSigTreeNode"]:
         """The child with the given routing index, if any."""
         return self.children.get(routing_index)

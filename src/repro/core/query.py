@@ -535,11 +535,6 @@ class BatchTopKResult:
         return sum(result.stats.entities_scored for result in self.results)
 
     @property
-    def total_nodes_visited(self) -> int:
-        """MinSigTree nodes popped summed over the batch."""
-        return sum(result.stats.nodes_visited for result in self.results)
-
-    @property
     def mean_pruning_effectiveness(self) -> float:
         """Average per-query pruning effectiveness (Figures 7.3/7.7 metric)."""
         if not self.results:

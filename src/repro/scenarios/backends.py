@@ -308,7 +308,7 @@ class ClusterBackend(HttpBackend):
     """The distributed tier under fault injection -- the chaos backend.
 
     A 2-shard x 2-replica :func:`~repro.cluster.frontend.cluster_tier`
-    (real shard-server subprocesses, consistent-hash partitioning) behind
+    (real shard-server subprocesses, stable-hash placement) behind
     the same HTTP surface.  After the first churn micro-batch one replica
     per group is SIGKILLed mid-scenario; the supervisor respawns it with
     catch-up verification while queries keep flowing.  The runner's
@@ -337,14 +337,13 @@ class ClusterBackend(HttpBackend):
         self._killed: List[str] = []
 
     def _engine_and_tier(self, dataset: TraceDataset, engine: EngineProfile):
-        """A consistent-hash sharded engine plus the cluster parts over it."""
+        """A sharded engine plus the cluster parts over it."""
         from repro.cluster.frontend import cluster_tier
 
         built = ShardedEngine(
             dataset,
             _measure_for(dataset, engine),
             num_shards=self.num_shards,
-            partitioner="consistent_hash",
             num_hashes=engine.num_hashes,
             seed=engine.seed,
             bound_mode=engine.bound_mode,

@@ -1,10 +1,10 @@
 """Sharded serving: one logical engine over N entity partitions.
 
 :class:`ShardedEngine` partitions the entities of a dataset across ``N``
-independent :class:`~repro.core.engine.TraceQueryEngine` shards (hash or
-round-robin partitioning), builds the shards in parallel through the bulk
-signature pipeline, and serves queries by fanning out over every shard and
-merging a global top-k.
+independent :class:`~repro.core.engine.TraceQueryEngine` shards (placed by a
+stable hash of the entity identifier), builds the shards in parallel through
+the bulk signature pipeline, and serves queries by fanning out over every
+shard and merging a global top-k.
 
 Correctness rests on two facts:
 
@@ -27,11 +27,11 @@ envelope -- divergence only occurs where the lift bound was already
 approximate.
 
 Updates (``add_records`` / ``remove_entity`` / ``refresh_entities`` /
-``expire_events``) are routed to the owning shard; new entities are placed
-by the partitioner and the assignment is remembered, so re-introducing a
-removed entity lands it on whatever shard the partitioner picks next
-(deterministically).  A sharded deployment snapshots to a directory of
-per-shard engine snapshots plus a routing manifest -- see
+``expire_events``) are routed to the owning shard; a new entity is placed
+on ``blake2b(entity) mod num_shards`` and the assignment is remembered.
+Placement decides which shard does the work, not the answer (under the
+admissible bound; see above).  A sharded deployment snapshots to a directory
+of per-shard engine snapshots plus a routing manifest -- see
 :meth:`ShardedEngine.save`.
 
 **Caching under streaming updates.**  The result cache stores *per-shard
@@ -49,6 +49,7 @@ ingestion.  ``build``/``load``/``compact`` still clear wholesale.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
@@ -63,7 +64,6 @@ from repro.measures.base import AssociationMeasure
 from repro.obs.trace import SpanContext
 from repro.service.cache import QueryResultCache
 from repro.service.merge import merge_topk_results
-from repro.service.partition import Partitioner, RoundRobinPartitioner, make_partitioner
 from repro.storage.snapshot import (
     SHARDED_SNAPSHOT_FORMAT,
     SNAPSHOT_FORMAT_VERSION,
@@ -82,6 +82,15 @@ __all__ = ["SHARDED_SNAPSHOT_FORMAT", "ShardedEngine"]
 
 PathLike = Union[str, Path]
 
+
+def _hash_shard(entity: str, num_shards: int) -> int:
+    """The shard a new entity goes to: a stable digest modulo the shard count.
+
+    blake2b rather than ``hash()``: placement must agree across processes
+    and Python releases (``PYTHONHASHSEED`` varies).
+    """
+    digest = hashlib.blake2b(entity.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % num_shards
 
 
 class ShardedEngine:
@@ -102,10 +111,8 @@ class ShardedEngine:
         caching twice would only burn memory); ``batch_workers`` sets the
         default fan-out of :meth:`top_k_batch`.
     num_shards:
-        Number of entity partitions.
-    partitioner:
-        ``"hash"`` (default), ``"round_robin"``, ``"consistent_hash"``, or
-        a :class:`~repro.service.partition.Partitioner` instance.
+        Number of entity partitions (>= 1).  A new entity goes to shard
+        ``blake2b(entity) mod num_shards``.
 
     Invariants
     ----------
@@ -139,9 +146,10 @@ class ShardedEngine:
         measure: Optional[AssociationMeasure] = None,
         config: Optional[EngineConfig] = None,
         num_shards: int = 2,
-        partitioner: Union[str, Partitioner] = "hash",
         **overrides: object,
     ) -> None:
+        if num_shards < 1:
+            raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         if config is None:
             config = EngineConfig()
         if overrides:
@@ -149,7 +157,7 @@ class ShardedEngine:
         self.dataset = dataset
         self.config = config
         self.measure = measure or HierarchicalADM(num_levels=dataset.num_levels)
-        self.partitioner = make_partitioner(partitioner, num_shards)
+        self._num_shards = int(num_shards)
         self._shard_of: Dict[str, int] = {}
         self._shards: List[TraceQueryEngine] = []
         self._config_fingerprint = config.fingerprint()
@@ -165,7 +173,7 @@ class ShardedEngine:
     @property
     def num_shards(self) -> int:
         """Number of entity partitions."""
-        return self.partitioner.num_shards
+        return self._num_shards
 
     @property
     def is_built(self) -> bool:
@@ -228,7 +236,6 @@ class ShardedEngine:
             "entities": self.dataset.num_entities,
             "presences": self.dataset.num_presences,
             "num_shards": self.num_shards,
-            "partitioner": self.partitioner.kind,
             "shard_sizes": (
                 [shard.dataset.num_entities for shard in self._shards] if built else []
             ),
@@ -248,7 +255,7 @@ class ShardedEngine:
     def _assign(self, entity: str) -> int:
         shard = self._shard_of.get(entity)
         if shard is None:
-            shard = self.partitioner.assign(entity)
+            shard = _hash_shard(entity, self._num_shards)
             self._shard_of[entity] = shard
         return shard
 
@@ -458,8 +465,8 @@ class ShardedEngine:
     def add_records(self, presences: Iterable[PresenceInstance]) -> List[str]:
         """Append records, routing each entity's batch to its owning shard.
 
-        New entities are assigned by the partitioner; existing ones go to
-        their recorded shard.  Returns the affected entities in first-seen
+        New entities go to their hash shard; existing ones go to their
+        recorded shard.  Returns the affected entities in first-seen
         order, exactly like the single-engine API.  Only the cache entries
         of the touched shards (or of queries about the updated entities)
         are invalidated.
@@ -572,10 +579,11 @@ class ShardedEngine:
     def save(self, path: PathLike, extra_meta: Optional[Dict[str, object]] = None) -> Path:
         """Write per-shard snapshots plus a routing manifest; returns the dir.
 
-        Layout: ``manifest.json`` (format, shard count, partitioner state)
-        and one engine snapshot per shard under ``shard-00/``, ``shard-01``,
-        ...  Restorable with :meth:`load` in another process.  ``extra_meta``
-        is stored verbatim under the manifest's ``"extra"`` key, mirroring
+        Layout: ``manifest.json`` (format, shard count, shard directory
+        names, config) and one engine snapshot per shard under
+        ``shard-00/``, ``shard-01``, ...  Restorable with :meth:`load` in
+        another process.  ``extra_meta`` is stored verbatim under the
+        manifest's ``"extra"`` key, mirroring
         :func:`repro.storage.snapshot.save_engine_snapshot`.
         """
         self._require_built()
@@ -591,14 +599,10 @@ class ShardedEngine:
                 name = f"shard-{shard_id:02d}"
                 save_engine_snapshot(shard, directory / name)
                 shard_names.append(name)
-            partitioner_state: Dict[str, object] = {"kind": self.partitioner.kind}
-            if isinstance(self.partitioner, RoundRobinPartitioner):
-                partitioner_state["next_shard"] = self.partitioner.next_shard
             manifest = {
                 "format": SHARDED_SNAPSHOT_FORMAT,
                 "format_version": SNAPSHOT_FORMAT_VERSION,
                 "num_shards": self.num_shards,
-                "partitioner": partitioner_state,
                 "shards": shard_names,
                 "config": {
                     "query_cache_size": self.config.query_cache_size,
@@ -622,11 +626,16 @@ class ShardedEngine:
         """Restore a sharded deployment saved with :meth:`save`.
 
         Every shard cold-starts from its engine snapshot (no re-signing);
-        the routing table is rebuilt from shard membership and the
-        partitioner resumes from its serialized state.  The router dataset
-        is reassembled shard by shard, so its entity iteration order may
-        differ from the original -- query results are unaffected.
-        ``mmap_columnar`` is forwarded to every shard's
+        the routing table is rebuilt from shard membership, so every stored
+        entity keeps the shard it was saved on, whatever rule placed it.
+        Only entities added after the load are hashed to a shard.  A
+        ``partitioner`` block written by older builds (hash, round-robin or
+        consistent-hash placement) is ignored.  The manifest must name
+        exactly the ``shard-NN`` directories :meth:`save` writes, so a
+        manifest cannot pull shards in from outside its directory.  The
+        router dataset is reassembled shard by shard, so its entity
+        iteration order may differ from the original -- query results are
+        unaffected.  ``mmap_columnar`` is forwarded to every shard's
         :func:`~repro.storage.snapshot.load_engine_snapshot` (zero-copy
         compiled arrays for multi-process serving workers).
         """
@@ -637,21 +646,23 @@ class ShardedEngine:
                 f"{directory} holds a {manifest.get('format')!r} snapshot; "
                 "load it with TraceQueryEngine.load()"
             )
-        try:
-            num_shards = int(manifest["num_shards"])
-            shard_names = list(manifest["shards"])
-        except (KeyError, TypeError, ValueError) as exc:
+        num_shards = manifest.get("num_shards")
+        shard_names = manifest.get("shards")
+        if type(num_shards) is not int or num_shards < 1:
             raise SnapshotError(
-                f"invalid sharded snapshot manifest in {directory}: {exc}"
-            ) from exc
+                f"invalid sharded snapshot manifest in {directory}: num_shards must be "
+                f"an integer >= 1, got {num_shards!r}"
+            )
+        if shard_names != [f"shard-{index:02d}" for index in range(num_shards)]:
+            raise SnapshotError(
+                f"invalid sharded snapshot manifest in {directory}: shards must be "
+                f"shard-00 ... shard-{num_shards - 1:02d} for {num_shards} shards, "
+                f"got {shard_names!r}"
+            )
         shard_engines = [
             load_engine_snapshot(directory / name, measure=measure, mmap_columnar=mmap_columnar)
             for name in shard_names
         ]
-        if len(shard_engines) != num_shards:
-            raise SnapshotError(
-                f"manifest lists {num_shards} shards but {len(shard_engines)} were found"
-            )
         # Every shard must carry the deployment's config identity: a shard
         # directory swapped in from a different deployment fails here
         # instead of serving with inconsistent signatures.
@@ -682,28 +693,12 @@ class ShardedEngine:
                 shard_of[entity] = shard_id
 
         try:
-            partitioner_state = manifest["partitioner"]
-            kind = partitioner_state["kind"]
-            if kind == RoundRobinPartitioner.kind:
-                # Constructing (rather than assigning next_shard after the
-                # fact) runs the 0 <= next_shard < num_shards validation.
-                partitioner: Partitioner = RoundRobinPartitioner(
-                    num_shards, next_shard=int(partitioner_state.get("next_shard", 0))
-                )
-            else:
-                partitioner = make_partitioner(kind, num_shards)
             config = first.config.with_overrides(**manifest.get("config", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(
                 f"invalid sharded snapshot manifest in {directory}: {exc}"
             ) from exc
-        engine = cls(
-            router,
-            measure=first.measure,
-            config=config,
-            num_shards=num_shards,
-            partitioner=partitioner,
-        )
+        engine = cls(router, measure=first.measure, config=config, num_shards=num_shards)
         engine._shards = shard_engines
         engine._shard_of = shard_of
         engine._share_hash_family()
@@ -711,7 +706,4 @@ class ShardedEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self.is_built else "not built"
-        return (
-            f"ShardedEngine({self.dataset.describe()}, shards={self.num_shards}, "
-            f"partitioner={self.partitioner.kind}, {built})"
-        )
+        return f"ShardedEngine({self.dataset.describe()}, shards={self.num_shards}, {built})"

@@ -102,7 +102,7 @@ def replay_events(
         rate sleeps to pace submissions, which is what a demo or a
         soak-test wants.
     query_entities:
-        Entities to query round-robin between micro-batches.  A query whose
+        Entities to query in rotation between micro-batches.  A query whose
         entity has no flushed data yet is counted in
         :attr:`ReplayReport.queries_skipped` instead of raising.
     query_every:

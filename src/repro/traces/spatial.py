@@ -220,11 +220,6 @@ class SpatialHierarchy:
         return self._num_levels
 
     @property
-    def num_units(self) -> int:
-        """Total number of spatial units across all levels."""
-        return len(self._units)
-
-    @property
     def num_base_units(self) -> int:
         """Number of base spatial units (the set ``L`` in the paper)."""
         self._ensure_validated()

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,6 +72,29 @@ class TestParser:
         assert args.num_hashes == 256
         assert args.bound_mode == "lift"
         assert args.shards == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--traces", "t.csv", "--hierarchy", "h.json", "--entity", "e"],
+            ["index", "build", "--traces", "t.csv", "--hierarchy", "h.json", "--output", "s"],
+            ["stream", "--traces", "t.csv", "--hierarchy", "h.json"],
+            ["serve", "--snapshot", "s"],
+        ],
+        ids=["query", "index-build", "stream", "serve"],
+    )
+    def test_sharding_subcommands_take_no_placement_flag(self, argv, capsys):
+        """Shard placement is fixed, so no subcommand offers ``--partitioner``."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--shards" in usage
+        assert "--partitioner" not in usage
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--shards", "2", "--partitioner", "hash"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --partitioner hash" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -386,24 +411,6 @@ class TestQueryModes:
         assert code == 2
         assert "not a snapshot directory" in capsys.readouterr().err
 
-    def test_partitioner_requires_shards(self, generated_files, capsys):
-        traces, hierarchy = generated_files
-        code = main(
-            [
-                "query",
-                "--traces",
-                str(traces),
-                "--hierarchy",
-                str(hierarchy),
-                "--entity",
-                "syn-0",
-                "--partitioner",
-                "round_robin",
-            ]
-        )
-        assert code == 2
-        assert "--partitioner only applies together with --shards" in capsys.readouterr().err
-
 
 class TestIndex:
     @pytest.fixture
@@ -526,6 +533,29 @@ class TestIndex:
         output = capsys.readouterr().out
         assert "top-3 associates of syn-0" in output
         assert "batch: 2 queries" in output
+
+    def test_info_and_query_on_older_sharded_manifest(self, generated_files, tmp_path, capsys):
+        """Older builds wrote a ``partitioner`` block; it is ignored on read."""
+        traces, hierarchy = generated_files
+        snapshot = tmp_path / "sharded-snap"
+        build = ["index", "build", "--traces", str(traces), "--hierarchy", str(hierarchy)]
+        code = main([*build, "--output", str(snapshot), "--num-hashes", "32", "--shards", "2"])
+        assert code == 0
+        capsys.readouterr()
+        query = ["query", "--snapshot", str(snapshot), "--entity", "syn-0", "--k", "3"]
+        assert main(query) == 0
+        expected = capsys.readouterr().out
+        manifest_path = snapshot / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert "partitioner" not in manifest
+        manifest["partitioner"] = {"kind": "round_robin", "next_shard": 1}
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["index", "info", "--snapshot", str(snapshot)]) == 0
+        output = capsys.readouterr().out
+        assert "shards: 2" in output
+        assert "partitioner" not in output
+        assert main(query) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestStream:

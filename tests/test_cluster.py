@@ -1,10 +1,8 @@
 """Unit tests for the distributed serving tier's building blocks.
 
 Each layer of :mod:`repro.cluster` is pinned in isolation here -- the
-consistent-hash ring and its remap bound, the partitioner that routes
-entities to shard groups, the wire codec that ships query sequences, the
-per-replica health state machine, the shard server's operation handling,
-and the replica group's failover/hedging policy (against in-test framed
+wire codec that ships query sequences, the per-replica health state
+machine, the shard server's operation handling, and the replica group's failover/hedging policy (against in-test framed
 TCP servers, no subprocesses), plus the one thing the cluster edge gets
 from being the shared ``TraceServer``: its trace shape (one 2x1 fleet of
 real shard servers).  The end-to-end behaviour -- real shard
@@ -32,7 +30,6 @@ import pytest
 
 import repro
 from repro.cluster.chaos import ChaosController
-from repro.cluster.hashring import ConsistentHashRing
 from repro.cluster.replica import (
     ClusterConfig,
     ReplicaClient,
@@ -55,79 +52,8 @@ from repro.server.workers import (
     recv_frame,
     send_frame,
 )
-from repro.service.partition import ConsistentHashPartitioner, make_partitioner
 
 _SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-
-class TestConsistentHashRing:
-    def test_routing_is_deterministic_across_instances(self):
-        nodes = [f"shard-{index:03d}" for index in range(4)]
-        first = ConsistentHashRing(nodes)
-        second = ConsistentHashRing(list(reversed(nodes)))  # order-insensitive
-        keys = [f"entity-{index}" for index in range(500)]
-        assert [first.node_for(key) for key in keys] == [
-            second.node_for(key) for key in keys
-        ]
-
-    def test_every_node_owns_a_reasonable_share(self):
-        nodes = [f"shard-{index:03d}" for index in range(4)]
-        ring = ConsistentHashRing(nodes)
-        keys = [f"entity-{index}" for index in range(2000)]
-        counts = ring.distribution(keys)
-        assert set(counts) == set(nodes)
-        fair = len(keys) / len(nodes)
-        assert min(counts.values()) > 0
-        # Virtual nodes keep the split within a loose envelope of fair.
-        assert max(counts.values()) < 2 * fair
-
-    def test_adding_a_node_moves_only_a_minority_of_keys(self):
-        keys = [f"entity-{index}" for index in range(1000)]
-        four = ConsistentHashRing([f"shard-{index:03d}" for index in range(4)])
-        five = ConsistentHashRing([f"shard-{index:03d}" for index in range(5)])
-        moved = four.assignments_moved(five, keys)
-        # Consistent hashing's remap bound: about 1/5 of the keyspace, and
-        # certainly nowhere near the ~4/5 a modulo rehash would shuffle.
-        assert 0 < moved < len(keys) // 2
-        # Keys that did not move still route to their old node.
-        stayed = [key for key in keys if four.node_for(key) == five.node_for(key)]
-        assert len(stayed) == len(keys) - moved
-
-    def test_construction_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="at least one node"):
-            ConsistentHashRing([])
-        with pytest.raises(ValueError, match="duplicate"):
-            ConsistentHashRing(["a", "a"])
-        with pytest.raises(ValueError, match="virtual_nodes"):
-            ConsistentHashRing(["a"], virtual_nodes=0)
-
-
-class TestConsistentHashPartitioner:
-    def test_matches_the_ring_assignment(self):
-        partitioner = ConsistentHashPartitioner(4)
-        ring = ConsistentHashRing([f"shard-{index:03d}" for index in range(4)])
-        for index in range(200):
-            entity = f"entity-{index}"
-            assert f"shard-{partitioner.assign(entity):03d}" == ring.node_for(entity)
-
-    def test_assignments_are_stable_across_instances(self):
-        entities = [f"entity-{index}" for index in range(300)]
-        first = ConsistentHashPartitioner(3)
-        second = ConsistentHashPartitioner(3)
-        assert [first.assign(e) for e in entities] == [second.assign(e) for e in entities]
-
-    def test_resharding_moves_a_minority_of_entities(self):
-        entities = [f"entity-{index}" for index in range(1000)]
-        three = ConsistentHashPartitioner(3)
-        four = ConsistentHashPartitioner(4)
-        moved = sum(1 for e in entities if three.assign(e) != four.assign(e))
-        assert 0 < moved < len(entities) // 2
-
-    def test_registered_with_make_partitioner(self):
-        partitioner = make_partitioner("consistent_hash", 3)
-        assert isinstance(partitioner, ConsistentHashPartitioner)
-        assert partitioner.kind == "consistent_hash"
-        assert partitioner.num_shards == 3
 
 
 class TestWireCodec:
@@ -750,7 +676,6 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
         num_shards=2,
         num_hashes=32,
         seed=5,
-        partitioner="consistent_hash",
     ).build()
     server = TraceServer(
         engine, trace_sample=1.0, **cluster_tier(engine, replication=1)

@@ -42,7 +42,6 @@ DOCTEST_MODULES = [
     "repro.server.metrics",
     "repro.server.protocol",
     "repro.service.cache",
-    "repro.service.partition",
     "repro.service.sharded",
     "repro.storage.snapshot",
     "repro.streaming.ingestor",

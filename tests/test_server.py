@@ -601,7 +601,6 @@ def _tier_engine(**options) -> ShardedEngine:
         num_hashes=32,
         seed=5,
         bound_mode="per_level",
-        partitioner="consistent_hash",
         **options,
     ).build()
 
@@ -1209,7 +1208,6 @@ class TestServeCLIErrors:
             ["serve", "--snapshot", "s", "--window", "-1"],
             ["serve", "--snapshot", "s", "--compact-every", "-1"],
             ["serve", "--snapshot", "s", "--cache", "-1"],
-            ["serve", "--snapshot", "s", "--partitioner", "hash"],
         ],
     )
     def test_invalid_options_exit_2(self, argv, capsys):

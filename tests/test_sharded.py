@@ -7,17 +7,17 @@ engine's results -- including after interleaved ``add_records`` /
 per-shard searches are exact over a partition of the candidates.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro import (
-    HashPartitioner,
-    PresenceInstance,
-    RoundRobinPartitioner,
-    ShardedEngine,
-    TraceDataset,
-    TraceQueryEngine,
-)
-from repro.service.partition import make_partitioner
+import repro
+from repro import PresenceInstance, ShardedEngine, TraceDataset, TraceQueryEngine
+from repro.storage.snapshot import SnapshotError
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -42,15 +42,10 @@ def syn(syn_dataset):
 
 class TestEquivalence:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("partitioner", ["hash", "round_robin"])
-    def test_top_k_matches_single_engine(self, syn, num_shards, partitioner):
+    def test_top_k_matches_single_engine(self, syn, num_shards):
         single = TraceQueryEngine(clone_dataset(syn), num_hashes=64, seed=11).build()
         sharded = ShardedEngine(
-            clone_dataset(syn),
-            num_shards=num_shards,
-            partitioner=partitioner,
-            num_hashes=64,
-            seed=11,
+            clone_dataset(syn), num_shards=num_shards, num_hashes=64, seed=11
         ).build()
         for query in list(syn.entities)[:6]:
             assert_same_results(sharded.top_k(query, k=10), single.top_k(query, k=10))
@@ -231,42 +226,137 @@ class TestRoutingAndLifecycle:
             ShardedEngine(small_dataset, num_shards=0)
 
 
-class TestPartitioners:
-    def test_hash_partitioner_is_stable(self):
-        partitioner = HashPartitioner(4)
-        assignments = {f"entity-{i}": partitioner.assign(f"entity-{i}") for i in range(50)}
-        again = HashPartitioner(4)
-        assert all(again.assign(entity) == shard for entity, shard in assignments.items())
-        assert set(assignments.values()) == {0, 1, 2, 3}
+def hash_shard(entity: str, num_shards: int) -> int:
+    """The placement rule, restated independently of the engine."""
+    digest = hashlib.blake2b(entity.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big") % num_shards
 
-    def test_round_robin_balances_exactly(self):
-        partitioner = RoundRobinPartitioner(3)
-        shards = [partitioner.assign(f"e{i}") for i in range(9)]
-        assert shards == [0, 1, 2, 0, 1, 2, 0, 1, 2]
 
-    def test_make_partitioner_validates(self):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            make_partitioner("alphabetical", 2)
-        with pytest.raises(ValueError, match="covers 2 shards"):
-            make_partitioner(HashPartitioner(2), 3)
+class TestPlacement:
+    def test_hash_placement_is_pinned(self, small_hierarchy):
+        """Placement is a pure function of the identifier, fixed across builds."""
+        dataset = TraceDataset(small_hierarchy, horizon=24)
+        for index in range(10):
+            dataset.add_record(f"syn-{index}", small_hierarchy.base_units[index % 4], index)
+        placements = [
+            [engine.shard_of(f"syn-{index}") for index in range(10)]
+            for engine in (
+                ShardedEngine(clone_dataset(dataset), num_shards=3, num_hashes=16).build()
+                for _ in range(2)
+            )
+        ]
+        assert placements[0] == placements[1] == [2, 1, 2, 2, 2, 2, 1, 0, 0, 2]
+
+    def test_placement_agrees_across_processes(self):
+        """The digest, not ``hash()``, places: ``PYTHONHASHSEED`` has no say."""
+        script = (
+            "from repro.service.sharded import _hash_shard\n"
+            "print([_hash_shard(f'syn-{index}', 3) for index in range(10)])\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        placements = []
+        for hash_seed in ("0", "4242"):
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                timeout=60,
+                check=True,
+            )
+            placements.append(completed.stdout.strip())
+        assert placements == ["[2, 1, 2, 2, 2, 2, 1, 0, 0, 2]"] * 2
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 5])
+    def test_every_entity_lands_on_its_hash_shard(self, small_hierarchy, num_shards):
+        dataset = TraceDataset(small_hierarchy, horizon=24)
+        entities = [f"entity-{index}" for index in range(200)]
+        for index, entity in enumerate(entities):
+            dataset.add_record(entity, small_hierarchy.base_units[index % 8], index % 24)
+        sharded = ShardedEngine(dataset, num_shards=num_shards, num_hashes=8).build()
+        for entity in entities:
+            owner = sharded.shard_of(entity)
+            assert owner == hash_shard(entity, num_shards)
+            assert entity in sharded.shards[owner].dataset
+        sizes = [shard.dataset.num_entities for shard in sharded.shards]
+        assert sum(sizes) == len(entities)
+        # A stable digest spreads identifiers evenly: every shard gets a share
+        # within a loose envelope of fair.
+        fair = len(entities) / num_shards
+        assert min(sizes) > fair / 2
+        assert max(sizes) < 2 * fair
+        assert sharded.runtime_stats()["shard_sizes"] == sizes
+
+
+def write_manifest(target, **changes):
+    manifest_path = target / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest.update(changes)
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class TestShardedSnapshot:
-    def test_save_load_round_trip(self, syn, tmp_path):
-        sharded = ShardedEngine(
-            clone_dataset(syn),
-            num_shards=3,
-            partitioner="round_robin",
-            num_hashes=64,
-            seed=11,
-        ).build()
+    @pytest.mark.parametrize(
+        "partitioner_block",
+        [
+            None,
+            {"kind": "hash"},
+            {"kind": "round_robin", "next_shard": 1},
+            {"kind": "consistent_hash"},
+        ],
+        ids=["current", "hash", "round_robin", "consistent_hash"],
+    )
+    def test_save_load_round_trip(self, syn, tmp_path, partitioner_block):
+        """Manifests from older builds load, keep placement, hash new entities.
+
+        Older builds wrote a ``partitioner`` block and could place entities
+        by other rules; a deployment dealt out in rotation stands in for
+        those, and must keep every stored entity on its saved shard.
+        """
+        sharded = ShardedEngine(clone_dataset(syn), num_shards=3, num_hashes=64, seed=11)
+        if partitioner_block is not None and partitioner_block["kind"] != "hash":
+            sharded._shard_of = {
+                entity: index % 3 for index, entity in enumerate(syn.entities)
+            }
+        sharded.build()
         sharded.save(tmp_path / "snap")
+        if partitioner_block is not None:
+            write_manifest(tmp_path / "snap", partitioner=partitioner_block)
         restored = ShardedEngine.load(tmp_path / "snap")
         assert restored.num_shards == 3
-        assert restored.partitioner.kind == "round_robin"
         assert restored.num_entities == sharded.num_entities
+        for entity in syn.entities:
+            assert restored.shard_of(entity) == sharded.shard_of(entity)
         for query in list(syn.entities)[:5]:
             assert restored.top_k(query, k=10).items == sharded.top_k(query, k=10).items
+        records = [PresenceInstance("post-restore", syn.hierarchy.base_units[0], 0, 3)]
+        restored.add_records(records)
+        assert restored.shard_of("post-restore") == hash_shard("post-restore", 3)
+
+    def test_save_writes_no_placement_block(self, small_dataset, tmp_path):
+        """Placement is not configurable, so the manifest records none."""
+        sharded = ShardedEngine(clone_dataset(small_dataset), num_shards=2, num_hashes=16).build()
+        sharded.save(tmp_path / "snap")
+        manifest = json.loads((tmp_path / "snap" / "manifest.json").read_text())
+        assert set(manifest) == {
+            "format",
+            "format_version",
+            "num_shards",
+            "shards",
+            "config",
+            "fingerprint",
+        }
+        assert manifest["num_shards"] == 2
+        assert manifest["shards"] == ["shard-00", "shard-01"]
+
+    def test_runtime_stats_carry_no_placement_field(self, small_dataset):
+        sharded = ShardedEngine(clone_dataset(small_dataset), num_shards=3, num_hashes=16)
+        assert "partitioner" not in sharded.runtime_stats()
+        stats = sharded.build().runtime_stats()
+        assert "partitioner" not in stats
+        assert stats["num_shards"] == 3
+        assert sum(stats["shard_sizes"]) == small_dataset.num_entities
+        assert "shards=3" in repr(sharded)
 
     def test_loaded_deployment_supports_updates(self, syn, tmp_path):
         sharded = ShardedEngine(clone_dataset(syn), num_shards=2, num_hashes=64, seed=11).build()
@@ -293,25 +383,30 @@ class TestShardedSnapshot:
         assert restored.num_shards == 2
         assert restored.num_entities == small_dataset.num_entities
 
-    def test_out_of_range_round_robin_cursor_fails_at_load(self, small_dataset, tmp_path):
-        import json
-
-        from repro.storage.snapshot import SnapshotError
-
-        target = tmp_path / "snap"
-        ShardedEngine(
-            clone_dataset(small_dataset), num_shards=2, partitioner="round_robin", num_hashes=16
-        ).build().save(target)
-        manifest_path = target / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["partitioner"]["next_shard"] = 7
-        manifest_path.write_text(json.dumps(manifest))
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"shards": ["../t/shard-00", "../t/shard-01"]},
+            {"num_shards": 2.9},
+            {"num_shards": True},
+            {"num_shards": 0},
+            {"num_shards": 3},
+            {"shards": ["shard-01", "shard-00"]},
+        ],
+        ids=["outside-dir", "float", "bool", "zero", "count-mismatch", "reordered"],
+    )
+    def test_malformed_manifest_fails_loudly(self, small_dataset, tmp_path, changes):
+        # A sibling deployment "t" exists, so a manifest pointing at its
+        # shards would load it if the names were not checked.
+        for name in ("ours", "t"):
+            ShardedEngine(
+                clone_dataset(small_dataset), num_shards=2, num_hashes=16
+            ).build().save(tmp_path / name)
+        write_manifest(tmp_path / "ours", **changes)
         with pytest.raises(SnapshotError, match="invalid sharded snapshot manifest"):
-            ShardedEngine.load(target)
+            ShardedEngine.load(tmp_path / "ours")
 
     def test_swapped_shard_from_other_deployment_fails_loudly(self, syn, tmp_path):
-        from repro.storage.snapshot import SnapshotError
-
         import shutil
 
         ShardedEngine(clone_dataset(syn), num_shards=2, num_hashes=64, seed=11).build().save(
@@ -326,15 +421,11 @@ class TestShardedSnapshot:
             ShardedEngine.load(tmp_path / "ours")
 
     def test_single_snapshot_rejected_by_sharded_load(self, small_engine, tmp_path):
-        from repro.storage.snapshot import SnapshotError
-
         small_engine.save(tmp_path / "snap")
         with pytest.raises(SnapshotError, match="TraceQueryEngine.load"):
             ShardedEngine.load(tmp_path / "snap")
 
     def test_sharded_snapshot_rejected_by_engine_load(self, small_dataset, tmp_path):
-        from repro.storage.snapshot import SnapshotError
-
         sharded = ShardedEngine(clone_dataset(small_dataset), num_shards=2, num_hashes=16).build()
         sharded.save(tmp_path / "snap")
         with pytest.raises(SnapshotError, match="ShardedEngine.load"):

@@ -378,15 +378,17 @@ class TestEventIngestor:
 class TestShardedExpiry:
     def test_aggregated_report_covers_all_shards(self, hierarchy):
         dataset = TraceDataset(hierarchy, horizon=100)
-        sharded = ShardedEngine(
-            dataset, num_shards=3, partitioner="round_robin", num_hashes=16, seed=2
-        ).build()
+        sharded = ShardedEngine(dataset, num_shards=3, num_hashes=16, seed=2).build()
+        names = ["e0", "e1", "e2", "e3", "e4", "e9"]
         records = [
-            PresenceInstance(f"e{slot}", unit(hierarchy, slot % 4), 0, 2) for slot in range(6)
+            PresenceInstance(name, unit(hierarchy, slot % 4), 0, 2)
+            for slot, name in enumerate(names)
         ] + [PresenceInstance("e0", unit(hierarchy), 50, 52)]
         sharded.add_records(records)
+        # The names are chosen so the hash places them on every shard.
+        assert {sharded.shard_of(name) for name in names} == {0, 1, 2}
         report = sharded.expire_events(25)
-        assert sorted(report.removed_entities) == [f"e{slot}" for slot in range(1, 6)]
+        assert sorted(report.removed_entities) == sorted(names[1:])
         assert report.resigned_entities == ["e0"]
         assert report.expired_records == 6
         assert sharded.dataset.entities == ("e0",)

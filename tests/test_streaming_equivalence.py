@@ -204,16 +204,12 @@ class TestShardedFuzz:
         assert_streamed_matches_scratch(sharded, scratch)
         assert sharded.query_cache.stats.hits > 0
 
-    def test_round_robin_partitioner_fuzz(self, hierarchy, seeded_rng):
+    def test_three_shard_fuzz(self, hierarchy, seeded_rng):
         rng = seeded_rng(77)
         events = make_stream(hierarchy, rng, count=150)
         dataset = TraceDataset(hierarchy, horizon=HORIZON)
         sharded = ShardedEngine(
-            dataset,
-            num_shards=3,
-            partitioner="round_robin",
-            query_cache_size=32,
-            **KNOBS,
+            dataset, num_shards=3, query_cache_size=32, **KNOBS
         ).build()
         ingestor = EventIngestor(sharded, max_batch_events=9, window=45)
         ingestor.extend(events)
