@@ -1,9 +1,11 @@
-"""Ablation -- the paper's lifted Theorem 4 bound vs the strictly admissible bound.
+"""Ablation -- the paper's lifted Theorem 4 bound vs the engine's per-level bound.
 
 The lifted bound (artificial entity rebuilt from surviving base cells) prunes
-aggressively but can in principle miss associations that exist only at coarse
-levels; the per-level bound is safe but much looser.  This ablation reports
-both PE and recall against the exhaustive oracle.
+harder but is not an upper bound: it misses associations that exist only at
+coarse levels, so no engine searches with it and its row comes from the
+reference walk.  The per-level bound, the one every engine uses, is
+admissible but looser.  This ablation reports both PE and recall against the
+exhaustive oracle.
 """
 
 from repro.experiments import figures

@@ -25,7 +25,7 @@ from repro.mobility import generate_wifi_dataset
 
 HORIZON = 24 * 10          # ten days of hourly detections
 WINDOW = 24 * 3            # keep the last three days
-KNOBS = dict(num_hashes=128, seed=5, bound_mode="per_level")
+KNOBS = dict(num_hashes=128, seed=5)
 
 
 def main() -> None:

@@ -46,16 +46,20 @@ def reference_search(
     approximation: float = 0.0,
     sequence_fetcher: Optional[SequenceFetcher] = None,
     query_sequence: Optional[CellSequence] = None,
+    bound_mode: str = "per_level",
 ) -> TopKResult:
     """Answer ``searcher.search(query_entity, k, ...)`` by walking the tree.
 
-    Reads the searcher's tree, dataset, measure, hash family, bound mode and
+    Reads the searcher's tree, dataset, measure, hash family and
     full-signature setting, so the answer is comparable with the kernel's
     for the same index state; the keyword arguments mean what they mean on
-    :meth:`~repro.core.query.TopKSearcher.search`, except
-    ``sequence_fetcher``, which only this function has: it replaces
+    :meth:`~repro.core.query.TopKSearcher.search`, except two that only
+    this function has.  ``sequence_fetcher`` replaces
     ``dataset.cell_sequence`` as the source of each scored candidate's
-    sequence (see the module docstring).
+    sequence (see the module docstring).  ``bound_mode`` is the
+    :func:`~repro.core.pruning.upper_bound` mode: the default
+    ``"per_level"`` is the kernel's bound; ``"lift"``, the paper's
+    construction, is not admissible and serves the bound-mode ablation.
     """
     fetch = sequence_fetcher or searcher.dataset.cell_sequence
     if query_sequence is None:
@@ -83,7 +87,7 @@ def reference_search(
                 child_state = state.refine(child, query_hashes, searcher.use_full_signatures)
                 child_bound = min(
                     bound,
-                    upper_bound(child_state, query_hashes, searcher.measure, searcher.bound_mode),
+                    upper_bound(child_state, query_hashes, searcher.measure, bound_mode),
                 )
                 stats.bound_computations += 1
                 if len(result_heap) == k and result_heap[0][0] >= child_bound - approximation:

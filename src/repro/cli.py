@@ -82,7 +82,6 @@ _DEFAULT_NUM_HASHES = 256
 _DEFAULT_SEED = 0
 _DEFAULT_U = 2.0
 _DEFAULT_V = 2.0
-_DEFAULT_BOUND_MODE = "lift"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -603,12 +602,6 @@ def _add_index_arguments(parser: argparse.ArgumentParser, defaults: bool) -> Non
         default=_DEFAULT_V if defaults else None,
         help=f"ADM duration exponent (default {_DEFAULT_V})",
     )
-    parser.add_argument(
-        "--bound-mode",
-        choices=["lift", "per_level"],
-        default=_DEFAULT_BOUND_MODE if defaults else None,
-        help="upper-bound construction (lift = the paper's Theorem 4; per_level = strictly admissible)",
-    )
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +646,6 @@ def _make_engine(
     measure: HierarchicalADM,
     num_hashes: int,
     seed: int,
-    bound_mode: str,
     shards: int,
 ) -> Union[TraceQueryEngine, ShardedEngine]:
     """The (unbuilt) engine every build-from-traces subcommand constructs."""
@@ -664,15 +656,8 @@ def _make_engine(
             num_shards=shards,
             num_hashes=num_hashes,
             seed=seed,
-            bound_mode=bound_mode,
         )
-    return TraceQueryEngine(
-        dataset,
-        measure=measure,
-        num_hashes=num_hashes,
-        seed=seed,
-        bound_mode=bound_mode,
-    )
+    return TraceQueryEngine(dataset, measure=measure, num_hashes=num_hashes, seed=seed)
 
 
 def _load_dataset(args: argparse.Namespace, horizon: Optional[int] = None):
@@ -846,7 +831,6 @@ def _explicit_index_options(args: argparse.Namespace) -> List[str]:
         ("--seed", args.seed),
         ("--u", args.u),
         ("--v", args.v),
-        ("--bound-mode", args.bound_mode),
     )
     return [name for name, value in candidates if value is not None]
 
@@ -908,11 +892,8 @@ def _resolve_engine(
     seed = args.seed if args.seed is not None else _DEFAULT_SEED
     u = args.u if args.u is not None else _DEFAULT_U
     v = args.v if args.v is not None else _DEFAULT_V
-    bound_mode = args.bound_mode if args.bound_mode is not None else _DEFAULT_BOUND_MODE
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=u, v=v)
-    return _make_engine(
-        dataset, measure, num_hashes, seed, bound_mode, args.shards
-    ).build()
+    return _make_engine(dataset, measure, num_hashes, seed, args.shards).build()
 
 
 def _command_query(args: argparse.Namespace) -> int:
@@ -1013,9 +994,7 @@ def _command_index_build(args: argparse.Namespace) -> int:
     except _DatasetError as exc:
         return _error(str(exc))
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=args.u, v=args.v)
-    engine = _make_engine(
-        dataset, measure, args.num_hashes, args.seed, args.bound_mode, args.shards
-    ).build()
+    engine = _make_engine(dataset, measure, args.num_hashes, args.seed, args.shards).build()
     try:
         path = engine.save(args.output)
     except SnapshotError as exc:
@@ -1050,7 +1029,7 @@ def _command_index_info(args: argparse.Namespace) -> int:
         )
         print(
             f"index: num_hashes={config['num_hashes']}, seed={config['seed']}, "
-            f"bound_mode={config['bound_mode']}, nodes={info['tree']['num_nodes']}"
+            f"nodes={info['tree']['num_nodes']}"
         )
         print(f"measure: {measure['name']} {measure['params']}")
         print(f"fingerprint: {info['fingerprint']}")
@@ -1103,9 +1082,7 @@ def _command_stream(args: argparse.Namespace) -> int:
         return _error(f"--horizon must be >= 1, got {horizon}")
     dataset = TraceDataset(hierarchy, horizon=horizon)
     measure = HierarchicalADM(num_levels=dataset.num_levels, u=args.u, v=args.v)
-    engine = _make_engine(
-        dataset, measure, args.num_hashes, args.seed, args.bound_mode, args.shards
-    ).build()
+    engine = _make_engine(dataset, measure, args.num_hashes, args.seed, args.shards).build()
 
     query_entities: List[str] = []
     if args.query_every:

@@ -12,8 +12,8 @@ Two oracles gate every answer:
 - **item exactness** -- the ``(entity, score)`` list must equal a single,
   never-crashed :class:`~repro.core.engine.TraceQueryEngine` fed the
   identical event stream with identical flush boundaries (the paper's
-  single-machine semantics, which sharding provably preserves under
-  ``bound_mode="per_level"``);
+  single-machine semantics, which sharding provably preserves because the
+  search bound is admissible);
 - **byte identity** -- whenever every shard answered, the merged wire
   payload must be byte-for-byte the in-process
   :class:`~repro.service.sharded.ShardedEngine` response (same merge,
@@ -215,7 +215,6 @@ def run_battery(
         _base_dataset(seed_entities),
         num_hashes=NUM_HASHES,
         seed=ENGINE_SEED,
-        bound_mode="per_level",
     ).build()
     oracle_ingestor = EventIngestor(oracle, StreamingConfig(max_batch_events=MICRO_BATCH))
     engine = ShardedEngine(
@@ -223,7 +222,6 @@ def run_battery(
         num_shards=shards,
         num_hashes=NUM_HASHES,
         seed=ENGINE_SEED,
-        bound_mode="per_level",
     ).build()
 
     config = ClusterConfig(

@@ -692,13 +692,11 @@ class ColumnarQueryContext:
         query: QueryHashes,
         query_sequence: CellSequence,
         measure: AssociationMeasure,
-        bound_mode: str,
         use_full_signatures: bool,
     ) -> None:
         self.compiled = compiled
         self.query = query
         self.measure = measure
-        self.bound_mode = bound_mode
         self.use_full_signatures = bool(
             use_full_signatures and compiled.node_full_signatures is not None
         )
@@ -727,33 +725,6 @@ class ColumnarQueryContext:
         # per query (see AssociationMeasure.bound_batch_kernel).
         self._bound_kernel = measure.bound_batch_kernel(self.query_sizes)
 
-        # Lifting plan: group the query's base-cell positions by their
-        # ancestor at every coarse level, all on one concatenated axis, so
-        # coarse reachability is a single reduceat.  Every coarse query cell
-        # has at least one base descendant by construction (coarse sets are
-        # derived bottom-up from the base set).
-        self._lift_perm: Optional[np.ndarray] = None
-        self._lift_starts: Optional[np.ndarray] = None
-        if bound_mode == "lift" and num_levels > 1 and self.total_cells:
-            n_base = sizes[num_levels - 1]
-            perms: List[np.ndarray] = []
-            starts: List[np.ndarray] = []
-            for level_index in range(num_levels - 1):
-                owner = query.owners[level_index]
-                counts = np.bincount(owner, minlength=sizes[level_index])
-                if counts.size != sizes[level_index] or (counts == 0).any():
-                    raise InvalidQuerySequence(
-                        "a coarse query cell has no base descendant in the query"
-                    )
-                # perm entries index base columns; the reduceat starts are
-                # offset into the concatenated (per-level) gathered axis.
-                perms.append(np.argsort(owner, kind="stable"))
-                level_starts = np.zeros(sizes[level_index], dtype=np.int64)
-                np.cumsum(counts[:-1], out=level_starts[1:])
-                starts.append(level_starts + level_index * n_base)
-            self._lift_perm = np.concatenate(perms)
-            self._lift_starts = np.concatenate(starts)
-
         #: Bound of every node as Algorithm 2 queues it: ``1.0`` at the
         #: root, else ``min(parent's path bound, own Theorem 4 bound)``.
         self.path_bounds = self._compute_path_bounds()
@@ -765,10 +736,10 @@ class ColumnarQueryContext:
         Computes each node's direct pruning row (Theorem 2 on its routing
         value -- or its full signature under the ablation), accumulates them
         into cumulative root-to-node masks (Theorem 3 is a running OR), then
-        counts per-level survivors, lifts them under the Theorem 4 bound
-        mode, and scores each node batch through the measure's bound
-        tables.  Every value is bit-identical to the reference path's
-        ``min(bound, upper_bound(state, ...))`` for the same node.
+        counts per-level survivors and scores each node batch through the
+        measure's bound tables.  Every value is bit-identical to the
+        reference path's ``min(bound, upper_bound(state, ...))`` for the
+        same node.
 
         The pass walks the tree one level at a time (the BFS layout keeps
         levels contiguous, and a node's parent sits in the previous level),
@@ -817,25 +788,9 @@ class ColumnarQueryContext:
             # Theorem 3: accumulate the parents' cumulative masks.
             masks |= previous_masks[compiled.node_parent[start:stop] - previous_start]
 
-            if self.bound_mode == "lift":
-                base_offset = int(self.level_offsets[num_levels - 1])
-                base_surviving = ~masks[:, base_offset:]
-                survivors = np.empty((stop - start, num_levels), dtype=np.int64)
-                survivors[:, num_levels - 1] = base_surviving.sum(axis=1)
-                if num_levels > 1:
-                    # A coarse cell survives iff it is not directly pruned
-                    # and at least one of its base descendants survives
-                    # (Theorem 4's lift of the artificial entity).
-                    grouped = base_surviving[:, self._lift_perm]
-                    reachable = np.logical_or.reduceat(
-                        grouped, self._lift_starts, axis=1
-                    )
-                    surviving_coarse = reachable & ~masks[:, :base_offset]
-                    survivors[:, : num_levels - 1] = np.add.reduceat(
-                        surviving_coarse, self.level_offsets[: num_levels - 1], axis=1
-                    )
-            else:
-                survivors = np.add.reduceat(~masks, self.level_offsets[:-1], axis=1)
+            # Theorem 4 (per level): a query cell survives at its level
+            # unless some node on the path pruned it there.
+            survivors = np.add.reduceat(~masks, self.level_offsets[:-1], axis=1)
 
             raw = self._bound_kernel(survivors)
             level_bounds = np.minimum(np.maximum(raw, 0.0), 1.0)

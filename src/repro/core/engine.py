@@ -120,10 +120,6 @@ class EngineConfig:
         storage/pruning trade-off knob; off by default, as in the paper).
     use_full_signatures:
         Evaluate query bounds with the full signatures (requires the above).
-    bound_mode:
-        ``"lift"`` (default, the paper's Theorem 4 construction) or
-        ``"per_level"`` (strictly admissible, looser); see
-        :func:`repro.core.pruning.upper_bound`.
     batch_workers:
         Default thread-pool size for :meth:`TraceQueryEngine.top_k_batch`
         fan-out.  ``0`` (default) runs batches serially in the calling
@@ -156,7 +152,6 @@ class EngineConfig:
     seed: int = 0
     store_full_signatures: bool = False
     use_full_signatures: bool = False
-    bound_mode: str = "lift"
     batch_workers: int = 0
     query_cache_size: int = 0
 
@@ -165,8 +160,6 @@ class EngineConfig:
             raise ValueError(f"num_hashes must be >= 1, got {self.num_hashes}")
         if self.use_full_signatures and not self.store_full_signatures:
             raise ValueError("use_full_signatures requires store_full_signatures")
-        if self.bound_mode not in ("lift", "per_level"):
-            raise ValueError(f"unknown bound mode {self.bound_mode!r}")
         if self.batch_workers < 0:
             raise ValueError(f"batch_workers must be >= 0, got {self.batch_workers}")
         if self.query_cache_size < 0:
@@ -184,7 +177,6 @@ class EngineConfig:
             "seed": self.seed,
             "store_full_signatures": self.store_full_signatures,
             "use_full_signatures": self.use_full_signatures,
-            "bound_mode": self.bound_mode,
         }
 
     def fingerprint(self) -> str:
@@ -231,8 +223,7 @@ class TraceQueryEngine:
       call (:meth:`add_records`, :meth:`refresh_entities`,
       :meth:`remove_entity`, :meth:`expire_events`) leaves the index
       answering queries exactly as a from-scratch build over the current
-      data would (tree *tightness* may differ; results do not, under an
-      admissible bound).
+      data would (tree *tightness* may differ; results do not).
     * Index construction is deterministic given the config and dataset, so
       two engines with equal config fingerprints over equal data return
       identical results, ties included.
@@ -346,7 +337,6 @@ class TraceQueryEngine:
             self.measure,
             self._hash_family,
             use_full_signatures=self.config.use_full_signatures,
-            bound_mode=self.config.bound_mode,
         )
         self._searcher.refresh_compiled(table)
         self.last_build_seconds = time.perf_counter() - started
@@ -371,7 +361,6 @@ class TraceQueryEngine:
             self.measure,
             hash_family,
             use_full_signatures=self.config.use_full_signatures,
-            bound_mode=self.config.bound_mode,
         )
         # Re-adopting the same tree (e.g. the sharded hash-family sharing
         # pass) must not throw away an already-compiled columnar kernel or
@@ -736,9 +725,7 @@ class TraceQueryEngine:
         evaluations.  Useful after many :meth:`remove_entity` /
         :meth:`expire_events` calls, when routing values left loose by
         removals (see :attr:`MinSigTree.loose_operations`) have eroded
-        pruning effectiveness.  Results are unchanged under an admissible
-        bound; under the default ``lift`` bound compaction restores exactly
-        the pruning a from-scratch build would have.
+        pruning effectiveness.  Results are unchanged.
         """
         self._require_built()
         assert self._tree is not None

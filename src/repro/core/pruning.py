@@ -54,12 +54,12 @@ class QueryHashes:
     """Pre-hashed representation of the query entity's ST-cell set sequence.
 
     ``cells[l]`` lists the query's level-``l+1`` cells and ``matrices[l]`` is
-    the corresponding ``(n_cells, n_h)`` hash matrix.  ``descendants[l]``
-    maps each coarse cell (by position) to the positions of the query's
-    *base* cells that descend from it, which the "lift" bound mode uses to
-    rebuild the artificial entity's coarse sets from its surviving base
-    cells.  All of it is computed once per query and shared by every bound
-    evaluation.
+    the corresponding ``(n_cells, n_h)`` hash matrix.  ``owners[l]`` maps
+    each of the query's *base* cells to the position of its ancestor among
+    the level-``l+1`` cells, which the ``"lift"`` bound of
+    :func:`upper_bound` uses to rebuild the artificial entity's coarse sets
+    from its surviving base cells.  All of it is computed once per query
+    and shared by every bound evaluation.
     """
 
     cells: Tuple[Tuple[STCell, ...], ...]
@@ -77,8 +77,9 @@ class QueryHashes:
         """Hash every cell of the query sequence at every level.
 
         Raises :class:`InvalidQuerySequence` when the sequence's level count
-        differs from the sp-index depth or a base cell's ancestor cell is
-        missing from a coarser level.
+        differs from the sp-index depth, a base cell's ancestor cell is
+        missing from a coarser level, or a coarse cell has no base cell
+        below it.
         """
         hierarchy = hash_family.hierarchy
         num_levels = sequence.num_levels
@@ -95,7 +96,7 @@ class QueryHashes:
             matrices.append(hash_family.hash_matrix(ordered))
 
         # Map every base query cell to the position of its ancestor cell at
-        # each level (the "lift" bound rebuilds coarse sets from this).
+        # each level; every coarse cell must own at least one base cell.
         base_cells = cells[-1]
         owners: List[np.ndarray] = []
         for level_index in range(num_levels):
@@ -115,6 +116,10 @@ class QueryHashes:
                             f"base cell {base_cell} has no ancestor cell "
                             f"{ancestor} at level {level} of the query sequence"
                         ) from None
+            if base_cells and np.unique(owner).size != len(cells[level_index]):
+                raise InvalidQuerySequence(
+                    f"a level-{level} query cell has no base descendant in the query"
+                )
             owners.append(owner)
         return cls(cells=tuple(cells), matrices=tuple(matrices), owners=tuple(owners))
 
@@ -217,21 +222,21 @@ def upper_bound(
     state: PruningState,
     query: QueryHashes,
     measure: AssociationMeasure,
-    mode: str = "lift",
+    mode: str = "per_level",
 ) -> float:
     """Theorem 4 upper bound for a node given its accumulated pruning state.
 
     Two bound modes are supported:
 
-    * ``"lift"`` (the paper's construction, default): the artificial entity is
-      the lift of the query's surviving *base* cells -- tight, and exact in
-      every workload we generate, but in principle it can under-estimate
-      associations that exist only at coarse levels (two entities meeting in
-      the same district but never in the same building);
-    * ``"per_level"``: every level keeps all query cells not explicitly pruned
-      at that level, which is strictly admissible for any measure satisfying
-      the Section 3.2 properties (the conservative choice, at the price of a
-      much looser bound at coarse levels).
+    * ``"per_level"`` (default, the bound every engine searches with): every
+      level keeps all query cells not explicitly pruned at that level, which
+      is admissible for any measure satisfying the Section 3.2 properties;
+    * ``"lift"`` (the paper's construction, kept for the bound-mode
+      ablation and the reference walk): the artificial entity is the lift
+      of the query's surviving *base* cells.  It is tighter, but *not* an
+      upper bound: it under-estimates associations that exist only at
+      coarse levels (two entities meeting in the same district but never
+      in the same building), so a search pruning with it can miss answers.
     """
     query_sizes = query.level_sizes()
     if mode == "lift":

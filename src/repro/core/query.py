@@ -2,8 +2,8 @@
 
 Algorithm 2 is a best-first traversal of the MinSigTree.  Every node is
 assigned an upper bound on the association degree between the query entity
-and any entity in its subtree (Theorem 4, computed from the node's partial
-pruned set); nodes are explored in decreasing bound order, leaves have their
+and any entity in its subtree (Theorem 4, computed level by level from the
+node's partial pruned set, so it never under-estimates); nodes are explored in decreasing bound order, leaves have their
 entities scored exactly, and the search stops as soon as the k-th best exact
 score is at least the best outstanding bound (early termination).
 
@@ -195,12 +195,6 @@ class TopKSearcher:
     use_full_signatures:
         Evaluate bounds with full node signatures where available (ablation;
         requires the tree to have been built with ``store_full_signatures``).
-    bound_mode:
-        ``"lift"`` (default) rebuilds the artificial entity's coarse cell sets
-        from its surviving base cells, exactly as in Theorem 4; ``"per_level"``
-        keeps coarse query cells unless a coarse-level node explicitly pruned
-        them, which is strictly admissible but much looser (see
-        :func:`repro.core.pruning.upper_bound`).
 
     Searches run through the columnar kernel: the tree is compiled into flat
     arrays (lazily; patched or recompiled whenever the tree or dataset
@@ -235,16 +229,12 @@ class TopKSearcher:
         measure: AssociationMeasure,
         hash_family: HierarchicalHashFamily,
         use_full_signatures: bool = False,
-        bound_mode: str = "lift",
     ) -> None:
-        if bound_mode not in ("lift", "per_level"):
-            raise ValueError(f"unknown bound mode {bound_mode!r}")
         self.tree = tree
         self.dataset = dataset
         self.measure = measure
         self.hash_family = hash_family
         self.use_full_signatures = use_full_signatures
-        self.bound_mode = bound_mode
         #: Full from-scratch kernel compiles performed by this searcher.
         self.kernel_compiles = 0
         #: Incremental kernel patches performed by this searcher.
@@ -371,7 +361,7 @@ class TopKSearcher:
             soon as the current k-th best score is within ``eps`` of the best
             outstanding bound, so every returned score is guaranteed to be at
             least ``(true k-th best) - eps``.  ``0`` (default) gives exact
-            results under an admissible bound; it must be finite.
+            results; it must be finite.
         query_sequence:
             Optional pre-fetched ST-cell set sequence of the query entity.
             A sharded deployment passes this so that shards can answer
@@ -416,7 +406,6 @@ class TopKSearcher:
             query_hashes,
             query_sequence,
             self.measure,
-            self.bound_mode,
             self.use_full_signatures,
         )
         if bounds_span is not None:

@@ -134,7 +134,6 @@ class InProcessBackend(ScenarioBackend):
             _measure_for(dataset, engine),
             num_hashes=engine.num_hashes,
             seed=engine.seed,
-            bound_mode=engine.bound_mode,
         ).build()
         self._ingestor = EventIngestor(self.engine, config=_streaming_config(churn))
 
@@ -172,7 +171,6 @@ class ShardedBackend(ScenarioBackend):
             num_shards=self.num_shards,
             num_hashes=engine.num_hashes,
             seed=engine.seed,
-            bound_mode=engine.bound_mode,
         ).build()
         self._ingestor = EventIngestor(self.engine, config=_streaming_config(churn))
 
@@ -247,7 +245,6 @@ class HttpBackend(ScenarioBackend):
             _measure_for(dataset, engine),
             num_hashes=engine.num_hashes,
             seed=engine.seed,
-            bound_mode=engine.bound_mode,
         ).build()
         return built, worker_tier(built, workers=self.workers) if self.workers else {}
 
@@ -346,7 +343,6 @@ class ClusterBackend(HttpBackend):
             num_shards=self.num_shards,
             num_hashes=engine.num_hashes,
             seed=engine.seed,
-            bound_mode=engine.bound_mode,
         ).build()
         return built, cluster_tier(built, replication=self.replication)
 

@@ -7,10 +7,10 @@ at known weak points of the MinSigTree design -- signature collisions,
 heavy-tailed trace sizes, late arrivals under a sliding window, and
 sustained churn that forces compaction.
 
-Every spec keeps ``bound_mode="per_level"`` (the strictly admissible
-bound), so a correct implementation must score **100% exact top-k
-agreement** with the brute-force oracle on every query of every scenario;
-any mismatch is a bug, not noise.
+Every engine searches with an admissible bound, so a correct
+implementation must score **100% exact top-k agreement** with the
+brute-force oracle on every query of every scenario; any mismatch is a
+bug, not noise.
 
 Use :func:`get_scenario` / :func:`iter_scenarios` rather than importing
 :data:`SCENARIOS` directly.

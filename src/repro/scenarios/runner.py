@@ -4,9 +4,8 @@ The runner's contract is simple but strict: for every scenario, every
 backend must return **exactly** the brute-force oracle's top-k -- same
 entities, same order, same scores (to float tolerance) -- on every query.
 Accuracy below 1.0 is a correctness bug somewhere in the index, streaming,
-serving, or serialisation stack, never acceptable noise: the bundled specs
-all use the strictly admissible ``per_level`` bound (see
-:mod:`repro.scenarios.corpus`).
+serving, or serialisation stack, never acceptable noise: every engine
+searches with an admissible bound (see :mod:`repro.scenarios.corpus`).
 
 Ground truth is computed *without* replaying the engine machinery, so it
 cannot inherit an engine bug.  For a windowed churn scenario the final

@@ -11,9 +11,8 @@ and *scorable*:
 * a **query workload** -- how many query entities to sample (seeded), and
   the result size ``k``;
 * an **engine profile** -- the index-shaping knobs every backend builds
-  with.  The default ``bound_mode`` is ``per_level`` (the strictly
-  admissible bound), because scenarios are *correctness* gates: the exact
-  top-k must equal the brute-force oracle on every query.
+  with.  Scenarios are *correctness* gates: the exact top-k must equal the
+  brute-force oracle on every query.
 
 Specs are plain frozen dataclasses: serialisable via :meth:`to_dict` (the
 shape embedded in reports and printed by ``repro scenario list --json``)
@@ -110,17 +109,10 @@ class QueryWorkload:
 
 @dataclass(frozen=True)
 class EngineProfile:
-    """The index-shaping knobs every backend builds the scenario's engine with.
-
-    ``bound_mode`` defaults to ``per_level`` -- the strictly admissible
-    bound -- because the harness scores *exact* agreement with the
-    brute-force oracle; the paper's ``lift`` bound trades a theoretical
-    corner case for speed and is ablated in the benchmarks instead.
-    """
+    """The index-shaping knobs every backend builds the scenario's engine with."""
 
     num_hashes: int = 48
     seed: int = 0
-    bound_mode: str = "per_level"
     u: float = 2.0
     v: float = 2.0
 
@@ -177,7 +169,6 @@ class ScenarioSpec:
             "engine": {
                 "num_hashes": self.engine.num_hashes,
                 "seed": self.engine.seed,
-                "bound_mode": self.engine.bound_mode,
                 "u": self.engine.u,
                 "v": self.engine.v,
             },

@@ -6,8 +6,8 @@ question from per-shard partial results, and the whole exactness story --
 "sharded answers are byte-identical to a single engine's" -- rests on the
 merge being one function with one tie-break: concatenate the per-shard
 exact top-k lists, sort by ``(-score, entity)``, truncate to ``k``.  The
-per-shard lists are admissible under ``bound_mode="per_level"`` (each
-shard returns its true local top-k), so the merged list is the true global
+per-shard lists are exact (each shard searches with an admissible bound
+and returns its true local top-k), so the merged list is the true global
 top-k.
 
 Two entry points for the two layers:

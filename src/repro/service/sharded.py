@@ -14,25 +14,17 @@ Correctness rests on two facts:
 * an exact per-shard top-k over a partition of the candidates, merged and
   truncated to ``k``, equals the exact global top-k.
 
-The second fact is a theorem whenever the search bound is admissible, i.e.
-under ``bound_mode="per_level"`` -- there, sharded results are *guaranteed*
-equal to the single engine's for every shard count (pinned by the fuzz test
-in ``tests/test_sharded.py``).  Under the default ``"lift"`` bound (the
-paper's Theorem 4 construction, not strictly admissible in a coarse-level
-corner case -- see the bound-mode ablation) the single engine itself can
-occasionally prune a true associate; shard-local trees prune differently,
-so a sharded deployment may *recover* associations the unsharded search
-missed.  Sharding never degrades accuracy below the single engine's
-envelope -- divergence only occurs where the lift bound was already
-approximate.
+The second fact is a theorem because every engine searches with an
+admissible bound (the per-level Theorem 4 bound): sharded results are
+*guaranteed* equal to the single engine's for every shard count (pinned by
+the fuzz test in ``tests/test_sharded.py``).
 
 Updates (``add_records`` / ``remove_entity`` / ``refresh_entities`` /
 ``expire_events``) are routed to the owning shard; a new entity is placed
 on ``blake2b(entity) mod num_shards`` and the assignment is remembered.
-Placement decides which shard does the work, not the answer (under the
-admissible bound; see above).  A sharded deployment snapshots to a directory
-of per-shard engine snapshots plus a routing manifest -- see
-:meth:`ShardedEngine.save`.
+Placement decides which shard does the work, not the answer.  A sharded
+deployment snapshots to a directory of per-shard engine snapshots plus a
+routing manifest -- see :meth:`ShardedEngine.save`.
 
 **Caching under streaming updates.**  The result cache stores *per-shard
 partial* top-k lists keyed ``(shard, query entity, k, approximation,
@@ -69,7 +61,9 @@ from repro.storage.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
     _MANIFEST_NAME,
+    _digest,
     _measure_payload,
+    _recorded_fields,
     load_engine_snapshot,
     read_manifest,
     save_engine_snapshot,
@@ -121,9 +115,7 @@ class ShardedEngine:
       the single-engine build for every shard count.
     * Updates route to the owning shard; the routing dataset and the shard
       datasets never disagree about an entity's trace.
-    * Under ``bound_mode="per_level"`` the merged top-k equals the single
-      engine's for every shard count (see the module docstring for the
-      ``lift`` caveat).
+    * The merged top-k equals the single engine's for every shard count.
 
     Example
     -------
@@ -326,12 +318,10 @@ class ShardedEngine:
     ) -> TopKResult:
         """Global top-k: fan out over every shard and merge.
 
-        Results (and orderings) match a single engine over the same dataset
-        whenever the bound is admissible (``bound_mode="per_level"``); under
-        the default ``"lift"`` bound they match wherever the single engine's
-        pruning was itself exact (see the module docstring).  The merged
-        :class:`QueryStats` aggregate the per-shard counters (populations
-        and work counters sum, early termination is "any").
+        Results (and orderings) match a single engine over the same
+        dataset.  The merged :class:`QueryStats` aggregate the per-shard
+        counters (populations and work counters sum, early termination is
+        "any").
 
         With ``query_cache_size > 0`` the *per-shard partial* results are
         cached, so one ``top_k`` call costs up to ``num_shards`` cache
@@ -637,7 +627,10 @@ class ShardedEngine:
         iteration order may differ from the original -- query results are
         unaffected.  ``mmap_columnar`` is forwarded to every shard's
         :func:`~repro.storage.snapshot.load_engine_snapshot` (zero-copy
-        compiled arrays for multi-process serving workers).
+        compiled arrays for multi-process serving workers).  Shards written
+        before the per-level bound became the only one carry a
+        ``bound_mode`` stamp; it counts toward the fingerprints checked
+        here and is otherwise ignored, so the deployment answers exactly.
         """
         directory = Path(path)
         manifest = read_manifest(directory)
@@ -668,7 +661,8 @@ class ShardedEngine:
         # instead of serving with inconsistent signatures.
         deployment_fingerprint = manifest.get("fingerprint")
         for name, shard in zip(shard_names, shard_engines):
-            if shard.config.fingerprint() != deployment_fingerprint:
+            recorded = read_manifest(directory / name)["config"]
+            if _digest(_recorded_fields(shard.config, recorded)) != deployment_fingerprint:
                 raise SnapshotError(
                     f"shard {name} in {directory} was built with a different engine "
                     "config than the deployment manifest records; the snapshot mixes "

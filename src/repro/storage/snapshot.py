@@ -94,10 +94,12 @@ SNAPSHOT_FORMAT_VERSION = 2
 #: the compiled columnar arrays, which are recompiled lazily).
 COMPATIBLE_FORMAT_VERSIONS = (1, 2)
 #: ``manifest["config"]`` keys earlier builds recorded for options that no
-#: longer exist (each only selected a slower bit-identical path); ignored on
-#: load so their snapshots and published generations keep loading.  Any
-#: other unknown key is still a :class:`SnapshotError`.
-_RETIRED_CONFIG_KEYS = ("bulk_signatures", "columnar_queries")
+#: longer exist; ignored on load so their snapshots and published
+#: generations keep loading.  Any other unknown key is still a
+#: :class:`SnapshotError`.  The first two only selected a slower
+#: bit-identical path; ``bound_mode`` selected the search bound, and every
+#: engine now prunes with the exact per-level one.
+_RETIRED_CONFIG_KEYS = ("bulk_signatures", "columnar_queries", "bound_mode")
 
 _MANIFEST_NAME = "manifest.json"
 _HIERARCHY_NAME = "hierarchy.json"
@@ -224,24 +226,44 @@ def _measure_from_payload(payload: Mapping[str, object]) -> AssociationMeasure:
 # ----------------------------------------------------------------------
 # Fingerprint
 # ----------------------------------------------------------------------
+def _digest(payload: object) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _recorded_fields(config: EngineConfig, recorded: Mapping[str, object]) -> Dict[str, object]:
+    """``config.semantic_fields()`` as the build that wrote a manifest hashed them.
+
+    ``recorded`` is the manifest's ``config`` block.  Builds that still had
+    a ``bound_mode`` option hashed its value with the semantic fields, so
+    the old stamp is put back here, for the fingerprints alone: their
+    manifests still verify, and editing any field still breaks them.
+    """
+    fields = config.semantic_fields()
+    if "bound_mode" in recorded:
+        fields["bound_mode"] = recorded["bound_mode"]
+    return fields
+
+
 def index_fingerprint(
-    config: EngineConfig,
+    config_fields: Mapping[str, object],
     measure_payload: Mapping[str, object],
     hash_family_meta: Mapping[str, object],
 ) -> str:
     """SHA-256 identity of an index: semantic config + measure + hash shape.
 
-    Performance knobs (``batch_workers``, ``query_cache_size``) are
-    excluded -- they never change results -- so a snapshot stays loadable
-    when only those differ.
+    ``config_fields`` is :meth:`EngineConfig.semantic_fields`: performance
+    knobs (``batch_workers``, ``query_cache_size``) are excluded -- they
+    never change results -- so a snapshot stays loadable when only those
+    differ.
     """
-    payload = {
-        "config": config.semantic_fields(),
-        "measure": dict(measure_payload),
-        "hash_family": dict(hash_family_meta),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _digest(
+        {
+            "config": dict(config_fields),
+            "measure": dict(measure_payload),
+            "hash_family": dict(hash_family_meta),
+        }
+    )
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +383,6 @@ def _write_engine_snapshot(
             "seed": engine.config.seed,
             "store_full_signatures": engine.config.store_full_signatures,
             "use_full_signatures": engine.config.use_full_signatures,
-            "bound_mode": engine.config.bound_mode,
             "batch_workers": engine.config.batch_workers,
             "query_cache_size": engine.config.query_cache_size,
         },
@@ -378,7 +399,9 @@ def _write_engine_snapshot(
             "num_entities": tree.num_entities,
             "routing_strategy": tree.routing_strategy,
         },
-        "fingerprint": index_fingerprint(engine.config, measure_payload, hash_family_meta),
+        "fingerprint": index_fingerprint(
+            engine.config.semantic_fields(), measure_payload, hash_family_meta
+        ),
     }
     if extra_meta is not None:
         manifest["extra"] = dict(extra_meta)
@@ -436,7 +459,10 @@ def load_engine_snapshot(
     SnapshotError
         On a missing/foreign directory, a format-version mismatch, or a
         fingerprint mismatch between the manifest's stored identity and the
-        one recomputed from its contents.
+        one recomputed from its contents.  The ``bound_mode`` stamp of a
+        manifest written before the per-level bound became the only one
+        counts toward its fingerprint and is otherwise ignored: the
+        engine answers exactly.
     """
     directory = Path(path)
     manifest = read_manifest(directory)
@@ -456,9 +482,11 @@ def load_engine_snapshot(
         )
         measure_payload = manifest["measure"]
         hash_family_meta = manifest["hash_family"]
+        expected = index_fingerprint(
+            _recorded_fields(config, manifest["config"]), measure_payload, hash_family_meta
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"invalid snapshot manifest in {directory}: {exc}") from exc
-    expected = index_fingerprint(config, measure_payload, hash_family_meta)
     stored = manifest.get("fingerprint")
     if stored != expected:
         raise SnapshotError(

@@ -33,7 +33,7 @@ The *streaming equivalence guarantee* (pinned by
 ``tests/test_streaming_equivalence.py``): after any interleaving of ingests,
 expiries, and compactions, ``top_k`` results are identical to a from-scratch
 engine built over the surviving events with the same configuration and
-horizon (exactly, under an admissible bound; see ``docs/ARCHITECTURE.md``).
+horizon (see ``docs/ARCHITECTURE.md``).
 """
 
 from repro.core.engine import ExpiryReport

@@ -52,7 +52,6 @@ class TestParser:
         assert args.shards == 0
         # Index-shaping options default to None so the command can tell an
         # explicit flag from a default when --snapshot fixes the index.
-        assert args.bound_mode is None
         assert args.num_hashes is None
 
     def test_index_build_arguments(self):
@@ -70,10 +69,9 @@ class TestParser:
         )
         assert args.index_command == "build"
         assert args.num_hashes == 256
-        assert args.bound_mode == "lift"
         assert args.shards == 0
 
-    @pytest.mark.parametrize(
+    INDEX_SUBCOMMANDS = pytest.mark.parametrize(
         "argv",
         [
             ["query", "--traces", "t.csv", "--hierarchy", "h.json", "--entity", "e"],
@@ -83,6 +81,8 @@ class TestParser:
         ],
         ids=["query", "index-build", "stream", "serve"],
     )
+
+    @INDEX_SUBCOMMANDS
     def test_sharding_subcommands_take_no_placement_flag(self, argv, capsys):
         """Shard placement is fixed, so no subcommand offers ``--partitioner``."""
         with pytest.raises(SystemExit) as exit_info:
@@ -95,6 +95,18 @@ class TestParser:
             build_parser().parse_args([*argv, "--shards", "2", "--partitioner", "hash"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --partitioner hash" in capsys.readouterr().err
+
+    @INDEX_SUBCOMMANDS
+    def test_index_subcommands_take_no_bound_flag(self, argv, capsys):
+        """Every engine prunes with the exact bound, so none offers ``--bound-mode``."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--help"])
+        assert exit_info.value.code == 0
+        assert "--bound-mode" not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--bound-mode", "lift"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --bound-mode lift" in capsys.readouterr().err
 
 
 class TestGenerate:

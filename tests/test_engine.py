@@ -20,7 +20,6 @@ class TestConfiguration:
     def test_defaults(self):
         config = EngineConfig()
         assert config.num_hashes == 256
-        assert config.bound_mode == "lift"
 
     def test_invalid_num_hashes(self):
         with pytest.raises(ValueError):
@@ -30,22 +29,17 @@ class TestConfiguration:
         with pytest.raises(ValueError):
             EngineConfig(use_full_signatures=True, store_full_signatures=False)
 
-    def test_invalid_bound_mode(self):
-        with pytest.raises(ValueError):
-            EngineConfig(bound_mode="sometimes")
-
     def test_keyword_overrides(self, small_dataset):
-        engine = TraceQueryEngine(small_dataset, num_hashes=16, seed=9, bound_mode="per_level")
+        engine = TraceQueryEngine(small_dataset, num_hashes=16, seed=9)
         assert engine.config.num_hashes == 16
         assert engine.config.seed == 9
-        assert engine.config.bound_mode == "per_level"
 
     def test_unknown_keyword_rejected(self, small_dataset):
         with pytest.raises(TypeError, match="unknown engine options"):
             TraceQueryEngine(small_dataset, turbo=True)
 
     def test_explicit_config_without_overrides_is_used_verbatim(self, small_dataset):
-        config = EngineConfig(num_hashes=24, seed=4, bound_mode="per_level")
+        config = EngineConfig(num_hashes=24, seed=4)
         engine = TraceQueryEngine(small_dataset, config=config)
         assert engine.config is config
 
@@ -55,14 +49,12 @@ class TestConfiguration:
         config = EngineConfig(
             num_hashes=24,
             seed=4,
-            bound_mode="per_level",
             store_full_signatures=True,
             batch_workers=3,
         )
         engine = TraceQueryEngine(small_dataset, config=config, num_hashes=48)
         assert engine.config.num_hashes == 48  # the override wins
         assert engine.config.seed == 4  # everything else survives
-        assert engine.config.bound_mode == "per_level"
         assert engine.config.store_full_signatures is True
         assert engine.config.batch_workers == 3
         # The caller's config object is never mutated.
@@ -88,13 +80,13 @@ class TestConfiguration:
             "seed",
             "store_full_signatures",
             "use_full_signatures",
-            "bound_mode",
             "batch_workers",
             "query_cache_size",
         }
         searcher_parameters = inspect.signature(TopKSearcher.__init__).parameters
         assert "columnar" not in searcher_parameters
         assert "incremental" not in searcher_parameters
+        assert "bound_mode" not in searcher_parameters
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["query", "--snapshot", "snap", "--entity", "a", "--no-columnar"])
         assert excinfo.value.code == 2

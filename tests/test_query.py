@@ -9,7 +9,7 @@ import pytest
 import repro
 import repro.storage
 from repro.baselines import BruteForceTopK
-from repro.core.pruning import InvalidQuerySequence
+from repro.core.pruning import InvalidQuerySequence, QueryHashes
 from repro.core.query import TopKSearcher
 from repro.measures import HierarchicalADM, JaccardADM
 
@@ -98,23 +98,12 @@ class TestStats:
 
 
 class TestSearcherConfiguration:
-    def test_bound_mode_validation(self, small_engine):
-        with pytest.raises(ValueError):
-            TopKSearcher(
-                small_engine.tree,
-                small_engine.dataset,
-                small_engine.measure,
-                small_engine.hash_family,
-                bound_mode="nope",
-            )
-
-    def test_per_level_mode_matches_brute_force(self, small_engine):
+    def test_default_searcher_matches_brute_force(self, small_engine):
         searcher = TopKSearcher(
             small_engine.tree,
             small_engine.dataset,
             small_engine.measure,
             small_engine.hash_family,
-            bound_mode="per_level",
         )
         oracle = BruteForceTopK(small_engine.dataset, small_engine.measure)
         for query in small_engine.dataset.entities:
@@ -177,6 +166,15 @@ class TestQuerySequenceValidation:
         with pytest.raises(InvalidQuerySequence, match=message):
             small_engine.searcher.search("q", 2, query_sequence=sequence)
         assert issubclass(InvalidQuerySequence, ValueError)
+
+    def test_query_hashes_reject_an_orphan_coarse_cell(
+        self, small_engine, malformed_query_sequences
+    ):
+        # Rejected where the base-to-ancestor map is built, before any
+        # bound is computed from it.
+        sequence, message = malformed_query_sequences["orphan-coarse-cell"]
+        with pytest.raises(InvalidQuerySequence, match=message):
+            QueryHashes.from_sequence(sequence, small_engine.hash_family)
 
     def test_well_formed_foreign_sequence_is_answered(self, small_engine):
         # The sharded path: the query entity need not live in this dataset.

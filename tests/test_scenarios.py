@@ -50,12 +50,6 @@ class TestCorpus:
         churners = {spec.churn.generator for spec in specs}
         assert {"bursty_late", "rolling"} <= churners
 
-    def test_every_spec_is_exactly_scorable(self):
-        # 100%-agreement scoring relies on the strictly admissible bound;
-        # a spec slipping to "lift" would turn mismatches into flakes.
-        for spec in iter_scenarios():
-            assert spec.engine.bound_mode == "per_level", spec.name
-
     def test_specs_serialize_to_json(self):
         for spec in iter_scenarios():
             document = json.dumps(spec.to_dict())
@@ -169,9 +163,7 @@ class TestOracleFinalStateRule:
         assert truth.events, "the fuzz needs a churn stream"
 
         dataset = build_dataset(spec.dataset.generator, spec.dataset.resolve(True))
-        engine = TraceQueryEngine(
-            dataset, num_hashes=8, seed=0, bound_mode="per_level"
-        ).build()
+        engine = TraceQueryEngine(dataset, num_hashes=8, seed=0).build()
         ingestor = EventIngestor(
             engine,
             config=StreamingConfig(

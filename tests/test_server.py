@@ -600,7 +600,6 @@ def _tier_engine(**options) -> ShardedEngine:
         num_shards=2,
         num_hashes=32,
         seed=5,
-        bound_mode="per_level",
         **options,
     ).build()
 

@@ -16,10 +16,10 @@ Determinism is arranged the way a real deployment gets it, not by luck:
   reference applies the same events and flush;
 * events are partitioned by entity across threads, so each entity's records
   arrive in trace order no matter how threads interleave;
-* engines run ``bound_mode="per_level"`` (the strictly admissible bound),
-  under which results are a theorem of the surviving data, independent of
-  update interleaving -- the same construction the streaming- and
-  sharded-equivalence suites pin.
+* engines search with the admissible per-level bound, under which results
+  are a theorem of the surviving data, independent of update interleaving
+  -- the same construction the streaming- and sharded-equivalence suites
+  pin.
 
 Runs for the single engine and a 2-shard deployment.
 """
@@ -104,11 +104,10 @@ def make_engine(kind: str):
             num_shards=2,
             num_hashes=32,
             seed=9,
-            bound_mode="per_level",
             query_cache_size=64,
         ).build()
     return TraceQueryEngine(
-        dataset, num_hashes=32, seed=9, bound_mode="per_level", query_cache_size=64
+        dataset, num_hashes=32, seed=9, query_cache_size=64
     ).build()
 
 

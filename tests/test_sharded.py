@@ -97,12 +97,12 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("fuzz_seed", [0, 1, 2])
     def test_per_level_bound_equivalence_is_unconditional(self, fuzz_seed):
-        """With the strictly admissible bound, equality holds on any data.
+        """With the admissible per-level bound, equality holds on any data.
 
         Random datasets with deliberately duplicated traces (score ties and
-        heavy coarse-level overlap -- the lift bound's weak spot) must give
-        identical sharded and single-engine answers for every query and
-        shard count under ``bound_mode="per_level"``.
+        heavy coarse-level overlap -- the paper's lifted bound's weak spot)
+        must give identical sharded and single-engine answers for every
+        query and shard count.
         """
         import random
 
@@ -123,7 +123,7 @@ class TestEquivalence:
                     dataset.add_record(
                         f"{entity}-twin", presence.unit, presence.start, presence.duration
                     )
-        knobs = dict(num_hashes=32, seed=fuzz_seed, bound_mode="per_level")
+        knobs = dict(num_hashes=32, seed=fuzz_seed)
         single = TraceQueryEngine(clone_dataset(dataset), **knobs).build()
         for num_shards in SHARD_COUNTS:
             sharded = ShardedEngine(

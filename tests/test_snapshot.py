@@ -8,8 +8,10 @@ processes; and any version or fingerprint mismatch fails loudly instead of
 serving wrong results.
 """
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -17,7 +19,16 @@ import numpy as np
 import pytest
 
 import repro
-from repro import JaccardADM, PresenceInstance, TraceDataset, TraceQueryEngine
+from repro import (
+    JaccardADM,
+    PresenceInstance,
+    ShardedEngine,
+    SpatialHierarchy,
+    TraceDataset,
+    TraceQueryEngine,
+)
+from repro.baselines import BruteForceTopK
+from repro.cli import main as cli_main
 from repro.measures.base import AssociationMeasure
 from repro.storage.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
@@ -414,3 +425,134 @@ class TestSnapshotInfo:
         assert (returned / "manifest.json").exists()
         assert (returned / "arrays.npz").exists()
         assert (returned / "hierarchy.json").exists()
+
+
+def _digest(payload) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _coarse_overlap_dataset() -> TraceDataset:
+    """Random traces on which the paper's lifted bound misses answers.
+
+    At ``num_hashes=16, seed=3`` a search pruning with it returns a wrong
+    top-k for ``e3`` and ``e11``, whose best associates share only coarse
+    cells with them.
+    """
+    rng = random.Random(3)
+    hierarchy = SpatialHierarchy.regular([2, 2, 2], prefix="r")
+    dataset = TraceDataset(hierarchy, horizon=24)
+    for index in range(12):
+        for _ in range(rng.randint(1, 12)):
+            dataset.add_record(
+                f"e{index}",
+                rng.choice(hierarchy.base_units),
+                rng.randrange(23),
+                duration=rng.randint(1, 2),
+            )
+    return dataset
+
+
+class TestOlderStores:
+    """Stores written while engines still had a ``bound_mode`` option.
+
+    Their manifests record the option in ``config`` and hash it into both
+    fingerprints.  They must keep loading, and answer exactly whatever
+    bound they were built for.
+    """
+
+    KNOBS = dict(num_hashes=16, seed=3)
+
+    def write_old_store(self, path, num_shards, bound_mode):
+        """Save an engine, then rewrite its manifests as an older build did."""
+        if num_shards:
+            engine = ShardedEngine(_coarse_overlap_dataset(), num_shards=num_shards, **self.KNOBS)
+        else:
+            engine = TraceQueryEngine(_coarse_overlap_dataset(), **self.KNOBS)
+        snap = engine.build().save(path)
+        for manifest_path in sorted(snap.glob("shard-*/manifest.json")) or [
+            snap / "manifest.json"
+        ]:
+            manifest = json.loads(manifest_path.read_text())
+            manifest["config"]["bound_mode"] = bound_mode
+            semantic = {
+                key: manifest["config"][key]
+                for key in (
+                    "num_hashes",
+                    "seed",
+                    "store_full_signatures",
+                    "use_full_signatures",
+                    "bound_mode",
+                )
+            }
+            manifest["fingerprint"] = _digest(
+                {
+                    "config": semantic,
+                    "measure": manifest["measure"],
+                    "hash_family": manifest["hash_family"],
+                }
+            )
+            manifest_path.write_text(json.dumps(manifest))
+        if num_shards:
+            # The deployment manifest carries the config's own fingerprint.
+            deployment = json.loads((snap / "manifest.json").read_text())
+            deployment["fingerprint"] = _digest(semantic)
+            (snap / "manifest.json").write_text(json.dumps(deployment))
+        return type(engine), snap
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    @pytest.mark.parametrize("bound_mode", ["lift", "per_level"])
+    def test_old_store_loads_and_answers_exactly(self, tmp_path, capsys, num_shards, bound_mode):
+        kind, snap = self.write_old_store(tmp_path / "snap", num_shards, bound_mode)
+        loaded = kind.load(snap)
+        dataset = _coarse_overlap_dataset()
+        if num_shards:
+            fresh = ShardedEngine(dataset, num_shards=num_shards, **self.KNOBS).build()
+        else:
+            fresh = TraceQueryEngine(dataset, **self.KNOBS).build()
+        oracle = BruteForceTopK(dataset, fresh.measure, tie_break="entity")
+        for query in dataset.entities:
+            for k in (1, 3):
+                answer = loaded.top_k(query, k)
+                assert answer.items == fresh.top_k(query, k).items
+                assert answer.stats == fresh.top_k(query, k).stats
+                assert answer.items == oracle.search(query, k).items, (query, k)
+
+        assert cli_main(["index", "info", "--snapshot", str(snap)]) == 0
+        assert cli_main(["query", "--snapshot", str(snap), "--entity", "e3", "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "bound_mode" not in out
+        assert oracle.search("e3", 1).entities[0] in out
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    def test_edited_old_manifest_still_fails_its_fingerprint(self, tmp_path, num_shards):
+        kind, snap = self.write_old_store(tmp_path / "snap", num_shards, "lift")
+        manifest_path = snap / ("shard-01" if num_shards else "") / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["num_hashes"] *= 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="fingerprint mismatch"):
+            kind.load(snap)
+
+    def test_old_sharded_deployment_stamp_is_cross_checked(self, tmp_path):
+        # Each shard verifies on its own; the deployment's fingerprint must
+        # still match the shards' stamped config.
+        kind, snap = self.write_old_store(tmp_path / "snap", 2, "lift")
+        deployment = json.loads((snap / "manifest.json").read_text())
+        deployment["fingerprint"] = ShardedEngine(
+            _coarse_overlap_dataset(), num_shards=2, **self.KNOBS
+        ).config.fingerprint()
+        (snap / "manifest.json").write_text(json.dumps(deployment))
+        with pytest.raises(SnapshotError, match="different engine config"):
+            kind.load(snap)
+
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    def test_new_manifests_record_no_bound(self, tmp_path, num_shards):
+        if num_shards:
+            engine = ShardedEngine(_coarse_overlap_dataset(), num_shards=num_shards, **self.KNOBS)
+        else:
+            engine = TraceQueryEngine(_coarse_overlap_dataset(), **self.KNOBS)
+        snap = engine.build().save(tmp_path / "snap")
+        for manifest_path in snap.rglob("manifest.json"):
+            manifest = json.loads(manifest_path.read_text())
+            assert "bound_mode" not in manifest["config"], manifest_path

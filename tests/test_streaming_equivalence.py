@@ -6,13 +6,10 @@ must be identical to a from-scratch engine built over the surviving events
 with the same configuration and horizon -- for the single engine and for
 sharded deployments (shard counts {1, 2, 4}), with the query cache enabled.
 
-The fuzz runs use ``bound_mode="per_level"`` (strictly admissible), where
-result equality is a theorem rather than an empirical observation: loose
+Every engine searches with the admissible per-level bound, so result
+equality is a theorem rather than an empirical observation: loose
 group-level signatures left by retraction weaken pruning but can never
-change an exact search's answer.  One fixed-seed scenario additionally runs
-the paper's default ``lift`` bound, pinning that the equivalence holds there
-too on a representative stream (the repo documents the lift bound's known
-coarse-level corner case; see ``repro.service.sharded``).
+change an exact search's answer.
 """
 
 
@@ -29,7 +26,7 @@ from repro import (
 from repro.core.columnar import ColumnarTree
 
 HORIZON = 120
-KNOBS = dict(num_hashes=32, seed=7, bound_mode="per_level")
+KNOBS = dict(num_hashes=32, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -150,19 +147,6 @@ class TestSingleEngineFuzz:
         ingestor.close()
         assert sorted(engine.dataset.entities) == ["phoenix"]
         scratch = scratch_engine(hierarchy, surviving(early + late, ingestor.window.cutoff))
-        assert_streamed_matches_scratch(engine, scratch)
-
-    def test_default_lift_bound_on_a_fixed_stream(self, hierarchy, seeded_rng):
-        """The paper's default bound, pinned on one representative stream."""
-        rng = seeded_rng(99)
-        events = make_stream(hierarchy, rng, count=200)
-        engine = scratch_engine(hierarchy, [], bound_mode="lift")
-        ingestor = EventIngestor(engine, max_batch_events=10, window=30, compact_after=6)
-        ingestor.extend(events)
-        ingestor.close()
-        scratch = scratch_engine(
-            hierarchy, surviving(events, ingestor.window.cutoff), bound_mode="lift"
-        )
         assert_streamed_matches_scratch(engine, scratch)
 
 

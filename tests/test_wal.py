@@ -40,7 +40,7 @@ from repro.streaming import (
 from repro.streaming.wal import MAGIC
 
 HORIZON = 120
-KNOBS = dict(num_hashes=32, seed=7, bound_mode="per_level")
+KNOBS = dict(num_hashes=32, seed=7)
 
 
 @pytest.fixture(scope="module")
