@@ -490,12 +490,25 @@ class ColumnarTree:
         patched.stamp(tree, dataset)
         return patched
 
-    def stamp(self, tree: MinSigTree, dataset: TraceDataset) -> None:
-        """Record the tree/dataset state these arrays are valid for."""
+    def stamp(
+        self,
+        tree: MinSigTree,
+        dataset: TraceDataset,
+        mutation_counts: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Record the tree/dataset state these arrays are valid for.
+
+        That is their current state, or the ``(tree, dataset)`` mutation
+        counts the arrays were compiled at when those have since moved:
+        :meth:`patch` then splices in what changed after them.
+        """
         self._tree_ref = tree
-        self._tree_mutation = tree.mutation_count
         self._dataset_ref = dataset
-        self._dataset_mutation = dataset.mutation_count
+        self._tree_mutation, self._dataset_mutation = (
+            (tree.mutation_count, dataset.mutation_count)
+            if mutation_counts is None
+            else mutation_counts
+        )
 
     def matches(self, tree: MinSigTree, dataset: TraceDataset) -> bool:
         """Whether the compiled arrays are still valid for this tree/dataset."""

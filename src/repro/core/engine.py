@@ -53,6 +53,7 @@ from repro.traces.events import PresenceInstance
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.measures.base import AssociationMeasure as _Measure
     from repro.service.cache import QueryResultCache
+    from repro.storage.snapshot import _SnapshotSource
 
 __all__ = ["EngineConfig", "ExpiryReport", "TraceQueryEngine"]
 
@@ -278,6 +279,9 @@ class TraceQueryEngine:
             self._query_cache = QueryResultCache(self.config.query_cache_size)
         #: Wall-clock seconds spent in the last :meth:`build` call.
         self.last_build_seconds: float = 0.0
+        # Set by the snapshot loader: a save of the engine while unchanged
+        # since that load links the snapshot's files instead of rewriting them.
+        self._snapshot_source: Optional["_SnapshotSource"] = None
 
     # ------------------------------------------------------------------
     # Index lifecycle

@@ -389,6 +389,11 @@ class MinSigTree:
                     f"malformed tree structure: node {position} has parent {parent_index}"
                 )
             parent = nodes[parent_index]
+            if node_routing_index[position] in parent.children:
+                raise ValueError(
+                    f"malformed tree structure: node {position} repeats a sibling's "
+                    f"routing index {node_routing_index[position]}"
+                )
             node = MinSigTreeNode(
                 level=node_level[position],
                 routing_index=node_routing_index[position],

@@ -116,7 +116,12 @@ class QueryHashes:
                             f"base cell {base_cell} has no ancestor cell "
                             f"{ancestor} at level {level} of the query sequence"
                         ) from None
-            if base_cells and np.unique(owner).size != len(cells[level_index]):
+            # Every level cell must own a base cell; bincount counts owners
+            # without np.unique, whose first call imports numpy.ma.
+            level_size = len(cells[level_index])
+            if base_cells and np.count_nonzero(
+                np.bincount(owner, minlength=level_size)
+            ) != level_size:
                 raise InvalidQuerySequence(
                     f"a level-{level} query cell has no base descendant in the query"
                 )

@@ -683,8 +683,9 @@ class ShardedEngine:
                         f"shard {shard_id} of {directory}; the snapshot mixes shards "
                         "from different builds"
                     )
-                router.restore_trace(entity, shard.dataset.trace(entity))
                 shard_of[entity] = shard_id
+            # Shares the shard's unbuilt traces: loading builds no record.
+            router.restore_from(shard.dataset)
 
         try:
             config = first.config.with_overrides(**manifest.get("config", {}))

@@ -24,13 +24,17 @@ re-signing the dataset**:
     The compiled :class:`~repro.core.columnar.ColumnarTree` arrays.  Kept
     in their own file so cold start never parses them: the engine adopts a
     digest-checked *lazy loader* and imports the arrays on the first query
-    (or recompiles if the engine mutated in between) -- snapshot load time
-    is unchanged from format version 1.
+    (patching in what changed if the engine mutated in between) -- snapshot
+    load time is unchanged from format version 1.
 
 Loading restores the hash coefficients verbatim and rebuilds the tree node
 by node, so the restored engine is *bitwise-identical* to the saved one:
 same signatures, same group-level routing values (including ones left loose
-by removals), same query results, orderings, and pruning statistics.
+by removals), same query results, orderings, and pruning statistics.  The
+presence records stay in their columns until a read needs an entity's
+trace (:meth:`TraceDataset.restore_columns`).  Saving an engine that has
+not changed since its load hard-links the loaded snapshot's payload files
+instead of writing them again (:func:`_link_unchanged_snapshot`).
 
 Versioning / compatibility policy
 ---------------------------------
@@ -51,11 +55,14 @@ wrong results.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import zipfile
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Union
 
@@ -68,7 +75,6 @@ from repro.measures.adm import ExampleDiceADM, HierarchicalADM
 from repro.measures.base import AssociationMeasure
 from repro.measures.setsim import DiceADM, FScoreADM, JaccardADM, OverlapADM
 from repro.traces.dataset import TraceDataset
-from repro.traces.events import PresenceInstance
 from repro.traces.spatial import SpatialHierarchy
 
 __all__ = [
@@ -105,6 +111,7 @@ _MANIFEST_NAME = "manifest.json"
 _HIERARCHY_NAME = "hierarchy.json"
 _ARRAYS_NAME = "arrays.npz"
 _COLUMNAR_NAME = "columnar.npz"
+_PAYLOAD_NAMES = (_HIERARCHY_NAME, _ARRAYS_NAME, _COLUMNAR_NAME)
 
 
 class SnapshotError(RuntimeError):
@@ -286,14 +293,101 @@ def save_engine_snapshot(
     :func:`read_manifest`.  The serving tier stamps its WAL position and
     stream state there so crash recovery knows where replay must resume
     (see :mod:`repro.streaming.wal`).
+
+    An engine unchanged since :func:`load_engine_snapshot` restored it is
+    saved by linking that snapshot's payload files (see
+    :func:`_link_unchanged_snapshot`); the result loads and answers exactly
+    as a full save's would.
     """
     if not engine.is_built:
         raise SnapshotError("cannot snapshot an engine before build(); call build() first")
     measure_payload = _measure_payload(engine.measure)
     final = Path(path)
     with snapshot_staging(final) as directory:
-        _write_engine_snapshot(engine, directory, measure_payload, extra_meta)
+        if not _link_unchanged_snapshot(engine, directory, measure_payload, extra_meta):
+            _write_engine_snapshot(engine, directory, measure_payload, extra_meta)
     return final
+
+
+@dataclass(frozen=True)
+class _SnapshotSource:
+    """The snapshot an engine was loaded from, and the state it loaded.
+
+    Recorded by :func:`load_engine_snapshot` on ``engine._snapshot_source``
+    when the arrays are in the layout a save writes; read by
+    :func:`_link_unchanged_snapshot`.
+    """
+
+    directory: Path
+    manifest: Dict[str, object]
+    tree: MinSigTree
+    dataset: TraceDataset
+    tree_mutation: int
+    dataset_mutation: int
+    #: Tree nodes excluding the virtual root, as the loaded arrays hold them.
+    num_nodes: int
+
+
+def _link_unchanged_snapshot(
+    engine: TraceQueryEngine,
+    directory: Path,
+    measure_payload: Dict[str, object],
+    extra_meta: Optional[Dict[str, object]],
+) -> bool:
+    """Save an engine unchanged since its load by linking its source's payload.
+
+    Links (or, where the filesystem refuses, copies) the source snapshot's
+    payload files into ``directory`` and writes the manifest a full save
+    would write, with the source's content digests.  It does so only when
+    the index and dataset have not mutated since the load, that manifest
+    equals the source's in every key but ``content``, ``extra`` and the
+    performance config fields, and the source's ``columnar.npz`` -- which
+    no load verifies -- still matches its digest.  Otherwise it returns
+    ``False`` having written nothing, and the caller saves in full.
+    """
+    source = engine._snapshot_source
+    if (
+        source is None
+        or source.tree is not engine.tree
+        or source.dataset is not engine.dataset
+        or source.tree.mutation_count != source.tree_mutation
+        or source.dataset.mutation_count != source.dataset_mutation
+    ):
+        return False
+    recorded = source.manifest.get("content")
+    if not isinstance(recorded, dict) or not all(name in recorded for name in _PAYLOAD_NAMES):
+        return False
+    content = {name: recorded[name] for name in _PAYLOAD_NAMES}
+    manifest = _engine_manifest(engine, measure_payload, content, source.num_nodes, extra_meta)
+    performance = {field.name for field in dataclasses.fields(EngineConfig)} - set(
+        engine.config.semantic_fields()
+    )
+
+    def compared(document: Mapping[str, object]) -> Dict[str, object]:
+        view = {key: value for key, value in document.items() if key not in ("content", "extra")}
+        if isinstance(view.get("config"), dict):
+            view["config"] = {
+                key: value for key, value in view["config"].items() if key not in performance
+            }
+        return json.loads(json.dumps(view))
+
+    if compared(manifest) != compared(source.manifest):
+        return False
+    try:
+        if _file_digest(source.directory / _COLUMNAR_NAME) != content[_COLUMNAR_NAME]:
+            return False
+        for name in _PAYLOAD_NAMES:
+            try:
+                os.link(source.directory / name, directory / name)
+            except OSError:
+                shutil.copyfile(source.directory / name, directory / name)
+    except OSError:
+        # The source went away under us: fall back to a full save.
+        for name in _PAYLOAD_NAMES:
+            (directory / name).unlink(missing_ok=True)
+        return False
+    _write_manifest(directory, manifest)
+    return True
 
 
 def _write_engine_snapshot(
@@ -362,6 +456,24 @@ def _write_engine_snapshot(
     # left it stale.
     np.savez(directory / _COLUMNAR_NAME, **engine.searcher.compiled_tree().export_arrays())
 
+    content = {name: _file_digest(directory / name) for name in _PAYLOAD_NAMES}
+    num_nodes = int(structure["node_level"].size) - 1  # minus the virtual root
+    _write_manifest(
+        directory, _engine_manifest(engine, measure_payload, content, num_nodes, extra_meta)
+    )
+
+
+def _engine_manifest(
+    engine: TraceQueryEngine,
+    measure_payload: Dict[str, object],
+    content: Dict[str, str],
+    num_nodes: int,
+    extra_meta: Optional[Dict[str, object]],
+) -> Dict[str, object]:
+    """The manifest of ``engine``'s snapshot with these payload digests."""
+    dataset = engine.dataset
+    family = engine.hash_family
+    tree = engine.tree
     hash_family_meta = {
         "horizon": family.horizon,
         "num_hashes": family.num_hashes,
@@ -374,10 +486,7 @@ def _write_engine_snapshot(
         "format_version": SNAPSHOT_FORMAT_VERSION,
         # Content digests bind the manifest to these exact payload files, so
         # mixing files from different snapshots fails loudly at load.
-        "content": {
-            name: _file_digest(directory / name)
-            for name in (_HIERARCHY_NAME, _ARRAYS_NAME, _COLUMNAR_NAME)
-        },
+        "content": content,
         "config": {
             "num_hashes": engine.config.num_hashes,
             "seed": engine.config.seed,
@@ -395,7 +504,7 @@ def _write_engine_snapshot(
             "num_levels": dataset.num_levels,
         },
         "tree": {
-            "num_nodes": int(structure["node_level"].size) - 1,  # minus the virtual root
+            "num_nodes": num_nodes,
             "num_entities": tree.num_entities,
             "routing_strategy": tree.routing_strategy,
         },
@@ -405,6 +514,10 @@ def _write_engine_snapshot(
     }
     if extra_meta is not None:
         manifest["extra"] = dict(extra_meta)
+    return manifest
+
+
+def _write_manifest(directory: Path, manifest: Mapping[str, object]) -> None:
     with open(directory / _MANIFEST_NAME, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
 
@@ -539,22 +652,21 @@ def load_engine_snapshot(
     # still skew -- so the whole reconstruction converts low-level errors
     # into SnapshotError for the CLI's graceful error path.
     try:
-        base_units = hierarchy.base_units
         dataset = TraceDataset(hierarchy, horizon=manifest["dataset"]["explicit_horizon"])
         dataset_entities = [str(name) for name in data["dataset_entities"]]
-        # Records were written grouped by entity, so one pass restores each
-        # entity's whole trace in original order through the trusted bulk
-        # path.
-        traces: Dict[str, list] = {entity: [] for entity in dataset_entities}
-        for slot, unit, start, end in zip(
-            *_presence_columns(data, manifest["dataset"]["num_presences"], directory)
-        ):
-            entity = dataset_entities[slot]
-            traces[entity].append(
-                PresenceInstance(entity=entity, unit=base_units[unit], start=start, end=end)
-            )
-        for entity in dataset_entities:
-            dataset.restore_trace(entity, traces[entity])
+        # Traces stay in their columns until a read needs them; the column
+        # checks of _presence_columns stand in for the ones add_presence and
+        # PresenceInstance would make on each record.
+        dataset.restore_columns(
+            dataset_entities,
+            *_presence_columns(
+                data,
+                manifest["dataset"]["num_presences"],
+                dataset_entities,
+                hierarchy.num_base_units,
+                directory,
+            ),
+        )
 
         resolved_measure = (
             measure if measure is not None else _measure_from_payload(measure_payload)
@@ -595,7 +707,27 @@ def load_engine_snapshot(
 
         engine = TraceQueryEngine(dataset, measure=resolved_measure, config=config)
         engine._adopt_index(family, tree)
-        _install_columnar_loader(engine, directory, manifest, mmap_columnar=mmap_columnar)
+        num_nodes = int(data["node_level"].size) - 1  # minus the virtual root
+        _install_columnar_loader(
+            engine, directory, manifest, num_nodes, mmap_columnar=mmap_columnar
+        )
+        narrow = np.min_scalar_type(family.hash_range)
+        if all(
+            data[name].dtype == narrow
+            for name in ("signatures", "node_full_signatures")
+            if name in data
+        ):
+            # Arrays in an older layout are saved in full, so a store
+            # converges on the current one.
+            engine._snapshot_source = _SnapshotSource(
+                directory=directory,
+                manifest=manifest,
+                tree=tree,
+                dataset=dataset,
+                tree_mutation=tree.mutation_count,
+                dataset_mutation=dataset.mutation_count,
+                num_nodes=num_nodes,
+            )
     except SnapshotError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -610,14 +742,22 @@ _PRESENCE_COLUMNS = ("presence_entity", "presence_unit", "presence_start", "pres
 
 
 def _presence_columns(
-    data: Mapping[str, np.ndarray], num_presences: object, directory: Path
-) -> List[list]:
-    """The four presence columns as Python lists, checked against the manifest.
+    data: Mapping[str, np.ndarray],
+    num_presences: object,
+    entities: List[str],
+    num_base_units: int,
+    directory: Path,
+) -> List[np.ndarray]:
+    """Row offsets per entity slot plus the unit, start and end columns.
 
-    Each must be a one-dimensional integer array of exactly the manifest's
-    ``num_presences`` rows: ``zip`` over them would silently drop the rows
-    of a longer column, and a shorter set would load fewer records than the
-    signatures were computed from.
+    Each column must be a one-dimensional integer array of exactly the
+    manifest's ``num_presences`` rows: a longer column would carry rows no
+    record came from, a shorter set would load fewer records than the
+    signatures were computed from.  Every row must name an entity slot and
+    a base unit that exist (a negative index would wrap around to the last
+    one), rows must be grouped by slot in ascending order as every save
+    writes them, each period must be a non-empty ``[start, end)`` with
+    ``start >= 0``, and no entity may be named twice.
     """
     columns = []
     for name in _PRESENCE_COLUMNS:
@@ -627,8 +767,27 @@ def _presence_columns(
                 f"snapshot array {name} in {directory} has shape {column.shape} and "
                 f"dtype {column.dtype}; the manifest expects {num_presences} integer rows"
             )
-        columns.append(column.tolist())
-    return columns
+        columns.append(column.astype(np.int64, copy=False))
+    slots, units, starts, ends = columns
+    num_entities = len(entities)
+    problems = []
+    if slots.size and (slots.min() < 0 or slots.max() >= num_entities):
+        problems.append(f"presence_entity holds a slot outside [0, {num_entities})")
+    if np.any(slots[1:] < slots[:-1]):
+        problems.append("presence_entity is not grouped by entity slot in ascending order")
+    if units.size and (units.min() < 0 or units.max() >= num_base_units):
+        problems.append(f"presence_unit holds a unit index outside [0, {num_base_units})")
+    if np.any(starts < 0) or np.any(ends <= starts):
+        problems.append("presence_start / presence_end hold an empty or negative period")
+    if len(set(entities)) != num_entities:
+        problems.append("dataset_entities names an entity twice")
+    if problems:
+        raise SnapshotError(
+            f"snapshot arrays in {directory} are inconsistent: {'; '.join(problems)}"
+        )
+    offsets = np.zeros(num_entities + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slots, minlength=num_entities), out=offsets[1:])
+    return [offsets, units, starts, ends]
 
 
 def _check_signature_values(
@@ -653,19 +812,23 @@ def _install_columnar_loader(
     engine: TraceQueryEngine,
     directory: Path,
     manifest: Dict[str, object],
+    num_nodes: int,
     mmap_columnar: bool = False,
 ) -> None:
     """Adopt a snapshot's precompiled columnar kernel as a *lazy* loader.
 
     The payload stays unread at load time (cold start is the whole point of
     a snapshot); the searcher imports it on the first query, after
-    re-verifying the manifest digest.  The compiled arrays are a pure cache
-    -- results are identical with or without them -- so *any* problem (a
-    version-1 snapshot without them, the engine mutating before the first
-    query, a missing/tampered/inconsistent file) simply falls back to the
-    lazy recompile.  ``mmap_columnar`` prefers zero-copy memory-mapped views
-    over heap copies (and itself falls back to a regular load when the
-    archive cannot be mapped).
+    re-verifying the manifest digest.  The arrays are stamped with the
+    mutation counts of the load, so if the engine mutated before that first
+    query the searcher patches in the touched entities, as it would for a
+    kernel compiled at load.  The compiled arrays are a pure cache --
+    results are identical with or without them -- so *any* problem (a
+    version-1 snapshot without them, a missing/tampered/inconsistent file)
+    simply falls back to the lazy recompile.  ``mmap_columnar`` prefers
+    zero-copy memory-mapped views over heap copies (and itself falls back
+    to a regular load when the archive cannot be mapped).  ``num_nodes`` is the loaded tree's node
+    count without the virtual root, which the compiled arrays must match.
     """
     recorded_digest = manifest.get("content", {}).get(_COLUMNAR_NAME)
     payload = directory / _COLUMNAR_NAME
@@ -675,16 +838,11 @@ def _install_columnar_loader(
 
     tree = engine.tree
     dataset = engine.dataset
-    tree_mutation = tree.mutation_count
-    dataset_mutation = dataset.mutation_count
+    loaded_at = (tree.mutation_count, dataset.mutation_count)
+    num_entities = tree.num_entities
 
     def load_compiled() -> Optional["ColumnarTree"]:
-        """Import the persisted arrays iff nothing moved since load."""
-        if (
-            tree.mutation_count != tree_mutation
-            or dataset.mutation_count != dataset_mutation
-        ):
-            return None
+        """Import the persisted arrays, valid for the engine as loaded."""
         try:
             if _file_digest(payload) != recorded_digest:
                 return None
@@ -696,13 +854,13 @@ def _install_columnar_loader(
                 data, hierarchy=dataset.hierarchy, num_hashes=tree.num_hashes
             )
             if (
-                compiled.num_entities != tree.num_entities
-                or compiled.num_nodes != tree.num_nodes + 1
+                compiled.num_entities != num_entities
+                or compiled.num_nodes != num_nodes + 1
             ):
                 return None
         except (OSError, KeyError, ValueError, zipfile.BadZipFile):
             return None
-        compiled.stamp(tree, dataset)
+        compiled.stamp(tree, dataset, loaded_at)
         return compiled
 
     engine.searcher.adopt_compiled_loader(load_compiled)

@@ -4,13 +4,16 @@
 stores presence instances per entity, lazily materialises and caches each
 entity's ST-cell set sequence (Section 4.1), and maintains per-level inverted
 indexes from ST-cells to the entities present in them -- used by the
-distribution analyses and the AjPI helpers.
+distribution analyses and the AjPI helpers.  Traces restored from a
+snapshot stay in its presence columns until a read needs their records.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+
+import numpy as np
 
 from repro.traces.events import (
     CellSequence,
@@ -23,6 +26,44 @@ from repro.traces.events import (
 from repro.traces.spatial import SpatialHierarchy
 
 __all__ = ["TraceDataset"]
+
+
+class _RestoredRows:
+    """One restored entity's trace, still held as a row range of presence columns.
+
+    Entries of this kind come from :meth:`TraceDataset.restore_columns` and
+    stand in for the entity's ``PresenceInstance`` list until a read needs
+    the records; :meth:`TraceDataset._records` then builds the list and
+    swaps it in.  ``columns`` is ``(base unit names, unit indexes, starts,
+    ends)``, shared by every entry of one restore.  ``min_end`` lets expiry
+    skip entities it cannot touch without building them.  Immutable, so
+    datasets may share one.
+    """
+
+    __slots__ = ("columns", "lo", "hi", "min_end")
+
+    def __init__(self, columns: tuple, lo: int, hi: int, min_end: int) -> None:
+        self.columns = columns
+        self.lo = lo
+        self.hi = hi
+        self.min_end = min_end
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def build(self, entity: str) -> List[PresenceInstance]:
+        names, units, starts, ends = self.columns
+        span = slice(self.lo, self.hi)
+        return [
+            PresenceInstance(entity=entity, unit=names[unit], start=start, end=end)
+            for unit, start, end in zip(
+                units[span].tolist(), starts[span].tolist(), ends[span].tolist()
+            )
+        ]
+
+
+#: A trace entry: the built records, or a restored row range not built yet.
+_Entry = Union[List[PresenceInstance], _RestoredRows]
 
 
 class TraceDataset:
@@ -45,7 +86,9 @@ class TraceDataset:
         self._hierarchy = hierarchy
         self._explicit_horizon = horizon
         self._max_end = 0
-        self._presences: Dict[str, List[PresenceInstance]] = {}
+        # entity -> its records; entries restored from columns stay
+        # _RestoredRows until _records builds them.
+        self._presences: Dict[str, _Entry] = {}
         self._sequence_cache: Dict[str, CellSequence] = {}
         # level -> cell -> set of entities, built lazily per level.
         self._cell_index: Dict[int, Dict[STCell, Set[str]]] = {}
@@ -73,7 +116,10 @@ class TraceDataset:
             raise ValueError(
                 f"presence instances must reference base spatial units, got {presence.unit!r}"
             )
-        self._presences.setdefault(presence.entity, []).append(presence)
+        if presence.entity in self._presences:
+            self._records(presence.entity).append(presence)
+        else:
+            self._presences[presence.entity] = [presence]
         self._max_end = max(self._max_end, presence.end)
         self._invalidate(presence.entity)
 
@@ -116,8 +162,10 @@ class TraceDataset:
             expiry.
         """
         removed: Dict[str, int] = {}
-        for entity in list(self._presences):
-            trace = self._presences[entity]
+        for entity, entry in list(self._presences.items()):
+            if isinstance(entry, _RestoredRows) and entry.min_end > cutoff:
+                continue  # nothing of it expires: leave it unbuilt
+            trace = self._records(entity)
             surviving = [presence for presence in trace if presence.end > cutoff]
             dropped = len(trace) - len(surviving)
             if not dropped:
@@ -169,15 +217,95 @@ class TraceDataset:
             self._max_end = max(self._max_end, max(presence.end for presence in trace))
         self._invalidate(entity)
 
-    def _invalidate(self, entity: str) -> None:
-        self.mutation_count += 1
-        self._touched[entity] = self.mutation_count
+    def restore_columns(
+        self,
+        entities: Sequence[str],
+        offsets: np.ndarray,
+        units: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ) -> None:
+        """Trusted lazy restore of many whole traces from presence columns.
+
+        Entity ``entities[i]`` owns rows ``offsets[i]:offsets[i + 1]``;
+        ``units`` index :attr:`SpatialHierarchy.base_units`.  No record is
+        built here: each entity's ``PresenceInstance`` list is built on the
+        first read that needs it (:meth:`trace`, :meth:`cell_sequence`,
+        :meth:`cell_table`, or a mutation of that entity), equal to what
+        :meth:`restore_trace` would have stored.  Counts, order, horizon,
+        ``mutation_count`` and the touch journal advance as for one
+        :meth:`restore_trace` per entity.  The caller has validated the
+        columns (the snapshot loader does).
+
+        Raises
+        ------
+        ValueError
+            If an entity already has a trace or is named twice (restore is
+            load-time only).
+        """
+        self._check_restorable(entities)
+        bounds = offsets.tolist()
+        columns = (self._hierarchy.base_units, units, starts, ends)
+        nonempty = offsets[1:] > offsets[:-1]
+        min_ends = np.zeros(len(entities), dtype=np.int64)
+        if ends.size:
+            min_ends[nonempty] = np.minimum.reduceat(ends, offsets[:-1][nonempty])
+            self._max_end = max(self._max_end, int(ends.max()))
+        for index, (entity, min_end) in enumerate(zip(entities, min_ends.tolist())):
+            lo, hi = bounds[index], bounds[index + 1]
+            self._presences[entity] = _RestoredRows(columns, lo, hi, min_end) if hi > lo else []
+        self._invalidate(*entities)
+
+    def restore_from(self, other: "TraceDataset") -> None:
+        """Trusted bulk append of every trace of ``other`` (the sharded load path).
+
+        ``other`` must be over the same hierarchy.  Unbuilt restored entries
+        are shared rather than built; built traces are copied, as
+        :meth:`restore_trace` copies.  The derived horizon grows to cover
+        ``other``'s.
+
+        Raises
+        ------
+        ValueError
+            If an entity of ``other`` already has a trace here.
+        """
+        self._check_restorable(other._presences)
+        for entity, entry in other._presences.items():
+            self._presences[entity] = entry if isinstance(entry, _RestoredRows) else list(entry)
+        self._invalidate(*other._presences)
+        self._max_end = max(self._max_end, other._max_end)
+
+    def _check_restorable(self, entities: Iterable[str]) -> None:
+        seen: Set[str] = set()
+        for entity in entities:
+            if entity in self._presences or entity in seen:
+                raise ValueError(
+                    f"entity {entity!r} already has a trace; restore is load-time only"
+                )
+            seen.add(entity)
+
+    def _records(self, entity: str) -> List[PresenceInstance]:
+        """The record list of ``entity``, built in place if still restored rows.
+
+        The one read of a trace's records; raises ``KeyError`` for an
+        unknown entity.
+        """
+        entry = self._presences[entity]
+        if isinstance(entry, _RestoredRows):
+            entry = self._presences[entity] = entry.build(entity)
+        return entry
+
+    def _invalidate(self, *entities: str) -> None:
+        """Record one mutation of each of ``entities``, in order."""
+        for entity in entities:
+            self.mutation_count += 1
+            self._touched[entity] = self.mutation_count
+            self._sequence_cache.pop(entity, None)
         # Overflow valve (see MinSigTree._record_touch): reset rather than
         # scan an unbounded journal; consumers recompile once, always safe.
         if len(self._touched) > max(1024, 4 * len(self._presences)):
             self._touched.clear()
             self._touched_floor = self.mutation_count
-        self._sequence_cache.pop(entity, None)
         # The inverted indexes are rebuilt from scratch on next use; updates
         # are rare compared to reads in every workload we model.
         self._cell_index.clear()
@@ -256,7 +384,7 @@ class TraceDataset:
     def trace(self, entity: str) -> Tuple[PresenceInstance, ...]:
         """The digital trace (all presence instances) of ``entity``."""
         try:
-            return tuple(self._presences[entity])
+            return tuple(self._records(entity))
         except KeyError:
             raise KeyError(f"unknown entity {entity!r}") from None
 

@@ -470,10 +470,12 @@ class TestSnapshotRoundTrip:
         assert loaded.searcher._compiled_loader is not None
         assert_matches_oracle(loaded, k_values=(1, 6), oracle_engine=engine)
 
-    def test_mutation_before_first_query_discards_stale_arrays(
+    def test_mutation_before_first_query_patches_the_persisted_arrays(
         self, hierarchy, tmp_path, seeded_rng
     ):
-        """A post-load mutation must win over the persisted compile."""
+        """A post-load mutation must win over the persisted compile: the
+        arrays are valid for the engine as loaded, so the first query
+        patches the touched entity into them instead of recompiling."""
         rng = seeded_rng(61)
         events = random_events(hierarchy, rng, num_entities=8)
         engine = build_engine(hierarchy, events, num_hashes=16, seed=3)
@@ -481,8 +483,14 @@ class TestSnapshotRoundTrip:
         loaded = TraceQueryEngine.load(tmp_path / "snap")
         extra = [PresenceInstance("e3", hierarchy.base_units[1], 60, 63)]
         engine.add_records(extra)
-        loaded.add_records(extra)  # before any query: loader must bail out
+        loaded.add_records(extra)  # before any query
         assert_matches_oracle(loaded, k_values=(2, 5), oracle_engine=engine)
+        assert (loaded.searcher.kernel_patches, loaded.searcher.kernel_compiles) == (1, 0)
+        fresh = ColumnarTree.compile(loaded.tree, loaded.dataset).export_arrays()
+        patched = loaded.searcher.compiled_tree().export_arrays()
+        assert set(fresh) == set(patched)
+        for key, value in fresh.items():
+            assert np.array_equal(value, patched[key]), key
 
     def test_missing_or_corrupt_columnar_payload_falls_back(self, hierarchy, tmp_path, seeded_rng):
         """The columnar payload is a cache: losing it must not fail the load."""

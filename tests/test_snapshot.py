@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -184,6 +185,30 @@ class TestRoundTrip:
         assert subprocess_items == expected
 
 
+    def test_first_answer_does_not_import_numpy_ma(self, small_engine, tmp_path):
+        """Loading and answering once stays clear of numpy.ma, whose import
+        alone cost a fresh serving process ~20 ms."""
+        snapshot = small_engine.save(tmp_path / "snap")
+        script = (
+            "import sys\n"
+            "from repro import TraceQueryEngine\n"
+            "engine = TraceQueryEngine.load(sys.argv[1])\n"
+            "assert engine.top_k('a', k=3).items\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        output = subprocess.run(
+            [sys.executable, "-c", script, str(snapshot)],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+        assert output.strip() == "False"
+
+
 class TestFailureModes:
     def test_save_requires_built_engine(self, small_dataset, tmp_path):
         engine = TraceQueryEngine(small_dataset, num_hashes=16)
@@ -317,14 +342,20 @@ class TestFailureModes:
             "signature-past-sentinel",
             "long-start-column",
             "short-presence-columns",
+            "negative-unit",
+            "negative-entity-slot",
+            "ungrouped-rows",
+            "duplicate-entity-name",
         ],
     )
     def test_inconsistent_arrays_fail_loudly(self, small_engine, tmp_path, tamper):
         """Regression: arrays no save can write loaded and answered once
         their digest was recomputed -- signatures that are not integers in
-        ``[0, hash_range]``, and presence columns whose length disagrees
-        with the manifest (extra rows were ignored, a missing row dropped a
-        record the signatures were computed from)."""
+        ``[0, hash_range]``, presence columns whose length disagrees with
+        the manifest (extra rows were ignored, a missing row dropped a
+        record the signatures were computed from), and negative indexes or
+        rows out of entity order (Python indexing wrapped a ``-1`` to the
+        last unit or entity, and ungrouped rows loaded reordered)."""
         from repro.storage.snapshot import _file_digest
 
         snapshot = tmp_path / "snap"
@@ -343,6 +374,19 @@ class TestFailureModes:
             signatures[0, 0, 0] = small_engine.hash_family.hash_range + 1
             arrays["signatures"] = signatures
             match = "signatures"
+        elif tamper == "negative-unit":
+            arrays["presence_unit"][0] = -1
+            match = "presence_unit"
+        elif tamper == "negative-entity-slot":
+            arrays["presence_entity"][5] = -1
+            match = "presence_entity"
+        elif tamper == "ungrouped-rows":
+            for name in ("presence_entity", "presence_unit", "presence_start", "presence_end"):
+                arrays[name][[0, -1]] = arrays[name][[-1, 0]]
+            match = "grouped"
+        elif tamper == "duplicate-entity-name":
+            arrays["dataset_entities"][1] = arrays["dataset_entities"][0]
+            match = "twice"
         elif tamper == "long-start-column":
             arrays["presence_start"] = np.concatenate([arrays["presence_start"], [0, 1]])
             match = "presence_start"
@@ -556,3 +600,153 @@ class TestOlderStores:
         for manifest_path in snap.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
             assert "bound_mode" not in manifest["config"], manifest_path
+
+
+PAYLOAD = ("hierarchy.json", "arrays.npz", "columnar.npz")
+
+
+def _shares_inodes(first, second) -> bool:
+    return all(
+        os.stat(first / name).st_ino == os.stat(second / name).st_ino for name in PAYLOAD
+    )
+
+
+class TestLinkedSave:
+    """A save of an engine unchanged since its load links the source's files."""
+
+    def test_linked_manifest_equals_a_full_saves_but_for_content(
+        self, small_engine, tmp_path, monkeypatch
+    ):
+        from repro.storage import snapshot as snapshot_module
+
+        source = small_engine.save(tmp_path / "source")
+        loaded = TraceQueryEngine.load(source)
+        meta = {"wal_seq": 3}
+        linked = loaded.save(tmp_path / "linked", extra_meta=meta)
+        assert _shares_inodes(source, linked)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot_module, "_link_unchanged_snapshot", lambda *args: False)
+            full = loaded.save(tmp_path / "full", extra_meta=meta)
+        assert not _shares_inodes(source, full)
+        linked_manifest = json.loads((linked / "manifest.json").read_text())
+        full_manifest = json.loads((full / "manifest.json").read_text())
+        source_manifest = json.loads((source / "manifest.json").read_text())
+        assert linked_manifest["content"] == source_manifest["content"]
+        assert list(linked_manifest) == list(full_manifest)
+        for key in full_manifest:
+            if key != "content":
+                assert linked_manifest[key] == full_manifest[key], key
+        assert_engines_identical(small_engine, TraceQueryEngine.load(linked), ["a", "d"], k=3)
+
+    def test_a_refused_link_copies(self, small_engine, tmp_path, monkeypatch):
+        source = small_engine.save(tmp_path / "source")
+        loaded = TraceQueryEngine.load(source)
+
+        def refuse(*args, **kwargs):
+            raise OSError("cross-device link")
+
+        monkeypatch.setattr(os, "link", refuse)
+        copied = loaded.save(tmp_path / "copied")
+        monkeypatch.undo()
+        assert not any(
+            os.stat(source / name).st_ino == os.stat(copied / name).st_ino for name in PAYLOAD
+        )
+        for name in PAYLOAD:
+            assert (copied / name).read_bytes() == (source / name).read_bytes()
+        assert_engines_identical(small_engine, TraceQueryEngine.load(copied), ["a", "d"], k=3)
+
+    def test_every_shard_of_an_unchanged_deployment_links(
+        self, small_dataset, small_measure, tmp_path
+    ):
+        fleet = ShardedEngine(
+            small_dataset, measure=small_measure, num_shards=2, num_hashes=32, seed=5
+        ).build()
+        source = fleet.save(tmp_path / "source")
+        linked = ShardedEngine.load(source).save(tmp_path / "linked")
+        for shard in ("shard-00", "shard-01"):
+            assert _shares_inodes(source / shard, linked / shard)
+        restored = ShardedEngine.load(linked)
+        for query in ("a", "d"):
+            assert restored.top_k(query, k=3).items == fleet.top_k(query, k=3).items
+
+    @pytest.mark.parametrize(
+        "change", ["wal-replay", "measure-override", "version1", "int64_signatures"]
+    )
+    def test_a_changed_or_older_engine_is_saved_in_full(
+        self, small_engine, small_hierarchy, tmp_path, change
+    ):
+        from repro.server.recovery import replay_wal_into_engine
+        from repro.storage.snapshot import _file_digest
+        from repro.streaming import WriteAheadLog
+
+        source = small_engine.save(tmp_path / "source")
+        manifest = json.loads((source / "manifest.json").read_text())
+        if change == "version1":
+            (source / "columnar.npz").unlink()
+            manifest["format_version"] = 1
+            manifest["content"].pop("columnar.npz")
+        elif change == "int64_signatures":
+            with np.load(source / "arrays.npz") as payload:
+                arrays = {key: payload[key] for key in payload.files}
+            arrays["signatures"] = arrays["signatures"].astype(np.int64)
+            np.savez(source / "arrays.npz", **arrays)
+            manifest["content"]["arrays.npz"] = _file_digest(source / "arrays.npz")
+        (source / "manifest.json").write_text(json.dumps(manifest))
+
+        measure = None
+        if change == "measure-override":
+            measure = JaccardADM(num_levels=small_hierarchy.num_levels)
+        loaded = load_engine_snapshot(source, measure=measure)
+        expected = TraceQueryEngine.load(source, measure=measure)
+        if change == "wal-replay":
+            wal = WriteAheadLog(tmp_path / "wal")
+            unit = small_hierarchy.base_units[0]
+            wal.append([PresenceInstance("a", unit, 1, 3)], watermark=3)
+            wal.close()
+            replay_wal_into_engine(loaded, WriteAheadLog(tmp_path / "wal"))
+            expected.add_records([PresenceInstance("a", unit, 1, 3)])
+
+        saved = loaded.save(tmp_path / "saved")
+        assert os.stat(source / "arrays.npz").st_ino != os.stat(saved / "arrays.npz").st_ino
+        restored = TraceQueryEngine.load(saved, measure=measure)
+        saved_manifest = json.loads((saved / "manifest.json").read_text())
+        assert saved_manifest["format_version"] == SNAPSHOT_FORMAT_VERSION
+        with np.load(saved / "arrays.npz") as payload:
+            assert payload["signatures"].dtype != np.int64
+        for query in ("a", "d"):
+            assert restored.top_k(query, k=3).items == expected.top_k(query, k=3).items
+
+    def test_pruning_a_linked_generation_leaves_the_source_intact(
+        self, small_engine, small_hierarchy, tmp_path
+    ):
+        from repro.server.generation import GenerationStore
+        from repro.storage.snapshot import _file_digest
+
+        source = small_engine.save(tmp_path / "source")
+        digests = json.loads((source / "manifest.json").read_text())["content"]
+        loaded = TraceQueryEngine.load(source)
+        store = GenerationStore(tmp_path / "store")
+        store.publish(loaded)
+        assert _shares_inodes(source, tmp_path / "store" / "gen-000001")
+        unit = small_hierarchy.base_units[1]
+        for start in range(3):
+            loaded.add_records([PresenceInstance("a", unit, start, start + 1)])
+            store.publish(loaded)
+        assert not (tmp_path / "store" / "gen-000001").exists()
+        for name in PAYLOAD:
+            assert _file_digest(source / name) == digests[name]
+        shutil.rmtree(tmp_path / "store")
+        assert_engines_identical(small_engine, TraceQueryEngine.load(source), ["a", "d"], k=3)
+
+    def test_a_tampered_source_columnar_payload_is_saved_in_full(self, small_engine, tmp_path):
+        source = small_engine.save(tmp_path / "source")
+        with np.load(source / "columnar.npz") as payload:
+            arrays = {key: payload[key] for key in payload.files}
+        np.savez(source / "columnar.npz", **{key: value[:0] for key, value in arrays.items()})
+        loaded = TraceQueryEngine.load(source)
+        saved = loaded.save(tmp_path / "saved")
+        assert os.stat(source / "arrays.npz").st_ino != os.stat(saved / "arrays.npz").st_ino
+        restored = TraceQueryEngine.load(saved)
+        assert_engines_identical(small_engine, restored, ["a", "d"], k=3)
+        assert restored.searcher.kernel_compiles == 0  # the saved payload is sound
