@@ -555,10 +555,9 @@ class ColumnarTree:
     def export_arrays(self) -> Dict[str, np.ndarray]:
         """The compiled arrays as plain ndarrays (the snapshot payload).
 
-        Cell tables are exported per level as parallel ``(time, unit id)``
-        arrays (each level's unit column as wide as its longest id);
-        :meth:`import_arrays` re-encodes them, so a snapshot load skips the
-        whole membership recompilation.
+        Cell tables are exported as the kernel holds them -- ``cell_codes``
+        and ``level_cell_offset`` -- so a snapshot load skips the whole
+        membership recompilation and :meth:`import_arrays` only validates.
         """
         arrays: Dict[str, np.ndarray] = {
             "node_level": self.node_level,
@@ -570,20 +569,13 @@ class ColumnarTree:
             "entity_start": self.entity_start,
             "entity_end": self.entity_end,
             "entity_order": np.array(self.entity_order, dtype=np.str_),
+            "cell_codes": self.cell_codes,
+            "level_cell_offset": self.level_cell_offset,
             "member_indptr": self.member_indptr,
             "member_indices": self.member_indices,
         }
         if self.node_full_signatures is not None:
             arrays["node_full_signatures"] = self.node_full_signatures
-        unit_ids = np.array(self.units, dtype=np.str_)
-        id_length = np.fromiter(map(len, self.units), dtype=np.int64, count=len(self.units))
-        for level_index in range(self.num_levels):
-            start, stop = self.level_cell_offset[level_index : level_index + 2]
-            times, codes = np.divmod(self.cell_codes[start:stop], len(self.units))
-            arrays[f"cell_times_{level_index}"] = times
-            arrays[f"cell_units_{level_index}"] = unit_ids[codes].astype(
-                f"<U{id_length[codes].max(initial=1)}"
-            )
         return arrays
 
     @classmethod
@@ -593,10 +585,10 @@ class ColumnarTree:
         """Rebuild a compiled tree from :meth:`export_arrays` output.
 
         Performs structural validation (root at index 0, spans within
-        range, CSR shape consistency, every level's cells units of that
-        level in strictly ascending order) and raises ``ValueError`` /
-        ``KeyError`` on malformed input; callers fall back to a fresh
-        :meth:`compile`.
+        range, CSR shape consistency, every level's cell codes those of
+        units of that level, in strictly ascending order) and raises
+        ``ValueError`` / ``KeyError`` on malformed input; callers fall back
+        to a fresh :meth:`compile`.
         """
         num_levels = hierarchy.num_levels
         node_level = np.asarray(arrays["node_level"], dtype=np.int32)
@@ -619,20 +611,31 @@ class ColumnarTree:
             raise ValueError("malformed columnar arrays: non-BFS level layout")
         entity_order = tuple(str(name) for name in arrays["entity_order"])
         units = hierarchy.coded_units()
-        code_of = hierarchy.unit_codes()
-        level_codes: List[np.ndarray] = []
-        for level_index in range(num_levels):
-            times = np.asarray(arrays[f"cell_times_{level_index}"], dtype=np.int64)
-            names = np.asarray(arrays[f"cell_units_{level_index}"]).tolist()
-            level_units = set(hierarchy.units_at_level(level_index + 1))
-            if times.size != len(names) or not level_units.issuperset(names):
-                raise ValueError("malformed columnar arrays: cell table mismatch")
-            codes = times * len(units) + np.fromiter(map(code_of.get, names), np.int64, len(names))
-            if (np.diff(codes) <= 0).any():
-                raise ValueError("malformed columnar arrays: cells not strictly sorted")
-            level_codes.append(codes)
-        level_cell_offset = np.cumsum([0] + [codes.size for codes in level_codes])
-        total_cells = int(level_cell_offset[-1])
+        cell_codes = np.asarray(arrays["cell_codes"], dtype=np.int64)
+        level_cell_offset = np.asarray(arrays["level_cell_offset"], dtype=np.int64)
+        if (
+            cell_codes.ndim != 1
+            or level_cell_offset.shape != (num_levels + 1,)
+            or level_cell_offset[0] != 0
+            or level_cell_offset[-1] != cell_codes.size
+            or (np.diff(level_cell_offset) < 0).any()
+        ):
+            raise ValueError("malformed columnar arrays: bad level cell offsets")
+        # Level l's units hold the codes [unit_start[l - 1], unit_start[l]).
+        unit_start = np.cumsum(
+            [0] + [len(hierarchy.units_at_level(level)) for level in range(1, num_levels + 1)]
+        )
+        cell_level = np.repeat(np.arange(num_levels), np.diff(level_cell_offset))
+        cell_unit = cell_codes % len(units)
+        if (
+            (cell_codes < 0).any()
+            or (cell_unit < unit_start[cell_level]).any()
+            or (cell_unit >= unit_start[cell_level + 1]).any()
+        ):
+            raise ValueError("malformed columnar arrays: cell of a unit outside its level")
+        same_level = cell_level[1:] == cell_level[:-1]
+        if (np.diff(cell_codes)[same_level] <= 0).any():
+            raise ValueError("malformed columnar arrays: cells not strictly sorted")
         member_indptr = np.asarray(arrays["member_indptr"], dtype=np.int64)
         member_indices = np.asarray(arrays["member_indices"], dtype=np.int64)
         if member_indptr.size != len(entity_order) * num_levels + 1:
@@ -640,7 +643,7 @@ class ColumnarTree:
         if member_indptr[-1] != member_indices.size or (np.diff(member_indptr) < 0).any():
             raise ValueError("malformed columnar arrays: CSR shape mismatch")
         if member_indices.size and (
-            member_indices.min() < 0 or member_indices.max() >= total_cells
+            member_indices.min() < 0 or member_indices.max() >= cell_codes.size
         ):
             raise ValueError("malformed columnar arrays: cell id out of range")
         child_start = np.asarray(arrays["child_start"], dtype=np.int64)
@@ -670,7 +673,7 @@ class ColumnarTree:
             entity_end=entity_end,
             entity_order=entity_order,
             units=units,
-            cell_codes=np.concatenate(level_codes),
+            cell_codes=cell_codes,
             level_cell_offset=level_cell_offset,
             member_indptr=member_indptr,
             member_indices=member_indices,

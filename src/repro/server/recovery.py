@@ -38,7 +38,6 @@ __all__ = [
 
 def recover_engine_from_store(
     store_root,
-    timeout: float = 30.0,
 ) -> Optional[Tuple[object, Dict[str, object], int]]:
     """Restore the newest published engine from a generation store.
 
@@ -47,14 +46,16 @@ def recover_engine_from_store(
     boot).  ``durability_meta`` is the ``extra`` metadata stamped at
     publish time (``wal_seq`` and ``stream`` state) -- an empty dict when
     the generation predates durability stamping.
+
+    Raises :class:`~repro.storage.snapshot.SnapshotError` when the newest
+    generation cannot be loaded -- for instance one an older build wrote
+    in another snapshot format.  Nothing publishes while a process
+    recovers, so the load is not retried.
     """
     store = GenerationStore(store_root)
     if store.current() is None:
         return None
-    try:
-        generation, engine = store.load_current(timeout=timeout)
-    except SnapshotError:
-        return None
+    generation, engine = store.load_current(timeout=0.0)
     meta = store.current_meta() or {}
     return engine, dict(meta), generation
 
@@ -99,11 +100,13 @@ def recover_serving_state(
     """What a serving process restores before it binds (``repro serve``).
 
     ``engine`` -- resolved from ``--snapshot``/``--traces`` -- is the
-    cold-start fallback: a persistent ``store_root`` holding published
-    generations supersedes it.  With ``wal_dir`` the log is opened and its
-    suffix after the restored state's ``wal_seq`` (stamped in the
-    generation, or else in ``snapshot``'s manifest) is replayed, i.e.
-    everything the crashed process had already acknowledged.
+    cold-start fallback: a persistent ``store_root`` holding a loadable
+    generation supersedes it.  A store that gives no engine -- empty, or
+    its newest generation unloadable -- counts as no store, with a note
+    saying why.  With ``wal_dir`` the log is opened and its suffix after
+    the restored state's ``wal_seq`` (stamped in the generation, or else
+    in ``snapshot``'s manifest) is replayed, i.e. everything the crashed
+    process had already acknowledged.
 
     Returns ``(engine, wal, stream_state, notes)``: the engine to serve,
     the open log (``None`` without ``wal_dir``) and the stream state, both
@@ -113,12 +116,19 @@ def recover_serving_state(
     notes: List[str] = []
     meta: Dict[str, object] = {}
     stream_state = None
+    recovered = None
     if store_root:
-        recovered = recover_engine_from_store(store_root)
-        if recovered is not None:
-            engine, meta, generation = recovered
-            stream_state = meta.get("stream")
-            notes.append(f"recovered generation {generation} from {store_root}")
+        try:
+            recovered = recover_engine_from_store(store_root)
+        except SnapshotError as exc:
+            notes.append(f"ignored the generations in {store_root}: {exc}")
+        else:
+            if recovered is None:
+                notes.append(f"{store_root} holds no generation yet")
+    if recovered is not None:
+        engine, meta, generation = recovered
+        stream_state = meta.get("stream")
+        notes.append(f"recovered generation {generation} from {store_root}")
     elif wal_dir and snapshot:
         try:
             meta = read_manifest(snapshot).get("extra") or {}

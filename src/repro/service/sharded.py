@@ -61,9 +61,7 @@ from repro.storage.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
     _MANIFEST_NAME,
-    _digest,
     _measure_payload,
-    _recorded_fields,
     load_engine_snapshot,
     read_manifest,
     save_engine_snapshot,
@@ -618,19 +616,14 @@ class ShardedEngine:
         Every shard cold-starts from its engine snapshot (no re-signing);
         the routing table is rebuilt from shard membership, so every stored
         entity keeps the shard it was saved on, whatever rule placed it.
-        Only entities added after the load are hashed to a shard.  A
-        ``partitioner`` block written by older builds (hash, round-robin or
-        consistent-hash placement) is ignored.  The manifest must name
-        exactly the ``shard-NN`` directories :meth:`save` writes, so a
-        manifest cannot pull shards in from outside its directory.  The
-        router dataset is reassembled shard by shard, so its entity
-        iteration order may differ from the original -- query results are
-        unaffected.  ``mmap_columnar`` is forwarded to every shard's
+        Only entities added after the load are hashed to a shard.  The
+        manifest must name exactly the ``shard-NN`` directories :meth:`save`
+        writes, so a manifest cannot pull shards in from outside its
+        directory.  The router dataset is reassembled shard by shard, so its
+        entity iteration order may differ from the original -- query results
+        are unaffected.  ``mmap_columnar`` is forwarded to every shard's
         :func:`~repro.storage.snapshot.load_engine_snapshot` (zero-copy
-        compiled arrays for multi-process serving workers).  Shards written
-        before the per-level bound became the only one carry a
-        ``bound_mode`` stamp; it counts toward the fingerprints checked
-        here and is otherwise ignored, so the deployment answers exactly.
+        compiled arrays for multi-process serving workers).
         """
         directory = Path(path)
         manifest = read_manifest(directory)
@@ -661,8 +654,7 @@ class ShardedEngine:
         # instead of serving with inconsistent signatures.
         deployment_fingerprint = manifest.get("fingerprint")
         for name, shard in zip(shard_names, shard_engines):
-            recorded = read_manifest(directory / name)["config"]
-            if _digest(_recorded_fields(shard.config, recorded)) != deployment_fingerprint:
+            if shard.config.fingerprint() != deployment_fingerprint:
                 raise SnapshotError(
                     f"shard {name} in {directory} was built with a different engine "
                     "config than the deployment manifest records; the snapshot mixes "

@@ -20,12 +20,12 @@ re-signing the dataset**:
     stored as ``np.min_scalar_type(hash_range)`` -- the narrowest type
     holding every min-hash value and the empty-level sentinel
     ``hash_range`` -- and widened back to int64 on load.
-``columnar.npz`` (format version 2, optional)
-    The compiled :class:`~repro.core.columnar.ColumnarTree` arrays.  Kept
-    in their own file so cold start never parses them: the engine adopts a
-    digest-checked *lazy loader* and imports the arrays on the first query
-    (patching in what changed if the engine mutated in between) -- snapshot
-    load time is unchanged from format version 1.
+``columnar.npz``
+    The compiled :class:`~repro.core.columnar.ColumnarTree` arrays, cell
+    table included as the kernel's integer cell codes.  Kept in their own
+    file so cold start never parses them: the engine adopts a digest-checked
+    *lazy loader* and imports the arrays on the first query (patching in
+    what changed if the engine mutated in between).
 
 Loading restores the hash coefficients verbatim and rebuilds the tree node
 by node, so the restored engine is *bitwise-identical* to the saved one:
@@ -36,21 +36,20 @@ trace (:meth:`TraceDataset.restore_columns`).  Saving an engine that has
 not changed since its load hard-links the loaded snapshot's payload files
 instead of writing them again (:func:`_link_unchanged_snapshot`).
 
-Versioning / compatibility policy
----------------------------------
-``SNAPSHOT_FORMAT_VERSION`` is bumped on any incompatible layout change;
-loading a snapshot whose version this build does not know raises
-:class:`SnapshotError` (there is no silent migration).  Version 2 added
-the *optional* compiled columnar arrays; version-1 snapshots stay loadable
--- and a version-2 snapshot whose columnar arrays are missing or fail
-validation still loads -- because the compiled arrays are a pure cache:
-the engine recompiles them lazily on the first query, with identical
-results.  The manifest also stores an *index
-fingerprint* -- a SHA-256 over the semantic engine configuration, the
-measure parameters, and the hash-family shape -- plus a content digest of
-every payload file; both are recomputed and compared on load, so a
-tampered, corrupted, or mixed-up snapshot fails loudly instead of serving
-wrong results.
+Versioning policy
+-----------------
+``SNAPSHOT_FORMAT_VERSION`` is bumped on any incompatible layout change,
+and a build loads exactly its own version: any other, single or sharded,
+raises :class:`SnapshotError` naming the rebuild (``repro index build``).
+There is no migration path.  Within the version, a ``columnar.npz`` that is
+missing or fails validation does not fail the load: the compiled arrays
+are a pure cache, and the engine recompiles them lazily on the first query,
+with identical results.  The manifest also stores an *index fingerprint*
+-- a SHA-256 over the semantic engine configuration, the measure
+parameters, and the hash-family shape -- plus a ``content`` digest naming
+exactly the three payload files; both are recomputed and compared on load,
+so a tampered, corrupted, or mixed-up snapshot fails loudly instead of
+serving wrong results.
 """
 
 from __future__ import annotations
@@ -78,7 +77,6 @@ from repro.traces.dataset import TraceDataset
 from repro.traces.spatial import SpatialHierarchy
 
 __all__ = [
-    "COMPATIBLE_FORMAT_VERSIONS",
     "SHARDED_SNAPSHOT_FORMAT",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_FORMAT_VERSION",
@@ -95,17 +93,7 @@ PathLike = Union[str, Path]
 
 SNAPSHOT_FORMAT = "repro-engine-snapshot"
 SHARDED_SNAPSHOT_FORMAT = "repro-sharded-snapshot"
-SNAPSHOT_FORMAT_VERSION = 2
-#: Older format versions this build still loads (version 1 simply lacks
-#: the compiled columnar arrays, which are recompiled lazily).
-COMPATIBLE_FORMAT_VERSIONS = (1, 2)
-#: ``manifest["config"]`` keys earlier builds recorded for options that no
-#: longer exist; ignored on load so their snapshots and published
-#: generations keep loading.  Any other unknown key is still a
-#: :class:`SnapshotError`.  The first two only selected a slower
-#: bit-identical path; ``bound_mode`` selected the search bound, and every
-#: engine now prunes with the exact per-level one.
-_RETIRED_CONFIG_KEYS = ("bulk_signatures", "columnar_queries", "bound_mode")
+SNAPSHOT_FORMAT_VERSION = 3
 
 _MANIFEST_NAME = "manifest.json"
 _HIERARCHY_NAME = "hierarchy.json"
@@ -238,20 +226,6 @@ def _digest(payload: object) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _recorded_fields(config: EngineConfig, recorded: Mapping[str, object]) -> Dict[str, object]:
-    """``config.semantic_fields()`` as the build that wrote a manifest hashed them.
-
-    ``recorded`` is the manifest's ``config`` block.  Builds that still had
-    a ``bound_mode`` option hashed its value with the semantic fields, so
-    the old stamp is put back here, for the fingerprints alone: their
-    manifests still verify, and editing any field still breaks them.
-    """
-    fields = config.semantic_fields()
-    if "bound_mode" in recorded:
-        fields["bound_mode"] = recorded["bound_mode"]
-    return fields
-
-
 def index_fingerprint(
     config_fields: Mapping[str, object],
     measure_payload: Mapping[str, object],
@@ -313,9 +287,8 @@ def save_engine_snapshot(
 class _SnapshotSource:
     """The snapshot an engine was loaded from, and the state it loaded.
 
-    Recorded by :func:`load_engine_snapshot` on ``engine._snapshot_source``
-    when the arrays are in the layout a save writes; read by
-    :func:`_link_unchanged_snapshot`.
+    Recorded by :func:`load_engine_snapshot` on ``engine._snapshot_source``;
+    read by :func:`_link_unchanged_snapshot`.
     """
 
     directory: Path
@@ -354,10 +327,7 @@ def _link_unchanged_snapshot(
         or source.dataset.mutation_count != source.dataset_mutation
     ):
         return False
-    recorded = source.manifest.get("content")
-    if not isinstance(recorded, dict) or not all(name in recorded for name in _PAYLOAD_NAMES):
-        return False
-    content = {name: recorded[name] for name in _PAYLOAD_NAMES}
+    content = dict(source.manifest["content"])
     manifest = _engine_manifest(engine, measure_payload, content, source.num_nodes, extra_meta)
     performance = {field.name for field in dataclasses.fields(EngineConfig)} - set(
         engine.config.semantic_fields()
@@ -450,10 +420,9 @@ def _write_engine_snapshot(
     # latency, and signature matrices are high-entropy anyway.
     np.savez(directory / _ARRAYS_NAME, **arrays)
 
-    # Compiled columnar kernel (format version 2): persisted in its own
-    # file so loading never parses it eagerly -- the engine imports it
-    # lazily at the first query.  The compile is refreshed here if updates
-    # left it stale.
+    # Compiled columnar kernel: persisted in its own file so loading never
+    # parses it eagerly -- the engine imports it lazily at the first query.
+    # The compile is refreshed here if updates left it stale.
     np.savez(directory / _COLUMNAR_NAME, **engine.searcher.compiled_tree().export_arrays())
 
     content = {name: _file_digest(directory / name) for name in _PAYLOAD_NAMES}
@@ -542,11 +511,11 @@ def read_manifest(path: PathLike) -> Dict[str, object]:
     if fmt not in (SNAPSHOT_FORMAT, SHARDED_SNAPSHOT_FORMAT):
         raise SnapshotError(f"{directory} has unknown snapshot format {fmt!r}")
     version = manifest.get("format_version")
-    if version not in COMPATIBLE_FORMAT_VERSIONS:
+    if version != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotError(
             f"snapshot format version {version!r} is not supported by this build "
-            f"(expected one of {COMPATIBLE_FORMAT_VERSIONS}); re-create the "
-            "snapshot with `repro index build`"
+            f"(expected {SNAPSHOT_FORMAT_VERSION}); re-create the snapshot with "
+            "`repro index build`"
         )
     return manifest
 
@@ -570,12 +539,10 @@ def load_engine_snapshot(
     Raises
     ------
     SnapshotError
-        On a missing/foreign directory, a format-version mismatch, or a
+        On a missing/foreign directory, a format-version mismatch, a
         fingerprint mismatch between the manifest's stored identity and the
-        one recomputed from its contents.  The ``bound_mode`` stamp of a
-        manifest written before the per-level bound became the only one
-        counts toward its fingerprint and is otherwise ignored: the
-        engine answers exactly.
+        one recomputed from its contents, or a ``content`` map that does not
+        name exactly the payload files with their digests.
     """
     directory = Path(path)
     manifest = read_manifest(directory)
@@ -586,18 +553,10 @@ def load_engine_snapshot(
         )
 
     try:
-        config = EngineConfig(
-            **{
-                key: value
-                for key, value in manifest["config"].items()
-                if key not in _RETIRED_CONFIG_KEYS
-            }
-        )
+        config = EngineConfig(**manifest["config"])
         measure_payload = manifest["measure"]
         hash_family_meta = manifest["hash_family"]
-        expected = index_fingerprint(
-            _recorded_fields(config, manifest["config"]), measure_payload, hash_family_meta
-        )
+        expected = index_fingerprint(config.semantic_fields(), measure_payload, hash_family_meta)
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"invalid snapshot manifest in {directory}: {exc}") from exc
     stored = manifest.get("fingerprint")
@@ -607,12 +566,17 @@ def load_engine_snapshot(
             f"but its contents hash to {expected!r}; the snapshot is corrupt or was "
             "edited by hand"
         )
-    for name, recorded in manifest.get("content", {}).items():
-        if name == _COLUMNAR_NAME:
-            # The columnar payload is a pure cache verified lazily by its
-            # loader at first query; a missing or corrupted file must drop
-            # the cache (recompile), never fail the load.
-            continue
+    content = manifest.get("content")
+    if not isinstance(content, dict) or set(content) != set(_PAYLOAD_NAMES):
+        raise SnapshotError(
+            f"invalid snapshot manifest in {directory}: content must map exactly "
+            f"{list(_PAYLOAD_NAMES)} to their digests, got {content!r}"
+        )
+    # The columnar payload is a pure cache verified lazily by its loader at
+    # first query; a missing or corrupted file must drop the cache
+    # (recompile), never fail the load.
+    for name in (_HIERARCHY_NAME, _ARRAYS_NAME):
+        recorded = content[name]
         actual = _file_digest(directory / name)
         if actual != recorded:
             raise SnapshotError(
@@ -711,23 +675,15 @@ def load_engine_snapshot(
         _install_columnar_loader(
             engine, directory, manifest, num_nodes, mmap_columnar=mmap_columnar
         )
-        narrow = np.min_scalar_type(family.hash_range)
-        if all(
-            data[name].dtype == narrow
-            for name in ("signatures", "node_full_signatures")
-            if name in data
-        ):
-            # Arrays in an older layout are saved in full, so a store
-            # converges on the current one.
-            engine._snapshot_source = _SnapshotSource(
-                directory=directory,
-                manifest=manifest,
-                tree=tree,
-                dataset=dataset,
-                tree_mutation=tree.mutation_count,
-                dataset_mutation=dataset.mutation_count,
-                num_nodes=num_nodes,
-            )
+        engine._snapshot_source = _SnapshotSource(
+            directory=directory,
+            manifest=manifest,
+            tree=tree,
+            dataset=dataset,
+            tree_mutation=tree.mutation_count,
+            dataset_mutation=dataset.mutation_count,
+            num_nodes=num_nodes,
+        )
     except SnapshotError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -824,15 +780,15 @@ def _install_columnar_loader(
     query the searcher patches in the touched entities, as it would for a
     kernel compiled at load.  The compiled arrays are a pure cache --
     results are identical with or without them -- so *any* problem (a
-    version-1 snapshot without them, a missing/tampered/inconsistent file)
-    simply falls back to the lazy recompile.  ``mmap_columnar`` prefers
-    zero-copy memory-mapped views over heap copies (and itself falls back
-    to a regular load when the archive cannot be mapped).  ``num_nodes`` is the loaded tree's node
+    missing, tampered or inconsistent file) simply falls back to the lazy
+    recompile.  ``mmap_columnar`` prefers zero-copy memory-mapped views
+    over heap copies (and itself falls back to a regular load when the
+    archive cannot be mapped).  ``num_nodes`` is the loaded tree's node
     count without the virtual root, which the compiled arrays must match.
     """
-    recorded_digest = manifest.get("content", {}).get(_COLUMNAR_NAME)
+    recorded_digest = manifest["content"][_COLUMNAR_NAME]
     payload = directory / _COLUMNAR_NAME
-    if recorded_digest is None or not payload.exists():
+    if not payload.exists():
         return
     from repro.core.columnar import ColumnarTree, load_npz_mmap
 

@@ -15,7 +15,7 @@ both sides see one index state), across:
   invalidate and recompile on every index or data mutation);
 * sharded deployments (shard counts {1, 2});
 * snapshot save/load, including the round-trip of the compiled arrays
-  themselves and the version-1 (pre-columnar) backward-compat path.
+  themselves and the recompile fallback for a payload the import refuses.
 """
 
 import dataclasses
@@ -513,12 +513,13 @@ class TestSnapshotRoundTrip:
         loaded = TraceQueryEngine.load(snap)
         assert loaded.top_k(query, k=5).items == expected
 
-    @pytest.mark.parametrize("tamper", ["unknown_unit", "reversed"])
+    @pytest.mark.parametrize(
+        "tamper", ["code_outside_its_level", "negative_code", "unsorted_codes", "offset_length"]
+    )
     def test_impossible_cell_table_falls_back_to_a_fresh_compile(self, tmp_path, tamper):
-        """Regression: the import accepted cell tables ``export_arrays`` can
-        never write -- a level's units unknown to it, or its cells out of
-        order -- and a kernel installed from one answered wrongly.  Both are
-        malformed payloads: the first query recompiles instead."""
+        """The import refuses integer cell tables ``export_arrays`` can never
+        write -- a kernel installed from one would answer wrongly -- and the
+        first query compiles once instead, with identical answers."""
         from repro.storage.snapshot import _file_digest
 
         hierarchy = SpatialHierarchy.regular([2, 2])
@@ -535,11 +536,20 @@ class TestSnapshotRoundTrip:
         snap = engine.save(tmp_path / "snap")
         with np.load(snap / "columnar.npz") as payload:
             arrays = {key: payload[key] for key in payload.files}
-        if tamper == "unknown_unit":
-            arrays["cell_units_1"] = np.array(["nowhere"] * arrays["cell_units_1"].size)
+        codes, offsets = arrays["cell_codes"], arrays["level_cell_offset"]
+        radix = len(hierarchy.coded_units())
+        first, stop = offsets[1], offsets[2]  # the base level's cells
+        if tamper == "code_outside_its_level":
+            # Still the level's smallest code, but of a level-1 unit.
+            codes[first] = codes[first] // radix * radix
+        elif tamper == "negative_code":
+            codes[first] = -1
+        elif tamper == "unsorted_codes":
+            codes[first:stop] = codes[first:stop][::-1].copy()
         else:
-            arrays["cell_times_1"] = arrays["cell_times_1"][::-1].copy()
-            arrays["cell_units_1"] = arrays["cell_units_1"][::-1].copy()
+            arrays["level_cell_offset"] = offsets[:-1]
+        with pytest.raises(ValueError, match="malformed columnar arrays"):
+            ColumnarTree.import_arrays(arrays, hierarchy=hierarchy, num_hashes=16)
         np.savez(snap / "columnar.npz", **arrays)
         manifest = json.loads((snap / "manifest.json").read_text())
         manifest["content"]["columnar.npz"] = _file_digest(snap / "columnar.npz")
@@ -549,57 +559,36 @@ class TestSnapshotRoundTrip:
         assert loaded.top_k("e0", k=3).items == expected
         assert loaded.searcher.kernel_compiles == 1  # the payload was refused
 
-    @pytest.mark.parametrize("layout", ["version1", "int64_signatures"])
-    def test_version1_snapshot_still_loads_and_recompiles(
-        self, hierarchy, tmp_path, seeded_rng, layout
+    @pytest.mark.parametrize("mmap_columnar", [False, True], ids=["heap", "mmap"])
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    def test_a_clean_load_adopts_the_persisted_kernel(
+        self, hierarchy, tmp_path, seeded_rng, num_shards, mmap_columnar
     ):
-        from repro.storage.snapshot import _file_digest
+        """A sound ``columnar.npz`` serves the first query without a compile;
+        a broken import would otherwise hide behind the recompile fallback."""
+        from repro.storage.snapshot import load_engine_snapshot
 
         rng = seeded_rng(67)
-        events = random_events(hierarchy, rng, num_entities=8)
-        engine = TraceQueryEngine(
-            dataset_from(hierarchy, events), num_hashes=16, seed=3
-        ).build()
-        snap = engine.save(tmp_path / "snap")
-
-        manifest = json.loads((snap / "manifest.json").read_text())
-        if layout == "version1":
-            # Rewrite the snapshot as a faithful version-1 artifact: no
-            # columnar payload, version 1, fresh content digests.
-            (snap / "columnar.npz").unlink()
-            manifest["format_version"] = 1
-            manifest["content"].pop("columnar.npz")
+        dataset = dataset_from(hierarchy, random_events(hierarchy, rng, num_entities=8))
+        if num_shards:
+            engine = ShardedEngine(dataset, num_hashes=16, seed=3, num_shards=num_shards)
         else:
-            # Signatures stored as int64, the layout of snapshots written
-            # before they were narrowed to the hash range's width.
-            with np.load(snap / "arrays.npz") as payload:
-                arrays = {key: payload[key] for key in payload.files}
-            assert arrays["signatures"].dtype != np.int64
-            arrays["signatures"] = arrays["signatures"].astype(np.int64)
-            np.savez(snap / "arrays.npz", **arrays)
-        manifest["content"]["arrays.npz"] = _file_digest(snap / "arrays.npz")
-        (snap / "manifest.json").write_text(json.dumps(manifest))
-
-        loaded = TraceQueryEngine.load(snap)
-        if layout == "version1":
-            assert loaded.searcher._compiled is None  # nothing precompiled...
-            assert loaded.searcher._compiled_loader is None
-        for entity in engine.dataset.entities:
-            signature = loaded.tree.signature_of(entity)
-            assert signature.dtype == np.int64
-            assert np.array_equal(signature, engine.tree.signature_of(entity))
-        query = loaded.dataset.entities[0]
-        assert loaded.top_k(query, k=5).items == engine.top_k(query, k=5).items
-        assert_identical(engine.top_k(query, k=5), loaded.top_k(query, k=5))
-        assert loaded.searcher._compiled is not None  # lazily recompiled
+            engine = TraceQueryEngine(dataset, num_hashes=16, seed=3)
+        load = ShardedEngine.load if num_shards else load_engine_snapshot
+        loaded = load(engine.build().save(tmp_path / "snap"), mmap_columnar=mmap_columnar)
+        for query in dataset.entities:
+            assert_identical(engine.top_k(query, k=5), loaded.top_k(query, k=5))
+        searchers = [shard.searcher for shard in loaded.shards] if num_shards else [loaded.searcher]
+        assert [searcher.kernel_compiles for searcher in searchers] == [0] * len(searchers)
 
     @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
-    def test_retired_config_keys_in_an_old_manifest_are_ignored(
-        self, hierarchy, tmp_path, num_shards, seeded_rng
+    @pytest.mark.parametrize("key", ["bound_mode", "bulk_signatures", "columnar_queries"])
+    def test_config_keys_of_deleted_options_are_refused(
+        self, hierarchy, tmp_path, num_shards, key, seeded_rng
     ):
-        """Snapshots written before the selectors were deleted record
-        ``bulk_signatures`` / ``columnar_queries``; exactly those two keys
-        are dropped on load, any other unknown key is still an error."""
+        """Earlier builds recorded these options in ``config``; this build
+        writes format 3 alone, so a manifest naming one is refused like any
+        other unknown key, never silently dropped."""
         from repro.storage.snapshot import SnapshotError
 
         rng = seeded_rng(79)
@@ -615,19 +604,10 @@ class TestSnapshotRoundTrip:
             else [snap / "manifest.json"]
         )
         assert len(manifests) == max(num_shards, 1)
-
-        def add_config_keys(**keys):
-            for path in manifests:
-                manifest = json.loads(path.read_text())
-                assert not set(keys) & set(manifest["config"])  # no longer written
-                manifest["config"].update(keys)
-                path.write_text(json.dumps(manifest))
-
-        add_config_keys(bulk_signatures=True, columnar_queries=False)
-        loaded = type(engine).load(snap)
-        query = dataset.entities[0]
-        assert_identical(engine.top_k(query, k=5), loaded.top_k(query, k=5))
-
-        add_config_keys(turbo=True)
-        with pytest.raises(SnapshotError, match="turbo"):
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert key not in manifest["config"]  # no longer written
+            manifest["config"][key] = "per_level" if key == "bound_mode" else True
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match=key):
             type(engine).load(snap)

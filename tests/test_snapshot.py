@@ -8,10 +8,8 @@ processes; and any version or fingerprint mismatch fails loudly instead of
 serving wrong results.
 """
 
-import hashlib
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -24,11 +22,9 @@ from repro import (
     JaccardADM,
     PresenceInstance,
     ShardedEngine,
-    SpatialHierarchy,
     TraceDataset,
     TraceQueryEngine,
 )
-from repro.baselines import BruteForceTopK
 from repro.cli import main as cli_main
 from repro.measures.base import AssociationMeasure
 from repro.storage.snapshot import (
@@ -471,135 +467,113 @@ class TestSnapshotInfo:
         assert (returned / "hierarchy.json").exists()
 
 
-def _digest(payload) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _rewrite_manifests(snapshot, edit) -> None:
+    """Apply ``edit`` to every manifest of a single or sharded snapshot."""
+    for path in sorted(snapshot.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
 
 
-def _coarse_overlap_dataset() -> TraceDataset:
-    """Random traces on which the paper's lifted bound misses answers.
+class TestRetiredLayouts:
+    """This build loads format 3 alone: older layouts are refused, not migrated.
 
-    At ``num_hashes=16, seed=3`` a search pruning with it returns a wrong
-    top-k for ``e3`` and ``e11``, whose best associates share only coarse
-    cells with them.
-    """
-    rng = random.Random(3)
-    hierarchy = SpatialHierarchy.regular([2, 2, 2], prefix="r")
-    dataset = TraceDataset(hierarchy, horizon=24)
-    for index in range(12):
-        for _ in range(rng.randint(1, 12)):
-            dataset.add_record(
-                f"e{index}",
-                rng.choice(hierarchy.base_units),
-                rng.randrange(23),
-                duration=rng.randint(1, 2),
-            )
-    return dataset
-
-
-class TestOlderStores:
-    """Stores written while engines still had a ``bound_mode`` option.
-
-    Their manifests record the option in ``config`` and hash it into both
-    fingerprints.  They must keep loading, and answer exactly whatever
-    bound they were built for.
+    Format 1 had no ``columnar.npz``; format 2 stored the compiled cell
+    table as unit-id strings.  Either, single or sharded, must fail with
+    the rebuild hint, never a traceback and never a silently served index.
     """
 
-    KNOBS = dict(num_hashes=16, seed=3)
-
-    def write_old_store(self, path, num_shards, bound_mode):
-        """Save an engine, then rewrite its manifests as an older build did."""
-        if num_shards:
-            engine = ShardedEngine(_coarse_overlap_dataset(), num_shards=num_shards, **self.KNOBS)
+    @pytest.fixture(params=[0, 3], ids=["single", "sharded"])
+    def snapshot(self, request, small_dataset, small_measure, tmp_path):
+        knobs = dict(measure=small_measure, num_hashes=32, seed=5)
+        if request.param:
+            engine = ShardedEngine(small_dataset, num_shards=request.param, **knobs)
         else:
-            engine = TraceQueryEngine(_coarse_overlap_dataset(), **self.KNOBS)
-        snap = engine.build().save(path)
-        for manifest_path in sorted(snap.glob("shard-*/manifest.json")) or [
-            snap / "manifest.json"
-        ]:
+            engine = TraceQueryEngine(small_dataset, **knobs)
+        return type(engine), engine.build().save(tmp_path / "snap")
+
+    @staticmethod
+    def stamp_format(snapshot, version) -> None:
+        """Rewrite ``snapshot`` as a format-``version`` one of an older build."""
+
+        def edit(manifest):
+            manifest["format_version"] = version
+            if version == 1 and "content" in manifest:
+                manifest["content"].pop("columnar.npz")
+
+        _rewrite_manifests(snapshot, edit)
+        if version == 1:
+            for payload in snapshot.rglob("columnar.npz"):
+                payload.unlink()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_load_refuses_an_older_format(self, snapshot, version):
+        kind, path = snapshot
+        self.stamp_format(path, version)
+        with pytest.raises(SnapshotError, match=f"format version {version} .*re-create"):
+            kind.load(path)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize(
+        "command",
+        [["index", "info", "--snapshot"], ["query", "--entity", "a", "--k", "3", "--snapshot"]],
+        ids=["index-info", "query"],
+    )
+    def test_the_cli_refuses_an_older_format(self, snapshot, version, command, capsys):
+        _kind, path = snapshot
+        self.stamp_format(path, version)
+        assert cli_main([*command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "re-create the snapshot with `repro index build`" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_new_manifests_record_no_bound(self, snapshot):
+        _kind, path = snapshot
+        for manifest_path in path.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
-            manifest["config"]["bound_mode"] = bound_mode
-            semantic = {
-                key: manifest["config"][key]
-                for key in (
-                    "num_hashes",
-                    "seed",
-                    "store_full_signatures",
-                    "use_full_signatures",
-                    "bound_mode",
-                )
-            }
-            manifest["fingerprint"] = _digest(
-                {
-                    "config": semantic,
-                    "measure": manifest["measure"],
-                    "hash_family": manifest["hash_family"],
-                }
-            )
-            manifest_path.write_text(json.dumps(manifest))
-        if num_shards:
-            # The deployment manifest carries the config's own fingerprint.
-            deployment = json.loads((snap / "manifest.json").read_text())
-            deployment["fingerprint"] = _digest(semantic)
-            (snap / "manifest.json").write_text(json.dumps(deployment))
-        return type(engine), snap
+            assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 3
+            assert "bound_mode" not in manifest.get("config", {}), manifest_path
 
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
-    @pytest.mark.parametrize("bound_mode", ["lift", "per_level"])
-    def test_old_store_loads_and_answers_exactly(self, tmp_path, capsys, num_shards, bound_mode):
-        kind, snap = self.write_old_store(tmp_path / "snap", num_shards, bound_mode)
-        loaded = kind.load(snap)
-        dataset = _coarse_overlap_dataset()
-        if num_shards:
-            fresh = ShardedEngine(dataset, num_shards=num_shards, **self.KNOBS).build()
-        else:
-            fresh = TraceQueryEngine(dataset, **self.KNOBS).build()
-        oracle = BruteForceTopK(dataset, fresh.measure, tie_break="entity")
-        for query in dataset.entities:
-            for k in (1, 3):
-                answer = loaded.top_k(query, k)
-                assert answer.items == fresh.top_k(query, k).items
-                assert answer.stats == fresh.top_k(query, k).stats
-                assert answer.items == oracle.search(query, k).items, (query, k)
 
-        assert cli_main(["index", "info", "--snapshot", str(snap)]) == 0
-        assert cli_main(["query", "--snapshot", str(snap), "--entity", "e3", "--k", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "bound_mode" not in out
-        assert oracle.search("e3", 1).entities[0] in out
+class TestContentMap:
+    """The manifest's ``content`` must name exactly the three payload files.
 
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
-    def test_edited_old_manifest_still_fails_its_fingerprint(self, tmp_path, num_shards):
-        kind, snap = self.write_old_store(tmp_path / "snap", num_shards, "lift")
-        manifest_path = snap / ("shard-01" if num_shards else "") / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["num_hashes"] *= 2
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="fingerprint mismatch"):
-            kind.load(snap)
+    Regression: only the names it listed were digest-checked, so with
+    ``content: {}`` or ``arrays.npz`` dropped from it, an ``arrays.npz``
+    copied in from another engine loaded and served its answers, and
+    ``content: []`` raised ``AttributeError``.
+    """
 
-    def test_old_sharded_deployment_stamp_is_cross_checked(self, tmp_path):
-        # Each shard verifies on its own; the deployment's fingerprint must
-        # still match the shards' stamped config.
-        kind, snap = self.write_old_store(tmp_path / "snap", 2, "lift")
-        deployment = json.loads((snap / "manifest.json").read_text())
-        deployment["fingerprint"] = ShardedEngine(
-            _coarse_overlap_dataset(), num_shards=2, **self.KNOBS
-        ).config.fingerprint()
-        (snap / "manifest.json").write_text(json.dumps(deployment))
-        with pytest.raises(SnapshotError, match="different engine config"):
-            kind.load(snap)
+    @pytest.mark.parametrize(
+        "content",
+        ["empty", "no_arrays", "no_columnar", "extra_name", "list", "missing"],
+    )
+    def test_an_incomplete_content_map_is_refused(
+        self, small_engine, tmp_path, content
+    ):
+        snapshot = small_engine.save(tmp_path / "snap")
+        other = TraceQueryEngine(
+            small_engine.dataset, measure=small_engine.measure, num_hashes=32, seed=6
+        ).build().save(tmp_path / "other")
+        shutil.copyfile(other / "arrays.npz", snapshot / "arrays.npz")
 
-    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
-    def test_new_manifests_record_no_bound(self, tmp_path, num_shards):
-        if num_shards:
-            engine = ShardedEngine(_coarse_overlap_dataset(), num_shards=num_shards, **self.KNOBS)
-        else:
-            engine = TraceQueryEngine(_coarse_overlap_dataset(), **self.KNOBS)
-        snap = engine.build().save(tmp_path / "snap")
-        for manifest_path in snap.rglob("manifest.json"):
-            manifest = json.loads(manifest_path.read_text())
-            assert "bound_mode" not in manifest["config"], manifest_path
+        def edit(manifest):
+            if content == "empty":
+                manifest["content"] = {}
+            elif content == "no_arrays":
+                manifest["content"].pop("arrays.npz")
+            elif content == "no_columnar":
+                manifest["content"].pop("columnar.npz")
+            elif content == "extra_name":
+                manifest["content"]["notes.txt"] = manifest["content"]["arrays.npz"]
+            elif content == "list":
+                manifest["content"] = []
+            else:
+                del manifest["content"]
+
+        _rewrite_manifests(snapshot, edit)
+        with pytest.raises(SnapshotError, match="content must map exactly"):
+            TraceQueryEngine.load(snapshot)
 
 
 PAYLOAD = ("hierarchy.json", "arrays.npz", "columnar.npz")
@@ -670,30 +644,14 @@ class TestLinkedSave:
         for query in ("a", "d"):
             assert restored.top_k(query, k=3).items == fleet.top_k(query, k=3).items
 
-    @pytest.mark.parametrize(
-        "change", ["wal-replay", "measure-override", "version1", "int64_signatures"]
-    )
-    def test_a_changed_or_older_engine_is_saved_in_full(
+    @pytest.mark.parametrize("change", ["wal-replay", "measure-override"])
+    def test_a_changed_engine_is_saved_in_full(
         self, small_engine, small_hierarchy, tmp_path, change
     ):
         from repro.server.recovery import replay_wal_into_engine
-        from repro.storage.snapshot import _file_digest
         from repro.streaming import WriteAheadLog
 
         source = small_engine.save(tmp_path / "source")
-        manifest = json.loads((source / "manifest.json").read_text())
-        if change == "version1":
-            (source / "columnar.npz").unlink()
-            manifest["format_version"] = 1
-            manifest["content"].pop("columnar.npz")
-        elif change == "int64_signatures":
-            with np.load(source / "arrays.npz") as payload:
-                arrays = {key: payload[key] for key in payload.files}
-            arrays["signatures"] = arrays["signatures"].astype(np.int64)
-            np.savez(source / "arrays.npz", **arrays)
-            manifest["content"]["arrays.npz"] = _file_digest(source / "arrays.npz")
-        (source / "manifest.json").write_text(json.dumps(manifest))
-
         measure = None
         if change == "measure-override":
             measure = JaccardADM(num_levels=small_hierarchy.num_levels)

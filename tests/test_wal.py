@@ -29,7 +29,8 @@ from repro import (
 )
 from repro.cli import main as cli_main
 from repro.core.columnar import ColumnarTree
-from repro.server.recovery import replay_wal_into_engine
+from repro.server.generation import GenerationStore
+from repro.server.recovery import recover_serving_state, replay_wal_into_engine
 from repro.storage.snapshot import load_engine_snapshot, read_manifest
 from repro.streaming import (
     StreamingConfig,
@@ -326,6 +327,58 @@ class TestRecoveryEquivalence:
         assert summary.last_seq == wal.last_seq
         assert stream_state == ingestor.stream_state()
         assert_engines_byte_identical(restarted, live)
+
+    @pytest.mark.parametrize("store", ["absent", "empty", "older-build"])
+    def test_a_store_that_gives_no_engine_resumes_at_the_snapshot_stamp(
+        self, tmp_path, hierarchy, seeded_rng, store
+    ):
+        """Regression: with an empty or unloadable ``--store``, recovery
+        ignored the ``--snapshot`` manifest's ``wal_seq`` and replayed the
+        log from its first record, applying the snapshot's records twice.
+        Such a store now counts as no store, with one note saying why."""
+        events = make_stream(hierarchy, seeded_rng(24), count=120)
+        live = fresh_engine(hierarchy)
+        wal = WriteAheadLog(tmp_path / "wal")
+        ingestor = EventIngestor(live, wal=wal, **STREAMING)
+        ingestor.extend(events[:60])
+        ingestor.flush()
+        snapshot = tmp_path / "snap"
+        meta = {"wal_seq": wal.last_seq, "stream": ingestor.stream_state()}
+        live.save(snapshot, extra_meta=meta)
+        ingestor.extend(events[60:])
+        ingestor.flush()
+        wal.close()
+
+        store_root = None if store == "absent" else tmp_path / "store"
+        if store == "older-build":
+            # A generation an older build published: format 2 on disk.
+            GenerationStore(store_root).publish(load_engine_snapshot(snapshot), meta)
+            manifest_path = store_root / "gen-000001" / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["format_version"] = 2
+            manifest_path.write_text(json.dumps(manifest))
+        elif store == "empty":
+            store_root.mkdir()
+
+        engine, recovered_wal, stream_state, notes = recover_serving_state(
+            load_engine_snapshot(snapshot),
+            StreamingConfig(**STREAMING),
+            wal_dir=tmp_path / "wal",
+            store_root=store_root,
+            snapshot=snapshot,
+        )
+        recovered_wal.close()
+        assert stream_state == ingestor.stream_state()
+        assert_engines_byte_identical(engine, live)
+        assert engine.dataset.num_presences == live.dataset.num_presences
+        store_notes = [note for note in notes if "WAL" not in note]
+        if store == "absent":
+            assert store_notes == []
+        elif store == "empty":
+            assert store_notes == [f"{store_root} holds no generation yet"]
+        else:
+            assert len(store_notes) == 1
+            assert "re-create the snapshot with `repro index build`" in store_notes[0]
 
     def test_replay_after_torn_tail_recovers_acknowledged_prefix(
         self, tmp_path, hierarchy, seeded_rng
