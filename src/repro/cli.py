@@ -68,7 +68,7 @@ from repro.core.engine import TraceQueryEngine
 from repro.measures.adm import HierarchicalADM
 from repro.mobility.hierarchical import generate_synthetic_dataset
 from repro.mobility.wifi import generate_wifi_dataset
-from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine
+from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine, load_snapshot
 from repro.traces.io import (
     load_hierarchy_json,
     load_traces_csv,
@@ -357,13 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster (default: a private temporary directory discarded on exit); "
         "with --workers, on restart the daemon recovers from the newest "
         "published generation, then replays the --wal suffix",
-    )
-    serve.add_argument(
-        "--delta-limit",
-        type=int,
-        default=None,
-        help="consecutive delta generations published before a full snapshot "
-        "is forced (0 = publish every generation as a full snapshot; default 8)",
     )
     serve.add_argument(
         "--trace-sample",
@@ -814,16 +807,6 @@ def _watch_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_snapshot_engine(path: str) -> Union[TraceQueryEngine, ShardedEngine]:
-    """Load a snapshot directory, auto-detecting single vs sharded format."""
-    from repro.storage.snapshot import read_manifest
-
-    manifest = read_manifest(path)
-    if manifest.get("format") == SHARDED_SNAPSHOT_FORMAT:
-        return ShardedEngine.load(path)
-    return TraceQueryEngine.load(path)
-
-
 def _explicit_index_options(args: argparse.Namespace) -> List[str]:
     """Index-shaping options the user passed explicitly (query/serve only)."""
     candidates = (
@@ -878,7 +861,7 @@ def _resolve_engine(
                 "--horizon cannot be combined with --snapshot; the snapshot fixes it"
             )
         try:
-            return _load_snapshot_engine(args.snapshot)
+            return load_snapshot(args.snapshot)
         except SnapshotError as exc:
             raise _CommandError(str(exc)) from exc
 
@@ -1185,14 +1168,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         return _error("--cluster and --workers are mutually exclusive tiers")
     if not (0.0 <= args.trace_sample <= 1.0):
         return _error(f"--trace-sample must be within [0, 1], got {args.trace_sample}")
-    if args.delta_limit is None:
-        # Resolved here, not in the parser: importing repro.server is only
-        # worth its cost for the command that serves.
-        from repro.server.generation import DELTA_CHAIN_LIMIT
-
-        args.delta_limit = DELTA_CHAIN_LIMIT
-    if args.delta_limit < 0:
-        return _error(f"--delta-limit must be >= 0, got {args.delta_limit}")
     if args.store and not (args.workers or args.cluster):
         return _error(
             "--store needs --workers or --cluster: a single-process daemon "
@@ -1245,21 +1220,11 @@ def _run_server(engine, args: argparse.Namespace) -> int:
         if cluster:
             from repro.cluster.frontend import cluster_tier
 
-            tier = cluster_tier(
-                engine,
-                replication=cluster,
-                store_root=store_root,
-                delta_limit=args.delta_limit,
-            )
+            tier = cluster_tier(engine, replication=cluster, store_root=store_root)
         elif workers:
             from repro.server.frontend import worker_tier
 
-            tier = worker_tier(
-                engine,
-                workers=workers,
-                store_root=store_root,
-                delta_limit=args.delta_limit,
-            )
+            tier = worker_tier(engine, workers=workers, store_root=store_root)
         server = TraceServer(
             engine,
             streaming=streaming,
@@ -1395,7 +1360,7 @@ def _command_wal_replay(args: argparse.Namespace) -> int:
         return _error(f"--compact-every must be >= 0, got {args.compact_every}")
     try:
         manifest = read_manifest(args.snapshot)
-        engine = _load_snapshot_engine(args.snapshot)
+        engine = load_snapshot(args.snapshot)
     except SnapshotError as exc:
         return _error(str(exc))
     meta = manifest.get("extra") or {}

@@ -5,8 +5,8 @@ ingest and top-k queries plays against a live 2-shard x R-replica
 :class:`~repro.server.app.TraceServer` (the
 :func:`~repro.cluster.frontend.cluster_tier` configuration) while the
 :class:`~repro.cluster.chaos.ChaosController` injects faults between and
-*during* query bursts -- SIGKILLed replicas, delayed replies (forcing
-hedges), dropped exchanges (forcing retries), and a whole-group blackout.
+*during* query bursts -- SIGKILLed replicas, replicas paused with
+SIGSTOP (forcing hedges to their siblings), and a whole-group blackout.
 Two oracles gate every answer:
 
 - **item exactness** -- the ``(entity, score)`` list must equal a single,
@@ -54,6 +54,7 @@ HORIZON = 128
 NUM_HASHES = 32
 ENGINE_SEED = 9
 MICRO_BATCH = 64  # larger than any round's chunk: flushes are explicit
+PAUSE_SECONDS = 3.0  # outlasts a smoke burst; clear() resumes earlier
 
 
 def _base_dataset(entities: int) -> TraceDataset:
@@ -203,8 +204,8 @@ def run_battery(
 
     ``smoke`` shrinks the workload (CI-sized: same faults, fewer
     queries).  The fault schedule is fixed -- warmup, kill-one-per-group
-    mid-burst, wire chaos (delays + drops), whole-group blackout,
-    recovery -- only the workload volume scales.
+    mid-burst, paused replicas, whole-group blackout, recovery -- only the
+    workload volume scales.
     """
     rng = random.Random(seed)
     seed_entities = 20 if smoke else 36
@@ -245,13 +246,21 @@ def run_battery(
     known = [f"seed-{index:03d}" for index in range(seed_entities)]
     rounds: List[Dict[str, object]] = []
 
-    def record_round(name: str, detail: str = "") -> None:
+    def record_round(name: str, detail: str = "", must_hedge: bool = False) -> None:
+        groups = fleet.coordinator.snapshot()["groups"]
+        # The groups' counters are cumulative; a round reports its own share.
+        hedges = sum(group["counters"]["hedges"] for group in groups) - sum(
+            entry["hedges"] for entry in rounds
+        )
+        if must_hedge and hedges == 0:
+            gates.failures.append(f"round {name}: no query hedged")
         rounds.append(
             {
                 "round": name,
                 "detail": detail,
                 "checks": dict(gates.checks),
                 "failures": len(gates.failures),
+                "hedges": hedges,
             }
         )
 
@@ -274,19 +283,18 @@ def run_battery(
             )
         record_round("kill_one_per_group", detail=",".join(killed))
 
-        # Round 2: wire chaos -- slow replies force hedges, drops force
-        # retries; answers must stay exact and byte-identical throughout.
+        # Round 2: SIGSTOP r0 of every group -- a hung replica that still
+        # holds its socket.  The hedge to r1 must answer, exactly and
+        # byte-identically; the paused exchanges finish after SIGCONT.
         error = _ingest(server, oracle_ingestor, _round_events(rng, 2, chunk))
         if error:
             gates.failures.append(error)
         known = sorted(oracle.dataset.entities)
         for group in fleet.groups:
-            chaos.slow_replies(f"{group.shard}-r0", delay=0.3)
-            if replication > 1:
-                chaos.drop_requests(f"{group.shard}-r1", count=2)
+            chaos.pause(f"{group.shard}-r0", PAUSE_SECONDS)
         _query_burst(server, oracle, gates, rng, known, burst)
         chaos.clear()
-        record_round("wire_chaos")
+        record_round("pause_replicas", must_hedge=replication > 1)
 
         # Round 3: blackout one whole group -> answers degrade, marked.
         blackout_index = shards - 1
@@ -339,6 +347,7 @@ def run_battery(
         coordinator = fleet.coordinator.snapshot()
         supervisor = fleet.supervisor.snapshot()
     finally:
+        chaos.clear()  # a stopped process would need SIGKILL
         stubborn = fleet.supervisor.shutdown_processes()
         server.close()
 

@@ -2,7 +2,9 @@
 
 The chaos battery (and the cluster tests) speak to the cluster through
 this controller rather than poking processes directly, so every injected
-fault is one of a small, named vocabulary:
+fault is one of a small, named vocabulary.  Every fault is a process
+fault delivered with an OS signal: a read process has no fault switch of
+its own, so nothing here can leave one behind.
 
 - ``kill_one_per_group()`` -- SIGKILL one *unsuspended* replica in every
   shard group.  The supervisor is allowed to respawn it; this is the
@@ -10,22 +12,24 @@ fault is one of a small, named vocabulary:
 - ``blackout_group(index)`` -- suspend and SIGKILL *every* replica of one
   group.  The shard is gone until ``restore_group``; the coordinator must
   answer degraded (marked!), never wrong.
-- ``slow_replies`` / ``drop_requests`` / ``refuse_connections`` -- set a
-  live replica's in-memory chaos flags over the wire (the shard server's
-  ``chaos`` op): delayed replies exercise hedging, dropped exchanges
-  exercise retry, refused connects exercise failover.
+- ``pause(name, seconds)`` -- SIGSTOP one replica and SIGCONT it
+  ``seconds`` later.  A stopped process keeps its socket, so connects
+  succeed and requests wait unanswered: a hung replica, which the replica
+  group's hedge to a sibling must answer around.  ``clear()`` resumes
+  every replica still paused (a stopped process cannot act on the
+  SIGTERM of a clean shutdown).
 
 Every injector tolerates the replica dying mid-injection (the race is the
-point of chaos testing): wire errors surface as a ``False`` return, not
-an exception.
+point of chaos testing): a replica that is not running is a ``False``
+return, not an exception.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.cluster.replica import ReplicaClient
-from repro.server.workers import ReadProcessError
+import os
+import signal
+import threading
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["ChaosController"]
 
@@ -38,10 +42,10 @@ class ChaosController:
         #: Every fault injected, in order -- returned in battery reports so
         #: a failure names the exact fault schedule that produced it.
         self.injected: List[Dict[str, object]] = []
+        #: Replica name -> the paused process id and the timer resuming it.
+        self._paused: Dict[str, Tuple[int, threading.Timer]] = {}
+        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # Process faults
-    # ------------------------------------------------------------------
     def kill_one_per_group(self, replica_index: int = 0) -> List[str]:
         """SIGKILL replica ``replica_index`` of every group; supervisor revives."""
         killed = []
@@ -72,38 +76,54 @@ class ChaosController:
         self.fleet.supervisor.resume(names)
         self.injected.append({"fault": "restore_group", "shard": group.shard})
 
-    # ------------------------------------------------------------------
-    # Wire faults (shard-server chaos flags)
-    # ------------------------------------------------------------------
-    def _configure(self, name: str, flags: Dict[str, object]) -> bool:
+    def pause(self, name: str, seconds: float) -> bool:
+        """SIGSTOP replica ``name`` now and SIGCONT it ``seconds`` later.
+
+        ``False`` when the replica is not running (never spawned, or
+        gone); pausing a paused replica restarts its timer.
+        """
         replica = self.fleet.managed[name]
-        if replica.port is None:
-            return False
-        # A one-use client: chaos frames never ride a serving connection.
-        with ReplicaClient(
-            name, replica.host, replica.port, self.fleet.cluster_config
-        ) as client:
-            try:
-                reply = client.request({"op": "chaos", **flags})
-            except ReadProcessError:
+        # Signals are sent under the lock, so an expiring timer can never
+        # SIGCONT between this SIGSTOP and the new timer's registration.
+        with self._lock:
+            pid = replica.pid
+            if not replica.alive() or not _send(pid, signal.SIGSTOP):
                 return False
-        self.injected.append({"fault": "chaos_flags", "replica": name, **flags})
-        return bool(reply.get("ok"))
+            previous = self._paused.get(name)
+            if previous is not None:
+                previous[1].cancel()
+            timer = threading.Timer(seconds, lambda: self._resume(name, timer))
+            timer.daemon = True
+            self._paused[name] = (pid, timer)
+            timer.start()
+        self.injected.append({"fault": "pause", "replica": name, "seconds": float(seconds)})
+        return True
 
-    def slow_replies(self, name: str, delay: float) -> bool:
-        """Every reply from ``name`` sleeps ``delay`` seconds first."""
-        return self._configure(name, {"delay": float(delay)})
+    def _resume(self, name: str, timer: Optional[threading.Timer] = None) -> None:
+        """SIGCONT replica ``name`` if still paused; a ``timer`` resumes
+        only its own pause, not one that replaced it."""
+        with self._lock:
+            pid, current = self._paused.get(name, (None, None))
+            if current is None or (timer is not None and current is not timer):
+                return
+            del self._paused[name]
+            current.cancel()
+            replica = self.fleet.managed[name]
+            # The same, unreaped process: a respawned replica was never paused.
+            if replica.pid == pid and replica.alive():
+                _send(pid, signal.SIGCONT)
 
-    def drop_requests(self, name: str, count: int) -> bool:
-        """The next ``count`` exchanges with ``name`` vanish mid-flight."""
-        return self._configure(name, {"drop": int(count)})
+    def clear(self) -> None:
+        """Resume every replica still paused."""
+        with self._lock:
+            names = list(self._paused)
+        for name in names:
+            self._resume(name)
 
-    def refuse_connections(self, name: str, refuse: bool = True) -> bool:
-        """``name`` accepts and instantly closes new connections."""
-        return self._configure(name, {"refuse": bool(refuse)})
 
-    def clear(self, name: Optional[str] = None) -> None:
-        """Reset wire-level flags on one replica (or all live ones)."""
-        names = [name] if name is not None else list(self.fleet.managed)
-        for target in names:
-            self._configure(target, {"delay": 0.0, "drop": 0, "refuse": False})
+def _send(pid: int, signum: int) -> bool:
+    try:
+        os.kill(pid, signum)
+    except ProcessLookupError:
+        return False
+    return True

@@ -34,7 +34,7 @@ from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
 from repro.cluster.supervisor import ManagedReplica, ReplicaSupervisor
 from repro.server.app import ServingPart, Traces
 from repro.server.frontend import GenerationPublisher
-from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore
+from repro.server.generation import GenerationStore
 
 __all__ = ["ClusterFleet", "ShardPublisher", "cluster_tier", "shard_name"]
 
@@ -61,9 +61,7 @@ class ShardPublisher(GenerationPublisher):
         if not hasattr(self.engine, "shards"):
             raise ValueError("the cluster tier needs a built ShardedEngine")
         self.stores: Dict[str, GenerationStore] = {
-            shard_name(index): GenerationStore(
-                self.root / shard_name(index), delta_limit=self.delta_limit
-            )
+            shard_name(index): GenerationStore(self.root / shard_name(index))
             for index in range(self.engine.num_shards)
         }
 
@@ -177,8 +175,6 @@ class ClusterFleet(ServingPart):
         shard-side spans of :meth:`ClusterCoordinator.topk_payloads`."""
         return self.coordinator.topk_payloads(list(entities), k, approximation, traces)
 
-    topk_batch = topk
-
     def health(self) -> Dict[str, object]:
         """``cluster`` topology and per-shard liveness; a shard group with
         no live replica turns the probe's ``status`` to ``degraded``."""
@@ -217,7 +213,6 @@ def cluster_tier(
     replication: int = 2,
     store_root: Optional[os.PathLike] = None,
     startup_timeout: float = 60.0,
-    delta_limit: int = DELTA_CHAIN_LIMIT,
     cluster_config: Optional[ClusterConfig] = None,
 ) -> Dict[str, ServingPart]:
     """The ``--cluster R`` tier as :class:`~repro.server.app.TraceServer`
@@ -226,7 +221,7 @@ def cluster_tier(
     ``engine`` must be a built :class:`~repro.service.sharded.ShardedEngine`;
     its shard count fixes the cluster's ``S``.
     """
-    publisher = ShardPublisher(engine, store_root, delta_limit)
+    publisher = ShardPublisher(engine, store_root)
     try:
         fleet = ClusterFleet(publisher, replication, cluster_config, startup_timeout)
     except BaseException:

@@ -97,9 +97,9 @@ class ServingPart:
     :meth:`stats` into ``/v1/stats``, so each counter is reported once, by
     the object that keeps it; ``/metrics`` renders those sections through
     :func:`repro.server.metrics.metric_families`.  A *read backend*
-    additionally answers queries -- ``topk`` for one
-    coalesced round (and the coalescer's one-query fallback) and
-    ``topk_batch`` for a client's batch request, both
+    additionally answers queries with its one method ``topk`` -- a
+    coalesced round, the coalescer's one-query fallback and a client's
+    batch request alike --
     ``(entities, k, approximation, traces) -> [result payload, ...]`` in
     request order, raising ``KeyError`` for an unknown entity and
     ``RuntimeError`` when no answer could be produced.
@@ -142,8 +142,6 @@ class EngineBackend(ServingPart):
                 entities, k=k, approximation=approximation, traces=traces
             ).results
         return [protocol.topk_result_payload(result) for result in results]
-
-    topk_batch = topk
 
 
 class TraceServer:
@@ -339,7 +337,7 @@ class TraceServer:
             return refusal
         try:
             if request.batch:
-                payloads = self.backend.topk_batch(
+                payloads = self.backend.topk(
                     request.entities,
                     request.k,
                     request.approximation,

@@ -44,7 +44,7 @@ from repro.core.query import fan_out_queries
 from repro.obs.trace import SpanContext
 from repro.server.app import ServingPart
 from repro.server.backoff import ExponentialBackoff
-from repro.server.generation import DELTA_CHAIN_LIMIT, GenerationStore, SnapshotDelta
+from repro.server.generation import GenerationStore, SnapshotDelta
 from repro.server.workers import (
     Address,
     ReadClient,
@@ -110,9 +110,10 @@ class _WorkerHandle(ReadProcess):
 class WorkerPool(ServingPart):
     """N worker processes behind an idle-handle queue -- a read backend.
 
-    ``topk`` checks a handle out, performs one framed exchange, and checks
-    it back in; concurrent callers therefore spread over the pool, and a
-    scattered batch occupies as many workers as it has chunks.  A broken
+    ``topk`` scatters its queries in chunks; each chunk checks a handle
+    out, performs one framed exchange, and checks it back in, so
+    concurrent callers spread over the pool and one call occupies as many
+    workers as it has chunks.  A broken
     handle is respawned and the request retried on the pool -- bounded by
     ``num_workers + 1`` attempts so a systematically failing request
     cannot retry forever.
@@ -186,13 +187,43 @@ class WorkerPool(ServingPart):
         approximation: float,
         traces: Optional[List[Optional[SpanContext]]] = None,
     ) -> List[Dict[str, object]]:
-        """Answer one batch of queries on one worker; respawn-and-retry on death.
+        """Scatter the queries over the pool, gather them in request order.
 
-        Returns the per-query payload dicts in request order.  Raises
-        ``KeyError`` for an entity unknown to the worker's generation and
-        ``RuntimeError`` for transport-level failures that survived every
-        retry -- both mapped by the HTTP layer exactly like the in-process
-        daemon's errors.
+        The queries -- a coalesced round or a client's batch -- are split
+        into up to ``num_workers`` contiguous chunks that run concurrently
+        in separate processes (``traces`` is sliced alongside).  One worker
+        answers each chunk at one generation; a chunk may observe a newer
+        generation than its siblings -- the documented batch-form
+        relaxation of the consistency model.  Raises ``KeyError`` for an
+        entity unknown to the worker's generation and ``RuntimeError`` for
+        transport-level failures that survived every retry -- both mapped
+        by the HTTP layer exactly like the in-process daemon's errors.
+        """
+        chunk_count = min(self.num_workers, len(entities))
+        if chunk_count <= 1:
+            return self._exchange(entities, k, approximation, traces)
+        bounds = [
+            (len(entities) * part) // chunk_count for part in range(chunk_count + 1)
+        ]
+
+        def run_chunk(part: int) -> List[Dict[str, object]]:
+            low, high = bounds[part], bounds[part + 1]
+            chunk_traces = traces[low:high] if traces is not None else None
+            return self._exchange(entities[low:high], k, approximation, chunk_traces)
+
+        gathered: List[Dict[str, object]] = []
+        for part_results in fan_out_queries(run_chunk, chunk_count, workers=chunk_count):
+            gathered.extend(part_results)
+        return gathered
+
+    def _exchange(
+        self,
+        entities: List[str],
+        k: int,
+        approximation: float,
+        traces: Optional[List[Optional[SpanContext]]],
+    ) -> List[Dict[str, object]]:
+        """Answer one chunk of queries on one worker; respawn-and-retry on death.
 
         ``traces`` (aligned with ``entities``; ``None`` entries for
         unsampled queries) gives each sampled query a ``worker.request``
@@ -289,42 +320,6 @@ class WorkerPool(ServingPart):
         else:
             self._idle.put(handle)
 
-    def topk_batch(
-        self,
-        entities: List[str],
-        k: int,
-        approximation: float,
-        traces: Optional[List[Optional[SpanContext]]] = None,
-    ) -> List[Dict[str, object]]:
-        """Scatter one batch over the pool, gather in request order.
-
-        The batch is split into up to ``num_workers`` contiguous chunks so
-        its queries run concurrently in separate processes; each chunk is a
-        normal :meth:`topk` call with the same retry discipline (``traces``
-        is sliced alongside).  Chunks may individually observe a newer
-        generation than their siblings -- the documented batch-form
-        relaxation of the consistency model.
-        """
-        if len(entities) <= 1 or self.num_workers == 1:
-            return self.topk(entities, k, approximation, traces=traces)
-        chunk_count = min(self.num_workers, len(entities))
-        bounds = [
-            (len(entities) * part) // chunk_count for part in range(chunk_count + 1)
-        ]
-        chunks = [entities[bounds[part] : bounds[part + 1]] for part in range(chunk_count)]
-        trace_chunks = [
-            traces[bounds[part] : bounds[part + 1]] if traces is not None else None
-            for part in range(chunk_count)
-        ]
-
-        def run_chunk(part: int) -> List[Dict[str, object]]:
-            return self.topk(chunks[part], k, approximation, traces=trace_chunks[part])
-
-        gathered: List[Dict[str, object]] = []
-        for part_results in fan_out_queries(run_chunk, chunk_count, workers=chunk_count):
-            gathered.extend(part_results)
-        return gathered
-
     def stats_snapshot(self) -> Dict[str, object]:
         """Pool counters: requests, retries, respawns, storms."""
         with self._stats_lock:
@@ -361,22 +356,16 @@ class GenerationPublisher(ServingPart):
     durability stamp written into every publish, the initial publish, and
     the flush hook that turns each index-changing flush into the next
     generation.  ``store_root`` is the store directory (a private
-    temporary one, removed on :meth:`close`, when not given);
-    ``delta_limit`` is the delta-chain length before a full snapshot is
-    forced (``0`` publishes every generation full).
+    temporary one, removed on :meth:`close`, when not given).  Every
+    :data:`~repro.server.generation.DELTA_CHAIN_LIMIT` deltas a full
+    snapshot is forced.
     """
 
     #: Prefix of a private store's temporary directory.
     temp_prefix = "repro-generations-"
 
-    def __init__(
-        self,
-        engine,
-        store_root: Optional[PathLikeT] = None,
-        delta_limit: int = DELTA_CHAIN_LIMIT,
-    ) -> None:
+    def __init__(self, engine, store_root: Optional[PathLikeT] = None) -> None:
         self.engine = engine
-        self.delta_limit = delta_limit
         self.ingestor = None
         self._owns_root = store_root is None
         self.root = (
@@ -387,11 +376,11 @@ class GenerationPublisher(ServingPart):
         try:
             self._open_stores()
         except BaseException:
-            self.close()  # a rejected delta_limit or engine leaves no temp dir
+            self.close()  # a rejected engine leaves no temp dir
             raise
 
     def _open_stores(self) -> None:
-        self.store = GenerationStore(self.root, delta_limit=self.delta_limit)
+        self.store = GenerationStore(self.root)
 
     def _shares(self, appended: List[object]) -> List[tuple]:
         """``(store, engine, events)`` per store: what each one snapshots,
@@ -435,7 +424,7 @@ class GenerationPublisher(ServingPart):
 
         Index-changing flushes publish a *delta* generation when the chain
         allows it -- the flush's own operations as a small JSON document --
-        and a full snapshot otherwise (every ``delta_limit`` deltas).
+        and a full snapshot otherwise (every ``DELTA_CHAIN_LIMIT`` deltas).
         Readers standing on the chain catch up in place; see
         :mod:`repro.server.generation`.  A store whose share of the flush
         is empty (per-shard stores only) skips the publish, so per-shard
@@ -486,7 +475,6 @@ def worker_tier(
     workers: int = 2,
     store_root: Optional[PathLikeT] = None,
     startup_timeout: float = 60.0,
-    delta_limit: int = DELTA_CHAIN_LIMIT,
 ) -> Dict[str, ServingPart]:
     """The ``--workers N`` tier as :class:`~repro.server.app.TraceServer`
     keywords: ``TraceServer(engine, **worker_tier(engine, workers=2))``.
@@ -496,7 +484,7 @@ def worker_tier(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    publisher = GenerationPublisher(engine, store_root, delta_limit)
+    publisher = GenerationPublisher(engine, store_root)
     return {
         "backend": WorkerPool(publisher.root, workers, startup_timeout=startup_timeout),
         "publisher": publisher,

@@ -56,12 +56,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine
-from repro.storage.snapshot import (
-    SnapshotError,
-    load_engine_snapshot,
-    read_manifest,
-)
+from repro.service.sharded import load_snapshot
+from repro.storage.snapshot import SnapshotError, read_manifest
 from repro.traces.events import PresenceInstance
 
 __all__ = ["DELTA_CHAIN_LIMIT", "GenerationStore", "KEEP_GENERATIONS", "SnapshotDelta"]
@@ -317,7 +313,10 @@ class GenerationStore:
         Retries for up to ``timeout`` seconds around the two benign races --
         ``CURRENT`` not yet written at worker start-up, and a chain pruned
         between reading ``CURRENT`` and opening its files -- then raises
-        :class:`~repro.storage.snapshot.SnapshotError`.
+        :class:`~repro.storage.snapshot.SnapshotError`.  Only a race is
+        retried: a generation whose files read but are refused (say, an
+        unsupported format version) raises at once while ``CURRENT`` still
+        names it.
 
         Single and sharded snapshots are auto-detected from the manifest;
         both load with memory-mapped columnar arrays.
@@ -331,16 +330,17 @@ class GenerationStore:
                     return None
                 base = int(document.get("base", generation))
                 try:
-                    if document.get("kind") == "delta":
-                        engine = _load_any(self.root / f"gen-{base:06d}")
+                    delta = document.get("kind") == "delta"
+                    full = f"gen-{base:06d}" if delta else str(document["path"])
+                    engine = load_snapshot(self.root / full, mmap_columnar=True)
+                    if delta:
                         self._apply_chain(engine, base + 1, generation)
-                    else:
-                        engine = _load_any(self.root / str(document["path"]))
                     return generation, engine
-                except SnapshotError:
-                    # Publish/prune race: the directory vanished or was not
-                    # yet complete under a crashed writer.  Re-read CURRENT.
-                    if time.monotonic() >= deadline:
+                except (SnapshotError, OSError) as exc:
+                    # Publish/prune race: a file vanished under a prune, or
+                    # CURRENT moved on.  Anything else will fail again.
+                    raced = _unreadable(exc) or self._current_document() != document
+                    if not raced or time.monotonic() >= deadline:
                         raise
             elif newer_than:
                 # A store that once had generations never goes back to
@@ -423,9 +423,11 @@ class GenerationStore:
             return None
 
 
-def _load_any(directory: Path):
-    """Load a single or sharded snapshot, memory-mapping the columnar arrays."""
-    manifest = read_manifest(directory)
-    if manifest.get("format") == SHARDED_SNAPSHOT_FORMAT:
-        return ShardedEngine.load(directory, mmap_columnar=True)
-    return load_engine_snapshot(directory, mmap_columnar=True)
+def _unreadable(exc: BaseException) -> bool:
+    """Whether a failed load could not read a file (an ``OSError``, raised
+    or as the cause of a :class:`SnapshotError`) rather than refused one."""
+    while exc is not None:
+        if isinstance(exc, OSError):
+            return True
+        exc = exc.__cause__
+    return False

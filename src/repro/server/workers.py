@@ -225,62 +225,6 @@ def _propagated_traces(
     return traces
 
 
-class _ChaosFlags:
-    """In-memory fault-injection switches, mutated by the ``chaos`` op.
-
-    ``delay`` (seconds to sleep before every reply), ``drop`` (tear down
-    the connection instead of answering, N times) and ``refuse`` (accept
-    and immediately close new connections) let the chaos battery script
-    slow replies, dropped sockets and refused connects against a *real*
-    serving process.  The flags default to off and exist only in memory;
-    a restarted process is always clean.
-    """
-
-    def __init__(self) -> None:
-        self.delay_seconds = 0.0
-        self.drop_requests = 0
-        self.refuse_connections = False
-        self._lock = threading.Lock()
-
-    def configure(self, request: Dict[str, object]) -> Dict[str, object]:
-        """Apply the flags ``request`` carries -- all of them or, when one
-        does not decode, none."""
-        delay = max(0.0, float(request["delay"])) if "delay" in request else None
-        drop = max(0, int(request["drop"])) if "drop" in request else None
-        with self._lock:
-            if delay is not None:
-                self.delay_seconds = delay
-            if drop is not None:
-                self.drop_requests = drop
-            if "refuse" in request:
-                self.refuse_connections = bool(request["refuse"])
-        return self.snapshot()
-
-    def snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            return {
-                "delay": self.delay_seconds,
-                "drop": self.drop_requests,
-                "refuse": self.refuse_connections,
-            }
-
-    def should_refuse(self) -> bool:
-        with self._lock:
-            return self.refuse_connections
-
-    def reply_delay(self) -> float:
-        with self._lock:
-            return self.delay_seconds
-
-    def take_drop(self) -> bool:
-        """Consume one drop token: ``True`` means tear down this exchange."""
-        with self._lock:
-            if self.drop_requests > 0:
-                self.drop_requests -= 1
-                return True
-            return False
-
-
 class QueryWorker:
     """The read-process loop: adopt generations, answer framed requests.
 
@@ -302,7 +246,6 @@ class QueryWorker:
         self.startup_timeout = startup_timeout
         self.generation = 0
         self.engine = None
-        self.chaos = _ChaosFlags()
         self.requests_handled = 0
         #: Serialises generation adoption and searching: the engine object
         #: is swapped on adoption, and searches mutate per-search caches.
@@ -338,13 +281,10 @@ class QueryWorker:
                 "generation": self.generation,
                 "pid": os.getpid(),
                 "requests_handled": self.requests_handled,
-                "chaos": self.chaos.snapshot(),
             }
         # The input boundary: every field an op reads off the wire is
         # decoded here, before anything acts on it.
         try:
-            if operation == "chaos":
-                return {"ok": True, "chaos": self.chaos.configure(request)}
             if operation == "sync":
                 minimum = int(request.get("min_generation", 0))
             elif operation == "topk":
@@ -502,9 +442,6 @@ class QueryWorker:
                     connection, _ = listener.accept()
                 except OSError:
                     break  # listener closed by request_stop
-                if self.chaos.should_refuse():
-                    connection.close()
-                    continue
                 threading.Thread(
                     target=self._serve_connection,
                     args=(connection,),
@@ -533,11 +470,6 @@ class QueryWorker:
                     return
                 if request is None:
                     return
-                if self.chaos.take_drop():
-                    return  # injected fault: vanish instead of answering
-                delay = self.chaos.reply_delay()
-                if delay:
-                    time.sleep(delay)
                 reply = self.handle(request)
                 self.requests_handled += 1
                 try:

@@ -70,7 +70,7 @@ from repro.storage.snapshot import (
 from repro.traces.dataset import TraceDataset
 from repro.traces.events import PresenceInstance
 
-__all__ = ["SHARDED_SNAPSHOT_FORMAT", "ShardedEngine"]
+__all__ = ["SHARDED_SNAPSHOT_FORMAT", "ShardedEngine", "load_snapshot"]
 
 PathLike = Union[str, Path]
 
@@ -694,3 +694,14 @@ class ShardedEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         built = "built" if self.is_built else "not built"
         return f"ShardedEngine({self.dataset.describe()}, shards={self.num_shards}, {built})"
+
+
+def load_snapshot(
+    path: PathLike, mmap_columnar: bool = False
+) -> Union[TraceQueryEngine, ShardedEngine]:
+    """Load a single or a sharded snapshot directory, told apart by its
+    manifest.  ``mmap_columnar`` maps the compiled arrays read-only (see
+    :func:`~repro.storage.snapshot.load_engine_snapshot`)."""
+    if read_manifest(path).get("format") == SHARDED_SNAPSHOT_FORMAT:
+        return ShardedEngine.load(path, mmap_columnar=mmap_columnar)
+    return load_engine_snapshot(path, mmap_columnar=mmap_columnar)

@@ -498,11 +498,13 @@ def read_manifest(path: PathLike) -> Dict[str, object]:
     """Read and format-check a snapshot manifest (no array loading)."""
     directory = Path(path)
     manifest_path = directory / _MANIFEST_NAME
-    if not manifest_path.exists():
-        raise SnapshotError(f"{directory} is not a snapshot directory (no {_MANIFEST_NAME})")
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             manifest = json.load(handle)
+    except (FileNotFoundError, NotADirectoryError) as exc:
+        raise SnapshotError(
+            f"{directory} is not a snapshot directory (no {_MANIFEST_NAME})"
+        ) from exc
     except (OSError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"unreadable snapshot manifest {manifest_path}: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -17,6 +17,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import socket
 import struct
 import subprocess
@@ -121,7 +122,6 @@ class TestShardServerHandle:
         assert ping["ok"] and ping["generation"] == 0  # nothing adopted yet
         status = shard_server.handle({"op": "status"})
         assert status["shard"] == "shard-000"
-        assert status["chaos"] == {"delay": 0.0, "drop": 0, "refuse": False}
 
     def test_sync_adopts_and_verifies_the_generation(self, shard_server):
         reply = shard_server.handle({"op": "sync", "min_generation": 1})
@@ -155,29 +155,15 @@ class TestShardServerHandle:
         assert reply["status"] == 400
         assert "unknown op" in reply["error"]
 
-    def test_chaos_flags_round_trip(self, shard_server):
-        reply = shard_server.handle(
-            {"op": "chaos", "delay": 0.25, "drop": 2, "refuse": True}
-        )
-        assert reply["chaos"] == {"delay": 0.25, "drop": 2, "refuse": True}
-        assert shard_server.chaos.should_refuse()
-        assert shard_server.chaos.take_drop() and shard_server.chaos.take_drop()
-        assert not shard_server.chaos.take_drop()  # tokens consumed
-        shard_server.handle({"op": "chaos", "delay": 0.0, "drop": 0, "refuse": False})
-        assert shard_server.chaos.snapshot() == {
-            "delay": 0.0,
-            "drop": 0,
-            "refuse": False,
-        }
-
 
 def test_live_shard_server_answers_malformed_topk_frames_with_400(
     small_engine, small_dataset, malformed_query_sequences, tmp_path
 ):
     """Every op is fed straight from the wire: every malformed frame
-    (``topk``, its ``traces`` key, ``sync``, ``chaos``) gets a bounded
-    ``status: 400`` reply naming the defect, and the same connection keeps
-    serving the next well-formed frame."""
+    (``topk``, its ``traces`` key, ``sync``) and every unknown op -- the
+    fault switch ``chaos`` included -- gets a bounded ``status: 400`` reply
+    naming the defect, the same connection keeps serving the next
+    well-formed frame, and the process keeps accepting connections."""
     GenerationStore(tmp_path / "shard-000").publish(small_engine)
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "shard-000", tmp_path / "run"
@@ -218,8 +204,7 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
                 ({**good, "traces": [{"trace_id": "abc", "span_id": 7}]}, "strings"),
                 ({"op": "sync", "min_generation": "soon"}, "soon"),
                 ({"op": "sync", "min_generation": None}, "NoneType"),
-                ({"op": "chaos", "delay": "slow"}, "slow"),
-                ({"op": "chaos", "delay": 30.0, "drop": [1]}, "list"),
+                ({"op": "chaos", "refuse": True}, "unknown op"),
             ]
             for frame, message in malformed:
                 reply = exchange(frame)
@@ -227,12 +212,8 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
                 assert message in reply["error"]
                 assert len(reply["error"]) <= MAX_ERROR_CHARS
                 assert exchange(good)["results"] == expected
-            # A chaos frame that failed to decode applied none of its flags.
-            assert exchange({"op": "status"})["chaos"] == {
-                "delay": 0.0,
-                "drop": 0,
-                "refuse": False,
-            }
+        with ReadClient(("127.0.0.1", port), "shard-000-r0", 5.0, 30.0) as client:
+            assert client.request({"op": "ping"})["ok"]
     finally:
         replica.terminate()
     assert not replica.alive()
@@ -618,39 +599,49 @@ def test_one_read_client(small_engine, tmp_path):
 
 
 def test_chaos_injectors_never_raise(small_engine, tmp_path):
-    """A chaos frame the replica drops or refuses is a ``False`` return.
+    """Pausing a replica that is not running is a ``False`` return.
 
-    The drop token and the refuse flag apply to chaos frames too, so
-    ``clear`` after either cannot reach the process: it must come back
-    without raising, and ``injected`` lists acknowledged frames only.
+    A paused replica keeps its socket but answers nothing until its timer
+    (restarted by a second pause) or ``clear`` resumes it, after which it
+    answers again and leaves on SIGTERM alone.
     """
     GenerationStore(tmp_path / "store").publish(small_engine)
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     name = replica.name
-    chaos = ChaosController(
-        SimpleNamespace(managed={name: replica}, cluster_config=_fast_config())
-    )
-    cleared = {"delay": 0.0, "drop": 0, "refuse": False}
+    chaos = ChaosController(SimpleNamespace(managed={name: replica}))
+    paused = {"fault": "pause", "replica": name, "seconds": 30.0}
     try:
-        assert chaos.slow_replies(name, 0.1) is False  # never spawned: no port
-        replica.spawn()
-        assert chaos.drop_requests(name, 1) is True
-        chaos.clear(name)  # spends the drop token on the chaos frame itself
-        assert chaos.clear(name) is None  # this one is answered
-        assert chaos.injected == [
-            {"fault": "chaos_flags", "replica": name, "drop": 1},
-            {"fault": "chaos_flags", "replica": name, **cleared},
-        ]
-        assert chaos.refuse_connections(name) is True
-        chaos.clear(name)  # refused: only a restart clears the flag
-        assert chaos.refuse_connections(name, False) is False
-        assert len(chaos.injected) == 3
+        assert chaos.pause(name, 30.0) is False  # never spawned
+        address = ("127.0.0.1", replica.spawn())
+        assert chaos.pause(name, 30.0) is True
+        with ReadClient(address, name, 5.0, 0.3) as client:
+            with pytest.raises(ReadProcessError):
+                client.request({"op": "ping"})  # stopped: no reply
+        chaos.clear()
+        with ReadClient(address, name, 5.0, 30.0) as client:
+            assert client.request({"op": "ping"})["pid"] == replica.pid
+        assert chaos.injected == [paused]
+        assert chaos.pause(name, 30.0) is True
         replica.kill()
-        assert chaos.drop_requests(name, 1) is False  # vanished
-        assert len(chaos.injected) == 3
+        chaos.clear()  # the paused process is gone: nothing to resume
+        assert chaos.pause(name, 30.0) is False  # vanished
+        assert chaos.injected == [paused, paused]
+        address = ("127.0.0.1", replica.spawn())
+        # Re-pausing restarts the timer: the short first pause's expiry
+        # does not resume the replica under the second, long one.
+        assert chaos.pause(name, 0.2) is True
+        assert chaos.pause(name, 30.0) is True
+        time.sleep(0.5)
+        with ReadClient(address, name, 5.0, 0.3) as client:
+            with pytest.raises(ReadProcessError):
+                client.request({"op": "ping"})
+        chaos.clear()
+        replica.terminate(timeout=10.0)
+        assert replica.returncode in (0, -signal.SIGTERM)  # no SIGKILL
     finally:
+        chaos.clear()
         replica.terminate()
 
 

@@ -2,7 +2,7 @@
 
 This runs the same battery as ``repro cluster chaos --smoke`` (and the CI
 chaos job): a 2-shard x 2-replica cluster serving interleaved queries and
-ingest while replicas are SIGKILLed, slowed, dropped, and blacked out.
+ingest while replicas are SIGKILLed, paused with SIGSTOP, and blacked out.
 The gates are the robustness contract of the distributed tier:
 
 - answers stay *item-exact* against a single-engine oracle whenever at
@@ -32,10 +32,16 @@ def test_chaos_battery_smoke_passes():
     assert report["checks"]["exact_items"] > 0
     assert report["checks"]["byte_identical"] > 0
     assert report["checks"]["degraded_marked"] > 0
-    # ... and actually injected faults (kills, wire chaos, a blackout).
+    # ... and actually injected faults (kills, pauses, a blackout).
     kinds = {fault["fault"] for fault in report["faults"]}
     assert "kill_one_per_group" in kinds
+    assert "pause" in kinds
     assert "blackout_group" in kinds
     assert "restore_group" in kinds
+    # The paused replicas were hedged around, not merely waited out: the
+    # hedges counted during the pause round itself, not the kill round's
+    # failovers.
+    paused = next(r for r in report["rounds"] if r["round"] == "pause_replicas")
+    assert paused["hedges"] > 0
     # Clean shutdown: every shard server left on SIGTERM.
     assert report["stubborn_processes"] == []

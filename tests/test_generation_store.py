@@ -9,6 +9,7 @@ generations mid-traffic, byte-identical responses) is pinned by
 ``test_server_equivalence.py``; this module covers the pieces in isolation.
 """
 
+import json
 import shutil
 import threading
 import time
@@ -415,6 +416,22 @@ class TestCurrentRecovery:
         generation, engine = loaded
         assert generation == 2
         assert engine.top_k("a", k=3).items == small_engine.top_k("a", k=3).items
+
+    def test_a_refused_manifest_raises_without_retrying(self, small_engine, tmp_path):
+        store = GenerationStore(tmp_path)
+        store.publish(small_engine)
+        _, directory = store.current()
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format_version"] = 2
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        reader = GenerationStore(tmp_path)
+        started = time.monotonic()
+        # The manifest reads but is refused: no publish or prune race can
+        # change that while CURRENT still names it, so retrying is waste.
+        with pytest.raises(SnapshotError, match="format version 2"):
+            reader.load_current(timeout=30.0)
+        assert time.monotonic() - started < 1.0
 
     def test_vanished_current_with_a_prior_generation_is_fatal_immediately(
         self, small_engine, tmp_path

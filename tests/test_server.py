@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.core.engine import TraceQueryEngine
 from repro.obs import parse_exposition, render_exposition
 from repro.server.app import EngineBackend, TraceServer, build_http_server
 from repro.server.coalescer import QueueFullError, RequestCoalescer
+from repro.server.frontend import WorkerPool
 from repro.server.generation import GenerationStore
 from repro.server.metrics import (
     LATENCY_BUCKETS,
@@ -717,6 +718,25 @@ def test_process_tiers_report_no_owner_cache(tier):
         assert families[name]["samples"] == [], name
 
 
+def test_worker_pool_spreads_one_round_over_its_workers(small_engine, tmp_path):
+    """``WorkerPool.topk`` is the pool's one query method: a coalesced round
+    of several queries is scattered like a client batch, one contiguous
+    chunk per worker, and gathered in request order."""
+    GenerationStore(tmp_path).publish(small_engine)
+    pool = WorkerPool(tmp_path, num_workers=2)
+    entities = ["a", "b", "c", "d", "e"]
+    try:
+        pool.start()
+        payloads = pool.topk(entities, 3, 0.0)
+        requests = pool.stats_snapshot()["requests"]
+    finally:
+        pool.close()
+    assert requests == 2  # one exchange per worker
+    assert dumps(payloads) == dumps(
+        [topk_result_payload(small_engine.top_k(entity, k=3)) for entity in entities]
+    )
+
+
 def _exported_stages(server):
     """Stage labels of ``/metrics``, plus ``http:<endpoint>`` per request
     histogram -- the names ``bench/workloads.py`` reads."""
@@ -1213,14 +1233,14 @@ class TestServeCLIErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_negative_delta_limit_exits_2_naming_the_flag(self, capsys):
-        # Used to reach GenerationStore.__init__ and die with a ValueError
-        # traceback on the --workers tier.
-        argv = ["serve", "--snapshot", "s", "--workers", "1", "--delta-limit", "-1"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --delta-limit must be >= 0")
-        assert "Traceback" not in err
+    def test_serve_takes_no_delta_limit_flag(self, capsys):
+        """Every publisher forces a full snapshot every DELTA_CHAIN_LIMIT
+        deltas, so ``serve`` offers no ``--delta-limit``."""
+        argv = ["serve", "--snapshot", "s", "--workers", "1", "--delta-limit", "4"]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --delta-limit 4" in capsys.readouterr().err
 
     def test_store_without_a_publishing_tier_exits_2(self, tmp_path, capsys):
         # Used to be silently ignored: the daemon started, nothing was ever
