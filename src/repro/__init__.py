@@ -17,68 +17,31 @@ Quickstart::
     print(engine.top_k("alice", k=1).entities)
 """
 
-from repro.core.engine import EngineConfig, ExpiryReport, TraceQueryEngine
-from repro.core.hashing import HierarchicalHashFamily
-from repro.core.join import association_graph, mutual_top_k_pairs, top_k_join
-from repro.core.minsigtree import MinSigTree
-from repro.core.query import BatchTopKResult, TopKResult, TopKSearcher
-from repro.core.signatures import SignatureComputer
-from repro.service import QueryResultCache, ShardedEngine
-from repro.measures import (
-    AssociationMeasure,
-    DiceADM,
-    ExampleDiceADM,
-    FScoreADM,
-    HierarchicalADM,
-    JaccardADM,
-    OverlapADM,
-)
-from repro.streaming import (
-    EventIngestor,
-    SlidingWindow,
-    StreamingConfig,
-    replay_events,
-)
-from repro.traces import (
-    CellSequence,
-    PresenceInstance,
-    STCell,
-    SpatialHierarchy,
-    TraceDataset,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociationMeasure",
-    "BatchTopKResult",
-    "CellSequence",
-    "DiceADM",
-    "EngineConfig",
-    "EventIngestor",
-    "ExampleDiceADM",
-    "ExpiryReport",
-    "FScoreADM",
-    "HierarchicalADM",
-    "HierarchicalHashFamily",
-    "JaccardADM",
-    "MinSigTree",
-    "OverlapADM",
-    "PresenceInstance",
-    "QueryResultCache",
-    "STCell",
-    "ShardedEngine",
-    "SignatureComputer",
-    "SlidingWindow",
-    "SpatialHierarchy",
-    "StreamingConfig",
-    "TopKResult",
-    "TopKSearcher",
-    "TraceDataset",
-    "TraceQueryEngine",
-    "__version__",
-    "association_graph",
-    "mutual_top_k_pairs",
-    "replay_events",
-    "top_k_join",
-]
+# Resolved on first access: ``import repro`` imports no subsystem (nor numpy).
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.engine": ["EngineConfig", "ExpiryReport", "TraceQueryEngine"],
+        "repro.core.hashing": ["HierarchicalHashFamily"],
+        "repro.core.join": ["association_graph", "mutual_top_k_pairs", "top_k_join"],
+        "repro.core.minsigtree": ["MinSigTree"],
+        "repro.core.query": ["BatchTopKResult", "TopKResult", "TopKSearcher"],
+        "repro.core.signatures": ["SignatureComputer"],
+        "repro.service.cache": ["QueryResultCache"],
+        "repro.service.sharded": ["ShardedEngine"],
+        "repro.measures.adm": ["ExampleDiceADM", "HierarchicalADM"],
+        "repro.measures.base": ["AssociationMeasure"],
+        "repro.measures.setsim": ["DiceADM", "FScoreADM", "JaccardADM", "OverlapADM"],
+        "repro.streaming.ingestor": ["EventIngestor", "StreamingConfig"],
+        "repro.streaming.replay": ["replay_events"],
+        "repro.streaming.window": ["SlidingWindow"],
+        "repro.traces.dataset": ["TraceDataset"],
+        "repro.traces.events": ["CellSequence", "PresenceInstance", "STCell"],
+        "repro.traces.spatial": ["SpatialHierarchy"],
+    },
+)
+__all__ = sorted([*__all__, "__version__"])

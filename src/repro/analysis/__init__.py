@@ -10,20 +10,17 @@ and the data-distribution statistics behind Figures 7.1 and 7.2.
   (Figure 7.1) and the association-degree histogram (Figure 7.2).
 """
 
-from repro.analysis.distribution import (
-    adm_histogram,
-    ajpi_duration_histogram,
-    ajpi_entity_counts,
-)
-from repro.analysis.pe import PESummary, measure_pruning_effectiveness
-from repro.analysis.pruning_model import PruningModel, PruningModelParams
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PESummary",
-    "PruningModel",
-    "PruningModelParams",
-    "adm_histogram",
-    "ajpi_duration_histogram",
-    "ajpi_entity_counts",
-    "measure_pruning_effectiveness",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.distribution": [
+            "adm_histogram",
+            "ajpi_duration_histogram",
+            "ajpi_entity_counts",
+        ],
+        "repro.analysis.pe": ["PESummary", "measure_pruning_effectiveness"],
+        "repro.analysis.pruning_model": ["PruningModel", "PruningModelParams"],
+    },
+)

@@ -15,15 +15,14 @@
   search groups in decreasing upper-bound order.
 """
 
-from repro.baselines.brute_force import BruteForceTopK
-from repro.baselines.cluster_bitmap import ClusterBitmapIndex
-from repro.baselines.fpm import FrequentPatternMiner, cluster_cells_by_cooccurrence
-from repro.baselines.reference import reference_search
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BruteForceTopK",
-    "ClusterBitmapIndex",
-    "FrequentPatternMiner",
-    "cluster_cells_by_cooccurrence",
-    "reference_search",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.brute_force": ["BruteForceTopK"],
+        "repro.baselines.cluster_bitmap": ["ClusterBitmapIndex"],
+        "repro.baselines.fpm": ["FrequentPatternMiner", "cluster_cells_by_cooccurrence"],
+        "repro.baselines.reference": ["reference_search"],
+    },
+)

@@ -66,15 +66,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.engine import TraceQueryEngine
 from repro.measures.adm import HierarchicalADM
-from repro.mobility.hierarchical import generate_synthetic_dataset
-from repro.mobility.wifi import generate_wifi_dataset
 from repro.service.sharded import SHARDED_SNAPSHOT_FORMAT, ShardedEngine, load_snapshot
-from repro.traces.io import (
-    load_hierarchy_json,
-    load_traces_csv,
-    write_hierarchy_json,
-    write_traces_csv,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -606,6 +598,10 @@ def _error(message: str) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from repro.mobility.hierarchical import generate_synthetic_dataset
+    from repro.mobility.wifi import generate_wifi_dataset
+    from repro.traces.io import write_hierarchy_json, write_traces_csv
+
     if args.kind == "syn":
         dataset, _config = generate_synthetic_dataset(
             num_entities=args.entities, horizon=args.horizon, seed=args.seed
@@ -661,6 +657,8 @@ def _load_dataset(args: argparse.Namespace, horizon: Optional[int] = None):
     traceback.  ``horizon`` over-provisions the dataset's hash range
     (serve's ``--horizon``).
     """
+    from repro.traces.io import load_hierarchy_json, load_traces_csv
+
     try:
         hierarchy = load_hierarchy_json(args.hierarchy)
     except (OSError, ValueError) as exc:
@@ -1028,6 +1026,7 @@ def _command_index_info(args: argparse.Namespace) -> int:
 def _command_stream(args: argparse.Namespace) -> int:
     from repro.streaming import read_event_log, replay_events
     from repro.traces.dataset import TraceDataset
+    from repro.traces.io import load_hierarchy_json
 
     if args.rate < 0:
         return _error(f"--rate must be >= 0, got {args.rate}")

@@ -22,25 +22,16 @@ Modules
     together.
 """
 
-from repro.core.engine import EngineConfig, TraceQueryEngine
-from repro.core.hashing import HierarchicalHashFamily
-from repro.core.join import JoinResult, association_graph, mutual_top_k_pairs, top_k_join
-from repro.core.minsigtree import MinSigTree, MinSigTreeNode
-from repro.core.query import QueryStats, TopKResult, TopKSearcher
-from repro.core.signatures import SignatureComputer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EngineConfig",
-    "HierarchicalHashFamily",
-    "JoinResult",
-    "MinSigTree",
-    "MinSigTreeNode",
-    "QueryStats",
-    "SignatureComputer",
-    "TopKResult",
-    "TopKSearcher",
-    "TraceQueryEngine",
-    "association_graph",
-    "mutual_top_k_pairs",
-    "top_k_join",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.engine": ["EngineConfig", "TraceQueryEngine"],
+        "repro.core.hashing": ["HierarchicalHashFamily"],
+        "repro.core.join": ["JoinResult", "association_graph", "mutual_top_k_pairs", "top_k_join"],
+        "repro.core.minsigtree": ["MinSigTree", "MinSigTreeNode"],
+        "repro.core.query": ["QueryStats", "TopKResult", "TopKSearcher"],
+        "repro.core.signatures": ["SignatureComputer"],
+    },
+)

@@ -16,12 +16,18 @@ level of the sp-index end up in the same leaf.  Each node stores:
 Leaves (at tree level ``m``) own the entity lists.  The index supports
 incremental updates (Section 4.2.3): inserting a new entity, removing one,
 and re-signing an existing entity after new trace records arrive.
+
+Queries never walk the nodes -- they run on the compiled columnar kernel
+(:mod:`repro.core.columnar`) -- so a tree restored from a snapshot keeps its
+validated arrays and builds the nodes only when it is first mutated or
+walked (:meth:`MinSigTree.import_structure`).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +106,11 @@ class MinSigTree:
         self.num_hashes = num_hashes
         self.store_full_signatures = store_full_signatures
         self.routing_strategy = routing_strategy
-        self.root = MinSigTreeNode(level=0)
+        # The nodes are built on first use (see ``root``): from ``_flat``
+        # for a tree restored by import_structure, empty otherwise.
+        self._root: Optional[MinSigTreeNode] = None
+        self._flat: Optional[_FlatStructure] = None
+        self._build_lock = threading.Lock()
         self._signatures: Dict[str, np.ndarray] = {}
         self._leaf_of: Dict[str, MinSigTreeNode] = {}
         #: Number of removals (including the removal half of :meth:`update`)
@@ -126,6 +136,25 @@ class MinSigTree:
         # consumers stamped before a rebuild fall back to a full recompile).
         self._touched: Dict[str, int] = {}
         self._touched_floor: int = 0
+
+    @property
+    def root(self) -> MinSigTreeNode:
+        """The virtual root (the nodes of a restored tree are built first)."""
+        return self._ensure_built()
+
+    def _ensure_built(self) -> MinSigTreeNode:
+        """The root, building the nodes first if they are not built yet."""
+        root = self._root
+        if root is not None:
+            return root
+        with self._build_lock:
+            if self._root is None:
+                flat = self._flat
+                # Publish the maps, then the root, and only then drop the
+                # arrays: a concurrent reader sees one complete state.
+                self._root = MinSigTreeNode(level=0) if flat is None else self._build_nodes(flat)
+                self._flat = None
+            return self._root
 
     # ------------------------------------------------------------------
     # Construction
@@ -171,12 +200,12 @@ class MinSigTree:
         ValueError
             If the entity is already indexed (use :meth:`update` instead).
         """
+        node = self.root
         if entity in self._signatures:
             raise ValueError(f"entity {entity!r} is already indexed; use update()")
         matrix = self._validate_matrix(entity, signature_matrix)
         self.mutation_count += 1
         self._record_touch(entity)
-        node = self.root
         for level, routing_index in enumerate(self._routes(entity, matrix), start=1):
             row = matrix[level - 1]
             child = node.children.get(routing_index)
@@ -216,6 +245,7 @@ class MinSigTree:
         of the remaining ancestors are *not* re-tightened (they stay valid
         lower bounds); call :meth:`rebuild` to re-tighten after many removals.
         """
+        self._ensure_built()
         leaf = self._leaf_of.pop(entity, None)
         if leaf is None:
             raise KeyError(f"entity {entity!r} is not indexed")
@@ -242,7 +272,7 @@ class MinSigTree:
         accepted too (the removal step is skipped), matching the experiment of
         Figure 7.9 which mixes new and existing entities.
         """
-        if entity in self._signatures:
+        if entity in self:
             self.remove(entity)
         return self.insert(entity, signature_matrix)
 
@@ -253,8 +283,9 @@ class MinSigTree:
         than necessary (they are never incorrect, only less effective for
         pruning).
         """
+        self._ensure_built()
         signatures = dict(self._signatures)
-        self.root = MinSigTreeNode(level=0)
+        self._root = MinSigTreeNode(level=0)
         self._signatures.clear()
         self._leaf_of.clear()
         self.loose_operations = 0
@@ -360,40 +391,37 @@ class MinSigTree:
         store_full_signatures: bool = False,
         routing_strategy: str = "argmax",
     ) -> "MinSigTree":
-        """Rebuild a tree from :meth:`export_structure` arrays.
+        """Restore a tree from :meth:`export_structure` arrays.
 
-        The reconstruction wires nodes directly instead of re-inserting
-        entities, so group-level signature values (and hence pruning
-        behaviour and query statistics) match the exported tree exactly.
+        The arrays are validated here (raising ``ValueError``) and kept; the
+        nodes and the int64 signature rows are built at the first mutation
+        or structural read.  Until then :attr:`num_entities`, ``in``,
+        :attr:`num_nodes`, :meth:`size_bytes`, :meth:`touched_entities_since`
+        and :attr:`mutation_count` answer from the arrays -- all a process
+        serving queries from the compiled kernel asks of the tree.  The build
+        wires nodes directly instead of re-inserting entities, so group-level
+        signature values (and hence pruning behaviour and query statistics)
+        match the exported tree exactly.
         """
         tree = cls(num_levels, num_hashes, store_full_signatures, routing_strategy)
-        node_level = np.asarray(structure["node_level"]).tolist()
-        node_routing_index = np.asarray(structure["node_routing_index"]).tolist()
-        node_routing_value = np.asarray(structure["node_routing_value"]).tolist()
-        node_parent = np.asarray(structure["node_parent"]).tolist()
-        full = structure.get("node_full_signatures")
+        tree._flat = _FlatStructure.validated(
+            structure, num_levels, num_hashes, store_full_signatures
+        )
+        return tree
+
+    def _build_nodes(self, flat: "_FlatStructure") -> MinSigTreeNode:
+        """Wire the nodes and signature rows of ``flat``; returns the root."""
+        node_level = flat.node_level.tolist()
+        node_routing_index = flat.node_routing_index.tolist()
+        node_routing_value = flat.node_routing_value.tolist()
+        node_parent = flat.node_parent.tolist()
         # Signatures may arrive narrower than int64 (snapshots store them at
         # the hash range's width); the tree always holds them as int64.
-        full_rows = (
-            np.asarray(full, dtype=np.int64)
-            if store_full_signatures and full is not None
-            else None
-        )
-        if not node_level or node_level[0] != 0 or node_parent[0] != -1:
-            raise ValueError("malformed tree structure: missing virtual root at index 0")
-        nodes: List[MinSigTreeNode] = [tree.root]
+        full_rows = None if flat.full_signatures is None else flat.full_signatures.astype(np.int64)
+        root = MinSigTreeNode(level=0)
+        nodes: List[MinSigTreeNode] = [root]
         for position in range(1, len(node_level)):
-            parent_index = node_parent[position]
-            if not 0 <= parent_index < position:
-                raise ValueError(
-                    f"malformed tree structure: node {position} has parent {parent_index}"
-                )
-            parent = nodes[parent_index]
-            if node_routing_index[position] in parent.children:
-                raise ValueError(
-                    f"malformed tree structure: node {position} repeats a sibling's "
-                    f"routing index {node_routing_index[position]}"
-                )
+            parent = nodes[node_parent[position]]
             node = MinSigTreeNode(
                 level=node_level[position],
                 routing_index=node_routing_index[position],
@@ -403,20 +431,13 @@ class MinSigTree:
             )
             parent.children[node.routing_index] = node
             nodes.append(node)
-        entities = list(structure["entities"])
-        entity_leaf = np.asarray(structure["entity_leaf"]).tolist()
-        signatures = np.asarray(structure["signatures"], dtype=np.int64)
-        if signatures.shape != (len(entities), num_levels, num_hashes):
-            raise ValueError(
-                f"signature block has shape {signatures.shape}, expected "
-                f"{(len(entities), num_levels, num_hashes)}"
-            )
-        for slot, entity in enumerate(entities):
-            leaf = nodes[entity_leaf[slot]]
+        signatures = flat.signatures.astype(np.int64)
+        for slot, (entity, leaf_index) in enumerate(zip(flat.entities, flat.entity_leaf.tolist())):
+            leaf = nodes[leaf_index]
             leaf.entities.append(entity)
-            tree._signatures[entity] = signatures[slot]
-            tree._leaf_of[entity] = leaf
-        return tree
+            self._signatures[entity] = signatures[slot]
+            self._leaf_of[entity] = leaf
+        return root
 
     # ------------------------------------------------------------------
     # Introspection
@@ -424,13 +445,16 @@ class MinSigTree:
     @property
     def num_entities(self) -> int:
         """Number of entities currently indexed."""
-        return len(self._signatures)
+        flat = self._flat
+        return len(self._signatures) if flat is None else len(flat.entities)
 
     def __contains__(self, entity: str) -> bool:
-        return entity in self._signatures
+        flat = self._flat
+        return entity in (self._signatures if flat is None else flat.members)
 
     def signature_of(self, entity: str) -> np.ndarray:
         """The signature matrix the entity was last indexed with."""
+        self._ensure_built()
         try:
             return self._signatures[entity]
         except KeyError:
@@ -438,6 +462,7 @@ class MinSigTree:
 
     def leaf_of(self, entity: str) -> MinSigTreeNode:
         """The leaf currently containing ``entity``."""
+        self._ensure_built()
         try:
             return self._leaf_of[entity]
         except KeyError:
@@ -474,6 +499,9 @@ class MinSigTree:
     @property
     def num_nodes(self) -> int:
         """Number of nodes excluding the virtual root."""
+        flat = self._flat
+        if flat is not None:
+            return flat.node_parent.size - 1
         return sum(1 for node in self.iter_nodes() if not node.is_root)
 
     def size_bytes(self) -> int:
@@ -487,6 +515,9 @@ class MinSigTree:
         per_node = 2 * 8
         if self.store_full_signatures:
             per_node += self.num_hashes * 8
+        flat = self._flat
+        if flat is not None:
+            return per_node * (flat.node_parent.size - 1) + 8 * flat.leaf_members()
         total = 0
         for node in self.iter_nodes():
             if node.is_root:
@@ -520,3 +551,100 @@ class MinSigTree:
             f"MinSigTree(entities={self.num_entities}, nodes={self.num_nodes}, "
             f"levels={self.num_levels}, num_hashes={self.num_hashes})"
         )
+
+
+@dataclass(frozen=True)
+class _FlatStructure:
+    """Validated :meth:`MinSigTree.export_structure` arrays of a restored tree.
+
+    Held until the tree builds its nodes; every check the build would
+    otherwise trip over is made up front, so the build cannot fail.
+    """
+
+    node_level: np.ndarray
+    node_routing_index: np.ndarray
+    node_routing_value: np.ndarray
+    node_parent: np.ndarray
+    full_signatures: Optional[np.ndarray]
+    entities: List[str]
+    members: FrozenSet[str]
+    entity_leaf: np.ndarray
+    signatures: np.ndarray
+
+    @classmethod
+    def validated(
+        cls,
+        structure: Dict[str, object],
+        num_levels: int,
+        num_hashes: int,
+        store_full_signatures: bool,
+    ) -> "_FlatStructure":
+        """Check ``structure`` with array operations; raises ``ValueError``."""
+        level, routing_index, routing_value, parent = (
+            np.asarray(structure[name])
+            for name in ("node_level", "node_routing_index", "node_routing_value", "node_parent")
+        )
+        count = parent.size
+        if any(
+            array.shape != (count,) or not np.issubdtype(array.dtype, np.integer)
+            for array in (level, routing_index, routing_value, parent)
+        ):
+            raise ValueError(
+                "malformed tree structure: node arrays are not integer columns of one length"
+            )
+        if not count or level[0] != 0 or parent[0] != -1:
+            raise ValueError("malformed tree structure: missing virtual root at index 0")
+        position = np.arange(1, count)
+        orphans = np.flatnonzero((parent[1:] < 0) | (parent[1:] >= position))
+        if orphans.size:
+            node = int(position[orphans[0]])
+            raise ValueError(
+                f"malformed tree structure: node {node} has parent {int(parent[node])}"
+            )
+        # Sort siblings by routing index, ties by position: a repeat is a
+        # node whose predecessor in that order shares its parent and index.
+        order = np.lexsort((position, routing_index[1:], parent[1:]))
+        sorted_parent, sorted_index = parent[1:][order], routing_index[1:][order]
+        repeats = (sorted_parent[1:] == sorted_parent[:-1]) & (
+            sorted_index[1:] == sorted_index[:-1]
+        )
+        if repeats.any():
+            node = int(position[order][1:][repeats].min())
+            raise ValueError(
+                f"malformed tree structure: node {node} repeats a sibling's "
+                f"routing index {int(routing_index[node])}"
+            )
+        entities = list(structure["entities"])
+        members = frozenset(entities)
+        if len(members) != len(entities):
+            raise ValueError("malformed tree structure: an entity is listed twice")
+        entity_leaf = np.asarray(structure["entity_leaf"])
+        if (
+            entity_leaf.shape != (len(entities),)
+            or not np.issubdtype(entity_leaf.dtype, np.integer)
+            or (entity_leaf.size and (entity_leaf.min() < 0 or entity_leaf.max() >= count))
+        ):
+            raise ValueError("malformed tree structure: entity_leaf must name one node per entity")
+        signatures = np.asarray(structure["signatures"])
+        if signatures.shape != (len(entities), num_levels, num_hashes):
+            raise ValueError(
+                f"signature block has shape {signatures.shape}, expected "
+                f"{(len(entities), num_levels, num_hashes)}"
+            )
+        full = structure.get("node_full_signatures")
+        full = np.asarray(full) if store_full_signatures and full is not None else None
+        if full is not None and full.shape != (count, num_hashes):
+            raise ValueError(
+                f"full signature block has shape {full.shape}, expected {(count, num_hashes)}"
+            )
+        return cls(
+            level, routing_index, routing_value, parent, full,
+            entities, members, entity_leaf, signatures,
+        )
+
+    def leaf_members(self) -> int:
+        """Entities placed on a non-root childless node (what ``size_bytes`` counts)."""
+        has_child = np.zeros(self.node_parent.size, dtype=bool)
+        has_child[self.node_parent[1:]] = True
+        placed = self.entity_leaf[self.entity_leaf != 0]
+        return int(np.count_nonzero(~has_child[placed]))

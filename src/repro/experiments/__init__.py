@@ -10,15 +10,13 @@
   the corresponding benchmark prints.
 """
 
-from repro.experiments.harness import ExperimentResult, Scale, resolve_scale
-from repro.experiments.workloads import syn_workload, wifi_workload
-from repro.experiments import figures
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "Scale",
-    "figures",
-    "resolve_scale",
-    "syn_workload",
-    "wifi_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.harness": ["ExperimentResult", "Scale", "resolve_scale"],
+        "repro.experiments.workloads": ["syn_workload", "wifi_workload"],
+        "repro.experiments.figures": ["figures"],
+    },
+)

@@ -19,17 +19,13 @@ This subpackage provides:
   :class:`~repro.measures.setsim.FScoreADM`.
 """
 
-from repro.measures.adm import ExampleDiceADM, HierarchicalADM
-from repro.measures.base import AssociationMeasure, level_overlaps
-from repro.measures.setsim import DiceADM, FScoreADM, JaccardADM, OverlapADM
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AssociationMeasure",
-    "DiceADM",
-    "ExampleDiceADM",
-    "FScoreADM",
-    "HierarchicalADM",
-    "JaccardADM",
-    "OverlapADM",
-    "level_overlaps",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.measures.adm": ["ExampleDiceADM", "HierarchicalADM"],
+        "repro.measures.base": ["AssociationMeasure", "level_overlaps"],
+        "repro.measures.setsim": ["DiceADM", "FScoreADM", "JaccardADM", "OverlapADM"],
+    },
+)

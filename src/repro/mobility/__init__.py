@@ -13,18 +13,17 @@
   substitutes for the proprietary REAL dataset (see DESIGN.md).
 """
 
-from repro.mobility.hierarchical import HierarchicalMobilityConfig, generate_synthetic_dataset
-from repro.mobility.hierarchy_gen import GridHierarchyBuilder
-from repro.mobility.im_model import Grid, IMModelParams, IndividualMobilityModel
-from repro.mobility.wifi import WiFiConfig, generate_wifi_dataset
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Grid",
-    "GridHierarchyBuilder",
-    "HierarchicalMobilityConfig",
-    "IMModelParams",
-    "IndividualMobilityModel",
-    "WiFiConfig",
-    "generate_synthetic_dataset",
-    "generate_wifi_dataset",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mobility.hierarchical": [
+            "HierarchicalMobilityConfig",
+            "generate_synthetic_dataset",
+        ],
+        "repro.mobility.hierarchy_gen": ["GridHierarchyBuilder"],
+        "repro.mobility.im_model": ["Grid", "IMModelParams", "IndividualMobilityModel"],
+        "repro.mobility.wifi": ["WiFiConfig", "generate_wifi_dataset"],
+    },
+)

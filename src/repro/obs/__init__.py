@@ -19,38 +19,28 @@ import *from* it, never the other way around.  Two modules:
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and metric names.
 """
 
-from repro.obs.exposition import (
-    ExpositionError,
-    MetricFamily,
-    histogram_samples,
-    parse_exposition,
-    render_exposition,
-)
-from repro.obs.health import NodeHealth
-from repro.obs.trace import (
-    LATENCY_BUCKETS,
-    ActiveTrace,
-    Span,
-    SpanContext,
-    Tracer,
-    format_trace,
-    histogram_percentile,
-    snapshot_bucket_counts,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ActiveTrace",
-    "ExpositionError",
-    "LATENCY_BUCKETS",
-    "MetricFamily",
-    "NodeHealth",
-    "Span",
-    "SpanContext",
-    "Tracer",
-    "format_trace",
-    "histogram_percentile",
-    "histogram_samples",
-    "parse_exposition",
-    "render_exposition",
-    "snapshot_bucket_counts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.exposition": [
+            "ExpositionError",
+            "MetricFamily",
+            "histogram_samples",
+            "parse_exposition",
+            "render_exposition",
+        ],
+        "repro.obs.health": ["NodeHealth"],
+        "repro.obs.trace": [
+            "LATENCY_BUCKETS",
+            "ActiveTrace",
+            "Span",
+            "SpanContext",
+            "Tracer",
+            "format_trace",
+            "histogram_percentile",
+            "snapshot_bucket_counts",
+        ],
+    },
+)

@@ -16,51 +16,37 @@ documents checked by :func:`validate_report` and renderable to HTML with
 :func:`render_html`.
 """
 
-from repro.scenarios.backends import (
-    BACKENDS,
-    DEFAULT_BACKENDS,
-    ScenarioBackend,
-    make_backend,
-)
-from repro.scenarios.corpus import SCENARIOS, get_scenario, iter_scenarios, scenario_names
-from repro.scenarios.generators import (
-    CHURN_GENERATORS,
-    DATASET_GENERATORS,
-    build_churn_events,
-    build_dataset,
-)
-from repro.scenarios.report import REPORT_VERSION, render_html, validate_report
-from repro.scenarios.runner import GroundTruth, run_scenario, run_scenarios
-from repro.scenarios.spec import (
-    ChurnProfile,
-    DatasetProfile,
-    EngineProfile,
-    QueryWorkload,
-    ScenarioSpec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKENDS",
-    "CHURN_GENERATORS",
-    "ChurnProfile",
-    "DATASET_GENERATORS",
-    "DEFAULT_BACKENDS",
-    "DatasetProfile",
-    "EngineProfile",
-    "GroundTruth",
-    "QueryWorkload",
-    "REPORT_VERSION",
-    "SCENARIOS",
-    "ScenarioBackend",
-    "ScenarioSpec",
-    "build_churn_events",
-    "build_dataset",
-    "get_scenario",
-    "iter_scenarios",
-    "make_backend",
-    "render_html",
-    "run_scenario",
-    "run_scenarios",
-    "scenario_names",
-    "validate_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.scenarios.backends": [
+            "BACKENDS",
+            "DEFAULT_BACKENDS",
+            "ScenarioBackend",
+            "make_backend",
+        ],
+        "repro.scenarios.corpus": [
+            "SCENARIOS",
+            "get_scenario",
+            "iter_scenarios",
+            "scenario_names",
+        ],
+        "repro.scenarios.generators": [
+            "CHURN_GENERATORS",
+            "DATASET_GENERATORS",
+            "build_churn_events",
+            "build_dataset",
+        ],
+        "repro.scenarios.report": ["REPORT_VERSION", "render_html", "validate_report"],
+        "repro.scenarios.runner": ["GroundTruth", "run_scenario", "run_scenarios"],
+        "repro.scenarios.spec": [
+            "ChurnProfile",
+            "DatasetProfile",
+            "EngineProfile",
+            "QueryWorkload",
+            "ScenarioSpec",
+        ],
+    },
+)

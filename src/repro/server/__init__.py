@@ -51,36 +51,22 @@ in-process API, in both tiers) is pinned by
 ``tests/test_server_equivalence.py``.
 """
 
-from repro.server.app import EngineBackend, ServingPart, TraceServer, build_http_server
-from repro.server.coalescer import CoalescerStats, QueueFullError, RequestCoalescer
-from repro.server.frontend import GenerationPublisher, WorkerPool, worker_tier
-from repro.server.generation import GenerationStore
-from repro.server.metrics import LatencyHistogram, ServerMetrics
-from repro.server.protocol import (
-    EventsRequest,
-    ProtocolError,
-    TopKRequest,
-    parse_events_request,
-    parse_topk_request,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CoalescerStats",
-    "EngineBackend",
-    "EventsRequest",
-    "GenerationPublisher",
-    "GenerationStore",
-    "LatencyHistogram",
-    "ProtocolError",
-    "QueueFullError",
-    "RequestCoalescer",
-    "ServerMetrics",
-    "ServingPart",
-    "TopKRequest",
-    "TraceServer",
-    "WorkerPool",
-    "build_http_server",
-    "parse_events_request",
-    "parse_topk_request",
-    "worker_tier",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.server.app": ["EngineBackend", "ServingPart", "TraceServer", "build_http_server"],
+        "repro.server.coalescer": ["CoalescerStats", "QueueFullError", "RequestCoalescer"],
+        "repro.server.frontend": ["GenerationPublisher", "WorkerPool", "worker_tier"],
+        "repro.server.generation": ["GenerationStore"],
+        "repro.server.metrics": ["LatencyHistogram", "ServerMetrics"],
+        "repro.server.protocol": [
+            "EventsRequest",
+            "ProtocolError",
+            "TopKRequest",
+            "parse_events_request",
+            "parse_topk_request",
+        ],
+    },
+)

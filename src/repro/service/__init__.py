@@ -17,15 +17,13 @@ Durable index state lives one layer down, in
 two (per-shard snapshots plus a routing manifest).
 """
 
-from repro.service.cache import CacheStats, QueryResultCache
-from repro.service.merge import merge_topk_items, merge_topk_payloads, merge_topk_results
-from repro.service.sharded import ShardedEngine
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "QueryResultCache",
-    "ShardedEngine",
-    "merge_topk_items",
-    "merge_topk_payloads",
-    "merge_topk_results",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.cache": ["CacheStats", "QueryResultCache"],
+        "repro.service.merge": ["merge_topk_items", "merge_topk_payloads", "merge_topk_results"],
+        "repro.service.sharded": ["ShardedEngine"],
+    },
+)

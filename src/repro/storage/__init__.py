@@ -9,18 +9,17 @@ layout: the memory-size experiment (Figure 7.6,
 :func:`repro.experiments.figures.figure_7_6`) replays page traces over them.
 """
 
-from repro.storage.snapshot import (
-    SNAPSHOT_FORMAT_VERSION,
-    SnapshotError,
-    load_engine_snapshot,
-    save_engine_snapshot,
-    snapshot_info,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SNAPSHOT_FORMAT_VERSION",
-    "SnapshotError",
-    "load_engine_snapshot",
-    "save_engine_snapshot",
-    "snapshot_info",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.storage.snapshot": [
+            "SNAPSHOT_FORMAT_VERSION",
+            "SnapshotError",
+            "load_engine_snapshot",
+            "save_engine_snapshot",
+            "snapshot_info",
+        ],
+    },
+)

@@ -27,14 +27,17 @@ re-signing the dataset**:
     *lazy loader* and imports the arrays on the first query (patching in
     what changed if the engine mutated in between).
 
-Loading restores the hash coefficients verbatim and rebuilds the tree node
-by node, so the restored engine is *bitwise-identical* to the saved one:
+Loading restores the hash coefficients verbatim and the tree from its
+arrays, so the restored engine is *bitwise-identical* to the saved one:
 same signatures, same group-level routing values (including ones left loose
 by removals), same query results, orderings, and pruning statistics.  The
 presence records stay in their columns until a read needs an entity's
-trace (:meth:`TraceDataset.restore_columns`).  Saving an engine that has
-not changed since its load hard-links the loaded snapshot's payload files
-instead of writing them again (:func:`_link_unchanged_snapshot`).
+trace (:meth:`TraceDataset.restore_columns`), and the tree keeps its
+validated arrays until a mutation or a walk needs its nodes
+(:meth:`MinSigTree.import_structure`): queries run on ``columnar.npz``.
+Saving an engine that has not changed since its load hard-links the loaded
+snapshot's payload files instead of writing them again
+(:func:`_link_unchanged_snapshot`).
 
 Versioning policy
 -----------------
@@ -530,8 +533,11 @@ def load_engine_snapshot(
     """Restore a query-ready engine from a snapshot directory.
 
     No signature is recomputed: the hash coefficients, signature matrices,
-    and tree structure come straight from the arrays.  ``measure`` overrides
-    the serialized measure (required for measures outside the registry).
+    and tree structure come straight from the arrays, and no tree node is
+    built until the engine first mutates (see
+    :meth:`~repro.core.minsigtree.MinSigTree.import_structure`).
+    ``measure`` overrides the serialized measure (required for measures
+    outside the registry).
     With ``mmap_columnar=True`` the compiled columnar arrays are adopted as
     read-only memory-mapped views (:func:`repro.core.columnar.load_npz_mmap`)
     instead of heap copies, so N processes loading the same snapshot share
@@ -541,7 +547,8 @@ def load_engine_snapshot(
     Raises
     ------
     SnapshotError
-        On a missing/foreign directory, a format-version mismatch, a
+        On a missing/foreign directory, a missing or unreadable
+        ``hierarchy.json`` / ``arrays.npz``, a format-version mismatch, a
         fingerprint mismatch between the manifest's stored identity and the
         one recomputed from its contents, or a ``content`` map that does not
         name exactly the payload files with their digests.
@@ -579,7 +586,12 @@ def load_engine_snapshot(
     # (recompile), never fail the load.
     for name in (_HIERARCHY_NAME, _ARRAYS_NAME):
         recorded = content[name]
-        actual = _file_digest(directory / name)
+        try:
+            actual = _file_digest(directory / name)
+        except OSError as exc:
+            raise SnapshotError(
+                f"unreadable snapshot payload {name} in {directory}: {exc}"
+            ) from exc
         if actual != recorded:
             raise SnapshotError(
                 f"snapshot payload {name} in {directory} does not match the manifest "

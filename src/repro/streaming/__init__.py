@@ -36,34 +36,27 @@ engine built over the surviving events with the same configuration and
 horizon (see ``docs/ARCHITECTURE.md``).
 """
 
-from repro.core.engine import ExpiryReport
-from repro.streaming.ingestor import EventIngestor, FlushReport, IngestStats, StreamingConfig
-from repro.streaming.replay import ReplayReport, read_event_log, replay_events
-from repro.streaming.wal import (
-    ReplaySummary,
-    WalRecord,
-    WalScanReport,
-    WriteAheadLog,
-    replay_into,
-    scan_wal,
-)
-from repro.streaming.window import SlidingWindow, WindowStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventIngestor",
-    "ExpiryReport",
-    "FlushReport",
-    "IngestStats",
-    "ReplayReport",
-    "ReplaySummary",
-    "SlidingWindow",
-    "StreamingConfig",
-    "WalRecord",
-    "WalScanReport",
-    "WindowStats",
-    "WriteAheadLog",
-    "read_event_log",
-    "replay_events",
-    "replay_into",
-    "scan_wal",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.engine": ["ExpiryReport"],
+        "repro.streaming.ingestor": [
+            "EventIngestor",
+            "FlushReport",
+            "IngestStats",
+            "StreamingConfig",
+        ],
+        "repro.streaming.replay": ["ReplayReport", "read_event_log", "replay_events"],
+        "repro.streaming.wal": [
+            "ReplaySummary",
+            "WalRecord",
+            "WalScanReport",
+            "WriteAheadLog",
+            "replay_into",
+            "scan_wal",
+        ],
+        "repro.streaming.window": ["SlidingWindow", "WindowStats"],
+    },
+)

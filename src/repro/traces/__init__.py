@@ -16,35 +16,25 @@ This subpackage implements the substrate defined in Chapter 3 of the paper:
 * :mod:`~repro.traces.io` -- plain-text loaders and writers for trace files.
 """
 
-from repro.traces.adjoint import (
-    AdjointPresenceInstance,
-    adjoint_durations_by_level,
-    adjoint_instances,
-    entities_with_ajpi,
-)
-from repro.traces.dataset import TraceDataset
-from repro.traces.events import CellSequence, PresenceInstance, STCell
-from repro.traces.io import (
-    load_traces_csv,
-    load_traces_jsonl,
-    write_traces_csv,
-    write_traces_jsonl,
-)
-from repro.traces.spatial import SpatialHierarchy, SpatialUnit
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdjointPresenceInstance",
-    "CellSequence",
-    "PresenceInstance",
-    "STCell",
-    "SpatialHierarchy",
-    "SpatialUnit",
-    "TraceDataset",
-    "adjoint_durations_by_level",
-    "adjoint_instances",
-    "entities_with_ajpi",
-    "load_traces_csv",
-    "load_traces_jsonl",
-    "write_traces_csv",
-    "write_traces_jsonl",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.traces.adjoint": [
+            "AdjointPresenceInstance",
+            "adjoint_durations_by_level",
+            "adjoint_instances",
+            "entities_with_ajpi",
+        ],
+        "repro.traces.dataset": ["TraceDataset"],
+        "repro.traces.events": ["CellSequence", "PresenceInstance", "STCell"],
+        "repro.traces.io": [
+            "load_traces_csv",
+            "load_traces_jsonl",
+            "write_traces_csv",
+            "write_traces_jsonl",
+        ],
+        "repro.traces.spatial": ["SpatialHierarchy", "SpatialUnit"],
+    },
+)

@@ -585,6 +585,44 @@ def _shares_inodes(first, second) -> bool:
     )
 
 
+class TestMissingPayload:
+    """A snapshot missing ``hierarchy.json`` or ``arrays.npz`` is refused.
+
+    Regression: the digest check opened the file unguarded, so a missing
+    payload escaped as a raw ``FileNotFoundError`` and ``repro query``
+    printed a traceback.  The ``OSError`` stays the cause, which is how
+    ``GenerationStore.load_current`` tells a pruned generation (retried)
+    from a refused one.
+    """
+
+    @pytest.fixture(params=[0, 3], ids=["single", "sharded"])
+    def snapshot(self, request, small_dataset, small_measure, tmp_path):
+        knobs = dict(measure=small_measure, num_hashes=32, seed=5)
+        if request.param:
+            engine = ShardedEngine(small_dataset, num_shards=request.param, **knobs)
+        else:
+            engine = TraceQueryEngine(small_dataset, **knobs)
+        return type(engine), engine.build().save(tmp_path / "snap")
+
+    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz"])
+    def test_load_raises_snapshot_error(self, snapshot, name):
+        kind, path = snapshot
+        for payload in path.rglob(name):
+            payload.unlink()
+        with pytest.raises(SnapshotError, match=f"unreadable snapshot payload {name}") as caught:
+            kind.load(path)
+        assert isinstance(caught.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz"])
+    def test_the_cli_exits_2_without_a_traceback(self, snapshot, name, capsys):
+        _kind, path = snapshot
+        next(path.rglob(name)).unlink()
+        assert cli_main(["query", "--entity", "a", "--k", "3", "--snapshot", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: unreadable snapshot payload {name}")
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestLinkedSave:
     """A save of an engine unchanged since its load links the source's files."""
 
