@@ -233,7 +233,6 @@ def run_battery(
         backoff_base=0.02,
         backoff_cap=0.5,
         max_attempts=4,
-        replication=replication,
     )
     server = TraceServer(
         engine,

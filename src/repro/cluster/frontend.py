@@ -108,7 +108,7 @@ class ClusterFleet(ServingPart):
             raise ValueError(f"replication must be >= 1, got {replication}")
         self.publisher = publisher
         self.replication = replication
-        self.cluster_config = cluster_config or ClusterConfig(replication=replication)
+        self.cluster_config = cluster_config or ClusterConfig()
         self.startup_timeout = startup_timeout
         self.num_shards = len(publisher.stores)
         self.managed: Dict[str, ManagedReplica] = {}

@@ -61,8 +61,6 @@ class ClusterConfig:
     backoff_cap: float = 1.0
     #: Attempt rounds per request before the shard counts as unavailable.
     max_attempts: int = 4
-    #: Replicas per shard group (used by builders, not by the group itself).
-    replication: int = 2
 
 
 class ShardUnavailable(RuntimeError):

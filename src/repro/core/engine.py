@@ -21,11 +21,12 @@ Typical usage::
 
 Index construction routes signatures through the vectorised bulk pipeline
 (bitwise-identical to per-entity :meth:`SignatureComputer.signature_matrix`
-calls, the oracle its tests compare against), and batched queries --
-:meth:`TraceQueryEngine.top_k_batch` -- run through
-:func:`~repro.core.query.run_query_batch`, which shares query-cell hashing
-across the batch and can fan out over worker threads
-(``EngineConfig.batch_workers``).
+calls, the oracle its tests compare against).  ``top_k``, ``top_k_batch``
+and the result cache come from :class:`~repro.service.cache.QueryFront`,
+shared with the sharded engine; this engine supplies only the search.
+Batched queries run through :func:`~repro.core.query.run_query_batch`,
+which shares query-cell hashing across the batch and can fan out over
+worker threads (``EngineConfig.batch_workers``).
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ import numpy as np
 
 from repro.core.hashing import HierarchicalHashFamily
 from repro.core.minsigtree import MinSigTree
-from repro.core.query import BatchTopKResult, TopKResult, TopKSearcher, run_query_batch
+from repro.core.query import TopKResult, TopKSearcher
 from repro.core.signatures import SignatureComputer
 from repro.measures.adm import HierarchicalADM
 from repro.obs.trace import SpanContext
 from repro.measures.base import AssociationMeasure
+from repro.service.cache import QueryFront
 from repro.traces.dataset import TraceDataset
 from repro.traces.events import PresenceInstance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.measures.base import AssociationMeasure as _Measure
-    from repro.service.cache import QueryResultCache
     from repro.storage.snapshot import _SnapshotSource
 
 __all__ = ["EngineConfig", "ExpiryReport", "TraceQueryEngine"]
@@ -126,10 +127,10 @@ class EngineConfig:
         fan-out.  ``0`` (default) runs batches serially in the calling
         thread.
     query_cache_size:
-        Maximum number of :meth:`TraceQueryEngine.top_k` results kept in the
-        engine's LRU query cache (``0``, the default, disables caching).
-        Every mutation -- ``add_records``, ``refresh_entities``,
-        ``remove_entity``, ``build`` -- invalidates the cache, so cached
+        Maximum number of ``top_k`` results kept in the engine's LRU query
+        cache (``0``, the default, disables caching).  Every index change --
+        ``build``, ``add_records``, ``refresh_entities``, ``remove_entity``,
+        ``expire_events``, ``compact`` -- clears the cache, so cached
         results are always identical to fresh searches.
 
     Example
@@ -204,7 +205,7 @@ class EngineConfig:
         return dataclasses.replace(self, **overrides)
 
 
-class TraceQueryEngine:
+class TraceQueryEngine(QueryFront):
     """End-to-end top-k query processing over a trace dataset.
 
     Parameters
@@ -259,24 +260,14 @@ class TraceQueryEngine:
             # Keyword overrides win over the config's values, but fields not
             # mentioned keep whatever the explicit config carried.
             config = config.with_overrides(**overrides)
+        super().__init__(config)
         self.dataset = dataset
-        self.config = config
         self.measure = measure or HierarchicalADM(num_levels=dataset.num_levels)
 
         self._hash_family: Optional[HierarchicalHashFamily] = None
         self._signature_computer: Optional[SignatureComputer] = None
         self._tree: Optional[MinSigTree] = None
         self._searcher: Optional[TopKSearcher] = None
-        # The config is fixed for the engine's lifetime; hash it once so
-        # cache keys on the query hot path cost a tuple build, not a SHA-256.
-        self._config_fingerprint = self.config.fingerprint()
-        self._query_cache: Optional["QueryResultCache"] = None
-        if self.config.query_cache_size > 0:
-            # Imported lazily: repro.service builds on the engine, so the
-            # cache class cannot be a module-level import here.
-            from repro.service.cache import QueryResultCache
-
-            self._query_cache = QueryResultCache(self.config.query_cache_size)
         #: Wall-clock seconds spent in the last :meth:`build` call.
         self.last_build_seconds: float = 0.0
         # Set by the snapshot loader: a save of the engine while unchanged
@@ -448,162 +439,15 @@ class TraceQueryEngine:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def top_k(
+    def _search(
         self,
         query_entity: str,
-        k: int = 10,
-        approximation: float = 0.0,
-        trace: Optional[SpanContext] = None,
+        k: int,
+        approximation: float,
+        trace: Optional[SpanContext],
     ) -> TopKResult:
-        """Return the ``k`` entities most associated with ``query_entity``.
-
-        ``approximation`` > 0 enables approximate top-k with an additive
-        guarantee (see :meth:`repro.core.query.TopKSearcher.search`).
-
-        With ``EngineConfig.query_cache_size > 0`` repeated queries are
-        served from an LRU cache.
-
-        ``trace`` (a :class:`repro.obs.trace.SpanContext`, default
-        ``None``) attaches cache-lookup and kernel-stage spans to the
-        query; it never changes the result.
-        """
-        cache = self._query_cache
-        if cache is not None:
-            key = self._query_cache_key(query_entity, k, approximation)
-            if trace is None:
-                return cache.fetch_or_compute(
-                    key,
-                    lambda: self.searcher.search(query_entity, k, approximation=approximation),
-                )
-            # Same get -> compute -> put(copy) protocol fetch_or_compute
-            # implements, unrolled so the stages can be spanned.
-            lookup_span = trace.begin("cache.lookup")
-            cached = cache.get(key)
-            lookup_span.end(hit=cached is not None)
-            if cached is not None:
-                return cached
-            result = self.searcher.search(
-                query_entity, k, approximation=approximation, trace=trace
-            )
-            cache.put(key, result.copy())
-            return result
-        return self.searcher.search(
-            query_entity, k, approximation=approximation, trace=trace
-        )
-
-    def _query_cache_key(self, query_entity: str, k: int, approximation: float) -> tuple:
-        """The cache key shared by the single and batched query paths."""
-        return (query_entity, k, approximation, self._config_fingerprint)
-
-    @property
-    def query_cache(self) -> Optional["QueryResultCache"]:
-        """The LRU query cache, or ``None`` when caching is disabled."""
-        return self._query_cache
-
-    def configure_query_cache(self, size: int) -> None:
-        """Enable, resize, or disable (``size=0``) the query cache.
-
-        The serving layer's runtime hook (``repro serve --cache N``): the
-        engine construction path normally fixes the cache from
-        ``EngineConfig.query_cache_size``, but a snapshot-loaded engine
-        inherits the snapshot's config, and an operator may want a
-        different cache for the serving workload.  Replacing the cache
-        starts it empty, which is trivially consistent.
-        """
-        if size < 0:
-            raise ValueError(f"query cache size must be >= 0, got {size}")
-        self.config = self.config.with_overrides(query_cache_size=size)
-        if size > 0:
-            from repro.service.cache import QueryResultCache
-
-            self._query_cache = QueryResultCache(size)
-        else:
-            self._query_cache = None
-
-    def _invalidate_query_cache(self) -> None:
-        if self._query_cache is not None:
-            self._query_cache.clear()
-
-    def top_k_batch(
-        self,
-        query_entities: Sequence[str],
-        k: int = 10,
-        workers: Optional[int] = None,
-        approximation: float = 0.0,
-        traces: Optional[Sequence[Optional[SpanContext]]] = None,
-    ) -> BatchTopKResult:
-        """Answer a batch of top-k queries and return the aggregate report.
-
-        The union of the queries' ST-cells is hashed once and -- when
-        ``workers`` (or the config's ``batch_workers``) exceeds 1 -- queries
-        fan out over a thread pool; results are identical to calling
-        :meth:`top_k` per entity.  With the query cache enabled, queries
-        already cached are served from it and only the misses run -- the same
-        semantics :meth:`top_k` has, so single and batched serving paths hit
-        the same cache.
-
-        ``traces`` is aligned with ``query_entities``; non-``None`` entries
-        receive per-query cache/kernel spans.  Results are unaffected.
-        """
-        searcher = self.searcher
-
-        def run(
-            entities: Sequence[str], entity_traces: Optional[Sequence[Optional[SpanContext]]]
-        ) -> BatchTopKResult:
-            return run_query_batch(
-                lambda entity, trace: searcher.search(
-                    entity, k, approximation=approximation, trace=trace
-                ),
-                entities,
-                self.dataset,
-                searcher.hash_family,
-                self.config.batch_workers if workers is None else int(workers),
-                entity_traces,
-            )
-
-        cache = self._query_cache
-        if cache is None:
-            return run(query_entities, traces)
-        started = time.perf_counter()
-        results: List[Optional[TopKResult]] = []
-        miss_positions: List[int] = []
-        for position, query_entity in enumerate(query_entities):
-            lookup_span = (
-                traces[position].begin("cache.lookup")
-                if traces is not None and traces[position] is not None
-                else None
-            )
-            cached = cache.get(self._query_cache_key(query_entity, k, approximation))
-            if lookup_span is not None:
-                lookup_span.end(hit=cached is not None)
-            results.append(cached)
-            if cached is None:
-                miss_positions.append(position)
-        if miss_positions:
-            missing = [query_entities[position] for position in miss_positions]
-            miss_traces = (
-                [traces[position] for position in miss_positions]
-                if traces is not None
-                else None
-            )
-            batch = run(missing, miss_traces)
-            for position, result in zip(miss_positions, batch.results):
-                results[position] = result
-                cache.put(
-                    self._query_cache_key(result.query_entity, k, approximation),
-                    result.copy(),
-                )
-            workers_used = batch.workers
-            warmed = batch.warmed_cells
-        else:
-            workers_used = 0
-            warmed = 0
-        return BatchTopKResult(
-            results=[result for result in results if result is not None],
-            wall_seconds=time.perf_counter() - started,
-            workers=workers_used,
-            warmed_cells=warmed,
-        )
+        """One exact search of the index; ``top_k``/``top_k_batch`` cache it."""
+        return self.searcher.search(query_entity, k, approximation=approximation, trace=trace)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (Section 4.2.3)

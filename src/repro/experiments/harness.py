@@ -25,7 +25,6 @@ medium    1200        20        128, 256, 512, 1024, 2048
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -172,19 +171,6 @@ class ExperimentResult:
             writer.writeheader()
             for row in self.rows:
                 writer.writerow({key: row.get(key, "") for key in columns})
-
-    def save_json(self, path: str) -> None:
-        """Write the standard JSON results document.
-
-        The layout -- ``{"name", "metadata", "rows"}`` with one flat object
-        per data point -- is the machine-readable mirror of
-        :meth:`to_table`, used by the benchmarks that assert numeric
-        acceptance thresholds (e.g. ``bench_snapshot_vs_rebuild``).
-        """
-        document = {"name": self.name, "metadata": self.metadata, "rows": self.rows}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
     def __len__(self) -> int:
         return len(self.rows)

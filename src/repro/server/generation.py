@@ -71,9 +71,9 @@ PathLike = Union[str, Path]
 #: the previous one are kept.
 KEEP_GENERATIONS = 2
 
-#: Default maximum delta-chain length: a full snapshot is forced once this
-#: many consecutive delta generations were published, bounding the replay a
-#: cold start must perform.
+#: Maximum delta-chain length: a full snapshot is forced once this many
+#: consecutive delta generations were published, bounding the replay a cold
+#: start must perform.
 DELTA_CHAIN_LIMIT = 8
 
 _CURRENT_NAME = "CURRENT"
@@ -144,14 +144,9 @@ class GenerationStore:
     of reader processes on one host; there is no cross-host coordination.
     """
 
-    def __init__(self, root: PathLike, delta_limit: int = DELTA_CHAIN_LIMIT) -> None:
-        if delta_limit < 0:
-            raise ValueError(f"delta_limit must be >= 0, got {delta_limit}")
+    def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Full snapshot forced after this many consecutive deltas
-        #: (``0`` disables deltas entirely -- every publish is full).
-        self.delta_limit = int(delta_limit)
         document = self._current_document()
         #: The newest generation this process knows about (0 = none yet).
         self.generation = int(document["generation"]) if document else 0
@@ -202,18 +197,13 @@ class GenerationStore:
         Falls back to a full :meth:`publish` when ``delta`` is ``None``
         (the caller could not describe the change operationally), when
         nothing full was ever published, or when the chain above the last
-        full snapshot has reached :attr:`delta_limit`.  Otherwise writes a
+        full snapshot has reached :data:`DELTA_CHAIN_LIMIT`.  Otherwise writes a
         ``delta-NNNNNN.json`` document -- fsynced, then atomically named,
         then ``CURRENT`` swapped -- so readers observe either the previous
         generation or the complete new one, exactly as for full snapshots.
         """
         chain_length = self.generation - self.base_full
-        if (
-            delta is None
-            or self.generation == 0
-            or self.delta_limit == 0
-            or chain_length >= self.delta_limit
-        ):
+        if delta is None or self.generation == 0 or chain_length >= DELTA_CHAIN_LIMIT:
             return self.publish(engine, extra_meta=extra_meta)
         generation = self.generation + 1
         name = f"delta-{generation:06d}.json"

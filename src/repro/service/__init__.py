@@ -9,8 +9,9 @@ into a servable deployment:
   each entity on a shard by a stable hash of its identifier, builds the N
   shards in parallel, routes updates to the owning shard, and
   merges per-shard top-k results into exact global answers;
-* :mod:`~repro.service.cache` -- the size-bounded LRU query-result cache
-  wired into both engines via ``EngineConfig.query_cache_size``.
+* :mod:`~repro.service.cache` -- ``QueryFront``, the one ``top_k`` /
+  ``top_k_batch`` both engines run, and its size-bounded LRU result cache
+  (``EngineConfig.query_cache_size``).
 
 Durable index state lives one layer down, in
 :mod:`repro.storage.snapshot`; ``ShardedEngine.save``/``load`` compose the

@@ -1,18 +1,16 @@
-"""A size-bounded LRU cache for top-k query results.
+"""The query front both engines share, and its size-bounded LRU result cache.
 
 Serving workloads are heavily skewed -- a few query entities account for
 most traffic -- so an engine-side result cache turns repeat queries into
-dictionary lookups.  Correctness is kept trivial: cache keys include the
-engine's configuration fingerprint, and every mutation path invalidates
-eagerly, so a cached result is always identical to what a fresh search
-would return.  Invalidation has two granularities:
-
-* the single engine clears wholesale (:meth:`QueryResultCache.clear`) on
-  every mutation -- one index, so everything it cached is suspect;
-* the sharded engine caches *per-shard partial* results and uses
-  :meth:`QueryResultCache.invalidate_where` to drop only the entries whose
-  shard (or query entity) a streamed update touched -- see
-  :mod:`repro.service.sharded`.
+dictionary lookups.  :class:`QueryFront` is the one implementation of
+``top_k``, ``top_k_batch`` and the cache's lifecycle; the single engine
+(:class:`~repro.core.engine.TraceQueryEngine`) and the sharded engine
+(:class:`~repro.service.sharded.ShardedEngine`) mix it in and supply only
+their exact search.  Correctness is kept trivial: keys are
+``(query entity, k, approximation, config fingerprint)``, entries hold
+whole answers, and every index change clears the cache
+(:meth:`QueryResultCache.clear`), so a cached result is always identical to
+what a fresh search would return.
 
 **Thread-safety contract** (audited for the serving daemon's request
 coalescer, where cache reads/writes race handler threads, the dispatcher
@@ -20,9 +18,9 @@ thread, and the ingest path):
 
 * every mutation of the recency list *and* of the :class:`CacheStats`
   counters happens under the cache lock;
-* ``fetch_or_compute`` runs ``compute`` outside the lock (searches are
-  slow) and tolerates concurrent misses -- the last put wins, which is
-  correct because results are deterministic;
+* :class:`QueryFront` runs the search between ``get`` and ``put``, outside
+  the lock (searches are slow), and tolerates concurrent misses -- the
+  last put wins, which is correct because results are deterministic;
 * values are copied on hit and on put, so no caller ever holds a reference
   into the cache;
 * readers (``__len__``, ``__contains__``, :meth:`QueryResultCache.keys`,
@@ -34,13 +32,17 @@ thread, and the ingest path):
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
-from typing import Callable, Hashable, List, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
-__all__ = ["CacheStats", "QueryResultCache"]
+from repro.core.query import BatchTopKResult, TopKResult, run_query_batch
+from repro.obs.trace import SpanContext
 
-#: Anything with a ``copy()`` returning an independent instance (TopKResult).
-_CopyableT = TypeVar("_CopyableT")
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import EngineConfig
+
+__all__ = ["CacheStats", "QueryFront", "QueryResultCache"]
 
 
 class CacheStats:
@@ -98,11 +100,10 @@ class QueryResultCache:
     def get(self, key: Hashable) -> Optional[object]:
         """A *copy* of the cached value, refreshed to most-recently-used, or ``None``.
 
-        Copying on every hit -- not only inside :meth:`fetch_or_compute` --
-        is what makes the module-level copy-on-hit contract hold for direct
-        callers too: a caller mutating the returned result can never poison
-        later hits.  The copy happens outside the lock (it touches only the
-        caller's value, not the recency list).
+        Copying on every hit is what makes the module-level copy-on-hit
+        contract hold for every caller: a caller mutating the returned
+        result can never poison later hits.  The copy happens outside the
+        lock (it touches only the caller's value, not the recency list).
         """
         with self._lock:
             try:
@@ -125,48 +126,10 @@ class QueryResultCache:
                 self.stats.evictions += 1
 
     def clear(self) -> None:
-        """Drop every entry (the wholesale mutation-path invalidation hook)."""
+        """Drop every entry (the invalidation every index change calls)."""
         with self._lock:
             self._entries.clear()
             self.stats.invalidations += 1
-
-    def invalidate_where(self, predicate: Callable[[Hashable], bool]) -> int:
-        """Drop exactly the entries whose key satisfies ``predicate``.
-
-        The selective counterpart of :meth:`clear`, used by the sharded
-        engine's streaming-update path: an update routed to one shard only
-        drops the cache entries that shard (or the updated entities) could
-        have influenced, leaving the rest of a warm cache intact.
-
-        ``predicate`` runs under the cache lock -- it must be cheap and must
-        not call back into the cache.  Returns the number of entries
-        dropped; an invalidation event is counted only when something was
-        actually dropped.
-        """
-        with self._lock:
-            doomed: List[Hashable] = [key for key in self._entries if predicate(key)]
-            for key in doomed:
-                del self._entries[key]
-            if doomed:
-                self.stats.invalidations += 1
-            return len(doomed)
-
-    def fetch_or_compute(self, key: Hashable, compute: Callable[[], _CopyableT]) -> _CopyableT:
-        """The cache-protocol used by every query path: copy-on-hit, copy-on-put.
-
-        A hit returns a *copy* of the stored value (:meth:`get` copies), and
-        a computed value is stored as a *copy* -- so a caller mutating its
-        result can never poison later hits.  ``compute`` runs outside the
-        lock (searches are slow); concurrent misses on the same key both
-        compute and the last put wins, which is safe because results are
-        deterministic.
-        """
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        value = compute()
-        self.put(key, value.copy())
-        return value
 
     def __len__(self) -> int:
         with self._lock:
@@ -203,3 +166,174 @@ class QueryResultCache:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"QueryResultCache(entries={len(self)}/{self.max_entries}, {self.stats!r})"
+
+
+class QueryFront:
+    """``top_k``, ``top_k_batch`` and the result cache, written once for both engines.
+
+    An engine calls ``QueryFront.__init__`` with its final config, calls
+    :meth:`_invalidate_query_cache` after every index change, and supplies
+
+    * ``_search(query_entity, k, approximation, trace)`` -- one exact,
+      uncached search (the single engine's ``searcher.search``; the sharded
+      engine's fan-out over its shards plus the merge);
+    * ``dataset`` and ``hash_family`` -- the substrate
+      :func:`~repro.core.query.run_query_batch` pre-hashes a batch's
+      query cells into;
+    * ``_require_built()``.
+    """
+
+    def __init__(self, config: "EngineConfig") -> None:
+        self.config = config
+        # The config's semantic fields are fixed for the engine's lifetime;
+        # hash them once so a cache key on the query hot path costs a tuple
+        # build, not a SHA-256.
+        self._config_fingerprint = config.fingerprint()
+        self._query_cache: Optional[QueryResultCache] = (
+            QueryResultCache(config.query_cache_size) if config.query_cache_size > 0 else None
+        )
+
+    def _search(
+        self,
+        query_entity: str,
+        k: int,
+        approximation: float,
+        trace: Optional[SpanContext],
+    ) -> TopKResult:
+        raise NotImplementedError
+
+    def _query_cache_key(self, query_entity: str, k: int, approximation: float) -> tuple:
+        return (query_entity, k, approximation, self._config_fingerprint)
+
+    def _lookup(
+        self,
+        cache: QueryResultCache,
+        query_entity: str,
+        k: int,
+        approximation: float,
+        trace: Optional[SpanContext],
+    ) -> Optional[TopKResult]:
+        """One cache lookup, spanned as ``cache.lookup`` when traced."""
+        lookup_span = trace.begin("cache.lookup") if trace is not None else None
+        cached = cache.get(self._query_cache_key(query_entity, k, approximation))
+        if lookup_span is not None:
+            lookup_span.end(hit=cached is not None)
+        return cached
+
+    def top_k(
+        self,
+        query_entity: str,
+        k: int = 10,
+        approximation: float = 0.0,
+        trace: Optional[SpanContext] = None,
+    ) -> TopKResult:
+        """Return the ``k`` entities most associated with ``query_entity``.
+
+        ``approximation`` > 0 enables approximate top-k with an additive
+        guarantee (see :meth:`repro.core.query.TopKSearcher.search`).
+
+        With ``EngineConfig.query_cache_size > 0`` repeated queries are
+        served from an LRU cache: one lookup per call, and a miss searches
+        and stores a copy of the answer.
+
+        ``trace`` (a :class:`repro.obs.trace.SpanContext`, default
+        ``None``) attaches a ``cache.lookup`` span (when caching) and the
+        search's spans to the query; it never changes the result.
+        """
+        cache = self._query_cache
+        if cache is None:
+            return self._search(query_entity, k, approximation, trace)
+        result = self._lookup(cache, query_entity, k, approximation, trace)
+        if result is None:
+            result = self._search(query_entity, k, approximation, trace)
+            cache.put(self._query_cache_key(query_entity, k, approximation), result.copy())
+        return result
+
+    def top_k_batch(
+        self,
+        query_entities: Sequence[str],
+        k: int = 10,
+        workers: Optional[int] = None,
+        approximation: float = 0.0,
+        traces: Optional[Sequence[Optional[SpanContext]]] = None,
+    ) -> BatchTopKResult:
+        """Answer a batch of top-k queries and return the aggregate report.
+
+        Queries already cached are answered first, with the same lookup
+        :meth:`top_k` makes; the misses run through
+        :func:`~repro.core.query.run_query_batch`, which hashes the union of
+        their ST-cells once and -- when ``workers`` (or the config's
+        ``batch_workers``) exceeds 1 -- fans them out over a thread pool.
+        Results are identical to calling :meth:`top_k` per entity.
+
+        ``traces`` is aligned with ``query_entities``; non-``None`` entries
+        receive per-query cache and search spans.  Results are unaffected.
+        """
+        self._require_built()
+
+        def run(
+            entities: Sequence[str], entity_traces: Optional[Sequence[Optional[SpanContext]]]
+        ) -> BatchTopKResult:
+            return run_query_batch(
+                lambda entity, trace: self._search(entity, k, approximation, trace),
+                entities,
+                self.dataset,
+                self.hash_family,
+                self.config.batch_workers if workers is None else int(workers),
+                entity_traces,
+            )
+
+        cache = self._query_cache
+        if cache is None:
+            return run(query_entities, traces)
+        started = time.perf_counter()
+        results: List[Optional[TopKResult]] = []
+        miss_positions: List[int] = []
+        for position, query_entity in enumerate(query_entities):
+            trace = traces[position] if traces is not None else None
+            cached = self._lookup(cache, query_entity, k, approximation, trace)
+            results.append(cached)
+            if cached is None:
+                miss_positions.append(position)
+        workers_used = warmed = 0
+        if miss_positions:
+            batch = run(
+                [query_entities[position] for position in miss_positions],
+                [traces[position] for position in miss_positions] if traces is not None else None,
+            )
+            for position, result in zip(miss_positions, batch.results):
+                results[position] = result
+                cache.put(
+                    self._query_cache_key(query_entities[position], k, approximation),
+                    result.copy(),
+                )
+            workers_used, warmed = batch.workers, batch.warmed_cells
+        return BatchTopKResult(
+            results=results,
+            wall_seconds=time.perf_counter() - started,
+            workers=workers_used,
+            warmed_cells=warmed,
+        )
+
+    @property
+    def query_cache(self) -> Optional[QueryResultCache]:
+        """The LRU query cache, or ``None`` when caching is disabled."""
+        return self._query_cache
+
+    def configure_query_cache(self, size: int) -> None:
+        """Enable, resize, or disable (``size=0``) the query cache.
+
+        The serving layer's runtime hook (``repro serve --cache N``): the
+        constructor fixes the cache from ``EngineConfig.query_cache_size``,
+        but a snapshot-loaded engine inherits the snapshot's config, and an
+        operator may want a different cache for the serving workload.
+        Replacing the cache starts it empty, which is trivially consistent.
+        """
+        if size < 0:
+            raise ValueError(f"query cache size must be >= 0, got {size}")
+        self.config = self.config.with_overrides(query_cache_size=size)
+        self._query_cache = QueryResultCache(size) if size > 0 else None
+
+    def _invalidate_query_cache(self) -> None:
+        if self._query_cache is not None:
+            self._query_cache.clear()

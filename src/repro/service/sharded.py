@@ -26,17 +26,10 @@ Placement decides which shard does the work, not the answer.  A sharded
 deployment snapshots to a directory of per-shard engine snapshots plus a
 routing manifest -- see :meth:`ShardedEngine.save`.
 
-**Caching under streaming updates.**  The result cache stores *per-shard
-partial* top-k lists keyed ``(shard, query entity, k, approximation,
-config fingerprint)`` rather than merged results; a merged answer is
-reassembled from its partials on every hit (the merge is a sort of ``N * k``
-pairs -- negligible next to a search).  A cached partial can only go stale
-in two ways: its shard's index or data changed, or its *query entity's*
-trace changed (the query sequence is fetched from the routing dataset).
-Streamed updates therefore invalidate exactly the entries whose shard was
-touched or whose query entity was updated -- the rest of a warm cache
-survives, which is what keeps cache hit rates useful under continuous
-ingestion.  ``build``/``load``/``compact`` still clear wholesale.
+``top_k``, ``top_k_batch`` and the result cache are the single engine's
+(:class:`~repro.service.cache.QueryFront`): the sharded engine supplies
+only its search -- the fan-out over the shards plus the merge -- so the
+cache holds whole merged answers and every index change clears it.
 """
 
 from __future__ import annotations
@@ -47,14 +40,15 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.engine import EngineConfig, ExpiryReport, TraceQueryEngine
-from repro.core.query import BatchTopKResult, TopKResult, run_query_batch
+from repro.core.hashing import HierarchicalHashFamily
+from repro.core.query import TopKResult
 from repro.measures.adm import HierarchicalADM
 from repro.measures.base import AssociationMeasure
 from repro.obs.trace import SpanContext
-from repro.service.cache import QueryResultCache
+from repro.service.cache import QueryFront
 from repro.service.merge import merge_topk_results
 from repro.storage.snapshot import (
     SHARDED_SNAPSHOT_FORMAT,
@@ -85,7 +79,7 @@ def _hash_shard(entity: str, num_shards: int) -> int:
     return int.from_bytes(digest, "big") % num_shards
 
 
-class ShardedEngine:
+class ShardedEngine(QueryFront):
     """Top-k serving over entity shards with a single-engine-equivalent API.
 
     Parameters
@@ -144,16 +138,12 @@ class ShardedEngine:
             config = EngineConfig()
         if overrides:
             config = config.with_overrides(**overrides)
+        super().__init__(config)
         self.dataset = dataset
-        self.config = config
         self.measure = measure or HierarchicalADM(num_levels=dataset.num_levels)
         self._num_shards = int(num_shards)
         self._shard_of: Dict[str, int] = {}
         self._shards: List[TraceQueryEngine] = []
-        self._config_fingerprint = config.fingerprint()
-        self._query_cache: Optional[QueryResultCache] = None
-        if config.query_cache_size > 0:
-            self._query_cache = QueryResultCache(config.query_cache_size)
         #: Wall-clock seconds spent in the last :meth:`build` call.
         self.last_build_seconds: float = 0.0
 
@@ -177,21 +167,10 @@ class ShardedEngine:
         return tuple(self._shards)
 
     @property
-    def query_cache(self) -> Optional[QueryResultCache]:
-        """The sharded engine's LRU result cache, or ``None`` when disabled."""
-        return self._query_cache
-
-    def configure_query_cache(self, size: int) -> None:
-        """Enable, resize, or disable (``size=0``) the partial-result cache.
-
-        Mirrors :meth:`TraceQueryEngine.configure_query_cache`; the sharded
-        cache stores per-shard partials, so resizing starts it empty and
-        the next queries re-warm it shard by shard.
-        """
-        if size < 0:
-            raise ValueError(f"query cache size must be >= 0, got {size}")
-        self.config = self.config.with_overrides(query_cache_size=size)
-        self._query_cache = QueryResultCache(size) if size > 0 else None
+    def hash_family(self) -> HierarchicalHashFamily:
+        """The hash family every shard shares (see :meth:`_share_hash_family`)."""
+        self._require_built()
+        return self._shards[0].hash_family
 
     @property
     def num_entities(self) -> int:
@@ -307,145 +286,46 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def top_k(
-        self,
-        query_entity: str,
-        k: int = 10,
-        approximation: float = 0.0,
-        trace: Optional[SpanContext] = None,
-    ) -> TopKResult:
-        """Global top-k: fan out over every shard and merge.
-
-        Results (and orderings) match a single engine over the same
-        dataset.  The merged :class:`QueryStats` aggregate the per-shard
-        counters (populations and work counters sum, early termination is
-        "any").
-
-        With ``query_cache_size > 0`` the *per-shard partial* results are
-        cached, so one ``top_k`` call costs up to ``num_shards`` cache
-        lookups -- and a streamed update to one shard leaves the other
-        shards' cached partials servable (see the module docstring).
-
-        ``trace`` attaches per-shard ``shard.search`` spans (each nesting
-        the kernel-stage spans) and a ``kernel.merge`` span; it never
-        changes results.
-        """
-        self._require_built()
-        return self._search_shards(query_entity, k, approximation, trace)
-
-    def _partial_cache_key(
-        self, shard_id: int, query_entity: str, k: int, approximation: float
-    ) -> tuple:
-        """Cache key of one shard's partial top-k.
-
-        The shard id leads so selective invalidation can match on it;
-        the query entity follows for the same reason.
-        """
-        return (shard_id, query_entity, k, approximation, self._config_fingerprint)
-
-    def _search_shards(
+    def _search(
         self,
         query_entity: str,
         k: int,
         approximation: float,
-        trace: Optional[SpanContext] = None,
+        trace: Optional[SpanContext],
     ) -> TopKResult:
-        """Fan one query out over every shard (cache-aware) and merge."""
+        """Fan one query out over every shard and merge the global top-k.
+
+        Results (and orderings) match a single engine over the same
+        dataset.  The merged :class:`QueryStats` aggregate the per-shard
+        counters (populations and work counters sum, early termination is
+        "any").  ``trace`` attaches per-shard ``shard.search`` spans (each
+        nesting the kernel-stage spans) and a ``kernel.merge`` span.
+        """
+        self._require_built()
         query_sequence = self.dataset.cell_sequence(query_entity)
-        cache = self._query_cache
         shard_results = []
         for shard_id, shard in enumerate(self._shards):
             shard_span = (
                 trace.begin("shard.search", shard=shard_id) if trace is not None else None
             )
-
-            def compute(
-                shard: TraceQueryEngine = shard,
-                shard_trace: Optional[SpanContext] = (
-                    trace.under(shard_span) if shard_span is not None else None
-                ),
-            ) -> TopKResult:
-                return shard.searcher.search(
+            shard_results.append(
+                shard.searcher.search(
                     query_entity,
                     k,
                     approximation=approximation,
                     query_sequence=query_sequence,
-                    trace=shard_trace,
+                    trace=trace.under(shard_span) if shard_span is not None else None,
                 )
-
-            if cache is None:
-                shard_results.append(compute())
-                if shard_span is not None:
-                    shard_span.end()
-            elif trace is None:
-                shard_results.append(
-                    cache.fetch_or_compute(
-                        self._partial_cache_key(shard_id, query_entity, k, approximation),
-                        compute,
-                    )
-                )
-            else:
-                # Same get -> compute -> put(copy) protocol as
-                # fetch_or_compute, unrolled to record the cache outcome.
-                key = self._partial_cache_key(shard_id, query_entity, k, approximation)
-                partial = cache.get(key)
-                if partial is None:
-                    partial = compute()
-                    cache.put(key, partial.copy())
-                    shard_span.end(cache_hit=False)
-                else:
-                    shard_span.end(cache_hit=True)
-                shard_results.append(partial)
+            )
+            if shard_span is not None:
+                shard_span.end()
         merge_span = trace.begin("kernel.merge") if trace is not None else None
-        merged = self._merge_results(query_entity, shard_results, k)
+        # The one merge/tie-break shared with the cluster coordinator, so
+        # in-process and multi-node deployments rank identically.
+        merged = merge_topk_results(query_entity, shard_results, k)
         if merge_span is not None:
             merge_span.end(shards=len(shard_results), results=len(merged.items))
         return merged
-
-    @staticmethod
-    def _merge_results(
-        query_entity: str, shard_results: Sequence[TopKResult], k: int
-    ) -> TopKResult:
-        """Merge exact per-shard top-k lists into the global top-k.
-
-        Delegates to :func:`repro.service.merge.merge_topk_results` -- the
-        single merge/tie-break shared with the cluster coordinator, so
-        in-process and multi-node deployments rank identically.
-        """
-        return merge_topk_results(query_entity, shard_results, k)
-
-    def top_k_batch(
-        self,
-        query_entities: Sequence[str],
-        k: int = 10,
-        workers: Optional[int] = None,
-        approximation: float = 0.0,
-        traces: Optional[Sequence[Optional[SpanContext]]] = None,
-    ) -> BatchTopKResult:
-        """Answer a batch of queries, fanning queries out over a thread pool.
-
-        The union of every query's ST-cells is pre-hashed into each shard's
-        cell cache (one bulk kernel call per shard), then queries run
-        concurrently when ``workers`` (or the config's ``batch_workers``)
-        exceeds 1.  Results are identical to serial :meth:`top_k` calls.
-        ``traces`` is aligned with ``query_entities``, as in the single
-        engine's batch API.
-        """
-        self._require_built()
-
-        def search_one(entity: str, trace: Optional[SpanContext]) -> TopKResult:
-            return self.top_k(entity, k, approximation=approximation, trace=trace)
-
-        # The shards share one hash family (see _share_hash_family), so one
-        # warm-up primes the cell cache for every shard's searches.
-        return run_query_batch(
-            search_one,
-            query_entities,
-            self.dataset,
-            self._shards[0].hash_family,
-            self.config.batch_workers if workers is None else int(workers),
-            traces,
-        )
 
     # ------------------------------------------------------------------
     # Incremental maintenance (routed to the owning shard)
@@ -455,9 +335,7 @@ class ShardedEngine:
 
         New entities go to their hash shard; existing ones go to their
         recorded shard.  Returns the affected entities in first-seen
-        order, exactly like the single-engine API.  Only the cache entries
-        of the touched shards (or of queries about the updated entities)
-        are invalidated.
+        order, exactly like the single-engine API.
         """
         self._require_built()
         affected: Dict[str, None] = {}
@@ -468,7 +346,7 @@ class ShardedEngine:
             per_shard.setdefault(self._assign(presence.entity), []).append(presence)
         for shard_id, batch in per_shard.items():
             self._shards[shard_id].add_records(batch)
-        self._invalidate_after_update(affected, per_shard)
+        self._invalidate_query_cache()
         return list(affected)
 
     def refresh_entities(self, entities: Iterable[str]) -> None:
@@ -486,8 +364,7 @@ class ShardedEngine:
             for entity in shard_entities:
                 shard.dataset.replace_trace(entity, self.dataset.trace(entity))
             shard.refresh_entities(shard_entities)
-        refreshed = [entity for group in per_shard.values() for entity in group]
-        self._invalidate_after_update(refreshed, per_shard)
+        self._invalidate_query_cache()
 
     def remove_entity(self, entity: str) -> None:
         """Drop an entity from its shard and from the routing dataset."""
@@ -498,7 +375,7 @@ class ShardedEngine:
         self._shards[shard_id].remove_entity(entity)
         del self._shard_of[entity]
         self.dataset.remove_entity(entity)
-        self._invalidate_after_update([entity], [shard_id])
+        self._invalidate_query_cache()
 
     # ------------------------------------------------------------------
     # Streaming maintenance: windowed expiry and compaction
@@ -508,58 +385,31 @@ class ShardedEngine:
 
         Each shard retracts its own copy incrementally (see
         :meth:`TraceQueryEngine.expire_events`); the routing dataset and
-        table are kept in lockstep, and only the cache entries of shards
-        that actually changed -- or of queries about affected entities --
-        are invalidated.  Returns the aggregated :class:`ExpiryReport`.
+        table are kept in lockstep.  Returns the aggregated
+        :class:`ExpiryReport`; when nothing expired the index and the query
+        cache are untouched.
         """
         self._require_built()
         self.dataset.expire_before(cutoff)
         report = ExpiryReport(cutoff=cutoff)
-        touched_shards: List[int] = []
-        for shard_id, shard in enumerate(self._shards):
-            shard_report = shard.expire_events(cutoff)
-            if shard_report.affected_entities:
-                touched_shards.append(shard_id)
-            report.absorb(shard_report)
+        for shard in self._shards:
+            report.absorb(shard.expire_events(cutoff))
         for entity in report.removed_entities:
             self._shard_of.pop(entity, None)
         if report.affected_entities:
-            self._invalidate_after_update(report.affected_entities, touched_shards)
+            self._invalidate_query_cache()
         return report
 
     def compact(self) -> "ShardedEngine":
-        """Re-tighten every shard's tree (zero hash evaluations; full clear).
+        """Re-tighten every shard's tree (zero hash evaluations).
 
-        See :meth:`TraceQueryEngine.compact`.  Compaction touches every
-        shard, so the cache is cleared wholesale.
+        See :meth:`TraceQueryEngine.compact`.
         """
         self._require_built()
         for shard in self._shards:
             shard.compact()
         self._invalidate_query_cache()
         return self
-
-    def _invalidate_after_update(
-        self, entities: Iterable[str], shard_ids: Iterable[int]
-    ) -> None:
-        """Drop exactly the cache entries an update could have made stale.
-
-        A cached partial ``(shard, query entity, ...)`` changes only if that
-        shard's index/data changed or the query entity's own trace changed
-        (its query sequence comes from the routing dataset) -- so those two
-        conditions are the whole invalidation rule.
-        """
-        if self._query_cache is None:
-            return
-        affected = set(entities)
-        shards = set(shard_ids)
-        self._query_cache.invalidate_where(
-            lambda key: key[0] in shards or key[1] in affected
-        )
-
-    def _invalidate_query_cache(self) -> None:
-        if self._query_cache is not None:
-            self._query_cache.clear()
 
     # ------------------------------------------------------------------
     # Persistence

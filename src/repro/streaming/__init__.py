@@ -26,8 +26,8 @@ Three pieces compose, smallest to largest:
 Everything works identically over a :class:`~repro.core.engine.TraceQueryEngine`
 and a :class:`~repro.service.sharded.ShardedEngine` -- both expose the same
 ``add_records`` / ``expire_events`` / ``compact`` maintenance surface; the
-sharded engine routes each micro-batch to the owning shards and invalidates
-only the affected query-cache entries.
+sharded engine routes each micro-batch to the owning shards, and either
+engine clears its query cache on every flush that changes the index.
 
 The *streaming equivalence guarantee* (pinned by
 ``tests/test_streaming_equivalence.py``): after any interleaving of ingests,

@@ -138,8 +138,7 @@ class EventIngestor:
     engine:
         A built :class:`~repro.core.engine.TraceQueryEngine` or
         :class:`~repro.service.sharded.ShardedEngine`.  A sharded engine
-        routes every flushed micro-batch to the owning shards and
-        invalidates only the affected query-cache entries.
+        routes every flushed micro-batch to the owning shards.
     config:
         Streaming knobs; keyword overrides (``max_batch_events``,
         ``window``, ``compact_after``) are accepted as a convenience,

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.columnar import load_npz_mmap
+from repro.server import generation as generation_module
 from repro.server.generation import KEEP_GENERATIONS, GenerationStore, SnapshotDelta
 from repro.storage.snapshot import SnapshotError, load_engine_snapshot
 from repro.traces.events import PresenceInstance
@@ -219,7 +220,7 @@ class TestDeltaGenerations:
     A reader standing on the chain applies the missing deltas in place
     (:meth:`GenerationStore.catch_up`); a cold reader materialises the full
     base plus the chain (:meth:`GenerationStore.load_current`); the chain's
-    length is bounded by ``delta_limit``, after which a full snapshot is
+    length is bounded by ``DELTA_CHAIN_LIMIT``, after which a full snapshot is
     forced and older chains pruned.
     """
 
@@ -234,7 +235,7 @@ class TestDeltaGenerations:
         return PresenceInstance(f"fresh-{index}", unit, 30 + index, 33 + index)
 
     def test_publish_update_writes_delta_documents(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=4)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)
         delta = self.delta_for(small_engine, [self.new_event(small_engine, 0)])
         assert store.publish_update(small_engine, delta=delta) == 2
@@ -244,14 +245,14 @@ class TestDeltaGenerations:
         assert number == 2 and path.name == "delta-000002.json"
 
     def test_cold_load_materialises_base_plus_chain(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=4)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)
         for index in range(2):
             delta = self.delta_for(
                 small_engine, [self.new_event(small_engine, index)], cutoff=4 + index
             )
             store.publish_update(small_engine, delta=delta)
-        reader = GenerationStore(tmp_path, delta_limit=4)
+        reader = GenerationStore(tmp_path)
         generation, engine = reader.load_current(timeout=5)
         assert generation == 3
         assert sorted(engine.dataset.entities) == sorted(small_engine.dataset.entities)
@@ -259,9 +260,9 @@ class TestDeltaGenerations:
             assert engine.top_k(entity, k=3).items == small_engine.top_k(entity, k=3).items
 
     def test_catch_up_applies_the_delta_suffix_in_place(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=8)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)
-        reader = GenerationStore(tmp_path, delta_limit=8)
+        reader = GenerationStore(tmp_path)
         generation, engine = reader.load_current(timeout=5)
         assert generation == 1
         assert reader.catch_up(engine, generation) is None  # nothing newer
@@ -277,14 +278,15 @@ class TestDeltaGenerations:
         assert reader.catch_up(engine, caught_up) is None
 
     def test_catch_up_declines_across_a_full_snapshot(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=8)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)
         store.publish(small_engine)  # newest is full: readers must reload
-        reader = GenerationStore(tmp_path, delta_limit=8)
+        reader = GenerationStore(tmp_path)
         assert reader.catch_up(object(), 1) is None
 
-    def test_chain_limit_forces_a_full_snapshot(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=2)
+    def test_chain_limit_forces_a_full_snapshot(self, small_engine, tmp_path, monkeypatch):
+        monkeypatch.setattr(generation_module, "DELTA_CHAIN_LIMIT", 2)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)
         for index in range(3):
             delta = self.delta_for(small_engine, [self.new_event(small_engine, index)])
@@ -300,20 +302,11 @@ class TestDeltaGenerations:
         assert store.publish_update(small_engine, delta=delta) == 5
         assert (tmp_path / "delta-000005.json").exists()
 
-    def test_delta_limit_zero_publishes_every_generation_full(
-        self, small_engine, tmp_path
-    ):
-        store = GenerationStore(tmp_path, delta_limit=0)
-        store.publish(small_engine)
-        delta = self.delta_for(small_engine, [self.new_event(small_engine, 0)])
-        assert store.publish_update(small_engine, delta=delta) == 2
-        assert (tmp_path / "gen-000002").exists()
-        assert not (tmp_path / "delta-000002.json").exists()
-
     def test_full_publish_prunes_chains_older_than_the_previous_full(
-        self, small_engine, tmp_path
+        self, small_engine, tmp_path, monkeypatch
     ):
-        store = GenerationStore(tmp_path, delta_limit=2)
+        monkeypatch.setattr(generation_module, "DELTA_CHAIN_LIMIT", 2)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine)  # gen 1 full
         # Updates produce: deltas 2,3 -> full 4 -> deltas 5,6 -> full 7.
         for index in range(6):
@@ -331,7 +324,7 @@ class TestDeltaGenerations:
         assert {"gen-000004", "delta-000005.json", "delta-000006.json", "gen-000007"} <= names
 
     def test_current_meta_reads_extra_from_either_kind(self, small_engine, tmp_path):
-        store = GenerationStore(tmp_path, delta_limit=4)
+        store = GenerationStore(tmp_path)
         store.publish(small_engine, extra_meta={"wal_seq": 3, "stream": {"watermark": 7}})
         assert store.current_meta() == {"wal_seq": 3, "stream": {"watermark": 7}}
         delta = self.delta_for(small_engine, [self.new_event(small_engine, 0)])

@@ -1,8 +1,10 @@
-"""The LRU query-result cache and its engine/sharded-engine wiring.
+"""The LRU query-result cache and the query front both engines share.
 
 Correctness contract: a cache hit returns the very result a fresh search
 would produce, because (a) keys include the config fingerprint and (b)
-every mutation path clears the cache.
+every index change clears the cache.  The single and the sharded engine
+run the same ``top_k``/``top_k_batch`` (``repro.service.cache.QueryFront``),
+so every engine-level test runs against both.
 """
 
 import pytest
@@ -14,6 +16,19 @@ from repro import (
     ShardedEngine,
     TraceQueryEngine,
 )
+from repro.core.query import TopKSearcher
+from repro.obs.trace import ActiveTrace
+
+ENGINE_KINDS = ["single", "sharded"]
+
+
+def make_engine(kind, dataset, measure, **overrides):
+    """A built engine of ``kind`` over ``dataset`` (two shards when sharded)."""
+    if kind == "sharded":
+        return ShardedEngine(
+            dataset, measure=measure, num_shards=2, num_hashes=32, seed=5, **overrides
+        ).build()
+    return TraceQueryEngine(dataset, measure=measure, num_hashes=32, seed=5, **overrides).build()
 
 
 class TestQueryResultCache:
@@ -38,17 +53,13 @@ class TestQueryResultCache:
         assert cache.get("a") == 1
 
     def test_direct_get_returns_a_copy(self):
-        # The copy-on-hit contract must hold for *direct* get() callers, not
-        # only fetch_or_compute (regression: get() used to hand out the live
-        # stored object, so any caller mutating its hit poisoned later hits).
+        # The copy-on-hit contract holds for every get() caller (regression:
+        # get() used to hand out the live stored object, so any caller
+        # mutating its hit poisoned later hits).
         cache = QueryResultCache(4)
         cache.put("a", [1, 2, 3])
         hit = cache.get("a")
         hit.append(99)
-        assert cache.get("a") == [1, 2, 3]
-        # A fetch_or_compute hit stays independent too (single copy, in get).
-        fetched = cache.fetch_or_compute("a", list)
-        fetched.clear()
         assert cache.get("a") == [1, 2, 3]
 
     def test_put_refreshes_existing_key(self):
@@ -82,22 +93,31 @@ class TestQueryResultCache:
 
 
 class TestEngineIntegration:
+    @pytest.fixture(params=ENGINE_KINDS)
+    def kind(self, request):
+        return request.param
+
     @pytest.fixture
-    def cached_engine(self, small_dataset, small_measure):
-        return TraceQueryEngine(
-            small_dataset,
-            measure=small_measure,
-            num_hashes=32,
-            seed=5,
-            query_cache_size=8,
-        ).build()
+    def cached_engine(self, kind, small_dataset, small_measure):
+        return make_engine(kind, small_dataset, small_measure, query_cache_size=8)
 
     def test_repeat_query_served_from_cache(self, cached_engine):
         first = cached_engine.top_k("a", k=3)
         second = cached_engine.top_k("a", k=3)
         assert second.items == first.items
         assert second.stats.__dict__ == first.stats.__dict__
-        assert cached_engine.query_cache.stats.hits == 1
+        # One lookup per call, whatever the shard count: a miss, then a hit.
+        stats = cached_engine.query_cache.stats
+        assert (stats.hits, stats.misses) == (1, 1)
+        assert len(cached_engine.query_cache) == 1
+
+    def test_traced_hit_answers_at_the_lookup_span(self, cached_engine):
+        cached_engine.top_k("a", k=3)
+        trace = ActiveTrace("root")
+        cached_engine.top_k("a", k=3, trace=trace.context())
+        names = [span.name for span in trace.spans[1:]]
+        assert names == ["cache.lookup"]
+        assert trace.spans[1].attributes == {"hit": True}
 
     def test_mutating_a_result_does_not_poison_the_cache(self, cached_engine):
         first = cached_engine.top_k("a", k=3)
@@ -122,10 +142,27 @@ class TestEngineIntegration:
         assert [r.items for r in again.results] == [r.items for r in batch.results]
         assert cached_engine.query_cache.stats.hits == 3
 
-    def test_batch_results_match_uncached_engine(self, cached_engine, small_dataset, small_measure):
-        uncached = TraceQueryEngine(
-            small_dataset, measure=small_measure, num_hashes=32, seed=5
-        ).build()
+    def test_cached_batch_runs_no_search(self, cached_engine, monkeypatch):
+        queries = ["a", "b", "d"]
+        for query in queries:
+            cached_engine.top_k(query, k=3)
+        expected = [cached_engine.top_k(query, k=3).items for query in queries]
+        hits_before = cached_engine.query_cache.stats.hits
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("a cached batch searched")
+
+        monkeypatch.setattr(TopKSearcher, "search", no_search)
+        monkeypatch.setattr(type(cached_engine.hash_family), "warm_cache", no_search)
+        batch = cached_engine.top_k_batch(queries, k=3)
+        assert [result.items for result in batch.results] == expected
+        assert batch.warmed_cells == 0
+        assert cached_engine.query_cache.stats.hits == hits_before + len(queries)
+
+    def test_batch_results_match_uncached_engine(
+        self, kind, cached_engine, small_dataset, small_measure
+    ):
+        uncached = make_engine(kind, small_dataset, small_measure)
         queries = ["a", "b", "a", "d"]
         cached_batch = cached_engine.top_k_batch(queries, k=3)
         plain_batch = uncached.top_k_batch(queries, k=3)
@@ -139,29 +176,43 @@ class TestEngineIntegration:
         assert len(cached_engine.query_cache) == 3
         assert cached_engine.query_cache.stats.hits == 0
 
-    def test_cache_disabled_by_default(self, small_engine):
-        assert small_engine.query_cache is None
-        first = small_engine.top_k("a", k=3)
-        second = small_engine.top_k("a", k=3)
+    def test_cache_disabled_by_default(self, kind, small_dataset, small_measure):
+        engine = make_engine(kind, small_dataset, small_measure)
+        assert engine.query_cache is None
+        first = engine.top_k("a", k=3)
+        second = engine.top_k("a", k=3)
         assert first is not second
         assert first.items == second.items
 
-    @pytest.mark.parametrize("mutate", ["add_records", "remove_entity", "refresh_entities"])
-    def test_mutations_invalidate(self, cached_engine, small_hierarchy, mutate):
-        cached_engine.top_k("a", k=3)
-        assert len(cached_engine.query_cache) == 1
-        base = small_hierarchy.base_units
+    @pytest.mark.parametrize(
+        "mutate",
+        ["add_records", "remove_entity", "refresh_entities", "expire_events", "compact"],
+    )
+    def test_every_index_change_clears_the_cache(
+        self, cached_engine, small_dataset, small_measure, mutate
+    ):
+        queries = sorted(small_dataset.entities)
+        for query in queries:
+            cached_engine.top_k(query, k=3)
+        assert len(cached_engine.query_cache) == len(queries)
+        invalidations = cached_engine.query_cache.stats.invalidations
+        base = small_dataset.hierarchy.base_units
         if mutate == "add_records":
             cached_engine.add_records([PresenceInstance("z", base[0], 0, 2)])
         elif mutate == "remove_entity":
             cached_engine.remove_entity("e")
-        else:
+        elif mutate == "refresh_entities":
             cached_engine.refresh_entities(["a"])
+        elif mutate == "expire_events":
+            assert cached_engine.expire_events(10).changed_index
+        else:
+            cached_engine.compact()
+        assert cached_engine.query_cache.stats.invalidations == invalidations + 1
         assert len(cached_engine.query_cache) == 0
-        # The next query reflects the mutation, not the stale entry.
-        fresh = cached_engine.top_k("a", k=3)
-        assert fresh.items == cached_engine.top_k("a", k=3).items
-        assert cached_engine.query_cache.stats.hits == 1
+        # The next answers reflect the change, not a stale entry.
+        fresh = make_engine("single", small_dataset, small_measure)
+        for query in sorted(small_dataset.entities):
+            assert cached_engine.top_k(query, k=3).items == fresh.top_k(query, k=3).items
 
     def test_cached_result_matches_fresh_search_after_invalidation(
         self, cached_engine, small_hierarchy
@@ -178,79 +229,10 @@ class TestEngineIntegration:
 
 
 class TestShardedIntegration:
-    """The sharded engine caches *per-shard partial* results.
+    """The sharded engine caches whole merged answers; its shards run uncached."""
 
-    One ``top_k`` over N shards costs N cache entries/lookups, and an update
-    routed to one shard invalidates only that shard's entries (plus entries
-    whose query entity was updated) -- the other shards' partials survive.
-    """
-
-    @pytest.fixture
-    def cached_sharded(self, small_dataset, small_measure):
-        return ShardedEngine(
-            small_dataset,
-            measure=small_measure,
-            num_shards=2,
-            num_hashes=32,
-            seed=5,
-            query_cache_size=8,
-        ).build()
-
-    def test_sharded_cache_hits_and_invalidation(self, cached_sharded, small_dataset):
-        sharded = cached_sharded
-        first = sharded.top_k("a", k=3)
-        assert sharded.top_k("a", k=3).items == first.items
-        # One hit per shard partial: two shards, so two hits.
-        assert sharded.query_cache.stats.hits == 2
-        assert len(sharded.query_cache) == 2
-        # Shards never cache on their own: the sharded layer owns the cache.
+    def test_shards_never_cache(self, small_dataset, small_measure):
+        sharded = make_engine("sharded", small_dataset, small_measure, query_cache_size=8)
+        sharded.top_k("a", k=3)
         assert all(shard.query_cache is None for shard in sharded.shards)
-        sharded.add_records(
-            [PresenceInstance("a", small_dataset.hierarchy.base_units[1], 40, 42)]
-        )
-        # "a" was updated, so every partial about "a" is dropped.
-        assert len(sharded.query_cache) == 0
-        after = sharded.top_k("a", k=3)
-        assert sharded.query_cache.stats.hits == 2  # recomputed, not served stale
-        fresh = ShardedEngine(
-            small_dataset, measure=sharded.measure, num_shards=2, num_hashes=32, seed=5
-        ).build()
-        assert after.items == fresh.top_k("a", k=3).items
-
-    def test_update_preserves_unaffected_shard_partials(self, cached_sharded, small_dataset):
-        sharded = cached_sharded
-        sharded.top_k("a", k=3)
-        sharded.top_k("d", k=3)
-        assert len(sharded.query_cache) == 4  # two queries x two shard partials
-        # Update an entity that is neither "a" nor "d": only its owning
-        # shard's partials drop; the other shard's stay warm.
-        victim = "e"
-        assert victim not in ("a", "d")
-        shard_of_victim = sharded.shard_of(victim)
-        sharded.add_records(
-            [PresenceInstance(victim, small_dataset.hierarchy.base_units[2], 40, 41)]
-        )
-        surviving = sharded.query_cache.keys()
-        assert len(surviving) == 2
-        assert all(key[0] != shard_of_victim for key in surviving)
-        # Served answers after partial invalidation still match from-scratch.
-        fresh = ShardedEngine(
-            small_dataset, measure=sharded.measure, num_shards=2, num_hashes=32, seed=5
-        ).build()
-        for query in ("a", "d"):
-            assert sharded.top_k(query, k=3).items == fresh.top_k(query, k=3).items
-
-    def test_query_entity_update_drops_its_partials_on_every_shard(
-        self, cached_sharded, small_dataset
-    ):
-        sharded = cached_sharded
-        sharded.top_k("a", k=3)
-        sharded.top_k("b", k=3)
-        own_shard = sharded.shard_of("a")
-        sharded.add_records(
-            [PresenceInstance("a", small_dataset.hierarchy.base_units[3], 44, 45)]
-        )
-        # "a" partials vanish on *both* shards (its query sequence changed);
-        # "b" partials survive only on the shard "a" does not live on.
-        for key in sharded.query_cache.keys():
-            assert key[1] == "b" and key[0] != own_shard
+        assert sharded.query_cache.keys() == (("a", 3, 0.0, sharded.config.fingerprint()),)

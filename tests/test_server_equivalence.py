@@ -289,15 +289,13 @@ def test_daemon_matches_serial_engine_byte_for_byte(kind):
     for record in traces:
         names = collect_span_names(record["spans"])
         assert {"request.topk", "coalesce.wait", "coalesce.dispatch"} <= names, names
-        if kind == "sharded":
-            # The sharded engine fans every query over its shards (cached
-            # partials end the shard span early) and always merges.
-            assert {"shard.search", "kernel.merge"} <= names, names
-        else:
-            assert "cache.lookup" in names, names
-            # A cache hit answers at the lookup span; a miss runs the kernel.
-            if not find_span(record["spans"], "cache.lookup")["attributes"]["hit"]:
-                assert {"kernel.bounds", "kernel.scores", "kernel.merge"} <= names
+        # Both engines answer a cache hit at the lookup span; a miss runs
+        # the kernel (the sharded engine once per shard, then merges).
+        assert "cache.lookup" in names, names
+        if not find_span(record["spans"], "cache.lookup")["attributes"]["hit"]:
+            assert {"kernel.bounds", "kernel.scores", "kernel.merge"} <= names
+            if kind == "sharded":
+                assert "shard.search" in names, names
     cache = engine.query_cache
     assert cache is not None and cache.stats.lookups > 0
 
@@ -463,12 +461,13 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
             names = collect_span_names(record["spans"])
             assert {"request.topk", "coalesce.wait", "coalesce.dispatch",
                     "worker.request", "worker.topk", "worker.adopt"} <= names, names
-            if kind == "sharded":
+            # The worker-side engine records its cache outcome; misses
+            # additionally run the kernel stages (sharded: per shard).
+            assert "cache.lookup" in names, names
+            if kind == "sharded" and not find_span(
+                record["spans"], "cache.lookup"
+            )["attributes"]["hit"]:
                 assert {"shard.search", "kernel.merge"} <= names, names
-            else:
-                # The worker-side engine records its cache outcome; misses
-                # additionally run the kernel stages.
-                assert "cache.lookup" in names, names
             worker_root = find_span(record["spans"], "worker.topk")
             assert worker_root["process"] == "worker"
             # The worker half hangs under the worker.request attempt that
