@@ -1262,21 +1262,14 @@ def _run_server(engine, args: argparse.Namespace) -> int:
             "(slow-query log on GET /v1/debug/slow; `repro trace` prints it)",
             flush=True,
         )
-    if workers:
-        pids = ", ".join(str(pid) for pid in server.backend.worker_pids)
-        print(
-            f"multi-process tier: {workers} query workers (pids {pids}) over "
-            f"generation store {server.publisher.root}",
-            flush=True,
-        )
-    if cluster:
+    if workers or cluster:
         fleet = ", ".join(
             f"{name} (pid {replica.pid}, port {replica.port})"
-            for name, replica in sorted(server.backend.managed.items())
+            for name, replica in server.backend.managed.items()
         )
         print(
-            f"distributed tier: {stats['num_shards']} shard groups x "
-            f"{cluster} replicas over {server.publisher.root}: {fleet}",
+            f"read processes: {len(server.backend.groups)} replica group(s) x "
+            f"{workers or cluster} over {server.publisher.root}: {fleet}",
             flush=True,
         )
 

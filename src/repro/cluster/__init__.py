@@ -10,15 +10,15 @@ entities :class:`~repro.service.sharded.ShardedEngine` placed on it (a
 stable hash of the identifier).  What lives here is the policy around
 them:
 
-- :mod:`repro.cluster.replica` -- replica clients and R-way replica
-  groups: retry with backoff, hedged failover;
+- :mod:`repro.cluster.replica` -- replica clients and replica groups:
+  batch scatter, retry with backoff, hedged failover;
 - :mod:`repro.cluster.supervisor` -- the replica processes: respawn with
   backoff, catch-up verified rejoin;
 - :mod:`repro.cluster.coordinator` -- fan-out/merge with per-shard
   deadlines and explicit degraded answers when a whole group is down;
-- :mod:`repro.cluster.frontend` -- the two parts that make
-  :class:`~repro.server.app.TraceServer` the cluster tier: ``ClusterFleet``
-  (read backend) and ``ShardPublisher`` (per-shard generations), paired by
+- :mod:`repro.cluster.frontend` -- ``ClusterFleet``, the read backend of
+  both multi-process tiers (``--workers N`` is one group of whole-engine
+  replicas), and ``ShardPublisher`` (per-shard generations), paired by
   ``cluster_tier``;
 - :mod:`repro.cluster.chaos` / :mod:`repro.cluster.battery` -- fault
   injection and the exactness-under-faults chaos battery.

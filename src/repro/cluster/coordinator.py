@@ -12,7 +12,11 @@ a single unsharded engine's (the chaos battery's oracle gate).
 
 The query's ST-cell sequence is resolved once against the coordinator's
 routing dataset and shipped with every shard request, because a shard's
-dataset holds only its own partition.
+dataset holds only its own partition.  A coordinator without a routing
+dataset fronts one group whose replicas each hold the whole engine (the
+``--workers N`` tier): it ships entity names, and each read process
+resolves and searches them at the one generation it adopted, so an answer
+never pairs a sequence from one state with a generation from another.
 
 **Degraded answers are marked, never silent.**  When a whole replica
 group is down (:class:`~repro.cluster.replica.ShardUnavailable` after
@@ -46,10 +50,13 @@ class ClusterCoordinator:
     """Scatter queries over shard groups; merge with explicit degradation."""
 
     def __init__(self, dataset, groups: Sequence[ReplicaGroup]) -> None:
-        #: The routing dataset (every entity's trace): query sequences are
-        #: resolved here and travel with the request.
+        #: The routing dataset (every entity's trace) when the groups hold
+        #: partitions: query sequences are resolved here and travel with
+        #: the request.  ``None``: one group of whole-engine replicas.
         self.dataset = dataset
         self.groups = list(groups)
+        if dataset is None and len(self.groups) != 1:
+            raise ValueError("whole-engine replicas form exactly one group")
         self.counters = {"queries": 0, "degraded_queries": 0, "failed_queries": 0}
         self._lock = threading.Lock()
 
@@ -66,29 +73,29 @@ class ClusterCoordinator:
         """One merged ``topk_result_payload`` per query entity, in order.
 
         Raises ``KeyError`` for a query entity missing from the routing
-        dataset and :class:`CoordinatorError` when no shard at all
-        answered (or a shard reported a query error).
+        dataset (or, without one, from the replicas' generation) and
+        :class:`CoordinatorError` when no shard at all answered (or a
+        shard reported a query error).
 
         ``traces`` (aligned with ``entities``; ``None`` entries for
-        unsampled queries) gives each sampled query one ``shard.request``
-        span per shard group, covering that group's whole exchange --
+        unsampled queries) gives each sampled query one ``worker.request``
+        span per group, covering that group's whole exchange -- scatter,
         retries and hedges included -- with the answering replica's spans
         re-based under it; a group that stayed unavailable closes its
         span with the error.
         """
-        queries = [
-            {
-                "entity": entity,
-                "sequence": encode_sequence(self.dataset.cell_sequence(entity)),
-            }
-            for entity in entities
-        ]
-        request = {
-            "op": "topk",
-            "queries": queries,
-            "k": int(k),
-            "approximation": float(approximation),
-        }
+        request: Dict[str, object] = {"op": "topk"}
+        if self.dataset is None:
+            request["entities"] = list(entities)
+        else:
+            request["queries"] = [
+                {
+                    "entity": entity,
+                    "sequence": encode_sequence(self.dataset.cell_sequence(entity)),
+                }
+                for entity in entities
+            ]
+        request.update(k=int(k), approximation=float(approximation))
 
         def ask(shard_index: int) -> Optional[Dict[str, object]]:
             """One group's reply, or ``None`` when the shard stayed unavailable."""
@@ -96,7 +103,7 @@ class ClusterCoordinator:
             frame, spans = request, []
             if traces is not None:
                 spans, descriptors = begin_remote_spans(
-                    traces, "shard.request", shard=group.shard
+                    traces, "worker.request", shard=group.shard
                 )
                 frame = {**request, "traces": descriptors}
             try:
@@ -131,8 +138,12 @@ class ClusterCoordinator:
                 # real answer -- "this query is broken" -- not degradation.
                 with self._lock:
                     self.counters["failed_queries"] += len(entities)
+                if reply.get("status") == 404:
+                    raise KeyError(str(error))
                 raise CoordinatorError(str(error))
             answered.append(reply)
+        if self.dataset is None:
+            return list(answered[0]["results"])
 
         merged: List[Dict[str, object]] = []
         for position, entity in enumerate(entities):

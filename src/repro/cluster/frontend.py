@@ -1,26 +1,27 @@
-"""The cluster tier's parts: a shard-server replica fleet and its publisher.
+"""The replica fleet both multi-process tiers run, and the shard publisher.
 
-``repro serve --cluster SxR`` (and the chaos battery) run the one
-:class:`~repro.server.app.TraceServer` over a
-:class:`~repro.service.sharded.ShardedEngine` with two parts from this
-module plugged in (:func:`cluster_tier` builds the pair): a
-:class:`ShardPublisher` publishes **per-shard** snapshot generations from
-the flush hook, and a :class:`ClusterFleet` answers ``/v1/topk`` through a
-:class:`~repro.cluster.coordinator.ClusterCoordinator` fanning out over
-``S`` replica groups of ``R`` read processes each
-(:mod:`repro.server.workers`, one TCP listener per replica), supervised by a
+:class:`ClusterFleet` is the read backend of ``repro serve --workers N``
+and ``--cluster SxR`` (and the chaos battery): replica groups of read
+processes (:mod:`repro.server.workers`, one TCP listener each), a
+:class:`~repro.cluster.coordinator.ClusterCoordinator` answering
+``/v1/topk`` over the groups, and a
 :class:`~repro.cluster.supervisor.ReplicaSupervisor` (respawn with
-backoff, catch-up-verified rejoin).
+backoff, catch-up-verified rejoin).  Over
+:class:`~repro.server.frontend.GenerationPublisher`'s single store it is
+one group, ``worker``, of whole-engine replicas
+(:func:`~repro.server.frontend.worker_tier`); over a
+:class:`ShardPublisher`, which publishes **per-shard** generations of a
+:class:`~repro.service.sharded.ShardedEngine`, one group per shard
+(:func:`cluster_tier`).
 
-The consistency model is the server's: a flush publishes every changed
-shard's generation *before* the events response is written, and shard
-servers adopt at request boundaries, so acknowledged writes are visible to
-every subsequent query -- now across processes *and* replica crashes (the
-chaos battery's exactness gate).
+A flush publishes every changed store's generation *before* the events
+response is written, and read processes adopt at request boundaries, so
+acknowledged writes are visible to every subsequent query -- across
+processes *and* replica crashes (the chaos battery's exactness gate).
 
-Store layout under ``store_root``::
+Store layout under the publisher's root::
 
-    shard-000/  shard-001/ ...   per-shard GenerationStores
+    shard-000/  shard-001/ ...   per-shard GenerationStores (cluster tier)
     run/                         port files of the replica processes
 """
 
@@ -60,7 +61,7 @@ class ShardPublisher(GenerationPublisher):
     def _open_stores(self) -> None:
         if not hasattr(self.engine, "shards"):
             raise ValueError("the cluster tier needs a built ShardedEngine")
-        self.stores: Dict[str, GenerationStore] = {
+        self.stores = {
             shard_name(index): GenerationStore(self.root / shard_name(index))
             for index in range(self.engine.num_shards)
         }
@@ -74,10 +75,6 @@ class ShardPublisher(GenerationPublisher):
             for index, shard_engine in enumerate(self.engine.shards)
         ]
 
-    def generations(self) -> Dict[str, int]:
-        """Newest published generation per shard store."""
-        return {shard: store.generation for shard, store in self.stores.items()}
-
     def health(self) -> Dict[str, object]:
         """Nothing of its own: see :meth:`ClusterFleet.health`."""
         return {}
@@ -86,20 +83,22 @@ class ShardPublisher(GenerationPublisher):
 
 
 class ClusterFleet(ServingPart):
-    """``S`` replica groups of ``R`` shard servers -- the cluster read backend.
+    """Replica groups of read processes -- the multi-process read backend.
 
     Owns the processes (``managed``), their clients and groups, the
-    coordinator that fans a query out and merges, and the supervisor that
-    respawns and re-admits replicas; :class:`~repro.cluster.chaos.ChaosController`
-    and the battery inject faults into exactly these.  ``publisher`` is
-    the :class:`ShardPublisher` whose stores the replicas serve;
-    ``replication`` is ``R`` and ``cluster_config`` the
-    timeout/retry/hedging knobs.
+    coordinator that answers a query over the groups, and the supervisor
+    that respawns and re-admits replicas;
+    :class:`~repro.cluster.chaos.ChaosController` and the battery inject
+    faults into exactly these.  ``publisher`` is the
+    :class:`~repro.server.frontend.GenerationPublisher` (one group) or
+    :class:`ShardPublisher` (one group per shard) whose stores the
+    replicas serve; ``replication`` is the replicas per group and
+    ``cluster_config`` the timeout/retry/hedging knobs.
     """
 
     def __init__(
         self,
-        publisher: ShardPublisher,
+        publisher: GenerationPublisher,
         replication: int = 2,
         cluster_config: Optional[ClusterConfig] = None,
         startup_timeout: float = 60.0,
@@ -119,19 +118,19 @@ class ClusterFleet(ServingPart):
 
     def start(self) -> None:
         """Start every replica, wait until each is listening (each adopts
-        its shard's initial generation meanwhile, concurrently), then start
+        its store's initial generation meanwhile, concurrently), then start
         the supervisor's respawn/rejoin loop."""
-        root = self.publisher.root
+        run_dir = str(self.publisher.root / "run")
         try:
-            for shard in self.publisher.stores:
+            for shard, store in self.publisher.stores.items():
                 replicas: List[ReplicaClient] = []
                 for replica_index in range(self.replication):
                     name = f"{shard}-r{replica_index}"
                     replica = ManagedReplica(
                         shard,
                         name,
-                        store_root=str(root / shard),
-                        run_dir=str(root / "run"),
+                        store_root=str(store.root),
+                        run_dir=run_dir,
                         startup_timeout=self.startup_timeout,
                     )
                     self.managed[name] = replica
@@ -154,9 +153,13 @@ class ClusterFleet(ServingPart):
             for replica in self.managed.values():
                 replica.terminate()
             raise
-        self.coordinator = ClusterCoordinator(self.publisher.engine.dataset, self.groups)
+        # Shard stores hold partitions: the owner's dataset routes queries.
+        # Whole-engine replicas resolve query entities themselves.
+        partitioned = isinstance(self.publisher, ShardPublisher)
+        self.coordinator = ClusterCoordinator(
+            self.publisher.engine.dataset if partitioned else None, self.groups
+        )
         self.supervisor = ReplicaSupervisor(
-            {group.shard: group for group in self.groups},
             self.managed,
             self.clients,
             self.publisher.stores,
@@ -171,38 +174,55 @@ class ClusterFleet(ServingPart):
         approximation: float,
         traces: Traces = None,
     ) -> List[Dict[str, object]]:
-        """Fan out over the shard groups and merge; sampled queries get the
-        shard-side spans of :meth:`ClusterCoordinator.topk_payloads`."""
+        """Answer over the groups (scattered within each); sampled queries
+        get the spans of :meth:`ClusterCoordinator.topk_payloads`."""
         return self.coordinator.topk_payloads(list(entities), k, approximation, traces)
 
+    def _workers(self) -> Dict[str, object]:
+        """Fleet-wide process counters: replicas, chunk requests, re-sent
+        exchanges (retry rounds and hedges), respawns, respawn storms."""
+        groups = [group.snapshot()["counters"] for group in self.groups]
+        supervisor = self.supervisor.snapshot()
+        return {
+            "workers": len(self.managed),
+            "requests": sum(counters["requests"] for counters in groups),
+            "retries": sum(counters["retries"] + counters["hedges"] for counters in groups),
+            "respawns": sum(supervisor["respawns"].values()),
+            "respawn_storms": supervisor["respawn_storms"],
+        }
+
     def health(self) -> Dict[str, object]:
-        """``cluster`` topology and per-shard liveness; a shard group with
-        no live replica turns the probe's ``status`` to ``degraded``."""
+        """Process count, cumulative ``respawns``, the ``cluster`` topology
+        and per-group liveness; a group with no live replica turns the
+        probe's ``status`` to ``degraded``."""
         live = {group.shard: group.live_replicas() for group in self.groups}
         payload: Dict[str, object] = {
+            "workers": len(self.managed),
+            "respawns": self._workers()["respawns"],
             "cluster": {
                 "shards": self.num_shards,
                 "replication": self.replication,
                 "live_replicas": live,
                 "generations": self.publisher.generations(),
-            }
+            },
         }
         if any(count == 0 for count in live.values()):
             payload["status"] = "degraded"
         return payload
 
     def stats(self) -> Dict[str, object]:
-        """The ``cluster`` section of ``/v1/stats``."""
+        """The ``workers`` and ``cluster`` sections of ``/v1/stats``."""
         return {
+            "workers": self._workers(),
             "cluster": {
                 "coordinator": self.coordinator.snapshot(),
                 "supervisor": self.supervisor.snapshot(),
                 "generations": self.publisher.generations(),
-            }
+            },
         }
 
     def close(self) -> None:
-        """Close the replica connections, then SIGTERM every shard server."""
+        """Close the replica connections, then SIGTERM every replica."""
         if self.supervisor is not None:  # else start() failed and cleaned up
             self.coordinator.close()
             self.supervisor.shutdown_processes()

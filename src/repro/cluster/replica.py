@@ -1,32 +1,29 @@
-"""Replica clients and R-way replica groups with hedged failover.
+"""Replica clients and replica groups: the one dispatch over read processes.
 
-One shard of the cluster is served by ``R`` interchangeable shard-server
-processes (a *replica group*); this module is the coordinator's view of
-them.  Three layers:
+A *replica group* is ``R`` interchangeable read processes serving one
+store: one group of ``N`` whole-engine replicas for ``repro serve
+--workers N``, one group per shard for ``--cluster``.
 
 - :class:`ClusterConfig` -- every timeout/retry/hedging knob in one
-  dataclass, so the coordinator, supervisor, chaos battery, and CLI all
-  speak the same vocabulary.
+  dataclass, shared by coordinator, supervisor, chaos battery and CLI.
 - :class:`ReplicaClient` -- the one read client
   (:class:`~repro.server.workers.ReadClient`; ``docs/SERVING.md``, "Client
-  side") pointed at one shard server, plus that replica's health record.
-  The client's close-on-every-failure invariant is what makes hedging
-  safe: a connection either completes an exchange or dies, it never
-  carries a stale reply.
-- :class:`ReplicaGroup` -- failover policy over the group's clients:
-  rotate across usable replicas, retry with
-  :class:`~repro.server.backoff.ExponentialBackoff` under a per-shard
-  deadline, and *hedge* slow attempts (after ``hedge_delay`` seconds a
-  second replica gets the same idempotent read; first answer wins).
-  Per-replica :class:`~repro.obs.health.NodeHealth` records the
-  live/suspect/down/catching-up state that ``/metrics`` exposes, and a
-  node held in ``catching_up`` by the supervisor is skipped until its
-  rejoin is verified.
+  side") pointed at one replica, plus its
+  :class:`~repro.obs.health.NodeHealth`.  The client's
+  close-on-every-failure invariant is what makes hedging safe: a
+  connection either completes an exchange or dies, it never carries a
+  stale reply.
+- :class:`ReplicaGroup` -- scatters a batch in contiguous chunks, one per
+  usable replica; each chunk rotates over usable replicas, retries with
+  :class:`~repro.server.backoff.ExponentialBackoff` under a deadline,
+  *hedges* when slow (a replica holding no sibling chunk gets the same
+  idempotent read; first answer wins), skips ``catching_up`` replicas
+  until their rejoin is verified, and waits for a replica the supervisor
+  is bringing back rather than fail.
 
 Hedging never duplicates work observably: ``topk`` and ``sync`` are
 read-only, and the loser's late reply is consumed (or its connection
-closed) by the losing thread itself, so no frame desynchronisation can
-leak into later exchanges.
+closed) by the losing thread itself.
 """
 
 from __future__ import annotations
@@ -36,7 +33,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.obs.health import NodeHealth
+from repro.core.query import fan_out_queries
+from repro.obs.health import CATCHING_UP, NodeHealth
 from repro.server.backoff import ExponentialBackoff
 from repro.server.workers import ReadClient, ReadProcessError
 
@@ -45,15 +43,21 @@ __all__ = ["ClusterConfig", "ReplicaClient", "ReplicaGroup", "ShardUnavailable"]
 
 @dataclass
 class ClusterConfig:
-    """Timeouts, retries, and hedging for coordinator <-> shard traffic."""
+    """Timeouts, retries, and hedging for parent <-> replica traffic."""
 
     #: Seconds allowed for one TCP connect to a replica.
     connect_timeout: float = 2.0
-    #: Seconds allowed for one framed exchange once connected.
+    #: Seconds allowed for one exchange that has no deadline of its own
+    #: (the supervisor's ``sync`` probe); a group's exchanges get what is
+    #: left of ``shard_deadline`` instead.
     request_timeout: float = 10.0
-    #: Total budget for answering one shard's part of a query batch --
-    #: retries and hedges all fit inside this deadline.
-    shard_deadline: float = 30.0
+    #: Total budget for answering one chunk of a group's request -- the
+    #: exchange, retries and hedges all fit inside this deadline.  A
+    #: 4096-query batch (``MAX_ITEMS_PER_REQUEST``) at syn-3k takes ~20 s
+    #: per chunk at ``--workers 2`` and ~30 s per shard at ``--cluster``
+    #: 2x1 on a 2-core host, so the budget leaves room for one retry of
+    #: a chunk whose replica died part-way.
+    shard_deadline: float = 120.0
     #: Seconds to wait on the primary before hedging to a second replica.
     hedge_delay: float = 0.2
     #: Retry backoff (shared :class:`ExponentialBackoff` parameters).
@@ -89,7 +93,7 @@ class ReplicaClient(ReadClient):
 
 
 class ReplicaGroup:
-    """Failover policy over one shard's replicas."""
+    """Dispatch over one group's replicas: scatter, failover, hedging."""
 
     def __init__(
         self,
@@ -109,27 +113,56 @@ class ReplicaGroup:
     # ------------------------------------------------------------------
     # Candidate selection
     # ------------------------------------------------------------------
-    def _candidates(self) -> List[ReplicaClient]:
+    def _rotated(self) -> List[ReplicaClient]:
+        """Every replica, starting one further along on each call."""
+        with self._lock:
+            start = self._rotation
+            self._rotation += 1
+        return [
+            self.replicas[(start + offset) % len(self.replicas)]
+            for offset in range(len(self.replicas))
+        ]
+
+    def _candidates(
+        self,
+        holders: Sequence[ReplicaClient] = (),
+        assigned: Optional[ReplicaClient] = None,
+        failed: Sequence[ReplicaClient] = (),
+    ) -> List[ReplicaClient]:
         """Replicas in try-order: usable ones in rotation first.
 
+        Among the usable ones a chunk's ``assigned`` replica leads, then
+        replicas holding no chunk of the request, then the other
+        ``holders``; those that already ``failed`` it come last.
         ``catching_up`` nodes are excluded outright (the rejoin gate);
         ``down`` nodes trail the list as a last resort -- if every usable
         replica just failed, a "down" process may in fact be back.
         """
-        with self._lock:
-            start = self._rotation
-            self._rotation += 1
-        ordered = [
-            self.replicas[(start + offset) % len(self.replicas)]
-            for offset in range(len(self.replicas))
-        ]
+        ordered = self._rotated()
         usable = [replica for replica in ordered if replica.health.is_usable]
+        usable.sort(
+            key=lambda replica: (
+                replica in failed, replica is not assigned, replica in holders
+            )
+        )
         fallback = [
             replica
             for replica in ordered
-            if not replica.health.is_usable and replica.health.state != "catching_up"
+            if not replica.health.is_usable and replica.health.state != CATCHING_UP
         ]
         return usable + fallback
+
+    def _recoveries(self) -> int:
+        """Returns to rotation so far, over the group's replicas."""
+        return sum(replica.health.recoveries_total for replica in self.replicas)
+
+    def _recovering(self) -> bool:
+        """Whether the supervisor is bringing a replica back: a replacement
+        is starting, or it listens and is ``catching_up``."""
+        return any(
+            replica.health.restarting or replica.health.state == CATCHING_UP
+            for replica in self.replicas
+        )
 
     # ------------------------------------------------------------------
     # One hedged attempt
@@ -171,9 +204,12 @@ class ReplicaGroup:
                     state["winner"] = replica.name
                 condition.notify_all()
 
-        threading.Thread(
-            target=exchange, args=(primary,), name=f"{self.shard}-primary", daemon=True
-        ).start()
+        if hedge is None:
+            exchange(primary)  # nothing to race: answered on this thread
+        else:
+            threading.Thread(
+                target=exchange, args=(primary,), name=f"{self.shard}-primary", daemon=True
+            ).start()
         launch_hedge = False
         with condition:
             if hedge is not None:
@@ -205,10 +241,55 @@ class ReplicaGroup:
     # Public request path
     # ------------------------------------------------------------------
     def request(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Answer ``payload`` from any replica, or raise :class:`ShardUnavailable`.
+        """Answer ``payload`` from the group, or raise :class:`ShardUnavailable`.
 
-        Attempt rounds walk the candidate rotation with exponential
-        backoff between rounds, all under the shard deadline.
+        A ``topk`` frame of several queries is scattered: its ``entities``
+        (or ``queries``) and ``traces`` split into one contiguous chunk per
+        usable replica, each chunk answered by :meth:`_answer`
+        concurrently, and the replies gathered in request order.  One chunk
+        that stays unavailable fails the whole request.
+        """
+        key = "queries" if "queries" in payload else "entities"
+        items = payload.get(key)
+        if not isinstance(items, list) or len(items) < 2:
+            return self._answer(payload)
+        usable = [replica for replica in self._rotated() if replica.health.is_usable]
+        holders = usable[: len(items)]
+        count = len(holders)
+        if count < 2:
+            return self._answer(payload)
+        traces = payload.get("traces")
+        bounds = [(len(items) * part) // count for part in range(count + 1)]
+        frames = []
+        for low, high in zip(bounds, bounds[1:]):
+            frame = {**payload, key: items[low:high]}
+            if traces is not None:
+                frame["traces"] = traces[low:high]
+            frames.append(frame)
+        replies = fan_out_queries(
+            lambda part: self._answer(frames[part], holders, holders[part]),
+            count,
+            workers=count,
+        )
+        return _gather(replies)
+
+    def _answer(
+        self,
+        payload: Dict[str, object],
+        holders: Sequence[ReplicaClient] = (),
+        assigned: Optional[ReplicaClient] = None,
+    ) -> Dict[str, object]:
+        """One chunk's reply: attempt rounds under the shard deadline.
+
+        A round sends the chunk to the first candidate and, after
+        ``hedge_delay``, hedges it to the next candidate holding no chunk
+        of the request (``holders``), so a long chunk never doubles a
+        sibling's work.  Failed rounds back off exponentially, up to
+        ``max_attempts``.  With no round left while the supervisor brings
+        a replica back (restarting, or ``catching_up``), the chunk waits
+        for it within the deadline; each return to rotation grants one
+        more round.  A suspended replica is never brought back, so a
+        blacked-out group fails promptly.
         """
         with self._lock:
             self.counters["requests"] += 1
@@ -216,24 +297,36 @@ class ReplicaGroup:
         backoff = ExponentialBackoff(
             base=self.config.backoff_base, cap=self.config.backoff_cap
         )
-        for attempt in range(self.config.max_attempts):
-            candidates = self._candidates()
-            if not candidates:
-                break  # every replica is catching up
-            primary = candidates[0]
-            hedge = candidates[1] if len(candidates) > 1 else None
-            reply = self._attempt(primary, hedge, payload, deadline)
-            if reply is not None:
-                return reply
-            if attempt + 1 < self.config.max_attempts:
-                with self._lock:
-                    self.counters["retries"] += 1
-                delay = min(backoff.next_delay(), max(0.0, deadline - time.monotonic()))
-                if time.monotonic() + delay >= deadline:
-                    break
-                time.sleep(delay)
-            if time.monotonic() >= deadline:
+        failed: List[ReplicaClient] = []
+        rounds = 0
+        recoveries = self._recoveries()
+        while True:
+            candidates = self._candidates(holders, assigned, failed)
+            if candidates and rounds < self.config.max_attempts:
+                if rounds:
+                    with self._lock:
+                        self.counters["retries"] += 1
+                primary = candidates[0]
+                hedge = next(
+                    (replica for replica in candidates[1:] if replica not in holders), None
+                )
+                reply = self._attempt(primary, hedge, payload, deadline)
+                if reply is not None:
+                    return reply
+                rounds += 1
+                failed.extend(replica for replica in (primary, hedge) if replica is not None)
+                delay = backoff.next_delay()
+            elif self._recovering():
+                delay = self.config.backoff_base
+            else:
                 break
+            if time.monotonic() + delay >= deadline:
+                break
+            time.sleep(delay)
+            if self._recoveries() > recoveries:
+                recoveries = self._recoveries()
+                rounds = min(rounds, self.config.max_attempts - 1)
+                failed.clear()
         states = {replica.name: replica.health.state for replica in self.replicas}
         raise ShardUnavailable(
             self.shard,
@@ -262,3 +355,29 @@ class ReplicaGroup:
         """Close every replica's persistent connection."""
         for replica in self.replicas:
             replica.close()
+
+
+def _gather(replies: Sequence[Dict[str, object]]) -> Dict[str, object]:
+    """One ``topk`` reply from a scattered request's chunk replies, in order.
+
+    The first error reply stands for the whole request; otherwise results
+    are concatenated and each chunk's exported spans re-keyed by their
+    position in the whole request.
+    """
+    for reply in replies:
+        if "error" in reply:
+            return reply
+    results: List[Dict[str, object]] = []
+    spans: Dict[str, object] = {}
+    for reply in replies:
+        offset = len(results)
+        for position, exported in (reply.get("spans") or {}).items():
+            spans[str(offset + int(position))] = exported
+        results.extend(reply["results"])
+    gathered: Dict[str, object] = {
+        "generation": min(reply["generation"] for reply in replies),
+        "results": results,
+    }
+    if spans:
+        gathered["spans"] = spans
+    return gathered

@@ -1,53 +1,57 @@
-"""Managed shard replicas: spawn, respawn with backoff, verified rejoin.
+"""Managed replicas: spawn, respawn with backoff, verified rejoin.
 
-The coordinator side of process lifecycle.  :class:`ManagedReplica` holds
-one shard replica -- a read process (:mod:`repro.server.workers`) on an
-ephemeral TCP port discovered through an atomically-written port file;
-:class:`ReplicaSupervisor` owns all of a cluster's processes and runs the
-respawn loop:
+:class:`ManagedReplica` is one read process (:mod:`repro.server.workers`)
+of either multi-process tier, on an ephemeral TCP port discovered through
+an atomically written port file.  :class:`ReplicaSupervisor` owns a
+fleet's processes and runs the one respawn loop:
 
-1. a dead, non-suspended process is respawned under
-   :class:`~repro.server.backoff.ExponentialBackoff` (a replica dying on
-   startup must not become a fork storm -- storms are counted and
-   exported, exactly like the worker pool's);
-2. a respawned replica enters ``catching_up``
-   (:class:`~repro.obs.health.NodeHealth`) and is **excluded from the
-   serving rotation** by its replica group;
-3. the supervisor sends it ``sync`` with ``min_generation`` = the shard
-   store's newest published generation; the replica adopts along the
-   delta chain (or reloads a full snapshot) and answers with where it
-   stands.  Only an affirmative answer -- the replica provably at or past
-   the generation the owner has published -- flips it back to ``live``.
-
-Step 3 is the *catch-up verification* of the rejoin contract: a replica
-that lost generations while dead can never serve stale answers, because
-it re-enters rotation only after demonstrating it has replayed the suffix
-it missed.  The chaos battery kills replicas specifically to exercise
-this loop.
+1. a dead, non-suspended process is restarted under
+   :class:`~repro.server.backoff.ExponentialBackoff`; a replica dying on
+   startup counts a *respawn storm* (``/v1/stats``, ``/metrics``) instead
+   of becoming a fork storm.  The loop only starts the child and looks for
+   its port file on later ticks, giving up after its ``startup_timeout``,
+   so one child that never listens stalls no other replica;
+2. meanwhile the replica is ``restarting``
+   (:class:`~repro.obs.health.NodeHealth`): exchanges still reaching the
+   dead process fail fast and fail over, and a group with nothing else
+   left waits for it.  Once it listens it is ``catching_up``, **excluded
+   from rotation**;
+3. the supervisor sends it ``sync`` with ``min_generation`` = its store's
+   newest published generation; only an affirmative answer -- the replica
+   provably at or past it -- flips it back to ``live``.  A replica that
+   lost generations while dead therefore never serves stale answers.
 
 ``suspend``/``resume`` exist for fault injection: a chaos scenario that
-wants a replica (or a whole group) to *stay* down suspends it first, so
-the supervisor does not helpfully revive it mid-scenario.
+wants a replica (or a whole group) to *stay* down suspends it first.
 """
 
 from __future__ import annotations
 
+import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
+from repro.cluster.replica import ClusterConfig, ReplicaClient
+from repro.obs.health import CATCHING_UP
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import GenerationStore
-from repro.server.workers import Address, ReadProcess, ReadProcessError
+from repro.server.workers import Address, ReadProcessError
 
 __all__ = ["ManagedReplica", "ReplicaSupervisor"]
 
 
-class ManagedReplica(ReadProcess):
-    """One shard replica -- a TCP read process -- and its port-file discovery."""
+class ManagedReplica:
+    """One replica -- a TCP read process child -- as its parent holds it.
+
+    The command line, the child's import path, port-file discovery, the
+    wait for it to listen, the respawn count and the SIGTERM-then-SIGKILL
+    escalation exist here once, for both tiers' replicas.
+    """
 
     def __init__(
         self,
@@ -58,56 +62,123 @@ class ManagedReplica(ReadProcess):
         startup_timeout: float = 60.0,
     ) -> None:
         self.shard = shard
-        self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        self.name = name
         self.startup_timeout = startup_timeout
-        self.port_file = self.run_dir / f"{name}.port"
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        self.port_file = run_dir / f"{name}.port"
         self.host = "127.0.0.1"
         self.port: Optional[int] = None
-        super().__init__(
-            name,
-            [
-                "--store",
-                str(store_root),
-                "--shard",
-                name,
-                "--port-file",
-                str(self.port_file),
-                "--startup-timeout",
-                str(startup_timeout),
-            ],
-        )
+        # Spawned via -c rather than -m: `python -m repro.server.workers`
+        # would import the repro.server package (which itself imports the
+        # workers module) before runpy re-executes it as __main__, tripping
+        # a double-import RuntimeWarning.  The command line still contains
+        # "repro.server.workers", so `pgrep -f` finds read processes.
+        self.command = [
+            sys.executable,
+            "-c",
+            "import sys; from repro.server.workers import main; sys.exit(main(sys.argv[1:]))",
+            "--store", str(store_root),
+            "--shard", name,
+            "--port-file", str(self.port_file),
+            "--startup-timeout", str(startup_timeout),
+        ]
+        #: Starts after the first -- what ``/v1/stats`` and ``/metrics`` report.
+        self.respawns = 0
         #: While ``True`` the supervisor leaves a dead process dead.
         self.suspended = False
+        self._popen: Optional[subprocess.Popen] = None
+
+    @property
+    def pid(self) -> Optional[int]:
+        """The child's process id (``None`` before the first start)."""
+        return self._popen.pid if self._popen is not None else None
+
+    @property
+    def returncode(self) -> Optional[int]:
+        """The child's exit status (``None`` while running or never started)."""
+        return self._popen.poll() if self._popen is not None else None
+
+    def alive(self) -> bool:
+        """Whether the child exists and has not exited."""
+        return self._popen is not None and self._popen.poll() is None
 
     def start(self) -> None:
-        """Start the process; the previous one's port file must not speak for it."""
+        """Start the child, terminating a previous one first; the previous
+        one's port file must not speak for it."""
+        self.terminate(timeout=5.0)
         self.port_file.unlink(missing_ok=True)
-        super().start()
+        env = os.environ.copy()
+        # The child must import repro from the same tree as this process,
+        # installed or not, whatever put that tree on this process's path.
+        package_root = str(Path(__file__).resolve().parents[2])
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            package_root if not existing else package_root + os.pathsep + existing
+        )
+        previous = self._popen
+        self._popen = subprocess.Popen(self.command, env=env)
+        if previous is not None:
+            self.respawns += 1
 
     def _listening(self) -> Optional[Address]:
-        """Listening once the child has (atomically) written its bound port."""
+        """The address once the child has (atomically) written its bound
+        port, else ``None`` (one probe)."""
         try:
             self.port = int(self.port_file.read_text(encoding="utf-8"))
         except FileNotFoundError:
             return None
         return (self.host, self.port)
 
+    def wait_ready(self, timeout: float) -> Address:
+        """Block until the started child is listening; return its address.
+
+        Raises :class:`ReadProcessError` naming the exit status when the
+        child died first, or the timeout when it passed.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            address = self._listening()
+            if address is not None:
+                return address
+            if not self.alive():
+                raise ReadProcessError(
+                    f"{self.name}: read process exited with {self.returncode} "
+                    "before listening"
+                )
+            if time.monotonic() >= deadline:
+                raise ReadProcessError(
+                    f"{self.name}: read process not listening within {timeout:.0f}s"
+                )
+            time.sleep(0.02)
+
     def spawn(self) -> int:
         """Start the process and return its bound port (may raise on startup death)."""
         self.start()
         return self.wait_ready(self.startup_timeout)[1]
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ManagedReplica({self.name!r}, port={self.port}, alive={self.alive()})"
+    def terminate(self, timeout: float = 10.0) -> None:
+        """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""
+        if not self.alive():
+            return
+        self._popen.terminate()
+        try:
+            self._popen.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            self.kill()
+
+    def kill(self) -> None:
+        """SIGKILL and reap -- the chaos battery's crash primitive."""
+        if self.alive():
+            self._popen.kill()
+            self._popen.wait()
 
 
 class ReplicaSupervisor:
-    """The respawn loop over every managed replica of a cluster."""
+    """The respawn loop over every managed replica of a fleet."""
 
     def __init__(
         self,
-        groups: Dict[str, ReplicaGroup],
         managed: Dict[str, ManagedReplica],
         clients: Dict[str, ReplicaClient],
         stores: Dict[str, GenerationStore],
@@ -116,7 +187,6 @@ class ReplicaSupervisor:
         respawn_backoff_base: float = 0.1,
         respawn_backoff_cap: float = 5.0,
     ) -> None:
-        self.groups = groups
         self.managed = managed          # replica name -> process
         self.clients = clients          # replica name -> client
         self.stores = stores            # shard name -> owner-side store
@@ -128,7 +198,11 @@ class ReplicaSupervisor:
             for name in managed
         }
         self._next_attempt = {name: 0.0 for name in managed}
+        #: Replica name -> ``time.monotonic()`` of a start not yet listening.
+        self._starting: Dict[str, float] = {}
         self._lock = threading.Lock()
+        #: Held for one replica's tick, and by :meth:`suspend`.
+        self._tending = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -155,34 +229,63 @@ class ReplicaSupervisor:
     def _run(self) -> None:
         while not self._stop.wait(self.poll_interval):
             for name, replica in self.managed.items():
-                try:
-                    self._tend(name, replica)
-                except Exception:  # noqa: BLE001 - the loop must survive anything
-                    pass
+                with self._tending:
+                    try:
+                        self._tend(name, replica)
+                    except Exception:  # noqa: BLE001 - the loop must survive anything
+                        pass
 
     def _tend(self, name: str, replica: ManagedReplica) -> None:
+        """One tick for one replica; never waits on the child.
+
+        A dead, unsuspended replica is restarted (backoff permitting) and
+        flagged ``restarting``; later ticks look for the replacement's port
+        file, give up on it after its ``startup_timeout``, point the client
+        at it once it listens (``catching_up``) and verify its rejoin.  One
+        child that never listens therefore delays no other replica.  The
+        dead process's health is left to the exchanges that still reach
+        it: each fails fast and fails over.
+        """
         client = self.clients[name]
-        if replica.suspended:
-            return
+        started = self._starting.get(name)
+        if started is not None:
+            address = replica._listening()
+            if address is None and replica.alive():
+                if time.monotonic() - started < replica.startup_timeout:
+                    return
+                replica.kill()  # alive but never listening: given up on
+            del self._starting[name]
+            client.health.restarting = False
+            if address is None:
+                self._failed_start(name)
+            else:
+                client.set_address(address)
+                client.health.mark_catching_up()
         if not replica.alive():
-            client.health.mark_down()
-            now = time.monotonic()
-            if now < self._next_attempt[name]:
+            if client.health.state == CATCHING_UP:
+                client.health.mark_down()  # a dead process catches up on nothing
+            if replica.suspended or time.monotonic() < self._next_attempt[name]:
                 return
-            backoff = self._backoffs[name]
             try:
-                port = replica.spawn()
-            except OSError:  # a failed spawn, or ReadProcessError (one too)
-                delay = backoff.next_delay()
-                if backoff.failures == ExponentialBackoff.STORM_THRESHOLD:
-                    with self._lock:
-                        self.respawn_storms += 1
-                self._next_attempt[name] = time.monotonic() + delay
+                replica.start()
+            except OSError:
+                self._failed_start(name)
                 return
-            client.set_address((replica.host, port))
-            client.health.mark_catching_up()
-        if client.health.state == "catching_up":
+            self._starting[name] = time.monotonic()
+            client.health.restarting = True
+            return
+        if client.health.state == CATCHING_UP:
             self._verify_rejoin(name, replica, client)
+
+    def _failed_start(self, name: str) -> None:
+        """A start that died or never listened: down, back off, count storms."""
+        self.clients[name].health.mark_down()
+        backoff = self._backoffs[name]
+        delay = backoff.next_delay()
+        if backoff.failures == ExponentialBackoff.STORM_THRESHOLD:
+            with self._lock:
+                self.respawn_storms += 1
+        self._next_attempt[name] = time.monotonic() + delay
 
     def _verify_rejoin(
         self, name: str, replica: ManagedReplica, client: ReplicaClient
@@ -206,8 +309,9 @@ class ReplicaSupervisor:
     # ------------------------------------------------------------------
     def suspend(self, names: Sequence[str]) -> None:
         """Leave these replicas dead if they die (chaos: a lasting outage)."""
-        for name in names:
-            self.managed[name].suspended = True
+        with self._tending:  # no tick in progress restarts one after this
+            for name in names:
+                self.managed[name].suspended = True
 
     def resume(self, names: Sequence[str]) -> None:
         """Lift a suspension; the loop may respawn the replicas again."""

@@ -52,6 +52,7 @@ __all__ = [
     "TopKSearcher",
     "fan_out_queries",
     "run_query_batch",
+    "shared_searches",
 ]
 
 
@@ -73,6 +74,26 @@ def fan_out_queries(
     pool_size = min(workers, num_queries)
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(run_at, range(num_queries)))
+
+
+def shared_searches(
+    query_entities: Sequence[str],
+    traces: Optional[Sequence[Optional[SpanContext]]] = None,
+) -> List[int]:
+    """For each query position, the position whose search answers it.
+
+    An untraced query shares the search of the first untraced query of
+    its entity; a traced one owns its search, so its trace shows the
+    whole path.
+    """
+    first: dict = {}
+    owners: List[int] = []
+    for position, entity in enumerate(query_entities):
+        if traces is not None and traces[position] is not None:
+            owners.append(position)
+        else:
+            owners.append(first.setdefault(entity, position))
+    return owners
 
 
 def _pruning_attributes(stats: "QueryStats") -> dict:

@@ -17,6 +17,10 @@ Transitions are driven by the replica client, not by a prober:
   *verified* (its snapshot generation has reached the coordinator's) --
   the rejoin gate the chaos battery leans on.
 
+:attr:`NodeHealth.restarting` (set by the supervisor while a replacement
+process starts) moves no state: exchanges still reaching the dead process
+fail and fail over like any other failure.
+
 The class is intentionally not thread-safe on its own; the owning replica
 group serialises transitions under its lock.
 """
@@ -49,6 +53,8 @@ class NodeHealth:
         self.consecutive_failures = 0
         self.failures_total = 0
         self.recoveries_total = 0
+        #: A replacement process is starting (not yet listening).
+        self.restarting = False
 
     @property
     def is_live(self) -> bool:

@@ -34,14 +34,16 @@ over shared memory-mapped snapshot generations:
   frames, and the parent's half: ``ReadProcess`` (start, await, stop a
   child) and ``ReadClient``, the one framed client (``docs/SERVING.md``,
   "The read process");
-* :mod:`~repro.server.frontend` -- :class:`WorkerPool` (the read backend:
-  scatter-gather and respawn-on-death over one read client per worker),
-  :class:`GenerationPublisher` (the publisher: every index-changing flush
-  becomes a generation) and :func:`worker_tier`, which builds the pair
-  for ``TraceServer(engine, **worker_tier(engine, workers=N))``.
+* :mod:`~repro.server.frontend` -- :class:`GenerationPublisher` (the
+  publisher: every index-changing flush becomes a generation) and
+  :func:`worker_tier`, which pairs it with a one-group
+  :class:`~repro.cluster.frontend.ClusterFleet` (the read backend:
+  scatter, failover and respawn over the N read processes) for
+  ``TraceServer(engine, **worker_tier(engine, workers=N))``.
 
 The networked tier plugs :mod:`repro.cluster.frontend`'s parts into the
-same two slots; ``docs/SERVING.md`` has the table.
+same two slots -- the same fleet, one group per shard; ``docs/SERVING.md``
+has the table.
 
 The serving contract -- request/response schemas, status codes, the
 coalescing and consistency semantics (including which generation a request
@@ -58,7 +60,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     {
         "repro.server.app": ["EngineBackend", "ServingPart", "TraceServer", "build_http_server"],
         "repro.server.coalescer": ["CoalescerStats", "QueueFullError", "RequestCoalescer"],
-        "repro.server.frontend": ["GenerationPublisher", "WorkerPool", "worker_tier"],
+        "repro.server.frontend": ["GenerationPublisher", "worker_tier"],
         "repro.server.generation": ["GenerationStore"],
         "repro.server.metrics": ["LatencyHistogram", "ServerMetrics"],
         "repro.server.protocol": [

@@ -18,10 +18,10 @@ Layering (transport-free core, thin HTTP skin):
   sockets, and the doctest below runs exactly that way.
 * Serving tiers are **configurations** of that one class: a *read backend*
   answers the queries (:class:`EngineBackend`, the owner's engine under
-  the engine lock, by default; a
-  :class:`~repro.server.frontend.WorkerPool` of query processes; a
-  :class:`~repro.cluster.frontend.ClusterFleet` of shard-server replicas)
-  and an optional *publisher*
+  the engine lock, by default; otherwise a
+  :class:`~repro.cluster.frontend.ClusterFleet` of read processes -- one
+  group of whole-engine replicas for ``--workers N``, one group per shard
+  for ``--cluster``) and an optional *publisher*
   (:class:`~repro.server.frontend.GenerationPublisher`) turns every
   index-changing flush into a snapshot generation the read processes
   adopt.  The table lives in ``docs/SERVING.md``.
@@ -274,7 +274,7 @@ class TraceServer:
         dispatch rounds (paying the coalesce window per entity and letting
         a flush land mid-batch).  Handing it whole to the backend keeps the
         shared-pre-hash amortisation in-process (one ``top_k_batch`` under
-        the engine lock) and lets a worker pool scatter it over processes.
+        the engine lock) and lets a replica fleet scatter it over processes.
 
         The sampling decision for cross-layer tracing happens here, at the
         request edge; sampled requests carry a trace context down through
@@ -456,11 +456,11 @@ class TraceServer:
         process, not keep sending it traffic because the JSON body happens
         to spell out the state.
 
-        The plugged parts add the deployment's process topology: a worker
-        pool its size and cumulative ``respawns`` (a non-zero delta between
-        probes means workers are crashing, which a probe of this process
-        alone would never surface), a publisher the ``generation`` queries
-        observe at minimum, a cluster fleet per-shard liveness.
+        The plugged parts add the deployment's process topology: a replica
+        fleet its process count, cumulative ``respawns`` (a non-zero delta
+        between probes means read processes are crashing, which a probe of
+        this process alone would never surface) and per-group liveness, a
+        publisher the ``generation`` queries observe at minimum.
         """
         status = 200 if not self._closed else 503
         payload: Dict[str, object] = {

@@ -1,10 +1,9 @@
 """Exponential backoff with jitter for respawn/reconnect loops.
 
-Every place the serving tiers bring a dead process or connection back --
-the multi-process :class:`~repro.server.frontend.WorkerPool` (respawn),
-the cluster tier's :class:`~repro.cluster.supervisor.ReplicaSupervisor`
-(respawn) and :class:`~repro.cluster.replica.ReplicaGroup` (retry rounds)
--- shares the same failure mode: if the target dies *on startup* (bad binary, missing store,
+Every place the multi-process tiers bring a dead process or connection
+back -- :class:`~repro.cluster.supervisor.ReplicaSupervisor` (respawn) and
+:class:`~repro.cluster.replica.ReplicaGroup` (retry rounds) -- shares the
+same failure mode: if the target dies *on startup* (bad binary, missing store,
 exhausted resource), a naive retry loop respawns it as fast as the OS can
 fork, burning a core and flooding the process table.  :class:`ExponentialBackoff`
 is the shared discipline: delays double from ``base`` up to ``cap``, a
@@ -41,8 +40,8 @@ class ExponentialBackoff:
 
     Usage: call :meth:`next_delay` after each failure (sleep that long
     before retrying) and :meth:`reset` after a success.  :attr:`failures`
-    is the current consecutive-failure streak; :meth:`is_storm` reports
-    whether the streak crossed :attr:`STORM_THRESHOLD`.
+    is the current consecutive-failure streak; a caller counts a storm when
+    it reaches :attr:`STORM_THRESHOLD`.
     """
 
     #: Consecutive failures after which the loop counts as a respawn storm.
@@ -74,10 +73,6 @@ class ExponentialBackoff:
         if self.jitter:
             delay *= 1.0 + self._rng.random() * self.jitter
         return delay
-
-    def is_storm(self) -> bool:
-        """Whether the current streak counts as a respawn storm."""
-        return self.failures >= self.STORM_THRESHOLD
 
     def reset(self) -> None:
         """Clear the streak after a success."""

@@ -14,8 +14,10 @@ then reads is docs/PERFORMANCE.md, "What one query reads").  The
   small window (``window_seconds``, default 2 ms) into one batch, groups it
   by ``(k, approximation)``, and answers each group with **one** call on
   the server's *read backend* -- in-process, one ``engine.top_k_batch``
-  under the engine lock; in the multi-process tiers, one worker or shard
-  fan-out exchange (see :class:`repro.server.app.ServingPart`);
+  under the engine lock; in the multi-process tiers, one fan-out over the
+  replica fleet (see :class:`repro.server.app.ServingPart`).  Identical
+  untraced queries in a group are searched once
+  (:func:`~repro.core.query.shared_searches`);
 * result payloads are handed back to the blocked handler threads.
 
 Because ``top_k_batch`` is documented (and pinned) to return exactly what
@@ -36,6 +38,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.query import shared_searches
 from repro.obs.trace import SpanContext
 
 __all__ = ["CoalescerStats", "QueueFullError", "RequestCoalescer"]
@@ -263,7 +266,6 @@ class RequestCoalescer:
         for query in batch:
             groups.setdefault((query.k, query.approximation), []).append(query)
         for (k, approximation), members in groups.items():
-            entities = [query.entity for query in members]
             # Open one coalesce.dispatch span per *traced* member; kernel
             # spans nest under it via the per-member contexts handed to
             # the backend.  Untraced batches pass no traces at all, so the
@@ -283,18 +285,28 @@ class RequestCoalescer:
                     )
                     dispatch_spans[id(query)] = span
                     traces.append(query.trace.under(span))
+            # Identical queries are searched once; each repeat gets a
+            # fresh payload dict.
+            owners = shared_searches([query.entity for query in members], traces)
+            searched = sorted(set(owners))
             try:
-                results = self.backend.topk(entities, k, approximation, traces)
+                results = self.backend.topk(
+                    [members[position].entity for position in searched],
+                    k,
+                    approximation,
+                    None if traces is None else [traces[p] for p in searched],
+                )
             except BaseException as exc:  # noqa: BLE001 - handed to the waiter
                 for span in dispatch_spans.values():
                     span.end(error=type(exc).__name__)
                 self._fail_individually(members, k, approximation, exc)
                 continue
-            for query, result in zip(members, results):
+            found = dict(zip(searched, results))
+            for position, (query, owner) in enumerate(zip(members, owners)):
                 span = dispatch_spans.get(id(query))
                 if span is not None:
                     span.end()
-                query.result = result
+                query.result = found[owner] if owner == position else dict(found[owner])
                 query.done.set()
 
     def _fail_individually(

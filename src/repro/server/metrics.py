@@ -238,11 +238,11 @@ _FAMILIES: Tuple[Tuple[Optional[str], str, str, str, Callable[[Stats], List[Samp
      _gauge("engine", "entities")),
     (None, "repro_uptime_seconds", "gauge", "Seconds since the server started.",
      _gauge("uptime_seconds")),
-    ("workers", "repro_worker_pool_workers", "gauge", "Configured query worker processes.",
+    ("workers", "repro_worker_pool_workers", "gauge", "Configured read processes.",
      _gauge("workers", "workers")),
     ("workers", "repro_worker_events_total", "counter",
-     "Worker pool activity: answered requests, retries after a worker death, respawned "
-     "workers, respawn storms (a worker repeatedly dying on startup).",
+     "Read-process activity: chunk requests, re-sent exchanges (retry rounds and hedges), "
+     "respawned processes, respawn storms (a process repeatedly dying on startup).",
      _keyed("event", ("requests", "retries", "respawns", "respawn_storms"), "workers")),
     ("generation", "repro_generation_id", "gauge", "Newest published snapshot generation.",
      _gauge("generation")),

@@ -1,42 +1,32 @@
 """The read process: ``python -m repro.server.workers``.
 
-One read process is one OS process answering top-k queries over an
-immutable snapshot generation -- the unit both multi-process tiers are
-built from, and the only one either of them runs.  A ``repro serve
---workers N`` worker listens on a Unix-domain socket and resolves query
-entities against its own (full) dataset; a cluster shard replica
-(``repro serve --cluster R``, ``repro cluster shard``) listens on TCP under
-its replica name and answers queries whose ST-cell sequences travel with
-the request, because its dataset holds one partition only.  The frame
-format, the ops, both ``topk`` frame shapes, the ``traces``/``spans`` keys
-and the 400/404/500 rules are specified once, in ``docs/SERVING.md``
-("The read process").
+One read process answers top-k queries over an immutable snapshot
+generation -- the one program both multi-process tiers run.  It listens
+on TCP under its replica name and announces its ephemeral port through a
+port file.  A ``--workers N`` replica holds the whole engine and resolves
+query entities itself; a ``--cluster`` shard replica answers queries
+whose ST-cell sequences travel with the request, because its dataset
+holds one partition.  Frames, ops, both ``topk`` shapes, the
+``traces``/``spans`` keys and the 400/404/500 rules are specified once,
+in ``docs/SERVING.md`` ("The read process").
 
-The process owns a private engine restored from the newest generation of
-its :class:`~repro.server.generation.GenerationStore` (columnar arrays
-memory-mapped, so all readers of one store share one physical copy through
-the page cache).  It never sees writes: the owner applies those and
-publishes a new generation, which the read process adopts **at a request
-boundary** -- before computing each reply it re-reads the store's
-``CURRENT`` file (one small-file read) and catches up along the delta
-chain, or reloads, when the generation moved.  A request received after a
-publish therefore always observes at least that generation, and a replica
-restarted after a crash proves it has caught up by answering ``sync``
-before the supervisor lets it rejoin (``docs/DISTRIBUTED.md``).
+The process restores a private engine from the newest generation of its
+:class:`~repro.server.generation.GenerationStore` (columnar arrays
+memory-mapped, shared through the page cache) and never sees writes: it
+adopts a newer generation **at a request boundary**, re-reading the
+store's ``CURRENT`` file before each reply and catching up along the
+delta chain, so a request received after a publish observes at least that
+generation.  Connections are served one thread each, adoption and search
+serialised under one lock; parallelism comes from running several
+processes.  Replies carry JSON floats, which round-trip exactly, so a
+relayed payload re-encodes to bytes identical to an in-process response.
 
-Connections are served one thread each, with adoption and search
-serialised under one lock -- correctness first; parallelism comes from
-running several processes, not from threads inside one.  Replies carry
-JSON floats, which round-trip exactly (``repr``), so a parent re-encoding
-a relayed payload with :func:`repro.server.protocol.dumps` produces bytes
-identical to an in-process response -- the equivalence suite pins this.
-
-The process is deliberately crash-oblivious: it holds no state the store
-cannot restore, so a parent answers a dead one by respawning it
-(:class:`ReadProcess`) and retrying the (idempotent, read-only) request
-elsewhere.  The parent's half lives here too: :class:`ReadClient` is the
-one way either tier sends a frame and reads its reply (``docs/SERVING.md``,
-"Client side").
+The process holds no state the store cannot restore: a parent answers a
+dead one by respawning it
+(:class:`~repro.cluster.supervisor.ManagedReplica`) and failing the
+idempotent request over.  The parent's client half lives here:
+:class:`ReadClient` is the one way a parent sends a frame and reads its
+reply (``docs/SERVING.md``, "Client side").
 """
 
 from __future__ import annotations
@@ -47,12 +37,11 @@ import os
 import signal
 import socket
 import struct
-import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pruning import InvalidQuerySequence
 from repro.obs.trace import ActiveTrace, Span, SpanContext
@@ -64,7 +53,6 @@ from repro.traces.events import CellSequence, STCell
 __all__ = [
     "QueryWorker",
     "ReadClient",
-    "ReadProcess",
     "ReadProcessError",
     "bad_request_reply",
     "begin_remote_spans",
@@ -87,8 +75,8 @@ MAX_ERROR_CHARS = 512
 
 _LENGTH = struct.Struct(">I")
 
-#: A Unix socket path, or a TCP ``(host, port)`` pair.
-Address = Union[str, Tuple[str, int]]
+#: A TCP ``(host, port)`` pair.
+Address = Tuple[str, int]
 
 
 def send_frame(connection: socket.socket, payload: Dict[str, object]) -> None:
@@ -228,8 +216,8 @@ def _propagated_traces(
 class QueryWorker:
     """The read-process loop: adopt generations, answer framed requests.
 
-    ``address`` is where to listen -- a Unix socket path, or a TCP
-    ``(host, port)`` pair (port ``0`` = ephemeral).  ``name`` is what the
+    ``address`` is the TCP ``(host, port)`` pair to listen on (port ``0``
+    = ephemeral).  ``name`` is what the
     process calls itself in ``status`` replies and on exported spans.
     """
 
@@ -394,20 +382,12 @@ class QueryWorker:
     # Serving loop
     # ------------------------------------------------------------------
     def _bind(self, port_file: Optional[str]) -> socket.socket:
-        """The listening socket for ``address``; TCP records the bound port."""
-        if isinstance(self.address, str):
-            try:
-                os.unlink(self.address)
-            except FileNotFoundError:
-                pass
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(self.address)
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(tuple(self.address))
+        """The listening socket for ``address``; records the bound port."""
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(tuple(self.address))
         listener.listen(16)
-        if port_file and not isinstance(self.address, str):
+        if port_file:
             # After listen(): a parent that reads the port may connect at once.
             staged = Path(f"{port_file}.tmp")
             staged.write_text(str(listener.getsockname()[1]), encoding="utf-8")
@@ -453,11 +433,6 @@ class QueryWorker:
                 listener.close()
             except OSError:
                 pass
-            if isinstance(self.address, str):
-                try:
-                    os.unlink(self.address)
-                except OSError:
-                    pass
         return 0
 
     def _serve_connection(self, connection: socket.socket) -> None:
@@ -485,8 +460,8 @@ class ReadProcessError(ConnectionError):
 class ReadClient:
     """One persistent framed connection to one read process: the client half.
 
-    ``address`` is where the process listens (a Unix socket path or a TCP
-    ``(host, port)`` pair) and ``name`` what errors call it.
+    ``address`` is the TCP ``(host, port)`` pair the process listens on and
+    ``name`` what errors call it.
     ``connect_timeout`` bounds one connect; ``request_timeout`` bounds one
     exchange unless :meth:`request` is given its own ``timeout``.  The
     connection is opened by the first exchange and kept.
@@ -552,14 +527,7 @@ class ReadClient:
                 raise ReadProcessError(f"{self.name} at {self.address}: {exc}") from exc
 
     def _connect(self, timeout: float) -> None:
-        # Assigned before connecting, so a failed connect is closed by the
-        # caller's one failure path like everything after it.
-        if isinstance(self.address, str):
-            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(self.address)
-        else:
-            self._sock = socket.create_connection(tuple(self.address), timeout=timeout)
+        self._sock = socket.create_connection(tuple(self.address), timeout=timeout)
 
     def close(self) -> None:
         """Drop the connection (the next exchange opens a fresh one)."""
@@ -575,121 +543,14 @@ class ReadClient:
             self._sock = None
 
 
-class ReadProcess:
-    """One read-process child, as its parent holds it: start, await, stop.
-
-    ``name`` is what errors call the child and ``arguments`` are
-    :func:`main`'s flags.  Both tiers' process owners (the worker pool's
-    handles, :class:`repro.cluster.supervisor.ManagedReplica`) are
-    subclasses, so the command line, the child's import path, the wait for
-    it to listen, the respawn count and the SIGTERM-then-SIGKILL escalation
-    exist once.  A subclass says only how its child shows it is listening
-    (:meth:`_listening`).
-    """
-
-    def __init__(self, name: str, arguments: Sequence[str]) -> None:
-        self.name = name
-        # Spawned via -c rather than -m: `python -m repro.server.workers`
-        # would import the repro.server package (which itself imports the
-        # workers module) before runpy re-executes it as __main__, tripping
-        # a double-import RuntimeWarning.  The command line still contains
-        # "repro.server.workers", so `pgrep -f` finds read processes.
-        self.command = [
-            sys.executable,
-            "-c",
-            "import sys; from repro.server.workers import main; sys.exit(main(sys.argv[1:]))",
-            *arguments,
-        ]
-        #: Starts after the first -- what ``/v1/stats`` and ``/metrics`` report.
-        self.respawns = 0
-        self._popen: Optional[subprocess.Popen] = None
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The child's process id (``None`` before the first start)."""
-        return self._popen.pid if self._popen is not None else None
-
-    @property
-    def returncode(self) -> Optional[int]:
-        """The child's exit status (``None`` while running or never started)."""
-        return self._popen.poll() if self._popen is not None else None
-
-    def alive(self) -> bool:
-        """Whether the child exists and has not exited."""
-        return self._popen is not None and self._popen.poll() is None
-
-    def start(self) -> None:
-        """Start the child, terminating a previous one first."""
-        self.terminate(timeout=5.0)
-        env = os.environ.copy()
-        # The child must import repro from the same tree as this process,
-        # installed or not, whatever put that tree on this process's path.
-        package_root = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        previous = self._popen
-        self._popen = subprocess.Popen(self.command, env=env)
-        if previous is not None:
-            self.respawns += 1
-
-    def _listening(self) -> Optional[Address]:
-        """The child's address once it is listening, else ``None`` (one probe)."""
-        raise NotImplementedError
-
-    def wait_ready(self, timeout: float) -> Address:
-        """Block until the started child is listening; return its address.
-
-        The one wait-for-the-child loop: raises :class:`ReadProcessError`
-        naming the exit status when the child died first, or the timeout
-        when it passed.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            address = self._listening()
-            if address is not None:
-                return address
-            if not self.alive():
-                raise ReadProcessError(
-                    f"{self.name}: read process exited with {self.returncode} "
-                    "before listening"
-                )
-            if time.monotonic() >= deadline:
-                raise ReadProcessError(
-                    f"{self.name}: read process not listening within {timeout:.0f}s"
-                )
-            time.sleep(0.02)
-
-    def terminate(self, timeout: float = 10.0) -> None:
-        """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""
-        if not self.alive():
-            return
-        self._popen.terminate()
-        try:
-            self._popen.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-            self.kill()
-
-    def kill(self) -> None:
-        """SIGKILL and reap -- the chaos battery's crash primitive."""
-        if self.alive():
-            self._popen.kill()
-            self._popen.wait()
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the read-process subprocess; returns the exit code."""
     parser = argparse.ArgumentParser(
         prog="repro.server.workers",
-        description="one read process: a query worker of `repro serve --workers N` "
-        "(--socket) or a shard replica of `repro serve --cluster R` / "
-        "`repro cluster shard` (--host/--port)",
+        description="one read process: a replica of `repro serve --workers N` or "
+        "`repro serve --cluster R` / `repro cluster shard`",
     )
     parser.add_argument("--store", required=True, help="generation store directory")
-    parser.add_argument(
-        "--socket", default=None, help="Unix socket path to serve on (else TCP)"
-    )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0, help="TCP port (0 = ephemeral)")
     parser.add_argument(
@@ -709,7 +570,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     worker = QueryWorker(
         args.store,
-        args.socket if args.socket else (args.host, args.port),
+        (args.host, args.port),
         name=args.shard,
         startup_timeout=args.startup_timeout,
     )

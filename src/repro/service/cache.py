@@ -36,7 +36,7 @@ import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.query import BatchTopKResult, TopKResult, run_query_batch
+from repro.core.query import BatchTopKResult, TopKResult, run_query_batch, shared_searches
 from repro.obs.trace import SpanContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -264,7 +264,10 @@ class QueryFront:
         :func:`~repro.core.query.run_query_batch`, which hashes the union of
         their ST-cells once and -- when ``workers`` (or the config's
         ``batch_workers``) exceeds 1 -- fans them out over a thread pool.
-        Results are identical to calling :meth:`top_k` per entity.
+        A repeated entity is searched once (an untraced repeat shares the
+        first untraced search, :func:`~repro.core.query.shared_searches`)
+        and every repeat gets its own copy of the result.  Results are
+        identical to calling :meth:`top_k` per entity.
 
         ``traces`` is aligned with ``query_entities``; non-``None`` entries
         receive per-query cache and search spans.  Results are unaffected.
@@ -274,14 +277,23 @@ class QueryFront:
         def run(
             entities: Sequence[str], entity_traces: Optional[Sequence[Optional[SpanContext]]]
         ) -> BatchTopKResult:
-            return run_query_batch(
+            # A repeated entity is searched once; each repeat gets a copy.
+            owners = shared_searches(entities, entity_traces)
+            searched = sorted(set(owners))
+            batch = run_query_batch(
                 lambda entity, trace: self._search(entity, k, approximation, trace),
-                entities,
+                [entities[position] for position in searched],
                 self.dataset,
                 self.hash_family,
                 self.config.batch_workers if workers is None else int(workers),
-                entity_traces,
+                None if entity_traces is None else [entity_traces[p] for p in searched],
             )
+            found = dict(zip(searched, batch.results))
+            batch.results = [
+                found[owner] if owner == position else found[owner].copy()
+                for position, owner in enumerate(owners)
+            ]
+            return batch
 
         cache = self._query_cache
         if cache is None:

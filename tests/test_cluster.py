@@ -40,7 +40,8 @@ from repro.cluster.replica import (
 from repro.cluster.supervisor import ManagedReplica
 from repro.obs.health import SUSPECT_THRESHOLD, NodeHealth
 from repro.server import protocol
-from repro.server.frontend import WorkerPool
+from repro.server.app import TraceServer
+from repro.server.frontend import worker_tier
 from repro.server.generation import GenerationStore
 from repro.server.workers import (
     MAX_ERROR_CHARS,
@@ -222,25 +223,28 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
 def test_both_tiers_spawn_from_a_parent_without_pythonpath(small_engine, tmp_path):
     """The child gets the parent's import root from the spawn itself, not
     from an inherited ``PYTHONPATH``: a parent that only has ``src`` on
-    ``sys.path`` brings up a worker-tier and a cluster-tier read process."""
+    ``sys.path`` brings up a worker-tier fleet and a cluster-tier read
+    process."""
     GenerationStore(tmp_path / "store").publish(small_engine)
     script = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from repro.cluster.supervisor import ManagedReplica
-from repro.server.frontend import WorkerPool
+from repro.server.app import TraceServer
+from repro.server.frontend import worker_tier
+from repro.server.generation import GenerationStore
 from repro.server.workers import ReadClient
 
 store, run_dir = sys.argv[2], sys.argv[3]
-pool = WorkerPool(store, 1)
+engine = GenerationStore(store).load_current()[1]
 replica = ManagedReplica("shard-000", "shard-000-r0", store, run_dir)
+server = TraceServer(engine, **worker_tier(engine, workers=1))
 try:
-    pool.start()
-    worker = pool._handles[0].client.request({"op": "ping"})
+    worker = server.backend.clients["worker-r0"].request({"op": "ping"})
     with ReadClient(("127.0.0.1", replica.spawn()), "shard", 5.0, 30.0) as client:
         shard = client.request({"op": "ping"})
 finally:
-    pool.close()
+    server.close()
     replica.terminate()
 print(json.dumps([worker["ok"], shard["ok"]]))
 """
@@ -262,14 +266,13 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
         importlib.import_module("repro.cluster.shard_server")
 
     GenerationStore(tmp_path / "store").publish(small_engine)
-    pool = WorkerPool(tmp_path / "store", 1)
+    server = TraceServer(small_engine, **worker_tier(small_engine, workers=1))
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     try:
-        pool.start()
         port = replica.spawn()
-        for pid in (pool.worker_pids[0], replica.pid):
+        for pid in (server.backend.managed["worker-r0"].pid, replica.pid):
             cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
             assert b"repro.server.workers" in cmdline, cmdline
 
@@ -286,12 +289,12 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
             "k": 3,
         }
         with ReadClient(("127.0.0.1", port), "shard", 5.0, 30.0) as shard_client:
-            for ask in (pool._handles[0].client.request, shard_client.request):
+            for ask in (server.backend.clients["worker-r0"].request, shard_client.request):
                 first, second = ask(by_entity), ask(by_sequence)
                 assert "error" not in first and "error" not in second
                 assert first["results"] == second["results"]
     finally:
-        pool.close()
+        server.close()
         replica.terminate()
 
     # A read process never imports the cluster package.
@@ -316,26 +319,21 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
 class _FakeShardServer:
     """A framed peer answering with ``reply_fn(request)`` per frame.
 
-    ``address`` is a TCP ``(host, port)`` pair (port ``0`` = ephemeral) or
-    a Unix socket path; ``serve`` replaces the framed reply loop with a
-    function of the accepted connection (a misbehaving peer).
+    ``address`` is a TCP ``(host, port)`` pair (port ``0`` = ephemeral);
+    ``serve`` replaces the framed reply loop with a function of the
+    accepted connection (a misbehaving peer).
     """
 
     def __init__(self, reply_fn, address=("127.0.0.1", 0), serve=None):
         self._reply_fn = reply_fn
         if serve is not None:
             self._serve_frames = serve
-        if isinstance(address, str):
-            if os.path.exists(address):
-                os.unlink(address)
-            self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        else:
-            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(address)
         self._listener.listen(8)
         self.address = self._listener.getsockname()
-        self.port = None if isinstance(address, str) else self.address[1]
+        self.port = self.address[1]
         self._closed = False
         threading.Thread(target=self._accept_loop, daemon=True).start()
 
@@ -471,13 +469,43 @@ class TestReplicaGroup:
             group.request({"op": "ping"})
         assert group.counters["retries"] >= 1
 
+    def test_a_scattered_batch_never_hedges_onto_a_sibling_chunk(self):
+        """Chunks slower than ``hedge_delay`` stay on their own replicas:
+        each replica already holds a sibling chunk, so no chunk doubles
+        another's work."""
+        served = []
+
+        def slow(request):
+            time.sleep(0.3)
+            served.append(request["entities"])
+            return {
+                "generation": 1,
+                "results": [{"query": entity} for entity in request["entities"]],
+            }
+
+        servers = [_FakeShardServer(slow) for _ in range(2)]
+        try:
+            config = _fast_config()
+            clients = [
+                ReplicaClient(f"r{index}", "127.0.0.1", server.port, config=config)
+                for index, server in enumerate(servers)
+            ]
+            group = ReplicaGroup("worker", clients, config=config)
+            reply = group.request({"op": "topk", "entities": ["a", "b", "c"], "k": 1})
+        finally:
+            for server in servers:
+                server.close()
+        assert [row["query"] for row in reply["results"]] == ["a", "b", "c"]
+        assert sorted(map(len, served)) == [1, 2]
+        assert group.counters == {"requests": 2, "retries": 0, "hedges": 0, "failovers": 0}
+
     def test_group_requires_at_least_one_replica(self):
         with pytest.raises(ValueError, match="needs >= 1 replica"):
             ReplicaGroup("shard-000", [])
 
 
 # ----------------------------------------------------------------------
-# The one read client: the client-side frame boundary, both address kinds
+# The one read client: the client-side frame boundary
 # ----------------------------------------------------------------------
 _LENGTH = struct.Struct(">I")
 
@@ -519,23 +547,18 @@ _BROKEN_PEERS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["unix", "tcp"])
 @pytest.mark.parametrize("failure", list(_BROKEN_PEERS))
-def test_read_client_fails_closed_at_a_frame_boundary(kind, failure, tmp_path):
+def test_read_client_fails_closed_at_a_frame_boundary(failure):
     """Every way an exchange can fail is one ``ReadProcessError`` with the
     socket closed, and the next exchange -- a healthy listener now on the
     same address -- gets *its* reply, never a stale one."""
     serve = _BROKEN_PEERS[failure]
     if serve is not None:
-        broken = _FakeShardServer(
-            None,
-            address=str(tmp_path / "peer.sock") if kind == "unix" else ("127.0.0.1", 0),
-            serve=serve,
-        )
+        broken = _FakeShardServer(None, serve=serve)
         address = broken.address
     else:
         broken = None
-        address = str(tmp_path / "peer.sock") if kind == "unix" else ("127.0.0.1", _dead_port())
+        address = ("127.0.0.1", _dead_port())
     client = ReadClient(address, "peer", connect_timeout=0.5, request_timeout=2.0)
     healthy = None
     try:
@@ -578,23 +601,24 @@ def test_one_read_client(small_engine, tmp_path):
         assert not connects.search(path.read_text(encoding="utf-8")), path
 
     GenerationStore(tmp_path / "store").publish(small_engine)
-    pool = WorkerPool(tmp_path / "store", 1)
+    server = TraceServer(small_engine, **worker_tier(small_engine, workers=1))
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     try:
-        pool.start()
-        addresses = [pool._handles[0].client.address, ("127.0.0.1", replica.spawn())]
-        assert isinstance(addresses[0], str)  # a Unix socket path
+        addresses = [
+            server.backend.clients["worker-r0"].address,
+            ("127.0.0.1", replica.spawn()),
+        ]
         pids = []
         for address in addresses:
             with ReadClient(address, "child", 5.0, 30.0) as client:
                 reply = client.request({"op": "ping"})
             assert reply["ok"] and reply["generation"] == 1
             pids.append(reply["pid"])
-        assert pids == [pool.worker_pids[0], replica.pid]
+        assert pids == [server.backend.managed["worker-r0"].pid, replica.pid]
     finally:
-        pool.close()
+        server.close()
         replica.terminate()
 
 
@@ -653,7 +677,7 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
     its ``request.topk`` root has the ``batch``/``queries`` attributes and
     the ``coalesce.wait`` / ``coalesce.dispatch`` children the in-process
     and worker tiers have.  Under ``coalesce.dispatch`` hangs one
-    ``shard.request`` per shard group, and under each the answering read
+    ``worker.request`` per shard group, and under each the answering read
     process's ``worker.topk`` with its adoption and kernel stages, labelled
     with the replica's name.  Sampling never changes the body.
     """
@@ -689,7 +713,7 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
     assert "coalesce.wait" in children
     assert "coalesce.dispatch" in children
     shard_requests = children["coalesce.dispatch"]["children"]
-    assert [span["name"] for span in shard_requests] == ["shard.request"] * 2
+    assert [span["name"] for span in shard_requests] == ["worker.request"] * 2
     assert sorted(span["attributes"]["shard"] for span in shard_requests) == [
         "shard-000",
         "shard-001",

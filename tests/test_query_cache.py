@@ -169,6 +169,33 @@ class TestEngineIntegration:
         assert [r.items for r in cached_batch.results] == [r.items for r in plain_batch.results]
         assert [r.query_entity for r in cached_batch.results] == queries
 
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    def test_a_repeated_entity_is_searched_once(
+        self, kind, cache_size, small_dataset, small_measure, monkeypatch
+    ):
+        """Cold cache or caching off, a batch repeating an entity runs its
+        search once; every repeat gets its own copy of the very answer
+        (items and all five counters) a per-query ``top_k`` gives."""
+        engine = make_engine(kind, small_dataset, small_measure, query_cache_size=cache_size)
+        reference = make_engine(kind, small_dataset, small_measure)
+        searched = []
+        search = engine._search
+
+        def counting_search(entity, *args):
+            searched.append(entity)
+            return search(entity, *args)
+
+        monkeypatch.setattr(engine, "_search", counting_search)
+        batch = engine.top_k_batch(["a", "a", "b", "a"], k=3)
+        assert sorted(searched) == ["a", "b"]
+        for result, entity in zip(batch.results, ["a", "a", "b", "a"]):
+            expected = reference.top_k(entity, k=3)
+            assert result.items == expected.items
+            assert result.stats.__dict__ == expected.stats.__dict__
+        assert len({id(result) for result in batch.results}) == 4
+        batch.results[0].items.clear()
+        assert batch.results[1].items == reference.top_k("a", k=3).items
+
     def test_distinct_parameters_get_distinct_entries(self, cached_engine):
         cached_engine.top_k("a", k=3)
         cached_engine.top_k("a", k=2)

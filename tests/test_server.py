@@ -5,7 +5,9 @@ metrics, the transport-free TraceServer core, the HTTP layer, and the
 import http.client
 import json
 import math
+import os
 import re
+import signal
 import socket
 import threading
 import time
@@ -18,7 +20,7 @@ from repro.core.engine import TraceQueryEngine
 from repro.obs import parse_exposition, render_exposition
 from repro.server.app import EngineBackend, TraceServer, build_http_server
 from repro.server.coalescer import QueueFullError, RequestCoalescer
-from repro.server.frontend import WorkerPool
+from repro.server.frontend import worker_tier
 from repro.server.generation import GenerationStore
 from repro.server.metrics import (
     LATENCY_BUCKETS,
@@ -63,7 +65,7 @@ class TestQueryWorkerStatuses:
     @pytest.fixture
     def worker(self, engine, tmp_path):
         GenerationStore(tmp_path / "store").publish(engine)
-        return QueryWorker(str(tmp_path / "store"), str(tmp_path / "worker.sock"))
+        return QueryWorker(str(tmp_path / "store"), ("127.0.0.1", 0))
 
     @pytest.mark.parametrize(
         "frame, named",
@@ -298,6 +300,35 @@ class TestCoalescer:
         # dispatch rounds: strictly fewer batches than queries.
         assert coalescer.stats.batches < 8
         assert coalescer.stats.coalesced > 0
+
+    def test_identical_queries_in_a_round_are_searched_once(self, engine):
+        """A coalesced round of identical queries makes one search, and each
+        caller gets its own payload dict, equal to a lone query's."""
+        searched = []
+
+        class CountingBackend(EngineBackend):
+            def topk(self, entities, k, approximation, traces=None):
+                searched.extend(entities)
+                return super().topk(entities, k, approximation, traces)
+
+        coalescer = RequestCoalescer(
+            CountingBackend(engine, threading.Lock()), window_seconds=0.2
+        )
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.append(coalescer.submit("e03", k=2)))
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        coalescer.close()
+        # One search per dispatch round, however many callers shared it.
+        assert coalescer.stats.batches < 4
+        assert searched == ["e03"] * coalescer.stats.batches
+        assert results == [topk_result_payload(engine.top_k("e03", k=2))] * 4
+        assert len({id(result) for result in results}) == 4
 
     def test_mixed_k_groups_still_answer_correctly(self, engine):
         coalescer = RequestCoalescer(EngineBackend(engine, threading.Lock()), window_seconds=0.05)
@@ -607,8 +638,6 @@ def _tier_engine(**options) -> ShardedEngine:
 
 def _tier_parts(tier, engine):
     if tier == "workers":
-        from repro.server.frontend import worker_tier
-
         return worker_tier(engine, workers=1)
     if tier == "cluster":
         from repro.cluster.frontend import cluster_tier
@@ -678,7 +707,11 @@ def test_tiers_are_configurations_of_one_server(tier):
         assert status == 200
         assert {"engine", "ingest", "coalescer", "endpoints", "tracing"} <= set(stats)
         assert stats["coalescer"]["submitted"] == 3  # the admitted single queries
-        extra = {"local": set(), "workers": {"workers", "generation"}, "cluster": {"cluster"}}
+        extra = {
+            "local": set(),
+            "workers": {"workers", "cluster", "generation"},
+            "cluster": {"workers", "cluster"},
+        }
         assert extra[tier] <= set(stats) and extra[tier] <= set(health)
         status, text = server.handle_metrics()
         assert status == 200
@@ -718,23 +751,68 @@ def test_process_tiers_report_no_owner_cache(tier):
         assert families[name]["samples"] == [], name
 
 
-def test_worker_pool_spreads_one_round_over_its_workers(small_engine, tmp_path):
-    """``WorkerPool.topk`` is the pool's one query method: a coalesced round
-    of several queries is scattered like a client batch, one contiguous
-    chunk per worker, and gathered in request order."""
-    GenerationStore(tmp_path).publish(small_engine)
-    pool = WorkerPool(tmp_path, num_workers=2)
+def _record_frames(fleet):
+    """Wrap every replica client of ``fleet``: the frames sent, in order."""
+    sent = []
+    for client in fleet.clients.values():
+        def request(payload, timeout=None, _send=client.request, _name=client.name):
+            sent.append((_name, payload))
+            return _send(payload, timeout=timeout)
+
+        client.request = request
+    return sent
+
+
+def test_worker_pool_spreads_one_round_over_its_workers(small_engine):
+    """A ``--workers 2`` fleet answers a coalesced round of several queries
+    like a client batch: one contiguous chunk per replica, one exchange
+    each, no hedge, gathered in request order."""
+    server = TraceServer(small_engine, **worker_tier(small_engine, workers=2))
     entities = ["a", "b", "c", "d", "e"]
     try:
-        pool.start()
-        payloads = pool.topk(entities, 3, 0.0)
-        requests = pool.stats_snapshot()["requests"]
+        sent = _record_frames(server.backend)
+        payloads = server.backend.topk(entities, 3, 0.0)
+        (group,) = server.backend.coordinator.snapshot()["groups"]
     finally:
-        pool.close()
-    assert requests == 2  # one exchange per worker
+        server.close()
+    assert sorted(name for name, _ in sent) == ["worker-r0", "worker-r1"]
+    assert sorted(len(frame["entities"]) for _, frame in sent) == [2, 3]
+    assert group["counters"] == {"requests": 2, "retries": 0, "hedges": 0, "failovers": 0}
     assert dumps(payloads) == dumps(
         [topk_result_payload(small_engine.top_k(entity, k=3)) for entity in entities]
     )
+
+
+@pytest.mark.parametrize("tier, form", [("workers", "entities"), ("cluster", "queries")])
+def test_frame_form_follows_what_a_replica_holds(tier, form):
+    """Whole-engine replicas (``--workers``) get entity names and resolve
+    them at the generation they adopted; shard replicas get the query
+    sequences the coordinator resolved, because each holds a partition."""
+    engine = _tier_engine()
+    with TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine)) as server:
+        sent = _record_frames(server.backend)
+        assert server.handle_topk({"entities": ["e00", "e01"], "k": 2})[0] == 200
+    topk_frames = [frame for _, frame in sent if frame["op"] == "topk"]
+    assert topk_frames
+    for frame in topk_frames:
+        assert form in frame and ({"entities", "queries"} - {form}).isdisjoint(frame)
+
+
+def test_one_worker_survives_its_own_death(small_engine):
+    """``--workers 1``: the next query after a SIGKILL of the only read
+    process waits for the supervisor to bring it back and answers 200,
+    byte-identical to the engine."""
+    server = TraceServer(small_engine, coalesce_window=0.0, **worker_tier(small_engine, workers=1))
+    try:
+        victim = server.backend.managed["worker-r0"].pid
+        os.kill(victim, signal.SIGKILL)
+        status, payload = server.handle_topk({"entity": "a", "k": 3})
+        assert status == 200, payload
+        assert dumps(payload) == dumps(topk_result_payload(small_engine.top_k("a", k=3)))
+        assert server.backend.managed["worker-r0"].pid != victim
+        assert server.handle_stats()[1]["workers"]["respawns"] == 1
+    finally:
+        server.close()
 
 
 def _exported_stages(server):
@@ -772,6 +850,48 @@ def test_bench_stage_names_are_exported():
     finally:
         daemon.close()
     assert wanted <= exported, sorted(wanted - exported)
+
+
+def _bench_stats_reads():
+    """Every ``/v1/stats`` path ``bench/workloads.py`` reads, as key tuples."""
+    source = (Path(__file__).resolve().parent.parent / "bench" / "workloads.py").read_text()
+    paths = {
+        tuple(re.findall(r'"([^"]+)"', keys))
+        for keys in re.findall(r'stats_(?:after|before)((?:\["[^"]+"\])+)', source)
+    }
+    paths |= set(re.findall(r'\bdelta\("([^"]+)", "([^"]+)"\)', source))
+    cache = next(path for path in paths if path == ("engine", "cache"))
+    paths |= {(*cache, key) for key in re.findall(r'cache_(?:after|before)\["([^"]+)"\]', source)}
+    return paths
+
+
+def _dig(stats, path):
+    for key in path:
+        if not isinstance(stats, dict) or key not in stats:
+            return None
+        stats = stats[key]
+    return stats
+
+
+def test_bench_stats_keys_are_exported():
+    """Every ``/v1/stats`` key the benchmark reads exists in the stats body
+    of the tier its workload runs: the ``--workers`` tier, or the cached
+    in-process daemon (whose ``engine.cache`` keys only it has).  A renamed
+    key fails here rather than mid-way through a ``--traced`` run."""
+    wanted = _bench_stats_reads()
+    assert {("workers", "retries"), ("coalescer", "batches"), ("engine", "cache", "hits")} <= wanted
+
+    engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5).build()
+    with TraceServer(engine, coalesce_window=0.0, **_tier_parts("workers", engine)) as server:
+        assert server.handle_topk({"entity": "e00"})[0] == 200
+        workers_stats = server.handle_stats()[1]
+    engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5, query_cache_size=16).build()
+    with TraceServer(engine, coalesce_window=0.0) as server:
+        assert server.handle_topk({"entity": "e00"})[0] == 200
+        local_stats = server.handle_stats()[1]
+    for path in wanted:
+        tier_stats = local_stats if path[:2] == ("engine", "cache") else workers_stats
+        assert _dig(tier_stats, path) is not None, path
 
 
 # ----------------------------------------------------------------------

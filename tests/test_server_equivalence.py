@@ -309,9 +309,10 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
     end-of-phase flush publishes a new snapshot generation that the workers
     adopt at a request boundary, so the run crosses ``NUM_PHASES``
     generation publishes.  Midway, one worker is SIGKILLed while queries
-    are in flight -- the pool must retry on the survivor and respawn the
-    dead worker without a single diverging byte.  A final batch request
-    exercises the scatter-gather path over the respawned pool.
+    are in flight -- the replica group must answer through the survivor and
+    the supervisor respawn the dead worker without a single diverging byte.
+    A final batch request exercises the scatter path over the respawned
+    fleet.
     """
     expected = serial_reference(kind)
 
@@ -355,10 +356,10 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
                 barrier.wait()
                 if phase == 1 and thread == 0:
                     # Kill one worker mid-run, with the other threads'
-                    # queries racing the death.  Phase 1 then issues far
-                    # more queries than the pool has workers, so the dead
-                    # handle is certain to be checked out and exercised.
-                    victim = frontend.backend.worker_pids[0]
+                    # queries racing the death: an exchange in flight to
+                    # it fails over to the survivor, and the supervisor
+                    # brings it back while phase 1 keeps querying.
+                    victim = frontend.backend.managed["worker-r0"].pid
                     assert victim is not None
                     os.kill(victim, signal.SIGKILL)
                 operations = [
@@ -420,6 +421,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
 
         # Batch form after the final flush: scattered over both workers
         # (one of them the respawned one), against the newest generation.
+        assert frontend.backend.supervisor.wait_settled(timeout=60)
         batch_entities = [
             f"p{NUM_PHASES - 1}-t{thread}-0" for thread in range(NUM_THREADS)
         ] + ["seed-00", "seed-07"]
@@ -443,8 +445,8 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
         assert body == expected_batch
 
         # The run really crossed generations and really killed a worker.
-        pool_stats = frontend.backend.stats_snapshot()
-        assert pool_stats["respawns"] >= 1
+        fleet_stats = frontend.backend.stats()["workers"]
+        assert fleet_stats["respawns"] >= 1
         # Initial publish + one per (index-changing) phase flush.
         assert frontend.publisher.store.generation == 1 + NUM_PHASES
 
@@ -469,10 +471,9 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
             )["attributes"]["hit"]:
                 assert {"shard.search", "kernel.merge"} <= names, names
             worker_root = find_span(record["spans"], "worker.topk")
-            assert worker_root["process"] == "worker"
-            # The worker half hangs under the worker.request attempt that
-            # actually produced it (a SIGKILLed attempt keeps its own,
-            # childless, span closed with an error attribute).
+            assert worker_root["process"] in {"worker-r0", "worker-r1"}
+            # The worker half hangs under the worker.request span of the
+            # group exchange that produced it (retries and hedges included).
             assert any(
                 worker_root in anchor["children"]
                 for anchor in iter_spans(record["spans"])
@@ -542,7 +543,7 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
                 wal=wal,
                 **worker_tier(engine, workers=1, store_root=store_root),
             )
-            pids_path.write_text(json.dumps(frontend.backend.worker_pids))
+            pids_path.write_text(json.dumps([r.pid for r in frontend.backend.managed.values()]))
 
             def killing_swap(document):
                 # The delta document is already on disk; dying before the

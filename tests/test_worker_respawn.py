@@ -1,22 +1,23 @@
-"""Regression test for the worker pool's crash-loop (respawn storm) guard.
+"""Regression tests for the replica supervisor's respawn loop.
 
-A worker that dies *on startup* -- broken interpreter, missing store,
-exhausted memory -- must not put the pool's respawn loop into a hot fork
-loop.  The pool backs off exponentially between respawn attempts and
-counts a *respawn storm* once the failure streak crosses the backoff's
-storm threshold, so a persistent crash loop is visible in ``/v1/stats``
-and ``/metrics`` instead of only in the load average.
+A read process that dies *on startup* -- broken interpreter, missing store,
+exhausted memory -- must not put the respawn loop into a hot fork loop.
+The supervisor backs off exponentially between respawn attempts and counts
+a *respawn storm* once the failure streak crosses the backoff's storm
+threshold, so a persistent crash loop is visible in ``/v1/stats`` and
+``/metrics`` instead of only in the load average.
 
-The test arranges exactly that: one worker of a two-worker pool is
-SIGKILLed *and* its spawn command replaced by one that exits immediately,
-so every revival attempt dies on startup.  The pool must (a) keep
-answering queries through the surviving worker, (b) count the retry, and
-(c) count at least one respawn storm -- all with the backoff shrunk so
-the loop crosses the threshold in well under a second.
+The first test arranges exactly that on a ``--workers 2`` fleet: one
+replica is SIGKILLed *and* its spawn command replaced by one that exits
+immediately, so every revival attempt dies on startup.  The fleet must (a)
+keep answering queries through the surviving replica, (b) count the
+re-sent exchange, and (c) count at least one respawn storm -- all with the
+backoff shrunk so the loop crosses the threshold in well under a second.
 
 The second test covers the child that does *not* die: it stays alive but
-never listens.  The revive loop must give up on it after the pool's own
-start-up timeout, not after a constant of its own.
+never listens.  The supervisor must give up on it after the replica's own
+start-up timeout, not after a constant of its own -- and, third test,
+while it waits on that child it must keep tending every other replica.
 """
 
 from __future__ import annotations
@@ -26,92 +27,112 @@ import signal
 import sys
 import time
 
-from repro.server.frontend import WorkerPool
-from repro.server.generation import GenerationStore
+from repro.server.app import TraceServer
+from repro.server.backoff import ExponentialBackoff
+from repro.server.frontend import worker_tier
 
 
-def test_crash_looping_worker_counts_a_storm_and_pool_keeps_answering(
-    small_engine, tmp_path
-):
-    store_root = tmp_path / "store"
-    GenerationStore(store_root).publish(small_engine)
-    pool = WorkerPool(
-        store_root,
-        num_workers=2,
-        respawn_backoff_base=0.01,
-        respawn_backoff_cap=0.05,
-    )
-    pool.start()
+def _fleet_server(engine, workers=2):
+    """A ``--workers`` server whose supervisor backs off in milliseconds."""
+    server = TraceServer(engine, coalesce_window=0.0, **worker_tier(engine, workers=workers))
+    supervisor = server.backend.supervisor
+    for name in supervisor.managed:
+        supervisor._backoffs[name] = ExponentialBackoff(base=0.01, cap=0.05)
+    return server
+
+
+def _items(payload):
+    return [(row["entity"], row["score"]) for row in payload["results"]]
+
+
+def _wait_for(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.02)
+    return predicate()
+
+
+def test_crash_looping_worker_counts_a_storm_and_fleet_keeps_answering(small_engine):
+    server = _fleet_server(small_engine)
+    fleet = server.backend
     try:
-        victim = pool._handles[0]
-        # Every future revival of this slot dies before binding its socket.
+        victim = fleet.managed["worker-r0"]
+        # Every future revival of this replica dies before listening.
         victim.command = [sys.executable, "-c", "import sys; sys.exit(3)"]
-        assert victim.pid is not None
+        # Suspended, the dead replica stays in rotation until traffic finds
+        # it: the batch's chunk sent to it must be re-sent to the survivor.
+        fleet.supervisor.suspend([victim.name])
         os.kill(victim.pid, signal.SIGKILL)
+        victim._popen.wait()
+        payloads = fleet.topk(["a", "b"], 3, 0.0)
+        assert [_items(payload) for payload in payloads] == [
+            list(small_engine.top_k(entity, k=3).items) for entity in ("a", "b")
+        ]
+        fleet.supervisor.resume([victim.name])
 
-        # The dead handle is first in the idle queue: the request hits it,
-        # fails, and must be retried transparently on the survivor.
-        expected = small_engine.top_k("a", k=3)
-        payloads = pool.topk(["a"], 3, 0.0)
-        assert [(r["entity"], r["score"]) for r in payloads[0]["results"]] == list(
-            expected.items
-        )
-
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if pool.stats_snapshot()["respawn_storms"] >= 1:
-                break
-            time.sleep(0.02)
-        stats = pool.stats_snapshot()
+        assert _wait_for(lambda: fleet.stats()["workers"]["respawn_storms"] >= 1)
+        stats = fleet.stats()["workers"]
         assert stats["respawn_storms"] >= 1, stats
         assert stats["retries"] >= 1, stats
 
-        # The pool still serves exact answers while one slot crash-loops.
-        payloads = pool.topk(["b"], 3, 0.0)
-        expected_b = small_engine.top_k("b", k=3)
-        assert [(r["entity"], r["score"]) for r in payloads[0]["results"]] == list(
-            expected_b.items
-        )
+        # The fleet still serves exact answers while one replica crash-loops.
+        status, payload = server.handle_topk({"entity": "b", "k": 3})
+        assert status == 200, payload
+        assert _items(payload) == list(small_engine.top_k("b", k=3).items)
     finally:
-        pool.close()
+        server.close()
 
 
-def test_child_that_never_listens_is_given_up_on_after_the_pools_timeout(
-    small_engine, tmp_path
-):
-    store_root = tmp_path / "store"
-    GenerationStore(store_root).publish(small_engine)
-    pool = WorkerPool(
-        store_root,
-        num_workers=2,
-        respawn_backoff_base=0.01,
-        respawn_backoff_cap=0.05,
-    )
-    pool.start()
+def test_child_that_never_listens_is_given_up_on_after_its_startup_timeout(small_engine):
+    server = _fleet_server(small_engine)
+    fleet = server.backend
     try:
-        # Shrunk after a normal start: what a revive waits is the pool's
-        # start-up timeout, whatever it is.
-        pool._startup_timeout = 0.3
-        victim = pool._handles[0]
-        # Every future revival of this slot stays alive and never binds.
+        victim = fleet.managed["worker-r0"]
+        # Shrunk after a normal start: what a respawn waits is the
+        # replica's start-up timeout, whatever it is.
+        victim.startup_timeout = 0.3
+        # Every future revival of this replica stays alive and never binds.
         victim.command = [sys.executable, "-c", "import time; time.sleep(600)"]
         os.kill(victim.pid, signal.SIGKILL)
 
-        expected = small_engine.top_k("a", k=3)
-        payloads = pool.topk(["a"], 3, 0.0)
-        assert [(r["entity"], r["score"]) for r in payloads[0]["results"]] == list(
-            expected.items
-        )
+        status, payload = server.handle_topk({"entity": "a", "k": 3})
+        assert status == 200, payload
+        assert _items(payload) == list(small_engine.top_k("a", k=3).items)
 
         # Three given-up attempts make a storm: ~1 s at 0.3 s each, where a
         # wait of its own 60 s would still be inside the first.
-        deadline = time.monotonic() + 15.0
-        while time.monotonic() < deadline:
-            if pool.stats_snapshot()["respawn_storms"] >= 1:
-                break
-            time.sleep(0.02)
-        stats = pool.stats_snapshot()
+        assert _wait_for(lambda: fleet.stats()["workers"]["respawn_storms"] >= 1)
+        stats = fleet.stats()["workers"]
         assert stats["respawn_storms"] >= 1, stats
         assert stats["respawns"] >= 3, stats
     finally:
-        pool.close()
+        server.close()
+
+
+def test_a_child_that_never_listens_stalls_no_other_respawn(small_engine):
+    """Two replicas die; the first one's revival never listens.  The
+    second must be back ``live`` well inside the first's 60 s start-up
+    timeout: the supervisor starts children, it does not wait on them."""
+    server = _fleet_server(small_engine)
+    fleet = server.backend
+    try:
+        sleeper, other = fleet.managed["worker-r0"], fleet.managed["worker-r1"]
+        assert sleeper.startup_timeout == 60.0
+        sleeper.command = [sys.executable, "-c", "import time; time.sleep(600)"]
+        for replica in (sleeper, other):
+            os.kill(replica.pid, signal.SIGKILL)
+            replica._popen.wait()
+        assert _wait_for(
+            lambda: other.respawns == 1
+            and other.alive()
+            and fleet.clients[other.name].health.is_live
+        ), fleet.supervisor.snapshot()
+        assert fleet.clients[sleeper.name].health.restarting
+
+        status, payload = server.handle_topk({"entity": "a", "k": 3})
+        assert status == 200, payload
+        assert _items(payload) == list(small_engine.top_k("a", k=3).items)
+    finally:
+        server.close()
