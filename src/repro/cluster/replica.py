@@ -14,12 +14,14 @@ store: one group of ``N`` whole-engine replicas for ``repro serve
   connection either completes an exchange or dies, it never carries a
   stale reply.
 - :class:`ReplicaGroup` -- scatters a batch in contiguous chunks, one per
-  usable replica; each chunk rotates over usable replicas, retries with
+  usable replica; each chunk goes to the least loaded replica (exchanges
+  in flight; ties in rotation order), retries with
   :class:`~repro.server.backoff.ExponentialBackoff` under a deadline,
-  *hedges* when slow (a replica holding no sibling chunk gets the same
-  idempotent read; first answer wins), skips ``catching_up`` replicas
-  until their rejoin is verified, and waits for a replica the supervisor
-  is bringing back rather than fail.
+  *hedges* when slow (a replica free of the request gets the same
+  idempotent read; first answer wins -- a sibling chunk's replica is free
+  only once that chunk is answered and this one has run twice as long),
+  skips ``catching_up`` replicas until their rejoin is verified, and
+  waits for a replica the supervisor is bringing back rather than fail.
 
 Hedging never duplicates work observably: ``topk`` and ``sync`` are
 read-only, and the loser's late reply is consumed (or its connection
@@ -28,10 +30,12 @@ closed) by the losing thread itself.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import fan_out_queries
 from repro.obs.health import CATCHING_UP, NodeHealth
@@ -108,6 +112,8 @@ class ReplicaGroup:
         self.config = config or ClusterConfig()
         self.counters = {"requests": 0, "retries": 0, "hedges": 0, "failovers": 0}
         self._rotation = 0
+        #: Exchanges in flight per replica, over every request.
+        self._load: Counter = Counter()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -125,24 +131,31 @@ class ReplicaGroup:
 
     def _candidates(
         self,
-        holders: Sequence[ReplicaClient] = (),
+        scatter: "_Scatter",
         assigned: Optional[ReplicaClient] = None,
         failed: Sequence[ReplicaClient] = (),
     ) -> List[ReplicaClient]:
         """Replicas in try-order: usable ones in rotation first.
 
         Among the usable ones a chunk's ``assigned`` replica leads, then
-        replicas holding no chunk of the request, then the other
-        ``holders``; those that already ``failed`` it come last.
+        replicas free of the request (:meth:`_Scatter.free`), then the
+        rest, each the least loaded first; those that already ``failed``
+        it come last.
         ``catching_up`` nodes are excluded outright (the rejoin gate);
         ``down`` nodes trail the list as a last resort -- if every usable
         replica just failed, a "down" process may in fact be back.
         """
         ordered = self._rotated()
+        with self._lock:
+            busy = [replica for replica in ordered if not scatter.free(replica)]
+            load = dict(self._load)
         usable = [replica for replica in ordered if replica.health.is_usable]
         usable.sort(
             key=lambda replica: (
-                replica in failed, replica is not assigned, replica in holders
+                replica in failed,
+                replica is not assigned,
+                replica in busy,
+                load.get(replica, 0),
             )
         )
         fallback = [
@@ -169,73 +182,79 @@ class ReplicaGroup:
     # ------------------------------------------------------------------
     def _attempt(
         self,
-        primary: ReplicaClient,
-        hedge: Optional[ReplicaClient],
+        candidates: Sequence[ReplicaClient],
+        scatter: "_Scatter",
         payload: Dict[str, object],
         deadline: float,
-    ) -> Optional[Dict[str, object]]:
-        """Race ``primary`` (and, after ``hedge_delay``, ``hedge``) for one reply.
+    ) -> Tuple[Optional[Dict[str, object]], List[ReplicaClient]]:
+        """Race ``candidates[0]`` and, when it is slow, one more candidate.
 
-        The hedge also launches immediately if the primary *fails* before
-        the hedge delay elapses -- a fast failover, counted the same way.
-        A losing exchange finishes on its own thread (consuming its reply
-        or closing its connection), so no frame desynchronisation outlives
+        After ``hedge_delay`` without a reply -- or at once if the primary
+        fails -- the first later candidate free of the request gets the
+        same read; while none is free the attempt looks again every
+        ``hedge_delay``.  Returns the first reply (``None`` if every
+        launched exchange failed) and the replicas launched.  A losing
+        exchange finishes on its own thread (consuming its reply or
+        closing its connection), so no frame desynchronisation outlives
         the attempt.
         """
         condition = threading.Condition()
-        state: Dict[str, object] = {"reply": None, "winner": None, "failed": 0, "launched": 1}
+        state: Dict[str, object] = {"reply": None, "winner": None, "failed": 0}
+        launched: List[ReplicaClient] = []
 
         def settled() -> bool:
-            return state["reply"] is not None or state["failed"] >= state["launched"]
+            return state["reply"] is not None or state["failed"] >= len(launched)
 
         def exchange(replica: ReplicaClient) -> None:
             try:
                 reply = replica.request(payload, timeout=deadline - time.monotonic())
             except ReadProcessError:
+                reply = None
                 replica.health.record_failure()
-                with condition:
-                    state["failed"] += 1
-                    condition.notify_all()
-                return
-            replica.health.record_success()
+            else:
+                replica.health.record_success()
+            with self._lock:
+                scatter.inflight[replica] -= 1
+                self._load[replica] -= 1
             with condition:
-                if state["reply"] is None:
-                    state["reply"] = reply
-                    state["winner"] = replica.name
+                if reply is None:
+                    state["failed"] += 1
+                elif state["reply"] is None:
+                    state["reply"], state["winner"] = reply, replica
                 condition.notify_all()
 
-        if hedge is None:
-            exchange(primary)  # nothing to race: answered on this thread
-        else:
-            threading.Thread(
-                target=exchange, args=(primary,), name=f"{self.shard}-primary", daemon=True
-            ).start()
-        launch_hedge = False
-        with condition:
-            if hedge is not None:
-                condition.wait_for(
-                    settled,
-                    timeout=min(
-                        self.config.hedge_delay, max(0.0, deadline - time.monotonic())
-                    ),
-                )
-                if state["reply"] is None and time.monotonic() < deadline:
-                    state["launched"] += 1
-                    launch_hedge = True
-        if launch_hedge:
+        def launch(replica: ReplicaClient, role: str) -> None:
             with self._lock:
-                self.counters["hedges"] += 1
+                scatter.inflight[replica] += 1
+                self._load[replica] += 1
+            launched.append(replica)
             threading.Thread(
-                target=exchange, args=(hedge,), name=f"{self.shard}-hedge", daemon=True
+                target=exchange, args=(replica,), name=f"{self.shard}-{role}", daemon=True
             ).start()
+
         with condition:
+            launch(candidates[0], "primary")
+            while len(launched) == 1 and time.monotonic() < deadline:
+                left = deadline - time.monotonic()
+                condition.wait_for(settled, timeout=max(0.0, min(self.config.hedge_delay, left)))
+                if state["reply"] is not None:
+                    break
+                with self._lock:
+                    hedge = next(
+                        (replica for replica in candidates[1:] if scatter.free(replica)),
+                        None,
+                    )
+                if hedge is not None:
+                    launch(hedge, "hedge")
+                elif settled():
+                    break  # the primary failed and no replica is free
             condition.wait_for(settled, timeout=max(0.0, deadline - time.monotonic()))
-            reply = state["reply"]
-            winner = state["winner"]
-        if reply is not None and winner != primary.name:
-            with self._lock:
+            reply, winner = state["reply"], state["winner"]
+        with self._lock:
+            self.counters["hedges"] += len(launched) - 1
+            if reply is not None and winner is not candidates[0]:
                 self.counters["failovers"] += 1
-        return reply
+        return reply, launched
 
     # ------------------------------------------------------------------
     # Public request path
@@ -249,15 +268,18 @@ class ReplicaGroup:
         concurrently, and the replies gathered in request order.  One chunk
         that stays unavailable fails the whole request.
         """
+        scatter = _Scatter()
         key = "queries" if "queries" in payload else "entities"
         items = payload.get(key)
         if not isinstance(items, list) or len(items) < 2:
-            return self._answer(payload)
+            return self._answer(payload, scatter)
         usable = [replica for replica in self._rotated() if replica.health.is_usable]
+        with self._lock:
+            usable.sort(key=lambda replica: self._load[replica])
         holders = usable[: len(items)]
         count = len(holders)
         if count < 2:
-            return self._answer(payload)
+            return self._answer(payload, scatter)
         traces = payload.get("traces")
         bounds = [(len(items) * part) // count for part in range(count + 1)]
         frames = []
@@ -266,30 +288,37 @@ class ReplicaGroup:
             if traces is not None:
                 frame["traces"] = traces[low:high]
             frames.append(frame)
-        replies = fan_out_queries(
-            lambda part: self._answer(frames[part], holders, holders[part]),
-            count,
-            workers=count,
-        )
-        return _gather(replies)
+        started = time.monotonic()
+        scatter.free_at.update((holder, math.inf) for holder in holders)
+
+        def answer(part: int) -> Dict[str, object]:
+            try:
+                return self._answer(frames[part], scatter, holders[part])
+            finally:
+                # Its own chunk answered, the holder may take a sibling's
+                # hedge -- once that sibling has run twice as long.
+                done = time.monotonic()
+                with self._lock:
+                    scatter.free_at[holders[part]] = (
+                        done + (done - started) + self.config.hedge_delay
+                    )
+
+        return _gather(fan_out_queries(answer, count, workers=count))
 
     def _answer(
         self,
         payload: Dict[str, object],
-        holders: Sequence[ReplicaClient] = (),
+        scatter: "_Scatter",
         assigned: Optional[ReplicaClient] = None,
     ) -> Dict[str, object]:
         """One chunk's reply: attempt rounds under the shard deadline.
 
-        A round sends the chunk to the first candidate and, after
-        ``hedge_delay``, hedges it to the next candidate holding no chunk
-        of the request (``holders``), so a long chunk never doubles a
-        sibling's work.  Failed rounds back off exponentially, up to
-        ``max_attempts``.  With no round left while the supervisor brings
-        a replica back (restarting, or ``catching_up``), the chunk waits
-        for it within the deadline; each return to rotation grants one
-        more round.  A suspended replica is never brought back, so a
-        blacked-out group fails promptly.
+        A round is one :meth:`_attempt`.  Failed rounds back off
+        exponentially, up to ``max_attempts``.  With no round left while
+        the supervisor brings a replica back (restarting, or
+        ``catching_up``), the chunk waits for it within the deadline; each
+        return to rotation grants one more round.  A suspended replica is
+        never brought back, so a blacked-out group fails promptly.
         """
         with self._lock:
             self.counters["requests"] += 1
@@ -301,20 +330,16 @@ class ReplicaGroup:
         rounds = 0
         recoveries = self._recoveries()
         while True:
-            candidates = self._candidates(holders, assigned, failed)
+            candidates = self._candidates(scatter, assigned, failed)
             if candidates and rounds < self.config.max_attempts:
                 if rounds:
                     with self._lock:
                         self.counters["retries"] += 1
-                primary = candidates[0]
-                hedge = next(
-                    (replica for replica in candidates[1:] if replica not in holders), None
-                )
-                reply = self._attempt(primary, hedge, payload, deadline)
+                reply, launched = self._attempt(candidates, scatter, payload, deadline)
                 if reply is not None:
                     return reply
                 rounds += 1
-                failed.extend(replica for replica in (primary, hedge) if replica is not None)
+                failed.extend(launched)
                 delay = backoff.next_delay()
             elif self._recovering():
                 delay = self.config.backoff_base
@@ -355,6 +380,27 @@ class ReplicaGroup:
         """Close every replica's persistent connection."""
         for replica in self.replicas:
             replica.close()
+
+
+class _Scatter:
+    """What the chunks of one request know of each other's replicas.
+
+    A replica is *free* of the request -- it may take a hedge -- while no
+    exchange of the request is in flight on it and, if it holds a chunk,
+    once that chunk is answered and the hedging chunk has run twice as
+    long as it took (plus ``hedge_delay``): a chunk that is merely a
+    little slower than its siblings is not redone, one whose replica
+    stalls is.  Guarded by the group's lock.
+    """
+
+    def __init__(self) -> None:
+        self.inflight: Counter = Counter()
+        self.free_at: Dict[ReplicaClient, float] = {}
+
+    def free(self, replica: ReplicaClient) -> bool:
+        return not self.inflight[replica] and (
+            time.monotonic() >= self.free_at.get(replica, 0.0)
+        )
 
 
 def _gather(replies: Sequence[Dict[str, object]]) -> Dict[str, object]:

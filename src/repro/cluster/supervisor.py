@@ -11,9 +11,9 @@ fleet's processes and runs the one respawn loop:
    of becoming a fork storm.  The loop only starts the child and looks for
    its port file on later ticks, giving up after its ``startup_timeout``,
    so one child that never listens stalls no other replica;
-2. meanwhile the replica is ``restarting``
-   (:class:`~repro.obs.health.NodeHealth`): exchanges still reaching the
-   dead process fail fast and fail over, and a group with nothing else
+2. a dead process is marked ``down`` on the tick that sees it, and while
+   its replacement starts the replica is also ``restarting``
+   (:class:`~repro.obs.health.NodeHealth`): a group with nothing else
    left waits for it.  Once it listens it is ``catching_up``, **excluded
    from rotation**;
 3. the supervisor sends it ``sync`` with ``min_generation`` = its store's
@@ -152,11 +152,6 @@ class ManagedReplica:
                 )
             time.sleep(0.02)
 
-    def spawn(self) -> int:
-        """Start the process and return its bound port (may raise on startup death)."""
-        self.start()
-        return self.wait_ready(self.startup_timeout)[1]
-
     def terminate(self, timeout: float = 10.0) -> None:
         """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""
         if not self.alive():
@@ -242,9 +237,9 @@ class ReplicaSupervisor:
         flagged ``restarting``; later ticks look for the replacement's port
         file, give up on it after its ``startup_timeout``, point the client
         at it once it listens (``catching_up``) and verify its rejoin.  One
-        child that never listens therefore delays no other replica.  The
-        dead process's health is left to the exchanges that still reach
-        it: each fails fast and fails over.
+        child that never listens therefore delays no other replica.  A
+        dead process -- suspended or not -- is marked ``down`` as soon as a
+        tick sees it, so health reports the kill before any query does.
         """
         client = self.clients[name]
         started = self._starting.get(name)
@@ -262,8 +257,7 @@ class ReplicaSupervisor:
                 client.set_address(address)
                 client.health.mark_catching_up()
         if not replica.alive():
-            if client.health.state == CATCHING_UP:
-                client.health.mark_down()  # a dead process catches up on nothing
+            client.health.mark_down()
             if replica.suspended or time.monotonic() < self._next_attempt[name]:
                 return
             try:

@@ -17,9 +17,9 @@ Transitions are driven by the replica client, not by a prober:
   *verified* (its snapshot generation has reached the coordinator's) --
   the rejoin gate the chaos battery leans on.
 
-:attr:`NodeHealth.restarting` (set by the supervisor while a replacement
-process starts) moves no state: exchanges still reaching the dead process
-fail and fail over like any other failure.
+The supervisor adds what it observes: a process it sees dead is marked
+``down`` at once, and :attr:`NodeHealth.restarting` (a flag, not a state)
+is set while its replacement starts.
 
 The class is intentionally not thread-safe on its own; the owning replica
 group serialises transitions under its lock.

@@ -31,9 +31,9 @@ over shared memory-mapped snapshot generations:
   snapshot directories plus an atomically swapped ``CURRENT`` file;
 * :mod:`~repro.server.workers` -- the read process both multi-process
   tiers run (``python -m repro.server.workers``), its length-prefixed JSON
-  frames, and the parent's half: ``ReadProcess`` (start, await, stop a
-  child) and ``ReadClient``, the one framed client (``docs/SERVING.md``,
-  "The read process");
+  frames, and ``ReadClient``, the one framed client a parent sends them
+  with (``docs/SERVING.md``, "The read process"); a parent holds the
+  child itself as a :class:`~repro.cluster.supervisor.ManagedReplica`;
 * :mod:`~repro.server.frontend` -- :class:`GenerationPublisher` (the
   publisher: every index-changing flush becomes a generation) and
   :func:`worker_tier`, which pairs it with a one-group

@@ -157,6 +157,12 @@ class TestShardServerHandle:
         assert "unknown op" in reply["error"]
 
 
+def _spawn(replica):
+    """Start ``replica``; its address once it listens."""
+    replica.start()
+    return replica.wait_ready(replica.startup_timeout)
+
+
 def test_live_shard_server_answers_malformed_topk_frames_with_400(
     small_engine, small_dataset, malformed_query_sequences, tmp_path
 ):
@@ -169,7 +175,7 @@ def test_live_shard_server_answers_malformed_topk_frames_with_400(
     replica = ManagedReplica(
         "shard-000", "shard-000-r0", tmp_path / "shard-000", tmp_path / "run"
     )
-    port = replica.spawn()
+    port = _spawn(replica)[1]
     try:
         with socket.create_connection(("127.0.0.1", port), timeout=30) as connection:
 
@@ -241,7 +247,8 @@ replica = ManagedReplica("shard-000", "shard-000-r0", store, run_dir)
 server = TraceServer(engine, **worker_tier(engine, workers=1))
 try:
     worker = server.backend.clients["worker-r0"].request({"op": "ping"})
-    with ReadClient(("127.0.0.1", replica.spawn()), "shard", 5.0, 30.0) as client:
+    replica.start()
+    with ReadClient(replica.wait_ready(60.0), "shard", 5.0, 30.0) as client:
         shard = client.request({"op": "ping"})
 finally:
     server.close()
@@ -271,7 +278,7 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     try:
-        port = replica.spawn()
+        port = _spawn(replica)[1]
         for pid in (server.backend.managed["worker-r0"].pid, replica.pid):
             cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
             assert b"repro.server.workers" in cmdline, cmdline
@@ -372,6 +379,13 @@ class _FakeShardServer:
         self._listener.close()
 
 
+def _wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not predicate():
+        time.sleep(0.01)
+    return predicate()
+
+
 def _dead_port() -> int:
     """A port with no listener: connects are refused."""
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -434,6 +448,45 @@ class TestReplicaGroup:
             slow.close()
             fast.close()
 
+    def test_a_request_goes_to_the_least_loaded_replica(self):
+        """While one replica holds a slow exchange, every further request
+        goes to the idle one -- not to whichever replica rotation names
+        next, where it would queue behind the slow one."""
+        release = threading.Event()
+        first = []
+
+        def reply_from(name):
+            def reply(request):
+                if not first:
+                    first.append(name)
+                    release.wait(10.0)
+                return {"ok": True, "server": name}
+
+            return reply
+
+        servers = [_FakeShardServer(reply_from(f"r{index}")) for index in range(2)]
+        try:
+            config = _fast_config(hedge_delay=5.0)
+            clients = [
+                ReplicaClient(f"r{index}", "127.0.0.1", server.port, config=config)
+                for index, server in enumerate(servers)
+            ]
+            group = ReplicaGroup("worker", clients, config=config)
+            slow = threading.Thread(target=group.request, args=({"op": "ping"},))
+            slow.start()
+            assert _wait_for(lambda: bool(first))
+            idle = "r1" if first == ["r0"] else "r0"
+            began = time.monotonic()
+            for _ in range(3):
+                assert group.request({"op": "ping"})["server"] == idle
+            assert time.monotonic() - began < 1.0
+        finally:
+            release.set()
+            slow.join(10.0)
+            for server in servers:
+                server.close()
+        assert group.counters["hedges"] == 0
+
     def test_catching_up_replicas_are_excluded_from_rotation(self):
         served = []
 
@@ -471,8 +524,9 @@ class TestReplicaGroup:
 
     def test_a_scattered_batch_never_hedges_onto_a_sibling_chunk(self):
         """Chunks slower than ``hedge_delay`` stay on their own replicas:
-        each replica already holds a sibling chunk, so no chunk doubles
-        another's work."""
+        a sibling's replica takes a hedge only once its own chunk is
+        answered and this chunk has run twice as long, so chunks of about
+        the same length never double each other's work."""
         served = []
 
         def slow(request):
@@ -498,6 +552,42 @@ class TestReplicaGroup:
         assert [row["query"] for row in reply["results"]] == ["a", "b", "c"]
         assert sorted(map(len, served)) == [1, 2]
         assert group.counters == {"requests": 2, "retries": 0, "hedges": 0, "failovers": 0}
+
+    def test_a_chunk_on_a_stalled_replica_hedges_once_its_sibling_is_answered(self):
+        """One replica stalls (a paused process answers nothing).  Its chunk
+        hedges onto the sibling's replica once the sibling's own chunk is
+        answered, so every batch is answered exactly within about
+        ``hedge_delay`` plus one chunk's time, far inside the deadline."""
+        release = threading.Event()
+
+        def answer(request):
+            return {
+                "generation": 1,
+                "results": [{"query": entity} for entity in request["entities"]],
+            }
+
+        def stalled(request):
+            release.wait(10.0)
+            return answer(request)
+
+        servers = [_FakeShardServer(stalled), _FakeShardServer(answer)]
+        try:
+            config = _fast_config(shard_deadline=20.0)
+            clients = [
+                ReplicaClient(f"r{index}", "127.0.0.1", server.port, config=config)
+                for index, server in enumerate(servers)
+            ]
+            group = ReplicaGroup("worker", clients, config=config)
+            for batch in (["a", "b"], ["a", "b", "c", "d", "e"]):
+                began = time.monotonic()
+                reply = group.request({"op": "topk", "entities": batch, "k": 1})
+                assert time.monotonic() - began < 1.0
+                assert [row["query"] for row in reply["results"]] == batch
+        finally:
+            release.set()
+            for server in servers:
+                server.close()
+        assert group.counters["hedges"] == 2  # one per batch: the stalled chunk's
 
     def test_group_requires_at_least_one_replica(self):
         with pytest.raises(ValueError, match="needs >= 1 replica"):
@@ -608,7 +698,7 @@ def test_one_read_client(small_engine, tmp_path):
     try:
         addresses = [
             server.backend.clients["worker-r0"].address,
-            ("127.0.0.1", replica.spawn()),
+            _spawn(replica),
         ]
         pids = []
         for address in addresses:
@@ -638,7 +728,7 @@ def test_chaos_injectors_never_raise(small_engine, tmp_path):
     paused = {"fault": "pause", "replica": name, "seconds": 30.0}
     try:
         assert chaos.pause(name, 30.0) is False  # never spawned
-        address = ("127.0.0.1", replica.spawn())
+        address = _spawn(replica)
         assert chaos.pause(name, 30.0) is True
         with ReadClient(address, name, 5.0, 0.3) as client:
             with pytest.raises(ReadProcessError):
@@ -652,7 +742,7 @@ def test_chaos_injectors_never_raise(small_engine, tmp_path):
         chaos.clear()  # the paused process is gone: nothing to resume
         assert chaos.pause(name, 30.0) is False  # vanished
         assert chaos.injected == [paused, paused]
-        address = ("127.0.0.1", replica.spawn())
+        address = _spawn(replica)
         # Re-pausing restarts the timer: the short first pause's expiry
         # does not resume the replica under the second, long one.
         assert chaos.pause(name, 0.2) is True

@@ -11,13 +11,16 @@ The first test arranges exactly that on a ``--workers 2`` fleet: one
 replica is SIGKILLed *and* its spawn command replaced by one that exits
 immediately, so every revival attempt dies on startup.  The fleet must (a)
 keep answering queries through the surviving replica, (b) count the
-re-sent exchange, and (c) count at least one respawn storm -- all with the
-backoff shrunk so the loop crosses the threshold in well under a second.
+exchange re-sent from the dead replica, and (c) count at least one
+respawn storm -- all with the backoff shrunk so the loop crosses the
+threshold in well under a second.
 
 The second test covers the child that does *not* die: it stays alive but
 never listens.  The supervisor must give up on it after the replica's own
 start-up timeout, not after a constant of its own -- and, third test,
 while it waits on that child it must keep tending every other replica.
+The last one pins that health reports a kill the supervisor saw, before
+any query runs into it.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import signal
 import sys
 import time
 
+from repro.cluster.chaos import ChaosController
 from repro.server.app import TraceServer
 from repro.server.backoff import ExponentialBackoff
 from repro.server.frontend import worker_tier
@@ -61,16 +65,16 @@ def test_crash_looping_worker_counts_a_storm_and_fleet_keeps_answering(small_eng
         victim = fleet.managed["worker-r0"]
         # Every future revival of this replica dies before listening.
         victim.command = [sys.executable, "-c", "import sys; sys.exit(3)"]
-        # Suspended, the dead replica stays in rotation until traffic finds
-        # it: the batch's chunk sent to it must be re-sent to the survivor.
-        fleet.supervisor.suspend([victim.name])
-        os.kill(victim.pid, signal.SIGKILL)
-        victim._popen.wait()
-        payloads = fleet.topk(["a", "b"], 3, 0.0)
+        # With the supervisor's tick held off, the kill is not yet seen:
+        # the batch's chunk sent to the dead replica must be re-sent to the
+        # survivor.
+        with fleet.supervisor._tending:
+            os.kill(victim.pid, signal.SIGKILL)
+            victim._popen.wait()
+            payloads = fleet.topk(["a", "b"], 3, 0.0)
         assert [_items(payload) for payload in payloads] == [
             list(small_engine.top_k(entity, k=3).items) for entity in ("a", "b")
         ]
-        fleet.supervisor.resume([victim.name])
 
         assert _wait_for(lambda: fleet.stats()["workers"]["respawn_storms"] >= 1)
         stats = fleet.stats()["workers"]
@@ -134,5 +138,31 @@ def test_a_child_that_never_listens_stalls_no_other_respawn(small_engine):
         status, payload = server.handle_topk({"entity": "a", "k": 3})
         assert status == 200, payload
         assert _items(payload) == list(small_engine.top_k("a", k=3).items)
+    finally:
+        server.close()
+
+
+def test_health_reports_a_kill_before_any_query(small_engine):
+    """A dead replica reads ``down`` as soon as the supervisor sees it,
+    with no query sent: a suspended kill leaves one live replica, and a
+    blackout of the whole group turns ``/v1/healthz`` ``degraded``."""
+    server = _fleet_server(small_engine)
+    fleet = server.backend
+    chaos = ChaosController(fleet)
+    try:
+        victim = fleet.managed["worker-r0"]
+        fleet.supervisor.suspend([victim.name])
+        victim.kill()
+        assert _wait_for(
+            lambda: fleet.clients[victim.name].health.state == "down"
+        ), fleet.supervisor.snapshot()
+        status, payload = server.handle_healthz()
+        assert (status, payload["status"]) == (200, "ok")
+        assert payload["cluster"]["live_replicas"] == {"worker": 1}
+
+        chaos.blackout_group(0)
+        assert _wait_for(lambda: server.handle_healthz()[1]["status"] == "degraded")
+        assert server.handle_healthz()[1]["cluster"]["live_replicas"] == {"worker": 0}
+        assert fleet.stats()["workers"]["requests"] == 0  # no query was needed
     finally:
         server.close()
