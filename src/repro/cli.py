@@ -1264,11 +1264,12 @@ def _run_server(engine, args: argparse.Namespace) -> int:
         )
     if workers or cluster:
         fleet = ", ".join(
-            f"{name} (pid {replica.pid}, port {replica.port})"
+            f"{name} (pid {replica.pid})"
             for name, replica in server.backend.managed.items()
         )
+        tier = "distributed tier" if cluster else "multi-process tier"
         print(
-            f"read processes: {len(server.backend.groups)} replica group(s) x "
+            f"read processes ({tier}): {len(server.backend.groups)} replica group(s) x "
             f"{workers or cluster} over {server.publisher.root}: {fleet}",
             flush=True,
         )

@@ -264,7 +264,10 @@ def run_battery(
         )
 
     try:
-        # Round 0: warmup -- full fleet, exactness + byte identity.
+        # Round 0: warmup -- full fleet, exactness + byte identity.  The
+        # owner answers until the fleet is up; the faults are for the fleet.
+        if not fleet.supervisor.wait_settled(timeout=settle_timeout):
+            gates.failures.append(f"the fleet never came up: {fleet.supervisor.snapshot()}")
         _query_burst(server, oracle, gates, rng, known, burst)
         record_round("warmup")
 

@@ -11,7 +11,8 @@ byte-identical to the in-process sharded engine's, and item-identical to
 a single unsharded engine's (the chaos battery's oracle gate).
 
 The query's ST-cell sequence is resolved once against the coordinator's
-routing dataset and shipped with every shard request, because a shard's
+routing dataset, under the owner's engine lock (flushes mutate that
+dataset), and shipped with every shard request, because a shard's
 dataset holds only its own partition.  A coordinator without a routing
 dataset fronts one group whose replicas each hold the whole engine (the
 ``--workers N`` tier): it ships entity names, and each read process
@@ -49,11 +50,13 @@ class CoordinatorError(RuntimeError):
 class ClusterCoordinator:
     """Scatter queries over shard groups; merge with explicit degradation."""
 
-    def __init__(self, dataset, groups: Sequence[ReplicaGroup]) -> None:
+    def __init__(self, dataset, groups: Sequence[ReplicaGroup], engine_lock) -> None:
         #: The routing dataset (every entity's trace) when the groups hold
         #: partitions: query sequences are resolved here and travel with
         #: the request.  ``None``: one group of whole-engine replicas.
         self.dataset = dataset
+        #: The owner's engine lock, under which flushes mutate ``dataset``.
+        self.engine_lock = engine_lock
         self.groups = list(groups)
         if dataset is None and len(self.groups) != 1:
             raise ValueError("whole-engine replicas form exactly one group")
@@ -88,13 +91,14 @@ class ClusterCoordinator:
         if self.dataset is None:
             request["entities"] = list(entities)
         else:
-            request["queries"] = [
-                {
-                    "entity": entity,
-                    "sequence": encode_sequence(self.dataset.cell_sequence(entity)),
-                }
-                for entity in entities
-            ]
+            with self.engine_lock:
+                request["queries"] = [
+                    {
+                        "entity": entity,
+                        "sequence": encode_sequence(self.dataset.cell_sequence(entity)),
+                    }
+                    for entity in entities
+                ]
         request.update(k=int(k), approximation=float(approximation))
 
         def ask(shard_index: int) -> Optional[Dict[str, object]]:

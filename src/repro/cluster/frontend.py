@@ -14,10 +14,14 @@ one group, ``worker``, of whole-engine replicas
 :class:`~repro.service.sharded.ShardedEngine`, one group per shard
 (:func:`cluster_tier`).
 
-A flush publishes every changed store's generation *before* the events
-response is written, and read processes adopt at request boundaries, so
-acknowledged writes are visible to every subsequent query -- across
-processes *and* replica crashes (the chaos battery's exactness gate).
+The fleet starts its processes without waiting for them: until every
+group has had a live replica, the owner's in-process backend answers
+(the owner's engine is at or past every published generation), then the
+replicas do, for good.  A flush publishes every changed store's
+generation *before* the events response is written, and read processes
+adopt at request boundaries, so acknowledged writes are visible to every
+subsequent query -- across the switch, across processes *and* replica
+crashes (the chaos battery's exactness gate).
 
 Store layout under the publisher's root::
 
@@ -28,12 +32,13 @@ Store layout under the publisher's root::
 from __future__ import annotations
 
 import os
+import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.replica import ClusterConfig, ReplicaClient, ReplicaGroup
 from repro.cluster.supervisor import ManagedReplica, ReplicaSupervisor
-from repro.server.app import ServingPart, Traces
+from repro.server.app import EngineBackend, ServingPart, Traces
 from repro.server.frontend import GenerationPublisher
 from repro.server.generation import GenerationStore
 
@@ -115,50 +120,42 @@ class ClusterFleet(ServingPart):
         self.groups: List[ReplicaGroup] = []
         self.coordinator: Optional[ClusterCoordinator] = None
         self.supervisor: Optional[ReplicaSupervisor] = None
+        self._owner: Optional[EngineBackend] = None
+        #: Groups that have not had a live replica yet.
+        self._unseen: List[ReplicaGroup] = []
+        self._owner_queries = 0
+        self._lock = threading.Lock()
 
-    def start(self) -> None:
-        """Start every replica, wait until each is listening (each adopts
-        its store's initial generation meanwhile, concurrently), then start
-        the supervisor's respawn/rejoin loop."""
+    def start(self, owner: EngineBackend) -> None:
+        """Start every replica without waiting for one; the supervisor
+        brings each up as after a respawn.  Until every group has had a
+        live replica, ``owner`` -- the server's in-process backend --
+        answers instead."""
         run_dir = str(self.publisher.root / "run")
-        try:
-            for shard, store in self.publisher.stores.items():
-                replicas: List[ReplicaClient] = []
-                for replica_index in range(self.replication):
-                    name = f"{shard}-r{replica_index}"
-                    replica = ManagedReplica(
-                        shard,
-                        name,
-                        store_root=str(store.root),
-                        run_dir=run_dir,
-                        startup_timeout=self.startup_timeout,
-                    )
-                    self.managed[name] = replica
-                    replica.start()
-                    # Port 0 until the child is listening (below), exactly
-                    # as after a respawn: the client follows the process.
-                    client = ReplicaClient(
-                        name, replica.host, 0, config=self.cluster_config
-                    )
-                    self.clients[name] = client
-                    replicas.append(client)
-                self.groups.append(
-                    ReplicaGroup(shard, replicas, config=self.cluster_config)
+        for shard, store in self.publisher.stores.items():
+            replicas: List[ReplicaClient] = []
+            for replica_index in range(self.replication):
+                name = f"{shard}-r{replica_index}"
+                replica = ManagedReplica(
+                    shard,
+                    name,
+                    store_root=str(store.root),
+                    run_dir=run_dir,
+                    startup_timeout=self.startup_timeout,
                 )
-            for name, replica in self.managed.items():
-                self.clients[name].set_address(
-                    replica.wait_ready(self.startup_timeout)
-                )
-        except BaseException:
-            for replica in self.managed.values():
-                replica.terminate()
-            raise
+                self.managed[name] = replica
+                # Port 0 until the supervisor sees the child listening.
+                client = ReplicaClient(name, replica.host, 0, config=self.cluster_config)
+                self.clients[name] = client
+                replicas.append(client)
+            self.groups.append(ReplicaGroup(shard, replicas, config=self.cluster_config))
         # Shard stores hold partitions: the owner's dataset routes queries.
         # Whole-engine replicas resolve query entities themselves.
         partitioned = isinstance(self.publisher, ShardPublisher)
         self.coordinator = ClusterCoordinator(
-            self.publisher.engine.dataset if partitioned else None, self.groups
+            self.publisher.engine.dataset if partitioned else None, self.groups, owner.lock
         )
+        self._owner, self._unseen = owner, list(self.groups)
         self.supervisor = ReplicaSupervisor(
             self.managed,
             self.clients,
@@ -166,6 +163,15 @@ class ClusterFleet(ServingPart):
             config=self.cluster_config,
         )
         self.supervisor.start()
+
+    def _owner_reads(self) -> bool:
+        """Whether the owner still answers: until every group has had a
+        live replica once.  The switch is one-way."""
+        if not self._unseen:
+            return False  # switched for good: no lock on the query path
+        with self._lock:
+            self._unseen = [group for group in self._unseen if not group.live_replicas()]
+            return bool(self._unseen)
 
     def topk(
         self,
@@ -175,12 +181,18 @@ class ClusterFleet(ServingPart):
         traces: Traces = None,
     ) -> List[Dict[str, object]]:
         """Answer over the groups (scattered within each); sampled queries
-        get the spans of :meth:`ClusterCoordinator.topk_payloads`."""
+        get the spans of :meth:`ClusterCoordinator.topk_payloads`.  Before
+        the fleet is up, the owner's engine answers (``owner_queries``)."""
+        if self._owner_reads():
+            with self._lock:
+                self._owner_queries += len(entities)
+            return self._owner.topk(entities, k, approximation, traces)
         return self.coordinator.topk_payloads(list(entities), k, approximation, traces)
 
     def _workers(self) -> Dict[str, object]:
         """Fleet-wide process counters: replicas, chunk requests, re-sent
-        exchanges (retry rounds and hedges), respawns, respawn storms."""
+        exchanges (retry rounds and hedges), respawns, respawn storms, and
+        queries the owner answered before the fleet was up."""
         groups = [group.snapshot()["counters"] for group in self.groups]
         supervisor = self.supervisor.snapshot()
         return {
@@ -189,16 +201,20 @@ class ClusterFleet(ServingPart):
             "retries": sum(counters["retries"] + counters["hedges"] for counters in groups),
             "respawns": sum(supervisor["respawns"].values()),
             "respawn_storms": supervisor["respawn_storms"],
+            "owner_queries": self._owner_queries,
         }
 
     def health(self) -> Dict[str, object]:
-        """Process count, cumulative ``respawns``, the ``cluster`` topology
-        and per-group liveness; a group with no live replica turns the
-        probe's ``status`` to ``degraded``."""
+        """Process count, cumulative ``respawns``, who answers (``reads``:
+        ``owner`` until the fleet is up, then ``replicas``), the ``cluster``
+        topology and per-group liveness; once the replicas answer, a group
+        with no live replica turns the probe's ``status`` to ``degraded``."""
+        owner = self._owner_reads()
         live = {group.shard: group.live_replicas() for group in self.groups}
         payload: Dict[str, object] = {
             "workers": len(self.managed),
             "respawns": self._workers()["respawns"],
+            "reads": "owner" if owner else "replicas",
             "cluster": {
                 "shards": self.num_shards,
                 "replication": self.replication,
@@ -206,7 +222,7 @@ class ClusterFleet(ServingPart):
                 "generations": self.publisher.generations(),
             },
         }
-        if any(count == 0 for count in live.values()):
+        if not owner and any(count == 0 for count in live.values()):
             payload["status"] = "degraded"
         return payload
 

@@ -3,7 +3,11 @@
 :class:`ManagedReplica` is one read process (:mod:`repro.server.workers`)
 of either multi-process tier, on an ephemeral TCP port discovered through
 an atomically written port file.  :class:`ReplicaSupervisor` owns a
-fleet's processes and runs the one respawn loop:
+fleet's processes and runs the one respawn loop.  It brings up each
+replica's first process the same way as a replacement (steps 2 and 3;
+``catching_up`` rather than ``down`` until it listens), so nothing waits
+for a child at start-up, and a first start counts no respawn, ``down``
+or recovery:
 
 1. a dead, non-suspended process is restarted under
    :class:`~repro.server.backoff.ExponentialBackoff`; a replica dying on
@@ -37,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.replica import ClusterConfig, ReplicaClient
-from repro.obs.health import CATCHING_UP
+from repro.obs.health import CATCHING_UP, NodeHealth
 from repro.server.backoff import ExponentialBackoff
 from repro.server.generation import GenerationStore
 from repro.server.workers import Address, ReadProcessError
@@ -49,8 +53,9 @@ class ManagedReplica:
     """One replica -- a TCP read process child -- as its parent holds it.
 
     The command line, the child's import path, port-file discovery, the
-    wait for it to listen, the respawn count and the SIGTERM-then-SIGKILL
-    escalation exist here once, for both tiers' replicas.
+    respawn count and the SIGTERM-then-SIGKILL escalation exist here once,
+    for both tiers' replicas; :class:`ReplicaSupervisor` waits for the
+    child to listen, on its own ticks.
     """
 
     def __init__(
@@ -130,28 +135,6 @@ class ManagedReplica:
             return None
         return (self.host, self.port)
 
-    def wait_ready(self, timeout: float) -> Address:
-        """Block until the started child is listening; return its address.
-
-        Raises :class:`ReadProcessError` naming the exit status when the
-        child died first, or the timeout when it passed.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            address = self._listening()
-            if address is not None:
-                return address
-            if not self.alive():
-                raise ReadProcessError(
-                    f"{self.name}: read process exited with {self.returncode} "
-                    "before listening"
-                )
-            if time.monotonic() >= deadline:
-                raise ReadProcessError(
-                    f"{self.name}: read process not listening within {timeout:.0f}s"
-                )
-            time.sleep(0.02)
-
     def terminate(self, timeout: float = 10.0) -> None:
         """Clean SIGTERM shutdown, reaped; escalates to SIGKILL past ``timeout``."""
         if not self.alive():
@@ -205,7 +188,14 @@ class ReplicaSupervisor:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the background respawn/rejoin loop."""
+        """Start every replica's first process and the background loop,
+        which brings each one up exactly as after a respawn: nothing here
+        waits for a child."""
+        for name, replica in self.managed.items():
+            # Out of rotation until its first verified sync, which admits
+            # it without counting a recovery.
+            self.clients[name].health = NodeHealth(name, state=CATCHING_UP)
+            self._launch(name, replica)
         self._thread = threading.Thread(
             target=self._run, name="replica-supervisor", daemon=True
         )
@@ -261,15 +251,18 @@ class ReplicaSupervisor:
             if replica.suspended or time.monotonic() < self._next_attempt[name]:
                 return
             try:
-                replica.start()
+                self._launch(name, replica)
             except OSError:
                 self._failed_start(name)
-                return
-            self._starting[name] = time.monotonic()
-            client.health.restarting = True
             return
         if client.health.state == CATCHING_UP:
             self._verify_rejoin(name, replica, client)
+
+    def _launch(self, name: str, replica: ManagedReplica) -> None:
+        """Start ``replica``'s process; later ticks look for its port file."""
+        replica.start()
+        self._starting[name] = time.monotonic()
+        self.clients[name].health.restarting = True
 
     def _failed_start(self, name: str) -> None:
         """A start that died or never listened: down, back off, count storms."""

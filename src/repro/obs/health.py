@@ -12,6 +12,8 @@ Transitions are driven by the replica client, not by a prober:
 - a failed exchange (timeout, refused connect, reset) moves ``live`` to
   ``suspect``; :data:`SUSPECT_THRESHOLD` consecutive failures move
   ``suspect`` to ``down``;
+- a node created ``catching_up`` (a first process still starting) joins
+  at its first :meth:`NodeHealth.mark_live` without counting a recovery;
 - a restarted process enters ``catching_up`` and may only return to
   ``live`` through :meth:`NodeHealth.mark_live` once catch-up is
   *verified* (its snapshot generation has reached the coordinator's) --
@@ -47,14 +49,16 @@ SUSPECT_THRESHOLD = 3
 class NodeHealth:
     """Health state and counters for one replica process."""
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, state: str = LIVE) -> None:
         self.name = name
-        self.state = LIVE
+        self.state = state
         self.consecutive_failures = 0
         self.failures_total = 0
         self.recoveries_total = 0
         #: A replacement process is starting (not yet listening).
         self.restarting = False
+        #: Whether the node was ever live: its first admission is no recovery.
+        self._was_live = state == LIVE
 
     @property
     def is_live(self) -> bool:
@@ -98,10 +102,11 @@ class NodeHealth:
         self.state = DOWN
 
     def mark_live(self) -> None:
-        """Catch-up verified: the node rejoins the serving rotation."""
-        if self.state != LIVE:
+        """Catch-up verified: the node (re)joins the serving rotation."""
+        if self.state != LIVE and self._was_live:
             self.recoveries_total += 1
         self.state = LIVE
+        self._was_live = True
         self.consecutive_failures = 0
 
     def snapshot(self) -> Dict[str, object]:

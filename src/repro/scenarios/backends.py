@@ -353,9 +353,9 @@ class ClusterBackend(HttpBackend):
         if self.chaos and self._chunks_ingested == 1 and self.replication > 1:
             from repro.cluster.chaos import ChaosController
 
-            self._killed = ChaosController(
-                self._trace_server.backend
-            ).kill_one_per_group()
+            fleet = self._trace_server.backend
+            fleet.supervisor.wait_settled()  # the crash is for the fleet, not the owner
+            self._killed = ChaosController(fleet).kill_one_per_group()
 
     def stats(self) -> Dict[str, object]:
         """Deployment shape plus the faults injected and recovery counters."""

@@ -21,7 +21,8 @@ Layering (transport-free core, thin HTTP skin):
   the engine lock, by default; otherwise a
   :class:`~repro.cluster.frontend.ClusterFleet` of read processes -- one
   group of whole-engine replicas for ``--workers N``, one group per shard
-  for ``--cluster``) and an optional *publisher*
+  for ``--cluster``, answering through the owner's :class:`EngineBackend`
+  until its processes are up) and an optional *publisher*
   (:class:`~repro.server.frontend.GenerationPublisher`) turns every
   index-changing flush into a snapshot generation the read processes
   adopt.  The table lives in ``docs/SERVING.md``.
@@ -105,9 +106,11 @@ class ServingPart:
     ``RuntimeError`` when no answer could be produced.
     """
 
-    def start(self) -> None:
+    def start(self, owner: "EngineBackend") -> None:
         """Bring up whatever answers queries (called once, by the server,
-        after the publisher's initial generation exists)."""
+        after the publisher's initial generation exists).  ``owner`` is
+        the server's :class:`EngineBackend`, for a backend that answers
+        through it until its own processes are up."""
 
     def health(self) -> Dict[str, object]:
         """Keys merged into the ``/v1/healthz`` body (must not block)."""
@@ -186,7 +189,9 @@ class TraceServer:
     backend:
         The *read backend* answering ``/v1/topk`` (see
         :class:`ServingPart`); defaults to an :class:`EngineBackend` over
-        ``engine``.  The server starts it and closes it.
+        ``engine``.  The server starts it -- handing it that
+        :class:`EngineBackend`, which a replica fleet answers through until
+        its processes are up -- and closes it.
     publisher:
         Optional :class:`~repro.server.frontend.GenerationPublisher`
         whose generations the backend's processes read; the server attaches
@@ -226,9 +231,8 @@ class TraceServer:
                 window_cutoff=stream_state.get("window_cutoff"),
                 window_churn=int(stream_state.get("window_churn", 0)),
             )
-        self.backend = (
-            backend if backend is not None else EngineBackend(engine, self.engine_lock)
-        )
+        owner = EngineBackend(engine, self.engine_lock)
+        self.backend = backend if backend is not None else owner
         self.publisher = publisher
         #: The plugged parts, in the order their contributions are merged.
         self._parts: List[ServingPart] = [self.backend]
@@ -254,7 +258,7 @@ class TraceServer:
                 # the moment they are spawned.
                 with self.engine_lock:
                     publisher.attach(self.ingestor)
-            self.backend.start()
+            self.backend.start(owner)
         except BaseException:
             self.close()
             raise
@@ -510,9 +514,9 @@ class TraceServer:
             endpoint_stats = self.metrics.snapshot()
             tracing_stats = self.tracer.counters_snapshot()
         if not isinstance(self.backend, EngineBackend):
-            # Reads are answered by other processes and never consult the
-            # owner's cache: its all-zero counters would pass for a live
-            # cache that misses nothing.
+            # Reads are answered by other processes (the owner answers only
+            # until they are up): the owner's cache counters would pass for
+            # the deployment's.
             engine_stats["cache"] = None
         payload: Dict[str, object] = {
             "engine": engine_stats,

@@ -9,11 +9,12 @@ plugs two parts into the one :class:`~repro.server.app.TraceServer`:
   new immutable snapshot generation
   (:class:`~repro.server.generation.GenerationStore`) from a flush hook,
   under the engine lock;
-* ``/v1/topk`` never touches the owner engine: the coalescer's rounds and
-  batch requests go to a :class:`~repro.cluster.frontend.ClusterFleet` of
-  one replica group, ``worker``, whose N read processes each hold the
-  whole engine -- the cluster tier's dispatch and supervision with one
-  group.
+* once its read processes are up, ``/v1/topk`` never touches the owner
+  engine: the coalescer's rounds and batch requests go to a
+  :class:`~repro.cluster.frontend.ClusterFleet` of one replica group,
+  ``worker``, whose N read processes each hold the whole engine -- the
+  cluster tier's dispatch and supervision with one group.  Until then
+  the fleet answers through the owner's in-process backend.
 
 Read processes adopt the newest generation at each request boundary, so
 every query observes at least every generation published before the

@@ -242,8 +242,10 @@ _FAMILIES: Tuple[Tuple[Optional[str], str, str, str, Callable[[Stats], List[Samp
      _gauge("workers", "workers")),
     ("workers", "repro_worker_events_total", "counter",
      "Read-process activity: chunk requests, re-sent exchanges (retry rounds and hedges), "
-     "respawned processes, respawn storms (a process repeatedly dying on startup).",
-     _keyed("event", ("requests", "retries", "respawns", "respawn_storms"), "workers")),
+     "respawned processes, respawn storms (a process repeatedly dying on startup), "
+     "queries the owner answered before the read processes were up.",
+     _keyed("event", ("requests", "retries", "respawns", "respawn_storms", "owner_queries"),
+            "workers")),
     ("generation", "repro_generation_id", "gauge", "Newest published snapshot generation.",
      _gauge("generation")),
     ("generation", "repro_generation_age_seconds", "gauge",

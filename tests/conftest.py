@@ -201,3 +201,26 @@ def pytest_runtest_makereport(item, call):
 def make_presence(entity: str = "x", unit: str = "h3_0_0_0", start: int = 0, end: int = 1) -> PresenceInstance:
     """Convenience constructor used by several test modules."""
     return PresenceInstance(entity=entity, unit=unit, start=start, end=end)
+
+
+@pytest.fixture
+def fleet_up():
+    """``fleet_up(server)``: block until a process tier's replicas answer.
+
+    A ``--workers``/``--cluster`` server answers from the owner's engine
+    until every replica group has had a live replica.  A test that injects
+    a fault into the fleet, or asserts what its processes did, waits here
+    first.  Returns the server; closes it when the fleet never comes up,
+    so no read process outlives the failed test.
+    """
+
+    def wait(server, timeout: float = 60.0):
+        supervisor = server.backend.supervisor
+        if not supervisor.wait_settled(timeout):
+            snapshot = supervisor.snapshot()
+            server.close()
+            pytest.fail(f"the fleet never came up: {snapshot}")
+        assert server.handle_healthz()[1]["reads"] == "replicas"
+        return server
+
+    return wait

@@ -158,9 +158,15 @@ class TestShardServerHandle:
 
 
 def _spawn(replica):
-    """Start ``replica``; its address once it listens."""
+    """Start ``replica``; its address once it listens (its port file is
+    polled every 20 ms)."""
     replica.start()
-    return replica.wait_ready(replica.startup_timeout)
+    deadline = time.monotonic() + replica.startup_timeout
+    while (address := replica._listening()) is None:
+        assert replica.alive(), f"exited with {replica.returncode} before listening"
+        assert time.monotonic() < deadline, "not listening within its start-up timeout"
+        time.sleep(0.02)
+    return address
 
 
 def test_live_shard_server_answers_malformed_topk_frames_with_400(
@@ -233,7 +239,7 @@ def test_both_tiers_spawn_from_a_parent_without_pythonpath(small_engine, tmp_pat
     process."""
     GenerationStore(tmp_path / "store").publish(small_engine)
     script = """
-import json, sys
+import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from repro.cluster.supervisor import ManagedReplica
 from repro.server.app import TraceServer
@@ -246,9 +252,13 @@ engine = GenerationStore(store).load_current()[1]
 replica = ManagedReplica("shard-000", "shard-000-r0", store, run_dir)
 server = TraceServer(engine, **worker_tier(engine, workers=1))
 try:
+    assert server.backend.supervisor.wait_settled(60.0)
     worker = server.backend.clients["worker-r0"].request({"op": "ping"})
     replica.start()
-    with ReadClient(replica.wait_ready(60.0), "shard", 5.0, 30.0) as client:
+    while replica._listening() is None:
+        assert replica.alive()
+        time.sleep(0.02)
+    with ReadClient((replica.host, replica.port), "shard", 5.0, 30.0) as client:
         shard = client.request({"op": "ping"})
 finally:
     server.close()
@@ -267,7 +277,7 @@ print(json.dumps([worker["ok"], shard["ok"]]))
     assert json.loads(completed.stdout) == [True, True]
 
 
-def test_one_read_process(small_engine, small_dataset, tmp_path):
+def test_one_read_process(small_engine, small_dataset, tmp_path, fleet_up):
     """Both tiers run ``repro.server.workers`` and nothing else."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.cluster.shard_server")
@@ -278,6 +288,7 @@ def test_one_read_process(small_engine, small_dataset, tmp_path):
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     try:
+        fleet_up(server)
         port = _spawn(replica)[1]
         for pid in (server.backend.managed["worker-r0"].pid, replica.pid):
             cmdline = Path(f"/proc/{pid}/cmdline").read_bytes()
@@ -670,7 +681,7 @@ def test_read_client_fails_closed_at_a_frame_boundary(failure):
     assert client._sock is None
 
 
-def test_one_read_client(small_engine, tmp_path):
+def test_one_read_client(small_engine, tmp_path, fleet_up):
     """Both tiers reach a read process through ``ReadClient.request`` only."""
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.cluster.wire")
@@ -696,6 +707,7 @@ def test_one_read_client(small_engine, tmp_path):
         "shard-000", "shard-000-r0", tmp_path / "store", tmp_path / "run"
     )
     try:
+        fleet_up(server)
         addresses = [
             server.backend.clients["worker-r0"].address,
             _spawn(replica),
@@ -759,7 +771,7 @@ def test_chaos_injectors_never_raise(small_engine, tmp_path):
         replica.terminate()
 
 
-def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measure):
+def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measure, fleet_up):
     """A sampled cluster request carries the shared edge's spans -- and the
     shard processes' own.
 
@@ -786,6 +798,7 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
         engine, trace_sample=1.0, **cluster_tier(engine, replication=1)
     )
     try:
+        fleet_up(server)
         status, payload = server.handle_topk({"entity": "a", "k": 2})
         assert status == 200, payload
         _, slow = server.handle_debug_slow()
@@ -818,3 +831,75 @@ def test_cluster_edge_is_traced_like_every_other_tier(small_dataset, small_measu
         assert stages[0] == "worker.adopt"
         assert any(name.startswith("kernel.") for name in stages[1:])
         assert all(child["process"] == remote["process"] for child in remote["children"])
+
+
+def _cluster_server(small_dataset, small_measure):
+    """A 2-shard ``--cluster 1`` server over ``small_dataset``."""
+    from repro.cluster.frontend import cluster_tier
+    from repro.service.sharded import ShardedEngine
+
+    engine = ShardedEngine(
+        small_dataset, measure=small_measure, num_shards=2, num_hashes=32, seed=5
+    ).build()
+    return TraceServer(engine, coalesce_window=0.0, **cluster_tier(engine, replication=1))
+
+
+def test_once_up_an_outage_degrades_and_never_reaches_the_owner(
+    small_dataset, small_measure, fleet_up
+):
+    """After the switch, SIGKILLing every replica gives today's answers:
+    the group the supervisor brings back is waited for, the suspended one
+    is reported missing -- ``degraded``, never an owner answer."""
+    server = _cluster_server(small_dataset, small_measure)
+    fleet = server.backend
+    try:
+        fleet_up(server)
+        fleet.supervisor.suspend(["shard-001-r0"])
+        for replica in fleet.managed.values():
+            replica.kill()
+        status, payload = server.handle_topk({"entity": "a", "k": 2})
+        assert status == 200, payload
+        assert (payload["degraded"], payload["missing_shards"]) == (True, [1])
+        health = server.handle_healthz()[1]
+        assert (health["reads"], health["status"]) == ("replicas", "degraded")
+        assert fleet.stats()["workers"]["owner_queries"] == 0
+    finally:
+        server.close()
+
+
+def test_the_coordinator_resolves_sequences_under_the_engine_lock(
+    small_dataset, small_measure, fleet_up
+):
+    """Flushes mutate the routing dataset under the owner's engine lock,
+    so every ``cell_sequence`` the coordinator resolves runs holding it:
+    a probe thread must find the lock taken each time."""
+    server = _cluster_server(small_dataset, small_measure)
+    held = []
+
+    class LockCheckingDataset:
+        def __init__(self, dataset):
+            self._dataset = dataset
+
+        def __getattr__(self, name):
+            return getattr(self._dataset, name)
+
+        def cell_sequence(self, entity):
+            def probe():
+                free = server.engine_lock.acquire(blocking=False)
+                if free:
+                    server.engine_lock.release()
+                held.append(not free)
+
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join()
+            return self._dataset.cell_sequence(entity)
+
+    try:
+        coordinator = fleet_up(server).backend.coordinator
+        coordinator.dataset = LockCheckingDataset(coordinator.dataset)
+        assert server.handle_topk({"entity": "a", "k": 2})[0] == 200
+        assert server.handle_topk({"entities": ["a", "b", "c"], "k": 2})[0] == 200
+    finally:
+        server.close()
+    assert held == [True] * 4

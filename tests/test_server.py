@@ -736,12 +736,13 @@ def _label_sets(families):
 
 
 @pytest.mark.parametrize("tier", ["workers", "cluster"])
-def test_process_tiers_report_no_owner_cache(tier):
+def test_process_tiers_report_no_owner_cache(tier, fleet_up):
     """Worker and replica processes answer every read, so the owner's cache
     is never consulted: the snapshot must report no cache rather than one
     that looks live and never hits, and ``/metrics`` no cache samples."""
     engine = _tier_engine(query_cache_size=16)
     with TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine)) as server:
+        fleet_up(server)
         for _ in range(3):
             assert server.handle_topk({"entity": "e00"})[0] == 200
         stats = server.handle_stats()[1]
@@ -763,13 +764,14 @@ def _record_frames(fleet):
     return sent
 
 
-def test_worker_pool_spreads_one_round_over_its_workers(small_engine):
+def test_worker_pool_spreads_one_round_over_its_workers(small_engine, fleet_up):
     """A ``--workers 2`` fleet answers a coalesced round of several queries
     like a client batch: one contiguous chunk per replica, one exchange
     each, no hedge, gathered in request order."""
     server = TraceServer(small_engine, **worker_tier(small_engine, workers=2))
     entities = ["a", "b", "c", "d", "e"]
     try:
+        fleet_up(server)
         sent = _record_frames(server.backend)
         payloads = server.backend.topk(entities, 3, 0.0)
         (group,) = server.backend.coordinator.snapshot()["groups"]
@@ -784,13 +786,13 @@ def test_worker_pool_spreads_one_round_over_its_workers(small_engine):
 
 
 @pytest.mark.parametrize("tier, form", [("workers", "entities"), ("cluster", "queries")])
-def test_frame_form_follows_what_a_replica_holds(tier, form):
+def test_frame_form_follows_what_a_replica_holds(tier, form, fleet_up):
     """Whole-engine replicas (``--workers``) get entity names and resolve
     them at the generation they adopted; shard replicas get the query
     sequences the coordinator resolved, because each holds a partition."""
     engine = _tier_engine()
     with TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine)) as server:
-        sent = _record_frames(server.backend)
+        sent = _record_frames(fleet_up(server).backend)
         assert server.handle_topk({"entities": ["e00", "e01"], "k": 2})[0] == 200
     topk_frames = [frame for _, frame in sent if frame["op"] == "topk"]
     assert topk_frames
@@ -798,13 +800,13 @@ def test_frame_form_follows_what_a_replica_holds(tier, form):
         assert form in frame and ({"entities", "queries"} - {form}).isdisjoint(frame)
 
 
-def test_one_worker_survives_its_own_death(small_engine):
+def test_one_worker_survives_its_own_death(small_engine, fleet_up):
     """``--workers 1``: the next query after a SIGKILL of the only read
     process waits for the supervisor to bring it back and answers 200,
     byte-identical to the engine."""
     server = TraceServer(small_engine, coalesce_window=0.0, **worker_tier(small_engine, workers=1))
     try:
-        victim = server.backend.managed["worker-r0"].pid
+        victim = fleet_up(server).backend.managed["worker-r0"].pid
         os.kill(victim, signal.SIGKILL)
         status, payload = server.handle_topk({"entity": "a", "k": 3})
         assert status == 200, payload
@@ -828,7 +830,7 @@ def _exported_stages(server):
     }
 
 
-def test_bench_stage_names_are_exported():
+def test_bench_stage_names_are_exported(fleet_up):
     """Every stage the benchmark reads via ``mean("...")`` is exported, so a
     renamed span fails here rather than mid-way through a ``--traced`` run."""
     source = (Path(__file__).resolve().parent.parent / "bench" / "workloads.py").read_text()
@@ -839,6 +841,7 @@ def test_bench_stage_names_are_exported():
     with TraceServer(
         engine, coalesce_window=0.0, trace_sample=1.0, **_tier_parts("workers", engine)
     ) as server:
+        fleet_up(server)
         assert server.handle_topk({"entity": "e00"})[0] == 200
         exported = _exported_stages(server)
     engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5, query_cache_size=16).build()
@@ -873,7 +876,7 @@ def _dig(stats, path):
     return stats
 
 
-def test_bench_stats_keys_are_exported():
+def test_bench_stats_keys_are_exported(fleet_up):
     """Every ``/v1/stats`` key the benchmark reads exists in the stats body
     of the tier its workload runs: the ``--workers`` tier, or the cached
     in-process daemon (whose ``engine.cache`` keys only it has).  A renamed
@@ -883,6 +886,7 @@ def test_bench_stats_keys_are_exported():
 
     engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5).build()
     with TraceServer(engine, coalesce_window=0.0, **_tier_parts("workers", engine)) as server:
+        fleet_up(server)
         assert server.handle_topk({"entity": "e00"})[0] == 200
         workers_stats = server.handle_stats()[1]
     engine = TraceQueryEngine(small_dataset(), num_hashes=32, seed=5, query_cache_size=16).build()

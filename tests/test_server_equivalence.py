@@ -301,7 +301,7 @@ def test_daemon_matches_serial_engine_byte_for_byte(kind):
 
 
 @pytest.mark.parametrize("kind", ["single", "sharded"])
-def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
+def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind, fleet_up):
     """The ``--workers N`` tier answers the same workload byte-identically.
 
     Same phased workload as the in-process test, but served by a
@@ -326,6 +326,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind):
         trace_sample=1.0,
         **worker_tier(engine, workers=2),
     )
+    fleet_up(frontend)
     httpd = build_http_server(frontend, port=0)
     port = httpd.server_address[1]
     server_thread = threading.Thread(target=httpd.serve_forever, daemon=True)
@@ -637,3 +638,131 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
                         os.kill(pid, signal.SIGKILL)
                     except ProcessLookupError:
                         pass
+
+
+# ----------------------------------------------------------------------
+# The owner phase: the owner answers until the fleet is up
+# ----------------------------------------------------------------------
+TIER_KIND = {"workers": "single", "cluster": "sharded"}
+SWITCH_BODIES = [
+    {"entity": "seed-00", "k": 5},
+    {"entity": "seed-07", "k": 3},
+    {"entities": ["seed-01", "seed-04", "seed-09", "seed-13"], "k": 4},
+]
+
+
+def process_tier(tier, engine):
+    """Two read processes per group: ``--workers 2`` or ``--cluster 2``."""
+    if tier == "workers":
+        return worker_tier(engine, workers=2)
+    from repro.cluster.frontend import cluster_tier
+
+    return cluster_tier(engine, replication=2)
+
+
+def answer_bytes(server, body):
+    status, payload = server.handle_topk(body)
+    assert status == 200, payload
+    return dumps(payload)
+
+
+@pytest.mark.parametrize("tier", ["workers", "cluster"])
+def test_answers_are_byte_identical_across_the_switch_to_replicas(tier, fleet_up):
+    """The owner answers until every replica group is up, the replicas
+    after: the same requests read the in-process tier's bytes on both
+    sides of the switch, and a first start counts no respawn, no respawn
+    storm and no recovery."""
+    local = TraceServer(make_engine(TIER_KIND[tier]), coalesce_window=0.0)
+    expected = [answer_bytes(local, body) for body in SWITCH_BODIES]
+    local.close()
+
+    engine = make_engine(TIER_KIND[tier])
+    server = TraceServer(engine, coalesce_window=0.0, **process_tier(tier, engine))
+    fleet = server.backend
+    try:
+        with fleet.supervisor._tending:  # no replica is admitted meanwhile
+            assert server.handle_healthz()[1]["reads"] == "owner"
+            by_owner = [answer_bytes(server, body) for body in SWITCH_BODIES]
+        fleet_up(server)
+        by_replicas = [answer_bytes(server, body) for body in SWITCH_BODIES]
+        stats = fleet.stats()
+    finally:
+        server.close()
+    assert by_owner == expected
+    assert by_replicas == expected
+    workers = stats["workers"]
+    assert workers["owner_queries"] == 6  # two single queries, one batch of four
+    assert workers["requests"] > 0
+    assert (workers["respawns"], workers["respawn_storms"]) == (0, 0)
+    for group in stats["cluster"]["coordinator"]["groups"]:
+        for replica in group["replicas"]:
+            assert (replica["state"], replica["recoveries_total"]) == ("live", 0), replica
+
+
+@pytest.mark.parametrize("tier", ["workers", "cluster"])
+def test_a_session_reads_its_writes_across_the_switch(tier, fleet_up):
+    """One client session writes and reads while its fleet comes up.
+
+    Every answer is the in-process engine's after the session's flushed
+    writes -- the first answer the replicas give included -- and the
+    generation an answer observes never goes back: the owner answers at
+    the newest published generation of every store, a replica at the
+    generation its ``worker.request`` span reports.
+    """
+    streaming = StreamingConfig(max_batch_events=10_000)
+    reference = make_engine(TIER_KIND[tier])
+    reference_ingestor = EventIngestor(reference, streaming)
+    engine = make_engine(TIER_KIND[tier])
+    server = TraceServer(
+        engine,
+        streaming=streaming,
+        coalesce_window=0.0,
+        trace_sample=1.0,
+        **process_tier(tier, engine),
+    )
+    fleet = server.backend
+    observed = []  # (who answered, {store: generation}), in session order
+
+    def write(index):
+        unit = f"u2_{index % 2}_{index % 3}"
+        event = PresenceInstance(f"s{index}", unit, 70 + index, 74 + index)
+        body = {"entity": event.entity, "unit": event.unit, "start": event.start, "end": event.end}
+        assert server.handle_events({"events": [body], "flush": True})[0] == 200
+        reference_ingestor.submit(event)
+        reference_ingestor.flush()
+
+    def read(entity):
+        owner_queries = fleet.stats()["workers"]["owner_queries"]
+        request = parse_topk_request({"entity": entity, "k": 4})
+        assert answer_bytes(server, {"entity": entity, "k": 4}) == dumps(
+            topk_payload(request, [reference.top_k(entity, k=4)])
+        )
+        record = server.tracer.recent_snapshot(limit=1)[0]
+        spans = [span for span in iter_spans(record["spans"]) if span["name"] == "worker.request"]
+        if fleet.stats()["workers"]["owner_queries"] > owner_queries:
+            assert not spans
+            observed.append(("owner", server.publisher.generations()))
+        else:
+            attributes = [span["attributes"] for span in spans]
+            observed.append(
+                ("replicas", {entry["shard"]: entry["generation"] for entry in attributes})
+            )
+
+    try:
+        with fleet.supervisor._tending:  # no replica is admitted meanwhile
+            read("seed-00")
+            for index in range(2):
+                write(index)
+                read(f"s{index}")
+        fleet_up(server)
+        read("s1")  # the first answer from the replicas holds the owner phase's writes
+        write(2)
+        read("s2")
+        read("s0")
+    finally:
+        server.close()
+    assert [who for who, _ in observed] == ["owner"] * 3 + ["replicas"] * 3
+    assert observed[3][1] == observed[2][1]
+    for (_, earlier), (_, later) in zip(observed, observed[1:]):
+        assert set(later) == set(earlier)
+        assert all(later[store] >= earlier[store] for store in later), observed

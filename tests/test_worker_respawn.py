@@ -19,8 +19,13 @@ The second test covers the child that does *not* die: it stays alive but
 never listens.  The supervisor must give up on it after the replica's own
 start-up timeout, not after a constant of its own -- and, third test,
 while it waits on that child it must keep tending every other replica.
-The last one pins that health reports a kill the supervisor saw, before
+The fourth pins that health reports a kill the supervisor saw, before
 any query runs into it.
+
+The last two cover the owner phase: read processes that never listen,
+from their first start, leave the owner answering (``reads: owner``)
+beside a counted storm; and once the fleet has answered, a fleet killed
+whole is waited for, never replaced by the owner again.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import sys
 import time
 
 from repro.cluster.chaos import ChaosController
+from repro.cluster.supervisor import ManagedReplica
 from repro.server.app import TraceServer
 from repro.server.backoff import ExponentialBackoff
 from repro.server.frontend import worker_tier
@@ -58,10 +64,11 @@ def _wait_for(predicate, timeout=15.0):
     return predicate()
 
 
-def test_crash_looping_worker_counts_a_storm_and_fleet_keeps_answering(small_engine):
+def test_crash_looping_worker_counts_a_storm_and_fleet_keeps_answering(small_engine, fleet_up):
     server = _fleet_server(small_engine)
     fleet = server.backend
     try:
+        fleet_up(server)
         victim = fleet.managed["worker-r0"]
         # Every future revival of this replica dies before listening.
         victim.command = [sys.executable, "-c", "import sys; sys.exit(3)"]
@@ -89,10 +96,11 @@ def test_crash_looping_worker_counts_a_storm_and_fleet_keeps_answering(small_eng
         server.close()
 
 
-def test_child_that_never_listens_is_given_up_on_after_its_startup_timeout(small_engine):
+def test_child_that_never_listens_is_given_up_on_after_its_startup_timeout(small_engine, fleet_up):
     server = _fleet_server(small_engine)
     fleet = server.backend
     try:
+        fleet_up(server)
         victim = fleet.managed["worker-r0"]
         # Shrunk after a normal start: what a respawn waits is the
         # replica's start-up timeout, whatever it is.
@@ -115,13 +123,14 @@ def test_child_that_never_listens_is_given_up_on_after_its_startup_timeout(small
         server.close()
 
 
-def test_a_child_that_never_listens_stalls_no_other_respawn(small_engine):
+def test_a_child_that_never_listens_stalls_no_other_respawn(small_engine, fleet_up):
     """Two replicas die; the first one's revival never listens.  The
     second must be back ``live`` well inside the first's 60 s start-up
     timeout: the supervisor starts children, it does not wait on them."""
     server = _fleet_server(small_engine)
     fleet = server.backend
     try:
+        fleet_up(server)
         sleeper, other = fleet.managed["worker-r0"], fleet.managed["worker-r1"]
         assert sleeper.startup_timeout == 60.0
         sleeper.command = [sys.executable, "-c", "import time; time.sleep(600)"]
@@ -142,7 +151,7 @@ def test_a_child_that_never_listens_stalls_no_other_respawn(small_engine):
         server.close()
 
 
-def test_health_reports_a_kill_before_any_query(small_engine):
+def test_health_reports_a_kill_before_any_query(small_engine, fleet_up):
     """A dead replica reads ``down`` as soon as the supervisor sees it,
     with no query sent: a suspended kill leaves one live replica, and a
     blackout of the whole group turns ``/v1/healthz`` ``degraded``."""
@@ -150,6 +159,7 @@ def test_health_reports_a_kill_before_any_query(small_engine):
     fleet = server.backend
     chaos = ChaosController(fleet)
     try:
+        fleet_up(server)
         victim = fleet.managed["worker-r0"]
         fleet.supervisor.suspend([victim.name])
         victim.kill()
@@ -164,5 +174,67 @@ def test_health_reports_a_kill_before_any_query(small_engine):
         assert _wait_for(lambda: server.handle_healthz()[1]["status"] == "degraded")
         assert server.handle_healthz()[1]["cluster"]["live_replicas"] == {"worker": 0}
         assert fleet.stats()["workers"]["requests"] == 0  # no query was needed
+    finally:
+        server.close()
+
+
+def test_a_fleet_that_never_listens_answers_from_the_owner(small_engine, monkeypatch):
+    """Read processes that never listen, from their very first start: the
+    owner keeps answering exactly, the supervisor counts a respawn storm,
+    and the probe reads ``reads: owner`` with ``status: ok``."""
+    start = ManagedReplica.start
+
+    def never_listening(replica):
+        replica.command = [sys.executable, "-c", "import time; time.sleep(600)"]
+        replica.startup_timeout = 0.3
+        start(replica)
+
+    monkeypatch.setattr(ManagedReplica, "start", never_listening)
+    server = _fleet_server(small_engine)
+    fleet = server.backend
+    try:
+        assert _wait_for(
+            lambda: fleet.stats()["workers"]["respawn_storms"] >= 1
+        ), fleet.supervisor.snapshot()
+        status, payload = server.handle_topk({"entity": "a", "k": 3})
+        assert status == 200, payload
+        assert _items(payload) == list(small_engine.top_k("a", k=3).items)
+        status, payload = server.handle_topk({"entities": ["a", "b"], "k": 3})
+        assert status == 200, payload
+        assert [_items(entry) for entry in payload["results"]] == [
+            list(small_engine.top_k(entity, k=3).items) for entity in ("a", "b")
+        ]
+        status, health = server.handle_healthz()
+        assert (status, health["status"], health["reads"]) == (200, "ok", "owner")
+        assert health["cluster"]["live_replicas"] == {"worker": 0}
+        stats = fleet.stats()["workers"]
+        assert (stats["owner_queries"], stats["requests"]) == (3, 0), stats
+    finally:
+        server.close()
+
+
+def test_once_up_a_dead_fleet_is_waited_for_never_the_owner(small_engine, fleet_up):
+    """After the switch, SIGKILLing every read process does not send reads
+    back to the owner: the next query waits for the supervisor to bring a
+    replica back, answers exactly, and ``owner_queries`` stays put."""
+    server = _fleet_server(small_engine)
+    fleet = server.backend
+    try:
+        fleet_up(server)
+        assert server.handle_topk({"entity": "b", "k": 3})[0] == 200
+        owner_queries = fleet.stats()["workers"]["owner_queries"]
+        for replica in fleet.managed.values():
+            replica.kill()
+        # The supervisor has seen every replica dead: no group is live.
+        assert _wait_for(
+            lambda: not any(client.health.is_live for client in fleet.clients.values())
+        ), fleet.supervisor.snapshot()
+        status, payload = server.handle_topk({"entity": "a", "k": 3})
+        assert status == 200, payload
+        assert _items(payload) == list(small_engine.top_k("a", k=3).items)
+        stats = fleet.stats()["workers"]
+        assert stats["owner_queries"] == owner_queries, stats
+        assert stats["respawns"] >= 1, stats
+        assert server.handle_healthz()[1]["reads"] == "replicas"
     finally:
         server.close()
