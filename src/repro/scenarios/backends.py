@@ -185,6 +185,11 @@ class ShardedBackend(ScenarioBackend):
         return {"deployment": "sharded", "num_shards": self.engine.num_shards}
 
 
+def _owner_queries(trace_server) -> int:
+    """Queries the owner answered before the read processes were up."""
+    return trace_server.backend.stats()["workers"]["owner_queries"]
+
+
 class HttpBackend(ScenarioBackend):
     """A live HTTP daemon on an ephemeral port, exercised over real sockets.
 
@@ -222,13 +227,18 @@ class HttpBackend(ScenarioBackend):
         engine: EngineProfile,
         churn: ChurnProfile,
     ) -> None:
-        """Build the daemon and bind it to an ephemeral localhost port."""
+        """Build the daemon, wait for its read processes (if any), and bind
+        it to an ephemeral localhost port."""
         from repro.server.app import TraceServer, build_http_server
 
         built, tier = self._engine_and_tier(dataset, engine)
         self._trace_server = TraceServer(
             built, streaming=_streaming_config(churn), **tier
         )
+        # Score the read processes, not the owner answering until they are up.
+        if tier and not self._trace_server.backend.supervisor.wait_settled():
+            self._trace_server.close()
+            raise RuntimeError(f"{self.name} backend: the read processes never came up")
         self._httpd = build_http_server(self._trace_server, host="127.0.0.1", port=0)
         self._address = self._httpd.server_address[:2]
         self._thread = threading.Thread(
@@ -284,6 +294,7 @@ class HttpBackend(ScenarioBackend):
         facts: Dict[str, object] = {"deployment": deployment, "workers": self.workers}
         if self._trace_server is not None and self.workers:
             facts["generation"] = self._trace_server.publisher.store.generation
+            facts["owner_queries"] = _owner_queries(self._trace_server)
         return facts
 
     def close(self) -> None:
@@ -353,9 +364,9 @@ class ClusterBackend(HttpBackend):
         if self.chaos and self._chunks_ingested == 1 and self.replication > 1:
             from repro.cluster.chaos import ChaosController
 
-            fleet = self._trace_server.backend
-            fleet.supervisor.wait_settled()  # the crash is for the fleet, not the owner
-            self._killed = ChaosController(fleet).kill_one_per_group()
+            self._killed = ChaosController(
+                self._trace_server.backend
+            ).kill_one_per_group()
 
     def stats(self) -> Dict[str, object]:
         """Deployment shape plus the faults injected and recovery counters."""
@@ -370,6 +381,7 @@ class ClusterBackend(HttpBackend):
             coordinator = self._trace_server.backend.coordinator.snapshot()
             facts["respawns"] = sum(supervisor["respawns"].values())
             facts["degraded_queries"] = coordinator["counters"]["degraded_queries"]
+            facts["owner_queries"] = _owner_queries(self._trace_server)
         return facts
 
 

@@ -513,11 +513,6 @@ class TraceServer:
             coalescer_stats = self.coalescer.stats_snapshot()
             endpoint_stats = self.metrics.snapshot()
             tracing_stats = self.tracer.counters_snapshot()
-        if not isinstance(self.backend, EngineBackend):
-            # Reads are answered by other processes (the owner answers only
-            # until they are up): the owner's cache counters would pass for
-            # the deployment's.
-            engine_stats["cache"] = None
         payload: Dict[str, object] = {
             "engine": engine_stats,
             "ingest": ingest_stats,

@@ -736,20 +736,33 @@ def _label_sets(families):
 
 
 @pytest.mark.parametrize("tier", ["workers", "cluster"])
-def test_process_tiers_report_no_owner_cache(tier, fleet_up):
-    """Worker and replica processes answer every read, so the owner's cache
-    is never consulted: the snapshot must report no cache rather than one
-    that looks live and never hits, and ``/metrics`` no cache samples."""
+def test_process_tiers_report_the_owner_cache(tier, fleet_up):
+    """The owner's cache serves the owner phase only: the snapshot and
+    ``/metrics`` report its lookups there, and once the read processes
+    answer, queries no longer touch it."""
     engine = _tier_engine(query_cache_size=16)
     with TraceServer(engine, coalesce_window=0.0, **_tier_parts(tier, engine)) as server:
+        with server.backend.supervisor._tending:  # no replica is admitted meanwhile
+            for _ in range(3):
+                assert server.handle_topk({"entity": "e00"})[0] == 200
+        owner_phase = server.handle_stats()[1]
         fleet_up(server)
         for _ in range(3):
             assert server.handle_topk({"entity": "e00"})[0] == 200
         stats = server.handle_stats()[1]
         families = parse_exposition(server.handle_metrics()[1])
-    assert stats["engine"]["cache"] is None
-    for name in ("repro_cache_entries", "repro_cache_events_total", "repro_cache_hit_rate"):
-        assert families[name]["samples"] == [], name
+    assert owner_phase["workers"]["owner_queries"] == 3
+    cache = owner_phase["engine"]["cache"]
+    assert (cache["misses"], cache["hits"], cache["entries"]) == (1, 2, 1), cache
+    assert stats["workers"]["owner_queries"] == 3
+    assert stats["workers"]["requests"] > 0
+    assert stats["engine"]["cache"] == cache
+    hits = [
+        sample for sample in families["repro_cache_events_total"]["samples"]
+        if sample[1] == {"event": "hits"}
+    ]
+    assert [sample[2] for sample in hits] == [2.0]
+    assert families["repro_cache_entries"]["samples"][0][2] == 1.0
 
 
 def _record_frames(fleet):

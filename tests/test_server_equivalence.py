@@ -505,7 +505,7 @@ def test_multiprocess_daemon_matches_serial_engine_byte_for_byte(kind, fleet_up)
         server_thread.join(timeout=10)
 
 
-def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
+def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path, fleet_up):
     """Crash injection: SIGKILL the frontend *mid-publish*, recover, compare.
 
     A forked child runs a ``--workers 1`` :class:`TraceServer` over a
@@ -517,9 +517,9 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
 
     The parent then recovers exactly as a restarted ``repro serve`` would
     (:func:`recover_engine_from_store` + :func:`replay_wal_into_engine`),
-    boots a fresh frontend from the recovered state, and every response it
-    serves must be byte-identical to a never-crashed oracle fed the same
-    events.
+    boots a fresh frontend from the recovered state, waits until its read
+    process answers, and every response that process serves must be
+    byte-identical to a never-crashed oracle fed the same events.
     """
     from repro.server.generation import GenerationStore
     from repro.server.recovery import recover_engine_from_store, replay_wal_into_engine
@@ -612,6 +612,8 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
             **worker_tier(engine, workers=1, store_root=store_root),
         )
         try:
+            # The read process, not the owner, must serve the recovered store.
+            fleet_up(frontend)
             entities = sorted(oracle.dataset.entities)
             assert sorted(engine.dataset.entities) == entities
             for entity in entities:
@@ -627,6 +629,7 @@ def test_sigkilled_frontend_recovers_byte_identically_by_wal_replay(tmp_path):
                     assert dumps(payload) == expected, (
                         f"recovered frontend diverged for {entity!r} k={k}"
                     )
+            assert frontend.handle_stats()[1]["workers"]["owner_queries"] == 0
         finally:
             frontend.close()
     finally:
