@@ -69,6 +69,14 @@ from their traces.  The patched arrays are byte-identical to a fresh
 so ids never depend on discovery order -- and a staleness ratio above
 ``max_staleness`` falls back to the full recompile (the compaction path;
 ``compact()`` additionally resets the touch journals, forcing it).
+
+Persistence
+-----------
+These arrays are the only stored form of the MinSigTree: a snapshot's
+``columnar.npz`` is :meth:`ColumnarTree.export_arrays`, and a load imports
+it once (:meth:`ColumnarTree.import_arrays` refuses anything
+:meth:`ColumnarTree.compile` cannot write) and restores the tree from it
+(:meth:`~repro.core.minsigtree.MinSigTree.restore`).
 """
 
 from __future__ import annotations
@@ -553,7 +561,7 @@ class ColumnarTree:
     # Snapshot codec
     # ------------------------------------------------------------------
     def export_arrays(self) -> Dict[str, np.ndarray]:
-        """The compiled arrays as plain ndarrays (the snapshot payload).
+        """The compiled arrays as plain ndarrays (a snapshot's ``columnar.npz``).
 
         Cell tables are exported as the kernel holds them -- ``cell_codes``
         and ``level_cell_offset`` -- so a snapshot load skips the whole
@@ -584,32 +592,103 @@ class ColumnarTree:
     ) -> "ColumnarTree":
         """Rebuild a compiled tree from :meth:`export_arrays` output.
 
-        Performs structural validation (root at index 0, spans within
-        range, CSR shape consistency, every level's cell codes those of
-        units of that level, in strictly ascending order) and raises
-        ``ValueError`` / ``KeyError`` on malformed input; callers fall back
-        to a fresh :meth:`compile`.
+        These arrays are the only stored form of the tree (a snapshot's
+        ``columnar.npz``), so every shape :meth:`compile` cannot write is
+        refused here with ``ValueError`` (a missing array raises
+        ``KeyError``): the node arrays must be integer columns of one length
+        with the virtual root at index 0, laid out breadth-first no deeper
+        than the hierarchy, each node's child span exactly its children, no
+        two siblings on one routing index, every routing index in
+        ``[0, num_hashes)``, the entity spans tiling ``entity_order`` in node
+        order on leaves of the last level, no entity listed twice, every
+        level's cell codes those of units of that level in strictly
+        ascending order, and the membership CSR consistent with both.
         """
         num_levels = hierarchy.num_levels
-        node_level = np.asarray(arrays["node_level"], dtype=np.int32)
-        if node_level.size == 0 or node_level[0] != 0:
-            raise ValueError("malformed columnar arrays: missing virtual root")
-        node_parent = np.asarray(arrays["node_parent"], dtype=np.int64)
-        if (
-            node_parent.size != node_level.size
-            or node_parent[0] != -1
-            or (node_parent[1:] < 0).any()
-            or (node_parent[1:] >= np.arange(1, node_level.size)).any()
+        columns = {
+            name: np.asarray(arrays[name])
+            for name in (
+                "node_level", "node_parent", "node_routing_index", "node_routing_value",
+                "child_start", "child_end", "entity_start", "entity_end",
+            )
+        }
+        count = columns["node_level"].size
+        if any(
+            column.shape != (count,) or not np.issubdtype(column.dtype, np.integer)
+            for column in columns.values()
         ):
-            raise ValueError("malformed columnar arrays: bad parent links")
+            raise ValueError(
+                "malformed columnar arrays: node arrays are not integer columns of one length"
+            )
+        node_level = columns["node_level"].astype(np.int32, copy=False)
+        node_parent = columns["node_parent"].astype(np.int64, copy=False)
+        node_routing_index = columns["node_routing_index"].astype(np.int32, copy=False)
+        child_start, child_end, entity_start, entity_end = (
+            columns[name].astype(np.int64, copy=False)
+            for name in ("child_start", "child_end", "entity_start", "entity_end")
+        )
+        if not count or node_level[0] != 0 or node_parent[0] != -1:
+            raise ValueError("malformed columnar arrays: missing virtual root")
+        position = np.arange(1, count)
+        parent = node_parent[1:]
+        orphans = np.flatnonzero((parent < 0) | (parent >= position))
+        if orphans.size:
+            node = int(position[orphans[0]])
+            raise ValueError(
+                f"malformed columnar arrays: node {node} has parent {int(node_parent[node])}"
+            )
         # The bound pass walks levels in BFS-contiguous order and looks
         # parents up in the previous level -- both must hold structurally.
-        if (np.diff(node_level) < 0).any() or (
-            node_level.size > 1
-            and (node_level[1:] != node_level[node_parent[1:]] + 1).any()
+        if (
+            (np.diff(node_level) < 0).any()
+            or (np.diff(parent) < 0).any()
+            or (node_level[1:] != node_level[parent] + 1).any()
+            or node_level[-1] > num_levels
         ):
             raise ValueError("malformed columnar arrays: non-BFS level layout")
+        # Parents ascend, so every node's children are one contiguous run.
+        first = 1 + np.searchsorted(parent, np.arange(count), side="left")
+        last = 1 + np.searchsorted(parent, np.arange(count), side="right")
+        has_children = last > first
+        if not (
+            np.array_equal(child_start, np.where(has_children, first, 0))
+            and np.array_equal(child_end, np.where(has_children, last, 0))
+        ):
+            raise ValueError("malformed columnar arrays: child spans do not match parent links")
+        routing = node_routing_index[1:]
+        if ((routing < 0) | (routing >= num_hashes)).any():
+            raise ValueError(
+                f"malformed columnar arrays: routing index outside [0, {num_hashes})"
+            )
+        # A repeat is a node whose predecessor in (parent, routing index)
+        # order shares both.
+        order = np.lexsort((position, routing, parent))
+        repeats = (parent[order][1:] == parent[order][:-1]) & (
+            routing[order][1:] == routing[order][:-1]
+        )
+        if repeats.any():
+            node = int(position[order][1:][repeats].min())
+            raise ValueError(
+                f"malformed columnar arrays: node {node} repeats a sibling's "
+                f"routing index {int(node_routing_index[node])}"
+            )
         entity_order = tuple(str(name) for name in arrays["entity_order"])
+        if len(set(entity_order)) != len(entity_order):
+            raise ValueError("malformed columnar arrays: an entity is listed twice")
+        if (
+            (entity_start < 0) | (entity_end < entity_start) | (entity_end > len(entity_order))
+        ).any():
+            raise ValueError("malformed columnar arrays: entity span out of range")
+        sizes = entity_end - entity_start
+        holders = sizes > 0
+        if (
+            sizes.sum() != len(entity_order)
+            or not np.array_equal(entity_start[holders], (np.cumsum(sizes) - sizes)[holders])
+            or entity_end[~holders].any()
+        ):
+            raise ValueError("malformed columnar arrays: entity spans do not tile entity_order")
+        if (holders & (has_children | (node_level != num_levels))).any():
+            raise ValueError("malformed columnar arrays: an entity sits off the last level's leaves")
         units = hierarchy.coded_units()
         cell_codes = np.asarray(arrays["cell_codes"], dtype=np.int64)
         level_cell_offset = np.asarray(arrays["level_cell_offset"], dtype=np.int64)
@@ -646,27 +725,21 @@ class ColumnarTree:
             member_indices.min() < 0 or member_indices.max() >= cell_codes.size
         ):
             raise ValueError("malformed columnar arrays: cell id out of range")
-        child_start = np.asarray(arrays["child_start"], dtype=np.int64)
-        child_end = np.asarray(arrays["child_end"], dtype=np.int64)
-        entity_start = np.asarray(arrays["entity_start"], dtype=np.int64)
-        entity_end = np.asarray(arrays["entity_end"], dtype=np.int64)
-        count = node_level.size
-        for span_start, span_end, limit in (
-            (child_start, child_end, count),
-            (entity_start, entity_end, len(entity_order)),
-        ):
-            if span_start.size != count or span_end.size != count:
-                raise ValueError("malformed columnar arrays: span length mismatch")
-            if ((span_start < 0) | (span_end < span_start) | (span_end > limit)).any():
-                raise ValueError("malformed columnar arrays: span out of range")
         full = arrays.get("node_full_signatures")
+        if full is not None:
+            full = np.asarray(full)
+            if full.shape != (count, num_hashes) or not np.issubdtype(full.dtype, np.integer):
+                raise ValueError(
+                    f"malformed columnar arrays: full signature block has shape {full.shape}, "
+                    f"expected {(count, num_hashes)}"
+                )
         return cls(
             num_levels=num_levels,
             num_hashes=num_hashes,
             node_level=node_level,
             node_parent=node_parent,
-            node_routing_index=np.asarray(arrays["node_routing_index"], dtype=np.int32),
-            node_routing_value=np.asarray(arrays["node_routing_value"], dtype=np.int64),
+            node_routing_index=node_routing_index,
+            node_routing_value=columns["node_routing_value"].astype(np.int64, copy=False),
             child_start=child_start,
             child_end=child_end,
             entity_start=entity_start,
@@ -677,7 +750,7 @@ class ColumnarTree:
             level_cell_offset=level_cell_offset,
             member_indptr=member_indptr,
             member_indices=member_indices,
-            node_full_signatures=None if full is None else np.asarray(full, dtype=np.int64),
+            node_full_signatures=None if full is None else full.astype(np.int64),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

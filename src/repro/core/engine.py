@@ -54,6 +54,7 @@ from repro.traces.events import PresenceInstance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.measures.base import AssociationMeasure as _Measure
+    from repro.core.columnar import ColumnarTree
     from repro.storage.snapshot import _SnapshotSource
 
 __all__ = ["EngineConfig", "ExpiryReport", "TraceQueryEngine"]
@@ -338,15 +339,20 @@ class TraceQueryEngine(QueryFront):
         self._invalidate_query_cache()
         return self
 
-    def _adopt_index(self, hash_family: HierarchicalHashFamily, tree: MinSigTree) -> None:
+    def _adopt_index(
+        self,
+        hash_family: HierarchicalHashFamily,
+        tree: MinSigTree,
+        compiled: Optional[ColumnarTree] = None,
+    ) -> None:
         """Install an externally reconstructed index (the snapshot load path).
 
         The caller guarantees that ``tree`` was built from signatures of
-        ``hash_family`` over this engine's dataset; everything downstream
+        ``hash_family`` over this engine's dataset, and that ``compiled``,
+        if given, is its kernel stamped for it; everything downstream
         (signature computer, searcher) is wired here so updates and queries
         behave exactly as after :meth:`build`.
         """
-        previous = self._searcher
         self._hash_family = hash_family
         self._signature_computer = SignatureComputer(hash_family)
         self._tree = tree
@@ -356,12 +362,8 @@ class TraceQueryEngine(QueryFront):
             self.measure,
             hash_family,
             use_full_signatures=self.config.use_full_signatures,
+            compiled=compiled,
         )
-        # Re-adopting the same tree (e.g. the sharded hash-family sharing
-        # pass) must not throw away an already-compiled columnar kernel or
-        # a pending snapshot loader.
-        if previous is not None:
-            self._searcher.carry_compiled_from(previous)
         self._invalidate_query_cache()
 
     # ------------------------------------------------------------------

@@ -18,18 +18,22 @@ incremental updates (Section 4.2.3): inserting a new entity, removing one,
 and re-signing an existing entity after new trace records arrive.
 
 Queries never walk the nodes -- they run on the compiled columnar kernel
-(:mod:`repro.core.columnar`) -- so a tree restored from a snapshot keeps its
-validated arrays and builds the nodes only when it is first mutated or
-walked (:meth:`MinSigTree.import_structure`).
+(:mod:`repro.core.columnar`).  The kernel's arrays are also the only stored
+form of the tree: a snapshot restores it from them
+(:meth:`MinSigTree.restore`), keeping the arrays and building the nodes only
+when the tree is first mutated or walked.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.core.columnar import ColumnarTree
 
 __all__ = ["MinSigTree", "MinSigTreeNode"]
 
@@ -106,10 +110,10 @@ class MinSigTree:
         self.num_hashes = num_hashes
         self.store_full_signatures = store_full_signatures
         self.routing_strategy = routing_strategy
-        # The nodes are built on first use (see ``root``): from ``_flat``
-        # for a tree restored by import_structure, empty otherwise.
+        # The nodes are built on first use (see ``root``): from the kernel
+        # and signature block of a tree made by restore(), empty otherwise.
         self._root: Optional[MinSigTreeNode] = None
-        self._flat: Optional[_FlatStructure] = None
+        self._restored: Optional[Tuple["ColumnarTree", np.ndarray]] = None
         self._build_lock = threading.Lock()
         self._signatures: Dict[str, np.ndarray] = {}
         self._leaf_of: Dict[str, MinSigTreeNode] = {}
@@ -149,11 +153,13 @@ class MinSigTree:
             return root
         with self._build_lock:
             if self._root is None:
-                flat = self._flat
+                restored = self._restored
                 # Publish the maps, then the root, and only then drop the
                 # arrays: a concurrent reader sees one complete state.
-                self._root = MinSigTreeNode(level=0) if flat is None else self._build_nodes(flat)
-                self._flat = None
+                self._root = (
+                    MinSigTreeNode(level=0) if restored is None else self._build_nodes(*restored)
+                )
+                self._restored = None
             return self._root
 
     # ------------------------------------------------------------------
@@ -325,101 +331,55 @@ class MinSigTree:
         }
 
     # ------------------------------------------------------------------
-    # Structure export / import (the snapshot codec)
+    # Restore (the snapshot codec)
     # ------------------------------------------------------------------
-    def export_structure(self, signature_dtype: np.dtype = np.int64) -> Dict[str, object]:
-        """Flatten the tree into plain arrays for serialization.
-
-        Nodes are laid out in DFS order (the virtual root at index 0) as
-        parallel arrays; entities are listed in leaf-DFS order with their
-        leaf's node index and their signature matrices stacked in the same
-        order.  The arrays capture the tree *exactly* -- including routing
-        values left loose by :meth:`remove` -- so a tree restored with
-        :meth:`import_structure` prunes and traverses identically.
-
-        ``signature_dtype`` is the type the signature matrices (and full
-        signatures) are stacked in; it must hold every value up to the hash
-        range.  Snapshots pass the narrowest such type, so the int64 block
-        is never copied whole.
-        """
-        nodes = list(self.iter_nodes())
-        index_of = {id(node): position for position, node in enumerate(nodes)}
-        node_level = np.array([node.level for node in nodes], dtype=np.int32)
-        node_routing_index = np.array([node.routing_index for node in nodes], dtype=np.int32)
-        node_routing_value = np.array([node.routing_value for node in nodes], dtype=np.int64)
-        node_parent = np.array(
-            [-1 if node.parent is None else index_of[id(node.parent)] for node in nodes],
-            dtype=np.int32,
-        )
-        entities: List[str] = []
-        entity_leaf: List[int] = []
-        for position, node in enumerate(nodes):
-            for entity in node.entities:
-                entities.append(entity)
-                entity_leaf.append(position)
-        if entities:
-            signatures = np.stack(
-                [self._signatures[entity] for entity in entities],
-                dtype=signature_dtype,
-                casting="unsafe",
-            )
-        else:
-            signatures = np.empty((0, self.num_levels, self.num_hashes), dtype=signature_dtype)
-        structure: Dict[str, object] = {
-            "node_level": node_level,
-            "node_routing_index": node_routing_index,
-            "node_routing_value": node_routing_value,
-            "node_parent": node_parent,
-            "entities": entities,
-            "entity_leaf": np.array(entity_leaf, dtype=np.int32),
-            "signatures": signatures,
-        }
-        if self.store_full_signatures:
-            full = np.zeros((len(nodes), self.num_hashes), dtype=signature_dtype)
-            for position, node in enumerate(nodes):
-                if node.full_signature is not None:
-                    full[position] = node.full_signature
-            structure["node_full_signatures"] = full
-        return structure
-
     @classmethod
-    def import_structure(
+    def restore(
         cls,
-        structure: Dict[str, object],
-        num_levels: int,
-        num_hashes: int,
+        kernel: "ColumnarTree",
+        signatures: np.ndarray,
         store_full_signatures: bool = False,
         routing_strategy: str = "argmax",
     ) -> "MinSigTree":
-        """Restore a tree from :meth:`export_structure` arrays.
+        """Restore a tree from its compiled kernel (a snapshot's ``columnar.npz``).
 
-        The arrays are validated here (raising ``ValueError``) and kept; the
-        nodes and the int64 signature rows are built at the first mutation
-        or structural read.  Until then :attr:`num_entities`, ``in``,
-        :attr:`num_nodes`, :meth:`size_bytes`, :meth:`touched_entities_since`
-        and :attr:`mutation_count` answer from the arrays -- all a process
-        serving queries from the compiled kernel asks of the tree.  The build
-        wires nodes directly instead of re-inserting entities, so group-level
-        signature values (and hence pruning behaviour and query statistics)
-        match the exported tree exactly.
+        ``kernel`` comes from :meth:`ColumnarTree.import_arrays`, which has
+        validated the structure; ``signatures`` stacks every entity's
+        signature matrix in ``kernel.entity_order``, at any integer width.
+        Raises ``ValueError`` when the block does not fit the kernel.  The
+        kernel and the block are kept; the nodes and the int64 signature
+        rows are built at the first mutation or structural read.  Until then
+        :attr:`num_entities`, ``in``, :attr:`num_nodes`, :meth:`size_bytes`,
+        :meth:`touched_entities_since` and :attr:`mutation_count` answer from
+        the arrays -- all a process serving queries from the kernel asks of
+        the tree.  The build wires the nodes in the kernel's BFS order, so
+        every node lists its children, and every leaf its entities, in the
+        saved order: recompiling the restored tree gives back ``kernel``.
         """
-        tree = cls(num_levels, num_hashes, store_full_signatures, routing_strategy)
-        tree._flat = _FlatStructure.validated(
-            structure, num_levels, num_hashes, store_full_signatures
-        )
+        expected = (kernel.num_entities, kernel.num_levels, kernel.num_hashes)
+        if signatures.shape != expected:
+            raise ValueError(
+                f"signature block has shape {signatures.shape}, expected {expected}"
+            )
+        if store_full_signatures != (kernel.node_full_signatures is not None):
+            raise ValueError(
+                "the kernel's full node signatures do not match store_full_signatures"
+            )
+        tree = cls(kernel.num_levels, kernel.num_hashes, store_full_signatures, routing_strategy)
+        tree._restored = (kernel, signatures)
         return tree
 
-    def _build_nodes(self, flat: "_FlatStructure") -> MinSigTreeNode:
-        """Wire the nodes and signature rows of ``flat``; returns the root."""
-        node_level = flat.node_level.tolist()
-        node_routing_index = flat.node_routing_index.tolist()
-        node_routing_value = flat.node_routing_value.tolist()
-        node_parent = flat.node_parent.tolist()
-        # Signatures may arrive narrower than int64 (snapshots store them at
-        # the hash range's width); the tree always holds them as int64.
-        full_rows = None if flat.full_signatures is None else flat.full_signatures.astype(np.int64)
+    def _build_nodes(self, kernel: "ColumnarTree", signatures: np.ndarray) -> MinSigTreeNode:
+        """Wire the nodes and signature rows of a restored tree; returns the root."""
+        node_level = kernel.node_level.tolist()
+        node_parent = kernel.node_parent.tolist()
+        node_routing_index = kernel.node_routing_index.tolist()
+        node_routing_value = kernel.node_routing_value.tolist()
+        full = kernel.node_full_signatures
         root = MinSigTreeNode(level=0)
         nodes: List[MinSigTreeNode] = [root]
+        # BFS order lists each node's children in their span order, so
+        # wiring by position rebuilds every ``children`` dict as saved.
         for position in range(1, len(node_level)):
             parent = nodes[node_parent[position]]
             node = MinSigTreeNode(
@@ -427,15 +387,20 @@ class MinSigTree:
                 routing_index=node_routing_index[position],
                 routing_value=node_routing_value[position],
                 parent=parent,
-                full_signature=None if full_rows is None else full_rows[position].copy(),
+                full_signature=None if full is None else full[position].astype(np.int64),
             )
             parent.children[node.routing_index] = node
             nodes.append(node)
-        signatures = flat.signatures.astype(np.int64)
-        for slot, (entity, leaf_index) in enumerate(zip(flat.entities, flat.entity_leaf.tolist())):
-            leaf = nodes[leaf_index]
+        # Signatures may arrive narrower than int64 (snapshots store them at
+        # the hash range's width); the tree always holds them as int64.
+        rows = signatures.astype(np.int64)
+        # The entity spans tile ``entity_order`` in node order.
+        sizes = kernel.entity_end - kernel.entity_start
+        holders = np.repeat(np.arange(sizes.size), sizes).tolist()
+        for slot, (entity, position) in enumerate(zip(kernel.entity_order, holders)):
+            leaf = nodes[position]
             leaf.entities.append(entity)
-            self._signatures[entity] = signatures[slot]
+            self._signatures[entity] = rows[slot]
             self._leaf_of[entity] = leaf
         return root
 
@@ -445,12 +410,12 @@ class MinSigTree:
     @property
     def num_entities(self) -> int:
         """Number of entities currently indexed."""
-        flat = self._flat
-        return len(self._signatures) if flat is None else len(flat.entities)
+        restored = self._restored
+        return len(self._signatures) if restored is None else restored[0].num_entities
 
     def __contains__(self, entity: str) -> bool:
-        flat = self._flat
-        return entity in (self._signatures if flat is None else flat.members)
+        restored = self._restored
+        return entity in (self._signatures if restored is None else restored[0].entity_slot)
 
     def signature_of(self, entity: str) -> np.ndarray:
         """The signature matrix the entity was last indexed with."""
@@ -499,9 +464,9 @@ class MinSigTree:
     @property
     def num_nodes(self) -> int:
         """Number of nodes excluding the virtual root."""
-        flat = self._flat
-        if flat is not None:
-            return flat.node_parent.size - 1
+        restored = self._restored
+        if restored is not None:
+            return restored[0].num_nodes - 1
         return sum(1 for node in self.iter_nodes() if not node.is_root)
 
     def size_bytes(self) -> int:
@@ -515,9 +480,11 @@ class MinSigTree:
         per_node = 2 * 8
         if self.store_full_signatures:
             per_node += self.num_hashes * 8
-        flat = self._flat
-        if flat is not None:
-            return per_node * (flat.node_parent.size - 1) + 8 * flat.leaf_members()
+        restored = self._restored
+        if restored is not None:
+            # The kernel import admits entities on childless nodes only.
+            kernel = restored[0]
+            return per_node * (kernel.num_nodes - 1) + 8 * kernel.num_entities
         total = 0
         for node in self.iter_nodes():
             if node.is_root:
@@ -551,100 +518,3 @@ class MinSigTree:
             f"MinSigTree(entities={self.num_entities}, nodes={self.num_nodes}, "
             f"levels={self.num_levels}, num_hashes={self.num_hashes})"
         )
-
-
-@dataclass(frozen=True)
-class _FlatStructure:
-    """Validated :meth:`MinSigTree.export_structure` arrays of a restored tree.
-
-    Held until the tree builds its nodes; every check the build would
-    otherwise trip over is made up front, so the build cannot fail.
-    """
-
-    node_level: np.ndarray
-    node_routing_index: np.ndarray
-    node_routing_value: np.ndarray
-    node_parent: np.ndarray
-    full_signatures: Optional[np.ndarray]
-    entities: List[str]
-    members: FrozenSet[str]
-    entity_leaf: np.ndarray
-    signatures: np.ndarray
-
-    @classmethod
-    def validated(
-        cls,
-        structure: Dict[str, object],
-        num_levels: int,
-        num_hashes: int,
-        store_full_signatures: bool,
-    ) -> "_FlatStructure":
-        """Check ``structure`` with array operations; raises ``ValueError``."""
-        level, routing_index, routing_value, parent = (
-            np.asarray(structure[name])
-            for name in ("node_level", "node_routing_index", "node_routing_value", "node_parent")
-        )
-        count = parent.size
-        if any(
-            array.shape != (count,) or not np.issubdtype(array.dtype, np.integer)
-            for array in (level, routing_index, routing_value, parent)
-        ):
-            raise ValueError(
-                "malformed tree structure: node arrays are not integer columns of one length"
-            )
-        if not count or level[0] != 0 or parent[0] != -1:
-            raise ValueError("malformed tree structure: missing virtual root at index 0")
-        position = np.arange(1, count)
-        orphans = np.flatnonzero((parent[1:] < 0) | (parent[1:] >= position))
-        if orphans.size:
-            node = int(position[orphans[0]])
-            raise ValueError(
-                f"malformed tree structure: node {node} has parent {int(parent[node])}"
-            )
-        # Sort siblings by routing index, ties by position: a repeat is a
-        # node whose predecessor in that order shares its parent and index.
-        order = np.lexsort((position, routing_index[1:], parent[1:]))
-        sorted_parent, sorted_index = parent[1:][order], routing_index[1:][order]
-        repeats = (sorted_parent[1:] == sorted_parent[:-1]) & (
-            sorted_index[1:] == sorted_index[:-1]
-        )
-        if repeats.any():
-            node = int(position[order][1:][repeats].min())
-            raise ValueError(
-                f"malformed tree structure: node {node} repeats a sibling's "
-                f"routing index {int(routing_index[node])}"
-            )
-        entities = list(structure["entities"])
-        members = frozenset(entities)
-        if len(members) != len(entities):
-            raise ValueError("malformed tree structure: an entity is listed twice")
-        entity_leaf = np.asarray(structure["entity_leaf"])
-        if (
-            entity_leaf.shape != (len(entities),)
-            or not np.issubdtype(entity_leaf.dtype, np.integer)
-            or (entity_leaf.size and (entity_leaf.min() < 0 or entity_leaf.max() >= count))
-        ):
-            raise ValueError("malformed tree structure: entity_leaf must name one node per entity")
-        signatures = np.asarray(structure["signatures"])
-        if signatures.shape != (len(entities), num_levels, num_hashes):
-            raise ValueError(
-                f"signature block has shape {signatures.shape}, expected "
-                f"{(len(entities), num_levels, num_hashes)}"
-            )
-        full = structure.get("node_full_signatures")
-        full = np.asarray(full) if store_full_signatures and full is not None else None
-        if full is not None and full.shape != (count, num_hashes):
-            raise ValueError(
-                f"full signature block has shape {full.shape}, expected {(count, num_hashes)}"
-            )
-        return cls(
-            level, routing_index, routing_value, parent, full,
-            entities, members, entity_leaf, signatures,
-        )
-
-    def leaf_members(self) -> int:
-        """Entities placed on a non-root childless node (what ``size_bytes`` counts)."""
-        has_child = np.zeros(self.node_parent.size, dtype=bool)
-        has_child[self.node_parent[1:]] = True
-        placed = self.entity_leaf[self.entity_leaf != 0]
-        return int(np.count_nonzero(~has_child[placed]))

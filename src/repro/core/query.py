@@ -216,6 +216,10 @@ class TopKSearcher:
     use_full_signatures:
         Evaluate bounds with full node signatures where available (ablation;
         requires the tree to have been built with ``store_full_signatures``).
+    compiled:
+        A kernel already stamped for ``tree`` and ``dataset`` (a snapshot
+        load hands in its ``columnar.npz``); otherwise the first search
+        compiles one.
 
     Searches run through the columnar kernel: the tree is compiled into flat
     arrays (lazily; patched or recompiled whenever the tree or dataset
@@ -250,6 +254,7 @@ class TopKSearcher:
         measure: AssociationMeasure,
         hash_family: HierarchicalHashFamily,
         use_full_signatures: bool = False,
+        compiled: Optional[ColumnarTree] = None,
     ) -> None:
         self.tree = tree
         self.dataset = dataset
@@ -260,8 +265,7 @@ class TopKSearcher:
         self.kernel_compiles = 0
         #: Incremental kernel patches performed by this searcher.
         self.kernel_patches = 0
-        self._compiled: Optional[ColumnarTree] = None
-        self._compiled_loader: Optional[Callable[[], Optional[ColumnarTree]]] = None
+        self._compiled = compiled
         # Serialises (re)compilation so a parallel batch hitting a stale
         # compile runs it once, not once per worker thread.
         self._compile_lock = threading.Lock()
@@ -273,9 +277,9 @@ class TopKSearcher:
         A compiled tree is reused until the MinSigTree or the dataset
         mutates (their ``mutation_count`` moved) -- streaming flushes,
         expiries, and compactions therefore trigger a refresh on the next
-        search.  A deferred snapshot loader (see
-        :meth:`adopt_compiled_loader`) is consulted first; then a stale
-        kernel is patched in place of the touched entities
+        search.  A stale kernel -- including one a snapshot load handed in,
+        stamped at the load's mutation counts -- is patched in place of the
+        touched entities
         (:meth:`ColumnarTree.patch` -- byte-identical to a fresh compile at
         delta-proportional cost, declining past its staleness threshold); a
         full from-scratch compile (of ``table``, if given) is the fallback
@@ -291,15 +295,7 @@ class TopKSearcher:
             if stale is not None and stale.matches(self.tree, self.dataset):
                 return stale
             compiled = None
-            loader = self._compiled_loader
-            if loader is not None:
-                self._compiled_loader = None
-                compiled = loader()
-                if compiled is not None and not compiled.matches(self.tree, self.dataset):
-                    # A stale snapshot payload can still seed the patch path.
-                    stale = compiled
-                    compiled = None
-            if compiled is None and stale is not None:
+            if stale is not None:
                 compiled = stale.patch(self.tree, self.dataset)
                 if compiled is not None:
                     self.kernel_patches += 1
@@ -318,38 +314,6 @@ class TopKSearcher:
         instantly (no second full pass when no mutations intervened).
         """
         return self.compiled_tree(table)
-
-    def carry_compiled_from(self, previous: "TopKSearcher") -> None:
-        """Inherit a predecessor searcher's compiled state over the same tree.
-
-        Used when a searcher is rebuilt around an unchanged tree/dataset
-        (e.g. the sharded hash-family sharing pass re-adopts each shard's
-        index): an already-valid compiled kernel, or a still-pending
-        snapshot loader (which revalidates on its own), must survive the
-        swap instead of forcing a recompile.
-        """
-        if previous.tree is not self.tree:
-            return
-        if previous._compiled is not None:
-            # Even a stale kernel is worth carrying: compiled_tree()
-            # revalidates, and it seeds the patch path instead of forcing
-            # a from-scratch compile.
-            self._compiled = previous._compiled
-        self._compiled_loader = previous._compiled_loader
-
-    def adopt_compiled_loader(
-        self, loader: Callable[[], Optional[ColumnarTree]]
-    ) -> None:
-        """Install a deferred compiled-tree source (the snapshot load path).
-
-        ``loader`` is invoked at most once, on the first search that needs
-        the compiled arrays; it returns a ready-stamped
-        :class:`ColumnarTree`, or ``None`` to fall back to a fresh compile
-        (e.g. the engine mutated since the snapshot was loaded, or the
-        payload failed validation).  Deferring the import keeps snapshot
-        cold-start time free of columnar parsing.
-        """
-        self._compiled_loader = loader
 
     # ------------------------------------------------------------------
     def search(

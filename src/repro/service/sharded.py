@@ -281,7 +281,8 @@ class ShardedEngine(QueryFront):
             return
         shared = self._shards[0].hash_family
         for shard in self._shards[1:]:
-            shard._adopt_index(shared, shard.tree)
+            # Keeps the shard's kernel: the family's sharing changes no hash.
+            shard._adopt_index(shared, shard.tree, shard.searcher.compiled_tree())
 
     # ------------------------------------------------------------------
     # Queries

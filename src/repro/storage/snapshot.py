@@ -1,6 +1,6 @@
 """Durable engine snapshots: the index as a servable on-disk artifact.
 
-A snapshot is a directory holding everything a query-ready
+A snapshot (format 4) is a directory holding everything a query-ready
 :class:`~repro.core.engine.TraceQueryEngine` needs to cold-start **without
 re-signing the dataset**:
 
@@ -14,29 +14,34 @@ re-signing the dataset**:
     depend on insertion order, so the snapshot preserves it exactly
     (unlike the sorted interchange format of :mod:`repro.traces.io`).
 ``arrays.npz``
-    Hash-family coefficients, the presence records as columnar arrays, the
-    flattened MinSigTree (nodes + leaf membership), and the per-entity
-    signature matrices.  Signatures (and ``node_full_signatures``) are
-    stored as ``np.min_scalar_type(hash_range)`` -- the narrowest type
-    holding every min-hash value and the empty-level sentinel
-    ``hash_range`` -- and widened back to int64 on load.
+    Hash-family coefficients, the presence records as columnar arrays, and
+    the per-entity signature matrices (``signatures``), stacked in the
+    kernel's ``entity_order``.  Signatures are stored as
+    ``np.min_scalar_type(hash_range)`` -- the narrowest type holding every
+    min-hash value and the empty-level sentinel ``hash_range`` -- and
+    widened back to int64 when the tree builds its nodes.
 ``columnar.npz``
-    The compiled :class:`~repro.core.columnar.ColumnarTree` arrays, cell
-    table included as the kernel's integer cell codes.  Kept in their own
-    file so cold start never parses them: the engine adopts a digest-checked
-    *lazy loader* and imports the arrays on the first query (patching in
-    what changed if the engine mutated in between).
+    The MinSigTree, stored once: the compiled
+    :class:`~repro.core.columnar.ColumnarTree` arrays every query reads --
+    BFS node arrays, leaf spans, and the cell table as the kernel's integer
+    cell codes.  Full group-level signatures (``node_full_signatures``,
+    the ablation) are stored at the signatures' narrow type.
 
-Loading restores the hash coefficients verbatim and the tree from its
-arrays, so the restored engine is *bitwise-identical* to the saved one:
-same signatures, same group-level routing values (including ones left loose
-by removals), same query results, orderings, and pruning statistics.  The
-presence records stay in their columns until a read needs an entity's
-trace (:meth:`TraceDataset.restore_columns`), and the tree keeps its
-validated arrays until a mutation or a walk needs its nodes
-(:meth:`MinSigTree.import_structure`): queries run on ``columnar.npz``.
-Saving an engine that has not changed since its load hard-links the loaded
-snapshot's payload files instead of writing them again
+Loading verifies every payload digest, imports ``columnar.npz`` once
+(validating every structural invariant, see
+:meth:`ColumnarTree.import_arrays`) and hands the kernel, stamped, to the
+searcher; with ``mmap_columnar`` its arrays are memory-mapped, so read
+processes share one copy.  The hash coefficients come back verbatim, so the
+restored engine is *bitwise-identical* to the saved one: same signatures,
+same group-level routing values (including ones left loose by removals),
+same query results, orderings, and pruning statistics.  The presence
+records stay in their columns until a read needs an entity's trace
+(:meth:`TraceDataset.restore_columns`), and the tree answers from the
+kernel until a mutation or a walk needs its nodes
+(:meth:`MinSigTree.restore`), which it wires in the kernel's BFS order:
+recompiling a loaded tree gives back the saved kernel.  Saving an engine
+that has not changed since its load hard-links the loaded snapshot's
+payload files instead of writing them again
 (:func:`_link_unchanged_snapshot`).
 
 Versioning policy
@@ -44,15 +49,15 @@ Versioning policy
 ``SNAPSHOT_FORMAT_VERSION`` is bumped on any incompatible layout change,
 and a build loads exactly its own version: any other, single or sharded,
 raises :class:`SnapshotError` naming the rebuild (``repro index build``).
-There is no migration path.  Within the version, a ``columnar.npz`` that is
-missing or fails validation does not fail the load: the compiled arrays
-are a pure cache, and the engine recompiles them lazily on the first query,
-with identical results.  The manifest also stores an *index fingerprint*
--- a SHA-256 over the semantic engine configuration, the measure
-parameters, and the hash-family shape -- plus a ``content`` digest naming
-exactly the three payload files; both are recomputed and compared on load,
-so a tampered, corrupted, or mixed-up snapshot fails loudly instead of
-serving wrong results.
+There is no migration path.  The manifest also stores an *index
+fingerprint* -- a SHA-256 over the semantic engine configuration, the
+measure parameters, and the hash-family shape -- plus a ``content`` digest
+naming exactly the three payload files; both are recomputed and compared on
+load, so a missing, tampered, corrupted, or mixed-up payload file fails the
+load with :class:`SnapshotError` instead of serving wrong results.  A file
+that cannot be read raises it *from* the ``OSError``; a file that reads but
+is refused raises it without one, which is how a generation store tells a
+publish/prune race it should retry from a permanent failure.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.core.columnar import ColumnarTree, load_npz_mmap
 from repro.core.engine import EngineConfig, TraceQueryEngine
 from repro.core.hashing import HierarchicalHashFamily
 from repro.core.minsigtree import MinSigTree
@@ -96,7 +102,7 @@ PathLike = Union[str, Path]
 
 SNAPSHOT_FORMAT = "repro-engine-snapshot"
 SHARDED_SNAPSHOT_FORMAT = "repro-sharded-snapshot"
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 
 _MANIFEST_NAME = "manifest.json"
 _HIERARCHY_NAME = "hierarchy.json"
@@ -300,8 +306,6 @@ class _SnapshotSource:
     dataset: TraceDataset
     tree_mutation: int
     dataset_mutation: int
-    #: Tree nodes excluding the virtual root, as the loaded arrays hold them.
-    num_nodes: int
 
 
 def _link_unchanged_snapshot(
@@ -317,9 +321,10 @@ def _link_unchanged_snapshot(
     would write, with the source's content digests.  It does so only when
     the index and dataset have not mutated since the load, that manifest
     equals the source's in every key but ``content``, ``extra`` and the
-    performance config fields, and the source's ``columnar.npz`` -- which
-    no load verifies -- still matches its digest.  Otherwise it returns
-    ``False`` having written nothing, and the caller saves in full.
+    performance config fields, and the source's ``columnar.npz`` -- the
+    file read processes map -- still matches the digest it was loaded
+    with.  Otherwise it returns ``False`` having written nothing, and the
+    caller saves in full.
     """
     source = engine._snapshot_source
     if (
@@ -331,7 +336,9 @@ def _link_unchanged_snapshot(
     ):
         return False
     content = dict(source.manifest["content"])
-    manifest = _engine_manifest(engine, measure_payload, content, source.num_nodes, extra_meta)
+    manifest = _engine_manifest(
+        engine, measure_payload, content, source.tree.num_nodes, extra_meta
+    )
     performance = {field.name for field in dataclasses.fields(EngineConfig)} - set(
         engine.config.semantic_fields()
     )
@@ -397,9 +404,14 @@ def _write_engine_snapshot(
             presence_end.append(presence.end)
 
     hash_a, hash_b = family.export_coefficients()
+    # The compile is refreshed here if updates left it stale.
+    compiled = engine.searcher.compiled_tree()
     # Signature values lie in [0, hash_range] (hash_range marks an empty
     # level), so the narrowest type holding hash_range stores them exactly.
-    structure = tree.export_structure(np.min_scalar_type(family.hash_range))
+    narrow = np.min_scalar_type(family.hash_range)
+    signatures = np.empty((compiled.num_entities, tree.num_levels, tree.num_hashes), narrow)
+    for slot, entity in enumerate(compiled.entity_order):
+        signatures[slot] = tree.signature_of(entity)
 
     arrays: Dict[str, np.ndarray] = {
         "hash_a": hash_a,
@@ -409,27 +421,19 @@ def _write_engine_snapshot(
         "presence_unit": np.array(presence_unit, dtype=np.int64),
         "presence_start": np.array(presence_start, dtype=np.int64),
         "presence_end": np.array(presence_end, dtype=np.int64),
-        "node_level": structure["node_level"],
-        "node_routing_index": structure["node_routing_index"],
-        "node_routing_value": structure["node_routing_value"],
-        "node_parent": structure["node_parent"],
-        "tree_entities": np.array(structure["entities"], dtype=np.str_),
-        "entity_leaf": structure["entity_leaf"],
-        "signatures": structure["signatures"],
+        "signatures": signatures,
     }
-    if "node_full_signatures" in structure:
-        arrays["node_full_signatures"] = structure["node_full_signatures"]
     # Uncompressed on purpose: snapshots exist to minimise cold-start
-    # latency, and signature matrices are high-entropy anyway.
+    # latency (read processes memory-map columnar.npz), and signature
+    # matrices are high-entropy anyway.
     np.savez(directory / _ARRAYS_NAME, **arrays)
-
-    # Compiled columnar kernel: persisted in its own file so loading never
-    # parses it eagerly -- the engine imports it lazily at the first query.
-    # The compile is refreshed here if updates left it stale.
-    np.savez(directory / _COLUMNAR_NAME, **engine.searcher.compiled_tree().export_arrays())
+    kernel = compiled.export_arrays()
+    if "node_full_signatures" in kernel:
+        kernel["node_full_signatures"] = kernel["node_full_signatures"].astype(narrow)
+    np.savez(directory / _COLUMNAR_NAME, **kernel)
 
     content = {name: _file_digest(directory / name) for name in _PAYLOAD_NAMES}
-    num_nodes = int(structure["node_level"].size) - 1  # minus the virtual root
+    num_nodes = compiled.num_nodes - 1  # minus the virtual root
     _write_manifest(
         directory, _engine_manifest(engine, measure_payload, content, num_nodes, extra_meta)
     )
@@ -532,13 +536,14 @@ def load_engine_snapshot(
 ) -> TraceQueryEngine:
     """Restore a query-ready engine from a snapshot directory.
 
-    No signature is recomputed: the hash coefficients, signature matrices,
-    and tree structure come straight from the arrays, and no tree node is
+    No signature is recomputed and no kernel compiled: the hash
+    coefficients and signature matrices come straight from ``arrays.npz``,
+    the tree and its kernel from ``columnar.npz``, and no tree node is
     built until the engine first mutates (see
-    :meth:`~repro.core.minsigtree.MinSigTree.import_structure`).
+    :meth:`~repro.core.minsigtree.MinSigTree.restore`).
     ``measure`` overrides the serialized measure (required for measures
     outside the registry).
-    With ``mmap_columnar=True`` the compiled columnar arrays are adopted as
+    With ``mmap_columnar=True`` the kernel's arrays are adopted as
     read-only memory-mapped views (:func:`repro.core.columnar.load_npz_mmap`)
     instead of heap copies, so N processes loading the same snapshot share
     one physical copy through the page cache -- the multi-process serving
@@ -547,11 +552,12 @@ def load_engine_snapshot(
     Raises
     ------
     SnapshotError
-        On a missing/foreign directory, a missing or unreadable
-        ``hierarchy.json`` / ``arrays.npz``, a format-version mismatch, a
+        On a missing/foreign directory, a missing or unreadable payload
+        file (raised from its ``OSError``), a format-version mismatch, a
         fingerprint mismatch between the manifest's stored identity and the
-        one recomputed from its contents, or a ``content`` map that does not
-        name exactly the payload files with their digests.
+        one recomputed from its contents, a ``content`` map that does not
+        name exactly the payload files with their digests, a payload that
+        does not match its digest, or arrays no save could have written.
     """
     directory = Path(path)
     manifest = read_manifest(directory)
@@ -581,10 +587,7 @@ def load_engine_snapshot(
             f"invalid snapshot manifest in {directory}: content must map exactly "
             f"{list(_PAYLOAD_NAMES)} to their digests, got {content!r}"
         )
-    # The columnar payload is a pure cache verified lazily by its loader at
-    # first query; a missing or corrupted file must drop the cache
-    # (recompile), never fail the load.
-    for name in (_HIERARCHY_NAME, _ARRAYS_NAME):
+    for name in _PAYLOAD_NAMES:
         recorded = content[name]
         try:
             actual = _file_digest(directory / name)
@@ -610,16 +613,12 @@ def load_engine_snapshot(
             f"unreadable snapshot hierarchy in {directory}: {exc}"
         ) from exc
 
-    try:
-        with np.load(directory / _ARRAYS_NAME, allow_pickle=False) as arrays:
-            data = {key: arrays[key] for key in arrays.files}
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
-        raise SnapshotError(f"unreadable snapshot arrays in {directory}: {exc}") from exc
+    data = _read_arrays(directory, _ARRAYS_NAME)
+    kernel = _read_arrays(directory, _COLUMNAR_NAME, mmap=mmap_columnar)
     required = {
         "hash_a", "hash_b", "dataset_entities",
         "presence_entity", "presence_unit", "presence_start", "presence_end",
-        "node_level", "node_routing_index", "node_routing_value", "node_parent",
-        "tree_entities", "entity_leaf", "signatures",
+        "signatures",
     }
     missing = sorted(required - set(data))
     if missing:
@@ -662,33 +661,36 @@ def load_engine_snapshot(
                 f"restored hash range {family.hash_range} differs from the snapshot's "
                 f"{hash_family_meta['hash_range']}; the hierarchy or horizon does not match"
             )
-        for name in ("signatures", "node_full_signatures"):
-            if name in data:
-                _check_signature_values(name, data[name], family.hash_range, directory)
+        if manifest["dataset"]["num_levels"] != hierarchy.num_levels:
+            raise SnapshotError(
+                f"snapshot {directory} records {manifest['dataset']['num_levels']} levels "
+                f"but its hierarchy has {hierarchy.num_levels}"
+            )
+        _check_signature_values("signatures", data["signatures"], family.hash_range, directory)
+        if "node_full_signatures" in kernel:
+            _check_signature_values(
+                "node_full_signatures", kernel["node_full_signatures"], family.hash_range, directory
+            )
 
-        tree = MinSigTree.import_structure(
-            {
-                "node_level": data["node_level"],
-                "node_routing_index": data["node_routing_index"],
-                "node_routing_value": data["node_routing_value"],
-                "node_parent": data["node_parent"],
-                "entities": [str(name) for name in data["tree_entities"]],
-                "entity_leaf": data["entity_leaf"],
-                "signatures": data["signatures"],
-                "node_full_signatures": data.get("node_full_signatures"),
-            },
-            num_levels=manifest["dataset"]["num_levels"],
-            num_hashes=config.num_hashes,
+        compiled = ColumnarTree.import_arrays(
+            kernel, hierarchy=hierarchy, num_hashes=config.num_hashes
+        )
+        # The first recompile after a mutation reads every indexed entity's trace.
+        strays = [entity for entity in compiled.entity_order if entity not in dataset]
+        if strays:
+            raise SnapshotError(
+                f"snapshot {directory} indexes entities with no trace, e.g. {strays[0]!r}"
+            )
+        tree = MinSigTree.restore(
+            compiled,
+            data["signatures"],
             store_full_signatures=config.store_full_signatures,
             routing_strategy=manifest["tree"]["routing_strategy"],
         )
+        compiled.stamp(tree, dataset)
 
         engine = TraceQueryEngine(dataset, measure=resolved_measure, config=config)
-        engine._adopt_index(family, tree)
-        num_nodes = int(data["node_level"].size) - 1  # minus the virtual root
-        _install_columnar_loader(
-            engine, directory, manifest, num_nodes, mmap_columnar=mmap_columnar
-        )
+        engine._adopt_index(family, tree, compiled)
         engine._snapshot_source = _SnapshotSource(
             directory=directory,
             manifest=manifest,
@@ -696,7 +698,6 @@ def load_engine_snapshot(
             dataset=dataset,
             tree_mutation=tree.mutation_count,
             dataset_mutation=dataset.mutation_count,
-            num_nodes=num_nodes,
         )
     except SnapshotError:
         raise
@@ -706,6 +707,20 @@ def load_engine_snapshot(
             "arrays are inconsistent"
         ) from exc
     return engine
+
+
+def _read_arrays(directory: Path, name: str, mmap: bool = False) -> Dict[str, np.ndarray]:
+    """Every array of the ``.npz`` payload ``name``, memory-mapped if ``mmap``
+    and the archive allows it (see :func:`load_npz_mmap`), else read whole."""
+    payload = directory / name
+    try:
+        data = load_npz_mmap(payload) if mmap else None
+        if data is None:
+            with np.load(payload, allow_pickle=False) as arrays:
+                data = {key: arrays[key] for key in arrays.files}
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise SnapshotError(f"unreadable snapshot payload {name} in {directory}: {exc}") from exc
+    return data
 
 
 _PRESENCE_COLUMNS = ("presence_entity", "presence_unit", "presence_start", "presence_end")
@@ -776,64 +791,6 @@ def _check_signature_values(
             f"snapshot array {name} in {directory} is not integer signatures in "
             f"[0, {hash_range}]; the arrays are inconsistent"
         )
-
-
-def _install_columnar_loader(
-    engine: TraceQueryEngine,
-    directory: Path,
-    manifest: Dict[str, object],
-    num_nodes: int,
-    mmap_columnar: bool = False,
-) -> None:
-    """Adopt a snapshot's precompiled columnar kernel as a *lazy* loader.
-
-    The payload stays unread at load time (cold start is the whole point of
-    a snapshot); the searcher imports it on the first query, after
-    re-verifying the manifest digest.  The arrays are stamped with the
-    mutation counts of the load, so if the engine mutated before that first
-    query the searcher patches in the touched entities, as it would for a
-    kernel compiled at load.  The compiled arrays are a pure cache --
-    results are identical with or without them -- so *any* problem (a
-    missing, tampered or inconsistent file) simply falls back to the lazy
-    recompile.  ``mmap_columnar`` prefers zero-copy memory-mapped views
-    over heap copies (and itself falls back to a regular load when the
-    archive cannot be mapped).  ``num_nodes`` is the loaded tree's node
-    count without the virtual root, which the compiled arrays must match.
-    """
-    recorded_digest = manifest["content"][_COLUMNAR_NAME]
-    payload = directory / _COLUMNAR_NAME
-    if not payload.exists():
-        return
-    from repro.core.columnar import ColumnarTree, load_npz_mmap
-
-    tree = engine.tree
-    dataset = engine.dataset
-    loaded_at = (tree.mutation_count, dataset.mutation_count)
-    num_entities = tree.num_entities
-
-    def load_compiled() -> Optional["ColumnarTree"]:
-        """Import the persisted arrays, valid for the engine as loaded."""
-        try:
-            if _file_digest(payload) != recorded_digest:
-                return None
-            data = load_npz_mmap(payload) if mmap_columnar else None
-            if data is None:
-                with np.load(payload, allow_pickle=False) as arrays:
-                    data = {key: arrays[key] for key in arrays.files}
-            compiled = ColumnarTree.import_arrays(
-                data, hierarchy=dataset.hierarchy, num_hashes=tree.num_hashes
-            )
-            if (
-                compiled.num_entities != num_entities
-                or compiled.num_nodes != num_nodes + 1
-            ):
-                return None
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile):
-            return None
-        compiled.stamp(tree, dataset, loaded_at)
-        return compiled
-
-    engine.searcher.adopt_compiled_loader(load_compiled)
 
 
 def snapshot_info(path: PathLike) -> Dict[str, object]:

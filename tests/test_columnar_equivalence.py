@@ -15,7 +15,9 @@ both sides see one index state), across:
   invalidate and recompile on every index or data mutation);
 * sharded deployments (shard counts {1, 2});
 * snapshot save/load, including the round-trip of the compiled arrays
-  themselves and the recompile fallback for a payload the import refuses.
+  themselves (the only stored form of the tree), the byte-identity of a
+  loaded tree's recompile, and the load failing for a payload the import
+  refuses.
 """
 
 import dataclasses
@@ -436,17 +438,15 @@ class TestSnapshotRoundTrip:
         ).build()
         snap = engine.save(tmp_path / "snap")
         assert (snap / "columnar.npz").exists()
-        loaded = TraceQueryEngine.load(snap)
-
-        # Load defers the columnar import: nothing compiled yet, but the
-        # first query must import the persisted arrays -- never recompile.
-        assert loaded.searcher._compiled is None
-        assert loaded.searcher._compiled_loader is not None
 
         def no_compile(*args, **kwargs):  # pragma: no cover - guard only
             raise AssertionError("snapshot load must import, not recompile")
 
+        # The load imports the persisted arrays and hands them, stamped, to
+        # the searcher: neither the load nor the first query compiles.
         monkeypatch.setattr(ColumnarTree, "compile", no_compile)
+        loaded = TraceQueryEngine.load(snap)
+        assert loaded.searcher._compiled.matches(loaded.tree, loaded.dataset)
         installed = loaded.searcher.compiled_tree()
         assert installed is not None
         saved_arrays = engine.searcher.compiled_tree().export_arrays()
@@ -467,8 +467,8 @@ class TestSnapshotRoundTrip:
         engine.expire_events(12)
         engine.save(tmp_path / "snap")
         loaded = TraceQueryEngine.load(tmp_path / "snap")
-        assert loaded.searcher._compiled_loader is not None
         assert_matches_oracle(loaded, k_values=(1, 6), oracle_engine=engine)
+        assert (loaded.searcher.kernel_compiles, loaded.searcher.kernel_patches) == (0, 0)
 
     def test_mutation_before_first_query_patches_the_persisted_arrays(
         self, hierarchy, tmp_path, seeded_rng
@@ -492,35 +492,84 @@ class TestSnapshotRoundTrip:
         for key, value in fresh.items():
             assert np.array_equal(value, patched[key]), key
 
-    def test_missing_or_corrupt_columnar_payload_falls_back(self, hierarchy, tmp_path, seeded_rng):
-        """The columnar payload is a cache: losing it must not fail the load."""
+    @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
+    def test_a_loaded_tree_recompiles_to_the_never_saved_kernel(
+        self, hierarchy, tmp_path, seeded_rng, num_shards
+    ):
+        """The tree is restored from the kernel's BFS arrays, so every node
+        lists its children as the saved tree did: after one mutation applied
+        to both, recompiling the loaded tree gives the never-saved engine's
+        kernel byte for byte."""
+        rng = seeded_rng(89)
+        dataset = dataset_from(hierarchy, random_events(hierarchy, rng, num_entities=40))
+        if num_shards:
+            engine = ShardedEngine(dataset, num_hashes=16, seed=3, num_shards=num_shards)
+        else:
+            engine = TraceQueryEngine(dataset, num_hashes=16, seed=3)
+        loaded = type(engine).load(engine.build().save(tmp_path / "snap"))
+        records = [
+            PresenceInstance("e5", hierarchy.base_units[4], 70, 74),
+            PresenceInstance("fresh", hierarchy.base_units[1], 12, 15),
+        ]
+        for twin in (engine, loaded):
+            twin.add_records(records)
+            twin.remove_entity("e9")
+        pairs = (
+            list(zip(engine.shards, loaded.shards)) if num_shards else [(engine, loaded)]
+        )
+        for never_saved, restored in pairs:
+            expected = never_saved.searcher.compiled_tree().export_arrays()
+            actual = ColumnarTree.compile(restored.tree, restored.dataset).export_arrays()
+            assert set(actual) == set(expected)
+            for key, value in expected.items():
+                assert actual[key].dtype == value.dtype, key
+                assert actual[key].tobytes() == value.tobytes(), key
+            patched = restored.searcher.compiled_tree().export_arrays()
+            for key, value in expected.items():
+                assert patched[key].tobytes() == value.tobytes(), key
+
+    def test_missing_or_corrupt_columnar_payload_fails_the_load(
+        self, hierarchy, tmp_path, seeded_rng
+    ):
+        """``columnar.npz`` is the stored tree: a load without a sound one
+        fails.  A missing file is unreadable (the ``OSError`` is the cause,
+        so a generation store retries it); a corrupt one is refused."""
+        from repro.storage.snapshot import SnapshotError, _file_digest
+
         rng = seeded_rng(73)
         events = random_events(hierarchy, rng, num_entities=8)
         engine = TraceQueryEngine(
             dataset_from(hierarchy, events), num_hashes=16, seed=3
         ).build()
-        query = engine.dataset.entities[0]
-        expected = engine.top_k(query, k=5).items
 
         snap = engine.save(tmp_path / "missing")
         (snap / "columnar.npz").unlink()
-        loaded = TraceQueryEngine.load(snap)
-        assert loaded.top_k(query, k=5).items == expected
-        assert loaded.searcher._compiled is not None  # recompiled lazily
+        with pytest.raises(SnapshotError, match="unreadable snapshot payload columnar.npz") as caught:
+            TraceQueryEngine.load(snap)
+        assert isinstance(caught.value.__cause__, OSError)
 
         snap = engine.save(tmp_path / "corrupt")
         (snap / "columnar.npz").write_bytes(b"not an npz")
-        loaded = TraceQueryEngine.load(snap)
-        assert loaded.top_k(query, k=5).items == expected
+        with pytest.raises(SnapshotError, match="columnar.npz .*does not match") as caught:
+            TraceQueryEngine.load(snap)
+        assert caught.value.__cause__ is None
+
+        # The same bytes under a matching digest still fail: not an archive.
+        manifest = json.loads((snap / "manifest.json").read_text())
+        manifest["content"]["columnar.npz"] = _file_digest(snap / "columnar.npz")
+        (snap / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="unreadable snapshot payload columnar.npz") as caught:
+            TraceQueryEngine.load(snap)
+        assert not isinstance(caught.value.__cause__, OSError)
 
     @pytest.mark.parametrize(
         "tamper", ["code_outside_its_level", "negative_code", "unsorted_codes", "offset_length"]
     )
-    def test_impossible_cell_table_falls_back_to_a_fresh_compile(self, tmp_path, tamper):
+    def test_an_impossible_cell_table_fails_the_load(self, tmp_path, tamper):
         """The import refuses integer cell tables ``export_arrays`` can never
-        write -- a kernel installed from one would answer wrongly -- and the
-        first query compiles once instead, with identical answers."""
-        from repro.storage.snapshot import _file_digest
+        write -- a kernel installed from one would answer wrongly -- and so
+        does the load, even when the manifest digest matches."""
+        from repro.storage.snapshot import SnapshotError, _file_digest
 
         hierarchy = SpatialHierarchy.regular([2, 2])
         dataset = TraceDataset(hierarchy, horizon=12)
@@ -532,7 +581,6 @@ class TestSnapshotRoundTrip:
         dataset.add_record("e2", "u2_0_0", time=9, duration=2)
         dataset.add_record("e3", "u2_0_0", time=2, duration=1)
         engine = TraceQueryEngine(dataset, num_hashes=16, seed=3).build()
-        expected = engine.top_k("e0", k=3).items
         snap = engine.save(tmp_path / "snap")
         with np.load(snap / "columnar.npz") as payload:
             arrays = {key: payload[key] for key in payload.files}
@@ -555,17 +603,16 @@ class TestSnapshotRoundTrip:
         manifest["content"]["columnar.npz"] = _file_digest(snap / "columnar.npz")
         (snap / "manifest.json").write_text(json.dumps(manifest))
 
-        loaded = TraceQueryEngine.load(snap)
-        assert loaded.top_k("e0", k=3).items == expected
-        assert loaded.searcher.kernel_compiles == 1  # the payload was refused
+        with pytest.raises(SnapshotError, match="malformed columnar arrays") as caught:
+            TraceQueryEngine.load(snap)
+        assert not isinstance(caught.value.__cause__, OSError)
 
     @pytest.mark.parametrize("mmap_columnar", [False, True], ids=["heap", "mmap"])
     @pytest.mark.parametrize("num_shards", [0, 2], ids=["single", "sharded"])
     def test_a_clean_load_adopts_the_persisted_kernel(
         self, hierarchy, tmp_path, seeded_rng, num_shards, mmap_columnar
     ):
-        """A sound ``columnar.npz`` serves the first query without a compile;
-        a broken import would otherwise hide behind the recompile fallback."""
+        """A sound ``columnar.npz`` serves every query without a compile."""
         from repro.storage.snapshot import load_engine_snapshot
 
         rng = seeded_rng(67)
@@ -587,7 +634,7 @@ class TestSnapshotRoundTrip:
         self, hierarchy, tmp_path, num_shards, key, seeded_rng
     ):
         """Earlier builds recorded these options in ``config``; this build
-        writes format 3 alone, so a manifest naming one is refused like any
+        writes format 4 alone, so a manifest naming one is refused like any
         other unknown key, never silently dropped."""
         from repro.storage.snapshot import SnapshotError
 

@@ -410,6 +410,32 @@ class TestCurrentRecovery:
         assert generation == 2
         assert engine.top_k("a", k=3).items == small_engine.top_k("a", k=3).items
 
+    def test_a_missing_columnar_payload_is_retried(self, small_engine, tmp_path):
+        store = GenerationStore(tmp_path)
+        store.publish(small_engine)
+        _, directory = store.current()
+        # The stored tree is gone, as under a prune racing the read: a
+        # publish could still repair the store, so the reader retries.
+        (directory / "columnar.npz").unlink()
+        reader = GenerationStore(tmp_path)
+        started = time.monotonic()
+        with pytest.raises(SnapshotError, match="unreadable snapshot payload columnar.npz"):
+            reader.load_current(timeout=0.3)
+        assert 0.25 <= time.monotonic() - started < 5.0
+
+    def test_a_tampered_columnar_payload_raises_without_retrying(
+        self, small_engine, tmp_path
+    ):
+        store = GenerationStore(tmp_path)
+        store.publish(small_engine)
+        _, directory = store.current()
+        (directory / "columnar.npz").write_bytes(b"not an npz")
+        reader = GenerationStore(tmp_path)
+        started = time.monotonic()
+        with pytest.raises(SnapshotError, match="columnar.npz .*does not match"):
+            reader.load_current(timeout=30.0)
+        assert time.monotonic() - started < 1.0
+
     def test_a_refused_manifest_raises_without_retrying(self, small_engine, tmp_path):
         store = GenerationStore(tmp_path)
         store.publish(small_engine)

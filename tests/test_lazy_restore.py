@@ -3,15 +3,16 @@
 ``load_engine_snapshot`` leaves every entity's records in the snapshot's
 presence columns (:meth:`TraceDataset.restore_columns`); the first read
 that needs them builds the ``PresenceInstance`` list in place.  The tree
-keeps its validated arrays (:meth:`MinSigTree.import_structure`) until a
-mutation or a walk builds its nodes.  These tests pin that a lazily
-restored engine is indistinguishable from one whose traces and tree were
-all built at load, through every kind of mutation, and that a load --
-single or sharded -- and everything a read process does after it builds no
-record and no tree node at all.
+answers from the validated kernel arrays it was restored from
+(:meth:`MinSigTree.restore`) until a mutation or a walk builds its nodes.
+These tests pin that a lazily restored engine is indistinguishable from one
+whose traces and tree were all built at load, through every kind of
+mutation, and that a load -- single or sharded -- and everything a read
+process does after it builds no record and no tree node at all.
 """
 
 import dataclasses
+import json
 import sys
 import threading
 
@@ -19,8 +20,9 @@ import numpy as np
 import pytest
 
 from repro import PresenceInstance, ShardedEngine, SpatialHierarchy, TraceDataset, TraceQueryEngine
-from repro.core.minsigtree import MinSigTree, MinSigTreeNode
-from repro.storage.snapshot import load_engine_snapshot
+from repro.core.columnar import ColumnarTree
+from repro.core.minsigtree import MinSigTreeNode
+from repro.storage.snapshot import SnapshotError, _file_digest, load_engine_snapshot
 from repro.traces import dataset as dataset_module
 from repro.traces.events import cell_table_from_traces
 
@@ -231,10 +233,11 @@ def test_lazy_restore_matches_an_eager_one_through_mutations(
     assert_tables_equal(lazy.dataset.cell_table(), eager.dataset.cell_table())
     assert not unbuilt(lazy.dataset)
     assert tree_built(lazy)
-    lazy_structure = lazy.tree.export_structure()
-    eager_structure = eager.tree.export_structure()
-    for key, value in eager_structure.items():
-        assert np.array_equal(lazy_structure[key], value), key
+    lazy_kernel = ColumnarTree.compile(lazy.tree, lazy.dataset).export_arrays()
+    eager_kernel = ColumnarTree.compile(eager.tree, eager.dataset).export_arrays()
+    assert set(lazy_kernel) == set(eager_kernel)
+    for key, value in eager_kernel.items():
+        assert np.array_equal(lazy_kernel[key], value), key
     assert lazy.tree.leaf_order() == eager.tree.leaf_order()
 
 
@@ -315,40 +318,64 @@ def test_a_read_process_builds_no_tree_node(
     ]
 
 
+def rewrite_payload(snapshot, name, arrays):
+    """Replace one ``.npz`` payload of ``snapshot``, keeping its digest valid."""
+    np.savez(snapshot / name, **arrays)
+    manifest_path = snapshot / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["content"][name] = _file_digest(snapshot / name)
+    manifest_path.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize(
     "defect, message",
     [
         ("no-root", "missing virtual root"),
         ("forward-parent", "has parent"),
         ("repeated-sibling", "repeats a sibling"),
-        ("leaf-out-of-range", "entity_leaf"),
+        ("routing-index-out-of-range", "routing index outside"),
+        ("child-span-mismatch", "child spans"),
+        ("leaf-out-of-range", "entity span out of range"),
+        ("duplicate-entity", "listed twice"),
+        ("entity-without-trace", "no trace"),
         ("short-signatures", "signature block"),
     ],
 )
 def test_a_malformed_tree_fails_at_load(hierarchy, seeded_rng, tmp_path, defect, message):
-    """The arrays are validated at load, so a tree that builds later cannot fail."""
+    """The kernel arrays are validated at load, so a tree that builds later
+    cannot fail; each defect is written into a snapshot whose digests match."""
     rng = seeded_rng(3)
     engine = TraceQueryEngine(random_dataset(hierarchy, rng), num_hashes=16, seed=7).build()
-    structure = engine.tree.export_structure()
+    snapshot = engine.save(tmp_path / "snap")
+    name = "arrays.npz" if defect == "short-signatures" else "columnar.npz"
+    with np.load(snapshot / name) as payload:
+        arrays = {key: payload[key].copy() for key in payload.files}
     if defect == "no-root":
-        structure["node_parent"] = structure["node_parent"].copy()
-        structure["node_parent"][0] = 0
+        arrays["node_parent"][0] = 0
     elif defect == "forward-parent":
-        structure["node_parent"] = structure["node_parent"].copy()
-        structure["node_parent"][1] = 2
+        arrays["node_parent"][1] = 2
     elif defect == "repeated-sibling":
         # Give the root's second child the first child's routing index.
-        children = np.flatnonzero(structure["node_parent"] == 0)
-        structure["node_routing_index"] = structure["node_routing_index"].copy()
-        structure["node_routing_index"][children[1]] = structure["node_routing_index"][children[0]]
+        children = np.flatnonzero(arrays["node_parent"] == 0)
+        arrays["node_routing_index"][children[1]] = arrays["node_routing_index"][children[0]]
+    elif defect == "routing-index-out-of-range":
+        arrays["node_routing_index"][1] = 16
+    elif defect == "child-span-mismatch":
+        arrays["child_end"][0] -= 1
     elif defect == "leaf-out-of-range":
-        structure["entity_leaf"] = structure["entity_leaf"].copy()
-        structure["entity_leaf"][0] = -1
+        leaf = np.flatnonzero(arrays["entity_end"] > arrays["entity_start"])[0]
+        arrays["entity_start"][leaf] = -1
+    elif defect == "duplicate-entity":
+        arrays["entity_order"][1] = arrays["entity_order"][0]
+    elif defect == "entity-without-trace":
+        arrays["entity_order"][0] = "e99"
     else:
-        structure["signatures"] = structure["signatures"][:-1]
-    with pytest.raises(ValueError, match=message):
-        MinSigTree.import_structure(structure, num_levels=3, num_hashes=16)
-    MinSigTree.import_structure(engine.tree.export_structure(), num_levels=3, num_hashes=16)
+        arrays["signatures"] = arrays["signatures"][:-1]
+    rewrite_payload(snapshot, name, arrays)
+    with pytest.raises(SnapshotError, match=message) as caught:
+        load_engine_snapshot(snapshot)
+    # Refused, not unreadable: a generation store does not retry it.
+    assert not isinstance(caught.value.__cause__, OSError)
 
 
 def test_concurrent_first_reads_build_one_tree(hierarchy, seeded_rng, tmp_path):

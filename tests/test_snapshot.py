@@ -137,8 +137,11 @@ class TestRoundTrip:
         restored = TraceQueryEngine.load(tmp_path / "snap")
         assert restored.config.store_full_signatures
         hash_range = engine.hash_family.hash_range
-        with np.load(tmp_path / "snap" / "arrays.npz") as arrays:
-            for name in ("signatures", "node_full_signatures"):
+        for payload, name in (
+            ("arrays.npz", "signatures"),
+            ("columnar.npz", "node_full_signatures"),
+        ):
+            with np.load(tmp_path / "snap" / payload) as arrays:
                 assert arrays[name].dtype == np.min_scalar_type(hash_range)
         if hash_range_256:
             assert hash_range == 256
@@ -476,11 +479,13 @@ def _rewrite_manifests(snapshot, edit) -> None:
 
 
 class TestRetiredLayouts:
-    """This build loads format 3 alone: older layouts are refused, not migrated.
+    """This build loads format 4 alone: older layouts are refused, not migrated.
 
     Format 1 had no ``columnar.npz``; format 2 stored the compiled cell
-    table as unit-id strings.  Either, single or sharded, must fail with
-    the rebuild hint, never a traceback and never a silently served index.
+    table as unit-id strings; format 3 kept a depth-first copy of the tree
+    in ``arrays.npz`` beside the kernel.  Any of them, single or sharded,
+    must fail with the rebuild hint, never a traceback and never a silently
+    served index.
     """
 
     @pytest.fixture(params=[0, 3], ids=["single", "sharded"])
@@ -506,14 +511,14 @@ class TestRetiredLayouts:
             for payload in snapshot.rglob("columnar.npz"):
                 payload.unlink()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_load_refuses_an_older_format(self, snapshot, version):
         kind, path = snapshot
         self.stamp_format(path, version)
         with pytest.raises(SnapshotError, match=f"format version {version} .*re-create"):
             kind.load(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize(
         "command",
         [["index", "info", "--snapshot"], ["query", "--entity", "a", "--k", "3", "--snapshot"]],
@@ -531,7 +536,7 @@ class TestRetiredLayouts:
         _kind, path = snapshot
         for manifest_path in path.rglob("manifest.json"):
             manifest = json.loads(manifest_path.read_text())
-            assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 3
+            assert manifest["format_version"] == SNAPSHOT_FORMAT_VERSION == 4
             assert "bound_mode" not in manifest.get("config", {}), manifest_path
 
 
@@ -586,7 +591,7 @@ def _shares_inodes(first, second) -> bool:
 
 
 class TestMissingPayload:
-    """A snapshot missing ``hierarchy.json`` or ``arrays.npz`` is refused.
+    """A snapshot missing any payload file is refused.
 
     Regression: the digest check opened the file unguarded, so a missing
     payload escaped as a raw ``FileNotFoundError`` and ``repro query``
@@ -604,7 +609,7 @@ class TestMissingPayload:
             engine = TraceQueryEngine(small_dataset, **knobs)
         return type(engine), engine.build().save(tmp_path / "snap")
 
-    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz"])
+    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz", "columnar.npz"])
     def test_load_raises_snapshot_error(self, snapshot, name):
         kind, path = snapshot
         for payload in path.rglob(name):
@@ -613,13 +618,16 @@ class TestMissingPayload:
             kind.load(path)
         assert isinstance(caught.value.__cause__, OSError)
 
-    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz"])
+    @pytest.mark.parametrize("name", ["hierarchy.json", "arrays.npz", "columnar.npz"])
     def test_the_cli_exits_2_without_a_traceback(self, snapshot, name, capsys):
         _kind, path = snapshot
         next(path.rglob(name)).unlink()
         assert cli_main(["query", "--entity", "a", "--k", "3", "--snapshot", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: unreadable snapshot payload {name}")
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            captured.err.splitlines()[0]
+        ]
         assert "Traceback" not in captured.out + captured.err
 
 
@@ -736,11 +744,12 @@ class TestLinkedSave:
         assert_engines_identical(small_engine, TraceQueryEngine.load(source), ["a", "d"], k=3)
 
     def test_a_tampered_source_columnar_payload_is_saved_in_full(self, small_engine, tmp_path):
+        """A load verifies columnar.npz; one replaced after the load is not linked."""
         source = small_engine.save(tmp_path / "source")
+        loaded = TraceQueryEngine.load(source)
         with np.load(source / "columnar.npz") as payload:
             arrays = {key: payload[key] for key in payload.files}
         np.savez(source / "columnar.npz", **{key: value[:0] for key, value in arrays.items()})
-        loaded = TraceQueryEngine.load(source)
         saved = loaded.save(tmp_path / "saved")
         assert os.stat(source / "arrays.npz").st_ino != os.stat(saved / "arrays.npz").st_ino
         restored = TraceQueryEngine.load(saved)
